@@ -1,0 +1,67 @@
+"""Golden layout snapshot: `layout --json` output, compared byte for byte.
+
+The snapshot pins the layouts, tag schemes, scores and step counts that the
+solver reports today, so a refactor can show that it changes none of them.
+A change to a golden file is a change in behaviour: name it and give the
+reason in CHANGES.md. To rewrite the files after such a change, run
+`PYTHONPATH=src python tests/test_golden.py`.
+"""
+
+from __future__ import annotations
+
+import io
+import pathlib
+import tempfile
+
+import pytest
+
+from adtlayout.cli import cmd_layout
+
+from corpus import CORPUS_SRC
+
+GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
+
+
+def _nullary_plus_payload(n: int, width: int) -> str:
+    cases = " ".join(f"case N{i};" for i in range(n))
+    return f"type S #unboxed {{ {cases} case P(p: u{width}); }}\n"
+
+
+# 2 x 5 mixed-width fields; the second program's W1 in the stress-wide inputs
+WIDE_W1 = (
+    "type W1 #unboxed { case V0(f0_0: u8, f0_1: u1, f0_2: u12, f0_3: u8, f0_4: u3); "
+    "case V1(f1_0: u5, f1_1: u12, f1_2: u3, f1_3: u3, f1_4: u5); }\n"
+)
+
+# golden file stem -> (source, target)
+CASES = {
+    "corpus-x64": (CORPUS_SRC, "x64"),
+    "corpus-jvm": (CORPUS_SRC, "jvm"),
+    "corpus-x86-32": (CORPUS_SRC, "x86-32"),
+    "nullary10-u62-x64": (_nullary_plus_payload(10, 62), "x64"),  # decision tree
+    "nullary12-u29-x86-32": (_nullary_plus_payload(12, 29), "x86-32"),  # decision tree
+    "wide-w1-x86-32": (WIDE_W1, "x86-32"),  # explicit tag
+}
+
+
+def layout_json(source: str, target: str) -> str:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp) / "input.pk"
+        path.write_text(source, encoding="utf-8")
+        out = io.StringIO()
+        assert cmd_layout([str(path)], target=target, as_json=True, out=out) == 0
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_layout_matches_golden(name):
+    source, target = CASES[name]
+    golden = (GOLDEN_DIR / f"{name}.json").read_text(encoding="utf-8")
+    assert layout_json(source, target) == golden
+
+
+if __name__ == "__main__":
+    GOLDEN_DIR.mkdir(exist_ok=True)
+    for name, (source, target) in sorted(CASES.items()):
+        (GOLDEN_DIR / f"{name}.json").write_text(layout_json(source, target), encoding="utf-8")
+        print(f"wrote {GOLDEN_DIR / name}.json")
