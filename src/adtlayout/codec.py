@@ -43,24 +43,6 @@ def _field_bits(f: FieldSlot, value: int, offset: int, width: int) -> int:
     return value
 
 
-def _base_words(layout: LayoutSolution, variant_index: int) -> list[int]:
-    cache = getattr(layout, "_base_cache", None)
-    if cache is None:
-        cache = {}
-        layout._base_cache = cache
-    words = cache.get(variant_index)
-    if words is None:
-        words = []
-        for pat in layout.patterns[variant_index]:
-            word = 0
-            for b, ch in enumerate(pat):
-                if ch == "1":
-                    word |= 1 << b
-            words.append(word)
-        cache[variant_index] = words
-    return list(words)
-
-
 def encode_variant(
     layout: LayoutSolution, variant_index: int, field_values: Mapping[str, int]
 ) -> list[int]:
@@ -68,7 +50,7 @@ def encode_variant(
     chosen bits, field bits at their intervals, and the tag."""
     adt = layout.adt
     variant = adt.variants[variant_index]
-    scalars = _base_words(layout, variant_index)
+    scalars = [p.ones for p in layout.patterns[variant_index]]
     for f in variant.fields:
         pl = layout.placements[(variant_index, f.name)]
         if f.name not in field_values:

@@ -1,19 +1,70 @@
 """Runtime distinguishability of variants: checking, explicit tag placement,
 and decision-tree derivation over per-variant bit patterns.
 
-Patterns are given per variant as one string per scalar, MSB first, over
-'0', '1', 'x' (field bits, never usable for discrimination) and 'u'
-(unassigned, value chosen here). Bit positions in trees and tag intervals
-count from the LSB.
+A pattern is the content of one scalar in one variant, held as a
+`BitPattern` of integer masks in which bit i stands for 2**i, counted from
+the LSB: constant bits with their values, and field bits, which hold data
+and never discriminate. Every other bit is free: its value is chosen here
+or by the solver. Bit positions in trees and tag intervals count from the
+LSB.
+
+Patterns print as strings, MSB first, over '0', '1', 'x' (field) and 'u'
+(free). The JSON report and this module's public functions that take
+`Patterns` use that view, through `parse_pattern` and `print_pattern`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 Patterns = list[list[str]]  # [variant][scalar] -> MSB-first pattern string
+
+
+class BitPattern(NamedTuple):
+    width: int
+    const: int = 0  # bits with a fixed value
+    ones: int = 0  # the constant bits that are 1
+    field: int = 0  # field data bits
+
+    @property
+    def free(self) -> int:
+        return ((1 << self.width) - 1) & ~(self.const | self.field)
+
+    @property
+    def nonzero(self) -> int:
+        """Bits that are not constant 0."""
+        return ((1 << self.width) - 1) & ~(self.const & ~self.ones)
+
+    def fix(self, mask: int, value: int) -> BitPattern:
+        """The bits in `mask` made constant, with their values from `value`."""
+        return BitPattern(
+            self.width, self.const | mask, (self.ones & ~mask) | (value & mask), self.field
+        )
+
+
+def parse_pattern(text: str) -> BitPattern:
+    const = ones = field = 0
+    for ch in text:
+        const, ones, field = const << 1, ones << 1, field << 1
+        if ch in "01":
+            const |= 1
+            if ch == "1":
+                ones |= 1
+        elif ch == "x":
+            field |= 1
+    return BitPattern(len(text), const, ones, field)
+
+
+def print_pattern(p: BitPattern) -> str:
+    out = []
+    for b in range(p.width - 1, -1, -1):
+        if p.const >> b & 1:
+            out.append("1" if p.ones >> b & 1 else "0")
+        else:
+            out.append("x" if p.field >> b & 1 else "u")
+    return "".join(out)
 
 
 @dataclass(frozen=True)
@@ -58,93 +109,86 @@ def classify(tree: DecisionTree, scalars: list[int]) -> int:
     return node.variant
 
 
-# ---------------------------------------------------------------------------
-# Internal grid form: grid[v][s][b] with b indexed from the LSB
+def _parse_rows(patterns: Patterns) -> list[list[BitPattern]]:
+    rows = [[parse_pattern(s) for s in p] for p in patterns]
+    for row in rows:
+        assert [p.width for p in row] == [p.width for p in rows[0]], (
+            "patterns must share one shape"
+        )
+    return rows
 
 
-def _to_grid(patterns: Patterns) -> list[list[list[str]]]:
-    if not patterns:
-        return []
-    shape = [len(s) for s in patterns[0]]
-    for p in patterns:
-        assert [len(s) for s in p] == shape, "patterns must share one shape"
-    return [[list(reversed(s)) for s in p] for p in patterns]
+def _join(row: list[BitPattern]) -> BitPattern:
+    """A variant's scalars as one pattern, scalar 0 lowest, so that ascending
+    bit index is (scalar, bit) order."""
+    width = const = ones = field = 0
+    for p in row:
+        const |= p.const << width
+        ones |= p.ones << width
+        field |= p.field << width
+        width += p.width
+    return BitPattern(width, const, ones, field)
 
 
-def _from_grid(grid: list[list[list[str]]]) -> Patterns:
-    return [["".join(reversed(s)) for s in p] for p in grid]
-
-
-def _positions(grid) -> list[tuple[int, int]]:
+def _split(p: BitPattern, widths: list[int]) -> list[BitPattern]:
     out = []
-    for s, scalar in enumerate(grid[0]):
-        for b in range(len(scalar)):
-            out.append((s, b))
+    for w in widths:
+        mask = (1 << w) - 1
+        out.append(BitPattern(w, p.const & mask, p.ones & mask, p.field & mask))
+        p = BitPattern(p.width - w, p.const >> w, p.ones >> w, p.field >> w)
     return out
 
 
-def _separated(grid, u: int, v: int) -> bool:
-    for s in range(len(grid[u])):
-        for b in range(len(grid[u][s])):
-            a, c = grid[u][s][b], grid[v][s][b]
-            if a in "01" and c in "01" and a != c:
-                return True
-    return False
-
-
-def _resolve_free_bits(grid) -> Optional[list[list[list[str]]]]:
-    """Complete search for an assignment of 'u' bits making every pair of
-    variants differ at a position that is constant in both. Returns the
-    (partially) resolved grid, or None when no assignment exists.
+def _resolve_free_bits(rows: list[BitPattern]) -> bool:
+    """Complete search for an assignment of free bits making every pair of
+    variants differ at a position that is constant in both. Fixes the chosen
+    bits in `rows` (one joined pattern per variant) and returns True, or
+    returns False when no assignment exists.
 
     Branches on the unseparated pair with the fewest viable positions;
     a pair with none is unsatisfiable outright, which keeps refutations
     from re-enumerating the other pairs' choices."""
-    n = len(grid)
+    n = len(rows)
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    positions = _positions(grid)
 
-    def candidates(u: int, v: int) -> Optional[list[tuple[int, int]]]:
+    def candidates(u: int, v: int) -> Optional[int]:
         """Viable separation positions, or None when already separated."""
-        out = []
-        for s, b in positions:
-            a, c = grid[u][s][b], grid[v][s][b]
-            if a == "x" or c == "x":
-                continue
-            if a in "01" and c in "01":
-                if a != c:
-                    return None
-                continue  # equal constants cannot separate this pair
-            out.append((s, b))
-        return out
+        a, c = rows[u], rows[v]
+        both = a.const & c.const
+        if (a.ones ^ c.ones) & both:
+            return None
+        return (a.free | c.free) & ~(a.field | c.field)
 
     def search() -> bool:
-        tightest: Optional[tuple[int, tuple[int, int], list]] = None
+        tightest: Optional[tuple[int, int, int, int]] = None
         for u, v in pairs:
             cands = candidates(u, v)
             if cands is None:
                 continue
             if not cands:
                 return False
-            if tightest is None or len(cands) < tightest[0]:
-                tightest = (len(cands), (u, v), cands)
+            count = cands.bit_count()
+            if tightest is None or count < tightest[0]:
+                tightest = (count, u, v, cands)
         if tightest is None:
             return True
-        _, (u, v), cands = tightest
-        for s, b in cands:
-            a, c = grid[u][s][b], grid[v][s][b]
-            for bit_u, bit_v in (("0", "1"), ("1", "0")):
-                if a in "01" and a != bit_u:
+        _, u, v, cands = tightest
+        a, c = rows[u], rows[v]
+        while cands:
+            bit = cands & -cands
+            cands ^= bit
+            for bit_u, bit_v in ((0, bit), (bit, 0)):
+                if a.const & bit and a.ones & bit != bit_u:
                     continue
-                if c in "01" and c != bit_v:
+                if c.const & bit and c.ones & bit != bit_v:
                     continue
-                grid[u][s][b], grid[v][s][b] = bit_u, bit_v
+                rows[u], rows[v] = a.fix(bit, bit_u), c.fix(bit, bit_v)
                 if search():
                     return True
-                grid[u][s][b], grid[v][s][b] = a, c
+                rows[u], rows[v] = a, c
         return False
 
-    return grid if search() else None
+    return search()
 
 
 def check_distinguishable(patterns: Patterns) -> bool:
@@ -152,7 +196,7 @@ def check_distinguishable(patterns: Patterns) -> bool:
     variants differs at a bit that is constant within each."""
     if len(patterns) <= 1:
         return True
-    return _resolve_free_bits(_to_grid(patterns)) is not None
+    return _resolve_free_bits([_join(row) for row in _parse_rows(patterns)])
 
 
 def derive_decision_tree(patterns: Patterns) -> Optional[tuple[DecisionTree, Patterns]]:
@@ -164,66 +208,89 @@ def derive_decision_tree(patterns: Patterns) -> Optional[tuple[DecisionTree, Pat
     """
     if len(patterns) == 1:
         return Leaf(0), [list(p) for p in patterns]
-    grid = _resolve_free_bits(_to_grid(patterns))
-    if grid is None:
+    parsed = _parse_rows(patterns)
+    widths = [p.width for p in parsed[0]]
+    rows = [_join(row) for row in parsed]
+    if not _resolve_free_bits(rows):
         return None
-    positions = _positions(grid)
 
-    def build(members: list[int], used: set[tuple[int, int]]) -> DecisionTree:
+    def build(members: list[int], used: int) -> DecisionTree:
         if len(members) == 1:
             return Leaf(members[0])
-        best: Optional[tuple[int, int, int]] = None  # (larger branch, s, b)
-        for s, b in positions:
-            if (s, b) in used:
-                continue
-            # valid split: some pair of members has differing constants here
-            consts = [grid[m][s][b] for m in members]
-            if not ("0" in consts and "1" in consts):
-                continue
-            lo = sum(1 for c in consts if c in ("0", "x", "u"))
-            hi = sum(1 for c in consts if c in ("1", "x", "u"))
-            larger = max(lo, hi)
-            if best is None or larger < best[0]:
-                best = (larger, s, b)
-        assert best is not None, "unseparated members despite resolved free bits"
-        _, s, b = best
-        zeros: list[int] = []
-        ones: list[int] = []
+        best: Optional[tuple[int, int]] = None  # (larger branch, bit)
+        splits = 0
         for m in members:
-            c = grid[m][s][b]
-            if c == "0":
-                zeros.append(m)
-            elif c == "1":
-                ones.append(m)
-            elif c == "x":
-                zeros.append(m)
-                ones.append(m)
+            splits |= rows[m].const
+        splits &= ~used
+        while splits:
+            bit = splits & -splits
+            splits ^= bit
+            # valid split: some pair of members has differing constants here
+            ones = sum(1 for m in members if rows[m].ones & bit)
+            zeros = sum(1 for m in members if rows[m].const & ~rows[m].ones & bit)
+            if not (ones and zeros):
+                continue
+            larger = len(members) - min(ones, zeros)
+            if best is None or larger < best[0]:
+                best = (larger, bit)
+        assert best is not None, "unseparated members despite resolved free bits"
+        _, bit = best
+        zero_side: list[int] = []
+        one_side: list[int] = []
+        for m in members:
+            p = rows[m]
+            if p.const & bit:
+                (one_side if p.ones & bit else zero_side).append(m)
+            elif p.field & bit:
+                zero_side.append(m)
+                one_side.append(m)
             else:  # free bit: route to the smaller side and fix the choice
-                side = "0" if len(zeros) <= len(ones) else "1"
-                grid[m][s][b] = side
-                (zeros if side == "0" else ones).append(m)
-        sub_used = used | {(s, b)}
-        return Node(s, b, build(zeros, sub_used), build(ones, sub_used))
+                value = 0 if len(zero_side) <= len(one_side) else bit
+                rows[m] = p.fix(bit, value)
+                (one_side if value else zero_side).append(m)
+        s, b = 0, bit.bit_length() - 1
+        while b >= widths[s]:
+            b -= widths[s]
+            s += 1
+        return Node(s, b, build(zero_side, used | bit), build(one_side, used | bit))
 
-    tree = build(list(range(len(grid))), set())
-    return tree, _from_grid(grid)
+    tree = build(list(range(len(rows))), 0)
+    return tree, [[print_pattern(p) for p in _split(row, widths)] for row in rows]
+
+
+def lowest_run(mask: int, width: int) -> Optional[int]:
+    """LSB offset of the lowest run of `width` set bits in `mask`, or None."""
+    if width <= 0:
+        return 0
+    runs, have = mask, 1
+    while have < width and runs:
+        step = min(have, width - have)
+        runs &= runs >> step  # runs of `have` bits become runs of `have + step`
+        have += step
+    return (runs & -runs).bit_length() - 1 if runs else None
+
+
+def shared_free_run(rows: list[list[BitPattern]], s: int, width: int) -> Optional[int]:
+    """LSB offset of the lowest run of `width` bits of scalar `s` that is free
+    in every variant, or None."""
+    shared = -1
+    for row in rows:
+        shared &= row[s].free
+    return lowest_run(shared, width)
+
+
+def _tag_interval(rows: list[list[BitPattern]], tag_width: int) -> Optional[tuple[int, int]]:
+    for s in range(len(rows[0]) if rows else 0):
+        off = shared_free_run(rows, s, tag_width)
+        if off is not None:
+            return (s, off)
+    return None
 
 
 def find_tag_interval(patterns: Patterns, tag_width: int) -> Optional[tuple[int, int]]:
     """First (scalar, lsb offset) of `tag_width` contiguous bits unassigned
     in every variant at the same position, scanning scalars then offsets."""
-    grid = _to_grid(patterns)
-    if not grid:
-        return None
-    for s in range(len(grid[0])):
-        width = len(grid[0][s])
-        for off in range(0, width - tag_width + 1):
-            if all(
-                all(grid[v][s][off + k] == "u" for k in range(tag_width))
-                for v in range(len(grid))
-            ):
-                return (s, off)
-    return None
+    return _tag_interval(_parse_rows(patterns), tag_width)
 
 
 def tag_width_for(n_variants: int) -> int:
@@ -237,17 +304,7 @@ def place_explicit_tag(sol):
     written into the first aligned run of bits unassigned in every variant,
     or into a fresh minimal-width integer scalar when no shared run exists.
     Single-variant solutions come back unchanged."""
-    from .solver import (
-        ExplicitTag,
-        LayoutSolution,
-        ScalarSlot,
-        Score,
-        SingleVariant,
-        _finalize,
-        _pick_kind,
-        _set_tag_bits,
-        score_layout,
-    )
+    from .solver import SingleVariant, _solution, _tag_appended, _tag_in_place
 
     n = len(sol.adt.variants)
     if n <= 1:
@@ -257,37 +314,9 @@ def place_explicit_tag(sol):
     base = sol.pretag_patterns
     assert base is not None, "solution lacks pre-tag patterns"
     data_slots = [s for s in sol.slots if not s.dedicated_tag]
-    strings = [["".join(reversed(p)) for p in row] for row in base]
-    found = find_tag_interval(strings, tw)
-    patterns = [[list(p) for p in row] for row in base]
+    found = _tag_interval(base, tw)
     if found is not None:
-        s, off = found
-        slots = list(data_slots)
-        scheme = ExplicitTag(s, off, tw, dedicated=False)
-        _set_tag_bits(patterns, s, off, tw)
+        tagged = _tag_in_place(data_slots, base, found[0], found[1], tw)
     else:
-        target = sol.target
-        tag_slot = ScalarSlot(
-            index=len(data_slots),
-            kind=_pick_kind(target.kinds_for_int(tw), False, target),
-            kinds=target.kinds_for_int(tw),
-            width=tw,
-            dedicated_tag=True,
-        )
-        slots = list(data_slots) + [tag_slot]
-        patterns = [row + [["u"] * tw] for row in patterns]
-        scheme = ExplicitTag(len(data_slots), 0, tw, dedicated=True)
-        _set_tag_bits(patterns, len(data_slots), 0, tw)
-    new = LayoutSolution(
-        adt=sol.adt,
-        target=sol.target,
-        slots=slots,
-        placements=dict(sol.placements),
-        patterns=_finalize(patterns),
-        tag_scheme=scheme,
-        score=Score(0, 0, 0),
-        steps_used=sol.steps_used,
-        pretag_patterns=base,
-    )
-    new.score = score_layout(new, sol.target)
-    return new
+        tagged = _tag_appended(data_slots, base, tw, sol.target)
+    return _solution(sol.adt, sol.target, sol.placements, sol.steps_used, base, *tagged)

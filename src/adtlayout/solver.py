@@ -6,9 +6,12 @@ the least-significant bit, so fields never split across scalars. Scoring
 is lexicographic: fewer scalars first, then summed access cost plus the
 dedicated-tag penalty.
 
-Pattern characters: '0'/'1' constants, 'x' field bits, 'u' unassigned
-(solver's choice). Internally 'w' marks annotation wildcards, which may
-hold tag bits or chosen constants but never field data.
+Patterns are `distinguish.BitPattern` mask values, one per variant and
+scalar; a solution's patterns have every free bit made constant 0, and its
+`pretag_patterns` keep them free. During the search each slot keeps, per
+variant, masks of constant bits, of their one bits and of annotation
+wildcards: bits that may hold tag bits or chosen constants but never field
+data.
 """
 
 from __future__ import annotations
@@ -17,7 +20,16 @@ from dataclasses import dataclass, field as dfield
 from typing import Optional, Union
 
 from . import distinguish
-from .distinguish import DecisionTree, tag_width_for, tree_depth
+from .distinguish import (
+    BitPattern,
+    DecisionTree,
+    lowest_run,
+    parse_pattern,
+    print_pattern,
+    shared_free_run,
+    tag_width_for,
+    tree_depth,
+)
 from .flatten import AnnotationEntry, FlattenedPacking
 from .targets import (
     REF_NONE,
@@ -125,26 +137,19 @@ class LayoutSolution:
     target: Target
     slots: list[ScalarSlot]
     placements: dict[tuple[int, str], Placement]  # (variant, field name)
-    patterns: list[list[list[str]]]  # [variant][slot], chars indexed from LSB
+    patterns: list[list[BitPattern]]  # [variant][slot]
     tag_scheme: TagScheme
     score: Score
     steps_used: int = 0
-    # patterns before tag placement and finalization, 'u' bits intact;
-    # lets tagging be re-derived on a finished solution
-    pretag_patterns: Optional[list[list[list[str]]]] = None
+    # patterns before tag placement, free bits intact; lets tagging be
+    # re-derived on a finished solution
+    pretag_patterns: Optional[list[list[BitPattern]]] = None
 
     def pattern_strings(self, variant: int) -> list[str]:
-        return ["".join(reversed(p)) for p in self.patterns[variant]]
+        return [print_pattern(p) for p in self.patterns[variant]]
 
     def used_width(self, slot_index: int) -> int:
-        hi = 1
-        for row in self.patterns:
-            pat = row[slot_index]
-            for b in range(len(pat) - 1, -1, -1):
-                if pat[b] != "0":
-                    hi = max(hi, b + 1)
-                    break
-        return hi
+        return max([1] + [row[slot_index].nonzero.bit_length() for row in self.patterns])
 
     def placement_of(self, variant: int, name: str) -> Placement:
         return self.placements[(variant, name)]
@@ -187,51 +192,65 @@ class LayoutSolution:
 
 
 class _Slot:
-    def __init__(self, index: int, width: int, kinds: Optional[KindSet], n_variants: int):
+    def __init__(
+        self, index: int, width: int, kinds: Optional[KindSet], n_variants: int, tags
+    ):
         self.index = index
         self.width = width
         self.kinds = kinds  # None until the first field constrains it
-        self.consts: list[dict[int, str]] = [dict() for _ in range(n_variants)]
+        # per variant: constant bits, their one bits, annotation wildcards
+        # and field bits
+        self.const = [0] * n_variants
+        self.ones = [0] * n_variants
+        self.wild = [0] * n_variants
+        self.field = [0] * n_variants
         self.fields: list[list[Placement]] = [list() for _ in range(n_variants)]
         self.ref_variants: set[int] = set()
+        self.tags = tags  # (reference, value) low-bit patterns, or None
         self.tagged = False
         self.mixes = False
 
     def has_nonref_content(self) -> bool:
-        if any(self.consts):
+        if any(self.const) or any(self.wild):
             return True
         return any(
             pl.field.ref_mode == REF_NONE for pls in self.fields for pl in pls
         )
 
-    def reserved_positions(self, v: int, tagging) -> set[int]:
-        out = set(self.consts[v])
-        for pl in self.fields[v]:
-            out.update(range(pl.offset, pl.offset + pl.width))
-        if self.tagged and tagging is not None:
-            pat = tagging.ref_pattern if v in self.ref_variants else tagging.value_pattern
-            for i, ch in enumerate(pat):
-                if ch in "01":
-                    out.add(i)
+    def masks(self, v: int) -> tuple[int, int, int, int]:
+        return (self.const[v], self.ones[v], self.wild[v], self.field[v])
+
+    def reserved(self, v: int) -> int:
+        out = self.const[v] | self.wild[v] | self.field[v]
+        if self.tagged:
+            ref, value = self.tags
+            out |= (ref if v in self.ref_variants else value).const
         return out
 
-    def field_at(self, v: int, pos: int) -> bool:
-        return any(pl.offset <= pos < pl.offset + pl.width for pl in self.fields[v])
+    def clashes(self, v: int, const: int, ones: int) -> bool:
+        """True when a bit of `const` holds a field or a different constant."""
+        return bool(const & (self.field[v] | (self.const[v] & (self.ones[v] ^ ones))))
 
-    def first_fit(self, v: int, width: int, tagging) -> Optional[int]:
+    def add_consts(self, v: int, const: int, ones: int, wild: int = 0) -> None:
+        """Make the bits of `const` constant, valued as in `ones`, and mark
+        the bits of `wild` that are not constant as wildcards."""
+        self.const[v] |= const
+        self.ones[v] = (self.ones[v] & ~const) | ones
+        self.wild[v] = (self.wild[v] | wild) & ~self.const[v]
+
+    def add_field(self, v: int, pl: Placement) -> None:
+        self.fields[v].append(pl)
+        self.field[v] |= ((1 << pl.width) - 1) << pl.offset
+
+    def first_fit(self, v: int, width: int) -> Optional[int]:
         if width > self.width:
             return None
-        reserved = self.reserved_positions(v, tagging)
-        for off in range(0, self.width - width + 1):
-            if all((off + k) not in reserved for k in range(width)):
-                return off
-        return None
+        return lowest_run(~self.reserved(v) & ((1 << self.width) - 1), width)
 
-    def fits_exact(self, v: int, offset: int, width: int, tagging) -> bool:
+    def fits_exact(self, v: int, offset: int, width: int) -> bool:
         if offset < 0 or offset + width > self.width:
             return False
-        reserved = self.reserved_positions(v, tagging)
-        return all((offset + k) not in reserved for k in range(width))
+        return not self.reserved(v) & (((1 << width) - 1) << offset)
 
 
 @dataclass
@@ -239,11 +258,11 @@ class _Undo:
     slot: _Slot
     variant: int
     prev_kinds: Optional[KindSet]
+    masks: tuple[int, int, int, int]  # the variant's slot masks before the change
     placements: list[Placement] = dfield(default_factory=list)
     added_ref: bool = False
     set_tagged: bool = False
     set_mixes: bool = False
-    consts: list[tuple[int, int, Optional[str]]] = dfield(default_factory=list)
 
 
 @dataclass(frozen=True)
@@ -252,9 +271,12 @@ class _Unit:
     offsets plus constant and wildcard bits, placed contiguously."""
 
     fields: tuple[tuple[int, FieldSlot], ...]  # (relative offset, field)
-    consts: tuple[tuple[int, str], ...]  # (relative position, '0'/'1'/'w')
-    width: int
+    pattern: BitPattern  # its free bits are wildcards
     kinds: KindSet
+
+    @property
+    def width(self) -> int:
+        return self.pattern.width
 
     def names(self) -> list[str]:
         return [f.name for _, f in self.fields]
@@ -269,9 +291,10 @@ class _State:
         self.placements: dict[tuple[int, str], Placement] = {}
         self.steps = 0
         self.shift_cost = 0  # 2 per shifted placement; a completion lower bound
+        self.tags = None if target.ref_tagging is None else target.ref_tagging.masks()
 
     def new_slot(self, width: int, kinds: Optional[KindSet]) -> _Slot:
-        s = _Slot(len(self.slots), width, kinds, self.n)
+        s = _Slot(len(self.slots), width, kinds, self.n, self.tags)
         self.slots.append(s)
         return s
 
@@ -293,18 +316,16 @@ class _State:
             new_kinds = slot.kinds & f.kinds
             if not new_kinds:
                 return None
-        undo = _Undo(slot, v, slot.kinds)
+        undo = _Undo(slot, v, slot.kinds, slot.masks(v))
 
         if f.ref_mode == REF_NONE:
             if slot.ref_variants and tagging is None:
                 return None
             if pinned_offset is None:
-                offset = slot.first_fit(v, f.width, tagging)
+                offset = slot.first_fit(v, f.width)
             else:
                 offset = (
-                    pinned_offset
-                    if slot.fits_exact(v, pinned_offset, f.width, tagging)
-                    else None
+                    pinned_offset if slot.fits_exact(v, pinned_offset, f.width) else None
                 )
             if offset is None:
                 return None
@@ -316,7 +337,7 @@ class _State:
             offset, width = placed
 
         pl = Placement(slot.index, offset, width, f)
-        slot.fields[v].append(pl)
+        slot.add_field(v, pl)
         slot.kinds = new_kinds
         self.placements[(v, f.name)] = pl
         undo.placements.append(pl)
@@ -342,6 +363,7 @@ class _State:
             slot.ref_variants.add(v)
             undo.added_ref = True
             return (0, slot.width)
+        ref, value = self.tags
         free = tagging.free_low_bits
         if f.ref_mode == REF_TAGGED_WORD:
             offset, width = 0, slot.width
@@ -349,23 +371,16 @@ class _State:
             offset, width = free, slot.width - free
         if pinned not in (None, 0, offset):
             return None
-        if not slot.fits_exact(v, offset, width, tagging):
+        if not slot.fits_exact(v, offset, width):
             return None
-        if f.ref_mode == REF_PLAIN:
-            for i, ch in enumerate(tagging.ref_pattern):
-                if ch not in "01":
-                    continue
-                if slot.consts[v].get(i) not in (None, ch, "w") or slot.field_at(v, i):
-                    return None
+        if f.ref_mode == REF_PLAIN and slot.clashes(v, ref.const, ref.ones):
+            return None
         # other variants' content must stay value-tagged
         for w in range(self.n):
             if w == v or w in slot.ref_variants:
                 continue
-            for i, ch in enumerate(tagging.value_pattern):
-                if ch not in "01":
-                    continue
-                if slot.consts[w].get(i) not in (None, ch, "w") or slot.field_at(w, i):
-                    return None
+            if slot.clashes(w, value.const, value.ones):
+                return None
         if not slot.tagged:
             slot.tagged = True
             undo.set_tagged = True
@@ -375,10 +390,7 @@ class _State:
         slot.ref_variants.add(v)
         undo.added_ref = True
         if f.ref_mode == REF_PLAIN:
-            for i, ch in enumerate(tagging.ref_pattern):
-                if ch in "01" and slot.consts[v].get(i) != ch:
-                    undo.consts.append((v, i, slot.consts[v].get(i)))
-                    slot.consts[v][i] = ch
+            slot.add_consts(v, ref.const, ref.ones)
         return (offset, width)
 
     # -- unit placement (#solve blocks) --
@@ -395,39 +407,24 @@ class _State:
                 return None
         if slot.ref_variants and tagging is None:
             return None
+        up = unit.pattern
         base = None
-        reserved = slot.reserved_positions(v, tagging)
+        reserved = slot.reserved(v)
         for off in range(0, slot.width - unit.width + 1):
-            ok = True
-            for rel, f in unit.fields:
-                if any((off + rel + k) in reserved for k in range(f.width)):
-                    ok = False
-                    break
-            if ok:
-                for rel, ch in unit.consts:
-                    pos = off + rel
-                    if slot.field_at(v, pos):
-                        ok = False
-                        break
-                    have = slot.consts[v].get(pos)
-                    if ch in "01" and have not in (None, ch, "w"):
-                        ok = False
-                        break
-            if ok:
+            if (
+                not (up.field << off) & reserved
+                and not (up.free << off) & slot.field[v]
+                and not slot.clashes(v, up.const << off, up.ones << off)
+            ):
                 base = off
                 break
         if base is None:
             return None
-        undo = _Undo(slot, v, slot.kinds)
-        for rel, ch in unit.consts:
-            pos = base + rel
-            prev = slot.consts[v].get(pos)
-            if prev != ch and not (ch == "w" and prev in ("0", "1")):
-                undo.consts.append((v, pos, prev))
-                slot.consts[v][pos] = ch
+        undo = _Undo(slot, v, slot.kinds, slot.masks(v))
+        slot.add_consts(v, up.const << base, up.ones << base, up.free << base)
         for rel, f in unit.fields:
             pl = Placement(slot.index, base + rel, f.width, f)
-            slot.fields[v].append(pl)
+            slot.add_field(v, pl)
             self.placements[(v, f.name)] = pl
             undo.placements.append(pl)
             if pl.offset > 0:
@@ -450,59 +447,38 @@ class _State:
             slot.tagged = False
         if undo.set_mixes:
             slot.mixes = False
-        for vv, i, prev in reversed(undo.consts):
-            if prev is None:
-                slot.consts[vv].pop(i, None)
-            else:
-                slot.consts[vv][i] = prev
+        slot.const[v], slot.ones[v], slot.wild[v], slot.field[v] = undo.masks
 
     # -- pattern assembly --
 
-    def build_patterns(self) -> list[list[list[str]]]:
-        tagging = self.target.ref_tagging
-        out: list[list[list[str]]] = []
+    def build_patterns(self) -> list[list[BitPattern]]:
+        out: list[list[BitPattern]] = []
         for v in range(self.n):
-            row: list[list[str]] = []
+            row: list[BitPattern] = []
             for slot in self.slots:
-                if slot.ref_variants and tagging is None:
+                if slot.ref_variants and self.tags is None:
                     # reference-only scalar: opaque pointer or null
-                    row.append(
-                        ["x"] * slot.width if v in slot.ref_variants else ["0"] * slot.width
-                    )
+                    full = (1 << slot.width) - 1
+                    if v in slot.ref_variants:
+                        row.append(BitPattern(slot.width, field=full))
+                    else:
+                        row.append(BitPattern(slot.width, const=full))
                     continue
-                arr = ["u"] * slot.width
-                for pos, ch in slot.consts[v].items():
-                    arr[pos] = "u" if ch == "w" else ch
-                if slot.tagged and tagging is not None and v not in slot.ref_variants:
+                p = BitPattern(slot.width, slot.const[v], slot.ones[v], slot.field[v])
+                if slot.tagged and v not in slot.ref_variants:
                     holds_word = any(
                         pl.field.ref_mode == REF_TAGGED_WORD for pl in slot.fields[v]
                     )
                     if not holds_word:
-                        for i, ch in enumerate(tagging.value_pattern):
-                            if ch in "01":
-                                arr[i] = ch
-                for pl in slot.fields[v]:
-                    for k in range(pl.offset, pl.offset + pl.width):
-                        arr[k] = "x"
-                row.append(arr)
+                        value = self.tags[1]
+                        p = p.fix(value.const, value.ones)
+                row.append(p)
             out.append(row)
         return out
 
 
 # ---------------------------------------------------------------------------
 # Completion and scoring
-
-
-def _patterns_to_strings(patterns):
-    return [["".join(reversed(p)) for p in row] for row in patterns]
-
-
-def _strings_to_patterns(strings):
-    return [[list(reversed(s)) for s in row] for row in strings]
-
-
-def _finalize(patterns):
-    return [[["0" if c == "u" else c for c in pat] for pat in row] for row in patterns]
 
 
 def _pick_kind(kinds: Optional[KindSet], ref_bearing: bool, target: Target) -> ScalarKind:
@@ -530,15 +506,10 @@ def _freeze_slots(state: _State) -> list[ScalarSlot]:
     ]
 
 
-def _access_cost(pattern: list[str], offset: int, width: int) -> int:
+def _access_cost(pattern: BitPattern, offset: int, width: int) -> int:
     if offset > 0:
         return 2
-    for b, ch in enumerate(pattern):
-        if b < width:
-            continue
-        if ch != "0":
-            return 1
-    return 0
+    return 1 if pattern.nonzero >> width else 0
 
 
 def score_layout(sol: LayoutSolution, target: Target) -> Score:
@@ -563,16 +534,45 @@ def score_layout(sol: LayoutSolution, target: Target) -> Score:
     return Score(len(sol.slots), access, explicit)
 
 
-def _set_tag_bits(patterns, slot: int, offset: int, width: int) -> None:
-    for v, row in enumerate(patterns):
-        for k in range(width):
-            row[slot][offset + k] = str((v >> k) & 1)
+def _tag_in_place(slots: list[ScalarSlot], rows, s: int, offset: int, width: int):
+    """Explicit tagging that writes the variant index into `width` bits of
+    scalar `s` at `offset`: (slots, patterns, scheme)."""
+    mask = ((1 << width) - 1) << offset
+    tagged = [row[:s] + [row[s].fix(mask, v << offset)] + row[s + 1 :] for v, row in enumerate(rows)]
+    return slots, tagged, ExplicitTag(s, offset, width, dedicated=False)
 
 
-def _lower_access_bound(state: _State) -> int:
-    """Access cost every completion of this state must pay: shifted fields
-    cost 2 regardless of tagging choices."""
-    return state.shift_cost
+def _tag_appended(slots: list[ScalarSlot], rows, width: int, target: Target):
+    """Explicit tagging in a fresh minimal-width integer scalar appended to
+    `slots`: (slots, patterns, scheme)."""
+    tag_slot = ScalarSlot(
+        index=len(slots),
+        kind=_pick_kind(target.kinds_for_int(width), False, target),
+        kinds=target.kinds_for_int(width),
+        width=width,
+        dedicated_tag=True,
+    )
+    full = (1 << width) - 1
+    tagged = [row + [BitPattern(width, full, v & full)] for v, row in enumerate(rows)]
+    return slots + [tag_slot], tagged, ExplicitTag(len(slots), 0, width, dedicated=True)
+
+
+def _solution(adt, target, placements, steps, base, slots, patterns, scheme) -> LayoutSolution:
+    """A scored solution whose free bits are made constant 0; `base` is kept
+    as its pre-tag patterns."""
+    sol = LayoutSolution(
+        adt=adt,
+        target=target,
+        slots=slots,
+        placements=dict(placements),
+        patterns=[[p.fix(p.free, 0) for p in row] for row in patterns],
+        tag_scheme=scheme,
+        score=Score(0, 0, 0),
+        steps_used=steps,
+        pretag_patterns=base,
+    )
+    sol.score = score_layout(sol, target)
+    return sol
 
 
 def _complete(
@@ -586,68 +586,33 @@ def _complete(
     adt, target = state.adt, state.target
     n = state.n
     base = state.build_patterns()
+    slots = _freeze_slots(state)
     results: list[LayoutSolution] = []
 
     def make(slots, patterns, scheme) -> LayoutSolution:
-        sol = LayoutSolution(
-            adt=adt,
-            target=target,
-            slots=slots,
-            placements=dict(state.placements),
-            patterns=_finalize(patterns),
-            tag_scheme=scheme,
-            score=Score(0, 0, 0),
-            steps_used=state.steps,
-            pretag_patterns=[[list(p) for p in row] for row in base],
-        )
-        sol.score = score_layout(sol, target)
-        return sol
+        return _solution(adt, target, state.placements, state.steps, base, slots, patterns, scheme)
 
     if n == 1:
-        results.append(make(_freeze_slots(state), base, SingleVariant()))
+        results.append(make(slots, base, SingleVariant()))
         return results
 
     tw = tag_width_for(n)
     if not state.slots:
         # all variants nullary: a single bare tag integer
-        slot = ScalarSlot(
-            index=0,
-            kind=_pick_kind(target.kinds_for_int(tw), False, target),
-            kinds=target.kinds_for_int(tw),
-            width=tw,
-            dedicated_tag=True,
-        )
-        patterns = [[["u"] * tw] for _ in range(n)]
-        _set_tag_bits(patterns, 0, 0, tw)
-        results.append(make([slot], patterns, BareTag(0, tw)))
+        tag_slots, patterns, _ = _tag_appended([], base, tw, target)
+        results.append(make(tag_slots, patterns, BareTag(0, tw)))
         return results
 
     for s in range(len(state.slots) if not appended_only else 0):
-        width = state.slots[s].width
-        shared = (1 << width) - 1
-        for v in range(n):
-            m = 0
-            for b, ch in enumerate(base[v][s]):
-                if ch == "u":
-                    m |= 1 << b
-            shared &= m
-            if not shared:
-                break
-        runs = shared
-        for _ in range(tw - 1):
-            runs &= runs >> 1
-        if not runs:
-            continue
-        found = (runs & -runs).bit_length() - 1
-        patterns = [[list(p) for p in row] for row in base]
-        _set_tag_bits(patterns, s, found, tw)
-        results.append(make(_freeze_slots(state), patterns, ExplicitTag(s, found, tw, False)))
+        found = shared_free_run(base, s, tw)
+        if found is not None:
+            results.append(make(*_tag_in_place(slots, base, s, found, tw)))
 
     # A classification tree costs at least 2 per level and needs ceil(log2 n)
     # levels. With two variants any shared free bit already admits an
     # in-place 1-bit tag at the same position with identical masking and
     # cost 2 <= 2*depth, so a tree is dominated whenever one was found.
-    tree_bound = (len(state.slots), _lower_access_bound(state) + 2 * tw)
+    tree_bound = (len(state.slots), state.shift_cost + 2 * tw)
     have = min(
         [r.score.key() for r in results] + ([best_key] if best_key is not None else []),
         default=None,
@@ -656,35 +621,21 @@ def _complete(
         have is not None and have <= tree_bound
     )
     if not dominated:
-        derived = distinguish.derive_decision_tree(_patterns_to_strings(base))
+        derived = distinguish.derive_decision_tree(
+            [[print_pattern(p) for p in row] for row in base]
+        )
         if derived is not None:
             tree, resolved = derived
-            results.append(
-                make(_freeze_slots(state), _strings_to_patterns(resolved), TreeTag(tree))
-            )
+            patterns = [[parse_pattern(p) for p in row] for row in resolved]
+            results.append(make(slots, patterns, TreeTag(tree)))
 
     # an appended tag costs an extra scalar, so any same-slot-count candidate
     # beats it; build it only as the fallback
-    appended_bound = (len(state.slots) + 1, _lower_access_bound(state) + 1)
+    appended_bound = (len(state.slots) + 1, state.shift_cost + 1)
     if appended_only or (
         not results and (best_key is None or best_key > appended_bound)
     ):
-        tag_slot = ScalarSlot(
-            index=len(state.slots),
-            kind=_pick_kind(target.kinds_for_int(tw), False, target),
-            kinds=target.kinds_for_int(tw),
-            width=tw,
-            dedicated_tag=True,
-        )
-        patterns = [[list(p) for p in row] + [["u"] * tw] for row in base]
-        _set_tag_bits(patterns, len(state.slots), 0, tw)
-        results.append(
-            make(
-                _freeze_slots(state) + [tag_slot],
-                patterns,
-                ExplicitTag(len(state.slots), 0, tw, True),
-            )
-        )
+        results.append(make(*_tag_appended(slots, base, tw, target)))
     return results
 
 
@@ -732,11 +683,8 @@ def _apply_annotations(state: _State) -> _Prepared:
                     raise AnnotationInfeasible(
                         adt.name, list(entry.assignments), "pattern wider than any scalar"
                     )
-                for b, ch in enumerate(reversed(entry.pattern)):
-                    if ch in "01":
-                        slot.consts[v][b] = ch
-                    elif ch == "u":
-                        slot.consts[v][b] = "w"
+                p = parse_pattern(entry.pattern_str())
+                slot.add_consts(v, p.const, p.ones, p.free)
                 for fname, off in entry.assignments.items():
                     prepared.pins[(v, fname)] = (j, off)
             else:
@@ -756,17 +704,10 @@ def _apply_annotations(state: _State) -> _Prepared:
                         )
                     for fname, rel in item.assignments.items():
                         fields.append((rel, variant.field_named(fname)))
-                    consts = []
-                    for b, ch in enumerate(reversed(item.pattern)):
-                        if ch in "01":
-                            consts.append((b, ch))
-                        elif ch == "u":
-                            consts.append((b, "w"))
                     fields.sort(key=lambda rf: rf[0])
                     unit = _Unit(
                         fields=tuple(fields),
-                        consts=tuple(consts),
-                        width=item.width,
+                        pattern=parse_pattern(item.pattern_str()),
                         kinds=kinds if kinds is not None else state.target.kinds_for_int(32),
                     )
                     prepared.units.append((v, j, unit))
@@ -874,7 +815,7 @@ def solve_layout(adt: MonoAdt, target: Target, budget: int = 10_000) -> LayoutSo
             return
         if idx == len(items):
             if best is not None and (
-                (len(state.slots), _lower_access_bound(state)) >= best.score.key()
+                (len(state.slots), state.shift_cost) >= best.score.key()
             ):
                 return  # no completion of this assignment can beat the best
             key = best.score.key() if best is not None else None

@@ -13,6 +13,7 @@ import json
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
+from .distinguish import BitPattern, parse_pattern
 from .flatten import AnnotationEntry, flatten_annotation
 from .syntax import (
     AdtDecl,
@@ -65,10 +66,12 @@ class RefTagging:
         assert len(self.value_pattern) == self.free_low_bits
         # the two patterns must disagree at some constant bit, otherwise the
         # collector cannot tell references from values
-        assert any(
-            a != b and a in "01" and b in "01"
-            for a, b in zip(self.ref_pattern, self.value_pattern)
-        )
+        ref, value = self.masks()
+        assert ref.const & value.const & (ref.ones ^ value.ones)
+
+    def masks(self) -> tuple[BitPattern, BitPattern]:
+        """The reference and value patterns as bit masks."""
+        return parse_pattern(self.ref_pattern[::-1]), parse_pattern(self.value_pattern[::-1])
 
 
 @dataclass(frozen=True)
