@@ -18,10 +18,14 @@ from .ir import Program, check_program
 from .pipeline import ProgramLayouts, process_adts
 from .solver import AnnotationInfeasible
 from .syntax import AdtDecl, PackingSyntaxError, parse_program, parse_type
-from .targets import BUILTIN_TARGETS, Target, UnboxOptions, load_target
+from .targets import BUILTIN_TARGETS, MonoError, Target, UnboxOptions, load_target
 from .verify import VerifyError, check_program_decls
 
 REPORT_VERSION = 1
+
+
+class UsageError(Exception):
+    pass
 
 
 def _load_sources(paths: list[str]) -> list:
@@ -38,7 +42,7 @@ def _pick_target(name: Optional[str]) -> Target:
         return BUILTIN_TARGETS[name]
     if os.path.exists(name):
         return load_target(name)
-    raise KeyError(f"unknown target {name!r}")
+    raise UsageError(f"unknown target {name!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -49,7 +53,8 @@ def cmd_check(files: list[str], target: Optional[str] = None, out=None) -> int:
     out = out if out is not None else sys.stderr
     try:
         decls = _load_sources(files)
-    except OSError as e:
+        tgt = _pick_target(target)
+    except (OSError, UsageError) as e:
         print(f"error: {e}", file=out)
         return 2
     except PackingSyntaxError as e:
@@ -60,7 +65,6 @@ def cmd_check(files: list[str], target: Optional[str] = None, out=None) -> int:
     for d in diags:
         print(str(d), file=out)
     try:
-        tgt = _pick_target(target)
         # annotation verification happens per instantiation; check the
         # non-generic ones eagerly (generic ones defer to normalization)
         process_adts(decls, tgt)
@@ -137,25 +141,26 @@ def cmd_layout(
     try:
         decls = _load_sources(files)
         tgt = _pick_target(target)
-    except OSError as e:
+    except (OSError, UsageError) as e:
         print(f"error: {e}", file=err)
         return 2
-    except (PackingSyntaxError, KeyError) as e:
+    except PackingSyntaxError as e:
         print(f"error: {e}", file=err)
         return 1
     requests = None
     if instantiate:
-        requests = [parse_type(s) for s in instantiate]
+        try:
+            requests = [parse_type(s) for s in instantiate]
+        except PackingSyntaxError as e:
+            print(f"error: {e}", file=err)
+            return 2
         for d in decls:
             if isinstance(d, AdtDecl) and not d.type_params:
                 requests.append(parse_type(d.name))
     options = UnboxOptions(auto_unbox_limit=unbox_limit, budget=budget)
     try:
         result = process_adts(decls, tgt, requests=requests, options=options)
-    except AnnotationInfeasible as e:
-        print(f"error: {e}", file=err)
-        return 1
-    except VerifyError as e:
+    except (AnnotationInfeasible, MonoError, VerifyError) as e:
         print(f"error: {e}", file=err)
         return 1
     report = _layout_report(result)
@@ -185,10 +190,10 @@ def run_equivalence(
     count: int,
     options: UnboxOptions = UnboxOptions(),
     mutate_normalized: Optional[Callable[[Program], None]] = None,
-    stop_at_first: bool = True,
 ) -> EquivResult:
     """Generate `count` programs from the seed and compare boxed evaluation
-    against normalized evaluation, traps included."""
+    against normalized evaluation, traps included; stops at the first
+    disagreement."""
     targets = [BUILTIN_TARGETS["x64"], BUILTIN_TARGETS["jvm"], BUILTIN_TARGETS["x86-32"]]
     failures: list[str] = []
     ran = 0
@@ -210,8 +215,7 @@ def run_equivalence(
                 extra=f"program {i}: boxed={pre_out} normalized={post_out}",
             )
             failures.append(bundle)
-            if stop_at_first:
-                break
+            break
     return EquivResult(ran, failures)
 
 
@@ -245,6 +249,13 @@ def cmd_equiv(
 # argument parsing
 
 
+def count(text: str) -> int:
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative: {n}")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="adtlayout",
@@ -269,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     e = sub.add_parser("equiv", help="boxed vs normalized equivalence oracle")
     e.add_argument("files", nargs="*")
     e.add_argument("--seed", type=int, default=42)
-    e.add_argument("--programs", type=int, default=500)
+    e.add_argument("--programs", type=count, default=500)
     return p
 
 

@@ -686,15 +686,5 @@ def normalize_program(pre: Program) -> Program:
     return Normalizer(pre).run()
 
 
-def normalize_function(pre: Program, fn: Function) -> Function:
-    return Normalizer(pre).normalize_function(fn)
-
-
 def normalize_type(pre: Program, t: IrType) -> IrType:
     return Normalizer(pre).normalize_type(t)
-
-
-def gen_equality_fn(pre: Program, key: str) -> Function:
-    n = Normalizer(pre)
-    fname = n.equality_fn(key)
-    return n.post.functions[fname]

@@ -190,3 +190,33 @@ def test_custom_target_file(tmp_path):
     out = io.StringIO()
     assert cmd_layout([str(p)], target=str(tfile), as_json=True, out=out) == 0
     assert json.loads(out.getvalue())["adts"][0]["scalars"][0]["kind"] == "B32"
+
+
+@pytest.fixture
+def small_file(tmp_path):
+    p = tmp_path / "small.pk"
+    p.write_text("type S #unboxed { case A; case B(x: u8); }")
+    return str(p)
+
+
+@pytest.mark.parametrize("command", ["check", "layout"])
+def test_unknown_target_is_usage_error(small_file, command, capsys):
+    assert main([command, small_file, "--target", "nope"]) == 2
+    assert "error: unknown target 'nope'" in capsys.readouterr().err
+
+
+def test_instantiate_syntax_error_is_usage_error(small_file, capsys):
+    assert main(["layout", small_file, "--instantiate", "S<"]) == 2
+    assert "error: E001" in capsys.readouterr().err
+
+
+def test_instantiate_unknown_type_exit_1(small_file, capsys):
+    assert main(["layout", small_file, "--instantiate", "Nope<u8>"]) == 1
+    assert "error: unknown type Nope<u8>" in capsys.readouterr().err
+
+
+def test_equiv_negative_program_count_rejected(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["equiv", "--programs", "-3"])
+    assert exc.value.code == 2
+    assert "--programs" in capsys.readouterr().err
