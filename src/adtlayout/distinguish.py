@@ -262,11 +262,9 @@ def lowest_run(mask: int, width: int) -> Optional[int]:
     """LSB offset of the lowest run of `width` set bits in `mask`, or None."""
     if width <= 0:
         return 0
-    runs, have = mask, 1
-    while have < width and runs:
-        step = min(have, width - have)
-        runs &= runs >> step  # runs of `have` bits become runs of `have + step`
-        have += step
+    runs = mask
+    for _ in range(width - 1):
+        runs &= runs >> 1
     return (runs & -runs).bit_length() - 1 if runs else None
 
 

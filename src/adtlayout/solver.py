@@ -538,7 +538,9 @@ def _tag_in_place(slots: list[ScalarSlot], rows, s: int, offset: int, width: int
     """Explicit tagging that writes the variant index into `width` bits of
     scalar `s` at `offset`: (slots, patterns, scheme)."""
     mask = ((1 << width) - 1) << offset
-    tagged = [row[:s] + [row[s].fix(mask, v << offset)] + row[s + 1 :] for v, row in enumerate(rows)]
+    tagged = [
+        row[:s] + [row[s].fix(mask, v << offset)] + row[s + 1 :] for v, row in enumerate(rows)
+    ]
     return slots, tagged, ExplicitTag(s, offset, width, dedicated=False)
 
 
@@ -586,14 +588,14 @@ def _complete(
     adt, target = state.adt, state.target
     n = state.n
     base = state.build_patterns()
-    slots = _freeze_slots(state)
+    frozen = _freeze_slots(state)
     results: list[LayoutSolution] = []
 
     def make(slots, patterns, scheme) -> LayoutSolution:
         return _solution(adt, target, state.placements, state.steps, base, slots, patterns, scheme)
 
     if n == 1:
-        results.append(make(slots, base, SingleVariant()))
+        results.append(make(frozen, base, SingleVariant()))
         return results
 
     tw = tag_width_for(n)
@@ -606,7 +608,7 @@ def _complete(
     for s in range(len(state.slots) if not appended_only else 0):
         found = shared_free_run(base, s, tw)
         if found is not None:
-            results.append(make(*_tag_in_place(slots, base, s, found, tw)))
+            results.append(make(*_tag_in_place(frozen, base, s, found, tw)))
 
     # A classification tree costs at least 2 per level and needs ceil(log2 n)
     # levels. With two variants any shared free bit already admits an
@@ -627,7 +629,7 @@ def _complete(
         if derived is not None:
             tree, resolved = derived
             patterns = [[parse_pattern(p) for p in row] for row in resolved]
-            results.append(make(slots, patterns, TreeTag(tree)))
+            results.append(make(frozen, patterns, TreeTag(tree)))
 
     # an appended tag costs an extra scalar, so any same-slot-count candidate
     # beats it; build it only as the fallback
@@ -635,7 +637,7 @@ def _complete(
     if appended_only or (
         not results and (best_key is None or best_key > appended_bound)
     ):
-        results.append(make(*_tag_appended(slots, base, tw, target)))
+        results.append(make(*_tag_appended(frozen, base, tw, target)))
     return results
 
 
