@@ -249,7 +249,7 @@ def cmd_equiv(
 # argument parsing
 
 
-def count(text: str) -> int:
+def program_count(text: str) -> int:
     n = int(text)
     if n < 0:
         raise argparse.ArgumentTypeError(f"must not be negative: {n}")
@@ -280,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     e = sub.add_parser("equiv", help="boxed vs normalized equivalence oracle")
     e.add_argument("files", nargs="*")
     e.add_argument("--seed", type=int, default=42)
-    e.add_argument("--programs", type=count, default=500)
+    e.add_argument("--programs", type=program_count, default=500)
     return p
 
 

@@ -193,7 +193,12 @@ class LayoutSolution:
 
 class _Slot:
     def __init__(
-        self, index: int, width: int, kinds: Optional[KindSet], n_variants: int, tags
+        self,
+        index: int,
+        width: int,
+        kinds: Optional[KindSet],
+        n_variants: int,
+        tags: Optional[tuple[BitPattern, BitPattern]],
     ):
         self.index = index
         self.width = width
