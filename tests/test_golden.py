@@ -33,6 +33,16 @@ WIDE_W1 = (
     "case V1(f1_0: u5, f1_1: u12, f1_2: u3, f1_3: u3, f1_4: u5); }\n"
 )
 
+# 1 x 10 mixed-width fields; single-variant shapes from the stress-wide inputs
+WIDE_W1_X64 = (
+    "type W1 #unboxed { case V0(f0_0: u32, f0_1: u12, f0_2: u2, f0_3: u3, f0_4: u16, "
+    "f0_5: u2, f0_6: u2, f0_7: u32, f0_8: u12, f0_9: u16); }\n"
+)
+WIDE_W0_X86_32 = (
+    "type W0 #unboxed { case V0(f0_0: u20, f0_1: u8, f0_2: u16, f0_3: u7, f0_4: u24, "
+    "f0_5: u3, f0_6: u12, f0_7: u16, f0_8: u7, f0_9: u3); }\n"
+)
+
 # golden file stem -> (source, target)
 CASES = {
     "corpus-x64": (CORPUS_SRC, "x64"),
@@ -41,6 +51,8 @@ CASES = {
     "nullary10-u62-x64": (_nullary_plus_payload(10, 62), "x64"),  # decision tree
     "nullary12-u29-x86-32": (_nullary_plus_payload(12, 29), "x86-32"),  # decision tree
     "wide-w1-x86-32": (WIDE_W1, "x86-32"),  # explicit tag
+    "wide-w1-x64": (WIDE_W1_X64, "x64"),  # single variant
+    "wide-w0-x86-32": (WIDE_W0_X86_32, "x86-32"),  # single variant
 }
 
 
