@@ -41,7 +41,12 @@ def _pick_target(name: Optional[str]) -> Target:
     if name in BUILTIN_TARGETS:
         return BUILTIN_TARGETS[name]
     if os.path.exists(name):
-        return load_target(name)
+        try:
+            return load_target(name)
+        except KeyError as e:
+            raise UsageError(f"target file {name!r} lacks {e}") from e
+        except (ValueError, TypeError, AttributeError) as e:
+            raise UsageError(f"malformed target file {name!r}: {e}") from e
     raise UsageError(f"unknown target {name!r}")
 
 
@@ -249,7 +254,7 @@ def cmd_equiv(
 # argument parsing
 
 
-def program_count(text: str) -> int:
+def non_negative_int(text: str) -> int:
     n = int(text)
     if n < 0:
         raise argparse.ArgumentTypeError(f"must not be negative: {n}")
@@ -271,8 +276,8 @@ def build_parser() -> argparse.ArgumentParser:
     l = sub.add_parser("layout", help="solve and report ADT layouts")
     l.add_argument("files", nargs="+")
     l.add_argument("--target")
-    l.add_argument("--budget", type=int, default=10_000)
-    l.add_argument("--unbox-limit", type=int, default=2)
+    l.add_argument("--budget", type=non_negative_int, default=10_000)
+    l.add_argument("--unbox-limit", type=non_negative_int, default=2)
     l.add_argument("--json", action="store_true")
     l.add_argument("--instantiate", action="append", default=None,
                    metavar="Name<args>")
@@ -280,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     e = sub.add_parser("equiv", help="boxed vs normalized equivalence oracle")
     e.add_argument("files", nargs="*")
     e.add_argument("--seed", type=int, default=42)
-    e.add_argument("--programs", type=program_count, default=500)
+    e.add_argument("--programs", type=non_negative_int, default=500)
     return p
 
 

@@ -145,11 +145,19 @@ def _resolve_free_bits(rows: list[BitPattern]) -> bool:
     bits in `rows` (one joined pattern per variant) and returns True, or
     returns False when no assignment exists.
 
-    Branches on the unseparated pair with the fewest viable positions;
-    a pair with none is unsatisfiable outright, which keeps refutations
-    from re-enumerating the other pairs' choices."""
+    Branches on the unseparated pair with the fewest viable positions, the
+    first such pair in (u, v) order; a pair with none is unsatisfiable
+    outright, which keeps refutations from re-enumerating the other pairs'
+    choices. The search is depth-first over an explicit stack, and a table
+    holds every pair's viable positions: a step that fixes rows u and v
+    recomputes only the pairs that touch u or v, and backtracking restores
+    them."""
     n = len(rows)
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    touching: list[list[int]] = [[] for _ in range(n)]
+    for i, (u, v) in enumerate(pairs):
+        touching[u].append(i)
+        touching[v].append(i)
 
     def candidates(u: int, v: int) -> Optional[int]:
         """Viable separation positions, or None when already separated."""
@@ -159,21 +167,9 @@ def _resolve_free_bits(rows: list[BitPattern]) -> bool:
             return None
         return (a.free | c.free) & ~(a.field | c.field)
 
-    def search() -> bool:
-        tightest: Optional[tuple[int, int, int, int]] = None
-        for u, v in pairs:
-            cands = candidates(u, v)
-            if cands is None:
-                continue
-            if not cands:
-                return False
-            count = cands.bit_count()
-            if tightest is None or count < tightest[0]:
-                tightest = (count, u, v, cands)
-        if tightest is None:
-            return True
-        _, u, v, cands = tightest
-        a, c = rows[u], rows[v]
+    def choices(a: BitPattern, c: BitPattern, cands: int):
+        """The (a, c) pairs that separate them at one viable position, in
+        ascending bit order, a's 0 first."""
         while cands:
             bit = cands & -cands
             cands ^= bit
@@ -182,13 +178,50 @@ def _resolve_free_bits(rows: list[BitPattern]) -> bool:
                     continue
                 if c.const & bit and c.ones & bit != bit_v:
                     continue
-                rows[u], rows[v] = a.fix(bit, bit_u), c.fix(bit, bit_v)
-                if search():
-                    return True
-                rows[u], rows[v] = a, c
-        return False
+                yield a.fix(bit, bit_u), c.fix(bit, bit_v)
 
-    return search()
+    table = [candidates(u, v) for u, v in pairs]
+    # one frame per branching pair: [u, v, its rows before the step, the
+    # remaining choices, the table entries the current step replaced]
+    stack: list[list] = []
+    while True:
+        tightest: Optional[tuple[int, int]] = None  # (count, pair index)
+        dead = False
+        for i, cands in enumerate(table):
+            if cands is None:
+                continue
+            if not cands:
+                dead = True
+                break
+            count = cands.bit_count()
+            if tightest is None or count < tightest[0]:
+                tightest = (count, i)
+        if not dead:
+            if tightest is None:
+                return True
+            u, v = pairs[tightest[1]]
+            a, c = rows[u], rows[v]
+            stack.append([u, v, a, c, choices(a, c, table[tightest[1]]), None])
+        # take the next choice, backtracking out of exhausted frames
+        while True:
+            if not stack:
+                return False
+            frame = stack[-1]
+            u, v, a, c, pending, saved = frame
+            if saved is not None:
+                rows[u], rows[v] = a, c
+                for i, cands in saved:
+                    table[i] = cands
+            step = next(pending, None)
+            if step is None:
+                stack.pop()
+                continue
+            rows[u], rows[v] = step
+            affected = touching[u] + [i for i in touching[v] if pairs[i][0] != u]
+            frame[5] = [(i, table[i]) for i in affected]
+            for i in affected:
+                table[i] = candidates(*pairs[i])
+            break
 
 
 def check_distinguishable(patterns: Patterns) -> bool:
@@ -314,7 +347,9 @@ def place_explicit_tag(sol):
     data_slots = [s for s in sol.slots if not s.dedicated_tag]
     found = _tag_interval(base, tw)
     if found is not None:
-        tagged = _tag_in_place(data_slots, base, found[0], found[1], tw)
+        tagged = _tag_in_place(base, found[0], found[1], tw)
     else:
-        tagged = _tag_appended(data_slots, base, tw, sol.target)
-    return _solution(sol.adt, sol.target, sol.placements, sol.steps_used, base, *tagged)
+        tagged = _tag_appended(base, tw)
+    return _solution(
+        sol.adt, sol.target, sol.placements, sol.steps_used, base, data_slots, *tagged
+    )

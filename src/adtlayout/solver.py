@@ -511,62 +511,81 @@ def _freeze_slots(state: _State) -> list[ScalarSlot]:
     ]
 
 
-def _access_cost(pattern: BitPattern, offset: int, width: int) -> int:
-    if offset > 0:
-        return 2
-    return 1 if pattern.nonzero >> width else 0
+def _dedicated(scheme: TagScheme) -> bool:
+    """True when the scheme keeps the tag in a scalar of its own."""
+    return isinstance(scheme, BareTag) or (
+        isinstance(scheme, ExplicitTag) and scheme.dedicated
+    )
+
+
+def _access_cost(
+    placements: dict[tuple[int, str], Placement],
+    patterns: list[list[BitPattern]],
+    scheme: TagScheme,
+) -> int:
+    """Summed access cost: 2 for each field or tag at a shifted offset, 1 for
+    each at offset 0 with bits set above it in its scalar (for a tag, in any
+    variant), and 2 per decision-tree level. A bit counts as set when it is a
+    constant one or a field bit, so free bits read as 0 and the patterns may
+    be taken before or after their free bits are fixed."""
+    access = 0
+    for (v, _), pl in placements.items():
+        if pl.offset > 0:
+            access += 2
+        else:
+            p = patterns[v][pl.slot]
+            if (p.ones | p.field) >> pl.width:
+                access += 1
+    if isinstance(scheme, (ExplicitTag, BareTag)):
+        if isinstance(scheme, ExplicitTag) and scheme.offset > 0:
+            access += 2
+        elif any((row[scheme.slot].ones | row[scheme.slot].field) >> scheme.width
+                 for row in patterns):
+            access += 1
+    elif isinstance(scheme, TreeTag):
+        access += 2 * tree_depth(scheme.tree)
+    return access
 
 
 def score_layout(sol: LayoutSolution, target: Target) -> Score:
-    access = 0
-    for i, variant in enumerate(sol.adt.variants):
-        for f in variant.fields:
-            pl = sol.placements[(i, f.name)]
-            access += _access_cost(sol.patterns[i][pl.slot], pl.offset, pl.width)
-    scheme = sol.tag_scheme
-    if isinstance(scheme, (ExplicitTag, BareTag)):
-        offset = scheme.offset if isinstance(scheme, ExplicitTag) else 0
-        if offset > 0:
-            access += 2
-        else:
-            access += max(
-                _access_cost(sol.patterns[v][scheme.slot], 0, scheme.width)
-                for v in range(len(sol.adt.variants))
-            )
-    elif isinstance(scheme, TreeTag):
-        access += 2 * tree_depth(scheme.tree)
+    access = _access_cost(sol.placements, sol.patterns, sol.tag_scheme)
     explicit = 1 if any(s.dedicated_tag for s in sol.slots) else 0
     return Score(len(sol.slots), access, explicit)
 
 
-def _tag_in_place(slots: list[ScalarSlot], rows, s: int, offset: int, width: int):
+def _tag_in_place(rows: list[list[BitPattern]], s: int, offset: int, width: int):
     """Explicit tagging that writes the variant index into `width` bits of
-    scalar `s` at `offset`: (slots, patterns, scheme)."""
+    scalar `s` at `offset`: (patterns, scheme)."""
     mask = ((1 << width) - 1) << offset
     tagged = [
         row[:s] + [row[s].fix(mask, v << offset)] + row[s + 1 :] for v, row in enumerate(rows)
     ]
-    return slots, tagged, ExplicitTag(s, offset, width, dedicated=False)
+    return tagged, ExplicitTag(s, offset, width, dedicated=False)
 
 
-def _tag_appended(slots: list[ScalarSlot], rows, width: int, target: Target):
+def _tag_appended(rows: list[list[BitPattern]], width: int):
     """Explicit tagging in a fresh minimal-width integer scalar appended to
-    `slots`: (slots, patterns, scheme)."""
-    tag_slot = ScalarSlot(
-        index=len(slots),
-        kind=_pick_kind(target.kinds_for_int(width), False, target),
-        kinds=target.kinds_for_int(width),
-        width=width,
-        dedicated_tag=True,
-    )
+    each row: (patterns, scheme)."""
     full = (1 << width) - 1
     tagged = [row + [BitPattern(width, full, v & full)] for v, row in enumerate(rows)]
-    return slots + [tag_slot], tagged, ExplicitTag(len(slots), 0, width, dedicated=True)
+    return tagged, ExplicitTag(len(rows[0]), 0, width, dedicated=True)
 
 
 def _solution(adt, target, placements, steps, base, slots, patterns, scheme) -> LayoutSolution:
-    """A scored solution whose free bits are made constant 0; `base` is kept
-    as its pre-tag patterns."""
+    """A scored solution over the data scalars `slots`, plus the tag scalar
+    when `scheme` is dedicated. Its free bits are made constant 0, and `base`
+    is kept as its pre-tag patterns."""
+    if _dedicated(scheme):
+        kinds = target.kinds_for_int(scheme.width)
+        slots = slots + [
+            ScalarSlot(
+                index=len(slots),
+                kind=_pick_kind(kinds, False, target),
+                kinds=kinds,
+                width=scheme.width,
+                dedicated_tag=True,
+            )
+        ]
     sol = LayoutSolution(
         adt=adt,
         target=target,
@@ -582,38 +601,41 @@ def _solution(adt, target, placements, steps, base, slots, patterns, scheme) -> 
     return sol
 
 
-def _complete(
+# a tagging completion: (score key, patterns, scheme)
+Candidate = tuple[tuple[int, int], list[list[BitPattern]], TagScheme]
+
+
+def _candidates(
     state: _State, best_key=None, appended_only: bool = False
-) -> list[LayoutSolution]:
-    """Tagging completions of a fully-assigned state, scored; ordered by
-    preference: in-place explicit tag, decision tree, appended tag scalar.
-    Candidates provably unable to beat `best_key` may be omitted;
-    `appended_only` forces just the dedicated-tag completion (the trivial
-    solution's shape)."""
-    adt, target = state.adt, state.target
+) -> tuple[list[list[BitPattern]], list[Candidate]]:
+    """The pre-tag patterns of a fully-assigned state and its tagging
+    completions, each with its score key, ordered by preference: in-place
+    explicit tag, decision tree, appended tag scalar. Candidates provably
+    unable to beat `best_key` may be omitted; `appended_only` forces just the
+    dedicated-tag completion (the trivial solution's shape)."""
     n = state.n
     base = state.build_patterns()
-    frozen = _freeze_slots(state)
-    results: list[LayoutSolution] = []
+    results: list[Candidate] = []
 
-    def make(slots, patterns, scheme) -> LayoutSolution:
-        return _solution(adt, target, state.placements, state.steps, base, slots, patterns, scheme)
+    def add(patterns: list[list[BitPattern]], scheme: TagScheme) -> None:
+        access = _access_cost(state.placements, patterns, scheme)
+        key = (len(patterns[0]), access + _dedicated(scheme))
+        results.append((key, patterns, scheme))
 
     if n == 1:
-        results.append(make(frozen, base, SingleVariant()))
-        return results
+        add(base, SingleVariant())
+        return base, results
 
     tw = tag_width_for(n)
     if not state.slots:
         # all variants nullary: a single bare tag integer
-        tag_slots, patterns, _ = _tag_appended([], base, tw, target)
-        results.append(make(tag_slots, patterns, BareTag(0, tw)))
-        return results
+        add(_tag_appended(base, tw)[0], BareTag(0, tw))
+        return base, results
 
     for s in range(len(state.slots) if not appended_only else 0):
         found = shared_free_run(base, s, tw)
         if found is not None:
-            results.append(make(*_tag_in_place(frozen, base, s, found, tw)))
+            add(*_tag_in_place(base, s, found, tw))
 
     # A classification tree costs at least 2 per level and needs ceil(log2 n)
     # levels. With two variants any shared free bit already admits an
@@ -621,7 +643,7 @@ def _complete(
     # cost 2 <= 2*depth, so a tree is dominated whenever one was found.
     tree_bound = (len(state.slots), state.shift_cost + 2 * tw)
     have = min(
-        [r.score.key() for r in results] + ([best_key] if best_key is not None else []),
+        [key for key, _, _ in results] + ([best_key] if best_key is not None else []),
         default=None,
     )
     dominated = appended_only or (n == 2 and results) or (
@@ -633,8 +655,7 @@ def _complete(
         )
         if derived is not None:
             tree, resolved = derived
-            patterns = [[parse_pattern(p) for p in row] for row in resolved]
-            results.append(make(frozen, patterns, TreeTag(tree)))
+            add([[parse_pattern(p) for p in row] for row in resolved], TreeTag(tree))
 
     # an appended tag costs an extra scalar, so any same-slot-count candidate
     # beats it; build it only as the fallback
@@ -642,8 +663,28 @@ def _complete(
     if appended_only or (
         not results and (best_key is None or best_key > appended_bound)
     ):
-        results.append(make(*_tag_appended(frozen, base, tw, target)))
-    return results
+        add(*_tag_appended(base, tw))
+    return base, results
+
+
+def _complete(
+    state: _State, best_key=None, appended_only: bool = False
+) -> Optional[LayoutSolution]:
+    """The solution for the first candidate with the smallest key, or None
+    when no candidate's key is below `best_key`. Only that candidate is
+    built; the others are judged by key alone."""
+    base, results = _candidates(state, best_key, appended_only)
+    pick: Optional[Candidate] = None
+    for cand in results:
+        if best_key is None or cand[0] < best_key:
+            best_key, pick = cand[0], cand
+    if pick is None:
+        return None
+    _, patterns, scheme = pick
+    return _solution(
+        state.adt, state.target, state.placements, state.steps, base,
+        _freeze_slots(state), patterns, scheme,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -759,16 +800,9 @@ def trivial_layout(adt: MonoAdt, target: Target) -> LayoutSolution:
             slot = state.new_slot(target.kind_width(f.kinds), None)
             undo = state.try_place(i, f, slot)
             assert undo is not None, f"trivial placement failed for {f.name}"
-    sols = _complete(state, appended_only=len(bare.variants) > 1)
-    if len(bare.variants) == 1:
-        return sols[0]
-    for s in sols:
-        scheme = s.tag_scheme
-        if isinstance(scheme, BareTag) or (
-            isinstance(scheme, ExplicitTag) and scheme.dedicated
-        ):
-            return s
-    raise AssertionError("trivial completion missing")
+    sol = _complete(state, appended_only=len(bare.variants) > 1)
+    assert sol is not None and (len(bare.variants) == 1 or _dedicated(sol.tag_scheme))
+    return sol
 
 
 def solve_layout(adt: MonoAdt, target: Target, budget: int = 10_000) -> LayoutSolution:
@@ -825,11 +859,9 @@ def solve_layout(adt: MonoAdt, target: Target, budget: int = 10_000) -> LayoutSo
                 (len(state.slots), state.shift_cost) >= best.score.key()
             ):
                 return  # no completion of this assignment can beat the best
-            key = best.score.key() if best is not None else None
-            for sol in _complete(state, best_key=key):
-                if best is None or sol.score.key() < best.score.key():
-                    sol.steps_used = state.steps
-                    best = sol
+            sol = _complete(state, best_key=best.score.key() if best is not None else None)
+            if sol is not None:
+                best = sol
             return
         v, obj, restriction = items[idx]
         placed_any = False

@@ -220,3 +220,41 @@ def test_equiv_negative_program_count_rejected(capsys):
         main(["equiv", "--programs", "-3"])
     assert exc.value.code == 2
     assert "--programs" in capsys.readouterr().err
+
+
+_W32_KINDS = {
+    "int32": ["B32"],
+    "int64": ["B64"],
+    "float32": ["F32"],
+    "float64": ["F64"],
+    "ref": ["R32"],
+}
+
+
+@pytest.mark.parametrize("command", ["check", "layout"])
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"name": "t"', "malformed target file"),
+        ('["w32"]', "malformed target file"),
+        (json.dumps({"name": "w32", "word_width": 32}), "lacks 'kinds'"),
+        (json.dumps({"word_width": 32, "kinds": _W32_KINDS}), "lacks 'name'"),
+        (json.dumps({"name": "w32", "kinds": _W32_KINDS}), "lacks 'word_width'"),
+    ],
+)
+def test_malformed_target_file_is_usage_error(
+    small_file, tmp_path, command, text, message, capsys
+):
+    tfile = tmp_path / "bad.json"
+    tfile.write_text(text)
+    assert main([command, small_file, "--target", str(tfile)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize("flag, value", [("--budget", "-1"), ("--unbox-limit", "-4")])
+def test_layout_negative_numbers_rejected(small_file, flag, value, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["layout", small_file, flag, value])
+    assert exc.value.code == 2
+    assert flag in capsys.readouterr().err

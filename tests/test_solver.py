@@ -4,8 +4,9 @@ import random
 
 import pytest
 
-from adtlayout import codec
+from adtlayout import codec, solver
 from adtlayout.pipeline import process_adts
+from adtlayout.progen import gen_decls
 from adtlayout.solver import (
     AnnotationInfeasible,
     BareTag,
@@ -18,11 +19,13 @@ from adtlayout.solver import (
     trivial_layout,
 )
 from adtlayout.syntax import parse_packing_expr, parse_program, parse_type
-from adtlayout.targets import JVM, X64, X86_32, FieldSlot, UnboxOptions
+from adtlayout.targets import BUILTIN_TARGETS, JVM, X64, X86_32, FieldSlot, UnboxOptions
 from adtlayout.flatten import flatten_annotation
 from adtlayout.verify import SizeContext
 
+from corpus import CORPUS_SRC
 from oracles import oracle_best_score
+from test_golden import CASES as GOLDEN_CASES
 
 
 def solve_source(src: str, target=X64, key=None, budget=10_000, requests=None):
@@ -354,3 +357,43 @@ def test_annotated_adt_solves_even_with_tiny_budget():
     lay = solve_layout(mono, X64, budget=1)
     assert lay.placement_of(0, "a").offset == 4
     assert codec.variant_of(lay, codec.encode_variant(lay, 0, {"a": 1, "b": 2})) == 0
+
+
+def test_many_nullary_cases_resolve_without_recursion_limit():
+    """48 nullary cases and one u60 payload: the free-bit search separates
+    over a thousand variant pairs, one search step each."""
+    cases = " ".join(f"case N{i};" for i in range(48))
+    lay = solve_source(f"type S #unboxed {{ {cases} case P(p: u60); }}")
+    assert len(lay.slots) == 1
+    assert lay.tag_scheme.kind_name == "decision-tree"
+    for vi, variant in enumerate(lay.adt.variants):
+        values = {f.name: 0 for f in variant.fields}
+        assert codec.variant_of(lay, codec.encode_variant(lay, vi, values)) == vi
+
+
+def test_candidate_keys_equal_built_scores(monkeypatch):
+    """Each completion candidate's key, computed from its masks, equals
+    score_layout's key of the solution built from it."""
+    kinds = set()
+    original = solver._complete
+
+    def checking(state, best_key=None, appended_only=False):
+        base, cands = solver._candidates(state, appended_only=appended_only)
+        for key, patterns, scheme in cands:
+            sol = solver._solution(
+                state.adt, state.target, state.placements, state.steps, base,
+                solver._freeze_slots(state), patterns, scheme,
+            )
+            assert key == score_layout(sol, state.target).key(), (state.adt.name, scheme)
+            kinds.add(scheme.kind_name)
+        return original(state, best_key, appended_only)
+
+    monkeypatch.setattr(solver, "_complete", checking)
+    for target in (X64, JVM, X86_32):
+        process_adts(parse_program(CORPUS_SRC), target)
+    for source, target in GOLDEN_CASES.values():
+        process_adts(parse_program(source), BUILTIN_TARGETS[target])
+    targets = (X64, JVM, X86_32)
+    for i in range(100):
+        process_adts(gen_decls(random.Random(f"keys:{i}")), targets[i % 3])
+    assert kinds == {"single-variant", "bare-tag", "explicit-tag", "decision-tree"}
