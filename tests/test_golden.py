@@ -43,6 +43,25 @@ WIDE_W0_X86_32 = (
     "f0_5: u3, f0_6: u12, f0_7: u16, f0_8: u7, f0_9: u3); }\n"
 )
 
+# #packing shapes the corpus lacks: #concat of two declaration applications,
+# a body narrower than its declared width (zero padding), arguments spliced
+# into parameter runs (with '?' bits, and a literal narrower than its
+# parameter), a type-level #packing list and a #solve with a bit-literal item
+ANNOTATED = """\
+packing Pair(hi: 4, lo: 4): 8 = 0b_hhhh_llll;
+packing Nib(a: 4): 8 = 0b_aaaa;
+packing Tagged(t: 2, v: 6): 8 = 0b_ttvv_vvvv;
+type Cat #unboxed { case C(p: u4, q: u4, r: u4, s: u4) #packing #concat(Pair(p, q), Pair(r, s)); }
+type Pad #unboxed { case A(x: u4) #packing Nib(x); case B(y: u4) #packing #concat(0b_1000, y); }
+type Spl #unboxed {
+    case A(v: u6) #packing Tagged(0b_??, v);
+    case B(w: u6) #packing Tagged(0b_10, w);
+    case C(c: u6) #packing Tagged(0b_1, c);
+}
+type Lst #unboxed #packing(0b_00aa, 0b_bb11) { case A(a: u2); case B(b: u2); }
+type Lit #unboxed { case A(x: u8, y: u8) #packing #solve(x, 0b_1010, y); case B(z: u16); }
+"""
+
 # golden file stem -> (source, target)
 CASES = {
     "corpus-x64": (CORPUS_SRC, "x64"),
@@ -53,6 +72,8 @@ CASES = {
     "wide-w1-x86-32": (WIDE_W1, "x86-32"),  # explicit tag
     "wide-w1-x64": (WIDE_W1_X64, "x64"),  # single variant
     "wide-w0-x86-32": (WIDE_W0_X86_32, "x86-32"),  # single variant
+    "annotated-x64": (ANNOTATED, "x64"),
+    "annotated-x86-32": (ANNOTATED, "x86-32"),
 }
 
 
