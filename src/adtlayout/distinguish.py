@@ -118,9 +118,9 @@ def _parse_rows(patterns: Patterns) -> list[list[BitPattern]]:
     return rows
 
 
-def _join(row: list[BitPattern]) -> BitPattern:
-    """A variant's scalars as one pattern, scalar 0 lowest, so that ascending
-    bit index is (scalar, bit) order."""
+def join_patterns(row: list[BitPattern]) -> BitPattern:
+    """The patterns of `row` as one, the first lowest: a variant's scalars
+    joined so that ascending bit index is (scalar, bit) order."""
     width = const = ones = field = 0
     for p in row:
         const |= p.const << width
@@ -229,7 +229,7 @@ def check_distinguishable(patterns: Patterns) -> bool:
     variants differs at a bit that is constant within each."""
     if len(patterns) <= 1:
         return True
-    return _resolve_free_bits([_join(row) for row in _parse_rows(patterns)])
+    return _resolve_free_bits([join_patterns(row) for row in _parse_rows(patterns)])
 
 
 def derive_decision_tree(patterns: Patterns) -> Optional[tuple[DecisionTree, Patterns]]:
@@ -239,12 +239,23 @@ def derive_decision_tree(patterns: Patterns) -> Optional[tuple[DecisionTree, Pat
     exactly when check_distinguishable is false. Field ('x') bits route to
     both branches and are never tested while present in the live set.
     """
-    if len(patterns) == 1:
-        return Leaf(0), [list(p) for p in patterns]
-    parsed = _parse_rows(patterns)
-    widths = [p.width for p in parsed[0]]
-    rows = [_join(row) for row in parsed]
-    if not _resolve_free_bits(rows):
+    derived = derive_tree(_parse_rows(patterns))
+    if derived is None:
+        return None
+    tree, rows = derived
+    return tree, [[print_pattern(p) for p in row] for row in rows]
+
+
+def derive_tree(
+    rows: list[list[BitPattern]],
+) -> Optional[tuple[DecisionTree, list[list[BitPattern]]]]:
+    """`derive_decision_tree` over patterns held as masks: (tree, the rows
+    with the chosen free bits made constant), or None."""
+    if len(rows) == 1:
+        return Leaf(0), [list(row) for row in rows]
+    widths = [p.width for p in rows[0]]
+    joined = [join_patterns(row) for row in rows]
+    if not _resolve_free_bits(joined):
         return None
 
     def build(members: list[int], used: int) -> DecisionTree:
@@ -253,14 +264,14 @@ def derive_decision_tree(patterns: Patterns) -> Optional[tuple[DecisionTree, Pat
         best: Optional[tuple[int, int]] = None  # (larger branch, bit)
         splits = 0
         for m in members:
-            splits |= rows[m].const
+            splits |= joined[m].const
         splits &= ~used
         while splits:
             bit = splits & -splits
             splits ^= bit
             # valid split: some pair of members has differing constants here
-            ones = sum(1 for m in members if rows[m].ones & bit)
-            zeros = sum(1 for m in members if rows[m].const & ~rows[m].ones & bit)
+            ones = sum(1 for m in members if joined[m].ones & bit)
+            zeros = sum(1 for m in members if joined[m].const & ~joined[m].ones & bit)
             if not (ones and zeros):
                 continue
             larger = len(members) - min(ones, zeros)
@@ -271,7 +282,7 @@ def derive_decision_tree(patterns: Patterns) -> Optional[tuple[DecisionTree, Pat
         zero_side: list[int] = []
         one_side: list[int] = []
         for m in members:
-            p = rows[m]
+            p = joined[m]
             if p.const & bit:
                 (one_side if p.ones & bit else zero_side).append(m)
             elif p.field & bit:
@@ -279,7 +290,7 @@ def derive_decision_tree(patterns: Patterns) -> Optional[tuple[DecisionTree, Pat
                 one_side.append(m)
             else:  # free bit: route to the smaller side and fix the choice
                 value = 0 if len(zero_side) <= len(one_side) else bit
-                rows[m] = p.fix(bit, value)
+                joined[m] = p.fix(bit, value)
                 (one_side if value else zero_side).append(m)
         s, b = 0, bit.bit_length() - 1
         while b >= widths[s]:
@@ -287,8 +298,8 @@ def derive_decision_tree(patterns: Patterns) -> Optional[tuple[DecisionTree, Pat
             s += 1
         return Node(s, b, build(zero_side, used | bit), build(one_side, used | bit))
 
-    tree = build(list(range(len(rows))), 0)
-    return tree, [[print_pattern(p) for p in _split(row, widths)] for row in rows]
+    tree = build(list(range(len(joined))), 0)
+    return tree, [_split(row, widths) for row in joined]
 
 
 def lowest_run(mask: int, width: int) -> Optional[int]:

@@ -1,9 +1,11 @@
 """Flattening of packing expressions into (field-offset map, bit pattern) pairs.
 
-Patterns are stored most-significant bit first using one character per bit:
-'0' and '1' for constants, 'x' for bits assigned to a field, 'u' for
-unassigned bits the solver may choose. Field offsets count from the
-least-significant bit of the final pattern.
+A pattern is a `distinguish.BitPattern` of masks counted from the LSB:
+constant bits with their values, bits assigned to a field, and free bits
+the solver may choose. `#concat` joins its parts' masks, the first part
+highest, and an argument's masks replace its parameter's bit run. Field
+offsets count from the least-significant bit of the final pattern. Patterns
+print MSB first over '0', '1', 'x' (field) and 'u' (free).
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Union
 
+from .distinguish import BitPattern, join_patterns, parse_pattern, print_pattern
 from .syntax import (
     Apply,
     BitLayout,
@@ -23,24 +26,19 @@ from .syntax import (
 )
 from .verify import SizeContext, _fail, _layout_runs, resolve_layout_fields
 
-PAT_ZERO = "0"
-PAT_ONE = "1"
-PAT_ASSIGNED = "x"
-PAT_UNASSIGNED = "u"
-
 
 @dataclass(frozen=True)
 class FlattenedPacking:
     assignments: dict[str, int]  # field name -> offset of its LSB
-    pattern: tuple[str, ...]  # MSB first
+    pattern: BitPattern
     pos: tuple[int, int] = field(default=(0, 0), compare=False)
 
     @property
     def width(self) -> int:
-        return len(self.pattern)
+        return self.pattern.width
 
     def pattern_str(self) -> str:
-        return "".join(self.pattern)
+        return print_pattern(self.pattern)
 
     def to_json(self) -> dict:
         return {
@@ -83,24 +81,23 @@ def _merge_assignments(
 
 def flatten_expr(expr: PackingExpr, ctx: SizeContext) -> FlattenedPacking:
     if isinstance(expr, Empty):
-        return FlattenedPacking({}, (), pos=expr.pos)
+        return FlattenedPacking({}, BitPattern(0), pos=expr.pos)
     if isinstance(expr, FieldRef):
         if expr.name not in ctx.gamma:
             raise _fail("E013", f"unbound field {expr.name!r}", expr.pos)
         w = ctx.gamma[expr.name]
-        return FlattenedPacking({expr.name: 0}, (PAT_ASSIGNED,) * w, pos=expr.pos)
+        return FlattenedPacking({expr.name: 0}, BitPattern(w, field=(1 << w) - 1), pos=expr.pos)
     if isinstance(expr, BitLayout):
         return _flatten_layout(expr, ctx)
     if isinstance(expr, Concat):
         parts = [flatten_expr(p, ctx) for p in expr.parts]
         assignments: dict[str, int] = {}
-        pattern: list[str] = []
         shift = sum(p.width for p in parts)
         for p in parts:
             shift -= p.width
             _merge_assignments(assignments, p.assignments, shift, expr.pos)
-            pattern.extend(p.pattern)
-        return FlattenedPacking(assignments, tuple(pattern), pos=expr.pos)
+        pattern = join_patterns([p.pattern for p in reversed(parts)])
+        return FlattenedPacking(assignments, pattern, pos=expr.pos)
     if isinstance(expr, Apply):
         return _flatten_apply(expr, ctx)
     if isinstance(expr, Solve):
@@ -124,15 +121,8 @@ def _flatten_layout(layout: BitLayout, ctx: SizeContext) -> FlattenedPacking:
         if fname in assignments:
             raise _fail("E016", f"field {fname!r} placed twice", layout.pos)
         assignments[fname] = off
-    pattern = []
-    for ch in layout.bits:
-        if ch in "01":
-            pattern.append(ch)
-        elif ch == "?":
-            pattern.append(PAT_UNASSIGNED)
-        else:
-            pattern.append(PAT_ASSIGNED)
-    return FlattenedPacking(assignments, tuple(pattern), pos=layout.pos)
+    text = "".join(ch if ch in "01" else "u" if ch == "?" else "x" for ch in layout.bits)
+    return FlattenedPacking(assignments, parse_pattern(text), pos=layout.pos)
 
 
 def _flatten_apply(expr: Apply, ctx: SizeContext) -> FlattenedPacking:
@@ -148,10 +138,7 @@ def _flatten_apply(expr: Apply, ctx: SizeContext) -> FlattenedPacking:
     body_ctx = ctx.with_gamma({n: w for n, w in decl.params})
     body = flatten_expr(decl.body, body_ctx)
     # a body narrower than the declared width is zero-padded at the MS end
-    pattern = list(body.pattern)
-    if body.width < decl.width:
-        pattern = [PAT_ZERO] * (decl.width - body.width) + pattern
-    width = len(pattern)
+    pattern = _zero_pad(body.pattern, decl.width)
     assignments: dict[str, int] = {}
     for arg, (pname, pwidth) in zip(expr.args, decl.params):
         flat = _pad_to(flatten_expr(arg, ctx), pwidth, expr.pos)
@@ -167,9 +154,22 @@ def _flatten_apply(expr: Apply, ctx: SizeContext) -> FlattenedPacking:
         slot = body.assignments[pname]
         _merge_assignments(assignments, flat.assignments, slot, expr.pos)
         # splice the argument's pattern over the parameter's bit run
-        hi = width - slot - pwidth
-        pattern[hi : hi + pwidth] = list(flat.pattern)
-    return FlattenedPacking(assignments, tuple(pattern), pos=expr.pos)
+        run = ((1 << pwidth) - 1) << slot
+        fp = flat.pattern
+        pattern = BitPattern(
+            pattern.width,
+            (pattern.const & ~run) | (fp.const << slot),
+            (pattern.ones & ~run) | (fp.ones << slot),
+            (pattern.field & ~run) | (fp.field << slot),
+        )
+    return FlattenedPacking(assignments, pattern, pos=expr.pos)
+
+
+def _zero_pad(p: BitPattern, width: int) -> BitPattern:
+    """`p` widened to `width` with constant-0 bits above it."""
+    if p.width >= width:
+        return p
+    return join_patterns([p, BitPattern(width - p.width, const=(1 << (width - p.width)) - 1)])
 
 
 def _pad_to(flat: FlattenedPacking, width: int, pos: tuple[int, int]) -> FlattenedPacking:
@@ -177,8 +177,7 @@ def _pad_to(flat: FlattenedPacking, width: int, pos: tuple[int, int]) -> Flatten
         raise _fail("E010", f"pattern of size {flat.width} exceeds slot of {width}", pos)
     if flat.width == width:
         return flat
-    pad = (PAT_ZERO,) * (width - flat.width)
-    return FlattenedPacking(dict(flat.assignments), pad + flat.pattern, pos=pos)
+    return FlattenedPacking(dict(flat.assignments), _zero_pad(flat.pattern, width), pos=pos)
 
 
 def flatten_annotation(

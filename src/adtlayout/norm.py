@@ -121,8 +121,7 @@ class Normalizer:
         return self.post
 
     def normalize_function(self, fn: Function) -> Function:
-        worker = _FunctionNormalizer(self, fn)
-        out = worker.run()
+        out = _FunctionNormalizer(self).run(fn)
         self.post.functions[out.name] = out
         return out
 
@@ -192,8 +191,8 @@ class Normalizer:
         return fn
 
     def _build_replace_null(self, name: str, key: str) -> Function:
-        fn = Function(name, (("x", TAdt(key)),), TAdt(key), "entry", {})
-        w = _HelperBuilder(self, fn)
+        w = _FunctionNormalizer(self)
+        fn = Function(name, (("x", TAdt(key)),), TAdt(key), "entry", w.blocks)
         w.types["x"] = TAdt(key)
         entry = w.start_block("entry")
         w.emit_typed(IsNull(w.fresh("n"), "x"), BOOL)
@@ -213,15 +212,16 @@ class Normalizer:
 
 
 class _FunctionNormalizer:
-    def __init__(self, ctx: Normalizer, fn: Function):
+    """Emits post-normalization code into `blocks`: a normalized copy of a
+    function through `run`, or a generated helper block by block."""
+
+    def __init__(self, ctx: Normalizer):
         self.ctx = ctx
-        self.pre_fn = fn
         self.env: dict[str, list[str] | _NullMarker] = {}
         self.types: dict[str, IrType] = {}  # post types of post names
         self.tmp = 0
         self.blocks: dict[str, Block] = {}
         self.current: Optional[Block] = None
-        self.pre_types: dict[str, IrType] = {}
 
     def fresh(self, hint: str = "t") -> str:
         self.tmp += 1
@@ -257,8 +257,7 @@ class _FunctionNormalizer:
 
     # -- top level -----------------------------------------------------------
 
-    def run(self) -> Function:
-        pre = self.pre_fn
+    def run(self, pre: Function) -> Function:
         ctx = self.ctx
         params: list[tuple[str, IrType]] = []
         for name, t in pre.params:
@@ -278,7 +277,6 @@ class _FunctionNormalizer:
             semantic_ret=pre.semantic_ret or pre.ret,
         )
 
-        self.pre_types = _pre_types(ctx.pre, pre)
         for label in pre.block_order():
             blk = pre.blocks[label]
             self.start_block(label)
@@ -349,7 +347,7 @@ class _FunctionNormalizer:
         if isinstance(ins, GetTag):
             if ctx.is_unboxed(ins.adt):
                 scalars = self.names_of(ins.src)
-                tag = self._extract_tag(ins.adt, scalars, ins.dst)
+                tag = self.extract_tag(ins.adt, scalars)
                 self.env[ins.dst] = [tag]
             else:
                 self.emit_typed(RecordTag(ins.dst, ins.adt, self.names_of(ins.src)[0]), TAG_TYPE)
@@ -464,7 +462,7 @@ class _FunctionNormalizer:
             return name
         return self.emit_typed(Bitcast(self.fresh("b"), name, TInt(f.width, False)), TInt(f.width, False))
 
-    def _extract_tag(self, key: str, scalars: list[str], dst_hint: str) -> str:
+    def extract_tag(self, key: str, scalars: list[str]) -> str:
         layout = self.ctx.pre.layouts[key]
         scheme = layout.tag_scheme
         if isinstance(scheme, SingleVariant):
@@ -484,7 +482,7 @@ class _FunctionNormalizer:
         fname = self.ctx.classify_fn(key)
         return self.emit_typed(Call(self.fresh("tag"), fname, tuple(scalars)), TAG_TYPE)
 
-    def _decode_field(self, key: str, case: int, f, scalars: list[str]) -> str:
+    def decode_field(self, key: str, case: int, f, scalars: list[str]) -> str:
         """Bit extraction of one normalized field from the scalar words."""
         layout = self.ctx.pre.layouts[key]
         pl = layout.placements[(case, f.name)]
@@ -520,12 +518,12 @@ class _FunctionNormalizer:
             indices = list(range(len(variant.fields)))
         if ctx.is_unboxed(ins.adt):
             scalars = self.names_of(ins.src)
-            tag = self._extract_tag(ins.adt, scalars, ins.dst)
+            tag = self.extract_tag(ins.adt, scalars)
             want = self.const(TAG_TYPE, ins.case)
             cond = self.emit_typed(Eq(self.fresh("c"), TAG_TYPE, tag, want), BOOL)
             self.split_for_check(cond, "bad-case")
             names = [
-                self._decode_field(ins.adt, ins.case, variant.fields[k], scalars)
+                self.decode_field(ins.adt, ins.case, variant.fields[k], scalars)
                 for k in indices
             ]
         else:
@@ -571,18 +569,6 @@ class _FunctionNormalizer:
         return self.emit_typed(Eq(self.fresh("eq"), t, a[0], b[0]), BOOL)
 
 
-def _pre_types(program: Program, fn: Function) -> dict[str, IrType]:
-    from .ir import _infer
-
-    types: dict[str, IrType] = dict(fn.params)
-    for label in fn.block_order():
-        for ins in fn.blocks[label].instrs:
-            dst = getattr(ins, "dst", None)
-            if dst is not None:
-                types[dst] = _infer(program, fn, ins, types)
-    return types
-
-
 # ---------------------------------------------------------------------------
 # Generated structural equality over packed values
 
@@ -595,8 +581,8 @@ def _build_equality(ctx: Normalizer, name: str, key: str) -> Function:
     for side in ("a", "b"):
         for i, s in enumerate(layout.slots):
             params.append((f"{side}{i}", TIntRep(s.width, s.kind.value)))
-    fn = Function(name, tuple(params), BOOL, "entry", {})
-    w = _HelperBuilder(ctx, fn)
+    w = _FunctionNormalizer(ctx)
+    fn = Function(name, tuple(params), BOOL, "entry", w.blocks)
     a_scalars = [f"a{i}" for i in range(k)]
     b_scalars = [f"b{i}" for i in range(k)]
     for p, t in params:
@@ -622,14 +608,14 @@ def _build_equality(ctx: Normalizer, name: str, key: str) -> Function:
         for gi, group in enumerate(groups):
             first = variant.fields[group[0]]
             if first.embedded:
-                av = [w.decode(key, i, variant.fields[g], a_scalars) for g in group]
-                bv = [w.decode(key, i, variant.fields[g], b_scalars) for g in group]
+                av = [w.decode_field(key, i, variant.fields[g], a_scalars) for g in group]
+                bv = [w.decode_field(key, i, variant.fields[g], b_scalars) for g in group]
                 sub = ctx.equality_fn(first.adt_ref)
                 c = w.emit_typed(Call(w.fresh("eq"), sub, tuple(av + bv)), BOOL)
             else:
                 f = variant.fields[group[0]]
-                av0 = w.decode(key, i, f, a_scalars)
-                bv0 = w.decode(key, i, f, b_scalars)
+                av0 = w.decode_field(key, i, f, a_scalars)
+                bv0 = w.decode_field(key, i, f, b_scalars)
                 t = normalized_field_type(ctx.post, f)
                 c = w.emit_typed(Eq(w.fresh("eq"), t, av0, bv0), BOOL)
             nxt = f"case{i}.g{gi}"
@@ -656,26 +642,6 @@ def _field_groups(variant) -> list[list[int]]:
         else:
             groups.append([k])
     return groups
-
-
-class _HelperBuilder(_FunctionNormalizer):
-    """Reuses the emission helpers to build generated functions directly."""
-
-    def __init__(self, ctx: Normalizer, fn: Function):
-        self.ctx = ctx
-        self.pre_fn = fn
-        self.env = {}
-        self.types = {}
-        self.tmp = 0
-        self.blocks = fn.blocks
-        self.current = None
-        self.pre_types = {}
-
-    def extract_tag(self, key: str, scalars: list[str]) -> str:
-        return self._extract_tag(key, scalars, "tag")
-
-    def decode(self, key: str, case: int, f, scalars: list[str]) -> str:
-        return self._decode_field(key, case, f, scalars)
 
 
 # ---------------------------------------------------------------------------

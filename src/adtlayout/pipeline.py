@@ -76,8 +76,8 @@ def _dependencies(
             concrete = substitute(ftype, bindings)
             if _type_depth(concrete) > _MAX_TYPE_DEPTH:
                 raise MonoError(
-                    f"type nesting too deep while instantiating {decl.name}: "
-                    f"{print_type(concrete)}"
+                    f"instantiating {decl.name} nests types deeper than {_MAX_TYPE_DEPTH} "
+                    "levels; is it polymorphically recursive?"
                 )
             for mention in _adt_mentions(concrete, decls):
                 deps.append((mention.name, mention.args))

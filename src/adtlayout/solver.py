@@ -24,7 +24,6 @@ from .distinguish import (
     BitPattern,
     DecisionTree,
     lowest_run,
-    parse_pattern,
     print_pattern,
     shared_free_run,
     tag_width_for,
@@ -296,7 +295,8 @@ class _State:
         self.placements: dict[tuple[int, str], Placement] = {}
         self.steps = 0
         self.shift_cost = 0  # 2 per shifted placement; a completion lower bound
-        self.tags = None if target.ref_tagging is None else target.ref_tagging.masks()
+        tagging = target.ref_tagging
+        self.tags = None if tagging is None else (tagging.ref_pattern, tagging.value_pattern)
 
     def new_slot(self, width: int, kinds: Optional[KindSet]) -> _Slot:
         s = _Slot(len(self.slots), width, kinds, self.n, self.tags)
@@ -441,7 +441,8 @@ class _State:
         slot = undo.slot
         v = undo.variant
         for pl in reversed(undo.placements):
-            slot.fields[v].remove(pl)
+            popped = slot.fields[v].pop()
+            assert popped is pl
             del self.placements[(v, pl.field.name)]
             if pl.offset > 0:
                 self.shift_cost -= 2
@@ -650,12 +651,10 @@ def _candidates(
         have is not None and have <= tree_bound
     )
     if not dominated:
-        derived = distinguish.derive_decision_tree(
-            [[print_pattern(p) for p in row] for row in base]
-        )
+        derived = distinguish.derive_tree(base)
         if derived is not None:
             tree, resolved = derived
-            add([[parse_pattern(p) for p in row] for row in resolved], TreeTag(tree))
+            add(resolved, TreeTag(tree))
 
     # an appended tag costs an extra scalar, so any same-slot-count candidate
     # beats it; build it only as the fallback
@@ -731,7 +730,7 @@ def _apply_annotations(state: _State) -> _Prepared:
                     raise AnnotationInfeasible(
                         adt.name, list(entry.assignments), "pattern wider than any scalar"
                     )
-                p = parse_pattern(entry.pattern_str())
+                p = entry.pattern
                 slot.add_consts(v, p.const, p.ones, p.free)
                 for fname, off in entry.assignments.items():
                     prepared.pins[(v, fname)] = (j, off)
@@ -755,7 +754,7 @@ def _apply_annotations(state: _State) -> _Prepared:
                     fields.sort(key=lambda rf: rf[0])
                     unit = _Unit(
                         fields=tuple(fields),
-                        pattern=parse_pattern(item.pattern_str()),
+                        pattern=item.pattern,
                         kinds=kinds if kinds is not None else state.target.kinds_for_int(32),
                     )
                     prepared.units.append((v, j, unit))

@@ -54,24 +54,24 @@ KindSet = frozenset[ScalarKind]
 @dataclass(frozen=True)
 class RefTagging:
     """Low-bit discrimination between references and packed values in one
-    reference-capable scalar. Patterns cover the free low bits, LSB first,
-    over '0', '1' and 'u' (usable for packed data)."""
+    reference-capable scalar. The two patterns cover the free low bits; their
+    free bits are usable for packed data."""
 
-    free_low_bits: int
-    ref_pattern: str
-    value_pattern: str
+    ref_pattern: BitPattern
+    value_pattern: BitPattern
 
     def __post_init__(self):
-        assert len(self.ref_pattern) == self.free_low_bits
-        assert len(self.value_pattern) == self.free_low_bits
+        ref, value = self.ref_pattern, self.value_pattern
+        if ref.width != value.width:
+            raise ValueError("ref_tagging patterns differ in width")
         # the two patterns must disagree at some constant bit, otherwise the
         # collector cannot tell references from values
-        ref, value = self.masks()
-        assert ref.const & value.const & (ref.ones ^ value.ones)
+        if not ref.const & value.const & (ref.ones ^ value.ones):
+            raise ValueError("ref_tagging patterns differ at no constant bit")
 
-    def masks(self) -> tuple[BitPattern, BitPattern]:
-        """The reference and value patterns as bit masks."""
-        return parse_pattern(self.ref_pattern[::-1]), parse_pattern(self.value_pattern[::-1])
+    @property
+    def free_low_bits(self) -> int:
+        return self.ref_pattern.width
 
 
 @dataclass(frozen=True)
@@ -91,6 +91,11 @@ class Target:
                 raise ValueError(f"target {self.name}: mixed-width kind set for {cls}")
         if not all(k.ref_capable for k in self.kind_table["ref"]):
             raise ValueError(f"target {self.name}: non-reference kind in ref set")
+        tagging = self.ref_tagging
+        if tagging is not None and not 0 < tagging.free_low_bits < self.word_width:
+            raise ValueError(
+                f"target {self.name}: free_low_bits must be in 1..{self.word_width - 1}"
+            )
 
     def kinds_for_int(self, width: int) -> KindSet:
         return self.kind_table["int32" if width <= 32 else "int64"]
@@ -120,7 +125,8 @@ X64 = Target(
         "float64": _ks(ScalarKind.B64, ScalarKind.F64, ScalarKind.R64),
         "ref": _ks(ScalarKind.R64),
     },
-    ref_tagging=RefTagging(free_low_bits=2, ref_pattern="0u", value_pattern="1u"),
+    # bit 0 is 0 in references and 1 in packed values; bit 1 is free
+    ref_tagging=RefTagging(BitPattern(2, const=0b01), BitPattern(2, const=0b01, ones=0b01)),
 )
 
 JVM = Target(
@@ -166,13 +172,22 @@ def load_target(source: dict | str) -> Target:
     tagging = None
     if source.get("ref_tagging"):
         rt = source["ref_tagging"]
-        tagging = RefTagging(rt["free_low_bits"], rt["ref_pattern"], rt["value_pattern"])
+        n = rt["free_low_bits"]
+        tagging = RefTagging(_low_bits(rt["ref_pattern"], n), _low_bits(rt["value_pattern"], n))
     return Target(
         name=source["name"],
         word_width=source["word_width"],
         kind_table=table,
         ref_tagging=tagging,
     )
+
+
+def _low_bits(text: str, n: int) -> BitPattern:
+    """A target file's ref_tagging pattern: `n` characters over '0', '1' and
+    'u' (free), LSB first."""
+    if not isinstance(text, str) or len(text) != n or not set(text) <= set("01u"):
+        raise ValueError(f"ref_tagging pattern {text!r} is not {n} characters over 0, 1 and u")
+    return parse_pattern(text[::-1])
 
 
 def get_scalar_kinds(t: TypeExpr, target: Target) -> KindSet:

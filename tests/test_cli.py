@@ -240,6 +240,18 @@ _W32_KINDS = {
         (json.dumps({"name": "w32", "word_width": 32}), "lacks 'kinds'"),
         (json.dumps({"word_width": 32, "kinds": _W32_KINDS}), "lacks 'name'"),
         (json.dumps({"name": "w32", "kinds": _W32_KINDS}), "lacks 'word_width'"),
+        (json.dumps({"name": "rt", "word_width": 32, "kinds": _W32_KINDS, "ref_tagging": {
+            "free_low_bits": 2, "ref_pattern": "0", "value_pattern": "1u"}}),
+         "malformed target file"),
+        (json.dumps({"name": "rt", "word_width": 32, "kinds": _W32_KINDS, "ref_tagging": {
+            "free_low_bits": 2, "ref_pattern": "uu", "value_pattern": "uu"}}),
+         "malformed target file"),
+        (json.dumps({"name": "rt", "word_width": 32, "kinds": _W32_KINDS, "ref_tagging": {
+            "free_low_bits": 2, "ref_pattern": "0z", "value_pattern": "1q"}}),
+         "malformed target file"),
+        (json.dumps({"name": "rt", "word_width": 2, "kinds": _W32_KINDS, "ref_tagging": {
+            "free_low_bits": 2, "ref_pattern": "0u", "value_pattern": "1u"}}),
+         "free_low_bits must be in 1..1"),
     ],
 )
 def test_malformed_target_file_is_usage_error(
@@ -258,3 +270,32 @@ def test_layout_negative_numbers_rejected(small_file, flag, value, capsys):
         main(["layout", small_file, flag, value])
     assert exc.value.code == 2
     assert flag in capsys.readouterr().err
+
+
+def test_target_file_ref_tagging_matches_builtin_x64(tmp_path, corpus_file):
+    """A target file that spells out x64's kinds and low-bit tagging yields
+    the same layouts as the built-in x64."""
+    kinds = ["B64", "F64", "R64"]
+    spec = {
+        "name": "x64",
+        "word_width": 64,
+        "kinds": {"int32": kinds, "int64": kinds, "float32": kinds, "float64": kinds,
+                  "ref": ["R64"]},
+        "ref_tagging": {"free_low_bits": 2, "ref_pattern": "0u", "value_pattern": "1u"},
+    }
+    tfile = tmp_path / "x64.json"
+    tfile.write_text(json.dumps(spec))
+    from_file, builtin = io.StringIO(), io.StringIO()
+    assert cmd_layout([corpus_file], target=str(tfile), as_json=True, out=from_file) == 0
+    assert cmd_layout([corpus_file], target="x64", as_json=True, out=builtin) == 0
+    assert from_file.getvalue() == builtin.getvalue()
+
+
+def test_polymorphic_recursion_short_diagnostic(tmp_path, capsys):
+    p = tmp_path / "poly.pk"
+    p.write_text("type L<T> #unboxed { case N; case C(h: T, t: L<(T, T)>); }")
+    assert main(["layout", str(p), "--instantiate", "L<u8>"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "L" in err and "8 levels" in err
+    assert len(err.encode()) < 200

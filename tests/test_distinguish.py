@@ -8,7 +8,9 @@ from adtlayout.distinguish import (
     check_distinguishable,
     classify,
     derive_decision_tree,
+    derive_tree,
     find_tag_interval,
+    parse_pattern,
     tag_width_for,
 )
 
@@ -229,3 +231,15 @@ def test_derived_trees_always_classify(patterns):
                     word |= 1 << b
             words.append(word)
         assert classify(tree, words) == v
+
+
+def test_derive_tree_is_the_mask_form_of_derive_decision_tree():
+    for patterns in enumerate_pattern_sets(max_total_bits=4):
+        rows = [[parse_pattern(p) for p in row] for row in patterns]
+        by_masks = derive_tree(rows)
+        by_strings = derive_decision_tree(patterns)
+        if by_strings is None:
+            assert by_masks is None, patterns
+            continue
+        tree, resolved = by_strings
+        assert by_masks == (tree, [[parse_pattern(p) for p in row] for row in resolved])

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from adtlayout.distinguish import BitPattern
 from adtlayout.flatten import FlattenedPacking, SolveRequest, flatten_annotation, flatten_expr
 from adtlayout.syntax import parse_packing_expr, parse_program
 from adtlayout.verify import SizeContext, VerifyError, check_expr, check_program_decls, size_of
@@ -32,6 +33,17 @@ def test_worked_example_00aabb11():
     assert f.assignments == {"a": 4, "b": 2}
     assert f.pattern_str() == "00xxxx11"
     assert f.width == 8
+
+
+def test_pattern_masks_count_from_the_lsb():
+    f = flatten_expr(parse_packing_expr("0b_00aa_b?11"), ctx({"a": 2, "b": 1}))
+    assert f.pattern == BitPattern(8, const=0b11000011, ones=0b00000011, field=0b00111000)
+
+
+def test_argument_splice_replaces_parameter_run(delta):
+    f = flatten_expr(parse_packing_expr("Float16(0b1, 0b1?0?1, fr)"), ctx({"fr": 10}, delta))
+    assert f.pattern_str() == "11u0u1" + "x" * 10
+    assert f.pattern.free == 0b0101 << 11
 
 
 def test_field_rule():

@@ -4,12 +4,14 @@ import pytest
 
 from adtlayout.pipeline import process_adts
 from adtlayout.syntax import parse_program, parse_type
+from adtlayout.distinguish import BitPattern
 from adtlayout.targets import (
     BUILTIN_TARGETS,
     JVM,
     X64,
     X86_32,
     AdtEnv,
+    RefTagging,
     ScalarKind,
     UnboxOptions,
     get_scalar_kinds,
@@ -65,6 +67,33 @@ def test_load_target_roundtrip(tmp_path):
     t = load_target(str(p))
     assert t.word_width == 32
     assert get_scalar_kinds(parse_type("u7"), t) == ks("B32")
+
+
+def test_load_target_parses_ref_tagging_lsb_first():
+    spec = {
+        "name": "tag3",
+        "word_width": 64,
+        "kinds": {cls: ["R64"] for cls in ("int32", "int64", "float32", "float64", "ref")},
+        "ref_tagging": {"free_low_bits": 3, "ref_pattern": "0u1", "value_pattern": "1u1"},
+    }
+    tagging = load_target(spec).ref_tagging
+    assert tagging.free_low_bits == 3
+    assert tagging.ref_pattern == BitPattern(3, const=0b101, ones=0b100)
+    assert tagging.value_pattern == BitPattern(3, const=0b101, ones=0b101)
+    assert X64.ref_tagging.free_low_bits == 2
+
+
+@pytest.mark.parametrize(
+    "ref, value",
+    [
+        (BitPattern(2, const=0b01), BitPattern(1, const=0b1, ones=0b1)),  # widths differ
+        (BitPattern(2), BitPattern(2)),  # no constant bit
+        (BitPattern(2, const=0b11, ones=0b10), BitPattern(2, const=0b01, ones=0b00)),
+    ],
+)
+def test_ref_tagging_rejects_indistinguishable_patterns(ref, value):
+    with pytest.raises(ValueError):
+        RefTagging(ref, value)
 
 
 def env_for(src: str, target=X64) -> AdtEnv:
