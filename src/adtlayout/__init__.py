@@ -9,7 +9,6 @@ from .distinguish import (
     check_distinguishable,
     classify,
     derive_decision_tree,
-    place_explicit_tag,
 )
 from .flatten import FlattenedPacking, SolveRequest, flatten_annotation, flatten_expr
 from .pipeline import ProgramLayouts, process_adts
@@ -18,6 +17,7 @@ from .solver import (
     LayoutSolution,
     Score,
     assign_intervals,
+    place_explicit_tag,
     score_layout,
     solve_layout,
     trivial_layout,

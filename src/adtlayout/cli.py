@@ -83,7 +83,7 @@ def cmd_check(files: list[str], target: Optional[str] = None, out=None) -> int:
 # layout
 
 
-def _layout_report(result: ProgramLayouts, steps_flag: bool = True) -> dict:
+def _layout_report(result: ProgramLayouts) -> dict:
     adts = []
     for key in result.order:
         r = result.resolved[key]

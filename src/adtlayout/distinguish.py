@@ -1,4 +1,4 @@
-"""Runtime distinguishability of variants: checking, explicit tag placement,
+"""Runtime distinguishability of variants: checking, tag interval search
 and decision-tree derivation over per-variant bit patterns.
 
 A pattern is the content of one scalar in one variant, held as a
@@ -321,7 +321,10 @@ def shared_free_run(rows: list[list[BitPattern]], s: int, width: int) -> Optiona
     return lowest_run(shared, width)
 
 
-def _tag_interval(rows: list[list[BitPattern]], tag_width: int) -> Optional[tuple[int, int]]:
+def find_tag_interval(patterns: Patterns, tag_width: int) -> Optional[tuple[int, int]]:
+    """First (scalar, lsb offset) of `tag_width` contiguous bits unassigned
+    in every variant at the same position, scanning scalars then offsets."""
+    rows = _parse_rows(patterns)
     for s in range(len(rows[0]) if rows else 0):
         off = shared_free_run(rows, s, tag_width)
         if off is not None:
@@ -329,38 +332,7 @@ def _tag_interval(rows: list[list[BitPattern]], tag_width: int) -> Optional[tupl
     return None
 
 
-def find_tag_interval(patterns: Patterns, tag_width: int) -> Optional[tuple[int, int]]:
-    """First (scalar, lsb offset) of `tag_width` contiguous bits unassigned
-    in every variant at the same position, scanning scalars then offsets."""
-    return _tag_interval(_parse_rows(patterns), tag_width)
-
-
 def tag_width_for(n_variants: int) -> int:
     if n_variants <= 1:
         return 0
     return max(1, math.ceil(math.log2(n_variants)))
-
-
-def place_explicit_tag(sol):
-    """Re-derive explicit tagging on a finished layout: the variant index is
-    written into the first aligned run of bits unassigned in every variant,
-    or into a fresh minimal-width integer scalar when no shared run exists.
-    Single-variant solutions come back unchanged."""
-    from .solver import SingleVariant, _solution, _tag_appended, _tag_in_place
-
-    n = len(sol.adt.variants)
-    if n <= 1:
-        assert isinstance(sol.tag_scheme, SingleVariant)
-        return sol
-    tw = tag_width_for(n)
-    base = sol.pretag_patterns
-    assert base is not None, "solution lacks pre-tag patterns"
-    data_slots = [s for s in sol.slots if not s.dedicated_tag]
-    found = _tag_interval(base, tw)
-    if found is not None:
-        tagged = _tag_in_place(base, found[0], found[1], tw)
-    else:
-        tagged = _tag_appended(base, tw)
-    return _solution(
-        sol.adt, sol.target, sol.placements, sol.steps_used, base, data_slots, *tagged
-    )

@@ -196,18 +196,7 @@ def _rebuild_value(program: Program, heap: Heap, ftype, path: tuple, items: list
             addr = key_items[0][1]
             if addr in (0, None):
                 return ("null",)
-            if isinstance(addr, Ref):
-                addr = addr.addr
-            rec = heap.read(addr)
-            if program.normalized:
-                return _observe_post_record(program, heap, rec)
-            mono = program.adts[rec.adt]
-            variant = mono.variants[rec.case]
-            fields = tuple(
-                observe(program, heap, v, type_of_expr(ft, program.adts))
-                for v, (_, ft) in zip(rec.fields, variant.source_fields)
-            )
-            return ("adt", rec.adt, rec.case, fields)
+            return _observe_post_record(program, heap, heap.read(addr))
         # an embedded unboxed ADT: one scalar per layout slot
         return observe_scalars(
             program, heap, first.adt_ref, [v for _, v in key_items]

@@ -196,7 +196,6 @@ def process_adts(
     )
     result = ProgramLayouts(order=[], resolved={}, packing_decls=delta, diagnostics=diagnostics)
     # components arrive dependencies-first
-    processed: list[str] = []
     for comp in components:
         for key in sorted(comp, key=order_seen.index):
             name, args = insts[key]
@@ -207,7 +206,6 @@ def process_adts(
                 layout = solve_layout(mono, target, budget=options.budget)
             env.resolved[key] = ResolvedAdt(key, mono, disposition, layout)
             result.resolved[key] = env.resolved[key]
-            processed.append(key)
     # present results in request/discovery order
     result.order = [k for k in order_seen if k in result.resolved]
     return result

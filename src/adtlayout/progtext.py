@@ -41,14 +41,10 @@ from .targets import BUILTIN_TARGETS, Target, UnboxOptions
 # Printing
 
 
-def _print_type(t: IrType) -> str:
-    return print_ir_type(t)
-
-
 def print_instr(ins) -> str:
     if isinstance(ins, Const):
         v = "null" if ins.value is None else str(ins.value)
-        return f"%{ins.dst} = const<{_print_type(ins.type)}> {v}"
+        return f"%{ins.dst} = const<{print_ir_type(ins.type)}> {v}"
     if isinstance(ins, Alloc):
         args = ", ".join(f"%{a}" for a in ins.args)
         return f"%{ins.dst} = alloc<{ins.adt}#{ins.case}>({args})"
@@ -61,7 +57,7 @@ def print_instr(ins) -> str:
     if isinstance(ins, ReplaceNull):
         return f"%{ins.dst} = replacenull<{ins.adt}>(%{ins.src})"
     if isinstance(ins, Eq):
-        return f"%{ins.dst} = eq<{_print_type(ins.type)}>(%{ins.a}, %{ins.b})"
+        return f"%{ins.dst} = eq<{print_ir_type(ins.type)}>(%{ins.a}, %{ins.b})"
     if isinstance(ins, Call):
         args = ", ".join(f"%{a}" for a in ins.args)
         return f"%{ins.dst} = call {ins.fn}({args})"
@@ -84,8 +80,8 @@ def print_term(term) -> str:
 
 
 def print_function(fn: Function) -> str:
-    params = ", ".join(f"%{n}: {_print_type(t)}" for n, t in fn.params)
-    lines = [f"fn {fn.name}({params}) -> {_print_type(fn.ret)} {{"]
+    params = ", ".join(f"%{n}: {print_ir_type(t)}" for n, t in fn.params)
+    lines = [f"fn {fn.name}({params}) -> {print_ir_type(fn.ret)} {{"]
     for label in fn.block_order():
         blk = fn.blocks[label]
         lines.append(f"{label}:")
@@ -138,23 +134,26 @@ def _take_brackets(text: str) -> tuple[str, str]:
     raise ProgTextError(f"unbalanced type brackets in {text!r}")
 
 
+def _split_top(text: str) -> list[str]:
+    """`text` split at the commas outside any brackets."""
+    parts = []
+    depth = start = 0
+    for i, ch in enumerate(text):
+        if ch in "(<":
+            depth += 1
+        elif ch in ")>":
+            depth -= 1
+        elif ch == "," and depth == 0:
+            parts.append(text[start:i])
+            start = i + 1
+    parts.append(text[start:])
+    return parts
+
+
 def _parse_ir_type(text: str) -> IrType:
     text = text.strip()
     if text.startswith("("):
-        inner = text[1:-1]
-        parts = []
-        depth = 0
-        start = 0
-        for i, ch in enumerate(inner):
-            if ch in "(<":
-                depth += 1
-            elif ch in ")>":
-                depth -= 1
-            elif ch == "," and depth == 0:
-                parts.append(inner[start:i])
-                start = i + 1
-        parts.append(inner[start:])
-        return TTuple(tuple(_parse_ir_type(p) for p in parts))
+        return TTuple(tuple(_parse_ir_type(p) for p in _split_top(text[1:-1])))
     m = re.fullmatch(r"([ui])(\d+)", text)
     if m:
         return TInt(int(m.group(2)), m.group(1) == "i")
@@ -193,19 +192,7 @@ def parse_function_text(text: str) -> Function:
     name, params_text, ret_text = m.group(1), m.group(2), m.group(3)
     params = []
     if params_text.strip():
-        depth = 0
-        start = 0
-        parts = []
-        for i, ch in enumerate(params_text):
-            if ch in "(<":
-                depth += 1
-            elif ch in ")>":
-                depth -= 1
-            elif ch == "," and depth == 0:
-                parts.append(params_text[start:i])
-                start = i + 1
-        parts.append(params_text[start:])
-        for p in parts:
+        for p in _split_top(params_text):
             pname, ptype = p.split(":", 1)
             params.append((_strip_pct(pname), _parse_ir_type(ptype)))
     fn = Function(name, tuple(params), _parse_ir_type(ret_text), "", {})

@@ -16,7 +16,7 @@ data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dfield
+from dataclasses import dataclass, field as dfield, replace
 from typing import Optional, Union
 
 from . import distinguish
@@ -208,18 +208,10 @@ class _Slot:
         self.ones = [0] * n_variants
         self.wild = [0] * n_variants
         self.field = [0] * n_variants
-        self.fields: list[list[Placement]] = [list() for _ in range(n_variants)]
         self.ref_variants: set[int] = set()
         self.tags = tags  # (reference, value) low-bit patterns, or None
         self.tagged = False
         self.mixes = False
-
-    def has_nonref_content(self) -> bool:
-        if any(self.const) or any(self.wild):
-            return True
-        return any(
-            pl.field.ref_mode == REF_NONE for pls in self.fields for pl in pls
-        )
 
     def masks(self, v: int) -> tuple[int, int, int, int]:
         return (self.const[v], self.ones[v], self.wild[v], self.field[v])
@@ -243,7 +235,6 @@ class _Slot:
         self.wild[v] = (self.wild[v] | wild) & ~self.const[v]
 
     def add_field(self, v: int, pl: Placement) -> None:
-        self.fields[v].append(pl)
         self.field[v] |= ((1 << pl.width) - 1) << pl.offset
 
     def first_fit(self, v: int, width: int) -> Optional[int]:
@@ -259,14 +250,19 @@ class _Slot:
 
 @dataclass
 class _Undo:
+    """What one placement can change, as it was before: the slot's kinds,
+    tagging and mixing, the variant's masks and reference membership, and
+    the state's shift cost; plus the placements it added."""
+
     slot: _Slot
     variant: int
-    prev_kinds: Optional[KindSet]
-    masks: tuple[int, int, int, int]  # the variant's slot masks before the change
+    kinds: Optional[KindSet]
+    masks: tuple[int, int, int, int]
+    is_ref: bool
+    tagged: bool
+    mixes: bool
+    shift_cost: int
     placements: list[Placement] = dfield(default_factory=list)
-    added_ref: bool = False
-    set_tagged: bool = False
-    set_mixes: bool = False
 
 
 @dataclass(frozen=True)
@@ -307,6 +303,12 @@ class _State:
         assert self.slots[-1] is s
         self.slots.pop()
 
+    def snapshot(self, slot: _Slot, v: int) -> _Undo:
+        return _Undo(
+            slot, v, slot.kinds, slot.masks(v), v in slot.ref_variants,
+            slot.tagged, slot.mixes, self.shift_cost,
+        )
+
     # -- single-field placement --
 
     def try_place(
@@ -321,7 +323,7 @@ class _State:
             new_kinds = slot.kinds & f.kinds
             if not new_kinds:
                 return None
-        undo = _Undo(slot, v, slot.kinds, slot.masks(v))
+        undo = self.snapshot(slot, v)
 
         if f.ref_mode == REF_NONE:
             if slot.ref_variants and tagging is None:
@@ -336,7 +338,7 @@ class _State:
                 return None
             width = f.width
         else:
-            placed = self._place_ref(undo, slot, v, f, pinned_offset)
+            placed = self._place_ref(slot, v, f, pinned_offset)
             if placed is None:
                 return None
             offset, width = placed
@@ -351,7 +353,7 @@ class _State:
         return undo
 
     def _place_ref(
-        self, undo: _Undo, slot: _Slot, v: int, f: FieldSlot, pinned: Optional[int]
+        self, slot: _Slot, v: int, f: FieldSlot, pinned: Optional[int]
     ) -> Optional[tuple[int, int]]:
         tagging = self.target.ref_tagging
         if v in slot.ref_variants:
@@ -361,12 +363,15 @@ class _State:
         if tagging is None:
             if f.ref_mode == REF_TAGGED_WORD:
                 return None  # mixed words need tagged pointers
-            if slot.has_nonref_content() or slot.fields[v]:
+            # a reference-only scalar: no constants, wildcards or fields
+            # outside the variants that already hold a reference here
+            if any(slot.const) or any(slot.wild) or any(
+                m for w, m in enumerate(slot.field) if w not in slot.ref_variants
+            ):
                 return None
             if pinned not in (None, 0):
                 return None
             slot.ref_variants.add(v)
-            undo.added_ref = True
             return (0, slot.width)
         ref, value = self.tags
         free = tagging.free_low_bits
@@ -386,14 +391,10 @@ class _State:
                 continue
             if slot.clashes(w, value.const, value.ones):
                 return None
-        if not slot.tagged:
-            slot.tagged = True
-            undo.set_tagged = True
-        if f.ref_mode == REF_TAGGED_WORD and not slot.mixes:
+        slot.tagged = True
+        if f.ref_mode == REF_TAGGED_WORD:
             slot.mixes = True
-            undo.set_mixes = True
         slot.ref_variants.add(v)
-        undo.added_ref = True
         if f.ref_mode == REF_PLAIN:
             slot.add_consts(v, ref.const, ref.ones)
         return (offset, width)
@@ -425,7 +426,7 @@ class _State:
                 break
         if base is None:
             return None
-        undo = _Undo(slot, v, slot.kinds, slot.masks(v))
+        undo = self.snapshot(slot, v)
         slot.add_consts(v, up.const << base, up.ones << base, up.free << base)
         for rel, f in unit.fields:
             pl = Placement(slot.index, base + rel, f.width, f)
@@ -440,20 +441,15 @@ class _State:
     def unplace(self, undo: _Undo) -> None:
         slot = undo.slot
         v = undo.variant
-        for pl in reversed(undo.placements):
-            popped = slot.fields[v].pop()
-            assert popped is pl
+        for pl in undo.placements:
             del self.placements[(v, pl.field.name)]
-            if pl.offset > 0:
-                self.shift_cost -= 2
-        slot.kinds = undo.prev_kinds
-        if undo.added_ref:
-            slot.ref_variants.discard(v)
-        if undo.set_tagged:
-            slot.tagged = False
-        if undo.set_mixes:
-            slot.mixes = False
+        slot.kinds = undo.kinds
         slot.const[v], slot.ones[v], slot.wild[v], slot.field[v] = undo.masks
+        if not undo.is_ref:
+            slot.ref_variants.discard(v)
+        slot.tagged = undo.tagged
+        slot.mixes = undo.mixes
+        self.shift_cost = undo.shift_cost
 
     # -- pattern assembly --
 
@@ -472,12 +468,8 @@ class _State:
                     continue
                 p = BitPattern(slot.width, slot.const[v], slot.ones[v], slot.field[v])
                 if slot.tagged and v not in slot.ref_variants:
-                    holds_word = any(
-                        pl.field.ref_mode == REF_TAGGED_WORD for pl in slot.fields[v]
-                    )
-                    if not holds_word:
-                        value = self.tags[1]
-                        p = p.fix(value.const, value.ones)
+                    value = self.tags[1]
+                    p = p.fix(value.const, value.ones)
                 row.append(p)
             out.append(row)
         return out
@@ -607,13 +599,12 @@ Candidate = tuple[tuple[int, int], list[list[BitPattern]], TagScheme]
 
 
 def _candidates(
-    state: _State, best_key=None, appended_only: bool = False
+    state: _State, best_key=None
 ) -> tuple[list[list[BitPattern]], list[Candidate]]:
     """The pre-tag patterns of a fully-assigned state and its tagging
     completions, each with its score key, ordered by preference: in-place
     explicit tag, decision tree, appended tag scalar. Candidates provably
-    unable to beat `best_key` may be omitted; `appended_only` forces just the
-    dedicated-tag completion (the trivial solution's shape)."""
+    unable to beat `best_key` may be omitted."""
     n = state.n
     base = state.build_patterns()
     results: list[Candidate] = []
@@ -633,7 +624,7 @@ def _candidates(
         add(_tag_appended(base, tw)[0], BareTag(0, tw))
         return base, results
 
-    for s in range(len(state.slots) if not appended_only else 0):
+    for s in range(len(state.slots)):
         found = shared_free_run(base, s, tw)
         if found is not None:
             add(*_tag_in_place(base, s, found, tw))
@@ -647,9 +638,7 @@ def _candidates(
         [key for key, _, _ in results] + ([best_key] if best_key is not None else []),
         default=None,
     )
-    dominated = appended_only or (n == 2 and results) or (
-        have is not None and have <= tree_bound
-    )
+    dominated = (n == 2 and results) or (have is not None and have <= tree_bound)
     if not dominated:
         derived = distinguish.derive_tree(base)
         if derived is not None:
@@ -659,20 +648,16 @@ def _candidates(
     # an appended tag costs an extra scalar, so any same-slot-count candidate
     # beats it; build it only as the fallback
     appended_bound = (len(state.slots) + 1, state.shift_cost + 1)
-    if appended_only or (
-        not results and (best_key is None or best_key > appended_bound)
-    ):
+    if not results and (best_key is None or best_key > appended_bound):
         add(*_tag_appended(base, tw))
     return base, results
 
 
-def _complete(
-    state: _State, best_key=None, appended_only: bool = False
-) -> Optional[LayoutSolution]:
+def _complete(state: _State, best_key=None) -> Optional[LayoutSolution]:
     """The solution for the first candidate with the smallest key, or None
     when no candidate's key is below `best_key`. Only that candidate is
     built; the others are judged by key alone."""
-    base, results = _candidates(state, best_key, appended_only)
+    base, results = _candidates(state, best_key)
     pick: Optional[Candidate] = None
     for cand in results:
         if best_key is None or cand[0] < best_key:
@@ -683,6 +668,31 @@ def _complete(
     return _solution(
         state.adt, state.target, state.placements, state.steps, base,
         _freeze_slots(state), patterns, scheme,
+    )
+
+
+def place_explicit_tag(sol: LayoutSolution) -> LayoutSolution:
+    """Re-derive explicit tagging on a finished layout: the variant index is
+    written into the first aligned run of bits unassigned in every variant,
+    or into a fresh minimal-width integer scalar when no shared run exists.
+    Single-variant solutions come back unchanged."""
+    n = len(sol.adt.variants)
+    if n <= 1:
+        assert isinstance(sol.tag_scheme, SingleVariant)
+        return sol
+    tw = tag_width_for(n)
+    base = sol.pretag_patterns
+    assert base is not None, "solution lacks pre-tag patterns"
+    data_slots = [s for s in sol.slots if not s.dedicated_tag]
+    for s in range(len(data_slots)):
+        found = shared_free_run(base, s, tw)
+        if found is not None:
+            tagged = _tag_in_place(base, s, found, tw)
+            break
+    else:
+        tagged = _tag_appended(base, tw)
+    return _solution(
+        sol.adt, sol.target, sol.placements, sol.steps_used, base, data_slots, *tagged
     )
 
 
@@ -785,23 +795,24 @@ def _place_pinned(state: _State, prepared: _Prepared) -> None:
 def trivial_layout(adt: MonoAdt, target: Target) -> LayoutSolution:
     """One scalar per field per variant plus a dedicated tag scalar (for
     more than one variant). Fallback and score baseline; ignores packings."""
-    bare = MonoAdt(
-        name=adt.name,
-        variants=adt.variants,
-        recursive=adt.recursive,
-        captured=adt.captured,
-        unboxed_annot=adt.unboxed_annot,
-        packing=None,
-    )
+    bare = replace(adt, packing=None)
     state = _State(bare, target)
     for i, variant in enumerate(bare.variants):
         for f in variant.fields:
             slot = state.new_slot(target.kind_width(f.kinds), None)
             undo = state.try_place(i, f, slot)
             assert undo is not None, f"trivial placement failed for {f.name}"
-    sol = _complete(state, appended_only=len(bare.variants) > 1)
-    assert sol is not None and (len(bare.variants) == 1 or _dedicated(sol.tag_scheme))
-    return sol
+    base = state.build_patterns()
+    if state.n == 1:
+        patterns, scheme = base, SingleVariant()
+    else:
+        patterns, scheme = _tag_appended(base, tag_width_for(state.n))
+        if not state.slots:
+            scheme = BareTag(0, scheme.width)
+    return _solution(
+        bare, target, state.placements, state.steps, base, _freeze_slots(state),
+        patterns, scheme,
+    )
 
 
 def solve_layout(adt: MonoAdt, target: Target, budget: int = 10_000) -> LayoutSolution:
@@ -839,57 +850,63 @@ def solve_layout(adt: MonoAdt, target: Target, budget: int = 10_000) -> LayoutSo
 
     failures: list[str] = []
 
-    def place(v: int, obj, slot: _Slot) -> Optional[_Undo]:
-        if isinstance(obj, _Unit):
-            return state.try_place_unit(v, obj, slot)
-        return state.try_place(v, obj, slot)
-
-    def descend(idx: int) -> None:
-        nonlocal best
-        if best is not None and (
-            len(state.slots) > best.score.num_scalars
-            or (len(state.slots), state.shift_cost) > best.score.key()
-        ):
-            return
-        if best is not None and state.steps >= budget:
-            return
-        if idx == len(items):
-            if best is not None and (
-                (len(state.slots), state.shift_cost) >= best.score.key()
-            ):
-                return  # no completion of this assignment can beat the best
-            sol = _complete(state, best_key=best.score.key() if best is not None else None)
-            if sol is not None:
-                best = sol
-            return
-        v, obj, restriction = items[idx]
-        placed_any = False
-        if restriction is not None:
-            cands: list[Optional[_Slot]] = [state.slots[restriction]]
-        else:
-            cands = list(state.slots) + [None]
-        for slot in cands:
-            fresh = slot is None
-            if fresh:
-                slot = state.new_slot(state.target.kind_width(obj.kinds), None)
-            undo = place(v, obj, slot)
-            if undo is None:
-                if fresh:
-                    state.pop_slot(slot)
-                continue
-            state.steps += 1
-            placed_any = True
-            descend(idx + 1)
+    # Depth-first over items, one frame per item being placed: [next
+    # candidate slot, end of its candidates, whether any placement fit, the
+    # current placement's undo, whether its slot is fresh]. An item tries
+    # the existing slots in order and then a fresh one (the slot at index
+    # len(state.slots)), or just its restricted slot.
+    stack: list[list] = []
+    entering = True  # at the node below the top frame's current placement
+    while True:
+        if entering:
+            key = (len(state.slots), state.shift_cost)
+            if best is None or (key <= best.score.key() and state.steps < budget):
+                if len(stack) < len(items):
+                    restriction = items[len(stack)][2]
+                    if restriction is None:
+                        stack.append([0, len(state.slots) + 1, False, None, False])
+                    else:
+                        stack.append([restriction, restriction + 1, False, None, False])
+                elif best is None or key < best.score.key():
+                    # a completion never costs less than its assignment
+                    sol = _complete(state, best.score.key() if best is not None else None)
+                    if sol is not None:
+                        best = sol
+        if not stack:
+            break
+        frame = stack[-1]
+        pos, end, placed_any, undo, fresh = frame
+        if undo is not None:
             state.unplace(undo)
             if fresh:
+                state.pop_slot(state.slots[-1])
+            if best is not None and state.steps >= budget:
+                pos = end  # the budget is spent: try no further slot
+        v, obj, _ = items[len(stack) - 1]
+        undo = None
+        while undo is None and pos < end:
+            fresh = pos == len(state.slots)
+            if fresh:
+                slot = state.new_slot(state.target.kind_width(obj.kinds), None)
+            else:
+                slot = state.slots[pos]
+            pos += 1
+            if isinstance(obj, _Unit):
+                undo = state.try_place_unit(v, obj, slot)
+            else:
+                undo = state.try_place(v, obj, slot)
+            if undo is None and fresh:
                 state.pop_slot(slot)
-            if state.steps >= budget and best is not None:
-                break
-        if not placed_any:
-            names = obj.names() if isinstance(obj, _Unit) else [obj.name]
-            failures.extend(names)
+        if undo is not None:
+            state.steps += 1
+            frame[:] = [pos, end, True, undo, fresh]
+            entering = True
+        else:
+            if not placed_any:
+                failures.extend(obj.names() if isinstance(obj, _Unit) else [obj.name])
+            stack.pop()
+            entering = False
 
-    descend(0)
     if best is None:
         raise AnnotationInfeasible(
             adt.name, failures or [n for (_, o, _) in items for n in

@@ -389,6 +389,8 @@ class _Parser:
             packing=packing,
             pos=(start.line, start.col),
         )
+        if not variants:
+            raise self.err(f"type {name} has no cases", start)
         if packing is not None:
             if any(v.packing is not None for v in variants):
                 raise self.err("cannot mix type-level and case-level #packing", start)

@@ -375,8 +375,6 @@ def _normalize_field(
                               source=source, type_str=ref_key)
                 ]
             return _embed_unboxed(name, ref_key, info, source, env)
-        if t.name in getattr(env, "type_params", ()):  # pragma: no cover - guarded earlier
-            raise MonoError(f"unbound type parameter {t.name}")
         # opaque reference type such as Array<byte> or string
         return [
             FieldSlot(name, target.word_width, target.ref_kinds, ref_mode=REF_PLAIN,

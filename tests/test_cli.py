@@ -299,3 +299,12 @@ def test_polymorphic_recursion_short_diagnostic(tmp_path, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "L" in err and "8 levels" in err
     assert len(err.encode()) < 200
+
+
+@pytest.mark.parametrize("command", ["check", "layout"])
+@pytest.mark.parametrize("source", ["type E { }", "type E #unboxed { }"])
+def test_type_without_cases_is_syntax_error(tmp_path, source, command, capsys):
+    p = tmp_path / "empty.pk"
+    p.write_text(source + "\n")
+    assert main([command, str(p)]) == 1
+    assert capsys.readouterr().err == "error: E001 at 1:1: type E has no cases\n"

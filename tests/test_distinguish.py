@@ -147,7 +147,7 @@ def test_place_explicit_tag_on_option_layout():
     from adtlayout.solver import ExplicitTag
     from adtlayout.syntax import parse_program, parse_type
     from adtlayout.targets import X64
-    from adtlayout.distinguish import place_explicit_tag
+    from adtlayout.solver import place_explicit_tag
 
     out = process_adts(
         parse_program("type Option<T> #unboxed { case None; case Some(val: T); }"),
@@ -166,7 +166,7 @@ def test_place_explicit_tag_appends_when_no_shared_interval():
     from adtlayout.solver import ExplicitTag
     from adtlayout.syntax import parse_program
     from adtlayout.targets import JVM
-    from adtlayout.distinguish import place_explicit_tag
+    from adtlayout.solver import place_explicit_tag
 
     # on the jvm a reference-bearing slot admits no co-resident bits, so the
     # tag must go to a dedicated scalar
@@ -186,7 +186,7 @@ def test_place_explicit_tag_single_variant_unchanged():
     from adtlayout.pipeline import process_adts
     from adtlayout.syntax import parse_program
     from adtlayout.targets import X64
-    from adtlayout.distinguish import place_explicit_tag
+    from adtlayout.solver import place_explicit_tag
 
     out = process_adts(parse_program("type S { case C(a: u8); }"), X64)
     sol = out.resolved["S"].layout

@@ -9,6 +9,7 @@ from adtlayout.ir import (
     Alloc,
     Block,
     Branch,
+    Call,
     Const,
     Eq,
     Function,
@@ -320,6 +321,26 @@ def test_progtext_roundtrip():
     assert progtext.print_bundle(again, decls2) == text
 
 
+def test_progtext_roundtrip_over_generated_programs():
+    """Every op the generator emits survives print -> parse_bundle -> print,
+    and the reparsed program evaluates to the same outcome."""
+    ops = set()
+    for i in range(60):
+        for name in ("x64", "jvm", "x86-32"):
+            program, decls = progen.generate_program(f"text:{i}", BUILTIN_TARGETS[name])
+            text = progtext.print_bundle(program, decls)
+            again, decls2 = progtext.parse_bundle(text)
+            assert progtext.print_bundle(again, decls2) == text
+            assert eval_program(again) == eval_program(program), text
+            for blk in again.functions["main"].blocks.values():
+                ops.update(type(x).__name__ for x in blk.instrs + [blk.term])
+    emitted = {
+        "Const", "Alloc", "GetField", "GetContents", "GetTag", "ReplaceNull", "Eq",
+        "Branch", "Switch", "Return",
+    }
+    assert emitted <= ops, emitted - ops
+
+
 def test_eval_switch_and_branch():
     program = option_program(
         [
@@ -622,13 +643,18 @@ entry:
   %c = eq<u8>(%a, %a)
   br %c, yes, no
 yes:
-  ret %a
+  %d = call helper(%a, %b)
+  jmp done
+done:
+  ret %d
 no:
   trap explicit
 }"""
     fn = parse_function_text(text)
     assert fn.name == "helper"
     assert fn.params[1][1] == TTuple((TInt(8, False), TInt(16, False)))
+    assert fn.blocks["yes"].instrs == [Call("d", "helper", ("a", "b"))]
+    assert fn.blocks["yes"].term == Jump("done")
     printed = print_function(fn)
     assert parse_function_text(printed) == fn
 

@@ -371,14 +371,23 @@ def test_many_nullary_cases_resolve_without_recursion_limit():
         assert codec.variant_of(lay, codec.encode_variant(lay, vi, values)) == vi
 
 
+def test_many_fields_in_one_variant_solve_without_recursion_limit():
+    """1200 u8 fields in one case: the search goes one level deeper per
+    field, and first fit packs eight fields into each 64-bit scalar."""
+    fields = ", ".join(f"f{i}: u8" for i in range(1200))
+    lay = solve_source(f"type D #unboxed {{ case C({fields}); }}", budget=1300)
+    assert len(lay.slots) == 150
+    assert lay.steps_used == 1200
+
+
 def test_candidate_keys_equal_built_scores(monkeypatch):
     """Each completion candidate's key, computed from its masks, equals
     score_layout's key of the solution built from it."""
     kinds = set()
     original = solver._complete
 
-    def checking(state, best_key=None, appended_only=False):
-        base, cands = solver._candidates(state, appended_only=appended_only)
+    def checking(state, best_key=None):
+        base, cands = solver._candidates(state)
         for key, patterns, scheme in cands:
             sol = solver._solution(
                 state.adt, state.target, state.placements, state.steps, base,
@@ -386,7 +395,7 @@ def test_candidate_keys_equal_built_scores(monkeypatch):
             )
             assert key == score_layout(sol, state.target).key(), (state.adt.name, scheme)
             kinds.add(scheme.kind_name)
-        return original(state, best_key, appended_only)
+        return original(state, best_key)
 
     monkeypatch.setattr(solver, "_complete", checking)
     for target in (X64, JVM, X86_32):
