@@ -51,32 +51,54 @@ def _pick_target(name: Optional[str]) -> Target:
 
 
 # ---------------------------------------------------------------------------
-# check
+# check, and the front half of layout
 
 
-def cmd_check(files: list[str], target: Optional[str] = None, out=None) -> int:
-    out = out if out is not None else sys.stderr
+def _process(
+    files: list[str],
+    target: Optional[str],
+    instantiate: Optional[list[str]],
+    options: UnboxOptions,
+    err,
+) -> tuple[int, Optional[ProgramLayouts]]:
+    """The part of `check` and `layout` before the report: load and verify
+    the declarations, then solve every instantiation. Returns the exit
+    status and, when it is 0, the layouts; diagnostics go to `err`."""
     try:
         decls = _load_sources(files)
         tgt = _pick_target(target)
     except (OSError, UsageError) as e:
-        print(f"error: {e}", file=out)
-        return 2
+        print(f"error: {e}", file=err)
+        return 2, None
     except PackingSyntaxError as e:
-        print(f"error: {e}", file=out)
-        return 1
-    packing_decls = [d for d in decls if not isinstance(d, AdtDecl)]
-    _, diags = check_program_decls(packing_decls)
+        print(f"error: {e}", file=err)
+        return 1, None
+    requests = None
+    if instantiate:
+        try:
+            requests = [parse_type(s) for s in instantiate]
+        except PackingSyntaxError as e:
+            print(f"error: {e}", file=err)
+            return 2, None
+        for d in decls:
+            if isinstance(d, AdtDecl) and not d.type_params:
+                requests.append(parse_type(d.name))
+    _, diags = check_program_decls([d for d in decls if not isinstance(d, AdtDecl)])
     for d in diags:
-        print(str(d), file=out)
+        print(str(d), file=err)
     try:
-        # annotation verification happens per instantiation; check the
-        # non-generic ones eagerly (generic ones defer to normalization)
-        process_adts(decls, tgt)
-    except (VerifyError, AnnotationInfeasible) as e:
-        print(f"error: {e}", file=out)
-        return 1
-    return 0 if not diags else 1
+        # annotations are verified per instantiation; without --instantiate
+        # those are the non-generic types
+        result = process_adts(decls, tgt, requests=requests, options=options)
+    except (AnnotationInfeasible, MonoError, VerifyError) as e:
+        print(f"error: {e}", file=err)
+        return 1, None
+    return (1, None) if diags else (0, result)
+
+
+def cmd_check(files: list[str], target: Optional[str] = None, out=None) -> int:
+    out = out if out is not None else sys.stderr
+    return _process(files, target, None, UnboxOptions(), out)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -143,31 +165,10 @@ def cmd_layout(
 ) -> int:
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
-    try:
-        decls = _load_sources(files)
-        tgt = _pick_target(target)
-    except (OSError, UsageError) as e:
-        print(f"error: {e}", file=err)
-        return 2
-    except PackingSyntaxError as e:
-        print(f"error: {e}", file=err)
-        return 1
-    requests = None
-    if instantiate:
-        try:
-            requests = [parse_type(s) for s in instantiate]
-        except PackingSyntaxError as e:
-            print(f"error: {e}", file=err)
-            return 2
-        for d in decls:
-            if isinstance(d, AdtDecl) and not d.type_params:
-                requests.append(parse_type(d.name))
     options = UnboxOptions(auto_unbox_limit=unbox_limit, budget=budget)
-    try:
-        result = process_adts(decls, tgt, requests=requests, options=options)
-    except (AnnotationInfeasible, MonoError, VerifyError) as e:
-        print(f"error: {e}", file=err)
-        return 1
+    status, result = _process(files, target, instantiate, options, err)
+    if status:
+        return status
     report = _layout_report(result)
     if as_json:
         print(json.dumps(report, sort_keys=True), file=out)

@@ -22,7 +22,6 @@ from .syntax import (
     FieldRef,
     PackingExpr,
     Solve,
-    is_field_bit,
 )
 from .verify import SizeContext, _fail, _layout_runs, resolve_layout_fields
 

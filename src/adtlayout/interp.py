@@ -19,7 +19,6 @@ from .ir import (
     Alloc,
     BinOp,
     Bitcast,
-    Block,
     Branch,
     Call,
     Const,

@@ -343,6 +343,18 @@ class Program:
     target: Target
     normalized: bool = False
 
+    @classmethod
+    def of_layouts(cls, layouts, target: Target) -> "Program":
+        """A program without functions over the ADTs that `process_adts`
+        resolved into `layouts`."""
+        return cls(
+            adts=layouts.monos(),
+            dispositions={k: r.disposition for k, r in layouts.resolved.items()},
+            layouts=layouts.layouts(),
+            functions={},
+            target=target,
+        )
+
     def adt_source_field_type(self, key: str, case: int, index: int) -> IrType:
         _, t = self.adts[key].variants[case].source_fields[index]
         return type_of_expr(t, self.adts)
@@ -391,11 +403,19 @@ def _dominators(fn: Function) -> dict[str, set[str]]:
 
 def check_function(program: Program, fn: Function) -> None:
     """Single assignment, dominance-based definite assignment, operand
-    typing, and grammar restrictions for the program's phase."""
+    typing, and grammar restrictions for the program's phase.
+
+    One walk over the blocks in breadth-first order, which reaches every
+    dominator of a block before the block itself, so an operand whose
+    definition dominates the use but has no type yet is defined later in
+    the same block."""
     post = program.normalized
+    for blk in fn.blocks.values():
+        for s in _successors(blk.term):
+            if s not in fn.blocks:
+                raise IrTypeError(f"jump to unknown block {s}")
     types: dict[str, IrType] = {}
     def_block: dict[str, str] = {}
-    params_set = {name for name, _ in fn.params}
     for name, t in fn.params:
         if name in types:
             raise IrTypeError(f"duplicate parameter {name}")
@@ -407,154 +427,42 @@ def check_function(program: Program, fn: Function) -> None:
         if blk.term is None:
             raise IrTypeError(f"block {label} lacks a terminator")
         for ins in blk.instrs:
-            dst = getattr(ins, "dst", None)
-            if dst is not None:
-                if dst in types:
-                    raise IrTypeError(f"name {dst} assigned twice")
-                types[dst] = _infer(program, fn, ins, types)
-                def_block[dst] = label
+            if ins.dst in def_block:
+                raise IrTypeError(f"name {ins.dst} assigned twice")
+            def_block[ins.dst] = label
     dom = _dominators(fn)
+    nulls: set[str] = set()  # null ADT constants, which only replace-null may read
 
-    def check_use(name: str, label: str) -> IrType:
-        if name not in types:
+    def use(name: str, null_ok: bool = False) -> IrType:
+        # the type of an operand read in the block being walked, `label`
+        if name not in def_block:
             raise IrTypeError(f"use of undefined name {name}")
-        if name not in params_set and def_block[name] not in dom[label]:
+        if def_block[name] not in dom[label]:
             raise IrTypeError(f"{name} used in {label} without dominating definition")
+        if name not in types:
+            raise IrTypeError(f"{name} used before its definition in {label}")
+        if name in nulls and not null_ok:
+            raise IrTypeError("null ADT constant used outside replace-null")
         return types[name]
 
     for label in order:
         blk = fn.blocks[label]
-        seen_here: set[str] = set()
         for ins in blk.instrs:
-            for use in _uses(ins):
-                t = check_use(use, label)
-                if (
-                    use not in params_set
-                    and def_block[use] == label
-                    and use not in seen_here
-                ):
-                    raise IrTypeError(f"{use} used before its definition in {label}")
-            _check_instr(program, fn, ins, types, post)
-            dst = getattr(ins, "dst", None)
-            if dst is not None:
-                seen_here.add(dst)
+            types[ins.dst] = _check_instr(program, ins, use)
+            if not post and isinstance(ins, Const) and ins.value is None:
+                nulls.add(ins.dst)
         term = blk.term
-        for use in _term_uses(term):
-            check_use(use, label)
-            if (
-                use not in params_set
-                and def_block[use] == label
-                and use not in seen_here
-            ):
-                raise IrTypeError(f"{use} used before its definition in {label}")
         if isinstance(term, Return):
-            have = types[term.value]
+            have = use(term.value)
             if have != fn.ret:
                 raise IrTypeError(
                     f"{fn.name} returns {print_ir_type(have)}, expected {print_ir_type(fn.ret)}"
                 )
-        if isinstance(term, Branch) and types[term.cond] != BOOL:
-            raise IrTypeError("branch condition must be u1")
-        for s in _successors(term):
-            if s not in fn.blocks:
-                raise IrTypeError(f"jump to unknown block {s}")
-
-    if not post:
-        # a null ADT constant may only flow into replace-null
-        nulls = set()
-        for label in order:
-            for ins in fn.blocks[label].instrs:
-                if isinstance(ins, Const) and isinstance(ins.type, TAdt) and ins.value is None:
-                    nulls.add(ins.dst)
-        for label in order:
-            blk = fn.blocks[label]
-            for ins in blk.instrs:
-                if isinstance(ins, ReplaceNull):
-                    continue
-                for use in _uses(ins):
-                    if use in nulls:
-                        raise IrTypeError("null ADT constant used outside replace-null")
-            for use in _term_uses(blk.term):
-                if use in nulls:
-                    raise IrTypeError("null ADT constant used outside replace-null")
-
-
-def _uses(ins: Instr) -> list[str]:
-    if isinstance(ins, Const):
-        return []
-    if isinstance(ins, Alloc):
-        return list(ins.args)
-    if isinstance(ins, (GetField, GetContents, GetTag, ReplaceNull, RecordGet, RecordTag)):
-        return [ins.src]
-    if isinstance(ins, Eq):
-        return [ins.a, ins.b]
-    if isinstance(ins, Call):
-        return list(ins.args)
-    if isinstance(ins, TupleMake):
-        return list(ins.elems)
-    if isinstance(ins, Project):
-        return [ins.src]
-    if isinstance(ins, BinOp):
-        return [ins.a, ins.b]
-    if isinstance(ins, (ShiftOp, SExt, Bitcast, IsNull)):
-        return [ins.src]
-    raise TypeError(f"unknown instruction {ins!r}")
-
-
-def _term_uses(term: Terminator) -> list[str]:
-    if isinstance(term, Branch):
-        return [term.cond]
-    if isinstance(term, Switch):
-        return [term.value]
-    if isinstance(term, Return):
-        return [term.value]
-    return []
-
-
-def _case_field_types(program: Program, key: str, case: int) -> list[IrType]:
-    variant = program.adts[key].variants[case]
-    return [type_of_expr(t, program.adts) for _, t in variant.source_fields]
-
-
-def _infer(program: Program, fn: Function, ins: Instr, types: dict[str, IrType]) -> IrType:
-    if isinstance(ins, Const):
-        return ins.type
-    if isinstance(ins, Alloc):
-        return TAdt(ins.adt)
-    if isinstance(ins, GetField):
-        return program.adt_source_field_type(ins.adt, ins.case, ins.field)
-    if isinstance(ins, GetContents):
-        return program.contents_type(ins.adt, ins.case)
-    if isinstance(ins, (GetTag, RecordTag)):
-        return TAG_TYPE
-    if isinstance(ins, ReplaceNull):
-        return TAdt(ins.adt)
-    if isinstance(ins, Eq):
-        return BOOL
-    if isinstance(ins, Call):
-        callee = program.functions[ins.fn]
-        return callee.ret
-    if isinstance(ins, TupleMake):
-        return TTuple(tuple(types[e] for e in ins.elems))
-    if isinstance(ins, Project):
-        src = types[ins.src]
-        if not isinstance(src, TTuple):
-            raise IrTypeError("project from a non-tuple")
-        return src.elems[ins.index]
-    if isinstance(ins, BinOp):
-        return types[ins.a]
-    if isinstance(ins, ShiftOp):
-        return types[ins.src]
-    if isinstance(ins, SExt):
-        return types[ins.src]
-    if isinstance(ins, Bitcast):
-        return ins.type
-    if isinstance(ins, RecordGet):
-        f = program.adts[ins.adt].variants[ins.case].fields[ins.index]
-        return normalized_field_type(program, f)
-    if isinstance(ins, IsNull):
-        return BOOL
-    raise TypeError(f"unknown instruction {ins!r}")
+        elif isinstance(term, Branch):
+            if use(term.cond) != BOOL:
+                raise IrTypeError("branch condition must be u1")
+        elif isinstance(term, Switch):
+            use(term.value)
 
 
 def normalized_field_type(program: Program, f) -> IrType:
@@ -574,85 +482,109 @@ def normalized_field_type(program: Program, f) -> IrType:
     return TInt(f.width, f.signed)
 
 
-def _check_instr(
-    program: Program, fn: Function, ins: Instr, types: dict[str, IrType], post: bool
-) -> None:
-    pre_only = (GetField, GetContents, GetTag, ReplaceNull)
-    post_only = (TupleMake, Project, BinOp, ShiftOp, SExt, Bitcast, RecordGet, RecordTag, IsNull)
-    if post and isinstance(ins, pre_only):
+_PRE_ONLY = (GetField, GetContents, GetTag, ReplaceNull)
+_POST_ONLY = (TupleMake, Project, BinOp, ShiftOp, SExt, Bitcast, RecordGet, RecordTag, IsNull)
+_INT_BACKED = (TInt, TIntRep)
+
+
+def _unboxed(program: Program, key: str) -> bool:
+    disp = program.dispositions.get(key)
+    return disp is not None and not disp.boxed
+
+
+def _check_instr(program: Program, ins: Instr, use) -> IrType:
+    """Check one instruction, reading its operands through `use`, and
+    return the type of its result."""
+    post = program.normalized
+    if post and isinstance(ins, _PRE_ONLY):
         raise IrTypeError(f"{type(ins).__name__} is not a normalized instruction")
-    if not post and isinstance(ins, post_only):
+    if not post and isinstance(ins, _POST_ONLY):
         raise IrTypeError(f"{type(ins).__name__} only exists after normalization")
     if isinstance(ins, Const):
         if isinstance(ins.type, TAdt):
             if ins.value is not None:
                 raise IrTypeError("ADT constants can only be null")
+            if post and _unboxed(program, ins.type.key):
+                raise IrTypeError("null constant of an unboxed ADT after normalization")
         elif ins.value is None:
             raise IrTypeError("null constant of a non-reference type")
-        if post and isinstance(ins.type, TAdt):
-            disp = program.dispositions.get(ins.type.key)
-            if disp is not None and not disp.boxed:
-                raise IrTypeError("null constant of an unboxed ADT after normalization")
-        return
+        return ins.type
     if isinstance(ins, Alloc):
+        have = [use(a) for a in ins.args]
+        variant = program.adts[ins.adt].variants[ins.case]
         if post:
-            disp = program.dispositions.get(ins.adt)
-            if disp is not None and not disp.boxed:
+            if _unboxed(program, ins.adt):
                 raise IrTypeError("normalized code cannot allocate an unboxed ADT")
-            want = [
-                normalized_field_type(program, f)
-                for f in program.adts[ins.adt].variants[ins.case].fields
-            ]
+            want = [normalized_field_type(program, f) for f in variant.fields]
         else:
-            want = _case_field_types(program, ins.adt, ins.case)
-        have = [types[a] for a in ins.args]
+            want = [type_of_expr(t, program.adts) for _, t in variant.source_fields]
         if have != want:
             raise IrTypeError(f"alloc {ins.adt}#{ins.case}: argument types mismatch")
-        return
-    if isinstance(ins, (GetField, GetContents)):
-        if types[ins.src] != TAdt(ins.adt):
+        return TAdt(ins.adt)
+    if isinstance(ins, GetField):
+        if use(ins.src) != TAdt(ins.adt):
             raise IrTypeError("field access on a value of the wrong type")
-        return
-    if isinstance(ins, (GetTag, ReplaceNull)):
-        if types[ins.src] != TAdt(ins.adt):
+        return program.adt_source_field_type(ins.adt, ins.case, ins.field)
+    if isinstance(ins, GetContents):
+        if use(ins.src) != TAdt(ins.adt):
+            raise IrTypeError("field access on a value of the wrong type")
+        return program.contents_type(ins.adt, ins.case)
+    if isinstance(ins, GetTag):
+        if use(ins.src) != TAdt(ins.adt):
             raise IrTypeError("tag/replace-null on a value of the wrong type")
-        return
+        return TAG_TYPE
+    if isinstance(ins, ReplaceNull):
+        if use(ins.src, null_ok=True) != TAdt(ins.adt):
+            raise IrTypeError("tag/replace-null on a value of the wrong type")
+        return TAdt(ins.adt)
     if isinstance(ins, Eq):
-        ta, tb = types[ins.a], types[ins.b]
-        int_backed = lambda t: isinstance(t, (TInt, TIntRep))
-        if int_backed(ins.type):
-            if not (int_backed(ta) and int_backed(tb)):
+        ta, tb = use(ins.a), use(ins.b)
+        if isinstance(ins.type, _INT_BACKED):
+            if not (isinstance(ta, _INT_BACKED) and isinstance(tb, _INT_BACKED)):
                 raise IrTypeError("eq on integer bits needs integer-backed operands")
         elif ta != ins.type or tb != ins.type:
             raise IrTypeError("eq operands must both have the annotated type")
-        if post and isinstance(ins.type, TAdt):
-            disp = program.dispositions.get(ins.type.key)
-            if disp is not None and not disp.boxed:
-                raise IrTypeError("normalized eq on an unboxed ADT must be a call")
-        return
+        if post and isinstance(ins.type, TAdt) and _unboxed(program, ins.type.key):
+            raise IrTypeError("normalized eq on an unboxed ADT must be a call")
+        return BOOL
     if isinstance(ins, Call):
+        have = [use(a) for a in ins.args]
         callee = program.functions.get(ins.fn)
         if callee is None:
             raise IrTypeError(f"call to unknown function {ins.fn}")
-        want = [t for _, t in callee.params]
-        have = [types[a] for a in ins.args]
-        if want != have:
+        if [t for _, t in callee.params] != have:
             raise IrTypeError(f"call {ins.fn}: argument types mismatch")
-        return
+        return callee.ret
+    if isinstance(ins, TupleMake):
+        return TTuple(tuple(use(e) for e in ins.elems))
+    if isinstance(ins, Project):
+        src = use(ins.src)
+        if not isinstance(src, TTuple):
+            raise IrTypeError("project from a non-tuple")
+        return src.elems[ins.index]
     if isinstance(ins, BinOp):
-        if types[ins.a] != types[ins.b] and not (
-            isinstance(types[ins.a], (TInt, TIntRep)) and isinstance(types[ins.b], (TInt, TIntRep))
-        ):
+        ta, tb = use(ins.a), use(ins.b)
+        if ta != tb and not (isinstance(ta, _INT_BACKED) and isinstance(tb, _INT_BACKED)):
             raise IrTypeError("bitwise operands must be integer-backed")
-        return
+        return ta
+    if isinstance(ins, (ShiftOp, SExt)):
+        return use(ins.src)
+    if isinstance(ins, Bitcast):
+        use(ins.src)
+        return ins.type
     if isinstance(ins, RecordGet):
-        if types[ins.src] != TAdt(ins.adt):
+        if use(ins.src) != TAdt(ins.adt):
             raise IrTypeError("record read on a value of the wrong type")
-        return
+        f = program.adts[ins.adt].variants[ins.case].fields[ins.index]
+        return normalized_field_type(program, f)
     if isinstance(ins, RecordTag):
-        if types[ins.src] != TAdt(ins.adt):
+        if use(ins.src) != TAdt(ins.adt):
             raise IrTypeError("record tag on a value of the wrong type")
-        return
+        return TAG_TYPE
+    if isinstance(ins, IsNull):
+        use(ins.src)
+        return BOOL
+    raise TypeError(f"unknown instruction {ins!r}")
 
 
 def check_program(program: Program) -> None:

@@ -33,7 +33,6 @@ from .ir import (
     IrType,
     IrTypeError,
     IsNull,
-    Jump,
     Program,
     Project,
     RecordGet,
@@ -45,14 +44,12 @@ from .ir import (
     Switch,
     TAdt,
     TCase,
-    TFloat,
     TInt,
     TIntRep,
     Trap,
     TTuple,
     TupleMake,
     normalized_field_type,
-    type_of_expr,
 )
 from .solver import BareTag, ExplicitTag, SingleVariant, TreeTag
 from .targets import REF_NONE, REF_PLAIN
@@ -117,13 +114,8 @@ class Normalizer:
 
     def run(self) -> Program:
         for name in sorted(self.pre.functions):
-            self.post.functions[name] = self.normalize_function(self.pre.functions[name])
+            self.post.functions[name] = _FunctionNormalizer(self).run(self.pre.functions[name])
         return self.post
-
-    def normalize_function(self, fn: Function) -> Function:
-        out = _FunctionNormalizer(self).run(fn)
-        self.post.functions[out.name] = out
-        return out
 
     # -- generated helpers -----------------------------------------------------
 

@@ -11,7 +11,6 @@ from .solver import LayoutSolution, solve_layout
 from .syntax import AdtDecl, Decl, NamedType, PackingDecl, TupleType, TypeExpr, print_type
 from .targets import (
     AdtEnv,
-    Disposition,
     MonoAdt,
     MonoError,
     ResolvedAdt,
@@ -147,6 +146,8 @@ def process_adts(
     for d in decls:
         if isinstance(d, PackingDecl):
             packing_list.append(d)
+        elif d.name in adt_decls:
+            raise MonoError(f"type {d.name} is declared twice")
         else:
             adt_decls[d.name] = d
     delta, diagnostics = check_program_decls(packing_list)

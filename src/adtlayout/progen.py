@@ -21,7 +21,6 @@ from .ir import (
     GetField,
     GetTag,
     IrType,
-    Jump,
     Program,
     ReplaceNull,
     Return,
@@ -29,7 +28,6 @@ from .ir import (
     TAdt,
     TFloat,
     TInt,
-    Trap,
     type_of_expr,
 )
 from .pipeline import process_adts
@@ -299,14 +297,7 @@ def generate_program(
     """Deterministically generate one program (declarations plus main)."""
     rng = random.Random(seed)
     decls = gen_decls(rng)
-    layouts = process_adts(decls, target, options=options)
-    program = Program(
-        adts=layouts.monos(),
-        dispositions={k: r.disposition for k, r in layouts.resolved.items()},
-        layouts=layouts.layouts(),
-        functions={},
-        target=target,
-    )
+    program = Program.of_layouts(process_adts(decls, target, options=options), target)
     gen = _Gen(rng, program)
     program.functions["main"] = gen.run()
     return program, decls

@@ -33,7 +33,7 @@ from .ir import (
     print_ir_type,
 )
 from .pipeline import process_adts
-from .syntax import parse_program, parse_type, print_program
+from .syntax import parse_program, print_program
 from .targets import BUILTIN_TARGETS, Target, UnboxOptions
 
 
@@ -316,17 +316,7 @@ def parse_bundle(
     if target is None:
         raise ProgTextError("bundle lacks a target line")
     decls = parse_program("\n".join(decl_lines))
-    from .syntax import AdtDecl
-
-    requests = [parse_type(d.name) for d in decls if isinstance(d, AdtDecl) and not d.type_params]
-    layouts = process_adts(decls, target, requests=requests, options=options)
-    program = Program(
-        adts=layouts.monos(),
-        dispositions={k: r.disposition for k, r in layouts.resolved.items()},
-        layouts=layouts.layouts(),
-        functions={},
-        target=target,
-    )
+    program = Program.of_layouts(process_adts(decls, target, options=options), target)
     for chunk in fn_chunks:
         fn = parse_function_text("\n".join(chunk))
         program.functions[fn.name] = fn

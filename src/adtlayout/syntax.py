@@ -9,11 +9,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
-BIT_ZERO = "0"
-BIT_ONE = "1"
-BIT_WILD = "?"
-
-
 def is_field_bit(ch: str) -> bool:
     return ch.isalpha() and ch.isascii()
 
@@ -391,6 +386,16 @@ class _Parser:
         )
         if not variants:
             raise self.err(f"type {name} has no cases", start)
+        case_names: set[str] = set()
+        for v in variants:
+            if v.name in case_names:
+                raise PackingSyntaxError(f"type {name} has two cases named {v.name}", *v.pos)
+            case_names.add(v.name)
+            field_names: set[str] = set()
+            for f, _ in v.fields:
+                if f in field_names:
+                    raise PackingSyntaxError(f"case {v.name} has two fields named {f}", *v.pos)
+                field_names.add(f)
         if packing is not None:
             if any(v.packing is not None for v in variants):
                 raise self.err("cannot mix type-level and case-level #packing", start)

@@ -226,7 +226,6 @@ class FieldSlot:
     embedded: bool = False  # one scalar of an embedded unboxed ADT
     scalar_index: int = 0  # position within an embedded unboxed group
     source: tuple = ()  # (source field index, *tuple projections)
-    type_str: str = ""
 
     @property
     def is_ref(self) -> bool:
@@ -258,12 +257,6 @@ class MonoAdt:
     @property
     def all_nullary(self) -> bool:
         return all(not v.fields for v in self.variants)
-
-    def variant_index(self, name: str) -> int:
-        for i, v in enumerate(self.variants):
-            if v.name == name:
-                return i
-        raise KeyError(name)
 
 
 @dataclass(frozen=True)
@@ -347,16 +340,16 @@ def _normalize_field(
     if isinstance(t, IntType):
         return [
             FieldSlot(name, t.width, target.kinds_for_int(t.width), signed=t.signed,
-                      source=source, type_str=print_type(t))
+                      source=source)
         ]
     if isinstance(t, BoolType):
         return [
-            FieldSlot(name, 1, target.kinds_for_int(1), source=source, type_str="bool")
+            FieldSlot(name, 1, target.kinds_for_int(1), source=source)
         ]
     if isinstance(t, FloatType):
         return [
             FieldSlot(name, t.width, target.kinds_for_float(t.width), is_float=True,
-                      source=source, type_str=print_type(t))
+                      source=source)
         ]
     if isinstance(t, TupleType):
         out: list[FieldSlot] = []
@@ -371,14 +364,13 @@ def _normalize_field(
                 # boxed (or in-flight recursive, hence boxed) instantiation
                 return [
                     FieldSlot(name, target.word_width, target.ref_kinds,
-                              ref_mode=REF_PLAIN, adt_ref=ref_key,
-                              source=source, type_str=ref_key)
+                              ref_mode=REF_PLAIN, adt_ref=ref_key, source=source)
                 ]
             return _embed_unboxed(name, ref_key, info, source, env)
         # opaque reference type such as Array<byte> or string
         return [
             FieldSlot(name, target.word_width, target.ref_kinds, ref_mode=REF_PLAIN,
-                      source=source, type_str=print_type(t))
+                      source=source)
         ]
     raise MonoError(f"unsupported field type {t!r}")
 
@@ -401,8 +393,7 @@ def _embed_unboxed(
             width = layout.used_width(i)
         out.append(
             FieldSlot(f"{name}.{i}", width, slot.kinds, ref_mode=mode,
-                      adt_ref=ref_key, embedded=True, scalar_index=i,
-                      source=source, type_str=ref_key)
+                      adt_ref=ref_key, embedded=True, scalar_index=i, source=source)
         )
     return out
 

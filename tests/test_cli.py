@@ -308,3 +308,55 @@ def test_type_without_cases_is_syntax_error(tmp_path, source, command, capsys):
     p.write_text(source + "\n")
     assert main([command, str(p)]) == 1
     assert capsys.readouterr().err == "error: E001 at 1:1: type E has no cases\n"
+
+
+@pytest.mark.parametrize("command", ["check", "layout"])
+@pytest.mark.parametrize(
+    "source, message",
+    [
+        (
+            "type L<T> #unboxed { case N; case C(h: T, t: L<(T, T)>); }"
+            " type U { case A(x: L<u8>); }",
+            "error: instantiating L nests types deeper than 8 levels",
+        ),
+        ("type F { case A; } type U { case A(x: F<u8>); }",
+         "error: F expects 0 type arguments, got 1"),
+        ("packing P(a: 4): 2 = 0b_aaaa; type T { case C(x: u4); }",
+         "E010 at 1:1: body of 'P' has size 4 > declared width 2"),
+    ],
+    ids=["polymorphic-recursion", "wrong-arity", "packing-too-wide"],
+)
+def test_check_and_layout_reject_alike(tmp_path, source, message, command, capsys):
+    p = tmp_path / "bad.pk"
+    p.write_text(source + "\n")
+    assert main([command, str(p)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(message) and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["check", "layout"])
+@pytest.mark.parametrize(
+    "source, message",
+    [
+        ("type A { case X(a: u8, a: u16); }",
+         "error: E001 at 1:10: case X has two fields named a\n"),
+        ("type A #unboxed { case X; case X(b: u8); }",
+         "error: E001 at 1:27: type A has two cases named X\n"),
+        ("type A { case X; } type A { case Y(b: u8); }", "error: type A is declared twice\n"),
+    ],
+    ids=["field", "case", "type"],
+)
+def test_duplicate_names_rejected(tmp_path, source, message, command, capsys):
+    p = tmp_path / "dup.pk"
+    p.write_text(source + "\n")
+    assert main([command, str(p)]) == 1
+    assert capsys.readouterr().err == message
+
+
+@pytest.mark.parametrize("command", ["check", "layout"])
+def test_type_declared_in_two_files_rejected(tmp_path, command, capsys):
+    first, second = tmp_path / "a.pk", tmp_path / "b.pk"
+    first.write_text("type A { case X; }\n")
+    second.write_text("type A { case Y(b: u8); }\n")
+    assert main([command, str(first), str(second)]) == 1
+    assert capsys.readouterr().err == "error: type A is declared twice\n"

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -7,6 +8,7 @@ from adtlayout.interp import Heap, Outcome, Record, Ref, eval_program, flatten_l
 from adtlayout.ir import (
     BOOL,
     Alloc,
+    BinOp,
     Block,
     Branch,
     Call,
@@ -28,6 +30,7 @@ from adtlayout.ir import (
     TIntRep,
     Trap,
     TTuple,
+    TupleMake,
     check_program,
 )
 from adtlayout.pipeline import process_adts
@@ -38,14 +41,7 @@ from adtlayout.targets import BUILTIN_TARGETS, X64
 def make_program(src: str, target=X64, requests=None) -> Program:
     decls = parse_program(src)
     reqs = [parse_type(r) for r in requests] if requests else None
-    out = process_adts(decls, target, requests=reqs)
-    return Program(
-        adts=out.monos(),
-        dispositions={k: r.disposition for k, r in out.resolved.items()},
-        layouts=out.layouts(),
-        functions={},
-        target=target,
-    )
+    return Program.of_layouts(process_adts(decls, target, requests=reqs), target)
 
 
 OPTION_SRC = "type Option #unboxed { case None; case Some(val: u32); }"
@@ -171,13 +167,7 @@ def test_default_equals_first_variant_default_fields():
     decls = parse_program(CORPUS_SRC)
     out = process_adts(decls, X64)
     for key in out.order:
-        program = Program(
-            adts=out.monos(),
-            dispositions={k: r.disposition for k, r in out.resolved.items()},
-            layouts=out.layouts(),
-            functions={},
-            target=X64,
-        )
+        program = Program.of_layouts(out, X64)
         mono = out.resolved[key].mono
         first = mono.variants[0]
         instrs = [Const("n", TAdt(key), None), ReplaceNull("d", key, "n")]
@@ -677,14 +667,7 @@ def test_equivalence_over_annotated_adts():
 
     for i in range(120):
         target = BUILTIN_TARGETS[["x64", "jvm", "x86-32"][i % 3]]
-        out = process_adts(parse_program(src), target)
-        program = Program(
-            adts=out.monos(),
-            dispositions={k: r.disposition for k, r in out.resolved.items()},
-            layouts=out.layouts(),
-            functions={},
-            target=target,
-        )
+        program = Program.of_layouts(process_adts(parse_program(src), target), target)
         gen = progen._Gen(_random.Random(f"annot:{i}"), program)
         program.functions["main"] = gen.run()
         check_program(program)
@@ -692,3 +675,130 @@ def test_equivalence_over_annotated_adts():
         post = norm.normalize_program(program)
         check_program(post)
         assert eval_program(post) == pre, (i, target.name)
+
+
+U32 = TInt(32, False)
+
+
+def _pre(*texts: str) -> Program:
+    """A source-level program over Option whose functions are given as text."""
+    program = make_program(OPTION_SRC)
+    for text in texts:
+        fn = progtext.parse_function_text(text)
+        program.functions[fn.name] = fn
+    return program
+
+
+def _post(body: list, term) -> Program:
+    program = option_program(body, term)
+    program.normalized = True
+    return program
+
+
+CHECKER_CASES = [
+    ("undefined-name", lambda: _pre("""fn main() -> u32 {
+entry:
+  ret %x
+}"""), "use of undefined name x"),
+    ("no-dominating-definition", lambda: _pre("""fn main(%c: bool) -> u32 {
+entry:
+  br %c, a, b
+a:
+  %x = const<u32> 1
+  jmp b
+b:
+  ret %x
+}"""), "x used in b without dominating definition"),
+    ("use-before-definition", lambda: _pre("""fn main() -> u32 {
+entry:
+  %y = eq<u32>(%x, %x)
+  %x = const<u32> 1
+  ret %x
+}"""), "x used before its definition in entry"),
+    ("assigned-twice", lambda: _pre("""fn main() -> u32 {
+entry:
+  %x = const<u32> 1
+  %x = const<u32> 2
+  ret %x
+}"""), "name x assigned twice"),
+    ("duplicate-parameter", lambda: _pre("""fn main(%a: u32, %a: u32) -> u32 {
+entry:
+  ret %a
+}"""), "duplicate parameter a"),
+    ("no-terminator", lambda: _pre("""fn main() -> u32 {
+entry:
+  %x = const<u32> 1
+}"""), "block entry lacks a terminator"),
+    ("wrong-return-type", lambda: _pre("""fn main() -> u32 {
+entry:
+  %x = const<u8> 1
+  ret %x
+}"""), "main returns u8, expected u32"),
+    ("branch-on-non-bool", lambda: _pre("""fn main() -> u32 {
+entry:
+  %x = const<u32> 1
+  br %x, a, a
+a:
+  ret %x
+}"""), "branch condition must be u1"),
+    ("jump-to-unknown-block", lambda: _pre("""fn main() -> u32 {
+entry:
+  jmp nowhere
+}"""), "jump to unknown block nowhere"),
+    ("null-outside-replace-null", lambda: _pre("""fn main() -> Option {
+entry:
+  %n = const<Option> null
+  ret %n
+}"""), "null ADT constant used outside replace-null"),
+    ("non-null-adt-constant", lambda: _pre("""fn main() -> Option {
+entry:
+  %n = const<Option> 3
+  ret %n
+}"""), "ADT constants can only be null"),
+    ("getfield-wrong-type", lambda: _pre("""fn main() -> u32 {
+entry:
+  %v = const<u32> 3
+  %x = getfield<Option#1.0>(%v)
+  ret %x
+}"""), "field access on a value of the wrong type"),
+    ("alloc-argument-mismatch", lambda: _pre("""fn main() -> Option {
+entry:
+  %v = const<u8> 3
+  %o = alloc<Option#1>(%v)
+  ret %o
+}"""), "alloc Option#1: argument types mismatch"),
+    ("call-argument-mismatch", lambda: _pre("""fn f(%a: u32) -> u32 {
+entry:
+  ret %a
+}""", """fn main() -> u32 {
+entry:
+  %v = const<u8> 3
+  %r = call f(%v)
+  ret %r
+}"""), "call f: argument types mismatch"),
+    ("unknown-callee", lambda: _pre("""fn main() -> u32 {
+entry:
+  %r = call g()
+  ret %r
+}"""), "call to unknown function g"),
+    ("pre-only-after-normalization", lambda: _post(
+        [Const("v", U32, 3), GetTag("t", "Option", "v")], Return("t")
+    ), "GetTag is not a normalized instruction"),
+    ("post-only-before-normalization", lambda: option_program(
+        [Const("a", U32, 1), BinOp("b", "and", "a", "a")], Return("b")
+    ), "BinOp only exists after normalization"),
+    ("normalized-binop-early-read", lambda: _post(
+        [BinOp("y", "and", "x", "x"), Const("x", U32, 1)], Return("x")
+    ), "x used before its definition in entry"),
+    ("normalized-tuple-early-read", lambda: _post(
+        [TupleMake("t", ("x",)), Const("x", U32, 1)], Return("x")
+    ), "x used before its definition in entry"),
+]
+
+
+@pytest.mark.parametrize(
+    "build, message", [pytest.param(b, m, id=name) for name, b, m in CHECKER_CASES]
+)
+def test_checker_rejects_with_its_message(build, message):
+    with pytest.raises(IrTypeError, match=re.escape(message)):
+        check_program(build())
