@@ -7,6 +7,7 @@ from adtlayout.cli import cmd_check, cmd_equiv, cmd_layout, main, run_equivalenc
 from adtlayout.ir import Const
 
 from corpus import CORPUS_SRC
+from test_golden import ANNOTATED_REFS
 
 FLOAT_SUITE = """
 packing Float16(sign: 1, exp: 5, frac: 10): 16 = 0b_seeeeeff_ffffffff;
@@ -112,6 +113,16 @@ def test_layout_annotation_infeasible_exit_1(tmp_path):
     status = cmd_layout([str(p)], target="jvm", out=io.StringIO(), err=err)
     assert status == 1
     assert "x" in err.getvalue() or "y" in err.getvalue()
+
+
+@pytest.mark.parametrize("target", ["jvm", "x86-32"])
+def test_pinned_reference_needs_tagged_references(tmp_path, target, capsys):
+    p = tmp_path / "refs.pk"
+    p.write_text(ANNOTATED_REFS)
+    assert main(["layout", str(p), "--target", target]) == 1
+    assert capsys.readouterr().err == (
+        "error: packing annotation on Pr admits no layout: conflicting fields x\n"
+    )
 
 
 def test_layout_env_var_target(tmp_path, monkeypatch):

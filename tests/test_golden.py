@@ -3,14 +3,16 @@
 The snapshot pins the layouts, tag schemes, scores and step counts that the
 solver reports today, so a refactor can show that it changes none of them.
 A change to a golden file is a change in behaviour: name it and give the
-reason in CHANGES.md. To rewrite the files after such a change, run
-`PYTHONPATH=src python tests/test_golden.py`.
+reason in CHANGES.md. To write the files of the named cases after such a
+change, or for a new case, run `PYTHONPATH=src python tests/test_golden.py
+STEM...`; it writes only the stems it is given.
 """
 
 from __future__ import annotations
 
 import io
 import pathlib
+import sys
 import tempfile
 
 import pytest
@@ -62,6 +64,15 @@ type Lst #unboxed #packing(0b_00aa, 0b_bb11) { case A(a: u2); case B(b: u2); }
 type Lit #unboxed { case A(x: u8, y: u8) #packing #solve(x, 0b_1010, y); case B(z: u16); }
 """
 
+# reference fields next to annotations: a reference pinned by #packing, a
+# #solve unit with constant bits in a reference-tagged scalar, and a #solve
+# unit beside a free reference. Targets without tagged references reject Pr.
+ANNOTATED_REFS = """\
+type Box { case B(a: u64, b: u64, c: u64); }
+type Pr #unboxed { case A(p: Box) #packing p; case B(x: u8, y: u8) #packing #solve(x, 0b_1010, y); case C; }
+type Mx #unboxed { case A(p: Box, t: u4); case B(x: u8, y: u16) #packing #solve(0b_11, x); }
+"""
+
 # golden file stem -> (source, target)
 CASES = {
     "corpus-x64": (CORPUS_SRC, "x64"),
@@ -74,6 +85,7 @@ CASES = {
     "wide-w0-x86-32": (WIDE_W0_X86_32, "x86-32"),  # single variant
     "annotated-x64": (ANNOTATED, "x64"),
     "annotated-x86-32": (ANNOTATED, "x86-32"),
+    "annotated-refs-x64": (ANNOTATED_REFS, "x64"),
 }
 
 
@@ -93,8 +105,22 @@ def test_layout_matches_golden(name):
     assert layout_json(source, target) == golden
 
 
-if __name__ == "__main__":
+def main(stems: list[str]) -> int:
+    if not stems:
+        print(f"usage: {sys.argv[0]} STEM... (one of: {', '.join(sorted(CASES))})",
+              file=sys.stderr)
+        return 2
+    unknown = [s for s in stems if s not in CASES]
+    if unknown:
+        print(f"unknown golden case: {', '.join(unknown)}", file=sys.stderr)
+        return 2
     GOLDEN_DIR.mkdir(exist_ok=True)
-    for name, (source, target) in sorted(CASES.items()):
+    for name in stems:
+        source, target = CASES[name]
         (GOLDEN_DIR / f"{name}.json").write_text(layout_json(source, target), encoding="utf-8")
         print(f"wrote {GOLDEN_DIR / name}.json")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
