@@ -1,10 +1,12 @@
 """Joint scalar and interval assignment for unboxed ADTs.
 
-The solver backtracks over assignments of normalized fields to scalar
-slots; interval placement inside a slot is deterministic first-fit from
-the least-significant bit, so fields never split across scalars. Scoring
-is lexicographic: fewer scalars first, then summed access cost plus the
-dedicated-tag penalty.
+The solver backtracks over assignments of search items to scalar slots.
+Each item is a unit: fields at fixed offsets from its LSB plus constant and
+wildcard bits; a plain field is a unit of one field, a #solve item a unit
+of its own. One routine places a unit in a slot, at the offset its #packing
+pins or else at the lowest offset where it fits, so fields never split
+across scalars. Scoring is lexicographic: fewer scalars first, then summed
+access cost plus the dedicated-tag penalty.
 
 Patterns are `distinguish.BitPattern` mask values, one per variant and
 scalar; a solution's patterns have every free bit made constant 0, and its
@@ -23,7 +25,6 @@ from . import distinguish
 from .distinguish import (
     BitPattern,
     DecisionTree,
-    lowest_run,
     print_pattern,
     shared_free_run,
     tag_width_for,
@@ -115,7 +116,6 @@ class ScalarSlot:
     kinds: KindSet
     width: int
     ref_bearing: bool = False
-    mixes_refs_and_bits: bool = False
     dedicated_tag: bool = False
 
     def to_json(self) -> dict:
@@ -211,10 +211,6 @@ class _Slot:
         self.ref_variants: set[int] = set()
         self.tags = tags  # (reference, value) low-bit patterns, or None
         self.tagged = False
-        self.mixes = False
-
-    def masks(self, v: int) -> tuple[int, int, int, int]:
-        return (self.const[v], self.ones[v], self.wild[v], self.field[v])
 
     def reserved(self, v: int) -> int:
         out = self.const[v] | self.wild[v] | self.field[v]
@@ -237,22 +233,59 @@ class _Slot:
     def add_field(self, v: int, pl: Placement) -> None:
         self.field[v] |= ((1 << pl.width) - 1) << pl.offset
 
-    def first_fit(self, v: int, width: int) -> Optional[int]:
-        if width > self.width:
-            return None
-        return lowest_run(~self.reserved(v) & ((1 << self.width) - 1), width)
+    def offsets(self, v: int, unit: _Unit) -> int:
+        """The offsets at which `unit` fits variant `v`, as a mask with bit i
+        set for offset i: its field bits meet no reserved bit, its wildcards
+        no field bit, and its constants no field bit and no constant of the
+        other value."""
+        room = self.width - unit.pattern.width
+        if room < 0:
+            return 0
+        blocked = _overlaps(self.reserved(v), unit.field_runs)
+        if unit.other_runs is not None:
+            wild_runs, one_runs, zero_runs = unit.other_runs
+            field, const = self.field[v], self.const[v]
+            ones = self.ones[v] & const
+            blocked |= (
+                _overlaps(field, wild_runs)
+                | _overlaps(field | (const & ~ones), one_runs)
+                | _overlaps(field | ones, zero_runs)
+            )
+        return ~blocked & ((2 << room) - 1)
 
-    def fits_exact(self, v: int, offset: int, width: int) -> bool:
-        if offset < 0 or offset + width > self.width:
-            return False
-        return not self.reserved(v) & (((1 << width) - 1) << offset)
+
+def _runs(bits: int) -> tuple[tuple[int, int], ...]:
+    """The (lsb, length) of each run of set bits, from the LSB."""
+    out = []
+    while bits:
+        low = (bits & -bits).bit_length() - 1
+        run = bits >> low
+        n = (run ^ (run + 1)).bit_length() - 1
+        out.append((low, n))
+        bits ^= ((1 << n) - 1) << low
+    return tuple(out)
+
+
+def _overlaps(mask: int, runs: tuple[tuple[int, int], ...]) -> int:
+    """The offsets, as a mask, at which bits in `runs` shifted left meet
+    `mask`: the OR of `mask >> b` over the bits b, by doubling shifts."""
+    out = 0
+    for low, n in runs:
+        smear, covered = mask, 1
+        while covered * 2 <= n:
+            smear |= smear >> covered
+            covered *= 2
+        if covered < n:
+            smear |= smear >> (n - covered)
+        out |= smear >> low
+    return out
 
 
 @dataclass
 class _Undo:
-    """What one placement can change, as it was before: the slot's kinds,
-    tagging and mixing, the variant's masks and reference membership, and
-    the state's shift cost; plus the placements it added."""
+    """What one placement can change, as it was before: the slot's kinds and
+    tagging, the variant's masks and reference membership, and the state's
+    shift cost; plus the placements it added."""
 
     slot: _Slot
     variant: int
@@ -260,23 +293,40 @@ class _Undo:
     masks: tuple[int, int, int, int]
     is_ref: bool
     tagged: bool
-    mixes: bool
     shift_cost: int
     placements: list[Placement] = dfield(default_factory=list)
 
 
-@dataclass(frozen=True)
+@dataclass
 class _Unit:
-    """One atomic block from a #solve item: sub-fields at fixed relative
-    offsets plus constant and wildcard bits, placed contiguously."""
+    """One search item, placed contiguously in one slot: fields at fixed
+    relative offsets plus constant and wildcard bits. A #solve item may
+    hold several fields or none; a plain field is a unit of its own."""
 
     fields: tuple[tuple[int, FieldSlot], ...]  # (relative offset, field)
     pattern: BitPattern  # its free bits are wildcards
     kinds: KindSet
+    ref: Optional[FieldSlot] = None  # the field, when a lone reference
 
-    @property
-    def width(self) -> int:
-        return self.pattern.width
+    def __post_init__(self):
+        # what the offset search shifts: the runs of the pattern's field
+        # bits, and of its wildcards, constant ones and constant zeros, or
+        # None when it has neither wildcards nor constants
+        p = self.pattern
+        self.field_runs = _runs(p.field)
+        self.other_runs = (
+            (_runs(p.free), _runs(p.ones), _runs(p.const & ~p.ones))
+            if p.const or p.free else None
+        )
+
+    @staticmethod
+    def of(f: FieldSlot) -> _Unit:
+        return _Unit(
+            ((0, f),),
+            BitPattern(f.width, field=(1 << f.width) - 1),
+            f.kinds,
+            None if f.ref_mode == REF_NONE else f,
+        )
 
     def names(self) -> list[str]:
         return [f.name for _, f in self.fields]
@@ -303,62 +353,56 @@ class _State:
         assert self.slots[-1] is s
         self.slots.pop()
 
-    def snapshot(self, slot: _Slot, v: int) -> _Undo:
-        return _Undo(
-            slot, v, slot.kinds, slot.masks(v), v in slot.ref_variants,
-            slot.tagged, slot.mixes, self.shift_cost,
-        )
-
-    # -- single-field placement --
-
-    def try_place(
-        self, v: int, f: FieldSlot, slot: _Slot, pinned_offset: Optional[int] = None
+    def place(
+        self, v: int, unit: _Unit, slot: _Slot, offset: Optional[int] = None
     ) -> Optional[_Undo]:
-        tagging = self.target.ref_tagging
+        """Place `unit` for variant `v` in `slot`, at `offset` when given and
+        else at the lowest offset where it fits. A lone reference goes where
+        the target's tagging puts references, whatever `offset` says. Returns
+        how to undo it, or None when it does not fit."""
         if slot.kinds is None:
-            new_kinds = f.kinds
+            new_kinds = unit.kinds
             if self.target.kind_width(new_kinds) != slot.width:
                 return None
         else:
-            new_kinds = slot.kinds & f.kinds
+            new_kinds = slot.kinds & unit.kinds
             if not new_kinds:
                 return None
-        undo = self.snapshot(slot, v)
-
-        if f.ref_mode == REF_NONE:
-            if slot.ref_variants and tagging is None:
-                return None
-            if pinned_offset is None:
-                offset = slot.first_fit(v, f.width)
-            else:
-                offset = (
-                    pinned_offset if slot.fits_exact(v, pinned_offset, f.width) else None
-                )
-            if offset is None:
-                return None
-            width = f.width
-        else:
-            placed = self._place_ref(slot, v, f, pinned_offset)
+        masks = (slot.const[v], slot.ones[v], slot.wild[v], slot.field[v])
+        undo = _Undo(
+            slot, v, slot.kinds, masks, v in slot.ref_variants, slot.tagged, self.shift_cost
+        )
+        if unit.ref is not None:
+            # the tagging fixes a reference's offset and width
+            placed = self._place_ref(slot, v, unit.ref)
             if placed is None:
                 return None
-            offset, width = placed
-
-        pl = Placement(slot.index, offset, width, f)
-        slot.add_field(v, pl)
+            offset, ref_width = placed
+        else:
+            if slot.ref_variants and self.tags is None:
+                return None  # a reference-only scalar
+            fits = slot.offsets(v, unit)
+            if offset is not None:
+                fits &= 1 << offset
+            if not fits:
+                return None
+            offset, ref_width = (fits & -fits).bit_length() - 1, None
+            if unit.other_runs is not None:
+                p = unit.pattern
+                slot.add_consts(v, p.const << offset, p.ones << offset, p.free << offset)
+        for rel, f in unit.fields:
+            pl = Placement(slot.index, offset + rel, ref_width or f.width, f)
+            slot.add_field(v, pl)
+            self.placements[(v, f.name)] = pl
+            undo.placements.append(pl)
+            if pl.offset > 0:
+                self.shift_cost += 2
         slot.kinds = new_kinds
-        self.placements[(v, f.name)] = pl
-        undo.placements.append(pl)
-        if offset > 0:
-            self.shift_cost += 2
         return undo
 
-    def _place_ref(
-        self, slot: _Slot, v: int, f: FieldSlot, pinned: Optional[int]
-    ) -> Optional[tuple[int, int]]:
+    def _place_ref(self, slot: _Slot, v: int, f: FieldSlot) -> Optional[tuple[int, int]]:
         tagging = self.target.ref_tagging
-        if v in slot.ref_variants:
-            return None
-        if f.width != slot.width:
+        if v in slot.ref_variants or f.width != slot.width:
             return None
         if tagging is None:
             if f.ref_mode == REF_TAGGED_WORD:
@@ -369,8 +413,6 @@ class _State:
                 m for w, m in enumerate(slot.field) if w not in slot.ref_variants
             ):
                 return None
-            if pinned not in (None, 0):
-                return None
             slot.ref_variants.add(v)
             return (0, slot.width)
         ref, value = self.tags
@@ -379,9 +421,7 @@ class _State:
             offset, width = 0, slot.width
         else:
             offset, width = free, slot.width - free
-        if pinned not in (None, 0, offset):
-            return None
-        if not slot.fits_exact(v, offset, width):
+        if slot.reserved(v) & (((1 << width) - 1) << offset):
             return None
         if f.ref_mode == REF_PLAIN and slot.clashes(v, ref.const, ref.ones):
             return None
@@ -392,51 +432,10 @@ class _State:
             if slot.clashes(w, value.const, value.ones):
                 return None
         slot.tagged = True
-        if f.ref_mode == REF_TAGGED_WORD:
-            slot.mixes = True
         slot.ref_variants.add(v)
         if f.ref_mode == REF_PLAIN:
             slot.add_consts(v, ref.const, ref.ones)
         return (offset, width)
-
-    # -- unit placement (#solve blocks) --
-
-    def try_place_unit(self, v: int, unit: _Unit, slot: _Slot) -> Optional[_Undo]:
-        tagging = self.target.ref_tagging
-        if slot.kinds is None:
-            new_kinds = unit.kinds
-            if self.target.kind_width(new_kinds) != slot.width:
-                return None
-        else:
-            new_kinds = slot.kinds & unit.kinds
-            if not new_kinds:
-                return None
-        if slot.ref_variants and tagging is None:
-            return None
-        up = unit.pattern
-        base = None
-        reserved = slot.reserved(v)
-        for off in range(0, slot.width - unit.width + 1):
-            if (
-                not (up.field << off) & reserved
-                and not (up.free << off) & slot.field[v]
-                and not slot.clashes(v, up.const << off, up.ones << off)
-            ):
-                base = off
-                break
-        if base is None:
-            return None
-        undo = self.snapshot(slot, v)
-        slot.add_consts(v, up.const << base, up.ones << base, up.free << base)
-        for rel, f in unit.fields:
-            pl = Placement(slot.index, base + rel, f.width, f)
-            slot.add_field(v, pl)
-            self.placements[(v, f.name)] = pl
-            undo.placements.append(pl)
-            if pl.offset > 0:
-                self.shift_cost += 2
-        slot.kinds = new_kinds
-        return undo
 
     def unplace(self, undo: _Undo) -> None:
         slot = undo.slot
@@ -448,7 +447,6 @@ class _State:
         if not undo.is_ref:
             slot.ref_variants.discard(v)
         slot.tagged = undo.tagged
-        slot.mixes = undo.mixes
         self.shift_cost = undo.shift_cost
 
     # -- pattern assembly --
@@ -498,7 +496,6 @@ def _freeze_slots(state: _State) -> list[ScalarSlot]:
             kinds=s.kinds if s.kinds is not None else state.target.kinds_for_int(32),
             width=s.width,
             ref_bearing=bool(s.ref_variants),
-            mixes_refs_and_bits=s.mixes,
         )
         for s in state.slots
     ]
@@ -706,17 +703,15 @@ def _annotation_width_class(target: Target, pattern_width: int) -> int:
     return 64
 
 
-@dataclass
-class _Prepared:
-    pins: dict[tuple[int, str], tuple[int, int]]  # field -> (slot, exact offset)
-    units: list[tuple[int, int, _Unit]]  # (variant, slot index, unit)
-
-
-def _apply_annotations(state: _State) -> _Prepared:
+def _apply_annotations(state: _State) -> list[tuple[int, int, _Unit]]:
+    """Open a slot per #packing entry, write the entries' constants and
+    wildcards, and place the fields they pin. Returns the #solve units as
+    (variant, slot index, unit)."""
     adt = state.adt
-    prepared = _Prepared(pins={}, units=[])
+    units: list[tuple[int, int, _Unit]] = []
     if adt.packing is None:
-        return prepared
+        return units
+    pins: dict[tuple[int, str], tuple[int, int]] = {}  # field -> (slot, offset)
     n_entries = max(
         (len(entries) for entries in adt.packing if entries is not None), default=0
     )
@@ -743,49 +738,32 @@ def _apply_annotations(state: _State) -> _Prepared:
                 p = entry.pattern
                 slot.add_consts(v, p.const, p.ones, p.free)
                 for fname, off in entry.assignments.items():
-                    prepared.pins[(v, fname)] = (j, off)
+                    pins[(v, fname)] = (j, off)
             else:
                 for item in entry.items:
-                    fields = []
-                    kinds: Optional[KindSet] = None
-                    for fname in item.assignments:
-                        f = variant.field_named(fname)
+                    fields = [(rel, variant.field_named(n)) for n, rel in item.assignments.items()]
+                    kinds = None if fields else state.target.kinds_for_int(32)
+                    for _, f in fields:
                         if f.ref_mode != REF_NONE:
                             raise AnnotationInfeasible(
-                                adt.name, [fname], "reference fields cannot be packed by #solve"
+                                adt.name, [f.name], "reference fields cannot be packed by #solve"
                             )
                         kinds = f.kinds if kinds is None else (kinds & f.kinds)
-                    if kinds is not None and not kinds:
+                    if not kinds:
                         raise AnnotationInfeasible(
                             adt.name, list(item.assignments), "no common scalar kind"
                         )
-                    for fname, rel in item.assignments.items():
-                        fields.append((rel, variant.field_named(fname)))
                     fields.sort(key=lambda rf: rf[0])
-                    unit = _Unit(
-                        fields=tuple(fields),
-                        pattern=item.pattern,
-                        kinds=kinds if kinds is not None else state.target.kinds_for_int(32),
-                    )
-                    prepared.units.append((v, j, unit))
-    return prepared
-
-
-def _place_pinned(state: _State, prepared: _Prepared) -> None:
-    for i, variant in enumerate(state.adt.variants):
+                    units.append((v, j, _Unit(tuple(fields), item.pattern, kinds)))
+    for i, variant in enumerate(adt.variants):
         for f in variant.fields:
-            pin = prepared.pins.get((i, f.name))
+            pin = pins.get((i, f.name))
             if pin is None:
                 continue
-            slot_idx, off = pin
-            if f.ref_mode != REF_NONE:
-                undo = state.try_place(i, f, state.slots[slot_idx], pinned_offset=0)
-            else:
-                undo = state.try_place(i, f, state.slots[slot_idx], pinned_offset=off)
-            if undo is None:
-                raise AnnotationInfeasible(
-                    state.adt.name, [f.name], f"pinned at scalar {slot_idx} bit {off}"
-                )
+            j, off = pin
+            if state.place(i, _Unit.of(f), state.slots[j], off) is None:
+                raise AnnotationInfeasible(adt.name, [f.name], f"pinned at scalar {j} bit {off}")
+    return units
 
 
 # ---------------------------------------------------------------------------
@@ -800,7 +778,7 @@ def trivial_layout(adt: MonoAdt, target: Target) -> LayoutSolution:
     for i, variant in enumerate(bare.variants):
         for f in variant.fields:
             slot = state.new_slot(target.kind_width(f.kinds), None)
-            undo = state.try_place(i, f, slot)
+            undo = state.place(i, _Unit.of(f), slot)
             assert undo is not None, f"trivial placement failed for {f.name}"
     base = state.build_patterns()
     if state.n == 1:
@@ -823,30 +801,24 @@ def solve_layout(adt: MonoAdt, target: Target, budget: int = 10_000) -> LayoutSo
     ADT with no feasible completion raises AnnotationInfeasible.
     """
     state = _State(adt, target)
-    prepared = _apply_annotations(state)
-    _place_pinned(state, prepared)
+    units = _apply_annotations(state)
 
     best: Optional[LayoutSolution] = None
     if adt.packing is None:
         best = trivial_layout(adt, target)
 
-    # search items: #solve units first (they are slot-restricted), then the
-    # free fields; variants in declaration order, widths descending
-    unit_field_names = {
-        (v, name) for v, _, unit in prepared.units for name in unit.names()
-    }
-    items: list[tuple[int, object, Optional[int]]] = []
+    # search items: variants in declaration order, widths descending, and
+    # at equal width the #solve units (they are slot-restricted) first, then
+    # the free fields in declaration order
+    in_units = {(v, name) for v, _, unit in units for name in unit.names()}
+    items: list[tuple[int, _Unit, Optional[int]]] = []
     for i, variant in enumerate(adt.variants):
-        per_variant: list[tuple[int, int, object, Optional[int]]] = []
-        for v, j, unit in prepared.units:
-            if v == i:
-                per_variant.append((unit.width, len(per_variant), unit, j))
-        for k, f in enumerate(variant.fields):
-            if (i, f.name) in state.placements or (i, f.name) in unit_field_names:
-                continue
-            per_variant.append((f.width, 100 + k, f, None))
-        per_variant.sort(key=lambda t: (-t[0], t[1]))
-        items.extend((i, obj, restriction) for _, _, obj, restriction in per_variant)
+        per_variant = [(unit, j) for v, j, unit in units if v == i] + [
+            (_Unit.of(f), None) for f in variant.fields
+            if (i, f.name) not in state.placements and (i, f.name) not in in_units
+        ]
+        per_variant.sort(key=lambda uj: -uj[0].pattern.width)  # stable
+        items.extend((i, unit, j) for unit, j in per_variant)
 
     failures: list[str] = []
 
@@ -882,19 +854,16 @@ def solve_layout(adt: MonoAdt, target: Target, budget: int = 10_000) -> LayoutSo
                 state.pop_slot(state.slots[-1])
             if best is not None and state.steps >= budget:
                 pos = end  # the budget is spent: try no further slot
-        v, obj, _ = items[len(stack) - 1]
+        v, unit, _ = items[len(stack) - 1]
         undo = None
         while undo is None and pos < end:
             fresh = pos == len(state.slots)
             if fresh:
-                slot = state.new_slot(state.target.kind_width(obj.kinds), None)
+                slot = state.new_slot(state.target.kind_width(unit.kinds), None)
             else:
                 slot = state.slots[pos]
             pos += 1
-            if isinstance(obj, _Unit):
-                undo = state.try_place_unit(v, obj, slot)
-            else:
-                undo = state.try_place(v, obj, slot)
+            undo = state.place(v, unit, slot)
             if undo is None and fresh:
                 state.pop_slot(slot)
         if undo is not None:
@@ -903,14 +872,13 @@ def solve_layout(adt: MonoAdt, target: Target, budget: int = 10_000) -> LayoutSo
             entering = True
         else:
             if not placed_any:
-                failures.extend(obj.names() if isinstance(obj, _Unit) else [obj.name])
+                failures.extend(unit.names())
             stack.pop()
             entering = False
 
     if best is None:
         raise AnnotationInfeasible(
-            adt.name, failures or [n for (_, o, _) in items for n in
-                                   (o.names() if isinstance(o, _Unit) else [o.name])]
+            adt.name, failures or [n for _, unit, _ in items for n in unit.names()]
         )
     return best
 
@@ -932,25 +900,19 @@ def assign_intervals(
     )
     state = _State(adt, target)
     try:
-        prepared = _apply_annotations(state)
-        _place_pinned(state, prepared)
+        units = _apply_annotations(state)
     except AnnotationInfeasible:
         return None
-    for v, j, unit in prepared.units:
-        if state.try_place_unit(v, unit, state.slots[j]) is None:
+    for v, j, unit in units:
+        if state.place(v, unit, state.slots[j]) is None:
             return None
-    ranked = sorted(enumerate(variant_fields), key=lambda kv: (-kv[1].width, kv[0]))
-    for _, f in ranked:
+    for f in sorted(variant_fields, key=lambda f: -f.width):
         if (0, f.name) in state.placements:
             continue
-        placed = False
-        for slot in state.slots:
-            if state.try_place(0, f, slot) is not None:
-                placed = True
-                break
-        if not placed:
+        unit = _Unit.of(f)
+        if not any(state.place(0, unit, slot) for slot in state.slots):
             slot = state.new_slot(target.kind_width(f.kinds), None)
-            if state.try_place(0, f, slot) is None:
+            if state.place(0, unit, slot) is None:
                 return None
     return {
         name_: (pl.slot, pl.offset)
