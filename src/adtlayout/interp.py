@@ -126,8 +126,7 @@ def observe(program: Program, heap: Heap, value, t: IrType):
                 for v, (_, ft) in zip(rec.fields, variant.source_fields)
             )
             return ("adt", rec.adt, rec.case, fields)
-        disp = program.dispositions.get(key)
-        if disp is not None and not disp.boxed:
+        if program.is_unboxed(key):
             # the scalars of this unboxed ADT (bare when there is just one)
             scalars = list(value) if isinstance(value, tuple) else [value]
             return observe_scalars(program, heap, key, scalars)
@@ -230,8 +229,7 @@ def flatten_live_record(program: Program, heap: Heap, value, t: IrType):
         mono = program.adts[rec.adt]
         variant = mono.variants[rec.case]
         flat = _flatten_fields(program, heap, variant, rec.fields)
-        disp = program.dispositions.get(rec.adt)
-        if disp is not None and not disp.boxed:
+        if program.is_unboxed(rec.adt):
             layout = program.layouts[rec.adt]
             values = {f.name: v for f, v in zip(variant.fields, flat)}
             return codec.encode_variant(layout, rec.case, values)

@@ -24,7 +24,7 @@ from .syntax import (
     TupleType,
     TypeExpr,
 )
-from .targets import Disposition, MonoAdt, Target
+from .targets import Disposition, MonoAdt, MonoVariant, Target
 
 # ---------------------------------------------------------------------------
 # Types
@@ -355,9 +355,10 @@ class Program:
             target=target,
         )
 
-    def adt_source_field_type(self, key: str, case: int, index: int) -> IrType:
-        _, t = self.adts[key].variants[case].source_fields[index]
-        return type_of_expr(t, self.adts)
+    def is_unboxed(self, key: str) -> bool:
+        """True when ADT `key` is laid out in scalars rather than boxed."""
+        disp = self.dispositions.get(key)
+        return disp is not None and not disp.boxed
 
     def contents_type(self, key: str, case: int) -> IrType:
         fields = self.adts[key].variants[case].source_fields
@@ -410,6 +411,8 @@ def check_function(program: Program, fn: Function) -> None:
     definition dominates the use but has no type yet is defined later in
     the same block."""
     post = program.normalized
+    if fn.entry not in fn.blocks:
+        raise IrTypeError(f"{fn.name} has no entry block")
     for blk in fn.blocks.values():
         for s in _successors(blk.term):
             if s not in fn.blocks:
@@ -422,6 +425,10 @@ def check_function(program: Program, fn: Function) -> None:
         types[name] = t
         def_block[name] = fn.entry
     order = fn.block_order()
+    reached = set(order)
+    for label in fn.blocks:
+        if label not in reached:
+            raise IrTypeError(f"block {label} is unreachable from the entry")
     for label in order:
         blk = fn.blocks[label]
         if blk.term is None:
@@ -487,9 +494,37 @@ _POST_ONLY = (TupleMake, Project, BinOp, ShiftOp, SExt, Bitcast, RecordGet, Reco
 _INT_BACKED = (TInt, TIntRep)
 
 
-def _unboxed(program: Program, key: str) -> bool:
-    disp = program.dispositions.get(key)
-    return disp is not None and not disp.boxed
+def _adt(program: Program, key: str) -> MonoAdt:
+    if key not in program.adts:
+        raise IrTypeError(f"unknown ADT {key}")
+    return program.adts[key]
+
+
+def _variant(program: Program, key: str, case: int) -> MonoVariant:
+    variants = _adt(program, key).variants
+    if not 0 <= case < len(variants):
+        raise IrTypeError(f"{key} has no case #{case}")
+    return variants[case]
+
+
+def _field(program: Program, key: str, case: int, index: int, normalized: bool):
+    """Field `index` of case `case` of ADT `key`: a normalized field or a
+    (name, type) source field."""
+    variant = _variant(program, key, case)
+    fields = variant.fields if normalized else variant.source_fields
+    if not 0 <= index < len(fields):
+        raise IrTypeError(f"{key}#{case} has no field {index}")
+    return fields[index]
+
+
+def _known(program: Program, t: IrType) -> IrType:
+    """`t`, after checking that the program has the ADTs it names."""
+    if isinstance(t, TTuple):
+        for e in t.elems:
+            _known(program, e)
+    elif isinstance(t, (TAdt, TCase)):
+        _adt(program, t.key)
+    return t
 
 
 def _check_instr(program: Program, ins: Instr, use) -> IrType:
@@ -501,19 +536,19 @@ def _check_instr(program: Program, ins: Instr, use) -> IrType:
     if not post and isinstance(ins, _POST_ONLY):
         raise IrTypeError(f"{type(ins).__name__} only exists after normalization")
     if isinstance(ins, Const):
-        if isinstance(ins.type, TAdt):
+        if isinstance(_known(program, ins.type), TAdt):
             if ins.value is not None:
                 raise IrTypeError("ADT constants can only be null")
-            if post and _unboxed(program, ins.type.key):
+            if post and program.is_unboxed(ins.type.key):
                 raise IrTypeError("null constant of an unboxed ADT after normalization")
         elif ins.value is None:
             raise IrTypeError("null constant of a non-reference type")
         return ins.type
     if isinstance(ins, Alloc):
         have = [use(a) for a in ins.args]
-        variant = program.adts[ins.adt].variants[ins.case]
+        variant = _variant(program, ins.adt, ins.case)
         if post:
-            if _unboxed(program, ins.adt):
+            if program.is_unboxed(ins.adt):
                 raise IrTypeError("normalized code cannot allocate an unboxed ADT")
             want = [normalized_field_type(program, f) for f in variant.fields]
         else:
@@ -522,29 +557,34 @@ def _check_instr(program: Program, ins: Instr, use) -> IrType:
             raise IrTypeError(f"alloc {ins.adt}#{ins.case}: argument types mismatch")
         return TAdt(ins.adt)
     if isinstance(ins, GetField):
+        _, t = _field(program, ins.adt, ins.case, ins.field, normalized=False)
         if use(ins.src) != TAdt(ins.adt):
             raise IrTypeError("field access on a value of the wrong type")
-        return program.adt_source_field_type(ins.adt, ins.case, ins.field)
+        return type_of_expr(t, program.adts)
     if isinstance(ins, GetContents):
+        _variant(program, ins.adt, ins.case)
         if use(ins.src) != TAdt(ins.adt):
             raise IrTypeError("field access on a value of the wrong type")
         return program.contents_type(ins.adt, ins.case)
     if isinstance(ins, GetTag):
+        _adt(program, ins.adt)
         if use(ins.src) != TAdt(ins.adt):
             raise IrTypeError("tag/replace-null on a value of the wrong type")
         return TAG_TYPE
     if isinstance(ins, ReplaceNull):
+        _adt(program, ins.adt)
         if use(ins.src, null_ok=True) != TAdt(ins.adt):
             raise IrTypeError("tag/replace-null on a value of the wrong type")
         return TAdt(ins.adt)
     if isinstance(ins, Eq):
+        _known(program, ins.type)
         ta, tb = use(ins.a), use(ins.b)
         if isinstance(ins.type, _INT_BACKED):
             if not (isinstance(ta, _INT_BACKED) and isinstance(tb, _INT_BACKED)):
                 raise IrTypeError("eq on integer bits needs integer-backed operands")
         elif ta != ins.type or tb != ins.type:
             raise IrTypeError("eq operands must both have the annotated type")
-        if post and isinstance(ins.type, TAdt) and _unboxed(program, ins.type.key):
+        if post and isinstance(ins.type, TAdt) and program.is_unboxed(ins.type.key):
             raise IrTypeError("normalized eq on an unboxed ADT must be a call")
         return BOOL
     if isinstance(ins, Call):
@@ -571,13 +611,14 @@ def _check_instr(program: Program, ins: Instr, use) -> IrType:
         return use(ins.src)
     if isinstance(ins, Bitcast):
         use(ins.src)
-        return ins.type
+        return _known(program, ins.type)
     if isinstance(ins, RecordGet):
+        f = _field(program, ins.adt, ins.case, ins.index, normalized=True)
         if use(ins.src) != TAdt(ins.adt):
             raise IrTypeError("record read on a value of the wrong type")
-        f = program.adts[ins.adt].variants[ins.case].fields[ins.index]
         return normalized_field_type(program, f)
     if isinstance(ins, RecordTag):
+        _adt(program, ins.adt)
         if use(ins.src) != TAdt(ins.adt):
             raise IrTypeError("record tag on a value of the wrong type")
         return TAG_TYPE

@@ -85,14 +85,10 @@ class Normalizer:
 
     # -- types ---------------------------------------------------------------
 
-    def is_unboxed(self, key: str) -> bool:
-        disp = self.pre.dispositions.get(key)
-        return disp is not None and not disp.boxed
-
     def normalize_type(self, t: IrType) -> IrType:
         leaves = self.expand_type(t)
         if isinstance(t, TTuple) or (
-            isinstance(t, (TAdt, TCase)) and self.is_unboxed(t.key)
+            isinstance(t, (TAdt, TCase)) and self.pre.is_unboxed(t.key)
         ):
             return TTuple(tuple(leaves))
         return leaves[0]
@@ -103,7 +99,7 @@ class Normalizer:
             for e in t.elems:
                 out.extend(self.expand_type(e))
             return out
-        if isinstance(t, (TAdt, TCase)) and self.is_unboxed(t.key):
+        if isinstance(t, (TAdt, TCase)) and self.pre.is_unboxed(t.key):
             layout = self.pre.layouts[t.key]
             return [TIntRep(s.width, s.kind.value) for s in layout.slots]
         if isinstance(t, TCase):
@@ -316,7 +312,7 @@ class _FunctionNormalizer:
         ctx = self.ctx
         if isinstance(ins, Const):
             if isinstance(ins.type, TAdt) and ins.value is None:
-                if ctx.is_unboxed(ins.type.key):
+                if ctx.pre.is_unboxed(ins.type.key):
                     self.env[ins.dst] = _NullMarker(ins.type.key)
                     return
                 name = self.emit_typed(Const(ins.dst, ins.type, None), ins.type)
@@ -326,8 +322,8 @@ class _FunctionNormalizer:
             return
         if isinstance(ins, Alloc):
             flat = [n for a in ins.args for n in self.names_of(a)]
-            if ctx.is_unboxed(ins.adt):
-                self.env[ins.dst] = self._assemble(ins.adt, ins.case, flat, ins.dst)
+            if ctx.pre.is_unboxed(ins.adt):
+                self.env[ins.dst] = self._assemble(ins.adt, ins.case, flat)
             else:
                 t = TAdt(ins.adt)
                 self.emit_typed(Alloc(ins.dst, ins.adt, ins.case, tuple(flat)), t)
@@ -337,7 +333,7 @@ class _FunctionNormalizer:
             self._get(ins)
             return
         if isinstance(ins, GetTag):
-            if ctx.is_unboxed(ins.adt):
+            if ctx.pre.is_unboxed(ins.adt):
                 scalars = self.names_of(ins.src)
                 tag = self.extract_tag(ins.adt, scalars)
                 self.env[ins.dst] = [tag]
@@ -346,7 +342,7 @@ class _FunctionNormalizer:
                 self.env[ins.dst] = [ins.dst]
             return
         if isinstance(ins, ReplaceNull):
-            if ctx.is_unboxed(ins.adt):
+            if ctx.pre.is_unboxed(ins.adt):
                 src = self.env[ins.src]
                 if isinstance(src, _NullMarker):
                     self.env[ins.dst] = self.default_value_names(ins.adt)
@@ -386,14 +382,14 @@ class _FunctionNormalizer:
         fields): scalar assembly for unboxed ADTs, a replace-null helper call
         for boxed ones. Returns the value's post names."""
         ctx = self.ctx
-        if not ctx.is_unboxed(key):
+        if not ctx.pre.is_unboxed(key):
             null = self.const(TAdt(key), None)
             helper = ctx.replace_null_fn(key)
             name = self.emit_typed(Call(self.fresh("d"), helper, (null,)), TAdt(key))
             return [name]
         variant = ctx.pre.adts[key].variants[0]
         args = self.default_flat_args(variant)
-        return self._assemble(key, 0, args, "default")
+        return self._assemble(key, 0, args)
 
     def default_flat_args(self, variant) -> list[str]:
         """Default value for every normalized field of a variant, in order:
@@ -420,7 +416,7 @@ class _FunctionNormalizer:
 
     # -- packing helpers ---------------------------------------------------------
 
-    def _assemble(self, key: str, case: int, flat_args: list[str], dst: str) -> list[str]:
+    def _assemble(self, key: str, case: int, flat_args: list[str]) -> list[str]:
         """Bit-assembly of the scalars of one unboxed variant value."""
         layout = self.ctx.pre.layouts[key]
         mono = self.ctx.pre.adts[key]
@@ -436,7 +432,7 @@ class _FunctionNormalizer:
                 pl = layout.placements[(case, f.name)]
                 if pl.slot != s:
                     continue
-                bits = self._as_bits(flat_args[k], f, t)
+                bits = self._as_bits(flat_args[k], f)
                 if f.signed:
                     m = self.const(t, _mask(pl.width))
                     bits = self.emit_typed(BinOp(self.fresh("m"), "and", bits, m), t)
@@ -448,7 +444,7 @@ class _FunctionNormalizer:
             out.append(acc)
         return out
 
-    def _as_bits(self, name: str, f, t: IrType) -> str:
+    def _as_bits(self, name: str, f) -> str:
         have = self.types[name]
         if isinstance(have, (TInt, TIntRep)):
             return name
@@ -508,7 +504,7 @@ class _FunctionNormalizer:
             ]
         else:
             indices = list(range(len(variant.fields)))
-        if ctx.is_unboxed(ins.adt):
+        if ctx.pre.is_unboxed(ins.adt):
             scalars = self.names_of(ins.src)
             tag = self.extract_tag(ins.adt, scalars)
             want = self.const(TAG_TYPE, ins.case)
@@ -540,7 +536,7 @@ class _FunctionNormalizer:
 
     def _equality(self, t: IrType, a: list[str], b: list[str]) -> str:
         ctx = self.ctx
-        if isinstance(t, (TAdt, TCase)) and ctx.is_unboxed(t.key):
+        if isinstance(t, (TAdt, TCase)) and ctx.pre.is_unboxed(t.key):
             fname = ctx.equality_fn(t.key)
             return self.emit_typed(
                 Call(self.fresh("eq"), fname, tuple(a + b)), BOOL

@@ -21,7 +21,7 @@ from .targets import (
     substitute,
     unboxing_eligibility,
 )
-from .verify import Diagnostic, check_program_decls
+from .verify import check_program_decls
 
 _MAX_TYPE_DEPTH = 8
 
@@ -30,8 +30,6 @@ _MAX_TYPE_DEPTH = 8
 class ProgramLayouts:
     order: list[str]  # instantiation keys in processing order
     resolved: dict[str, ResolvedAdt]
-    packing_decls: dict[str, PackingDecl]
-    diagnostics: list[Diagnostic]
 
     def layouts(self) -> dict[str, LayoutSolution]:
         return {
@@ -150,7 +148,7 @@ def process_adts(
             raise MonoError(f"type {d.name} is declared twice")
         else:
             adt_decls[d.name] = d
-    delta, diagnostics = check_program_decls(packing_list)
+    delta, _ = check_program_decls(packing_list)
 
     if requests is None:
         requests = [
@@ -195,7 +193,7 @@ def process_adts(
         packing_decls=delta,
         recursive_keys=recursive_keys,
     )
-    result = ProgramLayouts(order=[], resolved={}, packing_decls=delta, diagnostics=diagnostics)
+    result = ProgramLayouts(order=[], resolved={})
     # components arrive dependencies-first
     for comp in components:
         for key in sorted(comp, key=order_seen.index):

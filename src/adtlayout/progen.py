@@ -130,7 +130,7 @@ class _Gen:
         for _ in range(steps):
             if self.budget <= 0:
                 break
-            self.random_instr(blk, pool, depth)
+            self.random_instr(blk, pool)
         if self.budget > 0 and depth < 2 and rng.random() < 0.35:
             if self.split(blk, pool, depth):
                 return
@@ -166,7 +166,7 @@ class _Gen:
 
     # -- instruction emission --
 
-    def random_instr(self, blk: Block, pool: dict, depth: int) -> None:
+    def random_instr(self, blk: Block, pool: dict) -> None:
         rng = self.rng
         ops = ["const", "alloc", "getfield", "gettag", "eq", "replacenull", "contents"]
         op = rng.choice(ops)

@@ -9,6 +9,7 @@ from adtlayout.ir import (
     BOOL,
     Alloc,
     BinOp,
+    Bitcast,
     Block,
     Branch,
     Call,
@@ -21,6 +22,8 @@ from adtlayout.ir import (
     IrTypeError,
     Jump,
     Program,
+    RecordGet,
+    RecordTag,
     ReplaceNull,
     Return,
     Switch,
@@ -793,6 +796,64 @@ entry:
     ("normalized-tuple-early-read", lambda: _post(
         [TupleMake("t", ("x",)), Const("x", U32, 1)], Return("x")
     ), "x used before its definition in entry"),
+    ("no-entry-block", lambda: _pre("""fn main() -> u32 {
+}"""), "main has no entry block"),
+    ("unreachable-block", lambda: _pre("""fn main() -> u32 {
+entry:
+  %x = const<u32> 1
+  ret %x
+dead:
+  ret %nope
+}"""), "block dead is unreachable from the entry"),
+    # instructions naming an ADT, case or field the program lacks
+    ("const-unknown-adt", lambda: _pre("""fn main() -> u32 {
+entry:
+  %n = const<Nope> null
+  %r = replacenull<Nope>(%n)
+  %t = gettag<Nope>(%r)
+  ret %t
+}"""), "unknown ADT Nope"),
+    ("alloc-unknown-case", lambda: _pre("""fn main() -> Option {
+entry:
+  %o = alloc<Option#7>()
+  ret %o
+}"""), "Option has no case #7"),
+    ("getfield-unknown-field", lambda: _pre("""fn main(%o: Option) -> u32 {
+entry:
+  %x = getfield<Option#1.3>(%o)
+  ret %x
+}"""), "Option#1 has no field 3"),
+    ("contents-negative-case", lambda: _pre("""fn main(%o: Option) -> u32 {
+entry:
+  %x = contents<Option#-1>(%o)
+  ret %x
+}"""), "Option has no case #-1"),
+    ("gettag-unknown-adt", lambda: _pre("""fn main(%o: Option) -> u32 {
+entry:
+  %t = gettag<Nope>(%o)
+  ret %t
+}"""), "unknown ADT Nope"),
+    ("replacenull-unknown-adt", lambda: _pre("""fn main() -> u32 {
+entry:
+  %n = const<Option> null
+  %r = replacenull<Nope>(%n)
+  %t = gettag<Option>(%r)
+  ret %t
+}"""), "unknown ADT Nope"),
+    ("eq-unknown-adt", lambda: _pre("""fn main(%o: Option) -> bool {
+entry:
+  %e = eq<(u8, Nope)>(%o, %o)
+  ret %e
+}"""), "unknown ADT Nope"),
+    ("recordget-unknown-field", lambda: _post(
+        [Const("o", U32, 1), RecordGet("x", "Option", 1, 5, "o")], Return("x")
+    ), "Option#1 has no field 5"),
+    ("recordtag-unknown-adt", lambda: _post(
+        [Const("o", U32, 1), RecordTag("t", "Nope", "o")], Return("t")
+    ), "unknown ADT Nope"),
+    ("bitcast-unknown-adt", lambda: _post(
+        [Const("a", U32, 1), Bitcast("b", "a", TAdt("Nope"))], Return("b")
+    ), "unknown ADT Nope"),
 ]
 
 
