@@ -601,6 +601,8 @@ def _check_instr(program: Program, ins: Instr, use) -> IrType:
         src = use(ins.src)
         if not isinstance(src, TTuple):
             raise IrTypeError("project from a non-tuple")
+        if not 0 <= ins.index < len(src.elems):
+            raise IrTypeError(f"project of element {ins.index} from a {len(src.elems)}-tuple")
         return src.elems[ins.index]
     if isinstance(ins, BinOp):
         ta, tb = use(ins.a), use(ins.b)

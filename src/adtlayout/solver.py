@@ -741,7 +741,7 @@ def _apply_annotations(state: _State) -> list[tuple[int, int, _Unit]]:
                     pins[(v, fname)] = (j, off)
             else:
                 for item in entry.items:
-                    fields = [(rel, variant.field_named(n)) for n, rel in item.assignments.items()]
+                    fields = [(rel, variant.field_named(name)) for name, rel in item.assignments.items()]
                     kinds = None if fields else state.target.kinds_for_int(32)
                     for _, f in fields:
                         if f.ref_mode != REF_NONE:

@@ -22,6 +22,7 @@ from adtlayout.ir import (
     IrTypeError,
     Jump,
     Program,
+    Project,
     RecordGet,
     RecordTag,
     ReplaceNull,
@@ -851,6 +852,9 @@ entry:
     ("recordtag-unknown-adt", lambda: _post(
         [Const("o", U32, 1), RecordTag("t", "Nope", "o")], Return("t")
     ), "unknown ADT Nope"),
+    ("project-out-of-range", lambda: _post(
+        [Const("a", U32, 1), TupleMake("t", ("a",)), Project("y", "t", 5)], Return("a")
+    ), "project of element 5 from a 1-tuple"),
     ("bitcast-unknown-adt", lambda: _post(
         [Const("a", U32, 1), Bitcast("b", "a", TAdt("Nope"))], Return("b")
     ), "unknown ADT Nope"),
