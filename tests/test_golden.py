@@ -1,9 +1,11 @@
-"""Golden layout snapshot: `layout --json` output, compared byte for byte.
+"""Golden snapshots, compared byte for byte: `layout --json` output, and
+the normalized functions of the nested bundle on each target.
 
-The snapshot pins the layouts, tag schemes, scores and step counts that the
-solver reports today, so a refactor can show that it changes none of them.
-A change to a golden file is a change in behaviour: name it and give the
-reason in CHANGES.md. To write the files of the named cases after such a
+The layout snapshots pin the layouts, tag schemes, scores and step counts
+that the solver reports today, and the normalized-code snapshots pin every
+instruction, name and block label that normalization emits, so a refactor
+can show that it changes none of them. A change to a golden file is a
+change in behaviour: name it and give the reason in CHANGES.md. To write the files of the named cases after such a
 change, or for a new case, run `PYTHONPATH=src python tests/test_golden.py
 STEM...`; it writes only the stems it is given.
 """
@@ -18,8 +20,10 @@ import tempfile
 import pytest
 
 from adtlayout.cli import cmd_layout
+from adtlayout.norm import normalize_program
+from adtlayout.progtext import parse_bundle
 
-from corpus import CORPUS_SRC
+from corpus import CORPUS_SRC, NESTED_BUNDLE
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 
@@ -73,7 +77,34 @@ type Pr #unboxed { case A(p: Box) #packing p; case B(x: u8, y: u8) #packing #sol
 type Mx #unboxed { case A(p: Box, t: u4); case B(x: u8, y: u16) #packing #solve(0b_11, x); }
 """
 
-# golden file stem -> (source, target)
+def layout_json(source: str, target: str) -> str:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp) / "input.pk"
+        path.write_text(source, encoding="utf-8")
+        out = io.StringIO()
+        assert cmd_layout([str(path)], target=target, as_json=True, out=out) == 0
+    return out.getvalue()
+
+
+def normalized_code(bundle: str, target: str) -> str:
+    """The normalized functions of a bundle: functions and blocks in sorted
+    order, each instruction and terminator as its `repr`."""
+    program, _ = parse_bundle(f"target {target}\n{bundle}")
+    post = normalize_program(program)
+    lines = []
+    for name in sorted(post.functions):
+        fn = post.functions[name]
+        head = f"fn {name} {fn.params!r} -> {fn.ret!r} ({fn.semantic_ret!r})"
+        lines.append(f"{head} entry {fn.entry}")
+        for label in sorted(fn.blocks):
+            blk = fn.blocks[label]
+            lines.append(f"  {label}:")
+            lines.extend(f"    {ins!r}" for ins in blk.instrs)
+            lines.append(f"    {blk.term!r}")
+    return "\n".join(lines) + "\n"
+
+
+# golden file stem -> (source, target) of a layout report, STEM.json
 CASES = {
     "corpus-x64": (CORPUS_SRC, "x64"),
     "corpus-jvm": (CORPUS_SRC, "jvm"),
@@ -88,37 +119,43 @@ CASES = {
     "annotated-refs-x64": (ANNOTATED_REFS, "x64"),
 }
 
+# golden file stem -> target of the nested bundle's normalized code, STEM.txt
+NORMALIZED_CASES = {f"nested-norm-{t}": t for t in ("x64", "jvm", "x86-32")}
 
-def layout_json(source: str, target: str) -> str:
-    with tempfile.TemporaryDirectory() as tmp:
-        path = pathlib.Path(tmp) / "input.pk"
-        path.write_text(source, encoding="utf-8")
-        out = io.StringIO()
-        assert cmd_layout([str(path)], target=target, as_json=True, out=out) == 0
-    return out.getvalue()
+
+def golden_path(name: str) -> pathlib.Path:
+    return GOLDEN_DIR / (f"{name}.json" if name in CASES else f"{name}.txt")
+
+
+def render(name: str) -> str:
+    if name in CASES:
+        return layout_json(*CASES[name])
+    return normalized_code(NESTED_BUNDLE, NORMALIZED_CASES[name])
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_layout_matches_golden(name):
-    source, target = CASES[name]
-    golden = (GOLDEN_DIR / f"{name}.json").read_text(encoding="utf-8")
-    assert layout_json(source, target) == golden
+    assert render(name) == golden_path(name).read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("name", sorted(NORMALIZED_CASES))
+def test_normalized_code_matches_golden(name):
+    assert render(name) == golden_path(name).read_text(encoding="utf-8")
 
 
 def main(stems: list[str]) -> int:
+    known = sorted({**CASES, **NORMALIZED_CASES})
     if not stems:
-        print(f"usage: {sys.argv[0]} STEM... (one of: {', '.join(sorted(CASES))})",
-              file=sys.stderr)
+        print(f"usage: {sys.argv[0]} STEM... (one of: {', '.join(known)})", file=sys.stderr)
         return 2
-    unknown = [s for s in stems if s not in CASES]
+    unknown = [s for s in stems if s not in known]
     if unknown:
         print(f"unknown golden case: {', '.join(unknown)}", file=sys.stderr)
         return 2
     GOLDEN_DIR.mkdir(exist_ok=True)
     for name in stems:
-        source, target = CASES[name]
-        (GOLDEN_DIR / f"{name}.json").write_text(layout_json(source, target), encoding="utf-8")
-        print(f"wrote {GOLDEN_DIR / name}.json")
+        golden_path(name).write_text(render(name), encoding="utf-8")
+        print(f"wrote {golden_path(name)}")
     return 0
 
 

@@ -867,3 +867,22 @@ entry:
 def test_checker_rejects_with_its_message(build, message):
     with pytest.raises(IrTypeError, match=re.escape(message)):
         check_program(build())
+
+
+@pytest.mark.parametrize("target", ["x64", "jvm", "x86-32"])
+def test_nested_fields_agree_boxed_and_normalized(target):
+    """Tuple fields and ADTs embedded in unboxed and boxed ones, read whole
+    (observation), by getfield, by eq and as replace-null defaults: every
+    entry of the nested bundle gives the same outcome boxed and normalized."""
+    from corpus import NESTED_BUNDLE, NESTED_ENTRIES
+
+    program, _ = progtext.parse_bundle(f"target {target}\n{NESTED_BUNDLE}")
+    check_program(program)
+    post = norm.normalize_program(program)
+    check_program(post)
+    for entry in NESTED_ENTRIES:
+        pre = eval_program(program, entry)
+        assert pre.trap is None, entry
+        assert eval_program(post, entry) == pre, entry
+    assert eval_program(program, "eq") == Outcome(None, 0)  # every eq as expected
+    assert eval_program(program, "defaults").value[2] == 0  # Outer's first case
