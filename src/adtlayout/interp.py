@@ -7,7 +7,8 @@ and ('null',) for a null reference. Heap identity is never observable.
 
 Records live in a heap addressed by 8-aligned integers; null is 0. Before
 normalization record fields hold source-shaped values; after, they hold
-the flattened scalars."""
+the flattened scalars, which observation turns back into source-shaped
+observables by walking each source field's type with `Program.spread`."""
 
 from __future__ import annotations
 
@@ -28,6 +29,7 @@ from .ir import (
     GetField,
     GetTag,
     IrType,
+    IrTypeError,
     IsNull,
     Jump,
     Program,
@@ -49,6 +51,7 @@ from .ir import (
     TupleMake,
     type_of_expr,
 )
+from .syntax import FloatType, NamedType, TupleType, print_type
 
 
 _ALIGN = 8
@@ -130,10 +133,7 @@ def observe(program: Program, heap: Heap, value, t: IrType):
             # the scalars of this unboxed ADT (bare when there is just one)
             scalars = list(value) if isinstance(value, tuple) else [value]
             return observe_scalars(program, heap, key, scalars)
-        if value == 0 or value is None:
-            return ("null",)
-        rec = heap.read(value)
-        return _observe_post_record(program, heap, rec)
+        return _observe_record(program, heap, value)
     raise TypeError(f"cannot observe at {t!r}")
 
 
@@ -141,68 +141,34 @@ def observe_scalars(program: Program, heap: Heap, key: str, scalars: list[int]):
     """Decode an unboxed ADT value from its scalars into the observable form."""
     layout = program.layouts[key]
     case = codec.variant_of(layout, scalars)
-    mono = program.adts[key]
-    variant = mono.variants[case]
+    variant = program.adts[key].variants[case]
     flat = [codec.decode_field(layout, case, f.name, scalars) for f in variant.fields]
-    fields = _rebuild_source_fields(program, heap, variant, flat)
-    return ("adt", key, case, tuple(fields))
+    return ("adt", key, case, _observe_fields(program, heap, variant, flat))
 
 
-def _observe_post_record(program: Program, heap: Heap, rec: Record):
-    mono = program.adts[rec.adt]
-    variant = mono.variants[rec.case]
-    fields = _rebuild_source_fields(program, heap, variant, list(rec.fields))
-    return ("adt", rec.adt, rec.case, tuple(fields))
+def _observe_record(program: Program, heap: Heap, addr):
+    """A boxed ADT value after normalization: null, or a record that holds
+    the values of its variant's normalized fields."""
+    if addr in (0, None):
+        return ("null",)
+    rec = heap.read(addr)
+    variant = program.adts[rec.adt].variants[rec.case]
+    return ("adt", rec.adt, rec.case, _observe_fields(program, heap, variant, rec.fields))
 
 
-def _rebuild_source_fields(program: Program, heap: Heap, variant, flat: list):
-    """Reassemble source-shaped observables from flattened scalar values."""
-    groups: dict[int, list[tuple]] = {}
-    for f, v in zip(variant.fields, flat):
-        groups.setdefault(f.source[0], []).append((f, v))
-    out = []
-    for j, (fname, ftype) in enumerate(variant.source_fields):
-        items = groups.get(j, [])
-        out.append(_rebuild_value(program, heap, ftype, (j,), items))
-    return out
+def _observe_fields(program: Program, heap: Heap, variant, flat: list) -> tuple:
+    """The observables of a variant's source fields, from the values of its
+    normalized fields in order, walked as `Program.spread` spreads them."""
+    values = iter(flat)
 
+    def part(t, key, taken):
+        if key is not None and program.is_unboxed(key):
+            return observe_scalars(program, heap, key, taken)
+        if isinstance(t, NamedType):  # a boxed ADT or an opaque reference
+            return _observe_record(program, heap, taken[0])
+        return ("f", taken[0]) if isinstance(t, FloatType) else taken[0]
 
-def _rebuild_value(program: Program, heap: Heap, ftype, path: tuple, items: list):
-    from .syntax import FloatType, NamedType, TupleType
-
-    if isinstance(ftype, TupleType):
-        return tuple(
-            _rebuild_value(
-                program,
-                heap,
-                elem,
-                path + (i,),
-                [(f, v) for f, v in items if f.source[: len(path) + 1] == path + (i,)],
-            )
-            for i, elem in enumerate(ftype.elems)
-        )
-    if isinstance(ftype, NamedType) and not items:
-        # an embedded unboxed ADT that needs zero scalars (single nullary case)
-        from .syntax import print_type
-
-        return ("adt", print_type(ftype), 0, ())
-    assert items, f"no scalars at {path} for {ftype!r}"
-    if isinstance(ftype, NamedType):
-        key_items = sorted(items, key=lambda fv: fv[0].scalar_index)
-        first = key_items[0][0]
-        if not first.embedded:
-            addr = key_items[0][1]
-            if addr in (0, None):
-                return ("null",)
-            return _observe_post_record(program, heap, heap.read(addr))
-        # an embedded unboxed ADT: one scalar per layout slot
-        return observe_scalars(
-            program, heap, first.adt_ref, [v for _, v in key_items]
-        )
-    f, v = items[0]
-    if isinstance(ftype, FloatType):
-        return ("f", v)
-    return v
+    return tuple(program.spread(t, values, part) for _, t in variant.source_fields)
 
 
 # ---------------------------------------------------------------------------
@@ -246,16 +212,12 @@ def _flatten_fields(program: Program, heap: Heap, variant, source_values: list) 
 
 
 def _flatten_one(program: Program, heap: Heap, ftype, v) -> list:
-    from .syntax import NamedType, TupleType
-
     if isinstance(ftype, TupleType):
         out: list = []
         for elem, ev in zip(ftype.elems, v):
             out.extend(_flatten_one(program, heap, elem, ev))
         return out
     if isinstance(ftype, NamedType):
-        from .syntax import print_type
-
         key = print_type(ftype)
         if key not in program.adts:
             return [v if isinstance(v, int) else 0]
@@ -433,8 +395,6 @@ def default_value(program: Program, heap: Heap, key: str, depth: int = 0):
 
 
 def _default_for_type(program: Program, heap: Heap, ftype, depth: int):
-    from .syntax import NamedType, TupleType, print_type
-
     if isinstance(ftype, TupleType):
         return tuple(_default_for_type(program, heap, e, depth) for e in ftype.elems)
     if isinstance(ftype, NamedType):
@@ -454,5 +414,11 @@ def replace_null(program: Program, heap: Heap, key: str, value):
 
 def eval_program(program: Program, entry: str = "main", inputs: Optional[list] = None) -> Outcome:
     """Run a program; the observable output is the entry function's return
-    value (structurally rendered) or the trap kind."""
-    return _Machine(program).run(entry, inputs or [])
+    value (structurally rendered) or the trap kind. `inputs` holds one value
+    per parameter of the entry function."""
+    inputs = inputs or []
+    count = len(program.functions[entry].params)
+    if len(inputs) != count:
+        plural = "" if count == 1 else "s"
+        raise IrTypeError(f"{entry} takes {count} argument{plural}, {len(inputs)} given")
+    return _Machine(program).run(entry, inputs)

@@ -7,13 +7,15 @@ return, so single assignment plus dominance gives well-defined values.
 Source programs (before normalization) operate on ADT values through
 alloc/getfield/gettag/contents/replacenull/eq; normalized programs add
 tuple construction, projection, bitwise operations and record reads over
-the flattened representation.
+the flattened representation. `Program.spread` is the one rule for how a
+source value spreads over normalized fields; normalization and the
+observation of normalized values both read it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dfield
-from typing import Optional, Union
+from typing import Callable, Iterator, Optional, Union
 
 from .solver import LayoutSolution
 from .syntax import (
@@ -23,6 +25,7 @@ from .syntax import (
     NamedType,
     TupleType,
     TypeExpr,
+    print_type,
 )
 from .targets import Disposition, MonoAdt, MonoVariant, Target
 
@@ -82,8 +85,6 @@ def type_of_expr(t: TypeExpr, adts: dict[str, MonoAdt]) -> IrType:
     if isinstance(t, TupleType):
         return TTuple(tuple(type_of_expr(e, adts) for e in t.elems))
     if isinstance(t, NamedType):
-        from .syntax import print_type
-
         key = print_type(t)
         if key in adts:
             return TAdt(key)
@@ -360,6 +361,25 @@ class Program:
         disp = self.dispositions.get(key)
         return disp is not None and not disp.boxed
 
+    def spread(self, t: TypeExpr, items: Iterator, part: Callable):
+        """The rule for how a source value of type `t` spreads over
+        normalized fields. A tuple is its elements, in order; a declared
+        unboxed ADT is its layout's scalars (none for a one-case nullary
+        type); anything else is one field: a scalar, a boxed ADT reference
+        or an opaque reference.
+
+        Takes one item per field from `items` (the fields themselves, or
+        their values) and returns `part(t, key, taken)` for each part, nested
+        in tuples as `t` nests them; `key` is the ADT that the part names,
+        None for a scalar or an opaque reference."""
+        if isinstance(t, TupleType):
+            return tuple(self.spread(e, items, part) for e in t.elems)
+        key = print_type(t) if isinstance(t, NamedType) else None
+        if key not in self.adts:
+            return part(t, None, [next(items)])
+        n = len(self.layouts[key].slots) if self.is_unboxed(key) else 1
+        return part(t, key, [next(items) for _ in range(n)])
+
     def contents_type(self, key: str, case: int) -> IrType:
         fields = self.adts[key].variants[case].source_fields
         types = tuple(type_of_expr(t, self.adts) for _, t in fields)
@@ -469,7 +489,8 @@ def check_function(program: Program, fn: Function) -> None:
             if use(term.cond) != BOOL:
                 raise IrTypeError("branch condition must be u1")
         elif isinstance(term, Switch):
-            use(term.value)
+            if not isinstance(use(term.value), TInt):
+                raise IrTypeError("switch operand must be an integer")
 
 
 def normalized_field_type(program: Program, f) -> IrType:

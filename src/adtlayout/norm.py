@@ -6,10 +6,14 @@ Multi-scalar values flow as separate names; only returns pack them into a
 tuple, unpacked again at call sites. Allocation of an unboxed case becomes
 bitwise assembly of its scalar words; field and tag reads become shifts
 and masks; equality on unboxed values becomes a call to a generated
-per-ADT equality function."""
+per-ADT equality function. Where a source field spreads over several
+normalized fields (a tuple, an embedded unboxed ADT), field reads, default
+values and generated equality take its fields as `Program.spread` walks
+them."""
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -52,7 +56,7 @@ from .ir import (
     normalized_field_type,
 )
 from .solver import BareTag, ExplicitTag, SingleVariant, TreeTag
-from .targets import REF_NONE, REF_PLAIN
+from .targets import REF_PLAIN
 
 
 @dataclass(frozen=True)
@@ -84,14 +88,6 @@ class Normalizer:
         self._made_helpers: set[str] = set()
 
     # -- types ---------------------------------------------------------------
-
-    def normalize_type(self, t: IrType) -> IrType:
-        leaves = self.expand_type(t)
-        if isinstance(t, TTuple) or (
-            isinstance(t, (TAdt, TCase)) and self.pre.is_unboxed(t.key)
-        ):
-            return TTuple(tuple(leaves))
-        return leaves[0]
 
     def expand_type(self, t: IrType) -> list[IrType]:
         if isinstance(t, TTuple):
@@ -393,25 +389,19 @@ class _FunctionNormalizer:
 
     def default_flat_args(self, variant) -> list[str]:
         """Default value for every normalized field of a variant, in order:
-        zeros and null-free defaults of referenced ADTs."""
+        the defaults of the ADTs its parts name, and zeros."""
         ctx = self.ctx
         args: list[str] = []
-        k = 0
-        while k < len(variant.fields):
-            f = variant.fields[k]
-            if f.embedded:
-                group = [
-                    g for g in variant.fields
-                    if g.embedded and g.source == f.source and g.adt_ref == f.adt_ref
-                ]
-                args.extend(self.default_value_names(f.adt_ref))
-                k += len(group)
-                continue
-            if f.ref_mode != REF_NONE and f.adt_ref is not None and f.adt_ref in ctx.pre.adts:
-                args.extend(self.default_value_names(f.adt_ref))
+
+        def part(t, key, fields) -> None:
+            if key is None:
+                args.append(self.const(normalized_field_type(ctx.post, fields[0]), 0))
             else:
-                args.append(self.const(normalized_field_type(ctx.post, f), 0))
-            k += 1
+                args.extend(self.default_value_names(key))
+
+        fields = iter(variant.fields)
+        for _, t in variant.source_fields:
+            ctx.pre.spread(t, fields, part)
         return args
 
     # -- packing helpers ---------------------------------------------------------
@@ -496,14 +486,15 @@ class _FunctionNormalizer:
 
     def _get(self, ins) -> None:
         ctx = self.ctx
-        mono = ctx.pre.adts[ins.adt]
-        variant = mono.variants[ins.case]
+        variant = ctx.pre.adts[ins.adt].variants[ins.case]
+        indices = range(len(variant.fields))
         if isinstance(ins, GetField):
-            indices = [
-                k for k, f in enumerate(variant.fields) if f.source[0] == ins.field
-            ]
-        else:
-            indices = list(range(len(variant.fields)))
+            # the fields that the walk of source field `ins.field` takes,
+            # after the walks of the source fields before it
+            ks = iter(indices)
+            for _, t in variant.source_fields[: ins.field + 1]:
+                indices = []
+                ctx.pre.spread(t, ks, lambda t, key, taken: indices.extend(taken))
         if ctx.pre.is_unboxed(ins.adt):
             scalars = self.names_of(ins.src)
             tag = self.extract_tag(ins.adt, scalars)
@@ -592,44 +583,31 @@ def _build_equality(ctx: Normalizer, name: str, key: str) -> Function:
     cases_blk.term = Switch(ta, cases, "no")
     for i, variant in enumerate(mono.variants):
         w.start_block(f"case{i}")
-        groups = _field_groups(variant)
-        for gi, group in enumerate(groups):
-            first = variant.fields[group[0]]
-            if first.embedded:
-                av = [w.decode_field(key, i, variant.fields[g], a_scalars) for g in group]
-                bv = [w.decode_field(key, i, variant.fields[g], b_scalars) for g in group]
-                sub = ctx.equality_fn(first.adt_ref)
-                c = w.emit_typed(Call(w.fresh("eq"), sub, tuple(av + bv)), BOOL)
+        groups = itertools.count()
+
+        def compare(t, sub, fields) -> None:
+            # one test per part that has fields: an embedded unboxed value's
+            # scalars compare through its own equality function
+            if not fields:
+                return
+            av = [w.decode_field(key, i, f, a_scalars) for f in fields]
+            bv = [w.decode_field(key, i, f, b_scalars) for f in fields]
+            if fields[0].embedded:
+                call = Call(w.fresh("eq"), ctx.equality_fn(sub), tuple(av + bv))
+                c = w.emit_typed(call, BOOL)
             else:
-                f = variant.fields[group[0]]
-                av0 = w.decode_field(key, i, f, a_scalars)
-                bv0 = w.decode_field(key, i, f, b_scalars)
-                t = normalized_field_type(ctx.post, f)
-                c = w.emit_typed(Eq(w.fresh("eq"), t, av0, bv0), BOOL)
-            nxt = f"case{i}.g{gi}"
+                t = normalized_field_type(ctx.post, fields[0])
+                c = w.emit_typed(Eq(w.fresh("eq"), t, av[0], bv[0]), BOOL)
+            nxt = f"case{i}.g{next(groups)}"
             w.current.term = Branch(c, nxt, "no")
             w.start_block(nxt)
+
+        fields = iter(variant.fields)
+        for _, t in variant.source_fields:
+            ctx.pre.spread(t, fields, compare)
         ct = w.const(BOOL, 1)
         w.current.term = Return(ct)
     return fn
-
-
-def _field_groups(variant) -> list[list[int]]:
-    """Indices of normalized fields grouped so an embedded unboxed value's
-    scalars compare through its own equality function."""
-    groups: list[list[int]] = []
-    by_embed: dict[tuple, int] = {}
-    for k, f in enumerate(variant.fields):
-        if f.embedded:
-            gk = (f.source, f.adt_ref)
-            if gk in by_embed:
-                groups[by_embed[gk]].append(k)
-                continue
-            by_embed[gk] = len(groups)
-            groups.append([k])
-        else:
-            groups.append([k])
-    return groups
 
 
 # ---------------------------------------------------------------------------
@@ -638,7 +616,3 @@ def _field_groups(variant) -> list[list[int]]:
 
 def normalize_program(pre: Program) -> Program:
     return Normalizer(pre).run()
-
-
-def normalize_type(pre: Program, t: IrType) -> IrType:
-    return Normalizer(pre).normalize_type(t)

@@ -225,11 +225,6 @@ class FieldSlot:
     adt_ref: Optional[str] = None  # instantiation key of a referenced ADT
     embedded: bool = False  # one scalar of an embedded unboxed ADT
     scalar_index: int = 0  # position within an embedded unboxed group
-    source: tuple = ()  # (source field index, *tuple projections)
-
-    @property
-    def is_ref(self) -> bool:
-        return self.ref_mode == REF_PLAIN
 
 
 @dataclass(frozen=True)
@@ -319,8 +314,8 @@ def monomorphize_adt(
     for v in decl.variants:
         source_fields = tuple((n, substitute(t, bindings)) for n, t in v.fields)
         fields: list[FieldSlot] = []
-        for idx, (fname, ftype) in enumerate(source_fields):
-            fields.extend(_normalize_field(fname, ftype, (idx,), env, key))
+        for fname, ftype in source_fields:
+            fields.extend(_normalize_field(fname, ftype, env))
         variants.append(MonoVariant(v.name, source_fields, tuple(fields)))
     mono = MonoAdt(
         name=key,
@@ -333,28 +328,20 @@ def monomorphize_adt(
     return replace(mono, packing=packing)
 
 
-def _normalize_field(
-    name: str, t: TypeExpr, source: tuple, env: AdtEnv, owner_key: str
-) -> list[FieldSlot]:
+def _normalize_field(name: str, t: TypeExpr, env: AdtEnv) -> list[FieldSlot]:
+    """The normalized fields of source field `name`, in the order that
+    `ir.Program.spread` walks a value of its type."""
     target = env.target
     if isinstance(t, IntType):
-        return [
-            FieldSlot(name, t.width, target.kinds_for_int(t.width), signed=t.signed,
-                      source=source)
-        ]
+        return [FieldSlot(name, t.width, target.kinds_for_int(t.width), signed=t.signed)]
     if isinstance(t, BoolType):
-        return [
-            FieldSlot(name, 1, target.kinds_for_int(1), source=source)
-        ]
+        return [FieldSlot(name, 1, target.kinds_for_int(1))]
     if isinstance(t, FloatType):
-        return [
-            FieldSlot(name, t.width, target.kinds_for_float(t.width), is_float=True,
-                      source=source)
-        ]
+        return [FieldSlot(name, t.width, target.kinds_for_float(t.width), is_float=True)]
     if isinstance(t, TupleType):
         out: list[FieldSlot] = []
         for i, elem in enumerate(t.elems):
-            out.extend(_normalize_field(f"{name}.{i}", elem, source + (i,), env, owner_key))
+            out.extend(_normalize_field(f"{name}.{i}", elem, env))
         return out
     if isinstance(t, NamedType):
         if t.name in env.decls:
@@ -364,20 +351,15 @@ def _normalize_field(
                 # boxed (or in-flight recursive, hence boxed) instantiation
                 return [
                     FieldSlot(name, target.word_width, target.ref_kinds,
-                              ref_mode=REF_PLAIN, adt_ref=ref_key, source=source)
+                              ref_mode=REF_PLAIN, adt_ref=ref_key)
                 ]
-            return _embed_unboxed(name, ref_key, info, source, env)
+            return _embed_unboxed(name, ref_key, info, env)
         # opaque reference type such as Array<byte> or string
-        return [
-            FieldSlot(name, target.word_width, target.ref_kinds, ref_mode=REF_PLAIN,
-                      source=source)
-        ]
+        return [FieldSlot(name, target.word_width, target.ref_kinds, ref_mode=REF_PLAIN)]
     raise MonoError(f"unsupported field type {t!r}")
 
 
-def _embed_unboxed(
-    name: str, ref_key: str, info: ResolvedAdt, source: tuple, env: AdtEnv
-) -> list[FieldSlot]:
+def _embed_unboxed(name: str, ref_key: str, info: ResolvedAdt, env: AdtEnv) -> list[FieldSlot]:
     layout = info.layout
     assert layout is not None, f"unboxed {ref_key} has no layout"
     out: list[FieldSlot] = []
@@ -393,7 +375,7 @@ def _embed_unboxed(
             width = layout.used_width(i)
         out.append(
             FieldSlot(f"{name}.{i}", width, slot.kinds, ref_mode=mode,
-                      adt_ref=ref_key, embedded=True, scalar_index=i, source=source)
+                      adt_ref=ref_key, embedded=True, scalar_index=i)
         )
     return out
 

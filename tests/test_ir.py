@@ -31,7 +31,6 @@ from adtlayout.ir import (
     TAdt,
     TFloat,
     TInt,
-    TIntRep,
     Trap,
     TTuple,
     TupleMake,
@@ -76,14 +75,6 @@ def test_alloc_then_getfield():
     post = norm.normalize_program(program)
     check_program(post)
     assert eval_program(post) == Outcome(None, 3)
-
-
-def test_normalize_type_examples():
-    program = make_program(OPTION_SRC + "type Boxed { case B(a: u64, b: u64, c: u64); }")
-    assert norm.normalize_type(program, TInt(32, True)) == TInt(32, True)
-    assert norm.normalize_type(program, TAdt("Boxed")) == TAdt("Boxed")
-    got = norm.normalize_type(program, TAdt("Option"))
-    assert got == TTuple((TIntRep(64, "B64"),))
 
 
 def test_gettag_becomes_shift_and_mask():
@@ -745,6 +736,21 @@ entry:
 a:
   ret %x
 }"""), "branch condition must be u1"),
+    ("switch-on-adt", lambda: _pre("""fn main() -> u32 {
+entry:
+  %n = const<Option> null
+  %r = replacenull<Option>(%n)
+  switch %r, [0: a], b
+a:
+  %x = const<u32> 1
+  ret %x
+b:
+  %y = const<u32> 2
+  ret %y
+}"""), "switch operand must be an integer"),
+    ("normalized-switch-on-tuple", lambda: _post(
+        [Const("a", U32, 1), TupleMake("t", ("a",))], Switch("t", ((0, "entry"),), "entry")
+    ), "switch operand must be an integer"),
     ("jump-to-unknown-block", lambda: _pre("""fn main() -> u32 {
 entry:
   jmp nowhere
@@ -886,3 +892,45 @@ def test_nested_fields_agree_boxed_and_normalized(target):
         assert eval_program(post, entry) == pre, entry
     assert eval_program(program, "eq") == Outcome(None, 0)  # every eq as expected
     assert eval_program(program, "defaults").value[2] == 0  # Outer's first case
+
+
+@pytest.mark.parametrize("inputs, message", [
+    ([], "main takes 1 argument, 0 given"),
+    ([1, 2], "main takes 1 argument, 2 given"),
+])
+def test_eval_rejects_a_wrong_argument_count(inputs, message):
+    program = _pre("""fn main(%a: u32) -> u32 {
+entry:
+  ret %a
+}""")
+    check_program(program)
+    with pytest.raises(IrTypeError, match=re.escape(message)):
+        eval_program(program, inputs=inputs)
+    assert eval_program(program, inputs=[7]) == Outcome(None, 7)
+
+
+@pytest.mark.parametrize("target", ["x64", "jvm", "x86-32"])
+def test_spread_takes_every_normalized_field(target):
+    """Walked with `Program.spread`, the source fields of every corpus and
+    nested-bundle variant take exactly its normalized fields, and each part
+    of an unboxed ADT takes that ADT's embedded scalars in order."""
+    from corpus import CORPUS_SRC, NESTED_BUNDLE
+
+    decls = NESTED_BUNDLE.split("fn ", 1)[0]
+    for src in (CORPUS_SRC, decls):
+        program = make_program(src, BUILTIN_TARGETS[target])
+
+        def part(t, key, taken):
+            if key is not None and program.is_unboxed(key):
+                assert [(f.adt_ref, f.scalar_index) for f in taken] == [
+                    (key, i) for i in range(len(taken))
+                ]
+            else:
+                assert len(taken) == 1 and not taken[0].embedded
+
+        for mono in program.adts.values():
+            for variant in mono.variants:
+                fields = iter(variant.fields)
+                for _, t in variant.source_fields:
+                    program.spread(t, fields, part)
+                assert next(fields, None) is None, (mono.name, variant.name)

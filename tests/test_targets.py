@@ -10,6 +10,7 @@ from adtlayout.targets import (
     JVM,
     X64,
     X86_32,
+    REF_PLAIN,
     AdtEnv,
     RefTagging,
     ScalarKind,
@@ -208,7 +209,7 @@ def test_boxed_field_is_reference():
     )
     out = process_adts(decls, X64)
     f = out.resolved["Holder"].mono.variants[0].fields[0]
-    assert f.is_ref
+    assert f.ref_mode == REF_PLAIN
     assert f.adt_ref == "Big"
     assert f.width == 64
 
