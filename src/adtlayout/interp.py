@@ -8,7 +8,9 @@ and ('null',) for a null reference. Heap identity is never observable.
 Records live in a heap addressed by 8-aligned integers; null is 0. Before
 normalization record fields hold source-shaped values; after, they hold
 the flattened scalars, which observation turns back into source-shaped
-observables by walking each source field's type with `Program.spread`."""
+observables by walking each source field's type with `Program.spread`. A
+normalized value of an IR type holds the values that `Program.expand` gives
+that type, and observation walks the type over them in the same way."""
 
 from __future__ import annotations
 
@@ -51,7 +53,7 @@ from .ir import (
     TupleMake,
     type_of_expr,
 )
-from .syntax import FloatType, NamedType, TupleType, print_type
+from .syntax import FloatType, NamedType, TupleType, TypeExpr, print_type
 
 
 _ALIGN = 8
@@ -106,35 +108,61 @@ class Outcome:
 
 
 def observe(program: Program, heap: Heap, value, t: IrType):
-    """Canonical structural rendering of a runtime value at a type."""
+    """Canonical structural rendering of a runtime value at a type. A
+    normalized value holds the values that `Program.expand` gives its type:
+    bare when there is one, else a flat tuple of them."""
+    if program.normalized:
+        values = iter([value] if len(program.expand(t)) == 1 else value)
+        return _observe_normalized(program, heap, values, t)
+    if isinstance(t, TTuple):
+        return tuple(observe(program, heap, v, e) for v, e in zip(value, t.elems))
+    if isinstance(t, (TAdt, TCase)):
+        if value is None:
+            return ("null",)
+        assert isinstance(value, Ref), f"expected record for {t.key}, got {value!r}"
+        rec = heap.read(value.addr)
+        variant = program.adts[rec.adt].variants[rec.case]
+        fields = tuple(
+            _observe_source(program, heap, v, ft)
+            for v, (_, ft) in zip(rec.fields, variant.source_fields)
+        )
+        return ("adt", rec.adt, rec.case, fields)
+    return _observe_scalar(value, t)
+
+
+def _observe_scalar(value, t: IrType):
     if isinstance(t, TInt):
         return value
     if isinstance(t, TFloat):
         return ("f", value)
-    if isinstance(t, TTuple):
-        return tuple(observe(program, heap, v, e) for v, e in zip(value, t.elems))
     if isinstance(t, TIntRep):
         return ("bits", value)
-    if isinstance(t, (TAdt, TCase)):
-        key = t.key
-        if not program.normalized:
-            if value is None:
-                return ("null",)
-            assert isinstance(value, Ref), f"expected record for {key}, got {value!r}"
-            rec = heap.read(value.addr)
-            mono = program.adts[rec.adt]
-            variant = mono.variants[rec.case]
-            fields = tuple(
-                observe(program, heap, v, type_of_expr(ft, program.adts))
-                for v, (_, ft) in zip(rec.fields, variant.source_fields)
-            )
-            return ("adt", rec.adt, rec.case, fields)
-        if program.is_unboxed(key):
-            # the scalars of this unboxed ADT (bare when there is just one)
-            scalars = list(value) if isinstance(value, tuple) else [value]
-            return observe_scalars(program, heap, key, scalars)
-        return _observe_record(program, heap, value)
     raise TypeError(f"cannot observe at {t!r}")
+
+
+def _observe_source(program: Program, heap: Heap, value, t: TypeExpr):
+    """A boxed record's field value at its source type: a tuple element by
+    element, an opaque reference (always null) as null, and anything else
+    at its IR type."""
+    if isinstance(t, TupleType):
+        return tuple(_observe_source(program, heap, v, e) for v, e in zip(value, t.elems))
+    if isinstance(t, NamedType) and print_type(t) not in program.adts:
+        assert value is None, f"opaque reference {print_type(t)} holds {value!r}"
+        return ("null",)
+    return observe(program, heap, value, type_of_expr(t, program.adts))
+
+
+def _observe_normalized(program: Program, heap: Heap, values, t: IrType):
+    """A normalized value of IR type `t`, taking from the iterator `values`
+    the values that `Program.expand` gives `t`, in order."""
+    if isinstance(t, TTuple):
+        return tuple(_observe_normalized(program, heap, values, e) for e in t.elems)
+    if isinstance(t, (TAdt, TCase)):
+        if program.is_unboxed(t.key):
+            scalars = [next(values) for _ in program.layouts[t.key].slots]
+            return observe_scalars(program, heap, t.key, scalars)
+        return _observe_record(program, heap, next(values))
+    return _observe_scalar(next(values), t)
 
 
 def observe_scalars(program: Program, heap: Heap, key: str, scalars: list[int]):

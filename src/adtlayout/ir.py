@@ -380,6 +380,19 @@ class Program:
         n = len(self.layouts[key].slots) if self.is_unboxed(key) else 1
         return part(t, key, [next(items) for _ in range(n)])
 
+    def expand(self, t: IrType) -> list[IrType]:
+        """The types of the normalized values that a value of IR type `t`
+        becomes, in order: a tuple is its elements' values, an unboxed ADT
+        its layout's scalars, and anything else one value (a case of a boxed
+        ADT is a reference to the ADT)."""
+        if isinstance(t, TTuple):
+            return [leaf for e in t.elems for leaf in self.expand(e)]
+        if isinstance(t, (TAdt, TCase)) and self.is_unboxed(t.key):
+            return [TIntRep(s.width, s.kind.value) for s in self.layouts[t.key].slots]
+        if isinstance(t, TCase):
+            return [TAdt(t.key)]
+        return [t]
+
     def contents_type(self, key: str, case: int) -> IrType:
         fields = self.adts[key].variants[case].source_fields
         types = tuple(type_of_expr(t, self.adts) for _, t in fields)

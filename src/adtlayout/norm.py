@@ -87,21 +87,6 @@ class Normalizer:
         )
         self._made_helpers: set[str] = set()
 
-    # -- types ---------------------------------------------------------------
-
-    def expand_type(self, t: IrType) -> list[IrType]:
-        if isinstance(t, TTuple):
-            out: list[IrType] = []
-            for e in t.elems:
-                out.extend(self.expand_type(e))
-            return out
-        if isinstance(t, (TAdt, TCase)) and self.pre.is_unboxed(t.key):
-            layout = self.pre.layouts[t.key]
-            return [TIntRep(s.width, s.kind.value) for s in layout.slots]
-        if isinstance(t, TCase):
-            return [TAdt(t.key)]
-        return [t]
-
     # -- program -------------------------------------------------------------
 
     def run(self) -> Program:
@@ -245,13 +230,13 @@ class _FunctionNormalizer:
         ctx = self.ctx
         params: list[tuple[str, IrType]] = []
         for name, t in pre.params:
-            leaves = ctx.expand_type(t)
+            leaves = ctx.pre.expand(t)
             names = self.expanded_names(name, len(leaves))
             self.env[name] = names
             for n, lt in zip(names, leaves):
                 params.append((n, lt))
                 self.types[n] = lt
-        ret_leaves = ctx.expand_type(pre.ret)
+        ret_leaves = ctx.pre.expand(pre.ret)
         if len(ret_leaves) == 1:
             post_ret = ret_leaves[0]
         else:
@@ -357,7 +342,7 @@ class _FunctionNormalizer:
         if isinstance(ins, Call):
             callee_pre = self.ctx.pre.functions[ins.fn]
             flat = [n for a in ins.args for n in self.names_of(a)]
-            ret_leaves = ctx.expand_type(callee_pre.ret)
+            ret_leaves = ctx.pre.expand(callee_pre.ret)
             if len(ret_leaves) == 1:
                 self.emit_typed(Call(ins.dst, ins.fn, tuple(flat)), ret_leaves[0])
                 self.env[ins.dst] = [ins.dst]
@@ -536,7 +521,7 @@ class _FunctionNormalizer:
             parts = []
             pos = 0
             for e in t.elems:
-                n = len(ctx.expand_type(e))
+                n = len(ctx.pre.expand(e))
                 parts.append(self._equality(e, a[pos : pos + n], b[pos : pos + n]))
                 pos += n
             acc = parts[0]

@@ -6,7 +6,10 @@ wildcard bits; a plain field is a unit of one field, a #solve item a unit
 of its own. One routine places a unit in a slot, at the offset its #packing
 pins or else at the lowest offset where it fits, so fields never split
 across scalars. Scoring is lexicographic: fewer scalars first, then summed
-access cost plus the dedicated-tag penalty.
+access cost plus the dedicated-tag penalty. Two exact prunings keep the
+search small: equal fields of a variant are tried in one order only, and a
+node is cut when a lower bound on its completions' cost, which counts the
+offset-0 positions left to each variant, cannot beat the best layout.
 
 Patterns are `distinguish.BitPattern` mask values, one per variant and
 scalar; a solution's patterns have every free bit made constant 0, and its
@@ -140,6 +143,9 @@ class LayoutSolution:
     tag_scheme: TagScheme
     score: Score
     steps_used: int = 0
+    # False when the step budget cut the search short, so a better layout
+    # may exist; True when the search ran out of nodes to try
+    finished: bool = True
     # patterns before tag placement, free bits intact; lets tagging be
     # re-derived on a finished solution
     pretag_patterns: Optional[list[list[BitPattern]]] = None
@@ -437,6 +443,26 @@ class _State:
             slot.add_consts(v, ref.const, ref.ones)
         return (offset, width)
 
+    def cost_bound(self, plain_left: list[int]) -> int:
+        """A lower bound on the cost part of the score key of every completion
+        of this state that opens no further scalar: 2 per shifted placement,
+        1 per placement at offset 0 with a field bit or constant one of its
+        variant above it, and 2 per plain field of a variant still to place
+        (`plain_left`, per variant) beyond the scalars whose bit 0 that
+        variant leaves free: two of a variant's fields cannot both sit at
+        offset 0 of one scalar."""
+        bound = self.shift_cost
+        for (v, _), pl in self.placements.items():
+            if pl.offset == 0:
+                s = self.slots[pl.slot]
+                if (s.field[v] | s.ones[v]) >> pl.width:
+                    bound += 1
+        for v, left in enumerate(plain_left):
+            if left:
+                free = sum(1 for s in self.slots if not s.reserved(v) & 1)
+                bound += 2 * max(0, left - free)
+        return bound
+
     def unplace(self, undo: _Undo) -> None:
         slot = undo.slot
         v = undo.variant
@@ -688,9 +714,11 @@ def place_explicit_tag(sol: LayoutSolution) -> LayoutSolution:
             break
     else:
         tagged = _tag_appended(base, tw)
-    return _solution(
+    again = _solution(
         sol.adt, sol.target, sol.placements, sol.steps_used, base, data_slots, *tagged
     )
+    again.finished = sol.finished
+    return again
 
 
 # ---------------------------------------------------------------------------
@@ -820,27 +848,56 @@ def solve_layout(adt: MonoAdt, target: Target, budget: int = 10_000) -> LayoutSo
         per_variant.sort(key=lambda uj: -uj[0].pattern.width)  # stable
         items.extend((i, unit, j) for unit, j in per_variant)
 
+    # An unrestricted plain field that equals the unrestricted plain field
+    # before it (same variant, pattern and kinds) starts its slot scan at that
+    # field's slot: swapping two equal fields gives the same masks, and of the
+    # two orders the one with the lower slot first is searched first, so the
+    # first best layout found is unchanged. follows[i] names the field that
+    # item i follows, or is None.
+    follows: list[Optional[str]] = [None]
+    for (v0, u0, j0), (v1, u1, j1) in zip(items, items[1:]):
+        plain = j0 is None and j1 is None and u0.ref is None and u1.ref is None
+        same = (v0, u0.pattern, u0.kinds) == (v1, u1.pattern, u1.kinds)
+        follows.append(u0.names()[0] if plain and same else None)
+    # plain_left[i][v]: unrestricted plain fields of variant v in items[i:],
+    # for the cost bound
+    plain_left = [[0] * state.n]
+    for v, unit, j in reversed(items):
+        row = list(plain_left[-1])
+        row[v] += j is None and unit.ref is None
+        plain_left.append(row)
+    plain_left.reverse()
+
     failures: list[str] = []
 
     # Depth-first over items, one frame per item being placed: [next
     # candidate slot, end of its candidates, whether any placement fit, the
     # current placement's undo, whether its slot is fresh]. An item tries
     # the existing slots in order and then a fresh one (the slot at index
-    # len(state.slots)), or just its restricted slot.
+    # len(state.slots)), or just its restricted slot. A node is entered only
+    # when a lower bound on its completions' keys is below the best key: a
+    # completion never costs less than its assignment, and with as many
+    # scalars as the best only the cost part can improve.
     stack: list[list] = []
     entering = True  # at the node below the top frame's current placement
+    finished = True
     while True:
         if entering:
-            key = (len(state.slots), state.shift_cost)
-            if best is None or (key <= best.score.key() and state.steps < budget):
-                if len(stack) < len(items):
-                    restriction = items[len(stack)][2]
+            key = (len(state.slots), 0)
+            if best is not None and key[0] == best.score.num_scalars:
+                key = (key[0], state.cost_bound(plain_left[len(stack)]))
+            if best is None or key < best.score.key():
+                if best is not None and state.steps >= budget:
+                    finished = False
+                elif len(stack) < len(items):
+                    v, _, restriction = items[len(stack)]
                     if restriction is None:
-                        stack.append([0, len(state.slots) + 1, False, None, False])
+                        after = follows[len(stack)]
+                        start = 0 if after is None else state.placements[(v, after)].slot
+                        stack.append([start, len(state.slots) + 1, False, None, False])
                     else:
                         stack.append([restriction, restriction + 1, False, None, False])
-                elif best is None or key < best.score.key():
-                    # a completion never costs less than its assignment
+                else:
                     sol = _complete(state, best.score.key() if best is not None else None)
                     if sol is not None:
                         best = sol
@@ -852,8 +909,8 @@ def solve_layout(adt: MonoAdt, target: Target, budget: int = 10_000) -> LayoutSo
             state.unplace(undo)
             if fresh:
                 state.pop_slot(state.slots[-1])
-            if best is not None and state.steps >= budget:
-                pos = end  # the budget is spent: try no further slot
+            if best is not None and state.steps >= budget and pos < end:
+                pos, finished = end, False  # the budget is spent: try no further slot
         v, unit, _ = items[len(stack) - 1]
         undo = None
         while undo is None and pos < end:
@@ -880,6 +937,7 @@ def solve_layout(adt: MonoAdt, target: Target, budget: int = 10_000) -> LayoutSo
         raise AnnotationInfeasible(
             adt.name, failures or [n for _, unit, _ in items for n in unit.names()]
         )
+    best.finished = finished
     return best
 
 

@@ -934,3 +934,54 @@ def test_spread_takes_every_normalized_field(target):
                 for _, t in variant.source_fields:
                     program.spread(t, fields, part)
                 assert next(fields, None) is None, (mono.name, variant.name)
+
+
+OPAQUE_FIELD = """
+type T { case A(s: string, x: u8); case B; }
+fn main() -> T {
+entry:
+  %n = const<T> null
+  %r = replacenull<T>(%n)
+  ret %r
+}
+"""
+
+# Holder takes two scalars, so the tuple's second element spreads over two
+# normalized values and the first over one
+TUPLE_OF_SPREAD = """
+type Box { case K(v: u8, w: u32); case E(q: u64); case F; }
+type Holder #unboxed { case H(b: Box, t: u8); case Z; }
+type T { case T(a: u8, h: Holder); }
+fn main() -> (u8, Holder) {
+entry:
+  %a = const<u8> 3
+  %v = const<u8> 4
+  %w = const<u32> 5
+  %k = alloc<Box#0>(%v, %w)
+  %t = const<u8> 6
+  %h = alloc<Holder#0>(%k, %t)
+  %r = alloc<T#0>(%a, %h)
+  %c = contents<T#0>(%r)
+  ret %c
+}
+"""
+
+
+@pytest.mark.parametrize("target", ["x64", "jvm", "x86-32"])
+@pytest.mark.parametrize("bundle, want", [
+    pytest.param(OPAQUE_FIELD, ("adt", "T", 0, (("null",), 0)), id="opaque-field"),
+    pytest.param(
+        TUPLE_OF_SPREAD, (3, ("adt", "Holder", 0, (("adt", "Box", 0, (4, 5)), 6))),
+        id="tuple-of-spread",
+    ),
+])
+def test_observation_agrees_boxed_and_normalized(target, bundle, want):
+    """Observation walks types: a boxed record's opaque field is observed as
+    null, and a normalized tuple gives each element the values its type
+    expands to."""
+    program, _ = progtext.parse_bundle(f"target {target}\n{bundle}")
+    check_program(program)
+    post = norm.normalize_program(program)
+    check_program(post)
+    assert eval_program(program) == Outcome(None, want)
+    assert eval_program(post) == Outcome(None, want)

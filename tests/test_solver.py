@@ -25,7 +25,7 @@ from adtlayout.verify import SizeContext
 
 from corpus import CORPUS_SRC
 from oracles import oracle_best_score
-from test_golden import CASES as GOLDEN_CASES
+from test_golden import CASES as GOLDEN_CASES, WIDE_W0_X86_32, WIDE_W1, WIDE_W1_X64
 
 
 def solve_source(src: str, target=X64, key=None, budget=10_000, requests=None):
@@ -197,24 +197,17 @@ def test_solver_beats_or_matches_trivial_everywhere():
 
 
 def _exhaustive_adt_corpus():
-    """Every ADT shape (up to symmetry) with <= 3 variants, <= 3 fields each,
-    widths <= 8, drawn from a fixed width pool."""
-    shapes = [
-        (),
-        (1,),
-        (2,),
-        (5,),
-        (8,),
-        (1, 2),
-        (2, 8),
-        (5, 8),
-        (8, 8),
-        (1, 2, 8),
-    ]
+    """Every ADT shape (up to symmetry) with <= 3 variants of <= 3 fields of
+    widths <= 8 from one width pool, and with <= 2 variants from a second
+    pool whose shapes need two 64-bit scalars and put equal fields in
+    different scalars, so the search's symmetry and cost-bound pruning both
+    apply."""
+    small = [(), (1,), (2,), (5,), (8,), (1, 2), (2, 8), (5, 8), (8, 8), (1, 2, 8)]
+    wide = [(), (1,), (24,), (40,), (33, 33), (40, 24, 1), (20, 20, 20), (32, 32), (40, 40)]
     corpus = []
-    for k in (1, 2, 3):
-        for combo in itertools.combinations_with_replacement(shapes, k):
-            corpus.append(list(combo))
+    for shapes, most in ((small, 3), (wide, 2)):
+        for k in range(1, most + 1):
+            corpus.extend(list(c) for c in itertools.combinations_with_replacement(shapes, k))
     return corpus
 
 
@@ -345,6 +338,49 @@ def test_wild_bits_usable_for_tag_but_not_fields():
 def test_zero_fill_single_variant_encodes_zero():
     lay = solve_source("type Z #unboxed { case C(x: u32, y: u32); }")
     assert codec.encode_variant(lay, 0, {"x": 0, "y": 0}) == [0]
+
+
+# the stress-wide benchmark's four shapes: its 2 x 5 x64 shape and the
+# golden-file sources
+STRESS_WIDE = [
+    (
+        "type W0 #unboxed { case V0(f0_0: u31, f0_1: u5, f0_2: u8, f0_3: u31, f0_4: u24); "
+        "case V1(f1_0: u12, f1_1: u1, f1_2: u31, f1_3: u32, f1_4: u3); }",
+        "x64",
+    ),
+    (WIDE_W1_X64, "x64"),
+    (WIDE_W0_X86_32, "x86-32"),
+    (WIDE_W1, "x86-32"),
+]
+
+
+@pytest.mark.parametrize(
+    "source, target", STRESS_WIDE, ids=["W0-x64", "W1-x64", "W0-x86-32", "W1-x86-32"]
+)
+def test_stress_wide_searches_finish_within_budget(source, target):
+    """Equal fields are tried in one order only and the offset-0 bound cuts
+    the rest, so each search runs out of nodes well inside 1000 steps."""
+    lay = solve_source(source, BUILTIN_TARGETS[target], budget=1000)
+    assert lay.finished
+
+
+def test_budget_cut_search_is_not_finished():
+    """A 5 x 10 mixed-width shape (widths drawn with random.Random(5)) needs
+    more than 500 steps to finish its search."""
+    cases = [
+        "case V0(f0_0: u10, f0_1: u20, f0_2: u31, f0_3: u11, f0_4: u4, f0_5: u6, "
+        "f0_6: u26, f0_7: u3, f0_8: u16, f0_9: u23);",
+        "case V1(f1_0: u17, f1_1: u30, f1_2: u27, f1_3: u10, f1_4: u4, f1_5: u3, "
+        "f1_6: u32, f1_7: u22, f1_8: u14, f1_9: u9);",
+        "case V2(f2_0: u9, f2_1: u27, f2_2: u7, f2_3: u11, f2_4: u28, f2_5: u24, "
+        "f2_6: u10, f2_7: u4, f2_8: u27, f2_9: u19);",
+        "case V3(f3_0: u10, f3_1: u30, f3_2: u11, f3_3: u30, f3_4: u32, f3_5: u21, "
+        "f3_6: u31, f3_7: u18, f3_8: u19, f3_9: u31);",
+        "case V4(f4_0: u26, f4_1: u10, f4_2: u8, f4_3: u25, f4_4: u12, f4_5: u32, "
+        "f4_6: u22, f4_7: u12, f4_8: u6, f4_9: u32);",
+    ]
+    lay = solve_source(f"type M #unboxed {{ {' '.join(cases)} }}", budget=500)
+    assert not lay.finished
 
 
 def test_annotated_adt_solves_even_with_tiny_budget():
