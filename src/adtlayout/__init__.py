@@ -16,7 +16,6 @@ from .solver import (
     AnnotationInfeasible,
     LayoutSolution,
     Score,
-    assign_intervals,
     place_explicit_tag,
     score_layout,
     solve_layout,

@@ -1,15 +1,14 @@
-"""Joint scalar and interval assignment for unboxed ADTs.
+"""Scalar and interval assignment for unboxed ADTs.
 
-The solver backtracks over assignments of search items to scalar slots.
-Each item is a unit: fields at fixed offsets from its LSB plus constant and
-wildcard bits; a plain field is a unit of one field, a #solve item a unit
-of its own. One routine places a unit in a slot, at the offset its #packing
-pins or else at the lowest offset where it fits, so fields never split
-across scalars. Scoring is lexicographic: fewer scalars first, then summed
-access cost plus the dedicated-tag penalty. Two exact prunings keep the
-search small: equal fields of a variant are tried in one order only, and a
-node is cut when a lower bound on its completions' cost, which counts the
-offset-0 positions left to each variant, cannot beat the best layout.
+Each search item is a unit: fields at fixed offsets from its LSB plus
+constant and wildcard bits; a plain field is a unit of one field, a #solve
+item a unit of its own. One routine places a unit in a slot, at the offset
+its #packing pins or else at the lowest offset where it fits, so fields
+never split across scalars. Scoring is lexicographic: fewer scalars first,
+then summed access cost plus the dedicated-tag penalty. Variants share only
+the scalar vector, reference tagging and the tag, so each variant is
+packed on its own by an exact search, for each scalar vector and tag option
+in turn (see `solve_layout`).
 
 Patterns are `distinguish.BitPattern` mask values, one per variant and
 scalar; a solution's patterns have every free bit made constant 0, and its
@@ -22,6 +21,8 @@ data.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dfield, replace
+from functools import lru_cache
+from itertools import product
 from typing import Optional, Union
 
 from . import distinguish
@@ -33,7 +34,7 @@ from .distinguish import (
     tag_width_for,
     tree_depth,
 )
-from .flatten import AnnotationEntry, FlattenedPacking
+from .flatten import FlattenedPacking
 from .targets import (
     REF_NONE,
     REF_PLAIN,
@@ -41,7 +42,6 @@ from .targets import (
     FieldSlot,
     KindSet,
     MonoAdt,
-    MonoVariant,
     ScalarKind,
     Target,
 )
@@ -143,8 +143,8 @@ class LayoutSolution:
     tag_scheme: TagScheme
     score: Score
     steps_used: int = 0
-    # False when the step budget cut the search short, so a better layout
-    # may exist; True when the search ran out of nodes to try
+    # False when the step budget cut a search short, so a better layout
+    # may exist; True when every search ran out of nodes or met its bound
     finished: bool = True
     # patterns before tag placement, free bits intact; lets tagging be
     # re-derived on a finished solution
@@ -290,8 +290,8 @@ def _overlaps(mask: int, runs: tuple[tuple[int, int], ...]) -> int:
 @dataclass
 class _Undo:
     """What one placement can change, as it was before: the slot's kinds and
-    tagging, the variant's masks and reference membership, and the state's
-    shift cost; plus the placements it added."""
+    tagging, and the variant's masks and reference membership; plus the
+    placements it added."""
 
     slot: _Slot
     variant: int
@@ -299,7 +299,6 @@ class _Undo:
     masks: tuple[int, int, int, int]
     is_ref: bool
     tagged: bool
-    shift_cost: int
     placements: list[Placement] = dfield(default_factory=list)
 
 
@@ -345,8 +344,6 @@ class _State:
         self.n = len(adt.variants)
         self.slots: list[_Slot] = []
         self.placements: dict[tuple[int, str], Placement] = {}
-        self.steps = 0
-        self.shift_cost = 0  # 2 per shifted placement; a completion lower bound
         tagging = target.ref_tagging
         self.tags = None if tagging is None else (tagging.ref_pattern, tagging.value_pattern)
 
@@ -354,10 +351,6 @@ class _State:
         s = _Slot(len(self.slots), width, kinds, self.n, self.tags)
         self.slots.append(s)
         return s
-
-    def pop_slot(self, s: _Slot) -> None:
-        assert self.slots[-1] is s
-        self.slots.pop()
 
     def place(
         self, v: int, unit: _Unit, slot: _Slot, offset: Optional[int] = None
@@ -376,7 +369,7 @@ class _State:
                 return None
         masks = (slot.const[v], slot.ones[v], slot.wild[v], slot.field[v])
         undo = _Undo(
-            slot, v, slot.kinds, masks, v in slot.ref_variants, slot.tagged, self.shift_cost
+            slot, v, slot.kinds, masks, v in slot.ref_variants, slot.tagged
         )
         if unit.ref is not None:
             # the tagging fixes a reference's offset and width
@@ -401,8 +394,6 @@ class _State:
             slot.add_field(v, pl)
             self.placements[(v, f.name)] = pl
             undo.placements.append(pl)
-            if pl.offset > 0:
-                self.shift_cost += 2
         slot.kinds = new_kinds
         return undo
 
@@ -443,26 +434,6 @@ class _State:
             slot.add_consts(v, ref.const, ref.ones)
         return (offset, width)
 
-    def cost_bound(self, plain_left: list[int]) -> int:
-        """A lower bound on the cost part of the score key of every completion
-        of this state that opens no further scalar: 2 per shifted placement,
-        1 per placement at offset 0 with a field bit or constant one of its
-        variant above it, and 2 per plain field of a variant still to place
-        (`plain_left`, per variant) beyond the scalars whose bit 0 that
-        variant leaves free: two of a variant's fields cannot both sit at
-        offset 0 of one scalar."""
-        bound = self.shift_cost
-        for (v, _), pl in self.placements.items():
-            if pl.offset == 0:
-                s = self.slots[pl.slot]
-                if (s.field[v] | s.ones[v]) >> pl.width:
-                    bound += 1
-        for v, left in enumerate(plain_left):
-            if left:
-                free = sum(1 for s in self.slots if not s.reserved(v) & 1)
-                bound += 2 * max(0, left - free)
-        return bound
-
     def unplace(self, undo: _Undo) -> None:
         slot = undo.slot
         v = undo.variant
@@ -473,7 +444,6 @@ class _State:
         if not undo.is_ref:
             slot.ref_variants.discard(v)
         slot.tagged = undo.tagged
-        self.shift_cost = undo.shift_cost
 
     # -- pattern assembly --
 
@@ -656,7 +626,8 @@ def _candidates(
     # levels. With two variants any shared free bit already admits an
     # in-place 1-bit tag at the same position with identical masking and
     # cost 2 <= 2*depth, so a tree is dominated whenever one was found.
-    tree_bound = (len(state.slots), state.shift_cost + 2 * tw)
+    fields = _access_cost(state.placements, base, SingleVariant())  # before tagging
+    tree_bound = (len(state.slots), fields + 2 * tw)
     have = min(
         [key for key, _, _ in results] + ([best_key] if best_key is not None else []),
         default=None,
@@ -670,7 +641,7 @@ def _candidates(
 
     # an appended tag costs an extra scalar, so any same-slot-count candidate
     # beats it; build it only as the fallback
-    appended_bound = (len(state.slots) + 1, state.shift_cost + 1)
+    appended_bound = (len(state.slots) + 1, fields + 1)
     if not results and (best_key is None or best_key > appended_bound):
         add(*_tag_appended(base, tw))
     return base, results
@@ -689,7 +660,7 @@ def _complete(state: _State, best_key=None) -> Optional[LayoutSolution]:
         return None
     _, patterns, scheme = pick
     return _solution(
-        state.adt, state.target, state.placements, state.steps, base,
+        state.adt, state.target, state.placements, 0, base,
         _freeze_slots(state), patterns, scheme,
     )
 
@@ -800,7 +771,7 @@ def _apply_annotations(state: _State) -> list[tuple[int, int, _Unit]]:
 
 def trivial_layout(adt: MonoAdt, target: Target) -> LayoutSolution:
     """One scalar per field per variant plus a dedicated tag scalar (for
-    more than one variant). Fallback and score baseline; ignores packings."""
+    more than one variant). A score baseline; ignores packings."""
     bare = replace(adt, packing=None)
     state = _State(bare, target)
     for i, variant in enumerate(bare.variants):
@@ -816,7 +787,7 @@ def trivial_layout(adt: MonoAdt, target: Target) -> LayoutSolution:
         if not state.slots:
             scheme = BareTag(0, scheme.width)
     return _solution(
-        bare, target, state.placements, state.steps, base, _freeze_slots(state),
+        bare, target, state.placements, 0, base, _freeze_slots(state),
         patterns, scheme,
     )
 
@@ -824,155 +795,270 @@ def trivial_layout(adt: MonoAdt, target: Target) -> LayoutSolution:
 def solve_layout(adt: MonoAdt, target: Target, budget: int = 10_000) -> LayoutSolution:
     """Best-scoring layout found within the step budget.
 
-    Deterministic in (adt, target, budget). Unannotated ADTs always have a
-    solution (the trivial layout is admissible in any budget); an annotated
-    ADT with no feasible completion raises AnnotationInfeasible.
+    For each scalar count from a bin-packing lower bound up, each split of
+    the fresh scalars among kind classes, and each tag option (none, or the
+    top tag bits of one scalar kept free in every variant), references go
+    first fit, each variant is packed by a depth-first search cut by a
+    lower bound on its cost, and the state is completed with an in-place
+    tag, a decision tree or an appended tag. The first count that admits a
+    layout ends the search. A step is a placement made after a variant's
+    search first backtracks, so every budget gives at least a first-fit
+    layout; `finished` is False when the budget cut a search. Deterministic
+    in (adt, target, budget). An annotated ADT with no feasible layout
+    raises AnnotationInfeasible.
     """
-    state = _State(adt, target)
-    units = _apply_annotations(state)
-
-    best: Optional[LayoutSolution] = None
-    if adt.packing is None:
-        best = trivial_layout(adt, target)
-
-    # search items: variants in declaration order, widths descending, and
-    # at equal width the #solve units (they are slot-restricted) first, then
-    # the free fields in declaration order
-    in_units = {(v, name) for v, _, unit in units for name in unit.names()}
-    items: list[tuple[int, _Unit, Optional[int]]] = []
-    for i, variant in enumerate(adt.variants):
-        per_variant = [(unit, j) for v, j, unit in units if v == i] + [
-            (_Unit.of(f), None) for f in variant.fields
-            if (i, f.name) not in state.placements and (i, f.name) not in in_units
-        ]
-        per_variant.sort(key=lambda uj: -uj[0].pattern.width)  # stable
-        items.extend((i, unit, j) for unit, j in per_variant)
-
-    # An unrestricted plain field that equals the unrestricted plain field
-    # before it (same variant, pattern and kinds) starts its slot scan at that
-    # field's slot: swapping two equal fields gives the same masks, and of the
-    # two orders the one with the lower slot first is searched first, so the
-    # first best layout found is unchanged. follows[i] names the field that
-    # item i follows, or is None.
-    follows: list[Optional[str]] = [None]
-    for (v0, u0, j0), (v1, u1, j1) in zip(items, items[1:]):
-        plain = j0 is None and j1 is None and u0.ref is None and u1.ref is None
-        same = (v0, u0.pattern, u0.kinds) == (v1, u1.pattern, u1.kinds)
-        follows.append(u0.names()[0] if plain and same else None)
-    # plain_left[i][v]: unrestricted plain fields of variant v in items[i:],
-    # for the cost bound
-    plain_left = [[0] * state.n]
-    for v, unit, j in reversed(items):
-        row = list(plain_left[-1])
-        row[v] += j is None and unit.ref is None
-        plain_left.append(row)
-    plain_left.reverse()
-
-    failures: list[str] = []
-
-    # Depth-first over items, one frame per item being placed: [next
-    # candidate slot, end of its candidates, whether any placement fit, the
-    # current placement's undo, whether its slot is fresh]. An item tries
-    # the existing slots in order and then a fresh one (the slot at index
-    # len(state.slots)), or just its restricted slot. A node is entered only
-    # when a lower bound on its completions' keys is below the best key: a
-    # completion never costs less than its assignment, and with as many
-    # scalars as the best only the cost part can improve.
-    stack: list[list] = []
-    entering = True  # at the node below the top frame's current placement
-    finished = True
-    while True:
-        if entering:
-            key = (len(state.slots), 0)
-            if best is not None and key[0] == best.score.num_scalars:
-                key = (key[0], state.cost_bound(plain_left[len(stack)]))
-            if best is None or key < best.score.key():
-                if best is not None and state.steps >= budget:
-                    finished = False
-                elif len(stack) < len(items):
-                    v, _, restriction = items[len(stack)]
-                    if restriction is None:
-                        after = follows[len(stack)]
-                        start = 0 if after is None else state.placements[(v, after)].slot
-                        stack.append([start, len(state.slots) + 1, False, None, False])
-                    else:
-                        stack.append([restriction, restriction + 1, False, None, False])
-                else:
-                    sol = _complete(state, best.score.key() if best is not None else None)
-                    if sol is not None:
-                        best = sol
-        if not stack:
-            break
-        frame = stack[-1]
-        pos, end, placed_any, undo, fresh = frame
-        if undo is not None:
-            state.unplace(undo)
-            if fresh:
-                state.pop_slot(state.slots[-1])
-            if best is not None and state.steps >= budget and pos < end:
-                pos, finished = end, False  # the budget is spent: try no further slot
-        v, unit, _ = items[len(stack) - 1]
-        undo = None
-        while undo is None and pos < end:
-            fresh = pos == len(state.slots)
-            if fresh:
-                slot = state.new_slot(state.target.kind_width(unit.kinds), None)
-            else:
-                slot = state.slots[pos]
-            pos += 1
-            undo = state.place(v, unit, slot)
-            if undo is None and fresh:
-                state.pop_slot(slot)
-        if undo is not None:
-            state.steps += 1
-            frame[:] = [pos, end, True, undo, fresh]
-            entering = True
-        else:
-            if not placed_any:
-                failures.extend(unit.names())
-            stack.pop()
-            entering = False
-
-    if best is None:
-        raise AnnotationInfeasible(
-            adt.name, failures or [n for _, unit, _ in items for n in unit.names()]
-        )
-    best.finished = finished
-    return best
+    return _Search(adt, target, budget).run()
 
 
-def assign_intervals(
-    variant_fields: list[FieldSlot],
-    target: Target,
-    constraints: Optional[list[AnnotationEntry]] = None,
-    name: str = "variant",
-) -> Optional[dict[str, tuple[int, int]]]:
-    """Deterministic interval assignment for one variant: pinned fields keep
-    their flattened offsets, the rest first-fit from the LSB in descending
-    width order. Returns field -> (scalar index, offset), or None when a
-    field does not fit."""
-    adt = MonoAdt(
-        name=name,
-        variants=(MonoVariant("v", (), tuple(variant_fields)),),
-        packing=((tuple(constraints),) if constraints else None),
-    )
-    state = _State(adt, target)
-    try:
+def _bins_lower_bound(widths: list[int], width: int) -> int:
+    """Scalars of `width` bits that `widths` need at least (Martello and
+    Toth's L2 at k = 1): one per item wider than half a scalar, and whole
+    scalars for the bits beyond the room those leave."""
+    big = [w for w in widths if 2 * w > width]
+    return len(big) + max(0, -(-(sum(widths) - width * len(big)) // width))
+
+
+@lru_cache(maxsize=16)
+def _kind_classes(kind_sets: tuple[KindSet, ...], word_width: int):
+    """The kind sets merged where they share a kind, and their widths:
+    units of two classes never share a scalar, and the scalars of one class
+    have one width."""
+    classes: list[KindSet] = []
+    for kinds in kind_sets:
+        joined = [c for c in classes if c & kinds]
+        classes = [c for c in classes if not c & kinds] + [kinds.union(*joined)]
+    return tuple(classes), tuple(next(iter(c)).width(word_width) for c in classes)
+
+
+class _Search:
+    """An attempt fixes how many fresh scalars each kind class may open
+    (`quota`) and the scalar whose top tag bits stay free (`reserve`)."""
+
+    def __init__(self, adt: MonoAdt, target: Target, budget: int):
+        self.adt, self.target, self.budget, self.n = adt, target, budget, len(adt.variants)
+        self.steps, self.finished = 0, True
+        self.failures: set[str] = set()  # #solve units that did not fit their scalar
+        self.classes, self.widths = _kind_classes(
+            tuple(target.kind_table.values()), target.word_width)
+        state = _State(adt, target)
         units = _apply_annotations(state)
-    except AnnotationInfeasible:
-        return None
-    for v, j, unit in units:
-        if state.place(v, unit, state.slots[j]) is None:
-            return None
-    for f in sorted(variant_fields, key=lambda f: -f.width):
-        if (0, f.name) in state.placements:
-            continue
-        unit = _Unit.of(f)
-        if not any(state.place(0, unit, slot) for slot in state.slots):
-            slot = state.new_slot(target.kind_width(f.kinds), None)
-            if state.place(0, unit, slot) is None:
+        self.entries = len(state.slots)
+        placed = set(state.placements) | {(v, name) for v, _, u in units for name in u.names()}
+        # per variant: its free references, and its search items (unit,
+        # restricted scalar, whether it is a free field equal to the one
+        # before, which then starts at that one's scalar so that equal fields
+        # are tried in one order): #solve units, then free fields, each in
+        # descending width
+        self.refs, self.items = [], []
+        self.lows, self.highs = [0] * len(self.classes), [0] * len(self.classes)
+        low_bits = target.ref_tagging.free_low_bits if target.ref_tagging else 0
+        for i, variant in enumerate(adt.variants):
+            free = [_Unit.of(f) for f in variant.fields if (i, f.name) not in placed]
+            self.refs.append([u for u in free if u.ref])
+            row = [(u, j) for v, j, u in units if v == i] + [(u, None) for u in free if not u.ref]
+            row.sort(key=lambda uj: (uj[1] is None, -uj[0].pattern.width))  # stable
+            follows = [False] + [
+                j0 is None and j1 is None and (u0.pattern, u0.kinds) == (u1.pattern, u1.kinds)
+                for (u0, j0), (u1, j1) in zip(row, row[1:])
+            ]
+            self.items.append([(u, j, f) for (u, j), f in zip(row, follows)])
+            by_class: dict[int, list[int]] = {}
+            for u in [u for u, j in row if j is None] + self.refs[-1]:
+                # a plain reference leaves the tagging's low bits to others
+                low = low_bits if u.ref and u.ref.ref_mode == REF_PLAIN else 0
+                by_class.setdefault(self.class_of(u.kinds), []).append(u.pattern.width - low)
+            for c, ws in by_class.items():
+                self.lows[c] = max(self.lows[c], _bins_lower_bound(ws, self.widths[c]) - self.entries)
+                # a reference needs a scalar whose bit 0 holds no field of
+                # another variant, so only one scalar per item surely suffices
+                self.highs[c] += len(ws)
+
+    def class_of(self, kinds: KindSet) -> int:
+        return next(c for c, ks in enumerate(self.classes) if ks & kinds)
+
+    def run(self) -> LayoutSolution:
+        best: Optional[LayoutSolution] = None
+        # a tag's least cost: in an unannotated ADT some variant holds a field
+        # or a reference tag at bit 0 of every scalar, so a tag is shifted
+        tag_cost = 0 if self.n == 1 else 1 if self.adt.packing is not None else 2
+        for m in range(self.entries + sum(self.lows), self.entries + sum(self.highs) + 1):
+            if best is not None and best.score.num_scalars < m:
+                break
+            splits = product(*(range(lo, hi + 1) for lo, hi in zip(self.lows, self.highs)))
+            for quota in (q for q in splits if sum(q) == m - self.entries):
+                floor = None  # the cost with no reservation, which no reservation beats
+                for reserve in [None] + list(range(m if self.n > 1 else 0)):
+                    key = best.score.key() if best is not None else None
+                    if floor is not None and key is not None and (m, floor + tag_cost) >= key:
+                        break
+                    state, cost = self.attempt(quota, reserve)
+                    if state is None and reserve is None:
+                        break  # a reservation only narrows the packings
+                    if reserve is None:
+                        floor = cost
+                    # a state with fewer scalars was tried at its own count
+                    if state is not None and len(state.slots) == m and (
+                            key is None or (m, cost + tag_cost) < key):
+                        best = _complete(state, key) or best
+        if best is None:
+            cut = "" if self.finished else "the step budget ran out first"
+            raise AnnotationInfeasible(self.adt.name, list(self.failures), cut)
+        best.steps_used, best.finished = self.steps, self.finished
+        return best
+
+    def attempt(self, quota: list[int], reserve: Optional[int]) -> tuple[Optional[_State], int]:
+        """Every variant's references placed first fit, then each variant
+        packed: (state, summed cost), or (None, 0) when one does not fit."""
+        self.quota, self.reserve, self.opened = quota, reserve, [0] * len(quota)
+        state = _State(self.adt, self.target)
+        _apply_annotations(state)
+        if reserve is not None and reserve < len(state.slots):
+            self.keep_tag_free(state.slots[reserve])
+        if not all(self.fit(state, v, u, None, 0) for v, refs in enumerate(self.refs) for u in refs):
+            return None, 0
+        total = 0
+        for v in range(self.n):
+            cost = self.pack(state, v)
+            if cost is None:
+                return None, 0
+            total += cost
+        return state, total
+
+    def keep_tag_free(self, slot: _Slot) -> None:
+        width = tag_width_for(self.n)
+        for v in range(self.n):
+            slot.add_consts(v, 0, 0, ((1 << width) - 1) << (slot.width - width))
+
+    def cost(self, state: _State, v: int) -> int:
+        """The access cost of variant `v`'s placements as they stand; for
+        v > 0, a field at offset 0 of the reserved scalar is below the tag."""
+        total = 0
+        for (w, _), pl in state.placements.items():
+            if w == v:
+                s = state.slots[pl.slot]
+                total += 2 if pl.offset else bool(
+                    v and pl.slot == self.reserve or (s.field[v] | s.ones[v]) >> pl.width)
+        return total
+
+    def bound(self, state: _State, v: int, i: int) -> Optional[int]:
+        """A lower bound on the cost of variant `v` once all its items are
+        placed, given the first `i`; None when its free fields cannot fit. A
+        free field costs 0 alone in a scalar whose bit 0 `v` leaves free, 1
+        at the bottom of one it shares, and 2 elsewhere; as many of the
+        largest stay alone as leave the others room (Martello and Toth's L1
+        over the room left)."""
+        widths = [u.pattern.width for u, j, _ in self.items[v][i:] if j is None]
+        if not widths:
+            return self.cost(state, v)
+        used, empty = 0, []
+        for s in state.slots:
+            if not (s.ref_variants and state.tags is None):  # not a reference-only scalar
+                reserved = s.reserved(v)
+                room = s.width - reserved.bit_count()
+                if reserved & 1:
+                    used += room
+                else:
+                    empty.append(room)
+        fresh = [self.widths[c] for c, q in enumerate(self.quota) for _ in range(q - self.opened[c])]
+        if fresh and self.reserve is not None and self.reserve >= len(state.slots):
+            # the reserved scalar is a fresh one: a state that never opens it is not kept
+            fresh[fresh.index(min(fresh))] -= tag_width_for(self.n)
+        empty = sorted(empty + fresh)
+        lone = min(len(widths), len(empty))
+        while sum(widths[lone:]) > used + sum(empty[lone:]):
+            if not lone:
                 return None
-    return {
-        name_: (pl.slot, pl.offset)
-        for (_, name_), pl in sorted(state.placements.items(), key=lambda kv: kv[0][1])
-    }
+            lone -= 1
+        rest = len(widths) - lone
+        # with a lone field in every such scalar, one is below the tag
+        tag_scalar_empty = self.reserve is not None and (
+            self.reserve >= len(state.slots) or not state.slots[self.reserve].reserved(v) & 1)
+        below_tag = v > 0 and tag_scalar_empty and lone == len(empty) > 0
+        return self.cost(state, v) + 2 * rest - min(len(empty) - lone, rest // 2) + below_tag
+
+    def fit(self, state: _State, v: int, unit: _Unit, restriction: Optional[int], k: int):
+        """Place `unit` of variant `v` in its restricted scalar, or else in
+        the first scalar from index `k` on that takes it, a fresh one last:
+        (index, undo, class of a fresh scalar or None), or None. Of the
+        scalars that hold nothing of `v`, a plain field tries only the first
+        of each width and kind set: the others would place it alike. A
+        #packing entry's scalar is never one of those, for its units need it."""
+        slots = state.slots
+        if restriction is not None:
+            undo = state.place(v, unit, slots[restriction]) if k <= restriction else None
+            if undo is None and k <= restriction:
+                self.failures.update(unit.names())
+            return None if undo is None else (restriction, undo, None)
+        blanks = set()  # (width, kinds) of the blank scalars met
+        for idx, s in enumerate(slots):
+            blank = idx >= self.entries and unit.ref is None and not s.ref_variants and not s.reserved(v)
+            if blank and (s.width, s.kinds) in blanks:
+                continue
+            if blank:
+                blanks.add((s.width, s.kinds))
+            undo = state.place(v, unit, s) if idx >= k else None
+            if undo is not None:
+                return idx, undo, None
+        c = self.class_of(unit.kinds)
+        if k > len(slots) or self.opened[c] >= self.quota[c] or any(
+                width == self.widths[c] and (kinds is None or kinds & unit.kinds)
+                for width, kinds in blanks):
+            return None
+        slot = state.new_slot(self.widths[c], None)
+        if slot.index == self.reserve:
+            self.keep_tag_free(slot)
+        undo = state.place(v, unit, slot)
+        if undo is None:
+            slots.pop()
+            return None
+        self.opened[c] += 1
+        return slot.index, undo, c
+
+    def pack(self, state: _State, v: int) -> Optional[int]:
+        """Place the items of variant `v` as the first packing, in
+        depth-first order, of least cost for `v`, and return that cost; None
+        when none fits. The search stops at a packing that meets the bound
+        of its root, and at the budget with the best so far."""
+        items = self.items[v]
+        target = self.bound(state, v, 0)
+        path: list = []  # (scalar index, undo, class of a fresh scalar) per placed item
+        best: Optional[tuple[int, list[int]]] = None  # (cost, scalar indexes)
+        first, k = True, 0  # on the first descent; the next scalar to try
+        while target is not None:
+            i = len(path)
+            if i == len(items):
+                cost = self.cost(state, v)
+                if cost <= target:
+                    return cost  # the packing in place is optimal
+                if best is None or cost < best[0]:
+                    best = (cost, [idx for idx, _, _ in path])
+            elif first or self.steps < self.budget:
+                found = self.fit(state, v, items[i][0], items[i][1], k)
+                if found is not None:
+                    path.append(found)
+                    self.steps += not first
+                    lower = None if first else self.bound(state, v, i + 1)
+                    if first or lower is not None and (best is None or lower < best[0]):
+                        k = found[0] if i + 1 < len(items) and items[i + 1][2] else 0
+                        continue
+            else:
+                self.finished = False
+                break
+            first = False
+            if not path:
+                break
+            k = self.backtrack(state, path) + 1
+        while path:
+            self.backtrack(state, path)
+        for (unit, restriction, _), idx in zip(items, best[1] if best else []):
+            self.fit(state, v, unit, restriction, idx)  # replays the placement at idx
+        return None if best is None else best[0]
+
+    def backtrack(self, state: _State, path: list) -> int:
+        """Undo the last placement on `path` and return its scalar index."""
+        idx, undo, c = path.pop()
+        state.unplace(undo)
+        if c is not None:
+            state.slots.pop()
+            self.opened[c] -= 1
+        return idx

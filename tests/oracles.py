@@ -277,10 +277,12 @@ def enumerate_pattern_sets(max_total_bits: int = 6):
 # is zero in the tested interval). Placing a field above offset 0 always
 # costs 2 regardless of position, and stacking fields contiguously never
 # fragments (sum of widths <= 64 here), so enumerating slot assignments plus
-# the tag options covers every achievable score. A decision tree needs at
-# least one masked-and-shifted test per level, so an in-slot explicit tag
-# (cost <= 2, same masking effect, choosable per slot) always scores at
-# least as well; trees are therefore omitted from the optimum search.
+# the tag options covers every achievable score. Decision trees are omitted.
+# A tree needs at least one masked-and-shifted test per level, so wherever an
+# in-place explicit tag fits, it (cost <= 2, same masking effect) scores at
+# least as well. Where no tag interval is free, a tree may still separate the
+# variants at fewer scalars, so the oracle is exact only on shapes where no
+# tree does that.
 
 
 def oracle_best_score(widths_per_variant: list[list[int]]) -> tuple[int, int]:
@@ -342,5 +344,76 @@ def oracle_best_score(widths_per_variant: list[list[int]]) -> tuple[int, int]:
                 consider((k, cost0 + tag_access))
             # appended dedicated tag scalar
             consider((k + 1, field_cost(None, False) + 0 + 1))
+    assert best is not None
+    return best
+
+
+# ---------------------------------------------------------------------------
+# Per-variant layout-score oracle (plain unsigned fields, any scalar count)
+#
+# A field of `width` bits or less takes a scalar of `width` bits, a wider one
+# a 64-bit scalar (x86-32's logical B64). Every field of a variant is
+# assigned to a scalar of its class, independently of the other variants;
+# in one scalar the fields stack from bit 0, so a variant with k fields
+# there pays 0 for k = 1 and 2k - 1 for more. An in-place tag sits above the
+# fields of one scalar that some variant uses, in every variant: it costs 2,
+# leaves `width - tag width` bits to each variant there, and a lone field of
+# a case whose index is not 0 pays 1 below it. An appended tag costs one
+# scalar and 1. Trees are omitted (see oracle_best_score).
+
+
+def oracle_per_variant_score(
+    widths_per_variant: list[list[int]], width: int
+) -> tuple[int, int]:
+    """Minimal (num_scalars, access + explicit-tag cost) without trees, by
+    brute force over every field-to-scalar assignment of each variant."""
+    n = len(widths_per_variant)
+    tagw = 0 if n <= 1 else max(1, math.ceil(math.log2(n)))
+    classes = [width, 64] if width < 64 else [64]  # scalar widths; class 1 for w > width
+    need = [
+        max(sum(1 for w in ws if (w > width) == c) for ws in widths_per_variant)
+        for c in range(len(classes))
+    ]
+    best: Optional[tuple[int, int]] = None
+    for counts in sorted(itertools.product(*(range(k + 1) for k in need)), key=sum):
+        if best is not None and sum(counts) > best[0]:
+            break  # more scalars cannot score better
+        kinds = [c for c, k in enumerate(counts) for _ in range(k)]
+        scalars = [classes[c] for c in kinds]
+        m = len(scalars)
+        # per variant and tag option (None or a scalar): the least cost, and
+        # the least cost among assignments that use the tag's scalar
+        any_cost = [dict() for _ in range(n)]
+        uses_cost = [dict() for _ in range(n)]
+        for v, ws in enumerate(widths_per_variant):
+            choices = [
+                [s for s, c in enumerate(kinds) if (w > width) == c] for w in ws
+            ]
+            for assign in itertools.product(*choices):
+                groups: dict[int, list[int]] = {}
+                for w, s in zip(ws, assign):
+                    groups.setdefault(s, []).append(w)
+                if any(sum(g) > scalars[s] for s, g in groups.items()):
+                    continue
+                shared = sum(2 * len(g) - 1 for g in groups.values() if len(g) > 1)
+                for tag in [None] + list(range(m)):
+                    if tag in groups and sum(groups[tag]) > scalars[tag] - tagw:
+                        continue
+                    cost = shared + (v > 0 and tag in groups and len(groups[tag]) == 1)
+                    for table, ok in ((any_cost, True), (uses_cost, tag in groups)):
+                        if ok and cost < table[v].get(tag, math.inf):
+                            table[v][tag] = cost
+        if any(None not in any_cost[v] for v in range(n)):
+            continue
+        plain = sum(any_cost[v][None] for v in range(n))
+        keys = [(m, plain) if n == 1 else (m + 1, plain + 1)]
+        for tag in range(m if n > 1 else 0):
+            if all(tag in any_cost[v] for v in range(n)):
+                rest = sum(any_cost[v][tag] for v in range(n))
+                keys += [
+                    (m, rest - any_cost[v][tag] + uses_cost[v][tag] + 2)
+                    for v in range(n) if tag in uses_cost[v]
+                ]
+        best = min([best] + keys if best else keys)
     assert best is not None
     return best

@@ -182,6 +182,18 @@ def test_unbox_limit_flag(tmp_path):
     assert not entry["boxed"] and entry["reason"] == "auto"
 
 
+@pytest.mark.parametrize("budget", ["0", "3"])
+def test_layout_tiny_budget_still_packs(tmp_path, budget, capsys):
+    """Each case's first descent is not charged, so any budget gives at
+    least the first-fit layout: one scalar, not one per field."""
+    p = tmp_path / "s.pk"
+    p.write_text("type S #unboxed { case A(x: u8, y: u8); case B(z: u8); }")
+    assert main(["layout", str(p), "--target", "x64", "--budget", budget, "--json"]) == 0
+    entry = json.loads(capsys.readouterr().out)["adts"][0]
+    assert len(entry["scalars"]) == 1
+    assert entry["steps"] <= int(budget)
+
+
 def test_custom_target_file(tmp_path):
     spec = {
         "name": "w32",
