@@ -16,8 +16,9 @@ Patterns print as strings, MSB first, over '0', '1', 'x' (field) and 'u'
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Union
+from typing import Callable, NamedTuple, Optional, Union
 
 Patterns = list[list[str]]  # [variant][scalar] -> MSB-first pattern string
 
@@ -139,11 +140,24 @@ def _split(p: BitPattern, widths: list[int]) -> list[BitPattern]:
     return out
 
 
-def _resolve_free_bits(rows: list[BitPattern]) -> bool:
+def _viable(a: BitPattern, c: BitPattern) -> Optional[int]:
+    """The positions where `a` and `c` could still be made to differ, held
+    by no field and not equal constants in both; None when they already
+    differ at a constant."""
+    if (a.ones ^ c.ones) & a.const & c.const:
+        return None
+    return (a.free | c.free) & ~(a.field | c.field)
+
+
+def _resolve_free_bits(
+    rows: list[BitPattern], charge: Optional[Callable[[], bool]] = None
+) -> Optional[bool]:
     """Complete search for an assignment of free bits making every pair of
     variants differ at a position that is constant in both. Fixes the chosen
     bits in `rows` (one joined pattern per variant) and returns True, or
-    returns False when no assignment exists.
+    returns False when no assignment exists. Each node taken after the first
+    backtrack calls `charge`; when it returns False the search stops and
+    returns None.
 
     Branches on the unseparated pair with the fewest viable positions, the
     first such pair in (u, v) order; a pair with none is unsatisfiable
@@ -159,14 +173,6 @@ def _resolve_free_bits(rows: list[BitPattern]) -> bool:
         touching[u].append(i)
         touching[v].append(i)
 
-    def candidates(u: int, v: int) -> Optional[int]:
-        """Viable separation positions, or None when already separated."""
-        a, c = rows[u], rows[v]
-        both = a.const & c.const
-        if (a.ones ^ c.ones) & both:
-            return None
-        return (a.free | c.free) & ~(a.field | c.field)
-
     def choices(a: BitPattern, c: BitPattern, cands: int):
         """The (a, c) pairs that separate them at one viable position, in
         ascending bit order, a's 0 first."""
@@ -180,10 +186,11 @@ def _resolve_free_bits(rows: list[BitPattern]) -> bool:
                     continue
                 yield a.fix(bit, bit_u), c.fix(bit, bit_v)
 
-    table = [candidates(u, v) for u, v in pairs]
+    table = [_viable(rows[u], rows[v]) for u, v in pairs]
     # one frame per branching pair: [u, v, its rows before the step, the
     # remaining choices, the table entries the current step replaced]
     stack: list[list] = []
+    first = True  # on the first descent, which is free
     while True:
         tightest: Optional[tuple[int, int]] = None  # (count, pair index)
         dead = False
@@ -209,6 +216,7 @@ def _resolve_free_bits(rows: list[BitPattern]) -> bool:
             frame = stack[-1]
             u, v, a, c, pending, saved = frame
             if saved is not None:
+                first = False
                 rows[u], rows[v] = a, c
                 for i, cands in saved:
                     table[i] = cands
@@ -216,12 +224,27 @@ def _resolve_free_bits(rows: list[BitPattern]) -> bool:
             if step is None:
                 stack.pop()
                 continue
+            if not first and charge is not None and not charge():
+                return None
             rows[u], rows[v] = step
             affected = touching[u] + [i for i in touching[v] if pairs[i][0] != u]
             frame[5] = [(i, table[i]) for i in affected]
             for i in affected:
-                table[i] = candidates(*pairs[i])
+                table[i] = _viable(rows[pairs[i][0]], rows[pairs[i][1]])
             break
+
+
+def _inseparable_pair(rows: list[BitPattern]) -> bool:
+    """True when some pair of rows has no position where they can differ:
+    at each one a row holds a field or both hold the same constant. Equal
+    rows are compared once; a row that occurs twice needs a free bit."""
+    counts = Counter(rows)
+    distinct = list(counts)
+    for i, a in enumerate(distinct):
+        for c in distinct[i if counts[a] > 1 else i + 1 :]:
+            if _viable(a, c) == 0:
+                return True
+    return False
 
 
 def check_distinguishable(patterns: Patterns) -> bool:
@@ -247,59 +270,138 @@ def derive_decision_tree(patterns: Patterns) -> Optional[tuple[DecisionTree, Pat
 
 
 def derive_tree(
-    rows: list[list[BitPattern]],
+    rows: list[list[BitPattern]], charge: Optional[Callable[[], bool]] = None
 ) -> Optional[tuple[DecisionTree, list[list[BitPattern]]]]:
     """`derive_decision_tree` over patterns held as masks: (tree, the rows
-    with the chosen free bits made constant), or None."""
+    with the chosen free bits made constant), or None.
+
+    One top-down pass splits the variants and fixes free bits as it goes
+    (`_build`). Where it finds no admissible split, the complete free-bit
+    search runs, charging `charge` as `_resolve_free_bits` says, and the
+    same pass builds the tree over its assignment; a refused charge gives
+    None as well."""
     if len(rows) == 1:
         return Leaf(0), [list(row) for row in rows]
     widths = [p.width for p in rows[0]]
     joined = [join_patterns(row) for row in rows]
-    if not _resolve_free_bits(joined):
+    if _inseparable_pair(joined):
+        return None
+    resolved = list(joined)
+    tree = _build(resolved, widths)
+    if tree is None:
+        if not _resolve_free_bits(joined, charge):
+            return None
+        resolved = joined
+        tree = _build(resolved, widths)
+        assert tree is not None, "no admissible split despite resolved free bits"
+    return tree, [_split(row, widths) for row in resolved]
+
+
+def _build(rows: list[BitPattern], widths: list[int]) -> Optional[DecisionTree]:
+    """A tree separating `rows` (joined patterns), built top down, fixing
+    in `rows` the free bits it routes; None when some node has no
+    admissible split.
+
+    At each node the untested positions fall into columns, positions of
+    one scalar that look the same in every live member, and only the
+    lowest position of each column is tried. A member goes where its
+    constant sends it, to both sides where it holds a field, and where it
+    is free, to whichever side balances the split; a 1 goes only to a
+    member that it costs nothing, and members holding fields take 0 first.
+    A member with no other untested position left where it can differ must
+    end up alone on its side, and takes a 1 at any cost if it must. A split
+    is admissible when each side is smaller than the node; the chosen one
+    has the smallest larger side, then the fewest members on both sides,
+    then the lowest position."""
+    scalars = []  # (first position, mask) per scalar
+    lo = 0
+    for w in widths:
+        scalars.append((lo, ((1 << w) - 1) << lo))
+        lo += w
+    usable = [~p.field & ((1 << p.width) - 1) for p in rows]
+
+    def cheap_one(p: BitPattern, bit: int) -> bool:
+        """Whether a 1 at `bit` leaves the access cost of `p` unchanged: its
+        field at offset 0 of that scalar, if any, has set bits above it."""
+        lo, mask = next(sm for sm in scalars if sm[1] & bit)
+        field = (p.field & mask) >> lo
+        run = (field ^ (field + 1)).bit_length() - 1  # the offset-0 field run
+        return not field & 1 or bool(((p.ones | p.field) & mask) >> lo >> run)
+
+    def route(members: list[int], used: int, bit: int) -> Optional[tuple]:
+        """(key, the free members routed to 1) of the best routing at
+        `bit`, or None when no routing there is admissible."""
+        zeros = ones = dup = 0
+        free: list[int] = []
+        lone: list[int] = []
+        for m in members:
+            p = rows[m]
+            if p.const & bit:
+                if p.ones & bit:
+                    ones += 1
+                else:
+                    zeros += 1
+            elif p.field & bit:
+                dup += 1
+            else:
+                free.append(m)
+            if usable[m] & ~used == bit:
+                lone.append(m)
+        if lone:
+            # the first lone member alone on the zero side, or on the one side
+            m = lone[0]
+            options = [[f for f in free if f != m], [m] if m in free else []]
+        else:
+            cheap = [f for f in free if cheap_one(rows[f], bit)]
+            cheap.sort(key=lambda f: rows[f].field != 0)  # stable
+            options = [cheap[: max(0, min(len(cheap), (zeros + len(free) - ones) // 2))]]
+        for to_one in options:
+            zero_n = zeros + dup + len(free) - len(to_one)
+            one_n = ones + dup + len(to_one)
+            larger = max(zero_n, one_n)
+            if larger < len(members) and all(
+                (one_n if rows[l].ones & bit or l in to_one else zero_n) == 1 for l in lone
+            ) and (not lone or all(f in lone or cheap_one(rows[f], bit) for f in to_one)):
+                return (larger, dup, bit), to_one
         return None
 
-    def build(members: list[int], used: int) -> DecisionTree:
+    def node(members: list[int], used: int) -> Optional[DecisionTree]:
         if len(members) == 1:
             return Leaf(members[0])
-        best: Optional[tuple[int, int]] = None  # (larger branch, bit)
-        splits = 0
+        columns = [mask & ~used for _, mask in scalars]
+        for p in {rows[m] for m in members}:
+            for part in (p.ones, p.const & ~p.ones, p.field):
+                columns = [c for col in columns for c in (col & part, col & ~part) if c]
+        best = None
+        for col in columns:
+            found = route(members, used, col & -col)
+            if found is not None and (best is None or found[0] < best[0]):
+                best = found
+        if best is None:
+            return None
+        (_, _, bit), to_one = best
+        zero_side, one_side = [], []
         for m in members:
-            splits |= joined[m].const
-        splits &= ~used
-        while splits:
-            bit = splits & -splits
-            splits ^= bit
-            # valid split: some pair of members has differing constants here
-            ones = sum(1 for m in members if joined[m].ones & bit)
-            zeros = sum(1 for m in members if joined[m].const & ~joined[m].ones & bit)
-            if not (ones and zeros):
-                continue
-            larger = len(members) - min(ones, zeros)
-            if best is None or larger < best[0]:
-                best = (larger, bit)
-        assert best is not None, "unseparated members despite resolved free bits"
-        _, bit = best
-        zero_side: list[int] = []
-        one_side: list[int] = []
-        for m in members:
-            p = joined[m]
-            if p.const & bit:
-                (one_side if p.ones & bit else zero_side).append(m)
-            elif p.field & bit:
+            p = rows[m]
+            if p.field & bit:
                 zero_side.append(m)
                 one_side.append(m)
-            else:  # free bit: route to the smaller side and fix the choice
-                value = 0 if len(zero_side) <= len(one_side) else bit
-                joined[m] = p.fix(bit, value)
-                (one_side if value else zero_side).append(m)
-        s, b = 0, bit.bit_length() - 1
-        while b >= widths[s]:
-            b -= widths[s]
-            s += 1
-        return Node(s, b, build(zero_side, used | bit), build(one_side, used | bit))
+            elif p.ones & bit:
+                one_side.append(m)
+            elif m in to_one:
+                rows[m] = p.fix(bit, bit)
+                one_side.append(m)
+            else:
+                rows[m] = p.fix(bit, 0)
+                zero_side.append(m)
+        zero = node(zero_side, used | bit)
+        one = node(one_side, used | bit) if zero is not None else None
+        if one is None:
+            return None
+        s = next(i for i, (_, mask) in enumerate(scalars) if mask & bit)
+        return Node(s, bit.bit_length() - 1 - scalars[s][0], zero, one)
 
-    tree = build(list(range(len(joined))), 0)
-    return tree, [_split(row, widths) for row in joined]
+    return node(list(range(len(rows))), 0)
 
 
 def lowest_run(mask: int, width: int) -> Optional[int]:

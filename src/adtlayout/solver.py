@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dfield, replace
 from functools import lru_cache
 from itertools import product
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 from . import distinguish
 from .distinguish import (
@@ -592,12 +592,14 @@ Candidate = tuple[tuple[int, int], list[list[BitPattern]], TagScheme]
 
 
 def _candidates(
-    state: _State, best_key=None
+    state: _State, best_key=None, charge: Optional[Callable[[], bool]] = None
 ) -> tuple[list[list[BitPattern]], list[Candidate]]:
     """The pre-tag patterns of a fully-assigned state and its tagging
     completions, each with its score key, ordered by preference: in-place
     explicit tag, decision tree, appended tag scalar. Candidates provably
-    unable to beat `best_key` may be omitted."""
+    unable to beat `best_key` may be omitted. A tree's complete free-bit
+    search is charged to `charge` (see `distinguish.derive_tree`); when the
+    charge is refused the state gets no tree."""
     n = state.n
     base = state.build_patterns()
     results: list[Candidate] = []
@@ -634,7 +636,7 @@ def _candidates(
     )
     dominated = (n == 2 and results) or (have is not None and have <= tree_bound)
     if not dominated:
-        derived = distinguish.derive_tree(base)
+        derived = distinguish.derive_tree(base, charge)
         if derived is not None:
             tree, resolved = derived
             add(resolved, TreeTag(tree))
@@ -647,11 +649,13 @@ def _candidates(
     return base, results
 
 
-def _complete(state: _State, best_key=None) -> Optional[LayoutSolution]:
+def _complete(
+    state: _State, best_key=None, charge: Optional[Callable[[], bool]] = None
+) -> Optional[LayoutSolution]:
     """The solution for the first candidate with the smallest key, or None
     when no candidate's key is below `best_key`. Only that candidate is
     built; the others are judged by key alone."""
-    base, results = _candidates(state, best_key)
+    base, results = _candidates(state, best_key, charge)
     pick: Optional[Candidate] = None
     for cand in results:
         if best_key is None or cand[0] < best_key:
@@ -802,7 +806,8 @@ def solve_layout(adt: MonoAdt, target: Target, budget: int = 10_000) -> LayoutSo
     lower bound on its cost, and the state is completed with an in-place
     tag, a decision tree or an appended tag. The first count that admits a
     layout ends the search. A step is a placement made after a variant's
-    search first backtracks, so every budget gives at least a first-fit
+    search first backtracks, or a node of a tree's complete free-bit search
+    after it first backtracks, so every budget gives at least a first-fit
     layout; `finished` is False when the budget cut a search. Deterministic
     in (adt, target, budget). An annotated ADT with no feasible layout
     raises AnnotationInfeasible.
@@ -899,12 +904,21 @@ class _Search:
                     # a state with fewer scalars was tried at its own count
                     if state is not None and len(state.slots) == m and (
                             key is None or (m, cost + tag_cost) < key):
-                        best = _complete(state, key) or best
+                        best = _complete(state, key, self.charge) or best
         if best is None:
             cut = "" if self.finished else "the step budget ran out first"
             raise AnnotationInfeasible(self.adt.name, list(self.failures), cut)
         best.steps_used, best.finished = self.steps, self.finished
         return best
+
+    def charge(self) -> bool:
+        """Take one step of the budget for the free-bit search of a tree;
+        False, and the search not finished, once the budget is spent."""
+        if self.steps < self.budget:
+            self.steps += 1
+            return True
+        self.finished = False
+        return False
 
     def attempt(self, quota: list[int], reserve: Optional[int]) -> tuple[Optional[_State], int]:
         """Every variant's references placed first fit, then each variant

@@ -2,8 +2,9 @@
 
 Each one deliberately re-derives its answer by a different route than the
 library: flattening by textual inlining and a linear scan, distinguishability
-by brute-force enumeration of every free-bit assignment, and layout scoring
-by exhaustive enumeration over placement equivalence classes.
+by brute-force enumeration of every free-bit assignment, the least tree
+depth by every split over every such assignment, and layout scoring by
+exhaustive enumeration over placement equivalence classes.
 """
 
 from __future__ import annotations
@@ -243,6 +244,50 @@ def brute_force_distinguishable(patterns: list[list[str]]) -> bool:
         for v, s, b in free:
             grids[v][s][b] = "u"
     return separated_all() if not free else False
+
+
+def oracle_min_tree_depth(patterns: list[list[str]]) -> Optional[int]:
+    """The least depth of a tree that classifies `patterns`, or None when
+    none does: every assignment of the 'u' bits is tried, and for each, the
+    least depth over every split at an untested position that leaves each
+    side smaller, field bits going to both sides. For at most 4 variants and
+    10 free bits."""
+    rows = ["".join(row) for row in patterns]
+    n, width = len(rows), len(rows[0])
+    free = [(v, i) for v in range(n) for i in range(width) if rows[v][i] == "u"]
+    assert n <= 4 and len(free) <= 10, "too large for the depth oracle"
+    floor = math.ceil(math.log2(n)) if n > 1 else 0
+    best: Optional[int] = None
+    for combo in itertools.product("01", repeat=len(free)):
+        grid = [list(r) for r in rows]
+        for (v, i), bit in zip(free, combo):
+            grid[v][i] = bit
+        memo: dict[tuple[tuple[int, ...], int], Optional[int]] = {}
+
+        def depth(members: tuple[int, ...], used: int) -> Optional[int]:
+            if len(members) == 1:
+                return 0
+            if (members, used) not in memo:
+                least = None
+                for i in range(width):
+                    if used >> i & 1:
+                        continue
+                    zero = tuple(m for m in members if grid[m][i] in "0x")
+                    one = tuple(m for m in members if grid[m][i] in "1x")
+                    if len(zero) == len(members) or len(one) == len(members):
+                        continue
+                    below = [depth(side, used | 1 << i) for side in (zero, one)]
+                    if None not in below and (least is None or 1 + max(below) < least):
+                        least = 1 + max(below)
+                memo[members, used] = least
+            return memo[members, used]
+
+        got = depth(tuple(range(n)), 0)
+        if got is not None and (best is None or got < best):
+            best = got
+            if best == floor:
+                break
+    return best
 
 
 def enumerate_pattern_sets(max_total_bits: int = 6):

@@ -1,7 +1,9 @@
 import itertools
+import random
 
 import pytest
 
+from adtlayout import distinguish
 from adtlayout.distinguish import (
     Leaf,
     Node,
@@ -12,9 +14,10 @@ from adtlayout.distinguish import (
     find_tag_interval,
     parse_pattern,
     tag_width_for,
+    tree_depth,
 )
 
-from oracles import brute_force_distinguishable, enumerate_pattern_sets
+from oracles import brute_force_distinguishable, enumerate_pattern_sets, oracle_min_tree_depth
 
 
 def test_constant_bit_separates():
@@ -116,6 +119,61 @@ def test_agreement_with_brute_force_enumeration():
             _assert_tree_classifies(patterns, derived)
         count += 1
     assert count > 500
+
+
+def test_derived_trees_match_min_depth_oracle():
+    """Over 1000 distinguishable four-variant pattern sets of at most 10
+    free bits, every derived tree classifies, none is deeper than the least
+    depth over every free-bit assignment plus one, and at least 95 % reach
+    that least depth."""
+    rng = random.Random(0)
+    matched = total = 0
+    while total < 1000:
+        shape = [rng.randint(1, 3) for _ in range(rng.randint(1, 2))]
+        patterns = [["".join(rng.choice("01xu") for _ in range(w)) for w in shape] for _ in range(4)]
+        if sum(p.count("u") for row in patterns for p in row) > 10:
+            continue
+        derived = derive_decision_tree(patterns)
+        if derived is None:
+            continue
+        _assert_tree_classifies(patterns, derived)
+        least = oracle_min_tree_depth(patterns)
+        depth = tree_depth(derived[0])
+        assert least is not None and least <= depth <= least + 1, (patterns, depth, least)
+        matched += depth == least
+        total += 1
+    assert matched >= 950, matched
+
+
+def test_fallback_search_is_charged_after_its_first_backtrack(monkeypatch):
+    """Where the top-down pass finds no admissible split, the complete
+    free-bit search runs: its first descent is free, each later node calls
+    `charge`, and a refused charge leaves no tree."""
+    runs = []
+    resolve = distinguish._resolve_free_bits
+
+    def spy(rows, charge=None):
+        runs.append(len(rows))
+        return resolve(rows, charge)
+
+    monkeypatch.setattr(distinguish, "_resolve_free_bits", spy)
+
+    def rows(*texts):
+        return [[parse_pattern(t)] for t in texts]
+
+    # the pass sends B and C to one side at bit 0, their only position left
+    assert derive_tree(rows("01", "1u", "1u"), lambda: False) is not None
+    assert runs == [3]
+    # found only after backtracking
+    stuck = ("01", "0u", "u0", "uu")
+    assert derive_tree(rows(*stuck), lambda: False) is None
+    charged = []
+    derived = derive_tree(rows(*stuck), lambda: charged.append(1) or True)
+    assert derived is not None and len(charged) == 2
+    assert derived == derive_tree(rows(*stuck))
+    patterns = [[t] for t in stuck]
+    _assert_tree_classifies(patterns, derive_decision_tree(patterns))
+    assert runs == [3, 4, 4, 4, 4]
 
 
 def _assert_tree_classifies(patterns, derived):

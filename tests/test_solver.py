@@ -1,10 +1,12 @@
 import itertools
 import json
+import math
 import random
 
 import pytest
 
 from adtlayout import codec, solver
+from adtlayout.distinguish import tree_depth
 from adtlayout.pipeline import process_adts
 from adtlayout.progen import gen_decls
 from adtlayout.solver import (
@@ -453,8 +455,9 @@ def test_annotated_adt_solves_even_with_tiny_budget():
 
 
 def test_many_nullary_cases_resolve_without_recursion_limit():
-    """48 nullary cases and one u60 payload: the free-bit search separates
-    over a thousand variant pairs, one search step each."""
+    """48 nullary cases and one u60 payload: the tree separates over a
+    thousand variant pairs, and every case encodes and classifies back to
+    itself."""
     cases = " ".join(f"case N{i};" for i in range(48))
     lay = solve_source(f"type S #unboxed {{ {cases} case P(p: u60); }}")
     assert len(lay.slots) == 1
@@ -462,6 +465,34 @@ def test_many_nullary_cases_resolve_without_recursion_limit():
     for vi, variant in enumerate(lay.adt.variants):
         values = {f.name: 0 for f in variant.fields}
         assert codec.variant_of(lay, codec.encode_variant(lay, vi, values)) == vi
+
+
+@pytest.mark.parametrize("n", [16, 32, 48, 100])
+def test_many_nullary_cases_give_balanced_trees(n):
+    """n nullary cases and one u60 payload on x64: the top-down pass splits
+    the cases evenly, so the tree is about log2(n + 1) deep, and the
+    complete free-bit search, which would be charged steps, never runs."""
+    cases = " ".join(f"case N{i};" for i in range(n))
+    lay = solve_source(f"type S #unboxed {{ {cases} case P(p: u60); }}")
+    assert lay.tag_scheme.kind_name == "decision-tree"
+    assert tree_depth(lay.tag_scheme.tree) <= math.ceil(math.log2(n + 1)) + 2
+    assert lay.steps_used == 0
+
+
+def test_free_bit_search_is_charged_to_the_budget():
+    """C1 and C2 can differ only at bit 63, where C3 would have to differ
+    from both, so no tree exists, but every pair has a position where it
+    could differ. The top-down pass gets stuck, and the complete free-bit
+    search refutes the tree two steps past its first descent. A budget
+    below that cuts the search: the state gets no tree and the solve is not
+    finished, with the same layout."""
+    src = "type T #unboxed { case C0(a: u49); case C1(b: u63); case C2(c: u63); case C3; case C4; }"
+    full = solve_source(src)
+    assert (full.finished, full.steps_used) == (True, 2)
+    for budget in (0, 1):
+        cut = solve_source(src, budget=budget)
+        assert (cut.finished, cut.steps_used) == (False, budget)
+        assert cut.score == full.score and cut.tag_scheme == full.tag_scheme
 
 
 def test_many_fields_in_one_variant_solve_without_recursion_limit():
@@ -480,7 +511,7 @@ def test_candidate_keys_equal_built_scores(monkeypatch):
     kinds = set()
     original = solver._complete
 
-    def checking(state, best_key=None):
+    def checking(state, best_key=None, charge=None):
         base, cands = solver._candidates(state)
         for key, patterns, scheme in cands:
             sol = solver._solution(
@@ -489,7 +520,7 @@ def test_candidate_keys_equal_built_scores(monkeypatch):
             )
             assert key == score_layout(sol, state.target).key(), (state.adt.name, scheme)
             kinds.add(scheme.kind_name)
-        return original(state, best_key)
+        return original(state, best_key, charge)
 
     monkeypatch.setattr(solver, "_complete", checking)
     for target in (X64, JVM, X86_32):
