@@ -77,6 +77,37 @@ type Pr #unboxed { case A(p: Box) #packing p; case B(x: u8, y: u8) #packing #sol
 type Mx #unboxed { case A(p: Box, t: u4); case B(x: u8, y: u16) #packing #solve(0b_11, x); }
 """
 
+# progen.gen_decls(random.Random(1984)) and (2975), printed: on x64 and on
+# x86-32 the top-down tree pass gets stuck on T1, and its decision tree comes
+# from the complete free-bit search (2 charged steps on x64)
+PROGEN_1984 = """\
+type T0 {
+  case C0(f00: i32, f01: u8);
+  case C1(f10: u2, f11: f64);
+}
+type T1 #unboxed {
+  case C0(f00: T0);
+  case C1(f10: bool, f11: T0);
+  case C2(f20: f64, f21: T0);
+}
+"""
+PROGEN_2975 = """\
+type T0 {
+  case C0(f00: u64);
+  case C1;
+  case C2(f20: u8, f21: u8);
+}
+type T1 #unboxed {
+  case C0(f00: u32, f01: T0, f02: f64);
+  case C1(f10: i31, f11: f64, f12: f32);
+  case C2;
+}
+type T2 #unboxed {
+  case C0;
+}
+"""
+
+
 def layout_json(source: str, target: str) -> str:
     with tempfile.TemporaryDirectory() as tmp:
         path = pathlib.Path(tmp) / "input.pk"
@@ -117,6 +148,8 @@ CASES = {
     "annotated-x64": (ANNOTATED, "x64"),
     "annotated-x86-32": (ANNOTATED, "x86-32"),
     "annotated-refs-x64": (ANNOTATED_REFS, "x64"),
+    "progen1984-x64": (PROGEN_1984, "x64"),  # tree from the complete search
+    "progen2975-x86-32": (PROGEN_2975, "x86-32"),  # tree from the complete search
 }
 
 # golden file stem -> target of the nested bundle's normalized code, STEM.txt
