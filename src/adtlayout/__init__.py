@@ -1,7 +1,7 @@
 """Bit-level layout DSL, scalar layout solver and SSA normalizer for
 unboxed algebraic data types."""
 
-from .codec import decode_field, default_scalars, encode_variant, variant_of
+from .codec import decode_field, encode_variant, variant_of
 from .distinguish import (
     DecisionTree,
     Leaf,

@@ -10,8 +10,8 @@ from __future__ import annotations
 from typing import Mapping
 
 from . import distinguish
-from .solver import BareTag, ExplicitTag, LayoutSolution, SingleVariant, TreeTag
-from .targets import REF_NONE, REF_PLAIN, REF_TAGGED_WORD, FieldSlot
+from .solver import ExplicitTag, LayoutSolution, SingleVariant, TreeTag
+from .targets import REF_PLAIN, REF_TAGGED_WORD, FieldSlot
 
 
 class EncodeError(ValueError):
@@ -81,33 +81,8 @@ def variant_of(layout: LayoutSolution, scalars: list[int]) -> int:
     scheme = layout.tag_scheme
     if isinstance(scheme, SingleVariant):
         return 0
-    if isinstance(scheme, BareTag):
-        return scalars[scheme.slot] & _mask(scheme.width)
     if isinstance(scheme, ExplicitTag):
         return (scalars[scheme.slot] >> scheme.offset) & _mask(scheme.width)
     if isinstance(scheme, TreeTag):
         return distinguish.classify(scheme.tree, scalars)
     raise TypeError(f"unknown tag scheme {scheme!r}")
-
-
-def default_scalars(layouts: Mapping[str, LayoutSolution], key: str) -> list[int]:
-    """Encoded default value: first variant, every field at its default.
-
-    Heap-free: reference fields encode null, so this is semantically exact
-    only for reference-free ADTs. The normalizer emits allocation code for
-    defaults that must materialize referenced records."""
-    layout = layouts[key]
-    return encode_variant(layout, 0, default_field_values(layouts, key, 0))
-
-
-def default_field_values(
-    layouts: Mapping[str, LayoutSolution], key: str, variant_index: int
-) -> dict[str, int]:
-    layout = layouts[key]
-    values: dict[str, int] = {}
-    for f in layout.adt.variants[variant_index].fields:
-        if f.ref_mode == REF_NONE and f.adt_ref is not None and f.adt_ref in layouts:
-            values[f.name] = default_scalars(layouts, f.adt_ref)[f.scalar_index]
-        else:
-            values[f.name] = 0  # zero bits, zero float, or null reference
-    return values

@@ -249,10 +249,9 @@ def _inseparable_pair(rows: list[BitPattern]) -> bool:
 
 def check_distinguishable(patterns: Patterns) -> bool:
     """True iff the unassigned bits can be chosen so that every pair of
-    variants differs at a bit that is constant within each."""
-    if len(patterns) <= 1:
-        return True
-    return _resolve_free_bits([join_patterns(row) for row in _parse_rows(patterns)])
+    variants differs at a bit that is constant within each: iff
+    `derive_tree` finds a tree."""
+    return not patterns or derive_tree(_parse_rows(patterns)) is not None
 
 
 def derive_decision_tree(patterns: Patterns) -> Optional[tuple[DecisionTree, Patterns]]:
@@ -280,8 +279,6 @@ def derive_tree(
     search runs, charging `charge` as `_resolve_free_bits` says, and the
     same pass builds the tree over its assignment; a refused charge gives
     None as well."""
-    if len(rows) == 1:
-        return Leaf(0), [list(row) for row in rows]
     widths = [p.width for p in rows[0]]
     joined = [join_patterns(row) for row in rows]
     if _inseparable_pair(joined):
@@ -404,34 +401,30 @@ def _build(rows: list[BitPattern], widths: list[int]) -> Optional[DecisionTree]:
     return node(list(range(len(rows))), 0)
 
 
-def lowest_run(mask: int, width: int) -> Optional[int]:
-    """LSB offset of the lowest run of `width` set bits in `mask`, or None."""
-    if width <= 0:
-        return 0
-    runs = mask
+def shared_free_run(rows: list[list[BitPattern]], s: int, width: int) -> Optional[int]:
+    """LSB offset of the lowest run of `width` bits of scalar `s` that is free
+    in every variant, or None."""
+    runs = -1
+    for row in rows:
+        runs &= row[s].free
     for _ in range(width - 1):
         runs &= runs >> 1
     return (runs & -runs).bit_length() - 1 if runs else None
 
 
-def shared_free_run(rows: list[list[BitPattern]], s: int, width: int) -> Optional[int]:
-    """LSB offset of the lowest run of `width` bits of scalar `s` that is free
-    in every variant, or None."""
-    shared = -1
-    for row in rows:
-        shared &= row[s].free
-    return lowest_run(shared, width)
+def first_tag_interval(rows: list[list[BitPattern]], width: int) -> Optional[tuple[int, int]]:
+    """First (scalar, LSB offset) of `width` contiguous bits free in every
+    variant at the same position, scanning scalars then offsets, or None."""
+    for s in range(len(rows[0]) if rows else 0):
+        off = shared_free_run(rows, s, width)
+        if off is not None:
+            return s, off
+    return None
 
 
 def find_tag_interval(patterns: Patterns, tag_width: int) -> Optional[tuple[int, int]]:
-    """First (scalar, lsb offset) of `tag_width` contiguous bits unassigned
-    in every variant at the same position, scanning scalars then offsets."""
-    rows = _parse_rows(patterns)
-    for s in range(len(rows[0]) if rows else 0):
-        off = shared_free_run(rows, s, tag_width)
-        if off is not None:
-            return (s, off)
-    return None
+    """`first_tag_interval` over pattern strings."""
+    return first_tag_interval(_parse_rows(patterns), tag_width)
 
 
 def tag_width_for(n_variants: int) -> int:

@@ -23,7 +23,7 @@ from .syntax import (
     PackingExpr,
     Solve,
 )
-from .verify import SizeContext, _fail, _layout_runs, resolve_layout_fields
+from .verify import SizeContext, _fail, layout_assignments
 
 
 @dataclass(frozen=True)
@@ -105,23 +105,8 @@ def flatten_expr(expr: PackingExpr, ctx: SizeContext) -> FlattenedPacking:
 
 
 def _flatten_layout(layout: BitLayout, ctx: SizeContext) -> FlattenedPacking:
-    runs = _layout_runs(layout)
-    resolved = resolve_layout_fields(layout, list(ctx.gamma))
-    assignments: dict[str, int] = {}
-    for ch, (off, length) in runs.items():
-        fname = resolved[ch]
-        want = ctx.gamma[fname]
-        if length != want:
-            raise _fail(
-                "E010",
-                f"field {fname!r} is {want} bits but layout gives it {length}",
-                layout.pos,
-            )
-        if fname in assignments:
-            raise _fail("E016", f"field {fname!r} placed twice", layout.pos)
-        assignments[fname] = off
     text = "".join(ch if ch in "01" else "u" if ch == "?" else "x" for ch in layout.bits)
-    return FlattenedPacking(assignments, parse_pattern(text), pos=layout.pos)
+    return FlattenedPacking(layout_assignments(layout, ctx), parse_pattern(text), pos=layout.pos)
 
 
 def _flatten_apply(expr: Apply, ctx: SizeContext) -> FlattenedPacking:

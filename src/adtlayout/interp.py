@@ -433,13 +433,6 @@ def _default_for_type(program: Program, heap: Heap, ftype, depth: int):
     return 0
 
 
-def replace_null(program: Program, heap: Heap, key: str, value):
-    """Null becomes the ADT's default value; anything else passes through."""
-    if value is None:
-        return default_value(program, heap, key)
-    return value
-
-
 def eval_program(program: Program, entry: str = "main", inputs: Optional[list] = None) -> Outcome:
     """Run a program; the observable output is the entry function's return
     value (structurally rendered) or the trap kind. `inputs` holds one value

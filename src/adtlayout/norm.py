@@ -55,7 +55,7 @@ from .ir import (
     TupleMake,
     normalized_field_type,
 )
-from .solver import BareTag, ExplicitTag, SingleVariant, TreeTag
+from .solver import ExplicitTag, SingleVariant, TreeTag
 from .targets import REF_PLAIN
 
 
@@ -96,26 +96,24 @@ class Normalizer:
 
     # -- generated helpers -----------------------------------------------------
 
-    def classify_fn(self, key: str) -> str:
-        name = _mangle("classify", key)
+    def _helper(self, prefix: str, key: str, build) -> str:
+        """The name of a generated helper, built by `build(name, key)` on
+        first use; the name is taken before building, so a helper may call
+        itself."""
+        name = _mangle(prefix, key)
         if name not in self._made_helpers:
             self._made_helpers.add(name)
-            self.post.functions[name] = self._build_classify(name, key)
+            self.post.functions[name] = build(name, key)
         return name
+
+    def classify_fn(self, key: str) -> str:
+        return self._helper("classify", key, self._build_classify)
 
     def equality_fn(self, key: str) -> str:
-        name = _mangle("eq", key)
-        if name not in self._made_helpers:
-            self._made_helpers.add(name)
-            self.post.functions[name] = _build_equality(self, name, key)
-        return name
+        return self._helper("eq", key, lambda name, key: _build_equality(self, name, key))
 
-    def replace_null_fn(self, key: str) -> str:
-        name = _mangle("rn", key)
-        if name not in self._made_helpers:
-            self._made_helpers.add(name)
-            self.post.functions[name] = self._build_replace_null(name, key)
-        return name
+    def or_default_fn(self, key: str) -> str:
+        return self._helper("rn", key, self._build_or_default)
 
     def _build_classify(self, name: str, key: str) -> Function:
         layout = self.pre.layouts[key]
@@ -159,7 +157,7 @@ class Normalizer:
         emit_node(scheme.tree, "entry")
         return fn
 
-    def _build_replace_null(self, name: str, key: str) -> Function:
+    def _build_or_default(self, name: str, key: str) -> Function:
         w = _FunctionNormalizer(self)
         fn = Function(name, (("x", TAdt(key)),), TAdt(key), "entry", w.blocks)
         w.types["x"] = TAdt(key)
@@ -330,7 +328,7 @@ class _FunctionNormalizer:
                 else:
                     self.env[ins.dst] = list(src)
             else:
-                helper = ctx.replace_null_fn(ins.adt)
+                helper = ctx.or_default_fn(ins.adt)
                 src = self.names_of(ins.src)[0]
                 self.emit_typed(Call(ins.dst, helper, (src,)), TAdt(ins.adt))
                 self.env[ins.dst] = [ins.dst]
@@ -365,7 +363,7 @@ class _FunctionNormalizer:
         ctx = self.ctx
         if not ctx.pre.is_unboxed(key):
             null = self.const(TAdt(key), None)
-            helper = ctx.replace_null_fn(key)
+            helper = ctx.or_default_fn(key)
             name = self.emit_typed(Call(self.fresh("d"), helper, (null,)), TAdt(key))
             return [name]
         variant = ctx.pre.adts[key].variants[0]
@@ -430,8 +428,8 @@ class _FunctionNormalizer:
         scheme = layout.tag_scheme
         if isinstance(scheme, SingleVariant):
             return self.const(TAG_TYPE, 0)
-        if isinstance(scheme, (BareTag, ExplicitTag)):
-            offset = scheme.offset if isinstance(scheme, ExplicitTag) else 0
+        if isinstance(scheme, ExplicitTag):
+            offset = scheme.offset
             slot = layout.slots[scheme.slot]
             v = scalars[scheme.slot]
             t = TIntRep(slot.width, slot.kind.value)

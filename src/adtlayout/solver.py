@@ -29,6 +29,7 @@ from . import distinguish
 from .distinguish import (
     BitPattern,
     DecisionTree,
+    first_tag_interval,
     print_pattern,
     shared_free_run,
     tag_width_for,
@@ -88,19 +89,20 @@ class SingleVariant:
 
 
 @dataclass(frozen=True)
-class BareTag:
-    slot: int
-    width: int
-    kind_name = "bare-tag"
-
-
-@dataclass(frozen=True)
 class ExplicitTag:
     slot: int
     offset: int
     width: int
     dedicated: bool
     kind_name = "explicit-tag"
+
+
+@dataclass(frozen=True)
+class BareTag(ExplicitTag):
+    """A dedicated tag at offset 0 of the only scalar: every variant is
+    nullary."""
+
+    kind_name = "bare-tag"
 
 
 @dataclass(frozen=True)
@@ -119,7 +121,6 @@ class ScalarSlot:
     kinds: KindSet
     width: int
     ref_bearing: bool = False
-    dedicated_tag: bool = False
 
     def to_json(self) -> dict:
         return {"kind": self.kind.value, "width": self.width, "ref": self.ref_bearing}
@@ -170,12 +171,10 @@ class LayoutSolution:
                 {"name": v.name, "patterns": self.pattern_strings(i), "fields": fields}
             )
         scheme: dict[str, object] = {"kind": self.tag_scheme.kind_name}
-        if isinstance(self.tag_scheme, (ExplicitTag, BareTag)):
+        if isinstance(self.tag_scheme, ExplicitTag):
             scheme["scalar"] = self.tag_scheme.slot
             scheme["width"] = self.tag_scheme.width
-            scheme["offset"] = (
-                self.tag_scheme.offset if isinstance(self.tag_scheme, ExplicitTag) else 0
-            )
+            scheme["offset"] = self.tag_scheme.offset
         if isinstance(self.tag_scheme, TreeTag):
             scheme["tree"] = self.tag_scheme.tree.to_json()
         return {
@@ -499,9 +498,7 @@ def _freeze_slots(state: _State) -> list[ScalarSlot]:
 
 def _dedicated(scheme: TagScheme) -> bool:
     """True when the scheme keeps the tag in a scalar of its own."""
-    return isinstance(scheme, BareTag) or (
-        isinstance(scheme, ExplicitTag) and scheme.dedicated
-    )
+    return isinstance(scheme, ExplicitTag) and scheme.dedicated
 
 
 def _access_cost(
@@ -522,8 +519,8 @@ def _access_cost(
             p = patterns[v][pl.slot]
             if (p.ones | p.field) >> pl.width:
                 access += 1
-    if isinstance(scheme, (ExplicitTag, BareTag)):
-        if isinstance(scheme, ExplicitTag) and scheme.offset > 0:
+    if isinstance(scheme, ExplicitTag):
+        if scheme.offset > 0:
             access += 2
         elif any((row[scheme.slot].ones | row[scheme.slot].field) >> scheme.width
                  for row in patterns):
@@ -533,10 +530,9 @@ def _access_cost(
     return access
 
 
-def score_layout(sol: LayoutSolution, target: Target) -> Score:
+def score_layout(sol: LayoutSolution) -> Score:
     access = _access_cost(sol.placements, sol.patterns, sol.tag_scheme)
-    explicit = 1 if any(s.dedicated_tag for s in sol.slots) else 0
-    return Score(len(sol.slots), access, explicit)
+    return Score(len(sol.slots), access, int(_dedicated(sol.tag_scheme)))
 
 
 def _tag_in_place(rows: list[list[BitPattern]], s: int, offset: int, width: int):
@@ -551,10 +547,10 @@ def _tag_in_place(rows: list[list[BitPattern]], s: int, offset: int, width: int)
 
 def _tag_appended(rows: list[list[BitPattern]], width: int):
     """Explicit tagging in a fresh minimal-width integer scalar appended to
-    each row: (patterns, scheme)."""
+    each row, a bare tag when the rows hold no scalar: (patterns, scheme)."""
     full = (1 << width) - 1
     tagged = [row + [BitPattern(width, full, v & full)] for v, row in enumerate(rows)]
-    return tagged, ExplicitTag(len(rows[0]), 0, width, dedicated=True)
+    return tagged, (ExplicitTag if rows[0] else BareTag)(len(rows[0]), 0, width, True)
 
 
 def _solution(adt, target, placements, steps, base, slots, patterns, scheme) -> LayoutSolution:
@@ -569,7 +565,6 @@ def _solution(adt, target, placements, steps, base, slots, patterns, scheme) -> 
                 kind=_pick_kind(kinds, False, target),
                 kinds=kinds,
                 width=scheme.width,
-                dedicated_tag=True,
             )
         ]
     sol = LayoutSolution(
@@ -583,7 +578,7 @@ def _solution(adt, target, placements, steps, base, slots, patterns, scheme) -> 
         steps_used=steps,
         pretag_patterns=base,
     )
-    sol.score = score_layout(sol, target)
+    sol.score = score_layout(sol)
     return sol
 
 
@@ -614,11 +609,6 @@ def _candidates(
         return base, results
 
     tw = tag_width_for(n)
-    if not state.slots:
-        # all variants nullary: a single bare tag integer
-        add(_tag_appended(base, tw)[0], BareTag(0, tw))
-        return base, results
-
     for s in range(len(state.slots)):
         found = shared_free_run(base, s, tw)
         if found is not None:
@@ -681,14 +671,9 @@ def place_explicit_tag(sol: LayoutSolution) -> LayoutSolution:
     tw = tag_width_for(n)
     base = sol.pretag_patterns
     assert base is not None, "solution lacks pre-tag patterns"
-    data_slots = [s for s in sol.slots if not s.dedicated_tag]
-    for s in range(len(data_slots)):
-        found = shared_free_run(base, s, tw)
-        if found is not None:
-            tagged = _tag_in_place(base, s, found, tw)
-            break
-    else:
-        tagged = _tag_appended(base, tw)
+    data_slots = sol.slots[:-1] if _dedicated(sol.tag_scheme) else sol.slots
+    found = first_tag_interval(base, tw)
+    tagged = _tag_appended(base, tw) if found is None else _tag_in_place(base, *found, tw)
     again = _solution(
         sol.adt, sol.target, sol.placements, sol.steps_used, base, data_slots, *tagged
     )
@@ -788,8 +773,6 @@ def trivial_layout(adt: MonoAdt, target: Target) -> LayoutSolution:
         patterns, scheme = base, SingleVariant()
     else:
         patterns, scheme = _tag_appended(base, tag_width_for(state.n))
-        if not state.slots:
-            scheme = BareTag(0, scheme.width)
     return _solution(
         bare, target, state.placements, 0, base, _freeze_slots(state),
         patterns, scheme,

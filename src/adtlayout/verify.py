@@ -141,10 +141,12 @@ def resolve_layout_fields(
     return out
 
 
-def _check_layout(layout: BitLayout, ctx: SizeContext) -> None:
-    runs = _layout_runs(layout)
+def layout_assignments(layout: BitLayout, ctx: SizeContext) -> dict[str, int]:
+    """The LSB offset of each field a bit layout places, by field name, once
+    every letter resolves to a field and spans exactly its width."""
     resolved = resolve_layout_fields(layout, list(ctx.gamma))
-    for ch, (_, length) in runs.items():
+    out: dict[str, int] = {}
+    for ch, (offset, length) in _layout_runs(layout).items():
         fname = resolved[ch]
         want = ctx.gamma[fname]
         if length != want:
@@ -153,6 +155,8 @@ def _check_layout(layout: BitLayout, ctx: SizeContext) -> None:
                 f"field {fname!r} is {want} bits but layout gives it {length}",
                 layout.pos,
             )
+        out[fname] = offset
+    return out
 
 
 def check_expr(expr: PackingExpr, ctx: SizeContext, in_decl: Optional[str] = None) -> int:
@@ -168,7 +172,7 @@ def check_expr(expr: PackingExpr, ctx: SizeContext, in_decl: Optional[str] = Non
         for p in expr.parts:
             check_expr(p, ctx, in_decl)
     elif isinstance(expr, BitLayout):
-        _check_layout(expr, ctx)
+        layout_assignments(expr, ctx)
     elif isinstance(expr, Concat):
         for p in expr.parts:
             if isinstance(p, Solve):

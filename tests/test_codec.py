@@ -59,17 +59,6 @@ def test_unaligned_reference_rejected():
         codec.encode_variant(lay, 1, {"r": 0x1001})
 
 
-def test_default_scalars_first_variant():
-    out = build_corpus(X64)
-    layouts = out.layouts()
-    # C05 defaults to N (tag 0, no fields): all-zero scalar
-    assert codec.default_scalars(layouts, "C05") == [0]
-    # classification of every default is variant 0
-    for key, lay in layouts.items():
-        scalars = codec.default_scalars(layouts, key)
-        assert codec.variant_of(lay, scalars) == 0, key
-
-
 @pytest.mark.parametrize("target_name", ["x64", "jvm", "x86-32"])
 def test_roundtrip_corpus_quick(target_name):
     """decode(encode(v)) is the identity for every field of every variant;

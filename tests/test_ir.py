@@ -405,18 +405,16 @@ def test_embedded_tagged_ref_slot_keeps_low_bits():
 
 
 def test_replace_null_semantic_op():
-    from adtlayout.interp import Heap, observe, replace_null
+    from adtlayout.interp import Heap, default_value, observe
 
     program = make_program(
         "type Option #unboxed { case None; case Some(val: u32); }"
         "type T { case A(x: int); case B(y: float); }"
     )
     heap = Heap()
-    got = replace_null(program, heap, "Option", None)
+    got = default_value(program, heap, "Option")
     assert observe(program, heap, got, TAdt("Option")) == ("adt", "Option", 0, ())
-    some = replace_null(program, heap, "Option", got)
-    assert some is got  # non-null passes through
-    t_default = replace_null(program, heap, "T", None)
+    t_default = default_value(program, heap, "T")
     assert observe(program, heap, t_default, TAdt("T")) == ("adt", "T", 0, (0,))
 
 

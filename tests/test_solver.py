@@ -518,7 +518,7 @@ def test_candidate_keys_equal_built_scores(monkeypatch):
                 state.adt, state.target, state.placements, 0, base,
                 solver._freeze_slots(state), patterns, scheme,
             )
-            assert key == score_layout(sol, state.target).key(), (state.adt.name, scheme)
+            assert key == score_layout(sol).key(), (state.adt.name, scheme)
             kinds.add(scheme.kind_name)
         return original(state, best_key, charge)
 
