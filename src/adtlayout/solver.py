@@ -615,9 +615,11 @@ def _candidates(
             add(*_tag_in_place(base, s, found, tw))
 
     # A classification tree costs at least 2 per level and needs ceil(log2 n)
-    # levels. With two variants any shared free bit already admits an
-    # in-place 1-bit tag at the same position with identical masking and
-    # cost 2 <= 2*depth, so a tree is dominated whenever one was found.
+    # levels. With two variants a tree is not tried once an in-place tag was
+    # found, though it can be cheaper: a one-node tree may set its bit in
+    # case 0 rather than above case 1's offset-0 field, saving one access
+    # unit. The tag is kept so that case 0 has its tag bits 0, and an
+    # all-zero value is case 0 (an option's nullary case).
     fields = _access_cost(state.placements, base, SingleVariant())  # before tagging
     tree_bound = (len(state.slots), fields + 2 * tw)
     have = min(

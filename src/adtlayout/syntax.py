@@ -9,8 +9,18 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
+# the deepest nesting of brackets in a type or packing expression
+MAX_NESTING = 64
+
+
 def is_field_bit(ch: str) -> bool:
     return ch.isalpha() and ch.isascii()
+
+
+def _is_digits(text: str) -> bool:
+    """True for a non-empty run of ASCII digits; `str.isdigit` also takes
+    superscripts and other scripts' digits."""
+    return text.isascii() and text.isdigit()
 
 
 class PackingSyntaxError(Exception):
@@ -208,9 +218,9 @@ def _lex(src: str) -> list[_Tok]:
             col += j - i
             i = j
             continue
-        if ch.isdigit():
+        if _is_digits(ch):
             j = i
-            while j < n and src[j].isdigit():
+            while j < n and _is_digits(src[j]):
                 j += 1
             toks.append(_Tok("num", src[i:j], start_line, start_col))
             col += j - i
@@ -254,6 +264,7 @@ class _Parser:
     def __init__(self, src: str):
         self.toks = _lex(src)
         self.i = 0
+        self.depth = 0  # brackets open in the expression being parsed
 
     def peek(self, ahead: int = 0) -> _Tok:
         return self.toks[min(self.i + ahead, len(self.toks) - 1)]
@@ -278,6 +289,17 @@ class _Parser:
     def at_punct(self, text: str) -> bool:
         t = self.peek()
         return t.kind == "punct" and t.text == text
+
+    def open(self, text: str) -> None:
+        """Consume the opening bracket `text`, one nesting level deeper."""
+        if self.depth == MAX_NESTING and self.at_punct(text):
+            raise self.err(f"nesting deeper than {MAX_NESTING} levels")
+        self.expect("punct", text)
+        self.depth += 1
+
+    def close(self, text: str) -> None:
+        self.expect("punct", text)
+        self.depth -= 1
 
     # -- programs ----------------------------------------------------------
 
@@ -346,14 +368,14 @@ class _Parser:
         return Empty(pos=(t.line, t.col))
 
     def expr_list_parens(self) -> tuple[PackingExpr, ...]:
-        self.expect("punct", "(")
+        self.open("(")
         parts: list[PackingExpr] = []
         if not self.at_punct(")"):
             parts.append(self.packing_expr())
             while self.at_punct(","):
                 self.next()
                 parts.append(self.packing_expr())
-        self.expect("punct", ")")
+        self.close(")")
         return tuple(parts)
 
     # -- ADT declarations ----------------------------------------------------
@@ -451,12 +473,12 @@ class _Parser:
 
     def type_expr(self) -> TypeExpr:
         if self.at_punct("("):
-            self.next()
+            self.open("(")
             elems = [self.type_expr()]
             while self.at_punct(","):
                 self.next()
                 elems.append(self.type_expr())
-            self.expect("punct", ")")
+            self.close(")")
             if len(elems) == 1:
                 return elems[0]
             return TupleType(tuple(elems))
@@ -469,19 +491,19 @@ class _Parser:
         if name in _INT_ALIASES:
             w, s = _INT_ALIASES[name]
             return IntType(w, s)
-        if len(name) > 1 and name[0] in "ui" and name[1:].isdigit():
+        if len(name) > 1 and name[0] in "ui" and _is_digits(name[1:]):
             width = int(name[1:])
             if not 1 <= width <= 64:
                 raise self.err(f"integer width {width} out of range 1..64", t)
             return IntType(width, name[0] == "i")
         args: tuple[TypeExpr, ...] = ()
         if self.at_punct("<"):
-            self.next()
+            self.open("<")
             elems = [self.type_expr()]
             while self.at_punct(","):
                 self.next()
                 elems.append(self.type_expr())
-            self.expect("punct", ">")
+            self.close(">")
             args = tuple(elems)
         return NamedType(name, args)
 

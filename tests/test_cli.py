@@ -43,6 +43,21 @@ def test_check_solve_in_decl_fails(tmp_path):
     assert "E011" in err.getvalue()
 
 
+@pytest.mark.parametrize("source", [
+    "type T { case A(x: " + "(" * 2000 + "u8" + ")" * 2000 + "); }",
+    "type T #unboxed { case A(x: u8) #packing " + "#concat(" * 1500 + "x" + ")" * 1500 + "; }",
+    "type L<T> { case N; case C(h: T); }\ntype T { case A(x: " + "L<" * 1500 + "u8" + ">" * 1500 + "); }",
+    "packing P(a: \u00b2): 8 = 0b_aaaaaaaa;",
+], ids=["parens", "concat", "generic", "superscript"])
+def test_check_deep_nesting_and_non_ascii_digits_exit_1(tmp_path, source):
+    """Each ends in a syntax diagnostic, not a RecursionError or ValueError."""
+    p = tmp_path / "bad.pk"
+    p.write_text(source, encoding="utf-8")
+    err = io.StringIO()
+    assert cmd_check([str(p)], out=err) == 1
+    assert err.getvalue().startswith("error: E001 at ")
+
+
 def test_check_missing_file_exit_2():
     assert cmd_check(["/nonexistent/file.pk"], out=io.StringIO()) == 2
 

@@ -240,6 +240,21 @@ def test_place_explicit_tag_appends_when_no_shared_interval():
     assert again.slots[-1].width == 1
 
 
+def test_place_explicit_tag_keeps_bare_tag():
+    """With every case nullary the tag is the only scalar, and tagging it
+    again gives the same bare tag."""
+    from adtlayout.pipeline import process_adts
+    from adtlayout.solver import BareTag, place_explicit_tag
+    from adtlayout.syntax import parse_program
+    from adtlayout.targets import X64
+
+    out = process_adts(parse_program("type E { case A; case B; case C; }"), X64)
+    sol = out.resolved["E"].layout
+    again = place_explicit_tag(sol)
+    assert isinstance(again.tag_scheme, BareTag)
+    assert again.to_json() == sol.to_json()
+
+
 def test_place_explicit_tag_single_variant_unchanged():
     from adtlayout.pipeline import process_adts
     from adtlayout.syntax import parse_program

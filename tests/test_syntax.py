@@ -7,11 +7,14 @@ from adtlayout.syntax import (
     BitLayout,
     Concat,
     Empty,
+    MAX_NESTING,
     FieldRef,
+    NamedType,
     PackingDecl,
     PackingSyntaxError,
     parse_packing_expr,
     parse_program,
+    parse_type,
     print_decl,
     print_expr,
 )
@@ -33,7 +36,7 @@ def test_parse_float16_decl():
 
 
 def test_parse_adt_two_variants():
-    decls = parse_program("type T { case A(x: int); case B(y: float); }")
+    decls = parse_program("type T { // two cases\n case A(x: int); case B(y: float); }")
     assert len(decls) == 1
     d = decls[0]
     assert isinstance(d, AdtDecl)
@@ -174,3 +177,38 @@ def test_underscore_placement_irrelevant(bits, data):
 def test_duplicate_packing_annotation_rejected():
     with pytest.raises(PackingSyntaxError):
         parse_program("type T #packing(0b_aa) #packing(0b_aa) { case A(a: u2); }")
+
+
+# a source nesting its field type or #packing `n` levels deep, and the text
+# of one level
+NESTED = {
+    "parens": (lambda n: "type T { case A(x: " + "(" * n + "u8" + ")" * n + "); }", "("),
+    "concat": (
+        lambda n: "type T #unboxed { case A(x: u8) #packing " + "#concat(" * n + "x" + ")" * n + "; }",
+        "#concat(",
+    ),
+    "generic": (lambda n: "type T { case A(x: " + "L<" * n + "u8" + ">" * n + "); }", "L<"),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(NESTED))
+def test_nesting_past_the_limit_is_e001_at_its_bracket(shape):
+    source, level = NESTED[shape]
+    parse_program(source(MAX_NESTING))
+    deep = source(MAX_NESTING + 1)
+    with pytest.raises(PackingSyntaxError) as exc:
+        parse_program(deep)
+    assert (exc.value.code, exc.value.message) == ("E001", "nesting deeper than 64 levels")
+    # at the bracket that opens level 65
+    assert deep[: exc.value.col].endswith(level * (MAX_NESTING + 1))
+
+
+def test_digits_are_ascii_only():
+    with pytest.raises(PackingSyntaxError) as exc:
+        parse_program("packing P(a: \u00b2): 8 = 0b_aaaaaaaa;")
+    assert (exc.value.code, exc.value.message, exc.value.col) == (
+        "E001", "unexpected character '\u00b2'", 14
+    )
+    # an Arabic-Indic 3 makes no integer width
+    assert parse_type("u\u0663") == NamedType("u\u0663")
+    assert parse_program("type T { case A(x: i\u0663); }")[0].variants[0].fields[0][1] == NamedType("i\u0663")
