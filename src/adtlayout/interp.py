@@ -5,7 +5,8 @@ Observables are plain trees: ints for integer values, ('f', bits) for
 floats, tuples for tuples, ('adt', key, case, fields...) for ADT values
 and ('null',) for a null reference. Heap identity is never observable.
 
-Records live in a heap addressed by 8-aligned integers; null is 0. Before
+Both phases share one value model: records live in a heap, a reference is
+the 8-aligned address `Heap.alloc` returns, and null is 0. Before
 normalization record fields hold source-shaped values; after, they hold
 the flattened scalars, which observation turns back into source-shaped
 observables by walking each source field's type with `Program.spread`. A
@@ -51,7 +52,6 @@ from .ir import (
     Trap,
     TTuple,
     TupleMake,
-    type_of_expr,
 )
 from .syntax import FloatType, NamedType, TupleType, TypeExpr, print_type
 
@@ -59,11 +59,6 @@ from .syntax import FloatType, NamedType, TupleType, TypeExpr, print_type
 _ALIGN = 8
 _MAX_STEPS = 200_000
 _MAX_CALL_DEPTH = 64
-
-
-@dataclass(frozen=True)
-class Ref:
-    addr: int
 
 
 @dataclass
@@ -117,16 +112,7 @@ def observe(program: Program, heap: Heap, value, t: IrType):
     if isinstance(t, TTuple):
         return tuple(observe(program, heap, v, e) for v, e in zip(value, t.elems))
     if isinstance(t, (TAdt, TCase)):
-        if value is None:
-            return ("null",)
-        assert isinstance(value, Ref), f"expected record for {t.key}, got {value!r}"
-        rec = heap.read(value.addr)
-        variant = program.adts[rec.adt].variants[rec.case]
-        fields = tuple(
-            _observe_source(program, heap, v, ft)
-            for v, (_, ft) in zip(rec.fields, variant.source_fields)
-        )
-        return ("adt", rec.adt, rec.case, fields)
+        return _observe_record(program, heap, value)
     return _observe_scalar(value, t)
 
 
@@ -141,15 +127,14 @@ def _observe_scalar(value, t: IrType):
 
 
 def _observe_source(program: Program, heap: Heap, value, t: TypeExpr):
-    """A boxed record's field value at its source type: a tuple element by
-    element, an opaque reference (always null) as null, and anything else
-    at its IR type."""
+    """A record field's value at its source type: a tuple element by
+    element, a reference to an ADT's record or an opaque reference (always
+    null), or a scalar."""
     if isinstance(t, TupleType):
         return tuple(_observe_source(program, heap, v, e) for v, e in zip(value, t.elems))
-    if isinstance(t, NamedType) and print_type(t) not in program.adts:
-        assert value is None, f"opaque reference {print_type(t)} holds {value!r}"
-        return ("null",)
-    return observe(program, heap, value, type_of_expr(t, program.adts))
+    if isinstance(t, NamedType):
+        return _observe_record(program, heap, value)
+    return ("f", value) if isinstance(t, FloatType) else value
 
 
 def _observe_normalized(program: Program, heap: Heap, values, t: IrType):
@@ -174,14 +159,22 @@ def observe_scalars(program: Program, heap: Heap, key: str, scalars: list[int]):
     return ("adt", key, case, _observe_fields(program, heap, variant, flat))
 
 
-def _observe_record(program: Program, heap: Heap, addr):
-    """A boxed ADT value after normalization: null, or a record that holds
-    the values of its variant's normalized fields."""
-    if addr in (0, None):
+def _observe_record(program: Program, heap: Heap, addr: int):
+    """A referenced ADT value: null, or a record whose fields hold its
+    variant's source values before normalization and the values of its
+    normalized fields after."""
+    if addr == 0:
         return ("null",)
     rec = heap.read(addr)
     variant = program.adts[rec.adt].variants[rec.case]
-    return ("adt", rec.adt, rec.case, _observe_fields(program, heap, variant, rec.fields))
+    if program.normalized:
+        fields = _observe_fields(program, heap, variant, rec.fields)
+    else:
+        fields = tuple(
+            _observe_source(program, heap, v, ft)
+            for v, (_, ft) in zip(rec.fields, variant.source_fields)
+        )
+    return ("adt", rec.adt, rec.case, fields)
 
 
 def _observe_fields(program: Program, heap: Heap, variant, flat: list) -> tuple:
@@ -192,68 +185,9 @@ def _observe_fields(program: Program, heap: Heap, variant, flat: list) -> tuple:
     def part(t, key, taken):
         if key is not None and program.is_unboxed(key):
             return observe_scalars(program, heap, key, taken)
-        if isinstance(t, NamedType):  # a boxed ADT or an opaque reference
-            return _observe_record(program, heap, taken[0])
-        return ("f", taken[0]) if isinstance(t, FloatType) else taken[0]
+        return _observe_source(program, heap, taken[0], t)
 
     return tuple(program.spread(t, values, part) for _, t in variant.source_fields)
-
-
-# ---------------------------------------------------------------------------
-# Live records: translate source-shaped values to their flattened form
-
-
-def flatten_live_record(program: Program, heap: Heap, value, t: IrType):
-    """Rewrite a (possibly nested) value so unboxed ADT records become their
-    encoded scalars and boxed records store flattened fields. The heap is
-    rewritten in place; returns the new value."""
-    if isinstance(t, TInt):
-        return value
-    if isinstance(t, TFloat):
-        return value
-    if isinstance(t, TTuple):
-        return tuple(
-            flatten_live_record(program, heap, v, e) for v, e in zip(value, t.elems)
-        )
-    if isinstance(t, (TAdt, TCase)):
-        if value is None:
-            return 0
-        assert isinstance(value, Ref)
-        rec = heap.read(value.addr)
-        mono = program.adts[rec.adt]
-        variant = mono.variants[rec.case]
-        flat = _flatten_fields(program, heap, variant, rec.fields)
-        if program.is_unboxed(rec.adt):
-            layout = program.layouts[rec.adt]
-            values = {f.name: v for f, v in zip(variant.fields, flat)}
-            return codec.encode_variant(layout, rec.case, values)
-        rec.fields = flat
-        return value.addr
-    raise TypeError(f"cannot flatten at {t!r}")
-
-
-def _flatten_fields(program: Program, heap: Heap, variant, source_values: list) -> list:
-    flat: list = []
-    for (fname, ftype), v in zip(variant.source_fields, source_values):
-        flat.extend(_flatten_one(program, heap, ftype, v))
-    return flat
-
-
-def _flatten_one(program: Program, heap: Heap, ftype, v) -> list:
-    if isinstance(ftype, TupleType):
-        out: list = []
-        for elem, ev in zip(ftype.elems, v):
-            out.extend(_flatten_one(program, heap, elem, ev))
-        return out
-    if isinstance(ftype, NamedType):
-        key = print_type(ftype)
-        if key not in program.adts:
-            return [v if isinstance(v, int) else 0]
-        result = flatten_live_record(program, heap, v, TAdt(key))
-        if isinstance(result, list):
-            return result  # scalars of an unboxed value
-        return [result]  # address of a boxed record
-    return [v]
 
 
 # ---------------------------------------------------------------------------
@@ -315,14 +249,11 @@ class _Machine:
     def exec(self, ins, env: dict, depth: int) -> None:
         program = self.program
         if isinstance(ins, Const):
-            env[ins.dst] = None if ins.value is None else ins.value
-            if ins.value is None and program.normalized:
-                env[ins.dst] = 0
+            env[ins.dst] = 0 if ins.value is None else ins.value  # null is 0
             return
         if isinstance(ins, Alloc):
             values = [env[a] for a in ins.args]
-            addr = self.heap.alloc(Record(ins.adt, ins.case, values))
-            env[ins.dst] = addr if program.normalized else Ref(addr)
+            env[ins.dst] = self.heap.alloc(Record(ins.adt, ins.case, values))
             return
         if isinstance(ins, (GetField, GetContents)):
             rec = self._deref_case(env[ins.src], ins.adt, ins.case)
@@ -332,20 +263,16 @@ class _Machine:
                 vals = tuple(rec.fields)
                 env[ins.dst] = vals[0] if len(vals) == 1 else vals
             return
-        if isinstance(ins, GetTag):
-            v = env[ins.src]
-            if v is None:
-                raise TrapSignal("null-access")
-            assert isinstance(v, Ref)
-            env[ins.dst] = self.heap.read(v.addr).case
+        if isinstance(ins, (GetTag, RecordTag)):
+            env[ins.dst] = self._deref(env[ins.src]).case
             return
         if isinstance(ins, ReplaceNull):
             v = env[ins.src]
-            env[ins.dst] = self._default_value(ins.adt, depth) if v is None else v
+            env[ins.dst] = default_value(program, self.heap, ins.adt, depth) if v == 0 else v
             return
         if isinstance(ins, Eq):
-            a = self._observe(env[ins.a], ins.type)
-            b = self._observe(env[ins.b], ins.type)
+            a = observe(program, self.heap, env[ins.a], ins.type)
+            b = observe(program, self.heap, env[ins.b], ins.type)
             env[ins.dst] = 1 if a == b else 0
             return
         if isinstance(ins, Call):
@@ -384,42 +311,31 @@ class _Machine:
             rec = self._deref_case(env[ins.src], ins.adt, ins.case)
             env[ins.dst] = rec.fields[ins.index]
             return
-        if isinstance(ins, RecordTag):
-            v = env[ins.src]
-            if v in (0, None):
-                raise TrapSignal("null-access")
-            env[ins.dst] = self.heap.read(v).case
-            return
         if isinstance(ins, IsNull):
-            v = env[ins.src]
-            env[ins.dst] = 1 if v in (0, None) else 0
+            env[ins.dst] = 1 if env[ins.src] == 0 else 0
             return
         raise AssertionError(f"unknown instruction {ins!r}")
 
-    def _observe(self, value, t: IrType):
-        return observe(self.program, self.heap, value, t)
-
-    def _deref_case(self, v, adt: str, case: int) -> Record:
-        if v is None or v == 0:
+    def _deref(self, addr: int) -> Record:
+        if addr == 0:
             raise TrapSignal("null-access")
-        addr = v.addr if isinstance(v, Ref) else v
-        rec = self.heap.read(addr)
+        return self.heap.read(addr)
+
+    def _deref_case(self, addr: int, adt: str, case: int) -> Record:
+        rec = self._deref(addr)
         if rec.adt != adt or rec.case != case:
             raise TrapSignal("bad-case")
         return rec
 
-    def _default_value(self, key: str, depth: int):
-        return default_value(self.program, self.heap, key, depth)
 
-
-def default_value(program: Program, heap: Heap, key: str, depth: int = 0):
-    """The ADT's default: an instance of the first declared variant with
-    every field set to its own default."""
+def default_value(program: Program, heap: Heap, key: str, depth: int = 0) -> int:
+    """The address of the ADT's default: an instance of the first declared
+    variant with every field set to its own default."""
     if depth > _MAX_CALL_DEPTH:
         raise TrapSignal("call-depth")
     variant = program.adts[key].variants[0]
     values = [_default_for_type(program, heap, t, depth + 1) for _, t in variant.source_fields]
-    return Ref(heap.alloc(Record(key, 0, values)))
+    return heap.alloc(Record(key, 0, values))
 
 
 def _default_for_type(program: Program, heap: Heap, ftype, depth: int):
@@ -429,8 +345,7 @@ def _default_for_type(program: Program, heap: Heap, ftype, depth: int):
         key = print_type(ftype)
         if key in program.adts:
             return default_value(program, heap, key, depth)
-        return None  # opaque reference defaults to null
-    return 0
+    return 0  # zero, or null for an opaque reference
 
 
 def eval_program(program: Program, entry: str = "main", inputs: Optional[list] = None) -> Outcome:

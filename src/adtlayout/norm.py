@@ -122,33 +122,22 @@ class Normalizer:
         params = tuple(
             (f"s{i}", TIntRep(s.width, s.kind.value)) for i, s in enumerate(layout.slots)
         )
-        fn = Function(name, params, TAG_TYPE, "entry", {})
-        counter = [0]
+        w = _FunctionNormalizer(self)
+        fn = Function(name, params, TAG_TYPE, "entry", w.blocks)
+        bit_type = TIntRep(1, "B64")
 
         def emit_node(node, label: str) -> None:
-            blk = Block(label)
-            fn.blocks[label] = blk
+            blk = w.start_block(label)
             if isinstance(node, Leaf):
-                c = f"_c{counter[0]}"
-                counter[0] += 1
-                blk.instrs.append(Const(c, TAG_TYPE, node.variant))
-                blk.term = Return(c)
+                blk.term = Return(w.const(TAG_TYPE, node.variant))
                 return
             assert isinstance(node, Node)
-            n = counter[0]
-            counter[0] += 3
-            sh = f"_sh{n}"
-            bit = f"_b{n}"
-            one = f"_k{n}"
-            cmp = f"_c{n}"
-            src = f"s{node.scalar}"
+            src, src_type = params[node.scalar]
             if node.bit > 0:
-                blk.instrs.append(ShiftOp(sh, "shr", src, node.bit))
-            else:
-                sh = src
-            blk.instrs.append(Const(one, TIntRep(1, "B64"), 1))
-            blk.instrs.append(BinOp(bit, "and", sh, one))
-            blk.instrs.append(Eq(cmp, TIntRep(1, "B64"), bit, one))
+                src = w.emit_typed(ShiftOp(w.fresh("sh"), "shr", src, node.bit), src_type)
+            one = w.const(bit_type, 1)
+            bit = w.emit_typed(BinOp(w.fresh("b"), "and", src, one), bit_type)
+            cmp = w.emit_typed(Eq(w.fresh("c"), bit_type, bit, one), BOOL)
             lz, lo = f"{label}z", f"{label}o"
             blk.term = Branch(cmp, lo, lz)
             emit_node(node.zero, lz)

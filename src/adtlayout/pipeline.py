@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .solver import LayoutSolution, solve_layout
-from .syntax import AdtDecl, Decl, NamedType, PackingDecl, TupleType, TypeExpr, print_type
+from .syntax import MAX_NESTING, AdtDecl, Decl, NamedType, PackingDecl, TupleType, TypeExpr, print_type
 from .targets import (
     AdtEnv,
     MonoAdt,
@@ -23,7 +23,15 @@ from .targets import (
 )
 from .verify import check_program_decls
 
-_MAX_TYPE_DEPTH = 8
+# how much deeper than an earlier instantiation of the same type, on the
+# chain that led to it, an instantiation's type arguments may grow
+_MAX_TYPE_GROWTH = 8
+# how many parts all the type arguments built from type parameters may hold
+# together; with the written nesting limit, this bounds the work of finding
+# instantiations by a constant times the input, where growth alone would
+# allow exponential blow-ups such as a chain of types each doubling its
+# argument
+_MAX_BUILT_PARTS = 1 << 16
 
 
 @dataclass
@@ -42,42 +50,80 @@ class ProgramLayouts:
         return {k: r.mono for k, r in self.resolved.items()}
 
 
-def _type_depth(t: TypeExpr) -> int:
-    if isinstance(t, TupleType):
-        return 1 + max((_type_depth(e) for e in t.elems), default=0)
-    if isinstance(t, NamedType):
-        return 1 + max((_type_depth(a) for a in t.args), default=0)
-    return 1
+def _measure(t: TypeExpr, params: dict[str, tuple[int, int]]) -> tuple[int, int, bool]:
+    """The depth and the part count of `t` once each type parameter named
+    in `params` is replaced by a type of the depth and part count given
+    there, and whether `t` names such a parameter."""
+    if isinstance(t, NamedType) and not t.args and t.name in params:
+        return (*params[t.name], True)
+    kids = t.elems if isinstance(t, TupleType) else t.args if isinstance(t, NamedType) else ()
+    inner = [_measure(k, params) for k in kids]
+    depth = 1 + max((m[0] for m in inner), default=0)
+    return depth, 1 + sum(m[1] for m in inner), any(m[2] for m in inner)
 
 
-def _adt_mentions(t: TypeExpr, decls: dict[str, AdtDecl]) -> list[NamedType]:
-    out: list[NamedType] = []
-    if isinstance(t, TupleType):
-        for e in t.elems:
-            out.extend(_adt_mentions(e, decls))
-    elif isinstance(t, NamedType):
-        if t.name in decls:
-            out.append(t)
-        for a in t.args:
-            out.extend(_adt_mentions(a, decls))
-    return out
+Chain = dict[str, int]  # type name -> least depth of its type arguments
 
 
 def _dependencies(
-    decl: AdtDecl, args: tuple[TypeExpr, ...], decls: dict[str, AdtDecl]
-) -> list[tuple[str, tuple[TypeExpr, ...]]]:
+    decl: AdtDecl,
+    args: tuple[TypeExpr, ...],
+    chain: Chain,
+    decls: dict[str, AdtDecl],
+    parts_left: list[int],
+) -> list[tuple[str, tuple[TypeExpr, ...], Chain]]:
+    """The instantiations that `decl` at `args` mentions in its field types,
+    each with the chain that leads to it. `chain` holds the instantiations
+    that led to this one through field types naming a type parameter; a
+    mention naming none, such as `D<(u8, u8)>` inside `D<T>`, starts a new
+    chain. Polymorphic recursion makes type arguments grow along a chain
+    without end, so a mention whose arguments grow more than
+    `_MAX_TYPE_GROWTH` levels past an instantiation of the same type on its
+    chain is refused. So is one whose arguments nest deeper than written
+    types may, or would spend more than `parts_left[0]` parts; both are
+    measured before the types are built."""
     bindings = dict(zip(decl.type_params, args))
+    params = {p: _measure(a, {})[:2] for p, a in bindings.items()}
+    depth = max((d for d, _ in params.values()), default=0)
+    led = {**chain, decl.name: min(chain.get(decl.name, depth), depth)}
+
+    def mention(t: NamedType) -> tuple[str, tuple[TypeExpr, ...], Chain]:
+        measures = [_measure(a, params) for a in t.args]
+        if not any(m[2] for m in measures):
+            return t.name, t.args, {}
+        deeper = max(m[0] for m in measures)
+        if deeper - led.get(t.name, deeper) > _MAX_TYPE_GROWTH:
+            raise MonoError(
+                f"instantiating {t.name} nests types deeper than {_MAX_TYPE_GROWTH} "
+                "levels; is it polymorphically recursive?"
+            )
+        parts_left[0] -= sum(m[1] for m in measures)
+        if deeper > MAX_NESTING or parts_left[0] < 0:
+            raise MonoError(
+                f"instantiating {t.name} builds type arguments deeper than "
+                f"{MAX_NESTING} levels or of more than {_MAX_BUILT_PARTS} parts in all"
+            )
+        return t.name, tuple(substitute(a, bindings) for a in t.args), led
+
     deps = []
+
+    def visit(t: TypeExpr, written: bool) -> None:
+        """Visit a field type as written, or with `written` false, the type
+        argument that a type parameter in it stands for."""
+        if isinstance(t, TupleType):
+            for e in t.elems:
+                visit(e, written)
+        elif isinstance(t, NamedType) and written and not t.args and t.name in bindings:
+            visit(bindings[t.name], False)
+        elif isinstance(t, NamedType):
+            if t.name in decls:
+                deps.append(mention(t) if written else (t.name, t.args, led))
+            for a in t.args:
+                visit(a, written)
+
     for v in decl.variants:
         for _, ftype in v.fields:
-            concrete = substitute(ftype, bindings)
-            if _type_depth(concrete) > _MAX_TYPE_DEPTH:
-                raise MonoError(
-                    f"instantiating {decl.name} nests types deeper than {_MAX_TYPE_DEPTH} "
-                    "levels; is it polymorphically recursive?"
-                )
-            for mention in _adt_mentions(concrete, decls):
-                deps.append((mention.name, mention.args))
+            visit(ftype, True)
     return deps
 
 
@@ -160,24 +206,22 @@ def process_adts(
     insts: dict[str, tuple[str, tuple[TypeExpr, ...]]] = {}
     graph: dict[str, list[str]] = {}
     order_seen: list[str] = []
-    work: list[tuple[str, tuple[TypeExpr, ...]]] = []
+    work: list[tuple[str, tuple[TypeExpr, ...], Chain]] = []
+    parts_left = [_MAX_BUILT_PARTS]
     for r in requests:
         if r.name not in adt_decls:
             raise MonoError(f"unknown type {print_type(r)}")
-        work.append((r.name, r.args))
+        work.append((r.name, r.args, {}))
     while work:
-        name, args = work.pop(0)
+        name, args, chain = work.pop(0)
         key = instantiation_key(name, args)
         if key in insts:
             continue
         insts[key] = (name, args)
         order_seen.append(key)
-        deps = _dependencies(adt_decls[name], args, adt_decls)
-        edges = []
-        for dep_name, dep_args in deps:
-            edges.append(instantiation_key(dep_name, dep_args))
-            work.append((dep_name, dep_args))
-        graph[key] = edges
+        deps = _dependencies(adt_decls[name], args, chain, adt_decls, parts_left)
+        graph[key] = [instantiation_key(n, a) for n, a, _ in deps]
+        work.extend(deps)
 
     components = _strongly_connected(graph)
     recursive_keys: set[str] = set()

@@ -4,7 +4,7 @@ import re
 import pytest
 
 from adtlayout import codec, interp, norm, progen, progtext
-from adtlayout.interp import Heap, Outcome, Record, Ref, eval_program, flatten_live_record, observe
+from adtlayout.interp import Outcome, eval_program
 from adtlayout.ir import (
     BOOL,
     Alloc,
@@ -37,6 +37,7 @@ from adtlayout.ir import (
     check_program,
 )
 from adtlayout.pipeline import process_adts
+from adtlayout.solver import TreeTag
 from adtlayout.syntax import parse_program, parse_type
 from adtlayout.targets import BUILTIN_TARGETS, X64
 
@@ -92,6 +93,31 @@ def test_gettag_becomes_shift_and_mask():
     assert "ShiftOp" in ops and "BinOp" in ops
     assert "RecordTag" not in ops
     assert eval_program(post) == Outcome(None, 1)
+
+
+@pytest.mark.parametrize("nullary, width, target", [(10, 62, "x64"), (12, 29, "x86-32")])
+def test_gettag_over_decision_tree(nullary, width, target):
+    """The golden decision-tree layouts: `gettag` of each case, payload all
+    ones, gives the case index boxed and through the generated classify
+    helper."""
+    cases = " ".join(f"case N{i};" for i in range(nullary))
+    src = f"type S #unboxed {{ {cases} case P(p: u{width}); }}"
+    program = make_program(src, BUILTIN_TARGETS[target])
+    assert isinstance(program.layouts["S"].tag_scheme, TreeTag)
+    for case in range(nullary + 1):
+        args = ("v",) if case == nullary else ()
+        program.functions["main"] = Function("main", (), TInt(32, False), "entry", {
+            "entry": Block("entry", [
+                Const("v", TInt(width, False), (1 << width) - 1),
+                Alloc("o", "S", case, args),
+                GetTag("t", "S", "o"),
+            ], Return("t")),
+        })
+        check_program(program)
+        post = norm.normalize_program(program)
+        check_program(post)
+        assert "classify$S" in post.functions
+        assert eval_program(program) == eval_program(post) == Outcome(None, case)
 
 
 def test_wrong_case_access_traps_both_sides():
@@ -266,36 +292,6 @@ def test_semantic_preservation_sample():
         post = norm.normalize_program(program)
         got = eval_program(post)
         assert pre == got, progtext.print_bundle(program, decls)
-
-
-def test_flatten_live_records():
-    program = make_program(
-        OPTION_SRC + "type Holder { case H(o: Option, n: u8, m: u16); }"
-    )
-    heap = Heap()
-    some9 = Ref(heap.alloc(Record("Option", 1, [9])))
-    got = flatten_live_record(program, heap, some9, TAdt("Option"))
-    lay = program.layouts["Option"]
-    assert got == codec.encode_variant(lay, 1, {"val": 9})
-
-    boxed = Ref(
-        heap.alloc(Record("Holder", 0, [Ref(heap.alloc(Record("Option", 1, [7]))), 5, 6]))
-    )
-    addr = flatten_live_record(program, heap, boxed, TAdt("Holder"))
-    rec = heap.read(addr)
-    # the unboxed field slot was rewritten to its scalars
-    assert rec.fields[0] == codec.encode_variant(lay, 1, {"val": 7})[0]
-    assert rec.fields[1:] == [5, 6]
-
-
-def test_flatten_live_record_keeps_boxed_identity():
-    src = "type Boxed { case B(a: u64, b: u64, c: u64); }"
-    program = make_program(src)
-    heap = Heap()
-    r = Ref(heap.alloc(Record("Boxed", 0, [1, 2, 3])))
-    got = flatten_live_record(program, heap, r, TAdt("Boxed"))
-    assert got == r.addr
-    assert heap.read(got).fields == [1, 2, 3]
 
 
 def test_progtext_roundtrip():
@@ -590,32 +586,6 @@ def test_tuple_values_flow_through_alloc_and_eq():
     post = norm.normalize_program(program)
     check_program(post)
     assert eval_program(post) == Outcome(None, 1)
-
-
-def test_flatten_live_record_tuple_with_unboxed_inside():
-    from adtlayout.interp import Heap, Record, Ref, flatten_live_record, observe
-
-    src = (
-        "type Opt #unboxed { case N; case S(v: u8); }"
-        "type Box { case B(pair: (u8, Opt), pad: u64, pad2: u64); }"
-    )
-    program = make_program(src)
-    heap = Heap()
-    inner = Ref(heap.alloc(Record("Opt", 1, [9])))
-    box = Ref(heap.alloc(Record("Box", 0, [(7, inner), 0, 0])))
-    before = observe(program, heap, box, TAdt("Box"))
-    addr = flatten_live_record(program, heap, box, TAdt("Box"))
-    # flattened in place: tuple burst into scalars, Opt encoded
-    rec = heap.read(addr)
-    lay = program.layouts["Opt"]
-    from adtlayout import codec
-
-    assert rec.fields[0] == 7
-    assert rec.fields[1] == codec.encode_variant(lay, 1, {"v": 9})[0]
-    post_view = program
-    post_view.normalized = True
-    assert observe(post_view, heap, addr, TAdt("Box")) == before
-    post_view.normalized = False
 
 
 def test_progtext_functions_with_params_and_calls():

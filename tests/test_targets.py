@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -228,6 +229,66 @@ def test_infinite_instantiation_chain_rejected():
     decls = parse_program("type Nest<T> { case C(inner: Nest<(T, T)>); }")
     with pytest.raises(MonoError):
         process_adts(decls, X64, requests=[parse_type("Nest<u8>")])
+
+
+def _nested(levels: int) -> str:
+    return "L<" * levels + "u8" + ">" * levels
+
+
+@pytest.mark.parametrize("levels", [8, 9, 64])
+def test_written_nesting_is_not_polymorphic_recursion(levels):
+    """Only growth counts: a field type written many levels deep is laid
+    out, down to the parser's 64-bracket limit."""
+    decls = parse_program(
+        "type L<T> #unboxed { case N; case C(h: T); }"
+        f"type U {{ case A(x: {_nested(levels)}); }}"
+    )
+    out = process_adts(decls, X64)
+    assert _nested(levels) in out.resolved and _nested(1) in out.resolved
+
+
+@pytest.mark.parametrize("source, name", [
+    ("type P<T> { case N; case A(x: P<(T, T)>); }", "P"),
+    ("type A<T> { case N; case X(x: B<(T, T)>); } type B<T> { case M; case Y(y: A<T>); }", "A"),
+    ("type P<T> { case N; case A(x: P<P<T>>); }", "P"),
+], ids=["direct", "mutual", "nested"])
+def test_polymorphic_recursion_refused(source, name):
+    from adtlayout.targets import MonoError
+
+    decls = parse_program(source + f" type U {{ case A(x: {name}<u8>); }}")
+    message = f"instantiating {name} nests types deeper than 8 levels; is it polymorphically recursive?"
+    with pytest.raises(MonoError, match=f"^{re.escape(message)}$"):
+        process_adts(decls, X64)
+
+
+def test_ground_mention_starts_a_new_chain():
+    decls = parse_program("type D<T> { case N; case A(x: T, next: D<(u8, u8)>); }")
+    out = process_adts(decls, X64, requests=[parse_type("D<u8>")])
+    assert out.order == ["D<u8>", "D<(u8, u8)>"]
+
+
+def _chain(grow: str, length: int) -> str:
+    return "".join(
+        f"type A{i}<T> {{ case N; case C(x: A{i + 1}<{grow}>); }}" for i in range(length)
+    ) + f"type A{length}<T> {{ case N; case C(x: T); }} type U {{ case A(x: A0<u8>); }}"
+
+
+@pytest.mark.parametrize("source, name", [
+    (_chain("(T, T)", 24), "A15"),
+    ("type L<T> { case N; case C(h: T); }" + _chain("L<T>", 200), "A64"),
+], ids=["doubling", "deepening"])
+def test_type_arguments_built_from_parameters_are_bounded(source, name):
+    """Each type instantiates the next at a larger argument, without
+    recursion: the arguments would reach 2^24 leaves or 200 levels, and are
+    refused at 65536 parts or 64 levels."""
+    from adtlayout.targets import MonoError
+
+    message = (
+        f"instantiating {name} builds type arguments deeper than 64 levels"
+        " or of more than 65536 parts in all"
+    )
+    with pytest.raises(MonoError, match=f"^{message}$"):
+        process_adts(parse_program(source), X64)
 
 
 def test_get_scalar_kinds_unknown_type():
