@@ -52,7 +52,6 @@ from .verify import (
     VerifyError,
     check_packing_decl,
     resolve_layout_fields,
-    size_of,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

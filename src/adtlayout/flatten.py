@@ -23,7 +23,7 @@ from .syntax import (
     PackingExpr,
     Solve,
 )
-from .verify import SizeContext, _fail, layout_assignments
+from .verify import MAX_SCALAR_BITS, SizeContext, _fail, layout_assignments
 
 
 @dataclass(frozen=True)
@@ -56,7 +56,8 @@ class SolveRequest:
     pos: tuple[int, int] = field(default=(0, 0), compare=False)
 
     @property
-    def min_width(self) -> int:
+    def width(self) -> int:
+        """The least width of a scalar that holds every item."""
         return sum(i.width for i in self.items)
 
     def field_names(self) -> list[str]:
@@ -100,7 +101,7 @@ def flatten_expr(expr: PackingExpr, ctx: SizeContext) -> FlattenedPacking:
     if isinstance(expr, Apply):
         return _flatten_apply(expr, ctx)
     if isinstance(expr, Solve):
-        raise _fail("E011", "#solve reached the flattener; it must be handled per annotation", expr.pos)
+        raise _fail("E011", "#solve cannot be nested", expr.pos)
     raise TypeError(f"not a packing expression: {expr!r}")
 
 
@@ -110,22 +111,29 @@ def _flatten_layout(layout: BitLayout, ctx: SizeContext) -> FlattenedPacking:
 
 
 def _flatten_apply(expr: Apply, ctx: SizeContext) -> FlattenedPacking:
+    args = [flatten_expr(a, ctx) for a in expr.args]
     decl = ctx.delta.get(expr.name)
     if decl is None:
         raise _fail("E013", f"unbound packing {expr.name!r}", expr.pos)
-    if len(expr.args) != len(decl.params):
+    if len(args) != len(decl.params):
         raise _fail(
             "E010",
-            f"{expr.name} expects {len(decl.params)} arguments, got {len(expr.args)}",
+            f"{expr.name} expects {len(decl.params)} arguments, got {len(args)}",
             expr.pos,
         )
+    for flat, (pname, pwidth) in zip(args, decl.params):
+        if flat.width > pwidth:
+            raise _fail(
+                "E010",
+                f"argument for {expr.name}.{pname} has size {flat.width} > parameter width {pwidth}",
+                expr.pos,
+            )
     body_ctx = ctx.with_gamma({n: w for n, w in decl.params})
     body = flatten_expr(decl.body, body_ctx)
     # a body narrower than the declared width is zero-padded at the MS end
     pattern = _zero_pad(body.pattern, decl.width)
     assignments: dict[str, int] = {}
-    for arg, (pname, pwidth) in zip(expr.args, decl.params):
-        flat = _pad_to(flatten_expr(arg, ctx), pwidth, expr.pos)
+    for flat, (pname, pwidth) in zip(args, decl.params):
         if pname not in body.assignments:
             if flat.assignments:
                 raise _fail(
@@ -139,7 +147,7 @@ def _flatten_apply(expr: Apply, ctx: SizeContext) -> FlattenedPacking:
         _merge_assignments(assignments, flat.assignments, slot, expr.pos)
         # splice the argument's pattern over the parameter's bit run
         run = ((1 << pwidth) - 1) << slot
-        fp = flat.pattern
+        fp = _zero_pad(flat.pattern, pwidth)
         pattern = BitPattern(
             pattern.width,
             (pattern.const & ~run) | (fp.const << slot),
@@ -156,36 +164,36 @@ def _zero_pad(p: BitPattern, width: int) -> BitPattern:
     return join_patterns([p, BitPattern(width - p.width, const=(1 << (width - p.width)) - 1)])
 
 
-def _pad_to(flat: FlattenedPacking, width: int, pos: tuple[int, int]) -> FlattenedPacking:
-    if flat.width > width:
-        raise _fail("E010", f"pattern of size {flat.width} exceeds slot of {width}", pos)
-    if flat.width == width:
-        return flat
-    return FlattenedPacking(dict(flat.assignments), _zero_pad(flat.pattern, width), pos=pos)
-
-
 def flatten_annotation(
     exprs: list[PackingExpr] | tuple[PackingExpr, ...], ctx: SizeContext
 ) -> list[AnnotationEntry]:
     """Flatten a #packing annotation, one entry per intended scalar.
 
-    Top-level #solve entries become SolveRequests; a field may appear in
-    at most one entry across the whole annotation.
+    Top-level #solve entries become SolveRequests, whose fit the solver
+    judges; every other entry is a pattern no wider than the largest
+    scalar. A field may appear in at most one entry across the whole
+    annotation.
     """
     out: list[AnnotationEntry] = []
     seen: dict[str, int] = {}
     for e in exprs:
         if isinstance(e, Solve):
-            items = tuple(flatten_expr(p, ctx) for p in e.parts)
-            entry: AnnotationEntry = SolveRequest(items, pos=e.pos)
+            entry: AnnotationEntry = SolveRequest(
+                tuple(flatten_expr(p, ctx) for p in e.parts), pos=e.pos
+            )
             placed = entry.field_names()
         else:
-            flat = flatten_expr(e, ctx)
-            entry = flat
-            placed = list(flat.assignments)
+            entry = flatten_expr(e, ctx)
+            if entry.width > MAX_SCALAR_BITS:
+                raise _fail(
+                    "E010",
+                    f"expression size {entry.width} exceeds the largest scalar ({MAX_SCALAR_BITS} bits)",
+                    e.pos,
+                )
+            placed = list(entry.assignments)
         for name in placed:
             if name in seen:
-                raise _fail("E016", f"field {name!r} placed twice across the annotation", getattr(e, "pos", (0, 0)))
+                raise _fail("E016", f"field {name!r} placed twice across the annotation", e.pos)
             seen[name] = 1
         out.append(entry)
     return out

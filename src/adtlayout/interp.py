@@ -45,7 +45,6 @@ from .ir import (
     ShiftOp,
     Switch,
     TAdt,
-    TCase,
     TFloat,
     TInt,
     TIntRep,
@@ -111,7 +110,7 @@ def observe(program: Program, heap: Heap, value, t: IrType):
         return _observe_normalized(program, heap, values, t)
     if isinstance(t, TTuple):
         return tuple(observe(program, heap, v, e) for v, e in zip(value, t.elems))
-    if isinstance(t, (TAdt, TCase)):
+    if isinstance(t, TAdt):
         return _observe_record(program, heap, value)
     return _observe_scalar(value, t)
 
@@ -142,7 +141,7 @@ def _observe_normalized(program: Program, heap: Heap, values, t: IrType):
     the values that `Program.expand` gives `t`, in order."""
     if isinstance(t, TTuple):
         return tuple(_observe_normalized(program, heap, values, e) for e in t.elems)
-    if isinstance(t, (TAdt, TCase)):
+    if isinstance(t, TAdt):
         if program.is_unboxed(t.key):
             scalars = [next(values) for _ in program.layouts[t.key].slots]
             return observe_scalars(program, heap, t.key, scalars)

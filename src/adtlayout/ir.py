@@ -55,12 +55,6 @@ class TAdt:
 
 
 @dataclass(frozen=True)
-class TCase:
-    key: str
-    index: int
-
-
-@dataclass(frozen=True)
 class TIntRep:
     """Packed bits backed by an integer of a known scalar kind; the kind
     tells later phases which values may carry references."""
@@ -69,7 +63,7 @@ class TIntRep:
     kind: str
 
 
-IrType = Union[TInt, TFloat, TTuple, TAdt, TCase, TIntRep]
+IrType = Union[TInt, TFloat, TTuple, TAdt, TIntRep]
 
 BOOL = TInt(1, False)
 
@@ -101,8 +95,6 @@ def print_ir_type(t: IrType) -> str:
         return "(" + ", ".join(print_ir_type(e) for e in t.elems) + ")"
     if isinstance(t, TAdt):
         return t.key
-    if isinstance(t, TCase):
-        return f"{t.key}#{t.index}"
     if isinstance(t, TIntRep):
         return f"bits{t.width}:{t.kind}"
     raise TypeError(f"not an IR type: {t!r}")
@@ -383,14 +375,11 @@ class Program:
     def expand(self, t: IrType) -> list[IrType]:
         """The types of the normalized values that a value of IR type `t`
         becomes, in order: a tuple is its elements' values, an unboxed ADT
-        its layout's scalars, and anything else one value (a case of a boxed
-        ADT is a reference to the ADT)."""
+        its layout's scalars, and anything else one value."""
         if isinstance(t, TTuple):
             return [leaf for e in t.elems for leaf in self.expand(e)]
-        if isinstance(t, (TAdt, TCase)) and self.is_unboxed(t.key):
+        if isinstance(t, TAdt) and self.is_unboxed(t.key):
             return [TIntRep(s.width, s.kind.value) for s in self.layouts[t.key].slots]
-        if isinstance(t, TCase):
-            return [TAdt(t.key)]
         return [t]
 
     def contents_type(self, key: str, case: int) -> IrType:
@@ -556,7 +545,7 @@ def _known(program: Program, t: IrType) -> IrType:
     if isinstance(t, TTuple):
         for e in t.elems:
             _known(program, e)
-    elif isinstance(t, (TAdt, TCase)):
+    elif isinstance(t, TAdt):
         _adt(program, t.key)
     return t
 

@@ -47,7 +47,6 @@ from .ir import (
     ShiftOp,
     Switch,
     TAdt,
-    TCase,
     TInt,
     TIntRep,
     Trap,
@@ -499,7 +498,7 @@ class _FunctionNormalizer:
 
     def _equality(self, t: IrType, a: list[str], b: list[str]) -> str:
         ctx = self.ctx
-        if isinstance(t, (TAdt, TCase)) and ctx.pre.is_unboxed(t.key):
+        if isinstance(t, TAdt) and ctx.pre.is_unboxed(t.key):
             fname = ctx.equality_fn(t.key)
             return self.emit_typed(
                 Call(self.fresh("eq"), fname, tuple(a + b)), BOOL
@@ -515,8 +514,6 @@ class _FunctionNormalizer:
             for p in parts[1:]:
                 acc = self.emit_typed(BinOp(self.fresh("a"), "and", acc, p), BOOL)
             return acc
-        if isinstance(t, (TAdt, TCase)):
-            return self.emit_typed(Eq(self.fresh("eq"), TAdt(t.key), a[0], b[0]), BOOL)
         return self.emit_typed(Eq(self.fresh("eq"), t, a[0], b[0]), BOOL)
 
 

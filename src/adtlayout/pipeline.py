@@ -99,9 +99,11 @@ def _dependencies(
             )
         parts_left[0] -= sum(m[1] for m in measures)
         if deeper > MAX_NESTING or parts_left[0] < 0:
+            # a type already on its chain grows its own arguments
+            hint = "; is it polymorphically recursive?" if t.name in led else ""
             raise MonoError(
                 f"instantiating {t.name} builds type arguments deeper than "
-                f"{MAX_NESTING} levels or of more than {_MAX_BUILT_PARTS} parts in all"
+                f"{MAX_NESTING} levels or of more than {_MAX_BUILT_PARTS} parts in all{hint}"
             )
         return t.name, tuple(substitute(a, bindings) for a in t.args), led
 

@@ -710,8 +710,7 @@ def _apply_annotations(state: _State) -> list[tuple[int, int, _Unit]]:
         if entries is None:
             continue
         for j, e in enumerate(entries):
-            w = e.width if isinstance(e, FlattenedPacking) else e.min_width
-            widths[j] = max(widths[j], _annotation_width_class(state.target, w))
+            widths[j] = max(widths[j], _annotation_width_class(state.target, e.width))
     for j in range(n_entries):
         state.new_slot(widths[j], None)
     for v, entries in enumerate(adt.packing):
@@ -721,10 +720,6 @@ def _apply_annotations(state: _State) -> list[tuple[int, int, _Unit]]:
         for j, entry in enumerate(entries):
             slot = state.slots[j]
             if isinstance(entry, FlattenedPacking):
-                if entry.width > slot.width:
-                    raise AnnotationInfeasible(
-                        adt.name, list(entry.assignments), "pattern wider than any scalar"
-                    )
                 p = entry.pattern
                 slot.add_consts(v, p.const, p.ones, p.free)
                 for fname, off in entry.assignments.items():

@@ -1,5 +1,8 @@
 """Static checks for packing expressions: the size judgment and declaration well-formedness.
 
+The size of an expression is the width of its flattened pattern, so an
+expression that verifies always flattens.
+
 Error codes are stable: E001 syntax, E002 unknown annotation, E010 size,
 E011 solve-in-declaration, E012 ambiguous field letter, E013 unbound name,
 E014 recursive packing application, E015 non-contiguous field bits,
@@ -11,17 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .syntax import (
-    Apply,
-    BitLayout,
-    Concat,
-    Empty,
-    FieldRef,
-    PackingDecl,
-    PackingExpr,
-    Solve,
-    is_field_bit,
-)
+from .syntax import Apply, BitLayout, Concat, PackingDecl, PackingExpr, Solve, is_field_bit
 
 MAX_SCALAR_BITS = 64
 
@@ -55,41 +48,6 @@ class SizeContext:
 
     def with_gamma(self, gamma: dict[str, int]) -> "SizeContext":
         return SizeContext(gamma=dict(gamma), delta=self.delta)
-
-
-def size_of(expr: PackingExpr, ctx: SizeContext) -> int:
-    """Minimal n with expr sized at most n; checking against any larger
-    width succeeds, zero-padding at the most-significant end."""
-    if isinstance(expr, Empty):
-        return 0
-    if isinstance(expr, BitLayout):
-        return expr.width
-    if isinstance(expr, FieldRef):
-        if expr.name not in ctx.gamma:
-            raise _fail("E013", f"unbound field {expr.name!r}", expr.pos)
-        return ctx.gamma[expr.name]
-    if isinstance(expr, (Concat, Solve)):
-        return sum(size_of(p, ctx) for p in expr.parts)
-    if isinstance(expr, Apply):
-        decl = ctx.delta.get(expr.name)
-        if decl is None:
-            raise _fail("E013", f"unbound packing {expr.name!r}", expr.pos)
-        if len(expr.args) != len(decl.params):
-            raise _fail(
-                "E010",
-                f"{expr.name} expects {len(decl.params)} arguments, got {len(expr.args)}",
-                expr.pos,
-            )
-        for arg, (pname, pwidth) in zip(expr.args, decl.params):
-            n = size_of(arg, ctx)
-            if n > pwidth:
-                raise _fail(
-                    "E010",
-                    f"argument for {expr.name}.{pname} has size {n} > parameter width {pwidth}",
-                    expr.pos,
-                )
-        return decl.width
-    raise TypeError(f"not a packing expression: {expr!r}")
 
 
 def _layout_runs(layout: BitLayout) -> dict[str, tuple[int, int]]:
@@ -159,40 +117,36 @@ def layout_assignments(layout: BitLayout, ctx: SizeContext) -> dict[str, int]:
     return out
 
 
+def _applications(expr: PackingExpr):
+    """Every packing application in `expr`, outermost first."""
+    if isinstance(expr, Apply):
+        yield expr
+        for arg in expr.args:
+            yield from _applications(arg)
+    elif isinstance(expr, (Concat, Solve)):
+        for part in expr.parts:
+            yield from _applications(part)
+
+
 def check_expr(expr: PackingExpr, ctx: SizeContext, in_decl: Optional[str] = None) -> int:
-    """Full verification of one expression: sizes, letter resolution,
-    contiguity, and the #solve placement restriction. Returns the size."""
-    if isinstance(expr, Solve):
-        if in_decl is not None:
+    """Full verification of one expression, returning its size: the width
+    of its flattened pattern, or a #solve's least width. Flattening makes
+    every check but the two that only a declaration `in_decl` needs: no
+    #solve at its top, and no application of itself."""
+    from .flatten import flatten_annotation
+
+    if in_decl is not None:
+        if isinstance(expr, Solve):
             raise _fail(
                 "E011",
                 f"#solve cannot appear in packing declaration {in_decl!r}",
                 expr.pos,
             )
-        for p in expr.parts:
-            check_expr(p, ctx, in_decl)
-    elif isinstance(expr, BitLayout):
-        layout_assignments(expr, ctx)
-    elif isinstance(expr, Concat):
-        for p in expr.parts:
-            if isinstance(p, Solve):
-                raise _fail("E011", "#solve cannot be nested", p.pos)
-            check_expr(p, ctx, in_decl)
-    elif isinstance(expr, Apply):
-        if in_decl is not None and expr.name == in_decl:
-            raise _fail("E014", f"packing {in_decl!r} applies itself", expr.pos)
-        for a in expr.args:
-            if isinstance(a, Solve):
-                raise _fail("E011", "#solve cannot be nested", a.pos)
-            check_expr(a, ctx, in_decl)
-    size = size_of(expr, ctx)
-    if size > MAX_SCALAR_BITS:
-        raise _fail(
-            "E010",
-            f"expression size {size} exceeds the largest scalar ({MAX_SCALAR_BITS} bits)",
-            getattr(expr, "pos", (0, 0)),
-        )
-    return size
+        for a in _applications(expr):
+            if a.name == in_decl:
+                raise _fail("E014", f"packing {in_decl!r} applies itself", a.pos)
+    (entry,) = flatten_annotation([expr], ctx)
+    return entry.width
 
 
 def check_packing_decl(decl: PackingDecl, delta: dict[str, PackingDecl]) -> list[Diagnostic]:

@@ -201,9 +201,9 @@ def random_expr(
 
 
 def _width_of(e: PackingExpr, ctx: SizeContext) -> int:
-    from adtlayout.verify import size_of
+    from adtlayout.verify import check_expr
 
-    return size_of(e, ctx)
+    return check_expr(e, ctx)
 
 
 # ---------------------------------------------------------------------------

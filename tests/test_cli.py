@@ -361,8 +361,29 @@ def test_type_without_cases_is_syntax_error(tmp_path, source, command, capsys):
          "error: F expects 0 type arguments, got 1"),
         ("packing P(a: 4): 2 = 0b_aaaa; type T { case C(x: u4); }",
          "E010 at 1:1: body of 'P' has size 4 > declared width 2"),
+        # declarations that could never be applied
+        ("packing P(a: 2): 4 = #concat(a, a);", "E016 at 1:22: field 'a' placed twice\n"),
+        ("packing Pair(hi: 4, lo: 4): 8 = 0b_hhhh_llll; packing Q(a: 4): 8 = Pair(a, a);",
+         "E016 at 1:68: field 'a' placed twice\n"),
+        ("packing D(x: 2, y: 2): 2 = x; packing Q(a: 2, b: 2): 2 = D(a, b);",
+         "E013 at 1:58: parameter 'y' of D is unused; cannot place b\n"),
+        # annotations
+        ("type T #unboxed { case A(x: u8) #packing #concat(x, nope); }",
+         "error: E013 at 1:53: unbound field 'nope'\n"),
+        ("type T #unboxed { case A(x: u8) #packing Nope(x); }",
+         "error: E013 at 1:42: unbound packing 'Nope'\n"),
+        ("packing P(a: 8): 8 = a; type T #unboxed { case A(x: u8, y: u8) #packing P(x, y); }",
+         "error: E010 at 1:73: P expects 1 arguments, got 2\n"),
+        ("type T #unboxed { case A(x: u8, y: u8) #packing #concat(x, #solve(y)); }",
+         "error: E011 at 1:60: #solve cannot be nested\n"),
+        ("packing P(a: 4): 8 = a; type T #unboxed { case A(x: u8) #packing P(x); }",
+         "error: E010 at 1:66: argument for P.a has size 8 > parameter width 4\n"),
+        ("type T #unboxed { case A(x: u40, y: u40) #packing #concat(x, y); }",
+         "error: E010 at 1:51: expression size 80 exceeds the largest scalar (64 bits)\n"),
     ],
-    ids=["polymorphic-recursion", "wrong-arity", "packing-too-wide"],
+    ids=["polymorphic-recursion", "wrong-arity", "packing-too-wide", "concat-reuse",
+         "argument-reuse", "unused-parameter", "unbound-field", "unbound-packing",
+         "packing-arity", "nested-solve", "argument-width", "wider-than-64"],
 )
 def test_check_and_layout_reject_alike(tmp_path, source, message, command, capsys):
     p = tmp_path / "bad.pk"

@@ -5,7 +5,7 @@ import pytest
 from adtlayout.distinguish import BitPattern
 from adtlayout.flatten import FlattenedPacking, SolveRequest, flatten_annotation, flatten_expr
 from adtlayout.syntax import parse_packing_expr, parse_program
-from adtlayout.verify import SizeContext, VerifyError, check_expr, check_program_decls, size_of
+from adtlayout.verify import SizeContext, VerifyError, check_expr, check_program_decls
 
 from oracles import random_context, random_decls, random_expr, reference_flatten
 
@@ -128,7 +128,7 @@ def test_annotation_solve_request():
     req = entries[0]
     assert isinstance(req, SolveRequest)
     assert sorted(req.field_names()) == ["x", "y"]
-    assert req.min_width == 16
+    assert req.width == 16
 
 
 def test_annotation_two_scalars():
@@ -153,7 +153,7 @@ def test_width_preservation_and_json():
     c = ctx({"a": 2, "b": 2})
     e = parse_packing_expr("0b_00aa_bb11")
     f = flatten_expr(e, c)
-    assert f.width == size_of(e, c)
+    assert f.width == reference_flatten(e, c)[2]
     assert f.to_json() == {
         "width": 8,
         "pattern": "00xxxx11",

@@ -953,3 +953,28 @@ def test_observation_agrees_boxed_and_normalized(target, bundle, want):
     check_program(post)
     assert eval_program(program) == Outcome(None, want)
     assert eval_program(post) == Outcome(None, want)
+
+
+JUMP_BUNDLE = """
+type T { case A(x: u8, y: u16); case B; }
+fn main() -> u8 {
+b0:
+  %x = const<u8> 7
+  %y = const<u16> 9
+  %r = alloc<T#0>(%x, %y)
+  jmp b1
+b1:
+  %v = getfield<T#0.0>(%r)
+  ret %v
+}
+"""
+
+
+@pytest.mark.parametrize("target", ["x64", "jvm", "x86-32"])
+def test_jump_agrees_boxed_and_normalized(target):
+    program, _ = progtext.parse_bundle(f"target {target}\n{JUMP_BUNDLE}")
+    check_program(program)
+    post = norm.normalize_program(program)
+    check_program(post)
+    assert eval_program(program) == Outcome(None, 7)
+    assert eval_program(post) == Outcome(None, 7)

@@ -291,6 +291,28 @@ def test_type_arguments_built_from_parameters_are_bounded(source, name):
         process_adts(parse_program(source), X64)
 
 
+@pytest.mark.parametrize("source, name", [
+    (
+        "type A<T> { case N; case W(w: A<(T, u8)>); case X(x: A<(u8, T)>);"
+        " case Y(y: A<(T, u16)>); case Z(z: A<(u16, T)>); }",
+        "A",
+    ),
+    ("type P<T> { case N; case A(x: P<(" + ", ".join(["T"] * 10) + ")>); }", "P"),
+], ids=["branching", "widening"])
+def test_polymorphic_recursion_named_at_the_parts_bound(source, name):
+    """Recursion that branches or widens spends the parts bound before it
+    grows 8 levels; the bound's message then names the recursion."""
+    from adtlayout.targets import MonoError
+
+    decls = parse_program(source + f" type U {{ case C(u: {name}<u8>); }}")
+    message = (
+        f"instantiating {name} builds type arguments deeper than 64 levels"
+        " or of more than 65536 parts in all; is it polymorphically recursive?"
+    )
+    with pytest.raises(MonoError, match=f"^{re.escape(message)}$"):
+        process_adts(decls, X64)
+
+
 def test_get_scalar_kinds_unknown_type():
     with pytest.raises(KeyError):
         get_scalar_kinds(parse_type("(u8, u8)"), X64)

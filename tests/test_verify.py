@@ -8,7 +8,6 @@ from adtlayout.verify import (
     check_packing_decl,
     check_program_decls,
     resolve_layout_fields,
-    size_of,
 )
 
 FLOAT_SUITE = """
@@ -33,39 +32,39 @@ def ctx(gamma, delta=None):
 
 def test_float16_body_size(delta):
     body = delta["Float16"].body
-    assert size_of(body, ctx({"sign": 1, "exp": 5, "frac": 10}, delta)) == 16
+    assert check_expr(body, ctx({"sign": 1, "exp": 5, "frac": 10}, delta)) == 16
 
 
 def test_concat_size_is_sum(delta):
     g = {"s1": 1, "e1": 5, "f1": 10, "s2": 1, "e2": 5, "f2": 10}
     e = parse_packing_expr("#concat(Float16(s1,e1,f1), Float16(s2,e2,f2))")
-    assert size_of(e, ctx(g, delta)) == 32
+    assert check_expr(e, ctx(g, delta)) == 32
 
 
 def test_empty_size_zero():
-    assert size_of(parse_packing_expr("0b"), ctx({})) == 0
+    assert check_expr(parse_packing_expr("0b"), ctx({})) == 0
 
 
 def test_field_size_from_gamma():
-    assert size_of(parse_packing_expr("frac"), ctx({"frac": 10})) == 10
+    assert check_expr(parse_packing_expr("frac"), ctx({"frac": 10})) == 10
 
 
 def test_unbound_field():
     with pytest.raises(VerifyError) as e:
-        size_of(parse_packing_expr("nope"), ctx({}))
+        check_expr(parse_packing_expr("nope"), ctx({}))
     assert e.value.diag.code == "E013"
 
 
 def test_unbound_packing():
     with pytest.raises(VerifyError) as e:
-        size_of(parse_packing_expr("P(a)"), ctx({"a": 2}))
+        check_expr(parse_packing_expr("P(a)"), ctx({"a": 2}))
     assert e.value.diag.code == "E013"
 
 
 def test_argument_exceeds_parameter_width(delta):
     e = parse_packing_expr("Float16(sign, exp, frac)")
     with pytest.raises(VerifyError) as err:
-        size_of(e, ctx({"sign": 2, "exp": 5, "frac": 10}, delta))
+        check_expr(e, ctx({"sign": 2, "exp": 5, "frac": 10}, delta))
     assert err.value.diag.code == "E010"
 
 
@@ -156,7 +155,7 @@ def test_monotonicity_of_concat():
     e2 = parse_packing_expr("b")
     e = parse_packing_expr("#concat(a, b)")
     c = ctx(g)
-    assert size_of(e, c) == size_of(e1, c) + size_of(e2, c)
+    assert check_expr(e, c) == check_expr(e1, c) + check_expr(e2, c)
 
 
 def test_duplicate_packing_name():
@@ -176,8 +175,18 @@ def test_forward_reference_unbound():
 def test_apply_arity_mismatch():
     delta, _ = check_program_decls(parse_program("packing P(a:2, b:2): 4 = 0b_aabb;"))
     with pytest.raises(VerifyError) as e:
-        size_of(parse_packing_expr("P(x)"), ctx({"x": 2}, delta))
+        check_expr(parse_packing_expr("P(x)"), ctx({"x": 2}, delta))
     assert e.value.diag.code == "E010"
+
+
+@pytest.mark.parametrize("source, code", [
+    ("#solve(a, a)", "E016"),
+    ("#solve(#solve(a))", "E011"),
+])
+def test_solve_entries_are_checked(source, code):
+    with pytest.raises(VerifyError) as e:
+        check_expr(parse_packing_expr(source), ctx({"a": 2}))
+    assert e.value.diag.code == code
 
 
 def test_verified_declarations_always_flatten():
@@ -187,20 +196,27 @@ def test_verified_declarations_always_flatten():
     from adtlayout.flatten import flatten_expr
     from oracles import random_context, random_decls, random_expr
 
+    from adtlayout.syntax import Concat, FieldRef
+
     rng = _random.Random(31337)
-    done = 0
+    done = rejected = 0
     while done < 150:
         delta = random_decls(rng)
         c = random_context(rng, delta)
         e = random_expr(rng, c, depth=3, used=set(), max_width=64)
         if e is None:
             continue
-        try:
-            check_expr(e, c)
-        except VerifyError:
-            continue
-        flatten_expr(e, c)  # must not raise
-        done += 1
+        # the last two may place a field twice
+        appended = Concat((e, FieldRef(rng.choice(sorted(c.gamma)))))
+        for candidate in (e, appended, Concat((e, e))):
+            try:
+                check_expr(candidate, c)
+            except VerifyError:
+                rejected += 1
+                continue
+            flatten_expr(candidate, c)  # must not raise
+            done += 1
+    assert rejected > 0
 
 
 def test_subsumption_property():
