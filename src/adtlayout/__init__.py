@@ -10,7 +10,10 @@ from .distinguish import (
     classify,
     derive_decision_tree,
 )
-from .flatten import FlattenedPacking, SolveRequest, flatten_annotation, flatten_expr
+from .flatten import (
+    Diagnostic, FlattenedPacking, SizeContext, SolveRequest, VerifyError,
+    flatten_annotation, flatten_expr, resolve_layout_fields,
+)
 from .pipeline import ProgramLayouts, process_adts
 from .solver import (
     AnnotationInfeasible,
@@ -46,12 +49,6 @@ from .targets import (
     monomorphize_adt,
     unboxing_eligibility,
 )
-from .verify import (
-    Diagnostic,
-    SizeContext,
-    VerifyError,
-    check_packing_decl,
-    resolve_layout_fields,
-)
+from .verify import check_packing_decl
 
 __all__ = [name for name in dir() if not name.startswith("_")]

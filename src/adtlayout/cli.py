@@ -83,13 +83,13 @@ def _process(
         for d in decls:
             if isinstance(d, AdtDecl) and not d.type_params:
                 requests.append(parse_type(d.name))
-    _, diags = check_program_decls([d for d in decls if not isinstance(d, AdtDecl)])
+    packings, diags = check_program_decls([d for d in decls if not isinstance(d, AdtDecl)])
     for d in diags:
         print(str(d), file=err)
     try:
         # annotations are verified per instantiation; without --instantiate
         # those are the non-generic types
-        result = process_adts(decls, tgt, requests=requests, options=options)
+        result = process_adts(decls, tgt, requests=requests, options=options, packings=packings)
     except (AnnotationInfeasible, MonoError, VerifyError) as e:
         print(f"error: {e}", file=err)
         return 1, None

@@ -1,4 +1,6 @@
-"""Flattening of packing expressions into (field-offset map, bit pattern) pairs.
+"""Flattening of packing expressions into (field-offset map, bit pattern)
+pairs, and every check that makes a pattern defined. An expression's size
+is its pattern's width, so `verify` sizes a declaration's body by flattening.
 
 A pattern is a `distinguish.BitPattern` of masks counted from the LSB:
 constant bits with their values, bits assigned to a field, and free bits
@@ -6,6 +8,11 @@ the solver may choose. `#concat` joins its parts' masks, the first part
 highest, and an argument's masks replace its parameter's bit run. Field
 offsets count from the least-significant bit of the final pattern. Patterns
 print MSB first over '0', '1', 'x' (field) and 'u' (free).
+
+Error codes are stable: E001 syntax, E002 unknown annotation, E010 size,
+E011 solve-in-declaration, E012 ambiguous field letter, E013 unbound name,
+E014 recursive packing application, E015 non-contiguous field bits,
+E016 duplicate field placement.
 """
 
 from __future__ import annotations
@@ -20,10 +27,33 @@ from .syntax import (
     Concat,
     Empty,
     FieldRef,
+    PackingDecl,
     PackingExpr,
     Solve,
+    is_field_bit,
 )
-from .verify import MAX_SCALAR_BITS, SizeContext, _fail, layout_assignments
+
+MAX_SCALAR_BITS = 64
+
+
+@dataclass(frozen=True)
+class Diagnostic:
+    code: str
+    message: str
+    pos: tuple[int, int] = (0, 0)
+
+    def __str__(self) -> str:
+        return f"{self.code} at {self.pos[0]}:{self.pos[1]}: {self.message}"
+
+
+class VerifyError(Exception):
+    def __init__(self, diag: Diagnostic):
+        super().__init__(str(diag))
+        self.diag = diag
+
+
+def _fail(code: str, message: str, pos: tuple[int, int]) -> "VerifyError":
+    return VerifyError(Diagnostic(code, message, pos))
 
 
 @dataclass(frozen=True)
@@ -70,6 +100,63 @@ class SolveRequest:
 AnnotationEntry = Union[FlattenedPacking, SolveRequest]
 
 
+@dataclass
+class SizeContext:
+    """Field-name widths plus the packing declarations in scope, with the
+    flattened body of each declaration applied so far. A body depends only
+    on its declaration, so contexts that share `delta` share `bodies`."""
+
+    gamma: dict[str, int] = field(default_factory=dict)
+    delta: dict[str, PackingDecl] = field(default_factory=dict)
+    bodies: dict[str, FlattenedPacking] = field(default_factory=dict)
+
+    def with_gamma(self, gamma: dict[str, int]) -> "SizeContext":
+        return SizeContext(gamma=dict(gamma), delta=self.delta, bodies=self.bodies)
+
+
+def _layout_runs(layout: BitLayout) -> dict[str, tuple[int, int]]:
+    """Map each field letter in a bit layout to its (lsb_offset, run_length).
+
+    Offsets count from the least-significant bit. Raises on a letter
+    appearing in two separate runs: a field must occupy contiguous bits.
+    """
+    runs: dict[str, tuple[int, int]] = {}
+    width = layout.width
+    k = 0
+    while k < width:
+        ch = layout.bits[k]
+        if not is_field_bit(ch):
+            k += 1
+            continue
+        j = k
+        while j < width and layout.bits[j] == ch:
+            j += 1
+        if ch in runs:
+            raise _fail("E015", f"field letter {ch!r} occupies non-contiguous bits", layout.pos)
+        # bits are written MSB first: char index k..j-1 covers lsb offset width-j
+        runs[ch] = (width - j, j - k)
+        k = j
+    return runs
+
+
+def resolve_layout_fields(layout: BitLayout, fields: list[str]) -> dict[str, str]:
+    """Resolve each field letter used in a layout to the unique field whose
+    name starts with that letter."""
+    out: dict[str, str] = {}
+    for ch in sorted(_layout_runs(layout)):
+        matches = [f for f in fields if f.startswith(ch)]
+        if not matches:
+            raise _fail("E013", f"bit letter {ch!r} matches no field", layout.pos)
+        if len(matches) > 1:
+            raise _fail(
+                "E012",
+                f"bit letter {ch!r} is ambiguous: " + ", ".join(sorted(matches)),
+                layout.pos,
+            )
+        out[ch] = matches[0]
+    return out
+
+
 def _merge_assignments(
     into: dict[str, int], more: dict[str, int], shift: int, pos: tuple[int, int]
 ) -> None:
@@ -106,8 +193,22 @@ def flatten_expr(expr: PackingExpr, ctx: SizeContext) -> FlattenedPacking:
 
 
 def _flatten_layout(layout: BitLayout, ctx: SizeContext) -> FlattenedPacking:
+    """A bit layout's pattern, once every field letter resolves to a field
+    and spans exactly that field's width."""
+    resolved = resolve_layout_fields(layout, list(ctx.gamma))
+    assignments: dict[str, int] = {}
+    for ch, (offset, length) in _layout_runs(layout).items():
+        fname = resolved[ch]
+        want = ctx.gamma[fname]
+        if length != want:
+            raise _fail(
+                "E010",
+                f"field {fname!r} is {want} bits but layout gives it {length}",
+                layout.pos,
+            )
+        assignments[fname] = offset
     text = "".join(ch if ch in "01" else "u" if ch == "?" else "x" for ch in layout.bits)
-    return FlattenedPacking(layout_assignments(layout, ctx), parse_pattern(text), pos=layout.pos)
+    return FlattenedPacking(assignments, parse_pattern(text), pos=layout.pos)
 
 
 def _flatten_apply(expr: Apply, ctx: SizeContext) -> FlattenedPacking:
@@ -128,8 +229,10 @@ def _flatten_apply(expr: Apply, ctx: SizeContext) -> FlattenedPacking:
                 f"argument for {expr.name}.{pname} has size {flat.width} > parameter width {pwidth}",
                 expr.pos,
             )
-    body_ctx = ctx.with_gamma({n: w for n, w in decl.params})
-    body = flatten_expr(decl.body, body_ctx)
+    body = ctx.bodies.get(expr.name)
+    if body is None:
+        body = flatten_expr(decl.body, ctx.with_gamma(dict(decl.params)))
+        ctx.bodies[expr.name] = body
     # a body narrower than the declared width is zero-padded at the MS end
     pattern = _zero_pad(body.pattern, decl.width)
     assignments: dict[str, int] = {}

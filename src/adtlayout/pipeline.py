@@ -7,6 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from .flatten import SizeContext
 from .solver import LayoutSolution, solve_layout
 from .syntax import MAX_NESTING, AdtDecl, Decl, NamedType, PackingDecl, TupleType, TypeExpr, print_type
 from .targets import (
@@ -184,9 +185,11 @@ def process_adts(
     target: Target,
     requests: Optional[list[NamedType]] = None,
     options: UnboxOptions = UnboxOptions(),
+    packings: Optional[SizeContext] = None,
 ) -> ProgramLayouts:
     """Resolve every requested instantiation (plus everything reachable
-    from it) into a disposition and, when unboxed, a layout."""
+    from it) into a disposition and, when unboxed, a layout. `packings` is
+    `check_program_decls`' scope of the packings in `decls`, else made here."""
     adt_decls: dict[str, AdtDecl] = {}
     packing_list: list[PackingDecl] = []
     for d in decls:
@@ -196,7 +199,8 @@ def process_adts(
             raise MonoError(f"type {d.name} is declared twice")
         else:
             adt_decls[d.name] = d
-    delta, _ = check_program_decls(packing_list)
+    if packings is None:
+        packings, _ = check_program_decls(packing_list)
 
     if requests is None:
         requests = [
@@ -236,7 +240,7 @@ def process_adts(
     env = AdtEnv(
         decls=adt_decls,
         target=target,
-        packing_decls=delta,
+        packings=packings,
         recursive_keys=recursive_keys,
     )
     result = ProgramLayouts(order=[], resolved={})

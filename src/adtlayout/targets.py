@@ -14,19 +14,17 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from .distinguish import BitPattern, parse_pattern
-from .flatten import AnnotationEntry, flatten_annotation
+from .flatten import AnnotationEntry, SizeContext, flatten_annotation
 from .syntax import (
     AdtDecl,
     BoolType,
     FloatType,
     IntType,
     NamedType,
-    PackingDecl,
     TupleType,
     TypeExpr,
     print_type,
 )
-from .verify import SizeContext
 
 
 class ScalarKind(enum.Enum):
@@ -267,7 +265,7 @@ class AdtEnv:
 
     decls: dict[str, AdtDecl]
     target: Target
-    packing_decls: dict[str, PackingDecl] = field(default_factory=dict)
+    packings: SizeContext = field(default_factory=SizeContext)  # verified declarations
     resolved: dict[str, "ResolvedAdt"] = field(default_factory=dict)
     recursive_keys: set[str] = field(default_factory=set)
 
@@ -383,15 +381,13 @@ def _embed_unboxed(name: str, ref_key: str, info: ResolvedAdt, env: AdtEnv) -> l
 def _flatten_adt_packing(decl: AdtDecl, mono: MonoAdt, env: AdtEnv):
     if not decl.has_packing:
         return None
-    delta = env.packing_decls
     per_variant: list[Optional[tuple[AnnotationEntry, ...]]] = []
     for i, variant in enumerate(mono.variants):
         exprs = decl.packing_for_variant(i)
         if exprs is None:
             per_variant.append(None)
             continue
-        gamma = {f.name: f.width for f in variant.fields}
-        ctx = SizeContext(gamma=gamma, delta=delta)
+        ctx = env.packings.with_gamma({f.name: f.width for f in variant.fields})
         per_variant.append(tuple(flatten_annotation(list(exprs), ctx)))
     return tuple(per_variant)
 

@@ -1,120 +1,17 @@
-"""Static checks for packing expressions: the size judgment and declaration well-formedness.
+"""Declaration well-formedness.
 
-The size of an expression is the width of its flattened pattern, so an
-expression that verifies always flattens.
-
-Error codes are stable: E001 syntax, E002 unknown annotation, E010 size,
-E011 solve-in-declaration, E012 ambiguous field letter, E013 unbound name,
-E014 recursive packing application, E015 non-contiguous field bits,
-E016 duplicate field placement.
+A declaration verifies when its parameter widths are in range and its body
+flattens (see `flatten`) to a pattern no wider than its declared width,
+with no #solve at the top and no application of itself. The size judgment
+is the flattened width, so a declaration that verifies always flattens.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional
 
-from .syntax import Apply, BitLayout, Concat, PackingDecl, PackingExpr, Solve, is_field_bit
-
-MAX_SCALAR_BITS = 64
-
-
-@dataclass(frozen=True)
-class Diagnostic:
-    code: str
-    message: str
-    pos: tuple[int, int] = (0, 0)
-
-    def __str__(self) -> str:
-        return f"{self.code} at {self.pos[0]}:{self.pos[1]}: {self.message}"
-
-
-class VerifyError(Exception):
-    def __init__(self, diag: Diagnostic):
-        super().__init__(str(diag))
-        self.diag = diag
-
-
-def _fail(code: str, message: str, pos: tuple[int, int]) -> "VerifyError":
-    return VerifyError(Diagnostic(code, message, pos))
-
-
-@dataclass
-class SizeContext:
-    """Field-name widths plus the packing declarations in scope."""
-
-    gamma: dict[str, int] = field(default_factory=dict)
-    delta: dict[str, PackingDecl] = field(default_factory=dict)
-
-    def with_gamma(self, gamma: dict[str, int]) -> "SizeContext":
-        return SizeContext(gamma=dict(gamma), delta=self.delta)
-
-
-def _layout_runs(layout: BitLayout) -> dict[str, tuple[int, int]]:
-    """Map each field letter in a bit layout to its (lsb_offset, run_length).
-
-    Offsets count from the least-significant bit. Raises on a letter
-    appearing in two separate runs: a field must occupy contiguous bits.
-    """
-    runs: dict[str, tuple[int, int]] = {}
-    width = layout.width
-    k = 0
-    while k < width:
-        ch = layout.bits[k]
-        if not is_field_bit(ch):
-            k += 1
-            continue
-        j = k
-        while j < width and layout.bits[j] == ch:
-            j += 1
-        if ch in runs:
-            raise _fail(
-                "E015",
-                f"field letter {ch!r} occupies non-contiguous bits",
-                layout.pos,
-            )
-        # bits are written MSB first: char index k..j-1 covers lsb offset width-j
-        runs[ch] = (width - j, j - k)
-        k = j
-    return runs
-
-
-def resolve_layout_fields(
-    layout: BitLayout, fields: list[str]
-) -> dict[str, str]:
-    """Resolve each field letter used in a layout to the unique field whose
-    name starts with that letter."""
-    out: dict[str, str] = {}
-    for ch in sorted(_layout_runs(layout)):
-        matches = [f for f in fields if f.startswith(ch)]
-        if not matches:
-            raise _fail("E013", f"bit letter {ch!r} matches no field", layout.pos)
-        if len(matches) > 1:
-            raise _fail(
-                "E012",
-                f"bit letter {ch!r} is ambiguous: " + ", ".join(sorted(matches)),
-                layout.pos,
-            )
-        out[ch] = matches[0]
-    return out
-
-
-def layout_assignments(layout: BitLayout, ctx: SizeContext) -> dict[str, int]:
-    """The LSB offset of each field a bit layout places, by field name, once
-    every letter resolves to a field and spans exactly its width."""
-    resolved = resolve_layout_fields(layout, list(ctx.gamma))
-    out: dict[str, int] = {}
-    for ch, (offset, length) in _layout_runs(layout).items():
-        fname = resolved[ch]
-        want = ctx.gamma[fname]
-        if length != want:
-            raise _fail(
-                "E010",
-                f"field {fname!r} is {want} bits but layout gives it {length}",
-                layout.pos,
-            )
-        out[fname] = offset
-    return out
+from .flatten import MAX_SCALAR_BITS, Diagnostic, SizeContext, VerifyError, _fail, flatten_annotation
+from .syntax import Apply, Concat, PackingDecl, PackingExpr, Solve
 
 
 def _applications(expr: PackingExpr):
@@ -133,8 +30,6 @@ def check_expr(expr: PackingExpr, ctx: SizeContext, in_decl: Optional[str] = Non
     of its flattened pattern, or a #solve's least width. Flattening makes
     every check but the two that only a declaration `in_decl` needs: no
     #solve at its top, and no application of itself."""
-    from .flatten import flatten_annotation
-
     if in_decl is not None:
         if isinstance(expr, Solve):
             raise _fail(
@@ -150,12 +45,13 @@ def check_expr(expr: PackingExpr, ctx: SizeContext, in_decl: Optional[str] = Non
 
 
 def check_packing_decl(decl: PackingDecl, delta: dict[str, PackingDecl]) -> list[Diagnostic]:
-    """Well-formedness of one declaration against the declarations in scope.
+    """Well-formedness of one declaration against the declarations in
+    scope: an empty list when it verifies."""
+    return _check_decl(decl, SizeContext(delta=delta))
 
-    Returns an empty list when the declaration verifies.
-    """
+
+def _check_decl(decl: PackingDecl, scope: SizeContext) -> list[Diagnostic]:
     diags: list[Diagnostic] = []
-    ctx = SizeContext(gamma={n: w for n, w in decl.params}, delta=delta)
     if decl.width > MAX_SCALAR_BITS:
         diags.append(
             Diagnostic("E010", f"declared width {decl.width} exceeds {MAX_SCALAR_BITS}", decl.pos)
@@ -168,7 +64,7 @@ def check_packing_decl(decl: PackingDecl, delta: dict[str, PackingDecl]) -> list
     if diags:
         return diags
     try:
-        size = check_expr(decl.body, ctx, in_decl=decl.name)
+        size = check_expr(decl.body, scope.with_gamma(dict(decl.params)), in_decl=decl.name)
     except VerifyError as e:
         return [e.diag]
     if size > decl.width:
@@ -182,17 +78,19 @@ def check_packing_decl(decl: PackingDecl, delta: dict[str, PackingDecl]) -> list
     return diags
 
 
-def check_program_decls(decls: list[PackingDecl]) -> tuple[dict[str, PackingDecl], list[Diagnostic]]:
-    """Check declarations in order, accumulating the context; forward
-    references are unbound."""
-    delta: dict[str, PackingDecl] = {}
+def check_program_decls(decls: list[PackingDecl]) -> tuple[SizeContext, list[Diagnostic]]:
+    """Check declarations in order into one scope, whose `delta` holds the
+    declarations that verify; forward references are unbound. The scope
+    keeps each applied body, so a body is flattened once however often it
+    is applied, here and in the annotations that use the scope."""
+    scope = SizeContext()
     diags: list[Diagnostic] = []
     for d in decls:
-        if d.name in delta:
+        if d.name in scope.delta:
             diags.append(Diagnostic("E013", f"duplicate packing name {d.name!r}", d.pos))
             continue
-        ds = check_packing_decl(d, delta)
+        ds = _check_decl(d, scope)
         diags.extend(ds)
         if not ds:
-            delta[d.name] = d
-    return delta, diags
+            scope.delta[d.name] = d
+    return scope, diags

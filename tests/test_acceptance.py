@@ -81,12 +81,12 @@ def test_criterion_3_float_declarations(tmp_path):
     p = tmp_path / "floats.pk"
     p.write_text(FLOAT_SUITE)
     assert cmd_check([str(p)], out=io.StringIO()) == 0
-    delta, diags = check_program_decls(parse_program(FLOAT_SUITE))
+    scope, diags = check_program_decls(parse_program(FLOAT_SUITE))
     assert not diags
     gamma = {"s1": 1, "e1": 5, "f1": 10, "s2": 1, "e2": 5, "f2": 10}
     flat = flatten_expr(
         parse_packing_expr("TwoFloat16s(s1, e1, f1, s2, e2, f2)"),
-        SizeContext(gamma=gamma, delta=delta),
+        scope.with_gamma(gamma),
     )
     assert flat.width == 32
     covered = set()

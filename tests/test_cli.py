@@ -419,3 +419,54 @@ def test_type_declared_in_two_files_rejected(tmp_path, command, capsys):
     second.write_text("type A { case Y(b: u8); }\n")
     assert main([command, str(first), str(second)]) == 1
     assert capsys.readouterr().err == "error: type A is declared twice\n"
+
+
+def _doubling_chain(levels: int) -> str:
+    """P0 lays out one bit; each P<k> applies P<k-1> to P<k-1>(a)."""
+    lines = ["packing P0(a: 1): 1 = 0b_a;"]
+    lines += [f"packing P{k}(a: 1): 1 = P{k - 1}(P{k - 1}(a));" for k in range(1, levels + 1)]
+    return "\n".join(lines) + "\n"
+
+
+def _linear_chain(length: int) -> str:
+    """P0 lays out one bit; each P<k> applies P<k-1>, and a type uses the last."""
+    lines = ["packing P0(a: 1): 1 = 0b_a;"]
+    lines += [f"packing P{k}(a: 1): 1 = P{k - 1}(a);" for k in range(1, length)]
+    lines.append(f"type T #unboxed {{ case A(x: u1) #packing P{length - 1}(x); }}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("command", ["check", "layout"])
+def test_doubling_chain_flattens_each_body_once(tmp_path, command, monkeypatch, capsys):
+    """Each body is flattened once and spliced at every application, so 31
+    declarations that each apply the one before twice need a few hundred
+    flatten steps, not 2**31; more than 1000 fails instead of hanging."""
+    from adtlayout import flatten
+
+    calls = [0]
+    real = flatten.flatten_expr
+
+    def counted(expr, ctx):
+        calls[0] += 1
+        assert calls[0] <= 1000, "a packing body is flattened more than once"
+        return real(expr, ctx)
+
+    monkeypatch.setattr(flatten, "flatten_expr", counted)
+    p = tmp_path / "doubling.pk"
+    p.write_text(_doubling_chain(30))
+    assert main([command, str(p)]) == 0
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("command", ["check", "layout"])
+def test_long_linear_chain_lays_out(tmp_path, command, capsys):
+    """A chain of 1000 declarations, each applying the one before, checks and
+    lays out without a RecursionError: an applied body is already flattened."""
+    p = tmp_path / "chain.pk"
+    p.write_text(_linear_chain(1000))
+    assert main([command, str(p), "--json"] if command == "layout" else [command, str(p)]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    if command == "layout":
+        (entry,) = json.loads(out)["adts"]
+        assert entry["adt"] == "T" and not entry["boxed"]

@@ -19,9 +19,9 @@ packing TwoFloat16s(s1: 1, e1: 5, f1: 10, s2: 1, e2: 5, f2: 10): 32
 
 @pytest.fixture
 def delta():
-    d, diags = check_program_decls(parse_program(FLOAT_SUITE))
+    scope, diags = check_program_decls(parse_program(FLOAT_SUITE))
     assert not diags
-    return d
+    return scope.delta
 
 
 def ctx(gamma, delta=None):
@@ -81,11 +81,11 @@ def test_wild_bits_flatten_unassigned():
 
 
 def test_zero_padding_of_narrow_body():
-    delta, diags = check_program_decls(
+    scope, diags = check_program_decls(
         parse_program("packing Pad(a: 4): 8 = 0b_aaaa;")
     )
     assert not diags
-    f = flatten_expr(parse_packing_expr("Pad(x)"), ctx({"x": 4}, delta))
+    f = flatten_expr(parse_packing_expr("Pad(x)"), scope.with_gamma({"x": 4}))
     assert f.width == 8
     assert f.pattern_str() == "0000xxxx"
     assert f.assignments == {"x": 0}
@@ -101,10 +101,10 @@ def test_literal_argument_contributes_constants(delta):
 
 
 def test_field_arg_for_unused_parameter_rejected():
-    delta, diags = check_program_decls(parse_program("packing Drop(a:2, b:2): 4 = 0b_aa00;"))
+    scope, diags = check_program_decls(parse_program("packing Drop(a:2, b:2): 4 = 0b_aa00;"))
     assert not diags
     with pytest.raises(VerifyError) as e:
-        flatten_expr(parse_packing_expr("Drop(x, y)"), ctx({"x": 2, "y": 2}, delta))
+        flatten_expr(parse_packing_expr("Drop(x, y)"), scope.with_gamma({"x": 2, "y": 2}))
     assert e.value.diag.code == "E013"
 
 

@@ -1,5 +1,6 @@
 import pytest
 
+from adtlayout.flatten import resolve_layout_fields
 from adtlayout.syntax import parse_packing_expr, parse_program
 from adtlayout.verify import (
     SizeContext,
@@ -7,7 +8,6 @@ from adtlayout.verify import (
     check_expr,
     check_packing_decl,
     check_program_decls,
-    resolve_layout_fields,
 )
 
 FLOAT_SUITE = """
@@ -21,9 +21,9 @@ packing TwoFloat16s(s1: 1, e1: 5, f1: 10, s2: 1, e2: 5, f2: 10): 32
 @pytest.fixture
 def delta():
     decls = parse_program(FLOAT_SUITE)
-    d, diags = check_program_decls(decls)
+    scope, diags = check_program_decls(decls)
     assert diags == []
-    return d
+    return scope.delta
 
 
 def ctx(gamma, delta=None):
@@ -173,9 +173,9 @@ def test_forward_reference_unbound():
 
 
 def test_apply_arity_mismatch():
-    delta, _ = check_program_decls(parse_program("packing P(a:2, b:2): 4 = 0b_aabb;"))
+    scope, _ = check_program_decls(parse_program("packing P(a:2, b:2): 4 = 0b_aabb;"))
     with pytest.raises(VerifyError) as e:
-        check_expr(parse_packing_expr("P(x)"), ctx({"x": 2}, delta))
+        check_expr(parse_packing_expr("P(x)"), scope.with_gamma({"x": 2}))
     assert e.value.diag.code == "E010"
 
 
@@ -190,33 +190,36 @@ def test_solve_entries_are_checked(source, code):
 
 
 def test_verified_declarations_always_flatten():
-    """Soundness: a declaration that verifies flattens without error."""
+    """Soundness: an expression that verifies flattens, to the width,
+    assignments and pattern of the reference flattening."""
     import random as _random
 
     from adtlayout.flatten import flatten_expr
-    from oracles import random_context, random_decls, random_expr
+    from oracles import random_context, random_decls, random_expr, reference_flatten
 
     from adtlayout.syntax import Concat, FieldRef
 
     rng = _random.Random(31337)
-    done = rejected = 0
-    while done < 150:
+    drawn = accepted = rejected = 0
+    while drawn < 150:
         delta = random_decls(rng)
         c = random_context(rng, delta)
         e = random_expr(rng, c, depth=3, used=set(), max_width=64)
         if e is None:
             continue
+        drawn += 1
         # the last two may place a field twice
         appended = Concat((e, FieldRef(rng.choice(sorted(c.gamma)))))
         for candidate in (e, appended, Concat((e, e))):
             try:
-                check_expr(candidate, c)
+                width = check_expr(candidate, c)
             except VerifyError:
                 rejected += 1
                 continue
-            flatten_expr(candidate, c)  # must not raise
-            done += 1
-    assert rejected > 0
+            flat = flatten_expr(candidate, c)
+            assert (flat.assignments, flat.pattern_str(), width) == reference_flatten(candidate, c)
+            accepted += 1
+    assert accepted > 150 and rejected > 0
 
 
 def test_subsumption_property():
