@@ -1,5 +1,8 @@
 import itertools
+import json
+import pathlib
 import random
+from typing import Optional
 
 import pytest
 
@@ -7,12 +10,14 @@ from adtlayout import distinguish
 from adtlayout.distinguish import (
     Leaf,
     Node,
+    Patterns,
     check_distinguishable,
     classify,
     derive_decision_tree,
     derive_tree,
     find_tag_interval,
     parse_pattern,
+    print_pattern,
     tag_width_for,
     tree_depth,
 )
@@ -316,3 +321,101 @@ def test_derive_tree_is_the_mask_form_of_derive_decision_tree():
             continue
         tree, resolved = by_strings
         assert by_masks == (tree, [[parse_pattern(p) for p in row] for row in resolved])
+
+
+# Pinned trees: `derive_tree` over seeded pattern sets, compared with
+# tests/golden/trees.json entry by entry. Each entry holds its pre-tag
+# patterns, so the test runs no solver. A change to the file is a change in
+# behaviour: name it in CHANGES.md. To write the file after such a change,
+# run `PYTHONPATH=src python tests/test_distinguish.py`.
+TREES_GOLDEN = pathlib.Path(__file__).parent / "golden" / "trees.json"
+
+
+def _random_sets(rng: random.Random, count: int, scalars: int) -> list[Patterns]:
+    """`count` sets of 3-6 cases over `scalars` scalars of 2-8 bits, each
+    bit drawn from `0 1 u u x`."""
+    out = []
+    for _ in range(count):
+        n = rng.randint(3, 6)
+        widths = [rng.randint(2, 8) for _ in range(scalars)]
+        out.append([["".join(rng.choice("01uux") for _ in range(w)) for w in widths] for _ in range(n)])
+    return out
+
+
+def _solver_sets(source: str, target) -> dict[str, Patterns]:
+    """The pre-tag patterns that the solver hands `derive_tree` while laying
+    out `source`, by type name (the first set of each type)."""
+    from adtlayout import solver
+    from adtlayout.pipeline import process_adts
+    from adtlayout.syntax import parse_program
+
+    seen: dict[str, Patterns] = {}
+    current = []
+    candidates, derive = solver._candidates, distinguish.derive_tree
+
+    def spy_candidates(state, *args, **kwargs):
+        current.append(state.adt.name)
+        try:
+            return candidates(state, *args, **kwargs)
+        finally:
+            current.pop()
+
+    def spy_derive(rows, charge=None):
+        seen.setdefault(current[-1], [[print_pattern(p) for p in row] for row in rows])
+        return derive(rows, charge)
+
+    solver._candidates, distinguish.derive_tree = spy_candidates, spy_derive
+    try:
+        process_adts(parse_program(source), target)
+    finally:
+        solver._candidates, distinguish.derive_tree = candidates, derive
+    return seen
+
+
+def tree_cases() -> dict[str, Patterns]:
+    """The pinned pattern sets by name."""
+    from adtlayout.targets import X64, X86_32
+
+    from corpus import CORPUS_SRC
+
+    cases: dict[str, Patterns] = {}
+    for k, ps in enumerate(_random_sets(random.Random(3), 400, 1)):
+        cases[f"random1-{k}"] = ps
+    for k, ps in enumerate(_random_sets(random.Random(4), 100, 2)):
+        cases[f"random2-{k}"] = ps
+    for target, width in ((X64, 62), (X86_32, 29)):
+        nullary = " ".join(f"case N{i};" for i in range(18))
+        source = f"type T0 #unboxed {{ {nullary} case P(p: u{width}); }}"
+        cases[f"stress-tags-{target.name}"] = _solver_sets(source, target)["T0"]
+    cases["C16-x64"] = _solver_sets(CORPUS_SRC, X64)["C16"]
+    for n in (16, 40, 100):
+        cases[f"nullary{n}-u60"] = [["u" * 64]] * n + [["uuuu" + "x" * 60]]
+    return cases
+
+
+def render_tree(patterns: Patterns) -> Optional[dict]:
+    derived = derive_tree([[parse_pattern(s) for s in row] for row in patterns])
+    if derived is None:
+        return None
+    tree, rows = derived
+    return {"tree": tree.to_json(), "resolved": [[print_pattern(p) for p in row] for row in rows]}
+
+
+def render_trees(cases: dict[str, Patterns]) -> str:
+    lines = [
+        json.dumps({"name": name, "patterns": ps, "result": render_tree(ps)}, separators=(",", ":"))
+        for name, ps in cases.items()
+    ]
+    return "[\n" + ",\n".join(lines) + "\n]\n"
+
+
+def test_trees_match_golden():
+    entries = json.loads(TREES_GOLDEN.read_text(encoding="utf-8"))
+    assert len(entries) == 506
+    for entry in entries:
+        assert render_tree(entry["patterns"]) == entry["result"], entry["name"]
+
+
+if __name__ == "__main__":
+    TREES_GOLDEN.write_text(render_trees(tree_cases()), encoding="utf-8")
+    print(f"wrote {TREES_GOLDEN}")
