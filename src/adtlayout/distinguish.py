@@ -58,14 +58,16 @@ def parse_pattern(text: str) -> BitPattern:
     return BitPattern(len(text), const, ones, field)
 
 
+_DIGITS = str.maketrans("0123", "ux01")
+
+
 def print_pattern(p: BitPattern) -> str:
-    out = []
-    for b in range(p.width - 1, -1, -1):
-        if p.const >> b & 1:
-            out.append("1" if p.ones >> b & 1 else "0")
-        else:
-            out.append("x" if p.field >> b & 1 else "u")
-    return "".join(out)
+    """Binary digits read as decimal keep their places, so each position's
+    digit of 2·const + (ones | field) is 0 free, 1 field, 2 or 3 constant."""
+    if not p.width:
+        return ""
+    digits = 2 * int(f"{p.const:b}") + int(f"{p.ones | p.field:b}")
+    return str(digits).zfill(p.width).translate(_DIGITS)
 
 
 @dataclass(frozen=True)
@@ -283,21 +285,19 @@ def derive_tree(
     joined = [join_patterns(row) for row in rows]
     if _inseparable_pair(joined):
         return None
-    resolved = list(joined)
-    tree = _build(resolved, widths)
+    tree = _build(joined, widths)
     if tree is None:
         if not _resolve_free_bits(joined, charge):
             return None
-        resolved = joined
-        tree = _build(resolved, widths)
+        tree = _build(joined, widths)
         assert tree is not None, "no admissible split despite resolved free bits"
-    return tree, [_split(row, widths) for row in resolved]
+    return tree, [_split(row, widths) for row in joined]
 
 
 def _build(rows: list[BitPattern], widths: list[int]) -> Optional[DecisionTree]:
     """A tree separating `rows` (joined patterns), built top down, fixing
-    in `rows` the free bits it routes; None when some node has no
-    admissible split.
+    in `rows` the free bits it routes; None, leaving `rows` as they were,
+    when some node has no admissible split.
 
     At each node the untested positions fall into columns, positions of
     one scalar that look the same in every live member, and only the
@@ -311,94 +311,118 @@ def _build(rows: list[BitPattern], widths: list[int]) -> Optional[DecisionTree]:
     has the smallest larger side, then the fewest members on both sides,
     then the lowest position."""
     scalars = []  # (first position, mask) per scalar
+    scalar_at: list[int] = []  # scalar index per position
     lo = 0
-    for w in widths:
+    for s, w in enumerate(widths):
         scalars.append((lo, ((1 << w) - 1) << lo))
+        scalar_at += [s] * w
         lo += w
-    usable = [~p.field & ((1 << p.width) - 1) for p in rows]
+    full = (1 << lo) - 1
+    # the rows as masks, fixed in place and written back once a tree is found
+    const = [p.const for p in rows]
+    ones = [p.ones for p in rows]
+    field = [p.field for p in rows]
 
-    def cheap_one(p: BitPattern, bit: int) -> bool:
-        """Whether a 1 at `bit` leaves the access cost of `p` unchanged: its
-        field at offset 0 of that scalar, if any, has set bits above it."""
-        lo, mask = next(sm for sm in scalars if sm[1] & bit)
-        field = (p.field & mask) >> lo
-        run = (field ^ (field + 1)).bit_length() - 1  # the offset-0 field run
-        return not field & 1 or bool(((p.ones | p.field) & mask) >> lo >> run)
+    def cheap_one(m: int, bit: int) -> bool:
+        """Whether a 1 at `bit` leaves the access cost of member `m`
+        unchanged: its field at offset 0 of that scalar, if any, has set
+        bits above it."""
+        if not field[m]:
+            return True
+        lo, mask = scalars[scalar_at[bit.bit_length() - 1]]
+        here = (field[m] & mask) >> lo
+        run = (here ^ (here + 1)).bit_length() - 1  # the offset-0 field run
+        return not here & 1 or bool(((ones[m] | field[m]) & mask) >> lo >> run)
 
-    def route(members: list[int], used: int, bit: int) -> Optional[tuple]:
+    def route(members: list[int], bit: int, lone: list[int]) -> Optional[tuple]:
         """(key, the free members routed to 1) of the best routing at
-        `bit`, or None when no routing there is admissible."""
-        zeros = ones = dup = 0
+        `bit`, or None when no routing there is admissible. `lone` lists
+        the members whose last usable position is `bit`."""
+        const_zeros = const_ones = dup = 0
         free: list[int] = []
-        lone: list[int] = []
         for m in members:
-            p = rows[m]
-            if p.const & bit:
-                if p.ones & bit:
-                    ones += 1
+            if const[m] & bit:
+                if ones[m] & bit:
+                    const_ones += 1
                 else:
-                    zeros += 1
-            elif p.field & bit:
+                    const_zeros += 1
+            elif field[m] & bit:
                 dup += 1
             else:
                 free.append(m)
-            if usable[m] & ~used == bit:
-                lone.append(m)
         if lone:
             # the first lone member alone on the zero side, or on the one side
             m = lone[0]
-            options = [[f for f in free if f != m], [m] if m in free else []]
+            options = [[f for f in free if f != m], [] if const[m] & bit else [m]]
         else:
-            cheap = [f for f in free if cheap_one(rows[f], bit)]
-            cheap.sort(key=lambda f: rows[f].field != 0)  # stable
-            options = [cheap[: max(0, min(len(cheap), (zeros + len(free) - ones) // 2))]]
+            take = (const_zeros + len(free) - const_ones) // 2
+            cheap = [f for f in free if cheap_one(f, bit)] if take > 0 else []
+            cheap.sort(key=lambda f: field[f] != 0)  # stable
+            options = [cheap[:take]]
         for to_one in options:
-            zero_n = zeros + dup + len(free) - len(to_one)
-            one_n = ones + dup + len(to_one)
+            zero_n = const_zeros + dup + len(free) - len(to_one)
+            one_n = const_ones + dup + len(to_one)
             larger = max(zero_n, one_n)
             if larger < len(members) and all(
-                (one_n if rows[l].ones & bit or l in to_one else zero_n) == 1 for l in lone
-            ) and (not lone or all(f in lone or cheap_one(rows[f], bit) for f in to_one)):
+                (one_n if ones[l] & bit or l in to_one else zero_n) == 1 for l in lone
+            ) and (not lone or all(f in lone or cheap_one(f, bit) for f in to_one)):
                 return (larger, dup, bit), to_one
         return None
 
     def node(members: list[int], used: int) -> Optional[DecisionTree]:
         if len(members) == 1:
             return Leaf(members[0])
-        columns = [mask & ~used for _, mask in scalars]
-        for p in {rows[m] for m in members}:
-            for part in (p.ones, p.const & ~p.ones, p.field):
-                columns = [c for col in columns for c in (col & part, col & ~part) if c]
+        avail = full & ~used
+        # each member's ones, fields and both with its zeros among the
+        # untested positions cut the columns; a cut made twice changes nothing
+        cuts = set()
+        lone: dict[int, list[int]] = {}
+        for m in members:
+            fixed = (const[m] | field[m]) & avail
+            if fixed:
+                cuts.update((fixed, ones[m] & avail, field[m] & avail))
+            left = avail & ~field[m]
+            if not left & (left - 1):
+                lone.setdefault(left, []).append(m)
+        columns = [c for c in (mask & avail for _, mask in scalars) if c]
+        for cut in cuts:
+            if cut:
+                columns = [c for col in columns for c in (col & cut, col & ~cut) if c]
         best = None
         for col in columns:
-            found = route(members, used, col & -col)
+            bit = col & -col
+            found = route(members, bit, lone.get(bit, []))
             if found is not None and (best is None or found[0] < best[0]):
                 best = found
         if best is None:
             return None
         (_, _, bit), to_one = best
+        to_one = set(to_one)
         zero_side, one_side = [], []
         for m in members:
-            p = rows[m]
-            if p.field & bit:
+            if field[m] & bit:
                 zero_side.append(m)
                 one_side.append(m)
-            elif p.ones & bit:
-                one_side.append(m)
-            elif m in to_one:
-                rows[m] = p.fix(bit, bit)
+            elif ones[m] & bit:
                 one_side.append(m)
             else:
-                rows[m] = p.fix(bit, 0)
-                zero_side.append(m)
+                const[m] |= bit
+                if m in to_one:
+                    ones[m] |= bit
+                    one_side.append(m)
+                else:
+                    zero_side.append(m)
         zero = node(zero_side, used | bit)
         one = node(one_side, used | bit) if zero is not None else None
         if one is None:
             return None
-        s = next(i for i, (_, mask) in enumerate(scalars) if mask & bit)
+        s = scalar_at[bit.bit_length() - 1]
         return Node(s, bit.bit_length() - 1 - scalars[s][0], zero, one)
 
-    return node(list(range(len(rows))), 0)
+    tree = node(list(range(len(rows))), 0)
+    if tree is not None:
+        rows[:] = [BitPattern(p.width, c, o, p.field) for p, c, o in zip(rows, const, ones)]
+    return tree
 
 
 def shared_free_run(rows: list[list[BitPattern]], s: int, width: int) -> Optional[int]:
@@ -420,11 +444,6 @@ def first_tag_interval(rows: list[list[BitPattern]], width: int) -> Optional[tup
         if off is not None:
             return s, off
     return None
-
-
-def find_tag_interval(patterns: Patterns, tag_width: int) -> Optional[tuple[int, int]]:
-    """`first_tag_interval` over pattern strings."""
-    return first_tag_interval(_parse_rows(patterns), tag_width)
 
 
 def tag_width_for(n_variants: int) -> int:

@@ -165,15 +165,20 @@ def _parse_ir_type(text: str) -> IrType:
     return TAdt(text)
 
 
+# an index as written: ASCII digits, which `int` does not insist on; the
+# sign lets the checker, not the parser, refuse a negative index
+_INDEX = re.compile(r"-?[0-9]+")
+
+
 def _parse_case_ref(text: str) -> tuple[str, int, Optional[int]]:
     """Key#case or Key#case.field."""
     if "#" not in text:
         raise ProgTextError(f"expected Key#case in {text!r}")
     key, rest = text.rsplit("#", 1)
-    if "." in rest:
-        c, f = rest.split(".", 1)
-        return key, int(c), int(f)
-    return key, int(rest), None
+    c, dot, f = rest.partition(".")
+    if not _INDEX.fullmatch(c) or dot and not _INDEX.fullmatch(f):
+        raise ProgTextError(f"expected Key#case or Key#case.field in digits, found {text!r}")
+    return key, int(c), int(f) if dot else None
 
 
 def _strip_pct(tok: str) -> str:

@@ -8,6 +8,7 @@ import pytest
 
 from adtlayout import distinguish
 from adtlayout.distinguish import (
+    BitPattern,
     Leaf,
     Node,
     Patterns,
@@ -15,7 +16,7 @@ from adtlayout.distinguish import (
     classify,
     derive_decision_tree,
     derive_tree,
-    find_tag_interval,
+    first_tag_interval,
     parse_pattern,
     print_pattern,
     tag_width_for,
@@ -95,11 +96,11 @@ def test_field_bits_route_both_ways():
 
 
 def test_find_tag_interval_first_fit():
-    patterns = [["uuxx", "uu"], ["uuuu", "uu"]]
-    assert find_tag_interval(patterns, 2) == (0, 2)
-    assert find_tag_interval(patterns, 1) == (0, 2)
+    rows = [[parse_pattern(s) for s in row] for row in [["uuxx", "uu"], ["uuuu", "uu"]]]
+    assert first_tag_interval(rows, 2) == (0, 2)
+    assert first_tag_interval(rows, 1) == (0, 2)
     # a four-bit tag does not fit the shared free bits of scalar 0
-    assert find_tag_interval(patterns, 4) is None
+    assert first_tag_interval(rows, 4) is None
 
 
 def test_tag_width():
@@ -309,6 +310,26 @@ def test_derived_trees_always_classify(patterns):
                     word |= 1 << b
             words.append(word)
         assert classify(tree, words) == v
+
+
+@given(st.text(alphabet="01xu", max_size=64))
+def test_print_pattern_inverts_parse_pattern(text):
+    assert print_pattern(parse_pattern(text)) == text
+
+
+@st.composite
+def bit_patterns(draw):
+    """A pattern of width 0-64 whose ones are constant bits and whose field
+    bits are not."""
+    width = draw(st.integers(0, 64))
+    masks = st.integers(0, (1 << width) - 1)
+    const = draw(masks)
+    return BitPattern(width, const, draw(masks) & const, draw(masks) & ~const)
+
+
+@given(bit_patterns())
+def test_parse_pattern_inverts_print_pattern(p):
+    assert parse_pattern(print_pattern(p)) == p
 
 
 def test_derive_tree_is_the_mask_form_of_derive_decision_tree():

@@ -978,3 +978,16 @@ def test_jump_agrees_boxed_and_normalized(target):
     check_program(post)
     assert eval_program(program) == Outcome(None, 7)
     assert eval_program(post) == Outcome(None, 7)
+
+
+@pytest.mark.parametrize("ref", ["getfield<T#0.x>", "alloc<T#z>", "alloc<T#٣>"])
+def test_case_ref_needs_ascii_digits(ref):
+    """A case or field index that is not ASCII digits is a ProgTextError,
+    as an Arabic-Indic three is, which `int` would read as 3."""
+    call = "(%r)" if ref.startswith("getfield") else "()"
+    bundle = (
+        "target x64\ntype T { case A(x: u8); case B; case C; case D; }\n"
+        f"fn main() -> u8 {{\nb0:\n  %r = alloc<T#1>()\n  %v = {ref}{call}\n  ret %v\n}}\n"
+    )
+    with pytest.raises(progtext.ProgTextError, match="digits"):
+        progtext.parse_bundle(bundle)
