@@ -324,11 +324,8 @@ def _build(rows: list[BitPattern], widths: list[int]) -> Optional[DecisionTree]:
     field = [p.field for p in rows]
 
     def cheap_one(m: int, bit: int) -> bool:
-        """Whether a 1 at `bit` leaves the access cost of member `m`
-        unchanged: its field at offset 0 of that scalar, if any, has set
-        bits above it."""
-        if not field[m]:
-            return True
+        """Whether a 1 at `bit` leaves the access cost of member `m` unchanged:
+        its field at offset 0 of that scalar, if any, has set bits above it."""
         lo, mask = scalars[scalar_at[bit.bit_length() - 1]]
         here = (field[m] & mask) >> lo
         run = (here ^ (here + 1)).bit_length() - 1  # the offset-0 field run
@@ -356,7 +353,7 @@ def _build(rows: list[BitPattern], widths: list[int]) -> Optional[DecisionTree]:
             options = [[f for f in free if f != m], [] if const[m] & bit else [m]]
         else:
             take = (const_zeros + len(free) - const_ones) // 2
-            cheap = [f for f in free if cheap_one(f, bit)] if take > 0 else []
+            cheap = [f for f in free if not field[f] or cheap_one(f, bit)] if take > 0 else []
             cheap.sort(key=lambda f: field[f] != 0)  # stable
             options = [cheap[:take]]
         for to_one in options:
@@ -373,8 +370,9 @@ def _build(rows: list[BitPattern], widths: list[int]) -> Optional[DecisionTree]:
         if len(members) == 1:
             return Leaf(members[0])
         avail = full & ~used
-        # each member's ones, fields and both with its zeros among the
-        # untested positions cut the columns; a cut made twice changes nothing
+        # among the untested positions, each member's constants and fields,
+        # its ones and its fields cut the columns into its four kinds of
+        # position; a cut made twice changes nothing
         cuts = set()
         lone: dict[int, list[int]] = {}
         for m in members:

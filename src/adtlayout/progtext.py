@@ -165,9 +165,7 @@ def _parse_ir_type(text: str) -> IrType:
     return TAdt(text)
 
 
-# an index as written: ASCII digits, which `int` does not insist on; the
-# sign lets the checker, not the parser, refuse a negative index
-_INDEX = re.compile(r"-?[0-9]+")
+_INDEX = re.compile(r"-?[0-9]+")  # ASCII only; the checker refuses a negative index
 
 
 def _parse_case_ref(text: str) -> tuple[str, int, Optional[int]]:
