@@ -1,3 +1,6 @@
+import json
+import pathlib
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -12,6 +15,7 @@ from adtlayout.syntax import (
     NamedType,
     PackingDecl,
     PackingSyntaxError,
+    _lex,
     parse_packing_expr,
     parse_program,
     parse_type,
@@ -212,3 +216,85 @@ def test_digits_are_ascii_only():
     # an Arabic-Indic 3 makes no integer width
     assert parse_type("u\u0663") == NamedType("u\u0663")
     assert parse_program("type T { case A(x: i\u0663); }")[0].variants[0].fields[0][1] == NamedType("i\u0663")
+
+
+# Pinned tokens: what `_lex` returns for edge inputs, compared with
+# tests/golden/lex.json entry by entry. Each entry holds its input and either
+# its tokens as [kind, text, line, col] or its first error as printed. A
+# change to the file is a change in behaviour: name it in CHANGES.md. To
+# write the file after such a change, run `PYTHONPATH=src python tests/test_syntax.py`.
+LEX_GOLDEN = pathlib.Path(__file__).parent / "golden" / "lex.json"
+
+LEX_CASES = {
+    "crlf": "type T {\r\n  case A(x: u8);\r\n}\r\n",
+    "lone-cr": "type T\r{ case A; }",
+    "cr-before-token": "a\r\rb\r\n\rc",
+    "tab": "type\tT {\tcase A; }",
+    "form-feed": "type T\f{ case A; }\f",
+    "nbsp": "type\u00a0T { case\u00a0A; }",
+    "vertical-tab-and-separators": "a\vb\x1cc\u2028d\u3000e",
+    "comment-at-eof-newline": "type T { case A; } // trailing\n",
+    "comment-at-eof-no-newline": "type T { case A; } // trailing",
+    "comment-only": "// nothing else",
+    "comment-lines": "// one\n  // two\nx // three\n\ny",
+    "slash": "a / b",
+    "slash-at-eof": "a /",
+    "superscript-two": "packing P(a: \u00b2): 8 = 0b_aaaaaaaa;",
+    "superscript-after-digits": "12\u00b2",
+    "arabic-indic-width": "u\u0663",
+    "arabic-indic-number": "12\u0663",
+    "accented-name": "caf\u00e9 \u00e9t\u00e9",
+    "combining-accent": "cafe\u0301",
+    "roman-numeral": "x\u2167 \u2167",
+    "titlecase-letter": "\u01c5a",
+    "underscore-name": "_x __ _",
+    "dotted-name": "p.0 p.0.1 p. a..b",
+    "lone-dot": ".",
+    "hash": "#",
+    "hash-space": "# packing",
+    "hash-underscore": "#_",
+    "hash-digits": "#0 #\u0663 #\u00b2",
+    "hash-dot": "#a.b",
+    "annotations": "#unboxed #packing(#concat(a, b), #solve(c))",
+    "bits-empty": "0b",
+    "bits-underscore-x": "0b_0x1?",
+    "bits-then-digit": "0b012",
+    "bits-then-accent": "0b\u00e9",
+    "bits-all": "0b_01?_azAZ_",
+    "leading-zeros": "007",
+    "number-then-name": "12abc",
+    "punctuation": "(){}<>,:;=",
+    "unexpected-at": "type T @",
+    "unexpected-emoji": "x \U0001f600",
+    "empty": "",
+    "blank-lines": "\n\n  x\n",
+    "decl": "packing Float16(sign: 1, exp: 5, frac: 10): 16 = 0b_seeeeeff_ffffffff;",
+}
+
+
+def render_lex(source: str):
+    try:
+        return [[t.kind, t.text, t.line, t.col] for t in _lex(source)]
+    except PackingSyntaxError as e:
+        return {"error": str(e)}
+
+
+def render_lex_golden() -> str:
+    lines = [
+        json.dumps({"name": name, "source": src, "result": render_lex(src)}, separators=(",", ":"))
+        for name, src in LEX_CASES.items()
+    ]
+    return "[\n" + ",\n".join(lines) + "\n]\n"
+
+
+def test_lex_matches_golden():
+    entries = json.loads(LEX_GOLDEN.read_text(encoding="utf-8"))
+    assert [e["name"] for e in entries] == list(LEX_CASES)
+    for entry in entries:
+        assert entry["source"] == LEX_CASES[entry["name"]], entry["name"]
+        assert render_lex(entry["source"]) == entry["result"], entry["name"]
+
+
+if __name__ == "__main__":
+    LEX_GOLDEN.write_text(render_lex_golden(), encoding="utf-8")
+    print(f"wrote {LEX_GOLDEN}")
