@@ -6,6 +6,7 @@ Bit literals are written most-significant bit first, e.g. ``0b_seeeeeff_ffffffff
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
@@ -15,12 +16,6 @@ MAX_NESTING = 64
 
 def is_field_bit(ch: str) -> bool:
     return ch.isalpha() and ch.isascii()
-
-
-def _is_digits(text: str) -> bool:
-    """True for a non-empty run of ASCII digits; `str.isdigit` also takes
-    superscripts and other scripts' digits."""
-    return text.isascii() and text.isdigit()
 
 
 class PackingSyntaxError(Exception):
@@ -168,91 +163,80 @@ Decl = Union[PackingDecl, AdtDecl]
 
 _PUNCT = "(){}<>,:;="
 
-_INT_ALIASES = {
-    "int": (32, True),
-    "byte": (8, False),
-    "long": (64, True),
-    "short": (16, True),
+# the scalar type names; uN and iN are ASCII digits, N in 1..64
+_SCALAR_TYPES = {
+    "bool": BoolType(),
+    "int": IntType(32, True),
+    "byte": IntType(8, False),
+    "long": IntType(64, True),
+    "short": IntType(16, True),
+    "float": FloatType(32),
+    "double": FloatType(64),
+    "f32": FloatType(32),
+    "f64": FloatType(64),
 }
-_FLOAT_ALIASES = {"float": 32, "double": 64, "f32": 32, "f64": 64}
+_SCALAR_TYPES.update((f"{s}{w}", IntType(w, s == "i")) for s in "ui" for w in range(1, 65))
+_INT_NAME = re.compile(r"[ui][0-9]+").fullmatch
 
+_OPERATORS = {"#concat": Concat, "#solve": Solve}
 
-@dataclass
-class _Tok:
-    kind: str  # ident | num | bits | hash | punct | eof
-    text: str
-    line: int
-    col: int
+# A token is (kind, text, line, col); kind is one of ident, num, bits, hash,
+# punct and eof. No two kinds share a text, so a text names its kind.
+_Tok = tuple[str, str, int, int]
 
-
-_BIT_ALPHABET = set("01?_") | {chr(c) for c in range(ord("a"), ord("z") + 1)} | {
-    chr(c) for c in range(ord("A"), ord("Z") + 1)
-}
+# Each run below is read with one match. Digits are ASCII only, as the README
+# says. `\w` takes what `str.isalnum` takes, and '_': an annotation continues
+# with those, a name with those and '.' (so that packings can refer to
+# flattened sub-fields like p.0).
+_BITS = re.compile(r"0b[01?_a-zA-Z]*").match
+_DIGITS = re.compile(r"[0-9]+").match
+_NAME_TAIL = re.compile(r"[\w.]*").match
+_HASH = re.compile(r"#\w*").match
 
 
 def _lex(src: str) -> list[_Tok]:
     toks: list[_Tok] = []
-    i, line, col = 0, 1, 1
+    add = toks.append
+    i, line, bol = 0, 1, 0  # bol: where the current line begins
     n = len(src)
     while i < n:
         ch = src[i]
-        if ch == "\n":
+        if ch == " ":
+            i += 1
+        elif ch in _PUNCT:
+            add(("punct", ch, line, i - bol + 1))
+            i += 1
+        elif ch == "\n":
             i += 1
             line += 1
-            col = 1
-            continue
-        if ch.isspace():
+            bol = i
+        elif ch.isalpha() or ch == "_":
+            j = _NAME_TAIL(src, i + 1).end()
+            add(("ident", src[i:j], line, i - bol + 1))
+            i = j
+        elif "0" <= ch <= "9":
+            if src.startswith("0b", i):
+                kind, j = "bits", _BITS(src, i).end()
+            else:
+                kind, j = "num", _DIGITS(src, i).end()
+            add((kind, src[i:j], line, i - bol + 1))
+            i = j
+        elif ch.isspace():
             i += 1
-            col += 1
-            continue
-        if ch == "/" and i + 1 < n and src[i + 1] == "/":
-            while i < n and src[i] != "\n":
-                i += 1
-            continue
-        start_line, start_col = line, col
-        if src.startswith("0b", i):
-            j = i + 2
-            while j < n and src[j] in _BIT_ALPHABET:
-                j += 1
-            toks.append(_Tok("bits", src[i:j], start_line, start_col))
-            col += j - i
-            i = j
-            continue
-        if _is_digits(ch):
-            j = i
-            while j < n and _is_digits(src[j]):
-                j += 1
-            toks.append(_Tok("num", src[i:j], start_line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch == "#":
-            j = i + 1
-            while j < n and (src[j].isalnum() or src[j] == "_"):
-                j += 1
+        elif ch == "#":
+            j = _HASH(src, i).end()
             if j == i + 1:
-                raise PackingSyntaxError("dangling '#'", line, col)
-            toks.append(_Tok("hash", src[i:j], start_line, start_col))
-            col += j - i
+                raise PackingSyntaxError("dangling '#'", line, i - bol + 1)
+            add(("hash", src[i:j], line, i - bol + 1))
             i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            # dotted names are allowed so packings can refer to flattened
-            # sub-fields like p.0
-            while j < n and (src[j].isalnum() or src[j] in "_."):
-                j += 1
-            toks.append(_Tok("ident", src[i:j], start_line, start_col))
-            col += j - i
+        elif src.startswith("//", i):
+            j = src.find("\n", i)
+            if j < 0:
+                break  # eof takes the column where the comment starts
             i = j
-            continue
-        if ch in _PUNCT:
-            toks.append(_Tok("punct", ch, start_line, start_col))
-            i += 1
-            col += 1
-            continue
-        raise PackingSyntaxError(f"unexpected character {ch!r}", line, col)
-    toks.append(_Tok("eof", "", line, col))
+        else:
+            raise PackingSyntaxError(f"unexpected character {ch!r}", line, i - bol + 1)
+    add(("eof", "", line, i - bol + 1))
     return toks
 
 
@@ -261,34 +245,37 @@ def _lex(src: str) -> list[_Tok]:
 
 
 class _Parser:
+    """Recursive descent over the token list. The eof token is last and is
+    never stepped past, so `self.toks[self.i]` is always a token."""
+
     def __init__(self, src: str):
         self.toks = _lex(src)
         self.i = 0
         self.depth = 0  # brackets open in the expression being parsed
 
-    def peek(self, ahead: int = 0) -> _Tok:
-        return self.toks[min(self.i + ahead, len(self.toks) - 1)]
+    def peek(self) -> _Tok:
+        return self.toks[self.i]
 
     def next(self) -> _Tok:
         t = self.toks[self.i]
-        if t.kind != "eof":
+        if t[0] != "eof":
             self.i += 1
         return t
 
     def err(self, msg: str, tok: Optional[_Tok] = None) -> PackingSyntaxError:
-        t = tok or self.peek()
-        return PackingSyntaxError(msg, t.line, t.col)
+        t = tok or self.toks[self.i]
+        return PackingSyntaxError(msg, t[2], t[3])
 
     def expect(self, kind: str, text: Optional[str] = None) -> _Tok:
-        t = self.peek()
-        if t.kind != kind or (text is not None and t.text != text):
+        t = self.toks[self.i]
+        if t[0] != kind or (text is not None and t[1] != text):
             want = text or kind
-            raise self.err(f"expected {want!r}, found {t.text or t.kind!r}")
-        return self.next()
+            raise self.err(f"expected {want!r}, found {t[1] or t[0]!r}")
+        self.i += 1
+        return t
 
     def at_punct(self, text: str) -> bool:
-        t = self.peek()
-        return t.kind == "punct" and t.text == text
+        return self.toks[self.i][1] == text
 
     def open(self, text: str) -> None:
         """Consume the opening bracket `text`, one nesting level deeper."""
@@ -305,11 +292,11 @@ class _Parser:
 
     def program(self) -> list[Decl]:
         decls: list[Decl] = []
-        while self.peek().kind != "eof":
-            t = self.peek()
-            if t.kind == "ident" and t.text == "packing":
+        while self.peek()[0] != "eof":
+            text = self.peek()[1]
+            if text == "packing":
                 decls.append(self.packing_decl())
-            elif t.kind == "ident" and t.text == "type":
+            elif text == "type":
                 decls.append(self.adt_decl())
             else:
                 raise self.err("expected 'packing' or 'type' declaration")
@@ -317,55 +304,52 @@ class _Parser:
 
     def packing_decl(self) -> PackingDecl:
         start = self.expect("ident", "packing")
-        name = self.expect("ident").text
+        name = self.expect("ident")[1]
         self.expect("punct", "(")
         params: list[tuple[str, int]] = []
         seen: set[str] = set()
         while not self.at_punct(")"):
             pname_tok = self.expect("ident")
-            if pname_tok.text in seen:
-                raise self.err(f"duplicate parameter {pname_tok.text!r}", pname_tok)
-            seen.add(pname_tok.text)
+            pname = pname_tok[1]
+            if pname in seen:
+                raise self.err(f"duplicate parameter {pname!r}", pname_tok)
+            seen.add(pname)
             self.expect("punct", ":")
-            width = int(self.expect("num").text)
-            params.append((pname_tok.text, width))
+            params.append((pname, int(self.expect("num")[1])))
             if not self.at_punct(")"):
                 self.expect("punct", ",")
         self.expect("punct", ")")
         self.expect("punct", ":")
-        width = int(self.expect("num").text)
+        width = int(self.expect("num")[1])
         self.expect("punct", "=")
         body = self.packing_expr()
         self.expect("punct", ";")
-        return PackingDecl(name, tuple(params), width, body, pos=(start.line, start.col))
+        return PackingDecl(name, tuple(params), width, body, pos=start[2:])
 
     # -- packing expressions -----------------------------------------------
 
     def packing_expr(self) -> PackingExpr:
-        t = self.peek()
-        if t.kind == "bits":
-            self.next()
-            return _bit_layout_from_token(t)
-        if t.kind == "hash":
-            if t.text == "#concat":
-                self.next()
-                parts = self.expr_list_parens()
-                return Concat(parts, pos=(t.line, t.col))
-            if t.text == "#solve":
-                self.next()
-                parts = self.expr_list_parens()
-                return Solve(parts, pos=(t.line, t.col))
-            raise PackingSyntaxError(
-                f"unknown packing operator {t.text!r}", t.line, t.col, code="E002"
-            )
-        if t.kind == "ident":
-            self.next()
+        kind, text, line, col = self.toks[self.i]
+        if kind == "bits":
+            self.i += 1
+            # the lexer admits only 0, 1, ?, _ and ASCII letters after 0b
+            bits = tuple(text[2:].replace("_", ""))
+            return BitLayout(bits, pos=(line, col)) if bits else Empty(pos=(line, col))
+        if kind == "hash":
+            op = _OPERATORS.get(text)
+            if op is None:
+                raise PackingSyntaxError(
+                    f"unknown packing operator {text!r}", line, col, code="E002"
+                )
+            self.i += 1
+            return op(self.expr_list_parens(), pos=(line, col))
+        if kind == "ident":
+            self.i += 1
             if self.at_punct("("):
-                args = self.expr_list_parens()
-                return Apply(t.text, args, pos=(t.line, t.col))
-            return FieldRef(t.text, pos=(t.line, t.col))
+                return Apply(text, self.expr_list_parens(), pos=(line, col))
+            return FieldRef(text, pos=(line, col))
         # empty production
-        return Empty(pos=(t.line, t.col))
+        return Empty(pos=(line, col))
 
     def expr_list_parens(self) -> tuple[PackingExpr, ...]:
         self.open("(")
@@ -373,7 +357,7 @@ class _Parser:
         if not self.at_punct(")"):
             parts.append(self.packing_expr())
             while self.at_punct(","):
-                self.next()
+                self.i += 1
                 parts.append(self.packing_expr())
         self.close(")")
         return tuple(parts)
@@ -382,14 +366,14 @@ class _Parser:
 
     def adt_decl(self) -> AdtDecl:
         start = self.expect("ident", "type")
-        name = self.expect("ident").text
+        name = self.expect("ident")[1]
         type_params: list[str] = []
         if self.at_punct("<"):
-            self.next()
-            type_params.append(self.expect("ident").text)
+            self.i += 1
+            type_params.append(self.expect("ident")[1])
             while self.at_punct(","):
-                self.next()
-                type_params.append(self.expect("ident").text)
+                self.i += 1
+                type_params.append(self.expect("ident")[1])
             self.expect("punct", ">")
         unboxed, captured, packing = self.annotations(allow_marks=True)
         self.expect("punct", "{")
@@ -404,7 +388,7 @@ class _Parser:
             unboxed=unboxed,
             captured=captured,
             packing=packing,
-            pos=(start.line, start.col),
+            pos=start[2:],
         )
         if not variants:
             raise self.err(f"type {name} has no cases", start)
@@ -432,16 +416,14 @@ class _Parser:
     def annotations(self, allow_marks: bool) -> tuple[bool, bool, Optional[tuple[PackingExpr, ...]]]:
         unboxed = captured = False
         packing: Optional[tuple[PackingExpr, ...]] = None
-        while self.peek().kind == "hash":
-            t = self.peek()
-            if t.text == "#unboxed" and allow_marks:
-                self.next()
+        while self.peek()[0] == "hash":
+            t = self.next()
+            text = t[1]
+            if text == "#unboxed" and allow_marks:
                 unboxed = True
-            elif t.text == "#captured" and allow_marks:
-                self.next()
+            elif text == "#captured" and allow_marks:
                 captured = True
-            elif t.text in ("#packing", "#packed"):
-                self.next()
+            elif text in ("#packing", "#packed"):
                 if packing is not None:
                     raise self.err("duplicate #packing annotation", t)
                 if self.at_punct("("):
@@ -449,19 +431,17 @@ class _Parser:
                 else:
                     packing = (self.packing_expr(),)
             else:
-                raise PackingSyntaxError(
-                    f"unknown annotation {t.text!r}", t.line, t.col, code="E002"
-                )
+                raise PackingSyntaxError(f"unknown annotation {text!r}", *t[2:], code="E002")
         return unboxed, captured, packing
 
     def case_decl(self) -> Variant:
         start = self.expect("ident", "case")
-        name = self.expect("ident").text
+        name = self.expect("ident")[1]
         fields: list[tuple[str, TypeExpr]] = []
         if self.at_punct("("):
-            self.next()
+            self.i += 1
             while not self.at_punct(")"):
-                fname = self.expect("ident").text
+                fname = self.expect("ident")[1]
                 self.expect("punct", ":")
                 fields.append((fname, self.type_expr()))
                 if not self.at_punct(")"):
@@ -469,29 +449,25 @@ class _Parser:
             self.expect("punct", ")")
         _, _, packing = self.annotations(allow_marks=False)
         self.expect("punct", ";")
-        return Variant(name, tuple(fields), packing=packing, pos=(start.line, start.col))
+        return Variant(name, tuple(fields), packing=packing, pos=start[2:])
 
     def type_expr(self) -> TypeExpr:
-        if self.at_punct("("):
+        if self.toks[self.i][1] == "(":
             self.open("(")
             elems = [self.type_expr()]
             while self.at_punct(","):
-                self.next()
+                self.i += 1
                 elems.append(self.type_expr())
             self.close(")")
             if len(elems) == 1:
                 return elems[0]
             return TupleType(tuple(elems))
         t = self.expect("ident")
-        name = t.text
-        if name == "bool":
-            return BoolType()
-        if name in _FLOAT_ALIASES:
-            return FloatType(_FLOAT_ALIASES[name])
-        if name in _INT_ALIASES:
-            w, s = _INT_ALIASES[name]
-            return IntType(w, s)
-        if len(name) > 1 and name[0] in "ui" and _is_digits(name[1:]):
+        name = t[1]
+        scalar = _SCALAR_TYPES.get(name)
+        if scalar is not None:
+            return scalar
+        if _INT_NAME(name):  # past 64 bits, or written with leading zeros
             width = int(name[1:])
             if not 1 <= width <= 64:
                 raise self.err(f"integer width {width} out of range 1..64", t)
@@ -501,25 +477,11 @@ class _Parser:
             self.open("<")
             elems = [self.type_expr()]
             while self.at_punct(","):
-                self.next()
+                self.i += 1
                 elems.append(self.type_expr())
             self.close(">")
             args = tuple(elems)
         return NamedType(name, args)
-
-
-def _bit_layout_from_token(t: _Tok) -> PackingExpr:
-    bits: list[str] = []
-    for off, ch in enumerate(t.text[2:]):
-        if ch == "_":
-            continue
-        if ch in "01?" or is_field_bit(ch):
-            bits.append(ch)
-        else:
-            raise PackingSyntaxError(f"bad bit character {ch!r}", t.line, t.col + 2 + off)
-    if not bits:
-        return Empty(pos=(t.line, t.col))
-    return BitLayout(tuple(bits), pos=(t.line, t.col))
 
 
 # ---------------------------------------------------------------------------
@@ -534,7 +496,7 @@ def parse_program(source: str) -> list[Decl]:
 def parse_packing_expr(source: str) -> PackingExpr:
     p = _Parser(source)
     e = p.packing_expr()
-    if p.peek().kind != "eof":
+    if p.peek()[0] != "eof":
         raise p.err("trailing input after packing expression")
     return e
 
@@ -542,7 +504,7 @@ def parse_packing_expr(source: str) -> PackingExpr:
 def parse_type(source: str) -> TypeExpr:
     p = _Parser(source)
     t = p.type_expr()
-    if p.peek().kind != "eof":
+    if p.peek()[0] != "eof":
         raise p.err("trailing input after type")
     return t
 

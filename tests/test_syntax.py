@@ -274,7 +274,7 @@ LEX_CASES = {
 
 def render_lex(source: str):
     try:
-        return [[t.kind, t.text, t.line, t.col] for t in _lex(source)]
+        return [list(t) for t in _lex(source)]
     except PackingSyntaxError as e:
         return {"error": str(e)}
 
