@@ -33,8 +33,10 @@ from .ir import (
     print_ir_type,
 )
 from .pipeline import process_adts
-from .syntax import parse_program, print_program
-from .targets import BUILTIN_TARGETS, Target, UnboxOptions
+from .solver import AnnotationInfeasible
+from .syntax import PackingSyntaxError, parse_program, print_program
+from .targets import BUILTIN_TARGETS, MonoError, Target, UnboxOptions
+from .verify import VerifyError
 
 
 # ---------------------------------------------------------------------------
@@ -122,7 +124,8 @@ def _split_args(text: str) -> list[str]:
 
 def _take_brackets(text: str) -> tuple[str, str]:
     """Split 'xxx<...>rest' at the matching close bracket."""
-    assert text.startswith("<")
+    if not text.startswith("<"):
+        raise ProgTextError(f"expected <...> in {text!r}")
     depth = 0
     for i, ch in enumerate(text):
         if ch == "<":
@@ -150,22 +153,41 @@ def _split_top(text: str) -> list[str]:
     return parts
 
 
+# a scalar type name; `\d` takes any script's digits so that a width in
+# other digits is refused rather than read as an ADT name
+_SCALAR_TYPE = re.compile(r"([uif])(\d+)")
+
+
 def _parse_ir_type(text: str) -> IrType:
     text = text.strip()
     if text.startswith("("):
         return TTuple(tuple(_parse_ir_type(p) for p in _split_top(text[1:-1])))
-    m = re.fullmatch(r"([ui])(\d+)", text)
-    if m:
-        return TInt(int(m.group(2)), m.group(1) == "i")
     if text == "bool":
         return TInt(1, False)
-    m = re.fullmatch(r"f(\d+)", text)
+    m = _SCALAR_TYPE.fullmatch(text)
     if m:
-        return TFloat(int(m.group(1)))
+        kind, digits = m.groups()
+        width = int(digits) if digits.isascii() else 0
+        if kind == "f" and width in (32, 64):
+            return TFloat(width)
+        if kind != "f" and 1 <= width <= 64:
+            return TInt(width, kind == "i")
+        raise ProgTextError(
+            f"expected a width of ASCII digits, 1..64 (32 or 64 for f), found {text!r}"
+        )
     return TAdt(text)
 
 
 _INDEX = re.compile(r"-?[0-9]+")  # ASCII only; the checker refuses a negative index
+
+
+def _number(text: str) -> int:
+    """A constant or a switch key: ASCII digits, which `int` alone does not
+    insist on."""
+    text = text.strip()
+    if not _INDEX.fullmatch(text):
+        raise ProgTextError(f"expected a number in ASCII digits, found {text!r}")
+    return int(text)
 
 
 def _parse_case_ref(text: str) -> tuple[str, int, Optional[int]]:
@@ -196,7 +218,9 @@ def parse_function_text(text: str) -> Function:
     params = []
     if params_text.strip():
         for p in _split_top(params_text):
-            pname, ptype = p.split(":", 1)
+            pname, colon, ptype = p.partition(":")
+            if not colon:
+                raise ProgTextError(f"expected %name: type, found {p!r}")
             params.append((_strip_pct(pname), _parse_ir_type(ptype)))
     fn = Function(name, tuple(params), _parse_ir_type(ret_text), "", {})
     current: Optional[Block] = None
@@ -230,7 +254,7 @@ def _parse_instr(s: str):
     if op == "const":
         tt, tail = _take_brackets(rest)
         v = tail.strip()
-        return Const(dst, _parse_ir_type(tt), None if v == "null" else int(v))
+        return Const(dst, _parse_ir_type(tt), None if v == "null" else _number(v))
     if op == "alloc":
         tt, tail = _take_brackets(rest)
         key, case, _ = _parse_case_ref(tt)
@@ -254,7 +278,10 @@ def _parse_instr(s: str):
         return ReplaceNull(dst, tt, _strip_pct(tail.strip()[1:-1]))
     if op == "eq":
         tt, tail = _take_brackets(rest)
-        a, b = _split_args(tail.strip()[1:-1])
+        operands = _split_args(tail.strip()[1:-1])
+        if len(operands) != 2:
+            raise ProgTextError(f"eq needs two operands in {s!r}")
+        a, b = operands
         return Eq(dst, _parse_ir_type(tt), _strip_pct(a), _strip_pct(b))
     if op == "call":
         m2 = re.match(r"(\S+)\((.*)\)$", rest)
@@ -269,7 +296,10 @@ def _parse_term(s: str):
     if s.startswith("jmp "):
         return Jump(s[4:].strip())
     if s.startswith("br "):
-        cond, t, e = [p.strip() for p in s[3:].split(",")]
+        parts = [p.strip() for p in s[3:].split(",")]
+        if len(parts) != 3:
+            raise ProgTextError(f"bad branch {s!r}")
+        cond, t, e = parts
         return Branch(_strip_pct(cond), t, e)
     if s.startswith("switch "):
         m = re.match(r"switch\s+(\S+),\s*\[(.*)\],\s*(\S+)$", s)
@@ -278,8 +308,10 @@ def _parse_term(s: str):
         cases = []
         if m.group(2).strip():
             for part in m.group(2).split(","):
-                k, lbl = part.split(":")
-                cases.append((int(k.strip()), lbl.strip()))
+                k, colon, lbl = part.partition(":")
+                if not colon or ":" in lbl:
+                    raise ProgTextError(f"bad switch case {part!r} in {s!r}")
+                cases.append((_number(k), lbl.strip()))
         return Switch(_strip_pct(m.group(1)), tuple(cases), m.group(3))
     if s.startswith("ret "):
         return Return(_strip_pct(s[4:]))
@@ -308,7 +340,10 @@ def parse_bundle(
                 current_fn = None
             continue
         if s.startswith("target "):
-            target = BUILTIN_TARGETS[s.split()[1]]
+            name = s.split()[1]
+            if name not in BUILTIN_TARGETS:
+                raise ProgTextError(f"unknown target {name!r}")
+            target = BUILTIN_TARGETS[name]
             continue
         if s.startswith("fn "):
             current_fn = [ln]
@@ -318,8 +353,11 @@ def parse_bundle(
         decl_lines.append(ln)
     if target is None:
         raise ProgTextError("bundle lacks a target line")
-    decls = parse_program("\n".join(decl_lines))
-    program = Program.of_layouts(process_adts(decls, target, options=options), target)
+    try:
+        decls = parse_program("\n".join(decl_lines))
+        program = Program.of_layouts(process_adts(decls, target, options=options), target)
+    except (PackingSyntaxError, VerifyError, MonoError, AnnotationInfeasible) as e:
+        raise ProgTextError(f"in the type declarations: {e}") from e
     for chunk in fn_chunks:
         fn = parse_function_text("\n".join(chunk))
         program.functions[fn.name] = fn

@@ -991,3 +991,30 @@ def test_case_ref_needs_ascii_digits(ref):
     )
     with pytest.raises(progtext.ProgTextError, match="digits"):
         progtext.parse_bundle(bundle)
+
+
+@pytest.mark.parametrize(
+    "header, body",
+    [
+        # a constant or a switch key that is not a number
+        ("fn main() -> u8 {", "  %x = const<u8> z\n  ret %x"),
+        ("fn main() -> u8 {", "  %x = const<u8> 1\n  switch %x, [z: b1], b1\nb1:\n  ret %x"),
+        # an Arabic-Indic three, which `int` and `\d` would read as 3
+        ("fn main() -> u8 {", "  %x = const<u٣> 3\n  ret %x"),
+        ("fn main() -> u8 {", "  %x = const<u8> ٣\n  ret %x"),
+        ("fn main(%a: u٣) -> u8 {", "  ret %a"),
+        # widths outside 1..64
+        ("fn main() -> u8 {", "  %x = const<u0> 0\n  ret %x"),
+        ("fn main(%a: u100) -> u8 {", "  ret %a"),
+        ("fn main() -> f16 {", "  %x = const<f16> 0\n  ret %x"),
+    ],
+    ids=["const-name", "switch-key-name", "width-arabic-indic", "const-arabic-indic",
+         "param-arabic-indic", "width-0", "width-100", "float-16"],
+)
+def test_numbers_and_widths_need_ascii_digits(header, body):
+    """Every number and width in program text is ASCII digits, and a width
+    is 1..64, as the declaration language has it; anything else is a
+    ProgTextError rather than a ValueError or a silent reading."""
+    bundle = f"target x64\ntype T {{ case A(x: u8); }}\n{header}\nb0:\n{body}\n}}\n"
+    with pytest.raises(progtext.ProgTextError, match="ASCII digits"):
+        progtext.parse_bundle(bundle)
