@@ -452,36 +452,32 @@ class _Parser:
         return Variant(name, tuple(fields), packing=packing, pos=start[2:])
 
     def type_expr(self) -> TypeExpr:
-        if self.toks[self.i][1] == "(":
-            self.open("(")
-            elems = [self.type_expr()]
-            while self.at_punct(","):
-                self.i += 1
-                elems.append(self.type_expr())
-            self.close(")")
-            if len(elems) == 1:
-                return elems[0]
-            return TupleType(tuple(elems))
-        t = self.expect("ident")
-        name = t[1]
-        scalar = _SCALAR_TYPES.get(name)
+        name = self.toks[self.i][1]
+        if name == "(":
+            elems = self.type_list("(", ")")
+            return elems[0] if len(elems) == 1 else TupleType(tuple(elems))
+        scalar = _SCALAR_TYPES.get(name)  # only an ident has such a text
         if scalar is not None:
+            self.i += 1
             return scalar
+        t = self.expect("ident")
         if _INT_NAME(name):  # past 64 bits, or written with leading zeros
             width = int(name[1:])
             if not 1 <= width <= 64:
                 raise self.err(f"integer width {width} out of range 1..64", t)
             return IntType(width, name[0] == "i")
-        args: tuple[TypeExpr, ...] = ()
-        if self.at_punct("<"):
-            self.open("<")
-            elems = [self.type_expr()]
-            while self.at_punct(","):
-                self.i += 1
-                elems.append(self.type_expr())
-            self.close(">")
-            args = tuple(elems)
+        args = tuple(self.type_list("<", ">")) if self.at_punct("<") else ()
         return NamedType(name, args)
+
+    def type_list(self, opener: str, closer: str) -> list[TypeExpr]:
+        """One or more comma-separated types between `opener` and `closer`."""
+        self.open(opener)
+        elems = [self.type_expr()]
+        while self.at_punct(","):
+            self.i += 1
+            elems.append(self.type_expr())
+        self.close(closer)
+        return elems
 
 
 # ---------------------------------------------------------------------------
