@@ -245,8 +245,9 @@ def _lex(src: str) -> list[_Tok]:
 
 
 class _Parser:
-    """Recursive descent over the token list. The eof token is last and is
-    never stepped past, so `self.toks[self.i]` is always a token."""
+    """Recursive descent over the token list. The parser steps past a token
+    only after testing that it is not the eof token, which is last, so
+    `self.toks[self.i]` is always a token."""
 
     def __init__(self, src: str):
         self.toks = _lex(src)
@@ -255,12 +256,6 @@ class _Parser:
 
     def peek(self) -> _Tok:
         return self.toks[self.i]
-
-    def next(self) -> _Tok:
-        t = self.toks[self.i]
-        if t[0] != "eof":
-            self.i += 1
-        return t
 
     def err(self, msg: str, tok: Optional[_Tok] = None) -> PackingSyntaxError:
         t = tok or self.toks[self.i]
@@ -417,7 +412,7 @@ class _Parser:
         unboxed = captured = False
         packing: Optional[tuple[PackingExpr, ...]] = None
         while self.peek()[0] == "hash":
-            t = self.next()
+            t = self.expect("hash")
             text = t[1]
             if text == "#unboxed" and allow_marks:
                 unboxed = True
