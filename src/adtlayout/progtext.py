@@ -178,14 +178,14 @@ def _parse_ir_type(text: str) -> IrType:
     return TAdt(text)
 
 
-_INDEX = re.compile(r"-?[0-9]+")  # ASCII only; the checker refuses a negative index
+_INTEGER = re.compile(r"-?[0-9]+")  # ASCII only; the checker refuses a negative index
 
 
 def _number(text: str) -> int:
     """A constant or a switch key: ASCII digits, which `int` alone does not
     insist on."""
     text = text.strip()
-    if not _INDEX.fullmatch(text):
+    if not _INTEGER.fullmatch(text):
         raise ProgTextError(f"expected a number in ASCII digits, found {text!r}")
     return int(text)
 
@@ -196,7 +196,7 @@ def _parse_case_ref(text: str) -> tuple[str, int, Optional[int]]:
         raise ProgTextError(f"expected Key#case in {text!r}")
     key, rest = text.rsplit("#", 1)
     c, dot, f = rest.partition(".")
-    if not _INDEX.fullmatch(c) or dot and not _INDEX.fullmatch(f):
+    if not _INTEGER.fullmatch(c) or dot and not _INTEGER.fullmatch(f):
         raise ProgTextError(f"expected Key#case or Key#case.field in digits, found {text!r}")
     return key, int(c), int(f) if dot else None
 
