@@ -456,7 +456,7 @@ class _Parser:
             self.i += 1
             return scalar
         t = self.expect("ident")
-        if _INT_NAME(name):  # past 64 bits, or written with leading zeros
+        if _INT_NAME(name):  # width 0, past 64, or written with leading zeros
             width = int(name[1:])
             if not 1 <= width <= 64:
                 raise self.err(f"integer width {width} out of range 1..64", t)
