@@ -19,7 +19,6 @@ from .solver import (
     AnnotationInfeasible,
     LayoutSolution,
     Score,
-    place_explicit_tag,
     score_layout,
     solve_layout,
     trivial_layout,

@@ -434,16 +434,6 @@ def shared_free_run(rows: list[list[BitPattern]], s: int, width: int) -> Optiona
     return (runs & -runs).bit_length() - 1 if runs else None
 
 
-def first_tag_interval(rows: list[list[BitPattern]], width: int) -> Optional[tuple[int, int]]:
-    """First (scalar, LSB offset) of `width` contiguous bits free in every
-    variant at the same position, scanning scalars then offsets, or None."""
-    for s in range(len(rows[0]) if rows else 0):
-        off = shared_free_run(rows, s, width)
-        if off is not None:
-            return s, off
-    return None
-
-
 def tag_width_for(n_variants: int) -> int:
     if n_variants <= 1:
         return 0

@@ -60,7 +60,6 @@ def _fail(code: str, message: str, pos: tuple[int, int]) -> "VerifyError":
 class FlattenedPacking:
     assignments: dict[str, int]  # field name -> offset of its LSB
     pattern: BitPattern
-    pos: tuple[int, int] = field(default=(0, 0), compare=False)
 
     @property
     def width(self) -> int:
@@ -83,7 +82,6 @@ class SolveRequest:
     scalar, positions free."""
 
     items: tuple[FlattenedPacking, ...]
-    pos: tuple[int, int] = field(default=(0, 0), compare=False)
 
     @property
     def width(self) -> int:
@@ -168,12 +166,12 @@ def _merge_assignments(
 
 def flatten_expr(expr: PackingExpr, ctx: SizeContext) -> FlattenedPacking:
     if isinstance(expr, Empty):
-        return FlattenedPacking({}, BitPattern(0), pos=expr.pos)
+        return FlattenedPacking({}, BitPattern(0))
     if isinstance(expr, FieldRef):
         if expr.name not in ctx.gamma:
             raise _fail("E013", f"unbound field {expr.name!r}", expr.pos)
         w = ctx.gamma[expr.name]
-        return FlattenedPacking({expr.name: 0}, BitPattern(w, field=(1 << w) - 1), pos=expr.pos)
+        return FlattenedPacking({expr.name: 0}, BitPattern(w, field=(1 << w) - 1))
     if isinstance(expr, BitLayout):
         return _flatten_layout(expr, ctx)
     if isinstance(expr, Concat):
@@ -184,7 +182,7 @@ def flatten_expr(expr: PackingExpr, ctx: SizeContext) -> FlattenedPacking:
             shift -= p.width
             _merge_assignments(assignments, p.assignments, shift, expr.pos)
         pattern = join_patterns([p.pattern for p in reversed(parts)])
-        return FlattenedPacking(assignments, pattern, pos=expr.pos)
+        return FlattenedPacking(assignments, pattern)
     if isinstance(expr, Apply):
         return _flatten_apply(expr, ctx)
     if isinstance(expr, Solve):
@@ -208,7 +206,7 @@ def _flatten_layout(layout: BitLayout, ctx: SizeContext) -> FlattenedPacking:
             )
         assignments[fname] = offset
     text = "".join(ch if ch in "01" else "u" if ch == "?" else "x" for ch in layout.bits)
-    return FlattenedPacking(assignments, parse_pattern(text), pos=layout.pos)
+    return FlattenedPacking(assignments, parse_pattern(text))
 
 
 def _flatten_apply(expr: Apply, ctx: SizeContext) -> FlattenedPacking:
@@ -257,7 +255,7 @@ def _flatten_apply(expr: Apply, ctx: SizeContext) -> FlattenedPacking:
             (pattern.ones & ~run) | (fp.ones << slot),
             (pattern.field & ~run) | (fp.field << slot),
         )
-    return FlattenedPacking(assignments, pattern, pos=expr.pos)
+    return FlattenedPacking(assignments, pattern)
 
 
 def _zero_pad(p: BitPattern, width: int) -> BitPattern:
@@ -281,9 +279,7 @@ def flatten_annotation(
     seen: dict[str, int] = {}
     for e in exprs:
         if isinstance(e, Solve):
-            entry: AnnotationEntry = SolveRequest(
-                tuple(flatten_expr(p, ctx) for p in e.parts), pos=e.pos
-            )
+            entry: AnnotationEntry = SolveRequest(tuple(flatten_expr(p, ctx) for p in e.parts))
             placed = entry.field_names()
         else:
             entry = flatten_expr(e, ctx)

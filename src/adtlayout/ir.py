@@ -27,7 +27,7 @@ from .syntax import (
     TypeExpr,
     print_type,
 )
-from .targets import Disposition, MonoAdt, MonoVariant, Target
+from .targets import MonoAdt, MonoVariant, Target
 
 # ---------------------------------------------------------------------------
 # Types
@@ -330,8 +330,7 @@ def _successors(term: Optional[Terminator]) -> list[str]:
 @dataclass
 class Program:
     adts: dict[str, MonoAdt]
-    dispositions: dict[str, Disposition]
-    layouts: dict[str, LayoutSolution]
+    layouts: dict[str, LayoutSolution]  # exactly the unboxed ADTs
     functions: dict[str, Function]
     target: Target
     normalized: bool = False
@@ -342,7 +341,6 @@ class Program:
         resolved into `layouts`."""
         return cls(
             adts=layouts.monos(),
-            dispositions={k: r.disposition for k, r in layouts.resolved.items()},
             layouts=layouts.layouts(),
             functions={},
             target=target,
@@ -350,8 +348,7 @@ class Program:
 
     def is_unboxed(self, key: str) -> bool:
         """True when ADT `key` is laid out in scalars rather than boxed."""
-        disp = self.dispositions.get(key)
-        return disp is not None and not disp.boxed
+        return key in self.layouts
 
     def spread(self, t: TypeExpr, items: Iterator, part: Callable):
         """The rule for how a source value of type `t` spreads over

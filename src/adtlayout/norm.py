@@ -78,7 +78,6 @@ class Normalizer:
         self.pre = pre
         self.post = Program(
             adts=pre.adts,
-            dispositions=pre.dispositions,
             layouts=pre.layouts,
             functions={},
             target=pre.target,

@@ -243,7 +243,6 @@ def process_adts(
         packings=packings,
         recursive_keys=recursive_keys,
     )
-    result = ProgramLayouts(order=[], resolved={})
     # components arrive dependencies-first
     for comp in components:
         for key in sorted(comp, key=order_seen.index):
@@ -253,8 +252,6 @@ def process_adts(
             layout = None
             if not disposition.boxed:
                 layout = solve_layout(mono, target, budget=options.budget)
-            env.resolved[key] = ResolvedAdt(key, mono, disposition, layout)
-            result.resolved[key] = env.resolved[key]
+            env.resolved[key] = ResolvedAdt(mono, disposition, layout)
     # present results in request/discovery order
-    result.order = [k for k in order_seen if k in result.resolved]
-    return result
+    return ProgramLayouts(order_seen, env.resolved)

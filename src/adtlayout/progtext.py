@@ -112,7 +112,11 @@ class ProgTextError(Exception):
     pass
 
 
-_INSTR_RE = re.compile(r"%(\S+)\s*=\s*(\w+)(.*)$")
+# a %name, label or function name: no spaces, commas or brackets, which
+# would run it into the text around it
+_NAME = r"[^\s,()<>\[\]]+"
+_NAME_RE = re.compile(_NAME)
+_INSTR_RE = re.compile(rf"%({_NAME})\s*=\s*(\w+)(.*)$")
 
 
 def _split_args(text: str) -> list[str]:
@@ -120,6 +124,14 @@ def _split_args(text: str) -> list[str]:
     if not text:
         return []
     return [a.strip() for a in text.split(",")]
+
+
+def _inside(text: str) -> str:
+    """The text within the parentheses that `text` consists of."""
+    text = text.strip()
+    if len(text) < 2 or text[0] != "(" or text[-1] != ")":
+        raise ProgTextError(f"expected (...), found {text!r}")
+    return text[1:-1]
 
 
 def _take_brackets(text: str) -> tuple[str, str]:
@@ -161,7 +173,7 @@ _SCALAR_TYPE = re.compile(r"([uif])(\d+)")
 def _parse_ir_type(text: str) -> IrType:
     text = text.strip()
     if text.startswith("("):
-        return TTuple(tuple(_parse_ir_type(p) for p in _split_top(text[1:-1])))
+        return TTuple(tuple(_parse_ir_type(p) for p in _split_top(_inside(text))))
     if text == "bool":
         return TInt(1, False)
     m = _SCALAR_TYPE.fullmatch(text)
@@ -203,15 +215,22 @@ def _parse_case_ref(text: str) -> tuple[str, int, Optional[int]]:
 
 def _strip_pct(tok: str) -> str:
     tok = tok.strip()
-    if not tok.startswith("%"):
+    if not tok.startswith("%") or not _NAME_RE.fullmatch(tok, 1):
         raise ProgTextError(f"expected %name, found {tok!r}")
     return tok[1:]
+
+
+def _label(tok: str) -> str:
+    tok = tok.strip()
+    if not _NAME_RE.fullmatch(tok):
+        raise ProgTextError(f"expected a label, found {tok!r}")
+    return tok
 
 
 def parse_function_text(text: str) -> Function:
     lines = [ln.rstrip() for ln in text.strip().splitlines()]
     header = lines[0]
-    m = re.match(r"fn\s+(\S+)\((.*)\)\s*->\s*(.+)\s*\{$", header)
+    m = re.match(rf"fn\s+({_NAME})\((.*)\)\s*->\s*(.+)\s*\{{$", header)
     if not m:
         raise ProgTextError(f"bad function header: {header!r}")
     name, params_text, ret_text = m.group(1), m.group(2), m.group(3)
@@ -231,7 +250,7 @@ def parse_function_text(text: str) -> Function:
         if s == "}":
             break
         if s.endswith(":") and not s.startswith("%"):
-            label = s[:-1]
+            label = _label(s[:-1])
             current = Block(label)
             fn.blocks[label] = current
             if not fn.entry:
@@ -258,33 +277,33 @@ def _parse_instr(s: str):
     if op == "alloc":
         tt, tail = _take_brackets(rest)
         key, case, _ = _parse_case_ref(tt)
-        args = tuple(_strip_pct(a) for a in _split_args(tail.strip()[1:-1]))
+        args = tuple(_strip_pct(a) for a in _split_args(_inside(tail)))
         return Alloc(dst, key, case, args)
     if op == "getfield":
         tt, tail = _take_brackets(rest)
         key, case, fidx = _parse_case_ref(tt)
         if fidx is None:
             raise ProgTextError(f"getfield needs Key#case.field in {s!r}")
-        return GetField(dst, key, case, fidx, _strip_pct(tail.strip()[1:-1]))
+        return GetField(dst, key, case, fidx, _strip_pct(_inside(tail)))
     if op == "contents":
         tt, tail = _take_brackets(rest)
         key, case, _ = _parse_case_ref(tt)
-        return GetContents(dst, key, case, _strip_pct(tail.strip()[1:-1]))
+        return GetContents(dst, key, case, _strip_pct(_inside(tail)))
     if op == "gettag":
         tt, tail = _take_brackets(rest)
-        return GetTag(dst, tt, _strip_pct(tail.strip()[1:-1]))
+        return GetTag(dst, tt, _strip_pct(_inside(tail)))
     if op == "replacenull":
         tt, tail = _take_brackets(rest)
-        return ReplaceNull(dst, tt, _strip_pct(tail.strip()[1:-1]))
+        return ReplaceNull(dst, tt, _strip_pct(_inside(tail)))
     if op == "eq":
         tt, tail = _take_brackets(rest)
-        operands = _split_args(tail.strip()[1:-1])
+        operands = _split_args(_inside(tail))
         if len(operands) != 2:
             raise ProgTextError(f"eq needs two operands in {s!r}")
         a, b = operands
         return Eq(dst, _parse_ir_type(tt), _strip_pct(a), _strip_pct(b))
     if op == "call":
-        m2 = re.match(r"(\S+)\((.*)\)$", rest)
+        m2 = re.match(rf"({_NAME})\((.*)\)$", rest)
         if not m2:
             raise ProgTextError(f"bad call {s!r}")
         args = tuple(_strip_pct(a) for a in _split_args(m2.group(2)))
@@ -294,13 +313,13 @@ def _parse_instr(s: str):
 
 def _parse_term(s: str):
     if s.startswith("jmp "):
-        return Jump(s[4:].strip())
+        return Jump(_label(s[4:]))
     if s.startswith("br "):
         parts = [p.strip() for p in s[3:].split(",")]
         if len(parts) != 3:
             raise ProgTextError(f"bad branch {s!r}")
         cond, t, e = parts
-        return Branch(_strip_pct(cond), t, e)
+        return Branch(_strip_pct(cond), _label(t), _label(e))
     if s.startswith("switch "):
         m = re.match(r"switch\s+(\S+),\s*\[(.*)\],\s*(\S+)$", s)
         if not m:
@@ -311,8 +330,8 @@ def _parse_term(s: str):
                 k, colon, lbl = part.partition(":")
                 if not colon or ":" in lbl:
                     raise ProgTextError(f"bad switch case {part!r} in {s!r}")
-                cases.append((_number(k), lbl.strip()))
-        return Switch(_strip_pct(m.group(1)), tuple(cases), m.group(3))
+                cases.append((_number(k), _label(lbl)))
+        return Switch(_strip_pct(m.group(1)), tuple(cases), _label(m.group(3)))
     if s.startswith("ret "):
         return Return(_strip_pct(s[4:]))
     if s.startswith("trap"):
@@ -325,7 +344,9 @@ def parse_bundle(
     text: str, options: UnboxOptions = UnboxOptions()
 ) -> tuple[Program, list]:
     """Rebuild a program from bundle text: target line, type declarations,
-    then functions. Layouts are re-derived, so a bundle is self-contained."""
+    then functions. Layouts are re-derived, so a bundle is self-contained.
+    Every other line reaches the declaration parser as an empty line, so
+    that its diagnostics give positions in the bundle."""
     lines = text.splitlines()
     target: Optional[Target] = None
     decl_lines: list[str] = []
@@ -333,24 +354,22 @@ def parse_bundle(
     current_fn: Optional[list[str]] = None
     for ln in lines:
         s = ln.strip()
+        decl = ""  # the line as the declaration parser sees it
         if current_fn is not None:
             current_fn.append(ln)
             if s == "}":
                 fn_chunks.append(current_fn)
                 current_fn = None
-            continue
-        if s.startswith("target "):
+        elif s.startswith("target "):
             name = s.split()[1]
             if name not in BUILTIN_TARGETS:
                 raise ProgTextError(f"unknown target {name!r}")
             target = BUILTIN_TARGETS[name]
-            continue
-        if s.startswith("fn "):
+        elif s.startswith("fn "):
             current_fn = [ln]
-            continue
-        if s.startswith("#") or not s:
-            continue
-        decl_lines.append(ln)
+        elif not s.startswith("#"):
+            decl = ln
+        decl_lines.append(decl)
     if target is None:
         raise ProgTextError("bundle lacks a target line")
     try:

@@ -11,11 +11,10 @@ packed on its own by an exact search, for each scalar vector and tag option
 in turn (see `solve_layout`).
 
 Patterns are `distinguish.BitPattern` mask values, one per variant and
-scalar; a solution's patterns have every free bit made constant 0, and its
-`pretag_patterns` keep them free. During the search each slot keeps, per
-variant, masks of constant bits, of their one bits and of annotation
-wildcards: bits that may hold tag bits or chosen constants but never field
-data.
+scalar; a solution's patterns have every free bit made constant 0. During
+the search each slot keeps, per variant, masks of constant bits, of their
+one bits and of annotation wildcards: bits that may hold tag bits or chosen
+constants but never field data.
 """
 
 from __future__ import annotations
@@ -29,7 +28,6 @@ from . import distinguish
 from .distinguish import (
     BitPattern,
     DecisionTree,
-    first_tag_interval,
     print_pattern,
     shared_free_run,
     tag_width_for,
@@ -116,7 +114,6 @@ TagScheme = Union[SingleVariant, BareTag, ExplicitTag, TreeTag]
 
 @dataclass(frozen=True)
 class ScalarSlot:
-    index: int
     kind: ScalarKind
     kinds: KindSet
     width: int
@@ -147,9 +144,6 @@ class LayoutSolution:
     # False when the step budget cut a search short, so a better layout
     # may exist; True when every search ran out of nodes or met its bound
     finished: bool = True
-    # patterns before tag placement, free bits intact; lets tagging be
-    # re-derived on a finished solution
-    pretag_patterns: Optional[list[list[BitPattern]]] = None
 
     def pattern_strings(self, variant: int) -> list[str]:
         return [print_pattern(p) for p in self.patterns[variant]]
@@ -401,8 +395,6 @@ class _State:
         if v in slot.ref_variants or f.width != slot.width:
             return None
         if tagging is None:
-            if f.ref_mode == REF_TAGGED_WORD:
-                return None  # mixed words need tagged pointers
             # a reference-only scalar: no constants, wildcards or fields
             # outside the variants that already hold a reference here
             if any(slot.const) or any(slot.wild) or any(
@@ -486,7 +478,6 @@ def _pick_kind(kinds: Optional[KindSet], ref_bearing: bool, target: Target) -> S
 def _freeze_slots(state: _State) -> list[ScalarSlot]:
     return [
         ScalarSlot(
-            index=s.index,
             kind=_pick_kind(s.kinds, bool(s.ref_variants), state.target),
             kinds=s.kinds if s.kinds is not None else state.target.kinds_for_int(32),
             width=s.width,
@@ -553,15 +544,13 @@ def _tag_appended(rows: list[list[BitPattern]], width: int):
     return tagged, (ExplicitTag if rows[0] else BareTag)(len(rows[0]), 0, width, True)
 
 
-def _solution(adt, target, placements, steps, base, slots, patterns, scheme) -> LayoutSolution:
+def _solution(adt, target, placements, slots, patterns, scheme) -> LayoutSolution:
     """A scored solution over the data scalars `slots`, plus the tag scalar
-    when `scheme` is dedicated. Its free bits are made constant 0, and `base`
-    is kept as its pre-tag patterns."""
+    when `scheme` is dedicated. Its free bits are made constant 0."""
     if _dedicated(scheme):
         kinds = target.kinds_for_int(scheme.width)
         slots = slots + [
             ScalarSlot(
-                index=len(slots),
                 kind=_pick_kind(kinds, False, target),
                 kinds=kinds,
                 width=scheme.width,
@@ -575,8 +564,6 @@ def _solution(adt, target, placements, steps, base, slots, patterns, scheme) -> 
         patterns=[[p.fix(p.free, 0) for p in row] for row in patterns],
         tag_scheme=scheme,
         score=Score(0, 0, 0),
-        steps_used=steps,
-        pretag_patterns=base,
     )
     sol.score = score_layout(sol)
     return sol
@@ -588,13 +575,13 @@ Candidate = tuple[tuple[int, int], list[list[BitPattern]], TagScheme]
 
 def _candidates(
     state: _State, best_key=None, charge: Optional[Callable[[], bool]] = None
-) -> tuple[list[list[BitPattern]], list[Candidate]]:
-    """The pre-tag patterns of a fully-assigned state and its tagging
-    completions, each with its score key, ordered by preference: in-place
-    explicit tag, decision tree, appended tag scalar. Candidates provably
-    unable to beat `best_key` may be omitted. A tree's complete free-bit
-    search is charged to `charge` (see `distinguish.derive_tree`); when the
-    charge is refused the state gets no tree."""
+) -> list[Candidate]:
+    """The tagging completions of a fully-assigned state, each with its
+    score key, ordered by preference: in-place explicit tag, decision tree,
+    appended tag scalar. Candidates provably unable to beat `best_key` may
+    be omitted. A tree's complete free-bit search is charged to `charge`
+    (see `distinguish.derive_tree`); when the charge is refused the state
+    gets no tree."""
     n = state.n
     base = state.build_patterns()
     results: list[Candidate] = []
@@ -606,7 +593,7 @@ def _candidates(
 
     if n == 1:
         add(base, SingleVariant())
-        return base, results
+        return results
 
     tw = tag_width_for(n)
     for s in range(len(state.slots)):
@@ -638,7 +625,7 @@ def _candidates(
     appended_bound = (len(state.slots) + 1, fields + 1)
     if not results and (best_key is None or best_key > appended_bound):
         add(*_tag_appended(base, tw))
-    return base, results
+    return results
 
 
 def _complete(
@@ -647,40 +634,16 @@ def _complete(
     """The solution for the first candidate with the smallest key, or None
     when no candidate's key is below `best_key`. Only that candidate is
     built; the others are judged by key alone."""
-    base, results = _candidates(state, best_key, charge)
     pick: Optional[Candidate] = None
-    for cand in results:
+    for cand in _candidates(state, best_key, charge):
         if best_key is None or cand[0] < best_key:
             best_key, pick = cand[0], cand
     if pick is None:
         return None
     _, patterns, scheme = pick
     return _solution(
-        state.adt, state.target, state.placements, 0, base,
-        _freeze_slots(state), patterns, scheme,
+        state.adt, state.target, state.placements, _freeze_slots(state), patterns, scheme
     )
-
-
-def place_explicit_tag(sol: LayoutSolution) -> LayoutSolution:
-    """Re-derive explicit tagging on a finished layout: the variant index is
-    written into the first aligned run of bits unassigned in every variant,
-    or into a fresh minimal-width integer scalar when no shared run exists.
-    Single-variant solutions come back unchanged."""
-    n = len(sol.adt.variants)
-    if n <= 1:
-        assert isinstance(sol.tag_scheme, SingleVariant)
-        return sol
-    tw = tag_width_for(n)
-    base = sol.pretag_patterns
-    assert base is not None, "solution lacks pre-tag patterns"
-    data_slots = sol.slots[:-1] if _dedicated(sol.tag_scheme) else sol.slots
-    found = first_tag_interval(base, tw)
-    tagged = _tag_appended(base, tw) if found is None else _tag_in_place(base, *found, tw)
-    again = _solution(
-        sol.adt, sol.target, sol.placements, sol.steps_used, base, data_slots, *tagged
-    )
-    again.finished = sol.finished
-    return again
 
 
 # ---------------------------------------------------------------------------
@@ -770,10 +733,7 @@ def trivial_layout(adt: MonoAdt, target: Target) -> LayoutSolution:
         patterns, scheme = base, SingleVariant()
     else:
         patterns, scheme = _tag_appended(base, tag_width_for(state.n))
-    return _solution(
-        bare, target, state.placements, 0, base, _freeze_slots(state),
-        patterns, scheme,
-    )
+    return _solution(bare, target, state.placements, _freeze_slots(state), patterns, scheme)
 
 
 def solve_layout(adt: MonoAdt, target: Target, budget: int = 10_000) -> LayoutSolution:

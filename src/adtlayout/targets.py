@@ -261,7 +261,7 @@ class Disposition:
 @dataclass
 class AdtEnv:
     """Resolution context for monomorphization: declared ADTs plus the
-    dispositions and layouts of already-processed instantiations."""
+    instantiations processed so far, each with its disposition and layout."""
 
     decls: dict[str, AdtDecl]
     target: Target
@@ -272,7 +272,6 @@ class AdtEnv:
 
 @dataclass
 class ResolvedAdt:
-    key: str
     mono: MonoAdt
     disposition: Disposition
     layout: Optional[object] = None  # LayoutSolution once solved
@@ -329,32 +328,25 @@ def monomorphize_adt(
 def _normalize_field(name: str, t: TypeExpr, env: AdtEnv) -> list[FieldSlot]:
     """The normalized fields of source field `name`, in the order that
     `ir.Program.spread` walks a value of its type."""
-    target = env.target
-    if isinstance(t, IntType):
-        return [FieldSlot(name, t.width, target.kinds_for_int(t.width), signed=t.signed)]
-    if isinstance(t, BoolType):
-        return [FieldSlot(name, 1, target.kinds_for_int(1))]
-    if isinstance(t, FloatType):
-        return [FieldSlot(name, t.width, target.kinds_for_float(t.width), is_float=True)]
     if isinstance(t, TupleType):
         out: list[FieldSlot] = []
         for i, elem in enumerate(t.elems):
             out.extend(_normalize_field(f"{name}.{i}", elem, env))
         return out
+    kinds = get_scalar_kinds(t, env.target)
     if isinstance(t, NamedType):
-        if t.name in env.decls:
-            ref_key = instantiation_key(t.name, t.args)
-            info = env.resolved.get(ref_key)
-            if info is None or info.disposition.boxed:
-                # boxed (or in-flight recursive, hence boxed) instantiation
-                return [
-                    FieldSlot(name, target.word_width, target.ref_kinds,
-                              ref_mode=REF_PLAIN, adt_ref=ref_key)
-                ]
+        ref_key = instantiation_key(t.name, t.args) if t.name in env.decls else None
+        info = env.resolved.get(ref_key)
+        if info is not None and not info.disposition.boxed:
             return _embed_unboxed(name, ref_key, info, env)
+        # a boxed (or in-flight recursive, hence boxed) instantiation, or an
         # opaque reference type such as Array<byte> or string
-        return [FieldSlot(name, target.word_width, target.ref_kinds, ref_mode=REF_PLAIN)]
-    raise MonoError(f"unsupported field type {t!r}")
+        return [FieldSlot(name, env.target.word_width, kinds, ref_mode=REF_PLAIN, adt_ref=ref_key)]
+    if isinstance(t, FloatType):
+        return [FieldSlot(name, t.width, kinds, is_float=True)]
+    if isinstance(t, BoolType):
+        return [FieldSlot(name, 1, kinds)]
+    return [FieldSlot(name, t.width, kinds, signed=t.signed)]
 
 
 def _embed_unboxed(name: str, ref_key: str, info: ResolvedAdt, env: AdtEnv) -> list[FieldSlot]:

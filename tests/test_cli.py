@@ -140,6 +140,19 @@ def test_pinned_reference_needs_tagged_references(tmp_path, target, capsys):
     )
 
 
+def test_pinned_reference_that_does_not_fit_exits_1(tmp_path, capsys):
+    """On x86-32 a reference to the boxed R is a 32-bit word, and the bit
+    written above it makes the annotated scalar 64 bits wide, so the
+    reference cannot sit at bit 0, where the annotation pins it."""
+    p = tmp_path / "pinned.pk"
+    p.write_text(
+        "type R { case C(y: u8); case D; }\n"
+        "type T #unboxed { case A(r: R) #packing #concat(0b_1, r); case B; }\n"
+    )
+    assert main(["layout", str(p), "--target", "x86-32"]) == 1
+    assert "pinned at scalar 0 bit 0" in capsys.readouterr().err
+
+
 def test_layout_env_var_target(tmp_path, monkeypatch):
     p = tmp_path / "t.pk"
     p.write_text("type T { case A(x: u8); }")

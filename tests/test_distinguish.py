@@ -16,9 +16,9 @@ from adtlayout.distinguish import (
     classify,
     derive_decision_tree,
     derive_tree,
-    first_tag_interval,
     parse_pattern,
     print_pattern,
+    shared_free_run,
     tag_width_for,
     tree_depth,
 )
@@ -97,10 +97,11 @@ def test_field_bits_route_both_ways():
 
 def test_find_tag_interval_first_fit():
     rows = [[parse_pattern(s) for s in row] for row in [["uuxx", "uu"], ["uuuu", "uu"]]]
-    assert first_tag_interval(rows, 2) == (0, 2)
-    assert first_tag_interval(rows, 1) == (0, 2)
+    assert shared_free_run(rows, 0, 2) == 2
+    assert shared_free_run(rows, 0, 1) == 2
     # a four-bit tag does not fit the shared free bits of scalar 0
-    assert first_tag_interval(rows, 4) is None
+    assert shared_free_run(rows, 0, 4) is None
+    assert shared_free_run(rows, 1, 2) == 0
 
 
 def test_tag_width():
@@ -204,72 +205,6 @@ def _assert_tree_classifies(patterns, derived):
                 if bit:
                     words[s] |= 1 << b
             assert classify(tree, words) == v, (patterns, v, words)
-
-
-def test_place_explicit_tag_on_option_layout():
-    from adtlayout.pipeline import process_adts
-    from adtlayout.solver import ExplicitTag
-    from adtlayout.syntax import parse_program, parse_type
-    from adtlayout.targets import X64
-    from adtlayout.solver import place_explicit_tag
-
-    out = process_adts(
-        parse_program("type Option<T> #unboxed { case None; case Some(val: T); }"),
-        X64,
-        requests=[parse_type("Option<u32>")],
-    )
-    sol = out.resolved["Option<u32>"].layout
-    again = place_explicit_tag(sol)
-    assert isinstance(again.tag_scheme, ExplicitTag)
-    assert (again.tag_scheme.slot, again.tag_scheme.offset, again.tag_scheme.width) == (0, 32, 1)
-    assert not again.tag_scheme.dedicated
-
-
-def test_place_explicit_tag_appends_when_no_shared_interval():
-    from adtlayout.pipeline import process_adts
-    from adtlayout.solver import ExplicitTag
-    from adtlayout.syntax import parse_program
-    from adtlayout.targets import JVM
-    from adtlayout.solver import place_explicit_tag
-
-    # on the jvm a reference-bearing slot admits no co-resident bits, so the
-    # tag must go to a dedicated scalar
-    src = (
-        "type Big { case A(x: u64, y: u64, z: u64); }"
-        "type R #unboxed { case N; case S(r: Big); }"
-    )
-    out = process_adts(parse_program(src), JVM)
-    sol = out.resolved["R"].layout
-    again = place_explicit_tag(sol)
-    assert isinstance(again.tag_scheme, ExplicitTag)
-    assert again.tag_scheme.dedicated
-    assert again.slots[-1].width == 1
-
-
-def test_place_explicit_tag_keeps_bare_tag():
-    """With every case nullary the tag is the only scalar, and tagging it
-    again gives the same bare tag."""
-    from adtlayout.pipeline import process_adts
-    from adtlayout.solver import BareTag, place_explicit_tag
-    from adtlayout.syntax import parse_program
-    from adtlayout.targets import X64
-
-    out = process_adts(parse_program("type E { case A; case B; case C; }"), X64)
-    sol = out.resolved["E"].layout
-    again = place_explicit_tag(sol)
-    assert isinstance(again.tag_scheme, BareTag)
-    assert again.to_json() == sol.to_json()
-
-
-def test_place_explicit_tag_single_variant_unchanged():
-    from adtlayout.pipeline import process_adts
-    from adtlayout.syntax import parse_program
-    from adtlayout.targets import X64
-    from adtlayout.solver import place_explicit_tag
-
-    out = process_adts(parse_program("type S { case C(a: u8); }"), X64)
-    sol = out.resolved["S"].layout
-    assert place_explicit_tag(sol) is sol
 
 
 from hypothesis import given, settings, strategies as st

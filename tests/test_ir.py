@@ -1018,3 +1018,69 @@ def test_numbers_and_widths_need_ascii_digits(header, body):
     bundle = f"target x64\ntype T {{ case A(x: u8); }}\n{header}\nb0:\n{body}\n}}\n"
     with pytest.raises(progtext.ProgTextError, match="ASCII digits"):
         progtext.parse_bundle(bundle)
+
+
+@pytest.mark.parametrize(
+    "body, match",
+    [
+        ("  %x = const<u8> 1\n  ret %x junk", "expected %name"),
+        ("  jmp b1 b2\nb1:\n  ret %a", "expected a label"),
+        ("  %v = eq<u8>(%a,%b) trailing\n  ret %a", r"expected \(\.\.\.\)"),
+        ("  %x = const<(u8> 0\n  ret %a", r"expected \(\.\.\.\)"),
+        ("  %r = alloc<T#0>(%a\n  ret %a", r"expected \(\.\.\.\)"),
+        ("  %r = alloc<T#0>(%a)\n  %v = gettag<T>x%r]\n  ret %a", r"expected \(\.\.\.\)"),
+    ],
+    ids=["ret-junk", "jmp-two-labels", "eq-trailing", "tuple-unclosed", "alloc-unclosed",
+         "gettag-no-parens"],
+)
+def test_malformed_lines_are_refused(body, match):
+    """A line with text after its last part, a name or label holding a
+    space, or a bracketed part whose brackets are missing is a ProgTextError
+    rather than a misreading."""
+    bundle = (
+        "target x64\ntype T { case A(x: u8); }\n"
+        f"fn main(%a: u8, %b: u8) -> u8 {{\nb0:\n{body}\n}}\n"
+    )
+    with pytest.raises(progtext.ProgTextError, match=match):
+        progtext.parse_bundle(bundle)
+
+
+def test_declaration_errors_give_bundle_positions():
+    """A diagnostic in the bundle's type declarations counts the target
+    line, comments and blank lines before it."""
+    with pytest.raises(progtext.ProgTextError, match="E001 at 4:24"):
+        progtext.parse_bundle("target x64\n# note\n\ntype T { case A(x: u8) }")
+
+
+# a function whose parameter and result are one three-scalar unboxed value
+THREE_SCALAR_PARAM = """
+type P #unboxed { case A(x: u64, y: u64, z: u64); }
+fn id(%p: P) -> P {
+b0:
+  ret %p
+}
+fn main() -> P {
+b0:
+  %x = const<u64> 1
+  %y = const<u64> 2
+  %z = const<u64> 3
+  %p = alloc<P#0>(%x, %y, %z)
+  %q = call id(%p)
+  ret %q
+}
+"""
+
+
+@pytest.mark.parametrize("target", ["x64", "jvm", "x86-32"])
+def test_multi_scalar_parameter_agrees_boxed_and_normalized(target):
+    """A parameter of an unboxed type becomes one parameter per scalar, and
+    the value passed through it is the one passed in."""
+    program, _ = progtext.parse_bundle(f"target {target}\n{THREE_SCALAR_PARAM}")
+    check_program(program)
+    assert len(program.layouts["P"].slots) == 3
+    post = norm.normalize_program(program)
+    check_program(post)
+    assert [n for n, _ in post.functions["id"].params] == ["p.0", "p.1", "p.2"]
+    want = Outcome(None, ("adt", "P", 0, (1, 2, 3)))
+    assert eval_program(program) == want
+    assert eval_program(post) == want

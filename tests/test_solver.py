@@ -166,6 +166,12 @@ def test_solve_request_places_fields_one_scalar():
     assert spans == [(0, 8), (8, 8)]
 
 
+def test_solve_refuses_a_reference_field():
+    decls = parse_program("type P #unboxed { case C(r: string, y: u8) #packing #solve(r, y); }")
+    with pytest.raises(AnnotationInfeasible, match="reference fields cannot be packed by #solve"):
+        process_adts(decls, X64)
+
+
 def test_annotation_infeasible_kind_conflict():
     # two fields forced into one scalar with no common kind on the jvm
     src = "type P #unboxed { case C(x: u8, y: f32) #packing #solve(x, y); }"
@@ -512,10 +518,9 @@ def test_candidate_keys_equal_built_scores(monkeypatch):
     original = solver._complete
 
     def checking(state, best_key=None, charge=None):
-        base, cands = solver._candidates(state)
-        for key, patterns, scheme in cands:
+        for key, patterns, scheme in solver._candidates(state):
             sol = solver._solution(
-                state.adt, state.target, state.placements, 0, base,
+                state.adt, state.target, state.placements,
                 solver._freeze_slots(state), patterns, scheme,
             )
             assert key == score_layout(sol).key(), (state.adt.name, scheme)

@@ -140,6 +140,15 @@ type Packed { case C(a: u2, b: u2) #packing(#solve(a, b)); }
         assert again == [d]
 
 
+def test_roundtrip_type_parameters_and_type_packing():
+    """Several type parameters and a type-level #packing list, one
+    expression per case, print as they parse."""
+    src = "type P<A, B> #unboxed #packing(0b_0aaaaaaa, 0b_1bbbbbbb) { case L(a: A); case R(b: B); }"
+    d = parse_program(src)[0]
+    assert d.type_params == ("A", "B") and len(d.packing) == 2
+    assert parse_program(print_decl(d)) == [d]
+
+
 @st.composite
 def packing_exprs(draw, depth=2):
     kind = draw(st.sampled_from(["layout", "field", "apply", "concat", "empty"]))

@@ -81,6 +81,15 @@ def test_size_over_64_rejected():
     assert diags and diags[0].code == "E010"
 
 
+@pytest.mark.parametrize("src, message", [
+    ("packing P(a: 8): 80 = 0b_aaaaaaaa;", "declared width 80 exceeds 64"),
+    ("packing P(a: 0): 8 = 0b_00000000;", "parameter 'a' width 0 out of range"),
+])
+def test_declared_widths_out_of_range(src, message):
+    d = parse_program(src)[0]
+    assert [(g.code, g.message) for g in check_packing_decl(d, {})] == [("E010", message)]
+
+
 def test_float_suite_ok(delta):
     assert set(delta) == {"Float16", "Float32", "TwoFloat16s"}
 
