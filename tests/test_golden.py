@@ -13,15 +13,21 @@ STEM...`; it writes only the stems it is given.
 from __future__ import annotations
 
 import io
+import json
 import pathlib
+import random
 import sys
 import tempfile
 
 import pytest
 
-from adtlayout.cli import cmd_layout
+from adtlayout.cli import _layout_report, cmd_layout
 from adtlayout.norm import normalize_program
+from adtlayout.pipeline import process_adts
+from adtlayout.progen import gen_decls
 from adtlayout.progtext import parse_bundle
+from adtlayout.syntax import parse_program
+from adtlayout.targets import BUILTIN_TARGETS
 
 from corpus import CORPUS_SRC, NESTED_BUNDLE
 
@@ -135,6 +141,43 @@ def normalized_code(bundle: str, target: str) -> str:
     return "\n".join(lines) + "\n"
 
 
+def many_variant_shapes(seed: int, count: int) -> list[str]:
+    """The first `count` of the 8-case shapes drawn from `Random(seed)`:
+    case v of `type M #unboxed` has `randint(0, 16)` fields of type
+    `u{randint(1, 40)}`. At the default budget most of `Random(816)`'s stop
+    at the step budget, so they pin its accounting."""
+    rng = random.Random(seed)
+    shapes = []
+    for _ in range(count):
+        cases = []
+        for v in range(8):
+            fields = ", ".join(f"f{v}_{k}: u{rng.randint(1, 40)}" for k in range(rng.randint(0, 16)))
+            cases.append(f"case V{v}({fields});" if fields else f"case V{v};")
+        shapes.append("type M #unboxed { " + " ".join(cases) + " }\n")
+    return shapes
+
+
+def solve_sweep() -> str:
+    """One line per input and target: the `layout --json` report of
+    `progen.gen_decls(random.Random(s))` for s in 0..299, and of the first 4
+    `Random(816)` many-variant shapes, with each layout's `finished` flag,
+    on x64, jvm and x86-32 at the default budget."""
+    inputs = [(f"progen:{s}", gen_decls(random.Random(s))) for s in range(300)]
+    inputs += [(f"shape816:{i}", parse_program(src))
+               for i, src in enumerate(many_variant_shapes(816, 4))]
+    lines = []
+    for name, decls in inputs:
+        for target in ("x64", "jvm", "x86-32"):
+            result = process_adts(decls, BUILTIN_TARGETS[target])
+            report = _layout_report(result)
+            for entry in report["adts"]:
+                if not entry["boxed"]:
+                    entry["finished"] = result.resolved[entry["adt"]].layout.finished
+            lines.append(json.dumps({"input": name, "target": target, "report": report},
+                                    sort_keys=True))
+    return "\n".join(lines) + "\n"
+
+
 # golden file stem -> (source, target) of a layout report, STEM.json
 CASES = {
     "corpus-x64": (CORPUS_SRC, "x64"),
@@ -155,14 +198,19 @@ CASES = {
 # golden file stem -> target of the nested bundle's normalized code, STEM.txt
 NORMALIZED_CASES = {f"nested-norm-{t}": t for t in ("x64", "jvm", "x86-32")}
 
+# one JSON report per line over random and many-variant inputs, STEM.json
+SWEEP = "solve-sweep"
+
 
 def golden_path(name: str) -> pathlib.Path:
-    return GOLDEN_DIR / (f"{name}.json" if name in CASES else f"{name}.txt")
+    return GOLDEN_DIR / (f"{name}.json" if name in CASES or name == SWEEP else f"{name}.txt")
 
 
 def render(name: str) -> str:
     if name in CASES:
         return layout_json(*CASES[name])
+    if name == SWEEP:
+        return solve_sweep()
     return normalized_code(NESTED_BUNDLE, NORMALIZED_CASES[name])
 
 
@@ -176,8 +224,12 @@ def test_normalized_code_matches_golden(name):
     assert render(name) == golden_path(name).read_text(encoding="utf-8")
 
 
+def test_solve_sweep_matches_golden():
+    assert render(SWEEP) == golden_path(SWEEP).read_text(encoding="utf-8")
+
+
 def main(stems: list[str]) -> int:
-    known = sorted({**CASES, **NORMALIZED_CASES})
+    known = sorted({**CASES, **NORMALIZED_CASES, SWEEP: None})
     if not stems:
         print(f"usage: {sys.argv[0]} STEM... (one of: {', '.join(known)})", file=sys.stderr)
         return 2
