@@ -15,7 +15,6 @@ Patterns print as strings, MSB first, over '0', '1', 'x' (field) and 'u'
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Union
@@ -435,6 +434,5 @@ def shared_free_run(rows: list[list[BitPattern]], s: int, width: int) -> Optiona
 
 
 def tag_width_for(n_variants: int) -> int:
-    if n_variants <= 1:
-        return 0
-    return max(1, math.ceil(math.log2(n_variants)))
+    """The bits that number `n_variants` variants: ceil(log2 n), or 0."""
+    return max(0, n_variants - 1).bit_length()

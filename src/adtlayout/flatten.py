@@ -102,14 +102,17 @@ AnnotationEntry = Union[FlattenedPacking, SolveRequest]
 class SizeContext:
     """Field-name widths plus the packing declarations in scope, with the
     flattened body of each declaration applied so far. A body depends only
-    on its declaration, so contexts that share `delta` share `bodies`."""
+    on its declaration, so contexts that share `delta` share `bodies`.
+    `spread` names the printed type of each field that spreads over several
+    scalars, which no packing can name."""
 
     gamma: dict[str, int] = field(default_factory=dict)
     delta: dict[str, PackingDecl] = field(default_factory=dict)
     bodies: dict[str, FlattenedPacking] = field(default_factory=dict)
+    spread: dict[str, str] = field(default_factory=dict)
 
-    def with_gamma(self, gamma: dict[str, int]) -> "SizeContext":
-        return SizeContext(gamma=dict(gamma), delta=self.delta, bodies=self.bodies)
+    def with_gamma(self, gamma: dict[str, int], spread: dict[str, str] = {}) -> "SizeContext":
+        return SizeContext(dict(gamma), self.delta, self.bodies, dict(spread))
 
 
 def _layout_runs(layout: BitLayout) -> dict[str, tuple[int, int]]:
@@ -168,6 +171,9 @@ def flatten_expr(expr: PackingExpr, ctx: SizeContext) -> FlattenedPacking:
     if isinstance(expr, Empty):
         return FlattenedPacking({}, BitPattern(0))
     if isinstance(expr, FieldRef):
+        if expr.name in ctx.spread:
+            raise _fail("E013", f"field {expr.name!r} of unboxed type {ctx.spread[expr.name]} "
+                        "spreads over scalars that a #packing cannot name", expr.pos)
         if expr.name not in ctx.gamma:
             raise _fail("E013", f"unbound field {expr.name!r}", expr.pos)
         w = ctx.gamma[expr.name]

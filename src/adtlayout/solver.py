@@ -19,10 +19,10 @@ constants but never field data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dfield, replace
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import product
-from typing import Callable, Optional, Union
+from typing import Callable, NamedTuple, Optional, Union
 
 from . import distinguish
 from .distinguish import (
@@ -123,8 +123,7 @@ class ScalarSlot:
         return {"kind": self.kind.value, "width": self.width, "ref": self.ref_bearing}
 
 
-@dataclass(frozen=True)
-class Placement:
+class Placement(NamedTuple):
     slot: int
     offset: int
     width: int  # occupied interval width; a tagged reference spans word-free bits
@@ -211,6 +210,14 @@ class _Slot:
         self.tags = tags  # (reference, value) low-bit patterns, or None
         self.tagged = False
 
+    def copy(self) -> _Slot:
+        out = object.__new__(_Slot)
+        out.__dict__ = {
+            **self.__dict__, "const": self.const[:], "ones": self.ones[:], "wild": self.wild[:],
+            "field": self.field[:], "ref_variants": set(self.ref_variants),
+        }
+        return out
+
     def reserved(self, v: int) -> int:
         out = self.const[v] | self.wild[v] | self.field[v]
         if self.tagged:
@@ -228,9 +235,6 @@ class _Slot:
         self.const[v] |= const
         self.ones[v] = (self.ones[v] & ~const) | ones
         self.wild[v] = (self.wild[v] | wild) & ~self.const[v]
-
-    def add_field(self, v: int, pl: Placement) -> None:
-        self.field[v] |= ((1 << pl.width) - 1) << pl.offset
 
     def offsets(self, v: int, unit: _Unit) -> int:
         """The offsets at which `unit` fits variant `v`, as a mask with bit i
@@ -269,7 +273,7 @@ def _overlaps(mask: int, runs: tuple[tuple[int, int], ...]) -> int:
     """The offsets, as a mask, at which bits in `runs` shifted left meet
     `mask`: the OR of `mask >> b` over the bits b, by doubling shifts."""
     out = 0
-    for low, n in runs:
+    for low, n in runs if mask else ():
         smear, covered = mask, 1
         while covered * 2 <= n:
             smear |= smear >> covered
@@ -280,51 +284,38 @@ def _overlaps(mask: int, runs: tuple[tuple[int, int], ...]) -> int:
     return out
 
 
-@dataclass
-class _Undo:
-    """What one placement can change, as it was before: the slot's kinds and
-    tagging, and the variant's masks and reference membership; plus the
-    placements it added."""
-
-    slot: _Slot
-    variant: int
-    kinds: Optional[KindSet]
-    masks: tuple[int, int, int, int]
-    is_ref: bool
-    tagged: bool
-    placements: list[Placement] = dfield(default_factory=list)
+# What one placement can change, as it was before: the slot, the variant,
+# the slot's kinds, the variant's masks (const, ones, wild, field), whether
+# the variant held a reference there and whether the slot was tagged; and
+# the placements it added.
+_Undo = tuple[_Slot, int, Optional[KindSet], tuple[int, ...], bool, bool, list[Placement]]
 
 
-@dataclass
-class _Unit:
+class _Unit(NamedTuple):
     """One search item, placed contiguously in one slot: fields at fixed
     relative offsets plus constant and wildcard bits. A #solve item may
-    hold several fields or none; a plain field is a unit of its own."""
+    hold several fields or none; a plain field is a unit of its own. The
+    offset search shifts the runs of the pattern's field bits, and of its
+    wildcards, constant ones and constant zeros (`other_runs`, None when it
+    has neither wildcards nor constants)."""
 
     fields: tuple[tuple[int, FieldSlot], ...]  # (relative offset, field)
     pattern: BitPattern  # its free bits are wildcards
     kinds: KindSet
-    ref: Optional[FieldSlot] = None  # the field, when a lone reference
-
-    def __post_init__(self):
-        # what the offset search shifts: the runs of the pattern's field
-        # bits, and of its wildcards, constant ones and constant zeros, or
-        # None when it has neither wildcards nor constants
-        p = self.pattern
-        self.field_runs = _runs(p.field)
-        self.other_runs = (
-            (_runs(p.free), _runs(p.ones), _runs(p.const & ~p.ones))
-            if p.const or p.free else None
-        )
+    ref: Optional[FieldSlot]  # the field, when a lone reference
+    field_runs: tuple[tuple[int, int], ...]
+    other_runs: Optional[tuple[tuple[tuple[int, int], ...], ...]]
 
     @staticmethod
     def of(f: FieldSlot) -> _Unit:
-        return _Unit(
-            ((0, f),),
-            BitPattern(f.width, field=(1 << f.width) - 1),
-            f.kinds,
-            None if f.ref_mode == REF_NONE else f,
-        )
+        ref, w = (None if f.ref_mode == REF_NONE else f), f.width
+        return _Unit(((0, f),), BitPattern(w, 0, 0, (1 << w) - 1), f.kinds, ref, ((0, w),), None)
+
+    @staticmethod
+    def item(fields: tuple[tuple[int, FieldSlot], ...], p: BitPattern, kinds: KindSet) -> _Unit:
+        other = (_runs(p.free), _runs(p.ones), _runs(p.const & ~p.ones)) if (
+            p.const or p.free) else None
+        return _Unit(fields, p, kinds, None, _runs(p.field), other)
 
     def names(self) -> list[str]:
         return [f.name for _, f in self.fields]
@@ -339,6 +330,14 @@ class _State:
         self.placements: dict[tuple[int, str], Placement] = {}
         tagging = target.ref_tagging
         self.tags = None if tagging is None else (tagging.ref_pattern, tagging.value_pattern)
+
+    def copy(self) -> _State:
+        out = object.__new__(_State)
+        out.__dict__ = {
+            **self.__dict__, "slots": list(map(_Slot.copy, self.slots)),
+            "placements": dict(self.placements),
+        }
+        return out
 
     def new_slot(self, width: int, kinds: Optional[KindSet]) -> _Slot:
         s = _Slot(len(self.slots), width, kinds, self.n, self.tags)
@@ -360,10 +359,9 @@ class _State:
             new_kinds = slot.kinds & unit.kinds
             if not new_kinds:
                 return None
+        added: list[Placement] = []
         masks = (slot.const[v], slot.ones[v], slot.wild[v], slot.field[v])
-        undo = _Undo(
-            slot, v, slot.kinds, masks, v in slot.ref_variants, slot.tagged
-        )
+        undo = (slot, v, slot.kinds, masks, v in slot.ref_variants, slot.tagged, added)
         if unit.ref is not None:
             # the tagging fixes a reference's offset and width
             placed = self._place_ref(slot, v, unit.ref)
@@ -384,9 +382,9 @@ class _State:
                 slot.add_consts(v, p.const << offset, p.ones << offset, p.free << offset)
         for rel, f in unit.fields:
             pl = Placement(slot.index, offset + rel, ref_width or f.width, f)
-            slot.add_field(v, pl)
+            slot.field[v] |= ((1 << pl.width) - 1) << pl.offset
             self.placements[(v, f.name)] = pl
-            undo.placements.append(pl)
+            added.append(pl)
         slot.kinds = new_kinds
         return undo
 
@@ -426,15 +424,14 @@ class _State:
         return (offset, width)
 
     def unplace(self, undo: _Undo) -> None:
-        slot = undo.slot
-        v = undo.variant
-        for pl in undo.placements:
+        slot, v, kinds, masks, is_ref, tagged, added = undo
+        for pl in added:
             del self.placements[(v, pl.field.name)]
-        slot.kinds = undo.kinds
-        slot.const[v], slot.ones[v], slot.wild[v], slot.field[v] = undo.masks
-        if not undo.is_ref:
+        slot.kinds = kinds
+        slot.const[v], slot.ones[v], slot.wild[v], slot.field[v] = masks
+        if not is_ref:
             slot.ref_variants.discard(v)
-        slot.tagged = undo.tagged
+        slot.tagged = tagged
 
     # -- pattern assembly --
 
@@ -464,9 +461,8 @@ class _State:
 # Completion and scoring
 
 
-def _pick_kind(kinds: Optional[KindSet], ref_bearing: bool, target: Target) -> ScalarKind:
-    if kinds is None:
-        kinds = target.kinds_for_int(32)
+@lru_cache(maxsize=256)  # one entry per set of scalar kinds and flag
+def _pick_kind(kinds: KindSet, ref_bearing: bool) -> ScalarKind:
     order = [k for k in _KIND_PREFERENCE if k in kinds]
     if ref_bearing:
         refs = [k for k in order if k.ref_capable]
@@ -476,15 +472,12 @@ def _pick_kind(kinds: Optional[KindSet], ref_bearing: bool, target: Target) -> S
 
 
 def _freeze_slots(state: _State) -> list[ScalarSlot]:
-    return [
-        ScalarSlot(
-            kind=_pick_kind(s.kinds, bool(s.ref_variants), state.target),
-            kinds=s.kinds if s.kinds is not None else state.target.kinds_for_int(32),
-            width=s.width,
-            ref_bearing=bool(s.ref_variants),
-        )
-        for s in state.slots
-    ]
+    out = []
+    for s in state.slots:
+        kinds = s.kinds if s.kinds is not None else state.target.kinds_for_int(32)
+        ref = bool(s.ref_variants)
+        out.append(ScalarSlot(_pick_kind(kinds, ref), kinds, s.width, ref))
+    return out
 
 
 def _dedicated(scheme: TagScheme) -> bool:
@@ -501,20 +494,26 @@ def _access_cost(
     each at offset 0 with bits set above it in its scalar (for a tag, in any
     variant), and 2 per decision-tree level. A bit counts as set when it is a
     constant one or a field bit, so free bits read as 0 and the patterns may
-    be taken before or after their free bits are fixed."""
+    be taken before or after their free bits are fixed; an explicit tag's
+    value bits count as set, so they may also be taken before the tag is
+    written."""
+    in_place = isinstance(scheme, ExplicitTag) and not scheme.dedicated
     access = 0
     for (v, _), pl in placements.items():
         if pl.offset > 0:
             access += 2
         else:
             p = patterns[v][pl.slot]
-            if (p.ones | p.field) >> pl.width:
+            bits = p.ones | p.field
+            if in_place and pl.slot == scheme.slot:
+                bits |= v << scheme.offset
+            if bits >> pl.width:
                 access += 1
     if isinstance(scheme, ExplicitTag):
         if scheme.offset > 0:
             access += 2
-        elif any((row[scheme.slot].ones | row[scheme.slot].field) >> scheme.width
-                 for row in patterns):
+        elif in_place and any((row[scheme.slot].ones | row[scheme.slot].field) >> scheme.width
+                              for row in patterns):
             access += 1
     elif isinstance(scheme, TreeTag):
         access += 2 * tree_depth(scheme.tree)
@@ -526,51 +525,59 @@ def score_layout(sol: LayoutSolution) -> Score:
     return Score(len(sol.slots), access, int(_dedicated(sol.tag_scheme)))
 
 
+def _zero_free(p: BitPattern) -> BitPattern:
+    """`p` with its free bits made constant 0: `p.fix(p.free, 0)`."""
+    free = ((1 << p.width) - 1) & ~(p.const | p.field)
+    return BitPattern(p.width, p.const | free, p.ones & ~free, p.field)
+
+
 def _tag_in_place(rows: list[list[BitPattern]], s: int, offset: int, width: int):
-    """Explicit tagging that writes the variant index into `width` bits of
-    scalar `s` at `offset`: (patterns, scheme)."""
+    """The rows with the variant index written into `width` bits of scalar
+    `s` at `offset`."""
     mask = ((1 << width) - 1) << offset
-    tagged = [
-        row[:s] + [row[s].fix(mask, v << offset)] + row[s + 1 :] for v, row in enumerate(rows)
-    ]
-    return tagged, ExplicitTag(s, offset, width, dedicated=False)
+    return [row[:s] + [row[s].fix(mask, v << offset)] + row[s + 1 :] for v, row in enumerate(rows)]
 
 
 def _tag_appended(rows: list[list[BitPattern]], width: int):
-    """Explicit tagging in a fresh minimal-width integer scalar appended to
-    each row, a bare tag when the rows hold no scalar: (patterns, scheme)."""
+    """The rows with the variant index in a fresh `width`-bit scalar appended
+    to each."""
     full = (1 << width) - 1
-    tagged = [row + [BitPattern(width, full, v & full)] for v, row in enumerate(rows)]
-    return tagged, (ExplicitTag if rows[0] else BareTag)(len(rows[0]), 0, width, True)
+    return [row + [BitPattern(width, full, v & full)] for v, row in enumerate(rows)]
 
 
-def _solution(adt, target, placements, slots, patterns, scheme) -> LayoutSolution:
-    """A scored solution over the data scalars `slots`, plus the tag scalar
-    when `scheme` is dedicated. Its free bits are made constant 0."""
+# a tagging completion: (score key, scheme, patterns), the patterns before
+# an explicit tag is written and with a tree's free bits resolved
+Candidate = tuple[tuple[int, int], TagScheme, list[list[BitPattern]]]
+
+
+def _candidate(state: _State, rows: list[list[BitPattern]], scheme: TagScheme) -> Candidate:
+    dedicated = _dedicated(scheme)
+    access = _access_cost(state.placements, rows, scheme)
+    return (len(state.slots) + dedicated, access + dedicated), scheme, rows
+
+
+def _solution(state: _State, cand: Candidate) -> LayoutSolution:
+    """The scored solution of `state` completed by `cand`, plus the tag
+    scalar when the tag is dedicated. Its free bits are made constant 0."""
+    _, scheme, patterns = cand
+    slots = _freeze_slots(state)
     if _dedicated(scheme):
-        kinds = target.kinds_for_int(scheme.width)
-        slots = slots + [
-            ScalarSlot(
-                kind=_pick_kind(kinds, False, target),
-                kinds=kinds,
-                width=scheme.width,
-            )
-        ]
+        kinds = state.target.kinds_for_int(scheme.width)
+        slots.append(ScalarSlot(_pick_kind(kinds, False), kinds, scheme.width))
+        patterns = _tag_appended(patterns, scheme.width)
+    elif isinstance(scheme, ExplicitTag):
+        patterns = _tag_in_place(patterns, scheme.slot, scheme.offset, scheme.width)
     sol = LayoutSolution(
-        adt=adt,
-        target=target,
+        adt=state.adt,
+        target=state.target,
         slots=slots,
-        placements=dict(placements),
-        patterns=[[p.fix(p.free, 0) for p in row] for row in patterns],
+        placements=dict(state.placements),
+        patterns=[[_zero_free(p) for p in row] for row in patterns],
         tag_scheme=scheme,
         score=Score(0, 0, 0),
     )
     sol.score = score_layout(sol)
     return sol
-
-
-# a tagging completion: (score key, patterns, scheme)
-Candidate = tuple[tuple[int, int], list[list[BitPattern]], TagScheme]
 
 
 def _candidates(
@@ -582,24 +589,17 @@ def _candidates(
     be omitted. A tree's complete free-bit search is charged to `charge`
     (see `distinguish.derive_tree`); when the charge is refused the state
     gets no tree."""
-    n = state.n
+    n, m = state.n, len(state.slots)
     base = state.build_patterns()
+    if n == 1:
+        return [_candidate(state, base, SingleVariant())]
     results: list[Candidate] = []
 
-    def add(patterns: list[list[BitPattern]], scheme: TagScheme) -> None:
-        access = _access_cost(state.placements, patterns, scheme)
-        key = (len(patterns[0]), access + _dedicated(scheme))
-        results.append((key, patterns, scheme))
-
-    if n == 1:
-        add(base, SingleVariant())
-        return results
-
     tw = tag_width_for(n)
-    for s in range(len(state.slots)):
+    for s in range(m):
         found = shared_free_run(base, s, tw)
         if found is not None:
-            add(*_tag_in_place(base, s, found, tw))
+            results.append(_candidate(state, base, ExplicitTag(s, found, tw, dedicated=False)))
 
     # A classification tree costs at least 2 per level and needs ceil(log2 n)
     # levels. With two variants a tree is not tried once an in-place tag was
@@ -608,7 +608,7 @@ def _candidates(
     # unit. The tag is kept so that case 0 has its tag bits 0, and an
     # all-zero value is case 0 (an option's nullary case).
     fields = _access_cost(state.placements, base, SingleVariant())  # before tagging
-    tree_bound = (len(state.slots), fields + 2 * tw)
+    tree_bound = (m, fields + 2 * tw)
     have = min(
         [key for key, _, _ in results] + ([best_key] if best_key is not None else []),
         default=None,
@@ -618,13 +618,14 @@ def _candidates(
         derived = distinguish.derive_tree(base, charge)
         if derived is not None:
             tree, resolved = derived
-            add(resolved, TreeTag(tree))
+            results.append(_candidate(state, resolved, TreeTag(tree)))
 
     # an appended tag costs an extra scalar, so any same-slot-count candidate
     # beats it; build it only as the fallback
-    appended_bound = (len(state.slots) + 1, fields + 1)
+    appended_bound = (m + 1, fields + 1)
     if not results and (best_key is None or best_key > appended_bound):
-        add(*_tag_appended(base, tw))
+        scheme = (ExplicitTag if m else BareTag)(m, 0, tw, True)
+        results.append(_candidate(state, base, scheme))
     return results
 
 
@@ -638,13 +639,7 @@ def _complete(
     for cand in _candidates(state, best_key, charge):
         if best_key is None or cand[0] < best_key:
             best_key, pick = cand[0], cand
-    if pick is None:
-        return None
-    _, patterns, scheme = pick
-    return _solution(
-        state.adt, state.target, state.placements, _freeze_slots(state), patterns, scheme
-    )
-
+    return None if pick is None else _solution(state, pick)
 
 # ---------------------------------------------------------------------------
 # Annotation preprocessing
@@ -702,7 +697,7 @@ def _apply_annotations(state: _State) -> list[tuple[int, int, _Unit]]:
                             adt.name, list(item.assignments), "no common scalar kind"
                         )
                     fields.sort(key=lambda rf: rf[0])
-                    units.append((v, j, _Unit(tuple(fields), item.pattern, kinds)))
+                    units.append((v, j, _Unit.item(tuple(fields), item.pattern, kinds)))
     for i, variant in enumerate(adt.variants):
         for f in variant.fields:
             pin = pins.get((i, f.name))
@@ -728,12 +723,10 @@ def trivial_layout(adt: MonoAdt, target: Target) -> LayoutSolution:
             slot = state.new_slot(target.kind_width(f.kinds), None)
             undo = state.place(i, _Unit.of(f), slot)
             assert undo is not None, f"trivial placement failed for {f.name}"
-    base = state.build_patterns()
-    if state.n == 1:
-        patterns, scheme = base, SingleVariant()
-    else:
-        patterns, scheme = _tag_appended(base, tag_width_for(state.n))
-    return _solution(bare, target, state.placements, _freeze_slots(state), patterns, scheme)
+    m = len(state.slots)
+    scheme = SingleVariant() if state.n == 1 else (
+        (ExplicitTag if m else BareTag)(m, 0, tag_width_for(state.n), True))
+    return _solution(state, _candidate(state, state.build_patterns(), scheme))
 
 
 def solve_layout(adt: MonoAdt, target: Target, budget: int = 10_000) -> LayoutSolution:
@@ -763,43 +756,36 @@ def _bins_lower_bound(widths: list[int], width: int) -> int:
     return len(big) + max(0, -(-(sum(widths) - width * len(big)) // width))
 
 
-@lru_cache(maxsize=16)
-def _kind_classes(kind_sets: tuple[KindSet, ...], word_width: int):
-    """The kind sets merged where they share a kind, and their widths:
-    units of two classes never share a scalar, and the scalars of one class
-    have one width."""
-    classes: list[KindSet] = []
-    for kinds in kind_sets:
-        joined = [c for c in classes if c & kinds]
-        classes = [c for c in classes if not c & kinds] + [kinds.union(*joined)]
-    return tuple(classes), tuple(next(iter(c)).width(word_width) for c in classes)
-
-
 class _Search:
     """An attempt fixes how many fresh scalars each kind class may open
-    (`quota`) and the scalar whose top tag bits stay free (`reserve`)."""
+    (`quota`) and the scalar whose top tag bits stay free (`reserve`). The
+    #packing scalars, their constants and the fields they pin are set up
+    once, in `base`, which each attempt copies."""
 
     def __init__(self, adt: MonoAdt, target: Target, budget: int):
         self.adt, self.target, self.budget, self.n = adt, target, budget, len(adt.variants)
+        self.tw = tag_width_for(self.n)
         self.steps, self.finished = 0, True
         self.failures: set[str] = set()  # #solve units that did not fit their scalar
-        self.classes, self.widths = _kind_classes(
-            tuple(target.kind_table.values()), target.word_width)
-        state = _State(adt, target)
-        units = _apply_annotations(state)
-        self.entries = len(state.slots)
-        placed = set(state.placements) | {(v, name) for v, _, u in units for name in u.names()}
-        # per variant: its free references, and its search items (unit,
-        # restricted scalar, whether it is a free field equal to the one
-        # before, which then starts at that one's scalar so that equal fields
-        # are tried in one order): #solve units, then free fields, each in
-        # descending width
-        self.refs, self.items = [], []
-        self.lows, self.highs = [0] * len(self.classes), [0] * len(self.classes)
+        self.widths = target.class_widths
+        self.base = _State(adt, target)
+        units = _apply_annotations(self.base)
+        self.entries = len(self.base.slots)
+        placed = set(self.base.placements) | {(v, name) for v, _, u in units for name in u.names()}
+        # the free references as (variant, unit); per variant: the keys of its
+        # placements and its search items (unit, restricted scalar, whether it is a free
+        # field equal to the one before, which then starts at that one's
+        # scalar so that equal fields are tried in one order): #solve units,
+        # then free fields, each in descending width; and the free fields'
+        # widths, which end its items
+        self.keys, self.refs, self.items, self.free_widths = [], [], [], []
+        self.lows, self.highs = [0] * len(self.widths), [0] * len(self.widths)
         low_bits = target.ref_tagging.free_low_bits if target.ref_tagging else 0
         for i, variant in enumerate(adt.variants):
+            self.keys.append([(i, f.name) for f in variant.fields])
             free = [_Unit.of(f) for f in variant.fields if (i, f.name) not in placed]
-            self.refs.append([u for u in free if u.ref])
+            refs = [u for u in free if u.ref]
+            self.refs += [(i, u) for u in refs]
             row = [(u, j) for v, j, u in units if v == i] + [(u, None) for u in free if not u.ref]
             row.sort(key=lambda uj: (uj[1] is None, -uj[0].pattern.width))  # stable
             follows = [False] + [
@@ -807,33 +793,41 @@ class _Search:
                 for (u0, j0), (u1, j1) in zip(row, row[1:])
             ]
             self.items.append([(u, j, f) for (u, j), f in zip(row, follows)])
+            self.free_widths.append([u.pattern.width for u, j in row if j is None])
             by_class: dict[int, list[int]] = {}
-            for u in [u for u, j in row if j is None] + self.refs[-1]:
+            for u in [u for u, j in row if j is None] + refs:
                 # a plain reference leaves the tagging's low bits to others
                 low = low_bits if u.ref and u.ref.ref_mode == REF_PLAIN else 0
-                by_class.setdefault(self.class_of(u.kinds), []).append(u.pattern.width - low)
+                by_class.setdefault(target.class_of[u.kinds], []).append(u.pattern.width - low)
             for c, ws in by_class.items():
                 self.lows[c] = max(self.lows[c], _bins_lower_bound(ws, self.widths[c]) - self.entries)
                 # a reference needs a scalar whose bit 0 holds no field of
                 # another variant, so only one scalar per item surely suffices
                 self.highs[c] += len(ws)
 
-    def class_of(self, kinds: KindSet) -> int:
-        return next(c for c, ks in enumerate(self.classes) if ks & kinds)
-
     def run(self) -> LayoutSolution:
+        best = self.search()
+        if best is None:
+            cut = "" if self.finished else "the step budget ran out first"
+            raise AnnotationInfeasible(self.adt.name, list(self.failures), cut)
+        best.steps_used, best.finished = self.steps, self.finished
+        return best
+
+    def search(self) -> Optional[LayoutSolution]:
         best: Optional[LayoutSolution] = None
+        key = None  # best's score key
         # a tag's least cost: in an unannotated ADT some variant holds a field
         # or a reference tag at bit 0 of every scalar, so a tag is shifted
         tag_cost = 0 if self.n == 1 else 1 if self.adt.packing is not None else 2
+        ranges = [range(lo, hi + 1) for lo, hi in zip(self.lows, self.highs)]
         for m in range(self.entries + sum(self.lows), self.entries + sum(self.highs) + 1):
-            if best is not None and best.score.num_scalars < m:
-                break
-            splits = product(*(range(lo, hi + 1) for lo, hi in zip(self.lows, self.highs)))
-            for quota in (q for q in splits if sum(q) == m - self.entries):
+            for quota in product(*ranges):
+                if sum(quota) != m - self.entries:
+                    continue
                 floor = None  # the cost with no reservation, which no reservation beats
                 for reserve in [None] + list(range(m if self.n > 1 else 0)):
-                    key = best.score.key() if best is not None else None
+                    if key is not None and key <= (m, tag_cost):
+                        return best  # the least key of any layout from count m on
                     if floor is not None and key is not None and (m, floor + tag_cost) >= key:
                         break
                     state, cost = self.attempt(quota, reserve)
@@ -845,10 +839,7 @@ class _Search:
                     if state is not None and len(state.slots) == m and (
                             key is None or (m, cost + tag_cost) < key):
                         best = _complete(state, key, self.charge) or best
-        if best is None:
-            cut = "" if self.finished else "the step budget ran out first"
-            raise AnnotationInfeasible(self.adt.name, list(self.failures), cut)
-        best.steps_used, best.finished = self.steps, self.finished
+                        key = best.score.key() if best is not None else None
         return best
 
     def charge(self) -> bool:
@@ -864,11 +855,10 @@ class _Search:
         """Every variant's references placed first fit, then each variant
         packed: (state, summed cost), or (None, 0) when one does not fit."""
         self.quota, self.reserve, self.opened = quota, reserve, [0] * len(quota)
-        state = _State(self.adt, self.target)
-        _apply_annotations(state)
+        state = self.base.copy()
         if reserve is not None and reserve < len(state.slots):
             self.keep_tag_free(state.slots[reserve])
-        if not all(self.fit(state, v, u, None, 0) for v, refs in enumerate(self.refs) for u in refs):
+        if self.refs and not all(self.fit(state, v, u, None, 0) for v, u in self.refs):
             return None, 0
         total = 0
         for v in range(self.n):
@@ -879,16 +869,16 @@ class _Search:
         return state, total
 
     def keep_tag_free(self, slot: _Slot) -> None:
-        width = tag_width_for(self.n)
         for v in range(self.n):
-            slot.add_consts(v, 0, 0, ((1 << width) - 1) << (slot.width - width))
+            slot.add_consts(v, 0, 0, ((1 << self.tw) - 1) << (slot.width - self.tw))
 
     def cost(self, state: _State, v: int) -> int:
         """The access cost of variant `v`'s placements as they stand; for
         v > 0, a field at offset 0 of the reserved scalar is below the tag."""
         total = 0
-        for (w, _), pl in state.placements.items():
-            if w == v:
+        for key in self.keys[v]:
+            pl = state.placements.get(key)
+            if pl is not None:
                 s = state.slots[pl.slot]
                 total += 2 if pl.offset else bool(
                     v and pl.slot == self.reserve or (s.field[v] | s.ones[v]) >> pl.width)
@@ -901,7 +891,8 @@ class _Search:
         at the bottom of one it shares, and 2 elsewhere; as many of the
         largest stay alone as leave the others room (Martello and Toth's L1
         over the room left)."""
-        widths = [u.pattern.width for u, j, _ in self.items[v][i:] if j is None]
+        free = self.free_widths[v]
+        widths = free[max(0, i - len(self.items[v]) + len(free)):]
         if not widths:
             return self.cost(state, v)
         used, empty = 0, []
@@ -916,7 +907,7 @@ class _Search:
         fresh = [self.widths[c] for c, q in enumerate(self.quota) for _ in range(q - self.opened[c])]
         if fresh and self.reserve is not None and self.reserve >= len(state.slots):
             # the reserved scalar is a fresh one: a state that never opens it is not kept
-            fresh[fresh.index(min(fresh))] -= tag_width_for(self.n)
+            fresh[fresh.index(min(fresh))] -= self.tw
         empty = sorted(empty + fresh)
         lone = min(len(widths), len(empty))
         while sum(widths[lone:]) > used + sum(empty[lone:]):
@@ -953,8 +944,8 @@ class _Search:
             undo = state.place(v, unit, s) if idx >= k else None
             if undo is not None:
                 return idx, undo, None
-        c = self.class_of(unit.kinds)
-        if k > len(slots) or self.opened[c] >= self.quota[c] or any(
+        c = self.target.class_of[unit.kinds]
+        if k > len(slots) or self.opened[c] >= self.quota[c] or blanks and any(
                 width == self.widths[c] and (kinds is None or kinds & unit.kinds)
                 for width, kinds in blanks):
             return None
@@ -974,6 +965,8 @@ class _Search:
         when none fits. The search stops at a packing that meets the bound
         of its root, and at the budget with the best so far."""
         items = self.items[v]
+        if not items:
+            return self.cost(state, v)
         target = self.bound(state, v, 0)
         path: list = []  # (scalar index, undo, class of a fresh scalar) per placed item
         best: Optional[tuple[int, list[int]]] = None  # (cost, scalar indexes)

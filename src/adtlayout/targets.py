@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 from .distinguish import BitPattern, parse_pattern
@@ -78,6 +78,13 @@ class Target:
     word_width: int
     kind_table: dict[str, KindSet]  # classes: int32 int64 float32 float64 ref
     ref_tagging: Optional[RefTagging] = None
+    # Derived from the table: its kind sets merged where they share a kind,
+    # and their widths (units of two classes never share a scalar, and the
+    # scalars of one class have one width); and for every kind set a scalar
+    # can have, that is every non-empty subset of a class, its class index.
+    kind_classes: tuple[KindSet, ...] = field(init=False, repr=False, compare=False)
+    class_widths: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    class_of: dict[KindSet, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for cls in ("int32", "int64", "float32", "float64", "ref"):
@@ -94,6 +101,19 @@ class Target:
             raise ValueError(
                 f"target {self.name}: free_low_bits must be in 1..{self.word_width - 1}"
             )
+        classes: list[KindSet] = []
+        for kinds in self.kind_table.values():
+            joined = [c for c in classes if c & kinds]
+            classes = [c for c in classes if not c & kinds] + [kinds.union(*joined)]
+        class_of = {}
+        for i, c in enumerate(classes):
+            kinds = list(c)
+            for bits in range(1, 1 << len(kinds)):
+                class_of[frozenset(k for j, k in enumerate(kinds) if bits >> j & 1)] = i
+        object.__setattr__(self, "kind_classes", tuple(classes))
+        object.__setattr__(self, "class_widths",
+                           tuple(next(iter(c)).width(self.word_width) for c in classes))
+        object.__setattr__(self, "class_of", class_of)
 
     def kinds_for_int(self, width: int) -> KindSet:
         return self.kind_table["int32" if width <= 32 else "int64"]
@@ -106,7 +126,7 @@ class Target:
         return self.kind_table["ref"]
 
     def kind_width(self, kinds: KindSet) -> int:
-        return next(iter(kinds)).width(self.word_width)
+        return self.class_widths[self.class_of[kinds]]
 
 
 def _ks(*kinds: ScalarKind) -> KindSet:
@@ -314,15 +334,14 @@ def monomorphize_adt(
         for fname, ftype in source_fields:
             fields.extend(_normalize_field(fname, ftype, env))
         variants.append(MonoVariant(v.name, source_fields, tuple(fields)))
-    mono = MonoAdt(
+    return MonoAdt(
         name=key,
         variants=tuple(variants),
         recursive=key in env.recursive_keys,
         captured=decl.captured,
         unboxed_annot=decl.unboxed,
+        packing=_flatten_adt_packing(decl, variants, env),
     )
-    packing = _flatten_adt_packing(decl, mono, env)
-    return replace(mono, packing=packing)
 
 
 def _normalize_field(name: str, t: TypeExpr, env: AdtEnv) -> list[FieldSlot]:
@@ -370,16 +389,18 @@ def _embed_unboxed(name: str, ref_key: str, info: ResolvedAdt, env: AdtEnv) -> l
     return out
 
 
-def _flatten_adt_packing(decl: AdtDecl, mono: MonoAdt, env: AdtEnv):
+def _flatten_adt_packing(decl: AdtDecl, variants: list[MonoVariant], env: AdtEnv):
     if not decl.has_packing:
         return None
     per_variant: list[Optional[tuple[AnnotationEntry, ...]]] = []
-    for i, variant in enumerate(mono.variants):
+    for i, variant in enumerate(variants):
         exprs = decl.packing_for_variant(i)
         if exprs is None:
             per_variant.append(None)
             continue
-        ctx = env.packings.with_gamma({f.name: f.width for f in variant.fields})
+        gamma = {f.name: f.width for f in variant.fields}
+        spread = {n: print_type(t) for n, t in variant.source_fields if n not in gamma}
+        ctx = env.packings.with_gamma(gamma, spread)
         per_variant.append(tuple(flatten_annotation(list(exprs), ctx)))
     return tuple(per_variant)
 

@@ -385,6 +385,19 @@ def test_type_without_cases_is_syntax_error(tmp_path, source, command, capsys):
          "error: E013 at 1:53: unbound field 'nope'\n"),
         ("type T #unboxed { case A(x: u8) #packing Nope(x); }",
          "error: E013 at 1:42: unbound packing 'Nope'\n"),
+        # a field whose type unboxes into several scalars is declared but has
+        # no width of its own
+        ("type R { case A(x: u8); }\n"
+         "type P #unboxed { case C(r: R, y: u8) #packing #concat(r, y); }",
+         "error: E013 at 2:56: field 'r' of unboxed type R spreads over scalars "
+         "that a #packing cannot name\n"),
+        ("type R { case A(x: u8); }\n"
+         "type P #unboxed { case C(r: R, y: u8) #packing #solve(r, y); }",
+         "error: E013 at 2:55: field 'r' of unboxed type R spreads over scalars "
+         "that a #packing cannot name\n"),
+        ("type Q #unboxed { case C(t: (u4, u4)) #packing t; }",
+         "error: E013 at 1:48: field 't' of unboxed type (u4, u4) spreads over scalars "
+         "that a #packing cannot name\n"),
         ("packing P(a: 8): 8 = a; type T #unboxed { case A(x: u8, y: u8) #packing P(x, y); }",
          "error: E010 at 1:73: P expects 1 arguments, got 2\n"),
         ("type T #unboxed { case A(x: u8, y: u8) #packing #concat(x, #solve(y)); }",
@@ -396,6 +409,7 @@ def test_type_without_cases_is_syntax_error(tmp_path, source, command, capsys):
     ],
     ids=["polymorphic-recursion", "wrong-arity", "packing-too-wide", "concat-reuse",
          "argument-reuse", "unused-parameter", "unbound-field", "unbound-packing",
+         "unboxed-field-concat", "unboxed-field-solve", "tuple-field",
          "packing-arity", "nested-solve", "argument-width", "wider-than-64"],
 )
 def test_check_and_layout_reject_alike(tmp_path, source, message, command, capsys):

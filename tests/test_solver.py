@@ -512,18 +512,16 @@ def test_many_fields_in_one_variant_solve_without_recursion_limit():
 
 
 def test_candidate_keys_equal_built_scores(monkeypatch):
-    """Each completion candidate's key, computed from its masks, equals
-    score_layout's key of the solution built from it."""
+    """Each completion candidate's key, computed from its masks before the
+    tag is written, equals score_layout's key of the solution built from it."""
     kinds = set()
     original = solver._complete
 
     def checking(state, best_key=None, charge=None):
-        for key, patterns, scheme in solver._candidates(state):
-            sol = solver._solution(
-                state.adt, state.target, state.placements,
-                solver._freeze_slots(state), patterns, scheme,
-            )
-            assert key == score_layout(sol).key(), (state.adt.name, scheme)
+        for cand in solver._candidates(state):
+            key, scheme, _ = cand
+            sol = solver._solution(state, cand)
+            assert key == score_layout(sol).key() == sol.score.key(), (state.adt.name, scheme)
             kinds.add(scheme.kind_name)
         return original(state, best_key, charge)
 
