@@ -18,7 +18,7 @@ E016 duplicate field placement.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Union
+from typing import Optional, Union
 
 from .distinguish import BitPattern, join_patterns, parse_pattern, print_pattern
 from .syntax import (
@@ -111,8 +111,10 @@ class SizeContext:
     bodies: dict[str, FlattenedPacking] = field(default_factory=dict)
     spread: dict[str, str] = field(default_factory=dict)
 
-    def with_gamma(self, gamma: dict[str, int], spread: dict[str, str] = {}) -> "SizeContext":
-        return SizeContext(dict(gamma), self.delta, self.bodies, dict(spread))
+    def with_gamma(
+        self, gamma: dict[str, int], spread: Optional[dict[str, str]] = None
+    ) -> "SizeContext":
+        return SizeContext(dict(gamma), self.delta, self.bodies, dict(spread or {}))
 
 
 def _layout_runs(layout: BitLayout) -> dict[str, tuple[int, int]]:

@@ -273,7 +273,7 @@ def _overlaps(mask: int, runs: tuple[tuple[int, int], ...]) -> int:
     """The offsets, as a mask, at which bits in `runs` shifted left meet
     `mask`: the OR of `mask >> b` over the bits b, by doubling shifts."""
     out = 0
-    for low, n in runs if mask else ():
+    for low, n in runs:
         smear, covered = mask, 1
         while covered * 2 <= n:
             smear |= smear >> covered
@@ -525,12 +525,6 @@ def score_layout(sol: LayoutSolution) -> Score:
     return Score(len(sol.slots), access, int(_dedicated(sol.tag_scheme)))
 
 
-def _zero_free(p: BitPattern) -> BitPattern:
-    """`p` with its free bits made constant 0: `p.fix(p.free, 0)`."""
-    free = ((1 << p.width) - 1) & ~(p.const | p.field)
-    return BitPattern(p.width, p.const | free, p.ones & ~free, p.field)
-
-
 def _tag_in_place(rows: list[list[BitPattern]], s: int, offset: int, width: int):
     """The rows with the variant index written into `width` bits of scalar
     `s` at `offset`."""
@@ -572,7 +566,7 @@ def _solution(state: _State, cand: Candidate) -> LayoutSolution:
         target=state.target,
         slots=slots,
         placements=dict(state.placements),
-        patterns=[[_zero_free(p) for p in row] for row in patterns],
+        patterns=[[p.fix(p.free, 0) for p in row] for row in patterns],
         tag_scheme=scheme,
         score=Score(0, 0, 0),
     )
@@ -640,6 +634,7 @@ def _complete(
         if best_key is None or cand[0] < best_key:
             best_key, pick = cand[0], cand
     return None if pick is None else _solution(state, pick)
+
 
 # ---------------------------------------------------------------------------
 # Annotation preprocessing
@@ -738,12 +733,13 @@ def solve_layout(adt: MonoAdt, target: Target, budget: int = 10_000) -> LayoutSo
     first fit, each variant is packed by a depth-first search cut by a
     lower bound on its cost, and the state is completed with an in-place
     tag, a decision tree or an appended tag. The first count that admits a
-    layout ends the search. A step is a placement made after a variant's
-    search first backtracks, or a node of a tree's complete free-bit search
-    after it first backtracks, so every budget gives at least a first-fit
-    layout; `finished` is False when the budget cut a search. Deterministic
-    in (adt, target, budget). An annotated ADT with no feasible layout
-    raises AnnotationInfeasible.
+    layout ends the search, and so does a layout whose key is the least any
+    layout at the current count can have. A step is a placement made after
+    a variant's search first backtracks, or a node of a tree's complete
+    free-bit search after it first backtracks, so every budget gives at
+    least a first-fit layout; `finished` is False when the budget cut a
+    search. Deterministic in (adt, target, budget). An annotated ADT with
+    no feasible layout raises AnnotationInfeasible.
     """
     return _Search(adt, target, budget).run()
 
@@ -772,12 +768,12 @@ class _Search:
         units = _apply_annotations(self.base)
         self.entries = len(self.base.slots)
         placed = set(self.base.placements) | {(v, name) for v, _, u in units for name in u.names()}
-        # the free references as (variant, unit); per variant: the keys of its
-        # placements and its search items (unit, restricted scalar, whether it is a free
-        # field equal to the one before, which then starts at that one's
-        # scalar so that equal fields are tried in one order): #solve units,
-        # then free fields, each in descending width; and the free fields'
-        # widths, which end its items
+        # the free references as (variant, unit); per variant: the keys of
+        # its placements, its search items (unit, restricted scalar, whether
+        # it is a free field equal to the one before, which then starts at
+        # that one's scalar so that equal fields are tried in one order):
+        # #solve units, then free fields, each in descending width; and the
+        # free fields' widths, which end its items
         self.keys, self.refs, self.items, self.free_widths = [], [], [], []
         self.lows, self.highs = [0] * len(self.widths), [0] * len(self.widths)
         low_bits = target.ref_tagging.free_low_bits if target.ref_tagging else 0

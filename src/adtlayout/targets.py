@@ -11,6 +11,7 @@ from __future__ import annotations
 import enum
 import json
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import Optional
 
 from .distinguish import BitPattern, parse_pattern
@@ -78,11 +79,11 @@ class Target:
     word_width: int
     kind_table: dict[str, KindSet]  # classes: int32 int64 float32 float64 ref
     ref_tagging: Optional[RefTagging] = None
-    # Derived from the table: its kind sets merged where they share a kind,
-    # and their widths (units of two classes never share a scalar, and the
-    # scalars of one class have one width); and for every kind set a scalar
-    # can have, that is every non-empty subset of a class, its class index.
-    kind_classes: tuple[KindSet, ...] = field(init=False, repr=False, compare=False)
+    # Derived from the table: the widths of its kind classes, which are its
+    # kind sets merged where they share a kind (units of two classes never
+    # share a scalar, and the scalars of one class have one width); and for
+    # every kind set a scalar can have, that is every non-empty subset of a
+    # class, its class index.
     class_widths: tuple[int, ...] = field(init=False, repr=False, compare=False)
     class_of: dict[KindSet, int] = field(init=False, repr=False, compare=False)
 
@@ -105,15 +106,11 @@ class Target:
         for kinds in self.kind_table.values():
             joined = [c for c in classes if c & kinds]
             classes = [c for c in classes if not c & kinds] + [kinds.union(*joined)]
-        class_of = {}
-        for i, c in enumerate(classes):
-            kinds = list(c)
-            for bits in range(1, 1 << len(kinds)):
-                class_of[frozenset(k for j, k in enumerate(kinds) if bits >> j & 1)] = i
-        object.__setattr__(self, "kind_classes", tuple(classes))
         object.__setattr__(self, "class_widths",
                            tuple(next(iter(c)).width(self.word_width) for c in classes))
-        object.__setattr__(self, "class_of", class_of)
+        object.__setattr__(self, "class_of", {
+            frozenset(ks): i for i, c in enumerate(classes)
+            for r in range(1, len(c) + 1) for ks in combinations(c, r)})
 
     def kinds_for_int(self, width: int) -> KindSet:
         return self.kind_table["int32" if width <= 32 else "int64"]

@@ -511,6 +511,42 @@ def test_many_fields_in_one_variant_solve_without_recursion_limit():
     assert lay.steps_used == 0
 
 
+def _masks(state) -> list:
+    return [
+        (s.width, s.kinds, s.const, s.ones, s.wild, s.field, s.ref_variants, s.tagged)
+        for s in state.slots
+    ] + [state.placements]
+
+
+def test_attempts_copy_the_annotated_base_state(monkeypatch):
+    """Each attempt works on a copy of the solve's annotated base state: a
+    second solve gives the same report, and after a solve the base holds
+    the masks of a fresh `_apply_annotations`. On x86-32, G's reservation
+    attempt fails once its free field finds no room below the kept tag bits."""
+    source = CORPUS_SRC + "type G #unboxed { case A(x: u8) #packing x; case B(y: u32); }\n"
+    failed = []
+    attempt = solver._Search.attempt
+
+    def spy(self, quota, reserve):
+        state, cost = attempt(self, quota, reserve)
+        if state is None and reserve is not None:
+            failed.append((self.adt.name, self.target.name))
+        return state, cost
+
+    monkeypatch.setattr(solver._Search, "attempt", spy)
+    for target in (X64, JVM, X86_32):
+        layouts = process_adts(parse_program(source), target).layouts()
+        for name in ("C19", "C20", "C21", "C22", "G"):
+            adt = layouts[name].adt
+            search = solver._Search(adt, target, 10_000)
+            first = search.run().to_json()
+            fresh = solver._State(adt, target)
+            solver._apply_annotations(fresh)
+            assert _masks(search.base) == _masks(fresh), (name, target.name)
+            assert solve_layout(adt, target).to_json() == first == layouts[name].to_json()
+    assert ("G", "x86-32") in failed
+
+
 def test_candidate_keys_equal_built_scores(monkeypatch):
     """Each completion candidate's key, computed from its masks before the
     tag is written, equals score_layout's key of the solution built from it."""
