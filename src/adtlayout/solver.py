@@ -784,14 +784,13 @@ class _Search:
             self.refs += [(i, u) for u in refs]
             row = [(u, j) for v, j, u in units if v == i] + [(u, None) for u in free if not u.ref]
             row.sort(key=lambda uj: (uj[1] is None, -uj[0].pattern.width))  # stable
-            follows = [False] + [
-                j0 is None and j1 is None and (u0.pattern, u0.kinds) == (u1.pattern, u1.kinds)
-                for (u0, j0), (u1, j1) in zip(row, row[1:])
-            ]
-            self.items.append([(u, j, f) for (u, j), f in zip(row, follows)])
-            self.free_widths.append([u.pattern.width for u, j in row if j is None])
+            self.items.append([
+                (u, j, j is None and j0 is None and (u.pattern, u.kinds) == (u0.pattern, u0.kinds))
+                for (u, j), (u0, j0) in zip(row, [(None, 0)] + row)])  # (u0, j0) is the one before
+            plain = [u for u, j in row if j is None]
+            self.free_widths.append([u.pattern.width for u in plain])
             by_class: dict[int, list[int]] = {}
-            for u in [u for u, j in row if j is None] + refs:
+            for u in plain + refs:
                 # a plain reference leaves the tagging's low bits to others
                 low = low_bits if u.ref and u.ref.ref_mode == REF_PLAIN else 0
                 by_class.setdefault(target.class_of[u.kinds], []).append(u.pattern.width - low)
