@@ -211,6 +211,7 @@ class _Slot:
         self.tagged = False
 
     def copy(self) -> _Slot:
+        """A copy that shares no mutable part with this slot."""
         out = object.__new__(_Slot)
         out.__dict__ = {
             **self.__dict__, "const": self.const[:], "ones": self.ones[:], "wild": self.wild[:],
@@ -332,6 +333,7 @@ class _State:
         self.tags = None if tagging is None else (tagging.ref_pattern, tagging.value_pattern)
 
     def copy(self) -> _State:
+        """A copy whose slots and placements this state does not share."""
         out = object.__new__(_State)
         out.__dict__ = {
             **self.__dict__, "slots": list(map(_Slot.copy, self.slots)),
