@@ -547,6 +547,30 @@ def test_attempts_copy_the_annotated_base_state(monkeypatch):
     assert ("G", "x86-32") in failed
 
 
+def test_search_stops_once_no_attempt_can_win(monkeypatch):
+    """C23 on x86-32 gets an appended tag scalar from its one-scalar
+    attempts, key (2, 1), below the (2, 2) that a layout tagged within two
+    scalars costs at least, so no attempt at two scalars runs. Progen seed
+    469's T0 on x64 is alike at three scalars: it reports 4 steps, and the
+    skipped attempt would have spent one more for no better layout."""
+    attempts = []
+    attempt = solver._Search.attempt
+
+    def spy(self, quota, reserve):
+        attempts.append((self.adt.name, self.entries + sum(quota), reserve))
+        return attempt(self, quota, reserve)
+
+    monkeypatch.setattr(solver._Search, "attempt", spy)
+    c23 = process_adts(parse_program(CORPUS_SRC), X86_32).layouts()["C23"]
+    assert c23.score.key() == (2, 1) and c23.tag_scheme.dedicated
+    assert [a for a in attempts if a[0] == "C23"] == [("C23", 1, None), ("C23", 1, 0)]
+    attempts.clear()
+    t0 = process_adts(gen_decls(random.Random(469)), X64).resolved["T0"].layout
+    assert t0.score.key() == (3, 1) and t0.tag_scheme.dedicated
+    assert (t0.steps_used, t0.finished) == (4, True)
+    assert {m for name, m, _ in attempts if name == "T0"} == {2}
+
+
 def test_candidate_keys_equal_built_scores(monkeypatch):
     """Each completion candidate's key, computed from its masks before the
     tag is written, equals score_layout's key of the solution built from it."""
