@@ -547,6 +547,7 @@ Candidate = tuple[tuple[int, int], TagScheme, list[list[BitPattern]]]
 
 
 def _candidate(state: _State, rows: list[list[BitPattern]], scheme: TagScheme) -> Candidate:
+    """`state` completed by `scheme` over `rows`, keyed by its score."""
     dedicated = _dedicated(scheme)
     access = _access_cost(state.placements, rows, scheme)
     return (len(state.slots) + dedicated, access + dedicated), scheme, rows
@@ -617,7 +618,7 @@ def _candidates(
             results.append(_candidate(state, resolved, TreeTag(tree)))
 
     # an appended tag costs an extra scalar, so any same-slot-count candidate
-    # beats it; build it only as the fallback
+    # beats it; offer it only as the fallback
     appended_bound = (m + 1, fields + 1)
     if not results and (best_key is None or best_key > appended_bound):
         scheme = (ExplicitTag if m else BareTag)(m, 0, tw, True)
@@ -811,6 +812,7 @@ class _Search:
         return best
 
     def search(self) -> Optional[LayoutSolution]:
+        """The best layout of the attempts, or None when none fits."""
         best: Optional[LayoutSolution] = None
         key = None  # best's score key
         # a tag's least cost: in an unannotated ADT some variant holds a field
@@ -824,7 +826,7 @@ class _Search:
                 floor = None  # the cost with no reservation, which no reservation beats
                 for reserve in [None] + list(range(m if self.n > 1 else 0)):
                     if key is not None and key <= (m, tag_cost):
-                        return best  # the least key of any layout from count m on
+                        return best  # no layout from count m on has a smaller key
                     if floor is not None and key is not None and (m, floor + tag_cost) >= key:
                         break
                     state, cost = self.attempt(quota, reserve)
