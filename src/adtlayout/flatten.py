@@ -103,18 +103,27 @@ class SizeContext:
     """Field-name widths plus the packing declarations in scope, with the
     flattened body of each declaration applied so far. A body depends only
     on its declaration, so contexts that share `delta` share `bodies`.
-    `spread` names the printed type of each field that spreads over several
-    scalars, which no packing can name."""
+    For a case's annotation, `sources` maps each source field to its
+    printed type: bit letters resolve against these names, and a source
+    field that `gamma` lacks spreads over several scalars, which no packing
+    can name. For a declaration's body it is empty, and letters resolve
+    against `gamma`."""
 
     gamma: dict[str, int] = field(default_factory=dict)
     delta: dict[str, PackingDecl] = field(default_factory=dict)
     bodies: dict[str, FlattenedPacking] = field(default_factory=dict)
-    spread: dict[str, str] = field(default_factory=dict)
+    sources: dict[str, str] = field(default_factory=dict)
 
     def with_gamma(
-        self, gamma: dict[str, int], spread: Optional[dict[str, str]] = None
+        self, gamma: dict[str, int], sources: Optional[dict[str, str]] = None
     ) -> "SizeContext":
-        return SizeContext(dict(gamma), self.delta, self.bodies, dict(spread or {}))
+        return SizeContext(dict(gamma), self.delta, self.bodies, dict(sources or {}))
+
+    def check_nameable(self, name: str, pos: tuple[int, int]) -> None:
+        """E013 when source field `name` spreads over several scalars."""
+        if name in self.sources and name not in self.gamma:
+            raise _fail("E013", f"field {name!r} of unboxed type {self.sources[name]} "
+                        "spreads over scalars that a #packing cannot name", pos)
 
 
 def _layout_runs(layout: BitLayout) -> dict[str, tuple[int, int]]:
@@ -173,9 +182,7 @@ def flatten_expr(expr: PackingExpr, ctx: SizeContext) -> FlattenedPacking:
     if isinstance(expr, Empty):
         return FlattenedPacking({}, BitPattern(0))
     if isinstance(expr, FieldRef):
-        if expr.name in ctx.spread:
-            raise _fail("E013", f"field {expr.name!r} of unboxed type {ctx.spread[expr.name]} "
-                        "spreads over scalars that a #packing cannot name", expr.pos)
+        ctx.check_nameable(expr.name, expr.pos)
         if expr.name not in ctx.gamma:
             raise _fail("E013", f"unbound field {expr.name!r}", expr.pos)
         w = ctx.gamma[expr.name]
@@ -199,12 +206,13 @@ def flatten_expr(expr: PackingExpr, ctx: SizeContext) -> FlattenedPacking:
 
 
 def _flatten_layout(layout: BitLayout, ctx: SizeContext) -> FlattenedPacking:
-    """A bit layout's pattern, once every field letter resolves to a field
-    and spans exactly that field's width."""
-    resolved = resolve_layout_fields(layout, list(ctx.gamma))
+    """A bit layout's pattern, once every field letter resolves to a source
+    field that is not spread over scalars and spans exactly its width."""
+    resolved = resolve_layout_fields(layout, list(ctx.sources or ctx.gamma))
     assignments: dict[str, int] = {}
     for ch, (offset, length) in _layout_runs(layout).items():
         fname = resolved[ch]
+        ctx.check_nameable(fname, layout.pos)
         want = ctx.gamma[fname]
         if length != want:
             raise _fail(

@@ -37,8 +37,6 @@ from .ir import (
     Jump,
     Program,
     Project,
-    RecordGet,
-    RecordTag,
     ReplaceNull,
     Return,
     SExt,
@@ -262,7 +260,7 @@ class _Machine:
                 vals = tuple(rec.fields)
                 env[ins.dst] = vals[0] if len(vals) == 1 else vals
             return
-        if isinstance(ins, (GetTag, RecordTag)):
+        if isinstance(ins, GetTag):
             env[ins.dst] = self._deref(env[ins.src]).case
             return
         if isinstance(ins, ReplaceNull):
@@ -305,10 +303,6 @@ class _Machine:
             return
         if isinstance(ins, Bitcast):
             env[ins.dst] = env[ins.src]
-            return
-        if isinstance(ins, RecordGet):
-            rec = self._deref_case(env[ins.src], ins.adt, ins.case)
-            env[ins.dst] = rec.fields[ins.index]
             return
         if isinstance(ins, IsNull):
             env[ins.dst] = 1 if env[ins.src] == 0 else 0

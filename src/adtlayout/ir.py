@@ -5,11 +5,14 @@ normalizer only build DAG-shaped control flow where every merge point is a
 return, so single assignment plus dominance gives well-defined values.
 
 Source programs (before normalization) operate on ADT values through
-alloc/getfield/gettag/contents/replacenull/eq; normalized programs add
-tuple construction, projection, bitwise operations and record reads over
-the flattened representation. `Program.spread` is the one rule for how a
-source value spreads over normalized fields; normalization and the
-observation of normalized values both read it.
+alloc/getfield/gettag/contents/replacenull/eq. Normalized programs drop
+contents and replacenull and add tuple construction, projection, bitwise
+operations, bitcasts and null tests over the flattened representation;
+getfield and gettag read a boxed record in both phases, field k being a
+source field before normalization and a normalized field after.
+`Program.spread` is the one rule for how a source value spreads over
+normalized fields; normalization and the observation of normalized values
+both read it.
 """
 
 from __future__ import annotations
@@ -124,7 +127,7 @@ class GetField:
     dst: str
     adt: str
     case: int
-    field: int  # source field index
+    field: int  # source field index; normalized field index after normalization
     src: str
 
 
@@ -209,25 +212,6 @@ class Bitcast:
 
 
 @dataclass(frozen=True)
-class RecordGet:
-    """Read one normalized field scalar from a boxed record; traps on null
-    or on a record of a different case."""
-
-    dst: str
-    adt: str
-    case: int
-    index: int  # index into the variant's normalized field list
-    src: str
-
-
-@dataclass(frozen=True)
-class RecordTag:
-    dst: str
-    adt: str
-    src: str
-
-
-@dataclass(frozen=True)
 class IsNull:
     dst: str
     src: str
@@ -248,8 +232,6 @@ Instr = Union[
     ShiftOp,
     SExt,
     Bitcast,
-    RecordGet,
-    RecordTag,
     IsNull,
 ]
 
@@ -509,8 +491,8 @@ def normalized_field_type(program: Program, f) -> IrType:
     return TInt(f.width, f.signed)
 
 
-_PRE_ONLY = (GetField, GetContents, GetTag, ReplaceNull)
-_POST_ONLY = (TupleMake, Project, BinOp, ShiftOp, SExt, Bitcast, RecordGet, RecordTag, IsNull)
+_PRE_ONLY = (GetContents, ReplaceNull)
+_POST_ONLY = (TupleMake, Project, BinOp, ShiftOp, SExt, Bitcast, IsNull)
 _INT_BACKED = (TInt, TIntRep)
 
 
@@ -555,6 +537,8 @@ def _check_instr(program: Program, ins: Instr, use) -> IrType:
         raise IrTypeError(f"{type(ins).__name__} is not a normalized instruction")
     if not post and isinstance(ins, _POST_ONLY):
         raise IrTypeError(f"{type(ins).__name__} only exists after normalization")
+    if post and isinstance(ins, (GetField, GetTag)) and program.is_unboxed(ins.adt):
+        raise IrTypeError(f"normalized {type(ins).__name__} on unboxed ADT {ins.adt}")
     if isinstance(ins, Const):
         if isinstance(_known(program, ins.type), TAdt):
             if ins.value is not None:
@@ -577,10 +561,10 @@ def _check_instr(program: Program, ins: Instr, use) -> IrType:
             raise IrTypeError(f"alloc {ins.adt}#{ins.case}: argument types mismatch")
         return TAdt(ins.adt)
     if isinstance(ins, GetField):
-        _, t = _field(program, ins.adt, ins.case, ins.field, normalized=False)
+        f = _field(program, ins.adt, ins.case, ins.field, post)
         if use(ins.src) != TAdt(ins.adt):
             raise IrTypeError("field access on a value of the wrong type")
-        return type_of_expr(t, program.adts)
+        return normalized_field_type(program, f) if post else type_of_expr(f[1], program.adts)
     if isinstance(ins, GetContents):
         _variant(program, ins.adt, ins.case)
         if use(ins.src) != TAdt(ins.adt):
@@ -634,16 +618,6 @@ def _check_instr(program: Program, ins: Instr, use) -> IrType:
     if isinstance(ins, Bitcast):
         use(ins.src)
         return _known(program, ins.type)
-    if isinstance(ins, RecordGet):
-        f = _field(program, ins.adt, ins.case, ins.index, normalized=True)
-        if use(ins.src) != TAdt(ins.adt):
-            raise IrTypeError("record read on a value of the wrong type")
-        return normalized_field_type(program, f)
-    if isinstance(ins, RecordTag):
-        _adt(program, ins.adt)
-        if use(ins.src) != TAdt(ins.adt):
-            raise IrTypeError("record tag on a value of the wrong type")
-        return TAG_TYPE
     if isinstance(ins, IsNull):
         use(ins.src)
         return BOOL

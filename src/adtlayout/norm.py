@@ -39,8 +39,6 @@ from .ir import (
     IsNull,
     Program,
     Project,
-    RecordGet,
-    RecordTag,
     ReplaceNull,
     Return,
     SExt,
@@ -304,7 +302,7 @@ class _FunctionNormalizer:
                 tag = self.extract_tag(ins.adt, scalars)
                 self.env[ins.dst] = [tag]
             else:
-                self.emit_typed(RecordTag(ins.dst, ins.adt, self.names_of(ins.src)[0]), TAG_TYPE)
+                self.emit_typed(GetTag(ins.dst, ins.adt, self.names_of(ins.src)[0]), TAG_TYPE)
                 self.env[ins.dst] = [ins.dst]
             return
         if isinstance(ins, ReplaceNull):
@@ -481,7 +479,7 @@ class _FunctionNormalizer:
             if not indices:
                 # the selected contents need no scalars (e.g. a unit-like
                 # embedded ADT), but the null and case checks must survive
-                tag = self.emit_typed(RecordTag(self.fresh("t"), ins.adt, src), TAG_TYPE)
+                tag = self.emit_typed(GetTag(self.fresh("t"), ins.adt, src), TAG_TYPE)
                 want = self.const(TAG_TYPE, ins.case)
                 cond = self.emit_typed(Eq(self.fresh("c"), TAG_TYPE, tag, want), BOOL)
                 self.split_for_check(cond, "bad-case")
@@ -489,7 +487,7 @@ class _FunctionNormalizer:
                 f = variant.fields[k]
                 t = normalized_field_type(ctx.post, f)
                 names.append(
-                    self.emit_typed(RecordGet(self.fresh("g"), ins.adt, ins.case, k, src), t)
+                    self.emit_typed(GetField(self.fresh("g"), ins.adt, ins.case, k, src), t)
                 )
         self.env[ins.dst] = names
 

@@ -7,7 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .flatten import SizeContext
+from .flatten import SizeContext, VerifyError
 from .solver import LayoutSolution, solve_layout
 from .syntax import MAX_NESTING, AdtDecl, Decl, NamedType, PackingDecl, TupleType, TypeExpr, print_type
 from .targets import (
@@ -189,7 +189,8 @@ def process_adts(
 ) -> ProgramLayouts:
     """Resolve every requested instantiation (plus everything reachable
     from it) into a disposition and, when unboxed, a layout. `packings` is
-    `check_program_decls`' scope of the packings in `decls`, else made here."""
+    `check_program_decls`' scope of the packings in `decls`, else made here,
+    raising `VerifyError` for the first declaration that does not verify."""
     adt_decls: dict[str, AdtDecl] = {}
     packing_list: list[PackingDecl] = []
     for d in decls:
@@ -200,7 +201,9 @@ def process_adts(
         else:
             adt_decls[d.name] = d
     if packings is None:
-        packings, _ = check_program_decls(packing_list)
+        packings, diags = check_program_decls(packing_list)
+        if diags:
+            raise VerifyError(diags[0])
 
     if requests is None:
         requests = [

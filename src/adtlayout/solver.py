@@ -92,15 +92,12 @@ class ExplicitTag:
     offset: int
     width: int
     dedicated: bool
-    kind_name = "explicit-tag"
 
-
-@dataclass(frozen=True)
-class BareTag(ExplicitTag):
-    """A dedicated tag at offset 0 of the only scalar: every variant is
-    nullary."""
-
-    kind_name = "bare-tag"
+    @property
+    def kind_name(self) -> str:
+        """"bare-tag" for a dedicated tag in scalar 0, the only scalar when
+        every variant is nullary; "explicit-tag" otherwise."""
+        return "bare-tag" if self.dedicated and self.slot == 0 else "explicit-tag"
 
 
 @dataclass(frozen=True)
@@ -109,7 +106,7 @@ class TreeTag:
     kind_name = "decision-tree"
 
 
-TagScheme = Union[SingleVariant, BareTag, ExplicitTag, TreeTag]
+TagScheme = Union[SingleVariant, ExplicitTag, TreeTag]
 
 
 @dataclass(frozen=True)
@@ -621,7 +618,7 @@ def _candidates(
     # beats it; offer it only as the fallback
     appended_bound = (m + 1, fields + 1)
     if not results and (best_key is None or best_key > appended_bound):
-        scheme = (ExplicitTag if m else BareTag)(m, 0, tw, True)
+        scheme = ExplicitTag(m, 0, tw, True)
         results.append(_candidate(state, base, scheme))
     return results
 
@@ -722,8 +719,7 @@ def trivial_layout(adt: MonoAdt, target: Target) -> LayoutSolution:
             undo = state.place(i, _Unit.of(f), slot)
             assert undo is not None, f"trivial placement failed for {f.name}"
     m = len(state.slots)
-    scheme = SingleVariant() if state.n == 1 else (
-        (ExplicitTag if m else BareTag)(m, 0, tag_width_for(state.n), True))
+    scheme = SingleVariant() if state.n == 1 else ExplicitTag(m, 0, tag_width_for(state.n), True)
     return _solution(state, _candidate(state, state.build_patterns(), scheme))
 
 

@@ -396,8 +396,8 @@ def _flatten_adt_packing(decl: AdtDecl, variants: list[MonoVariant], env: AdtEnv
             per_variant.append(None)
             continue
         gamma = {f.name: f.width for f in variant.fields}
-        spread = {n: print_type(t) for n, t in variant.source_fields if n not in gamma}
-        ctx = env.packings.with_gamma(gamma, spread)
+        sources = {n: print_type(t) for n, t in variant.source_fields}
+        ctx = env.packings.with_gamma(gamma, sources)
         per_variant.append(tuple(flatten_annotation(list(exprs), ctx)))
     return tuple(per_variant)
 

@@ -14,7 +14,7 @@ from adtlayout.cli import cmd_check, cmd_layout, run_equivalence
 from adtlayout.distinguish import check_distinguishable, classify, derive_decision_tree
 from adtlayout.flatten import flatten_expr
 from adtlayout.pipeline import process_adts
-from adtlayout.solver import BareTag, solve_layout, trivial_layout
+from adtlayout.solver import solve_layout, trivial_layout
 from adtlayout.syntax import parse_packing_expr, parse_program
 from adtlayout.targets import BUILTIN_TARGETS, X64
 from adtlayout.verify import SizeContext, VerifyError, check_expr, check_program_decls

@@ -398,6 +398,15 @@ def test_type_without_cases_is_syntax_error(tmp_path, source, command, capsys):
         ("type Q #unboxed { case C(t: (u4, u4)) #packing t; }",
          "error: E013 at 1:48: field 't' of unboxed type (u4, u4) spreads over scalars "
          "that a #packing cannot name\n"),
+        # a bit letter names a source field, so it cannot name one of the
+        # scalars that a spread field is normalized into
+        ("type R { case A(x: u8); }\n"
+         "type P #unboxed { case C(r: R, y: u8) #packing 0b_rrrrrrrryyyyyyyy; }",
+         "error: E013 at 2:48: field 'r' of unboxed type R spreads over scalars "
+         "that a #packing cannot name\n"),
+        ("type Q #unboxed { case C(t: (u4, u4), y: u8) #packing 0b_ttttyyyyyyyy; }",
+         "error: E013 at 1:55: field 't' of unboxed type (u4, u4) spreads over scalars "
+         "that a #packing cannot name\n"),
         ("packing P(a: 8): 8 = a; type T #unboxed { case A(x: u8, y: u8) #packing P(x, y); }",
          "error: E010 at 1:73: P expects 1 arguments, got 2\n"),
         ("type T #unboxed { case A(x: u8, y: u8) #packing #concat(x, #solve(y)); }",
@@ -410,6 +419,7 @@ def test_type_without_cases_is_syntax_error(tmp_path, source, command, capsys):
     ids=["polymorphic-recursion", "wrong-arity", "packing-too-wide", "concat-reuse",
          "argument-reuse", "unused-parameter", "unbound-field", "unbound-packing",
          "unboxed-field-concat", "unboxed-field-solve", "tuple-field",
+         "unboxed-field-letter", "tuple-field-letter",
          "packing-arity", "nested-solve", "argument-width", "wider-than-64"],
 )
 def test_check_and_layout_reject_alike(tmp_path, source, message, command, capsys):
@@ -418,6 +428,14 @@ def test_check_and_layout_reject_alike(tmp_path, source, message, command, capsy
     assert main([command, str(p)]) == 1
     out, err = capsys.readouterr()
     assert out == "" and err.startswith(message) and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["check", "layout"])
+def test_packing_names_the_scalars_of_a_tuple(tmp_path, command):
+    """`#concat` may name the scalars `t.0` and `t.1` of a tuple field."""
+    p = tmp_path / "tuple.pk"
+    p.write_text("type Q #unboxed { case C(t: (u4, u4), y: u8) #packing #concat(t.0, t.1, y); }\n")
+    assert main([command, str(p)]) == 0
 
 
 @pytest.mark.parametrize("command", ["check", "layout"])

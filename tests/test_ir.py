@@ -23,8 +23,6 @@ from adtlayout.ir import (
     Jump,
     Program,
     Project,
-    RecordGet,
-    RecordTag,
     ReplaceNull,
     Return,
     Switch,
@@ -91,7 +89,7 @@ def test_gettag_becomes_shift_and_mask():
     check_program(post)
     ops = [type(i).__name__ for i in post.functions["main"].blocks["entry"].instrs]
     assert "ShiftOp" in ops and "BinOp" in ops
-    assert "RecordTag" not in ops
+    assert "GetTag" not in ops
     assert eval_program(post) == Outcome(None, 1)
 
 
@@ -658,6 +656,17 @@ def _post(body: list, term) -> Program:
     return program
 
 
+def _post_box(body: list, term) -> Program:
+    """A normalized program whose main takes a boxed record `b`, holding a
+    tuple source field that spreads over normalized fields 0 and 1."""
+    program = make_program("type Box { case B(t: (u8, u16)); case C; }")
+    program.normalized = True
+    fn = Function("main", (("b", TAdt("Box")),), TInt(8, False), "entry", {})
+    fn.blocks["entry"] = Block("entry", body, term)
+    program.functions["main"] = fn
+    return program
+
+
 CHECKER_CASES = [
     ("undefined-name", lambda: _pre("""fn main() -> u32 {
 entry:
@@ -760,8 +769,8 @@ entry:
   ret %r
 }"""), "call to unknown function g"),
     ("pre-only-after-normalization", lambda: _post(
-        [Const("v", U32, 3), GetTag("t", "Option", "v")], Return("t")
-    ), "GetTag is not a normalized instruction"),
+        [Const("v", U32, 3), ReplaceNull("t", "Option", "v")], Return("t")
+    ), "ReplaceNull is not a normalized instruction"),
     ("post-only-before-normalization", lambda: option_program(
         [Const("a", U32, 1), BinOp("b", "and", "a", "a")], Return("b")
     ), "BinOp only exists after normalization"),
@@ -820,12 +829,21 @@ entry:
   %e = eq<(u8, Nope)>(%o, %o)
   ret %e
 }"""), "unknown ADT Nope"),
-    ("recordget-unknown-field", lambda: _post(
-        [Const("o", U32, 1), RecordGet("x", "Option", 1, 5, "o")], Return("x")
-    ), "Option#1 has no field 5"),
-    ("recordtag-unknown-adt", lambda: _post(
-        [Const("o", U32, 1), RecordTag("t", "Nope", "o")], Return("t")
+    ("normalized-getfield-unknown-field", lambda: _post_box(
+        [GetField("x", "Box", 0, 5, "b")], Return("x")
+    ), "Box#0 has no field 5"),
+    ("normalized-gettag-unknown-adt", lambda: _post(
+        [Const("o", U32, 1), GetTag("t", "Nope", "o")], Return("t")
     ), "unknown ADT Nope"),
+    # normalized getfield takes a normalized field index: field 1 of Box#0
+    # is the tuple's u16, so returning it as u8 is the error
+    ("normalized-getfield-tuple-element", lambda: _post_box(
+        [GetField("x", "Box", 0, 1, "b")], Return("x")
+    ), "main returns u16, expected u8"),
+    ("normalized-getfield-on-unboxed", lambda: _post(
+        [Const("a", U32, 1), Bitcast("o", "a", TAdt("Option")), GetField("x", "Option", 1, 0, "o")],
+        Return("x"),
+    ), "normalized GetField on unboxed ADT Option"),
     ("project-out-of-range", lambda: _post(
         [Const("a", U32, 1), TupleMake("t", ("a",)), Project("y", "t", 5)], Return("a")
     ), "project of element 5 from a 1-tuple"),
@@ -1050,6 +1068,14 @@ def test_declaration_errors_give_bundle_positions():
     line, comments and blank lines before it."""
     with pytest.raises(progtext.ProgTextError, match="E001 at 4:24"):
         progtext.parse_bundle("target x64\n# note\n\ntype T { case A(x: u8) }")
+
+
+def test_packing_declaration_errors_refuse_the_bundle():
+    """A packing declaration that does not verify refuses the bundle with
+    the diagnostic `check` gives, though no type applies it."""
+    bundle = "target x64\npacking P(a: 2): 1 = 0b_aa;\ntype T { case A(x: u8); }\n"
+    with pytest.raises(progtext.ProgTextError, match="E010 at 2:1: body of 'P' has size 2"):
+        progtext.parse_bundle(bundle)
 
 
 # a function whose parameter and result are one three-scalar unboxed value

@@ -11,7 +11,6 @@ from adtlayout.pipeline import process_adts
 from adtlayout.progen import gen_decls
 from adtlayout.solver import (
     AnnotationInfeasible,
-    BareTag,
     ExplicitTag,
     ScalarKind,
     SingleVariant,
@@ -67,7 +66,7 @@ def test_all_nullary_enum_bare_tag():
     lay = solve_source("type Color { case Red; case Green; case Blue; }")
     assert len(lay.slots) == 1
     assert lay.slots[0].width == 2
-    assert isinstance(lay.tag_scheme, BareTag)
+    assert lay.tag_scheme.kind_name == "bare-tag"
     assert [codec.encode_variant(lay, i, {}) for i in range(3)] == [[0], [1], [2]]
 
 
@@ -95,7 +94,7 @@ def test_trivial_nullary_only_single_tag_scalar():
     out = process_adts(decls, X64)
     triv = trivial_layout(out.resolved["E"].mono, X64)
     assert len(triv.slots) == 1
-    assert isinstance(triv.tag_scheme, BareTag)
+    assert triv.tag_scheme.kind_name == "bare-tag"
 
 
 def test_score_whole_scalar_field():
