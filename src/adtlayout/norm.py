@@ -4,12 +4,15 @@ solver.
 
 Multi-scalar values flow as separate names; only returns pack them into a
 tuple, unpacked again at call sites. Allocation of an unboxed case becomes
-bitwise assembly of its scalar words; field and tag reads become shifts
-and masks; equality on unboxed values becomes a call to a generated
-per-ADT equality function. Where a source field spreads over several
-normalized fields (a tuple, an embedded unboxed ADT), field reads, default
-values and generated equality take its fields as `Program.spread` walks
-them."""
+bitwise assembly of its scalar words; equality on unboxed values becomes a
+call to a generated per-ADT equality function. A field or tag read is
+shifted down and masked only where a set bit of the case read (for a tag,
+of any case) lies above it; a plain reference is masked in place only where
+one lies outside it. `solver.read_mask` decides. Field reads follow the
+`bad-case` check, and equality switches on the tag, so the scalars then hold
+that case's encoding. Where a source field spreads over several normalized
+fields (a tuple, an embedded unboxed ADT), field reads, default values and
+generated equality take its fields as `Program.spread` walks them."""
 
 from __future__ import annotations
 
@@ -52,17 +55,13 @@ from .ir import (
     TupleMake,
     normalized_field_type,
 )
-from .solver import ExplicitTag, SingleVariant, TreeTag
+from .solver import ExplicitTag, SingleVariant, TreeTag, read_mask, tag_read_mask
 from .targets import REF_PLAIN
 
 
 @dataclass(frozen=True)
 class _NullMarker:
     key: str
-
-
-def _mask(width: int) -> int:
-    return (1 << width) - 1
 
 
 def _mangle(prefix: str, key: str) -> str:
@@ -392,7 +391,7 @@ class _FunctionNormalizer:
                     continue
                 bits = self._as_bits(flat_args[k], f)
                 if f.signed:
-                    m = self.const(t, _mask(pl.width))
+                    m = self.const(t, (1 << pl.width) - 1)
                     bits = self.emit_typed(BinOp(self.fresh("m"), "and", bits, m), t)
                 if pl.offset > 0 and f.ref_mode != REF_PLAIN:
                     bits = self.emit_typed(
@@ -408,21 +407,23 @@ class _FunctionNormalizer:
             return name
         return self.emit_typed(Bitcast(self.fresh("b"), name, TInt(f.width, False)), TInt(f.width, False))
 
+    def read_bits(self, v: str, shift: int, mask: int) -> str:
+        """`v` shifted right by `shift`, then ANDed with `mask`; each only if nonzero."""
+        t = self.types[v]
+        if shift:
+            v = self.emit_typed(ShiftOp(self.fresh("s"), "shr", v, shift), t)
+        if mask:
+            m = self.const(t, mask)
+            v = self.emit_typed(BinOp(self.fresh("m"), "and", v, m), t)
+        return v
+
     def extract_tag(self, key: str, scalars: list[str]) -> str:
         layout = self.ctx.pre.layouts[key]
         scheme = layout.tag_scheme
         if isinstance(scheme, SingleVariant):
             return self.const(TAG_TYPE, 0)
         if isinstance(scheme, ExplicitTag):
-            offset = scheme.offset
-            slot = layout.slots[scheme.slot]
-            v = scalars[scheme.slot]
-            t = TIntRep(slot.width, slot.kind.value)
-            if offset > 0:
-                v = self.emit_typed(ShiftOp(self.fresh("s"), "shr", v, offset), t)
-            if scheme.width < slot.width:
-                m = self.const(t, _mask(scheme.width))
-                v = self.emit_typed(BinOp(self.fresh("m"), "and", v, m), t)
+            v = self.read_bits(scalars[scheme.slot], scheme.offset, tag_read_mask(layout.patterns, scheme))
             return self.emit_typed(Bitcast(self.fresh("tag"), v, TAG_TYPE), TAG_TYPE)
         assert isinstance(scheme, TreeTag)
         fname = self.ctx.classify_fn(key)
@@ -432,22 +433,13 @@ class _FunctionNormalizer:
         """Bit extraction of one normalized field from the scalar words."""
         layout = self.ctx.pre.layouts[key]
         pl = layout.placements[(case, f.name)]
-        slot = layout.slots[pl.slot]
-        st = TIntRep(slot.width, slot.kind.value)
-        v = scalars[pl.slot]
-        want = normalized_field_type(self.ctx.post, f)
-        if f.ref_mode == REF_PLAIN:
-            if pl.offset > 0 or pl.width < slot.width:
-                m = self.const(st, _mask(pl.width) << pl.offset)
-                v = self.emit_typed(BinOp(self.fresh("m"), "and", v, m), st)
-            return self.emit_typed(Bitcast(self.fresh("f"), v, want), want)
-        if pl.offset > 0:
-            v = self.emit_typed(ShiftOp(self.fresh("s"), "shr", v, pl.offset), st)
-        if pl.width < slot.width:
-            m = self.const(st, _mask(pl.width))
-            v = self.emit_typed(BinOp(self.fresh("m"), "and", v, m), st)
+        p = layout.patterns[case][pl.slot]
+        plain = f.ref_mode == REF_PLAIN
+        mask = read_mask(p.ones | p.field, pl.offset, pl.width, plain)
+        v = self.read_bits(scalars[pl.slot], 0 if plain else pl.offset, mask)
         if f.signed:
-            v = self.emit_typed(SExt(self.fresh("x"), v, pl.width), st)
+            v = self.emit_typed(SExt(self.fresh("x"), v, pl.width), self.types[v])
+        want = normalized_field_type(self.ctx.post, f)
         if self.types[v] != want:
             v = self.emit_typed(Bitcast(self.fresh("f"), v, want), want)
         return v

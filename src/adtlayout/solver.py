@@ -141,9 +141,6 @@ class LayoutSolution:
     # may exist; True when every search ran out of nodes or met its bound
     finished: bool = True
 
-    def pattern_strings(self, variant: int) -> list[str]:
-        return [print_pattern(p) for p in self.patterns[variant]]
-
     def used_width(self, slot_index: int) -> int:
         return max([1] + [row[slot_index].nonzero.bit_length() for row in self.patterns])
 
@@ -157,9 +154,8 @@ class LayoutSolution:
             for f in v.fields:
                 pl = self.placements[(i, f.name)]
                 fields[f.name] = {"scalar": pl.slot, "offset": pl.offset, "width": pl.width}
-            variants.append(
-                {"name": v.name, "patterns": self.pattern_strings(i), "fields": fields}
-            )
+            patterns = [print_pattern(p) for p in self.patterns[i]]
+            variants.append({"name": v.name, "patterns": patterns, "fields": fields})
         scheme: dict[str, object] = {"kind": self.tag_scheme.kind_name}
         if isinstance(self.tag_scheme, ExplicitTag):
             scheme["scalar"] = self.tag_scheme.slot
@@ -484,18 +480,35 @@ def _dedicated(scheme: TagScheme) -> bool:
     return isinstance(scheme, ExplicitTag) and scheme.dedicated
 
 
+def read_mask(bits: int, offset: int, width: int, plain_ref: bool = False) -> int:
+    """The mask that reading `width` bits at `offset` needs, or 0, given the
+    scalar's set bits (constant ones, field bits) in each case the read may
+    see: a field, shifted down, needs one when a bit above it is set, and a
+    plain reference, read in place, when one outside it is (alike at offset 0)."""
+    field = (1 << width) - 1
+    if plain_ref:
+        return field << offset if bits & ~(field << offset) else 0
+    return field if bits >> (offset + width) else 0
+
+
+def tag_read_mask(patterns: list[list[BitPattern]], tag: ExplicitTag) -> int:
+    """`read_mask` of an explicit tag, which reads every case."""
+    bits = 0
+    for row in patterns:
+        bits |= row[tag.slot].ones | row[tag.slot].field
+    return read_mask(bits, tag.offset, tag.width)
+
+
 def _access_cost(
     placements: dict[tuple[int, str], Placement],
     patterns: list[list[BitPattern]],
     scheme: TagScheme,
 ) -> int:
     """Summed access cost: 2 for each field or tag at a shifted offset, 1 for
-    each at offset 0 with bits set above it in its scalar (for a tag, in any
-    variant), and 2 per decision-tree level. A bit counts as set when it is a
-    constant one or a field bit, so free bits read as 0 and the patterns may
-    be taken before or after their free bits are fixed; an explicit tag's
-    value bits count as set, so they may also be taken before the tag is
-    written."""
+    each at offset 0 that `read_mask` masks, and 2 per decision-tree level.
+    Free bits read as 0, so the patterns may be taken before or after their
+    free bits are fixed; an explicit tag's value bits count as set, so they
+    may also be taken before the tag is written."""
     in_place = isinstance(scheme, ExplicitTag) and not scheme.dedicated
     access = 0
     for (v, _), pl in placements.items():
@@ -506,14 +519,9 @@ def _access_cost(
             bits = p.ones | p.field
             if in_place and pl.slot == scheme.slot:
                 bits |= v << scheme.offset
-            if bits >> pl.width:
-                access += 1
+            access += bool(read_mask(bits, 0, pl.width))
     if isinstance(scheme, ExplicitTag):
-        if scheme.offset > 0:
-            access += 2
-        elif in_place and any((row[scheme.slot].ones | row[scheme.slot].field) >> scheme.width
-                              for row in patterns):
-            access += 1
+        access += 2 if scheme.offset else bool(in_place and tag_read_mask(patterns, scheme))
     elif isinstance(scheme, TreeTag):
         access += 2 * tree_depth(scheme.tree)
     return access
@@ -868,8 +876,8 @@ class _Search:
             slot.add_consts(v, 0, 0, ((1 << self.tw) - 1) << (slot.width - self.tw))
 
     def cost(self, state: _State, v: int) -> int:
-        """The access cost of variant `v`'s placements as they stand; for
-        v > 0, a field at offset 0 of the reserved scalar is below the tag."""
+        """`_access_cost` of `v`'s placements so far, `read_mask` inlined as this
+        runs per node; for v > 0 a field at offset 0 of the reserved scalar is below the tag."""
         total = 0
         for key in self.keys[v]:
             pl = state.placements.get(key)

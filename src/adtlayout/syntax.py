@@ -436,9 +436,11 @@ class _Parser:
         if self.at_punct("("):
             self.i += 1
             while not self.at_punct(")"):
-                fname = self.expect("ident")[1]
+                t = self.expect("ident")
+                if "." in t[1]:  # a '.' names a scalar of a tuple field, as t.0
+                    raise self.err(f"field name {t[1]} holds a '.'", t)
                 self.expect("punct", ":")
-                fields.append((fname, self.type_expr()))
+                fields.append((t[1], self.type_expr()))
                 if not self.at_punct(")"):
                     self.expect("punct", ",")
             self.expect("punct", ")")

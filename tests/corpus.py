@@ -8,8 +8,9 @@ from __future__ import annotations
 import random
 
 from adtlayout.pipeline import ProgramLayouts, process_adts
+from adtlayout.progen import gen_decls
 from adtlayout.syntax import parse_program
-from adtlayout.targets import REF_PLAIN, Target
+from adtlayout.targets import JVM, REF_PLAIN, X64, X86_32, Target
 
 CORPUS_SRC = """
 packing Float16(sign: 1, exp: 5, frac: 10): 16 = 0b_seeeeeff_ffffffff;
@@ -46,6 +47,13 @@ CORPUS_SIZE = 25
 
 def build_corpus(target: Target) -> ProgramLayouts:
     return process_adts(parse_program(CORPUS_SRC), target)
+
+
+def solve_corpus_and_progen() -> list[ProgramLayouts]:
+    """The corpus and `progen.gen_decls(random.Random(s))`, s in 0..299,
+    each processed on x64, jvm and x86-32."""
+    sources = [parse_program(CORPUS_SRC)] + [gen_decls(random.Random(s)) for s in range(300)]
+    return [process_adts(decls, target) for target in (X64, JVM, X86_32) for decls in sources]
 
 
 def random_field_values(layout, variant_index: int, rng: random.Random) -> dict[str, int]:

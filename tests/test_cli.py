@@ -415,12 +415,15 @@ def test_type_without_cases_is_syntax_error(tmp_path, source, command, capsys):
          "error: E010 at 1:66: argument for P.a has size 8 > parameter width 4\n"),
         ("type T #unboxed { case A(x: u40, y: u40) #packing #concat(x, y); }",
          "error: E010 at 1:51: expression size 80 exceeds the largest scalar (64 bits)\n"),
+        # a dotted field name could equal the name of a tuple field's scalar
+        ("type T #unboxed { case C(a: (u8, u8), a.0: u16); }",
+         "error: E001 at 1:39: field name a.0 holds a '.'\n"),
     ],
     ids=["polymorphic-recursion", "wrong-arity", "packing-too-wide", "concat-reuse",
          "argument-reuse", "unused-parameter", "unbound-field", "unbound-packing",
          "unboxed-field-concat", "unboxed-field-solve", "tuple-field",
          "unboxed-field-letter", "tuple-field-letter",
-         "packing-arity", "nested-solve", "argument-width", "wider-than-64"],
+         "packing-arity", "nested-solve", "argument-width", "wider-than-64", "dotted-field"],
 )
 def test_check_and_layout_reject_alike(tmp_path, source, message, command, capsys):
     p = tmp_path / "bad.pk"

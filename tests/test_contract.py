@@ -3,8 +3,8 @@
 edited program bundle either parses or raises a ProgTextError.
 
 The edits insert tokens of the declaration language (non-ASCII letters and
-digits among them), delete spans and duplicate spans, all drawn from
-`random.Random(1)`."""
+digits, and a `.0` that makes a name dotted, among them), delete spans and
+duplicate spans, all drawn from `random.Random(1)`."""
 
 from __future__ import annotations
 
@@ -28,7 +28,7 @@ STRESS_SRC = (
 SOURCE_TOKENS = [
     "type", "case", "packing", "#unboxed", "#captured", "#packing", "#concat", "#solve", "#",
     "(", ")", "{", "}", "<", ">", ",", ":", ";", "=", "0b", "0b_01?a", "007", "64", "u0", "u65",
-    "u8", "i64", "f64", "bool", "T", "C05", "p.0", "_x", "//", "\n", "\r\n", "\t", "\xa0",
+    "u8", "i64", "f64", "bool", "T", "C05", "p.0", ".0", "_x", "//", "\n", "\r\n", "\t", "\xa0",
     "é", "²", "u٣", "٣", "Ⅷ", "@",
 ]
 BUNDLE_TOKENS = SOURCE_TOKENS + [
@@ -70,12 +70,15 @@ def test_edited_sources_exit_0_or_1(tmp_path):
     targets = sorted(BUILTIN_TARGETS)
     path = tmp_path / "edited.pk"
     statuses = set()
+    dotted = 0  # edits refused for a '.' in a declared field name
     for _ in range(SOURCE_EDITS):
         text = _edit(rng.choice((CORPUS_SRC, STRESS_SRC)), rng, SOURCE_TOKENS)
         path.write_text(text, encoding="utf-8")
         files = [str(path)]
-        status = _timed(lambda: cli.cmd_check(files, out=io.StringIO()))
+        out = io.StringIO()
+        status = _timed(lambda: cli.cmd_check(files, out=out))
         assert status in (0, 1), text
+        dotted += "holds a '.'" in out.getvalue()
         target = rng.choice(targets)
         status = _timed(
             lambda: cli.cmd_layout(
@@ -84,8 +87,9 @@ def test_edited_sources_exit_0_or_1(tmp_path):
         )
         assert status in (0, 1), text
         statuses.add(status)
-    # the edits are mild enough that some texts still lay out
-    assert statuses == {0, 1}
+    # the edits are mild enough that some texts still lay out, and some
+    # insert a dotted field name
+    assert statuses == {0, 1} and dotted
 
 
 def test_edited_bundles_parse_or_raise_progtext_error():

@@ -21,7 +21,7 @@ from adtlayout.solver import (
 from adtlayout.syntax import parse_program, parse_type
 from adtlayout.targets import BUILTIN_TARGETS, JVM, X64, X86_32, UnboxOptions
 
-from corpus import CORPUS_SRC
+from corpus import CORPUS_SRC, solve_corpus_and_progen
 from oracles import oracle_best_score, oracle_per_variant_score
 from test_golden import CASES as GOLDEN_CASES, WIDE_W0_X86_32, WIDE_W1, WIDE_W1_X64
 
@@ -593,3 +593,28 @@ def test_candidate_keys_equal_built_scores(monkeypatch):
     for i in range(100):
         process_adts(gen_decls(random.Random(f"keys:{i}")), targets[i % 3])
     assert kinds == {"single-variant", "bare-tag", "explicit-tag", "decision-tree"}
+
+
+def test_search_cost_is_the_access_cost(monkeypatch):
+    """The cost an attempt returns, which `_Search.cost` sums with its own
+    inline copy of `read_mask`'s offset-0 test, is `_access_cost` of the
+    state's placements with the tag written where the attempt reserved it,
+    for every attempt that gives a state."""
+    checked = []
+    attempt = solver._Search.attempt
+
+    def spy(self, quota, reserve):
+        state, cost = attempt(self, quota, reserve)
+        if state is not None:
+            rows = state.build_patterns()
+            if reserve is not None and reserve < len(state.slots):
+                top = state.slots[reserve].width - self.tw
+                rows = solver._tag_in_place(rows, reserve, top, self.tw)
+            expected = solver._access_cost(state.placements, rows, SingleVariant())
+            assert cost == expected, (self.adt.name, self.target.name, quota, reserve)
+            checked.append(reserve)
+        return state, cost
+
+    monkeypatch.setattr(solver._Search, "attempt", spy)
+    solve_corpus_and_progen()
+    assert any(r is None for r in checked) and any(r is not None for r in checked)
