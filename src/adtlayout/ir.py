@@ -30,7 +30,7 @@ from .syntax import (
     TypeExpr,
     print_type,
 )
-from .targets import MonoAdt, MonoVariant, Target
+from .targets import REF_NONE, MonoAdt, MonoVariant, Target
 
 # ---------------------------------------------------------------------------
 # Types
@@ -287,16 +287,15 @@ class Function:
     semantic_ret: Optional[IrType] = None
 
     def block_order(self) -> list[str]:
-        seen: list[str] = []
-        work = [self.entry]
-        while work:
-            label = work.pop(0)
-            if label in seen:
-                continue
-            seen.append(label)
-            term = self.blocks[label].term
-            work.extend(_successors(term))
-        return seen
+        """The blocks reachable from the entry, in breadth-first order."""
+        order = [self.entry]
+        seen = {self.entry}
+        for label in order:
+            for s in _successors(self.blocks[label].term):
+                if s not in seen:
+                    seen.add(s)
+                    order.append(s)
+        return order
 
 
 def _successors(term: Optional[Terminator]) -> list[str]:
@@ -379,28 +378,42 @@ class IrTypeError(Exception):
     pass
 
 
-def _dominators(fn: Function) -> dict[str, set[str]]:
-    order = fn.block_order()
-    preds: dict[str, list[str]] = {b: [] for b in order}
-    for b in order:
+def dominator_spans(fn: Function, order: list[str]) -> dict[str, tuple[int, int]]:
+    """Each block's interval [first, end) in a preorder of the dominator tree,
+    given `order = fn.block_order()`: block a dominates block b exactly when
+    a's interval holds b's first number. Breadth-first order puts a block's
+    dominators before it, so Cooper, Harvey and Kennedy's iteration ("A
+    Simple, Fast Dominance Algorithm", 2001) runs over block numbers, and a
+    block's immediate dominator has a smaller number than the block."""
+    index = {b: i for i, b in enumerate(order)}
+    preds: list[list[int]] = [[] for _ in order]
+    for i, b in enumerate(order):
         for s in _successors(fn.blocks[b].term):
-            preds[s].append(b)
-    dom: dict[str, set[str]] = {b: set(order) for b in order}
-    dom[fn.entry] = {fn.entry}
+            preds[index[s]].append(i)
+    idom = [0] + [-1] * (len(order) - 1)  # -1: not reached by the iteration yet
     changed = True
     while changed:
         changed = False
-        for b in order:
-            if b == fn.entry:
-                continue
-            new = set(order)
-            for p in preds[b]:
-                new &= dom[p]
-            new |= {b}
-            if new != dom[b]:
-                dom[b] = new
-                changed = True
-    return dom
+        for b in range(1, len(order)):
+            done = [p for p in preds[b] if idom[p] >= 0]  # b's BFS parent always is
+            new = done[0]
+            for p in done:
+                while p != new:  # climb to the nearest common dominator
+                    while p > new:
+                        p = idom[p]
+                    while new > p:
+                        new = idom[new]
+            changed |= idom[b] != new
+            idom[b] = new
+    size = [1] * len(order)
+    for b in range(len(order) - 1, 0, -1):
+        size[idom[b]] += size[b]
+    first = [0] * len(order)
+    free = [1] * len(order)  # the next number to hand out inside each interval
+    for b in range(1, len(order)):
+        first[b], free[b] = free[idom[b]], free[idom[b]] + 1
+        free[idom[b]] += size[b]
+    return {label: (first[i], first[i] + size[i]) for i, label in enumerate(order)}
 
 
 def check_function(program: Program, fn: Function) -> None:
@@ -410,42 +423,43 @@ def check_function(program: Program, fn: Function) -> None:
     One walk over the blocks in breadth-first order, which reaches every
     dominator of a block before the block itself, so an operand whose
     definition dominates the use but has no type yet is defined later in
-    the same block."""
+    the same block. Dominance compares the dominator-tree intervals of blocks."""
     post = program.normalized
+    rules = _POST_RULES if post else _PRE_RULES
     if fn.entry not in fn.blocks:
         raise IrTypeError(f"{fn.name} has no entry block")
     for blk in fn.blocks.values():
         for s in _successors(blk.term):
             if s not in fn.blocks:
                 raise IrTypeError(f"jump to unknown block {s}")
+    order = fn.block_order()
+    spans = dominator_spans(fn, order)
     types: dict[str, IrType] = {}
-    def_block: dict[str, str] = {}
+    def_span: dict[str, tuple[int, int]] = {}
     for name, t in fn.params:
         if name in types:
             raise IrTypeError(f"duplicate parameter {name}")
         types[name] = t
-        def_block[name] = fn.entry
-    order = fn.block_order()
-    reached = set(order)
+        def_span[name] = spans[fn.entry]
     for label in fn.blocks:
-        if label not in reached:
+        if label not in spans:
             raise IrTypeError(f"block {label} is unreachable from the entry")
     for label in order:
         blk = fn.blocks[label]
         if blk.term is None:
             raise IrTypeError(f"block {label} lacks a terminator")
         for ins in blk.instrs:
-            if ins.dst in def_block:
+            if ins.dst in def_span:
                 raise IrTypeError(f"name {ins.dst} assigned twice")
-            def_block[ins.dst] = label
-    dom = _dominators(fn)
+            def_span[ins.dst] = spans[label]
     nulls: set[str] = set()  # null ADT constants, which only replace-null may read
 
     def use(name: str, null_ok: bool = False) -> IrType:
-        # the type of an operand read in the block being walked, `label`
-        if name not in def_block:
+        # the type of an operand read in block `label`, whose first number is `here`
+        span = def_span.get(name)
+        if span is None:
             raise IrTypeError(f"use of undefined name {name}")
-        if def_block[name] not in dom[label]:
+        if not span[0] <= here < span[1]:
             raise IrTypeError(f"{name} used in {label} without dominating definition")
         if name not in types:
             raise IrTypeError(f"{name} used before its definition in {label}")
@@ -454,10 +468,14 @@ def check_function(program: Program, fn: Function) -> None:
         return types[name]
 
     for label in order:
+        here = spans[label][0]
         blk = fn.blocks[label]
         for ins in blk.instrs:
-            types[ins.dst] = _check_instr(program, ins, use)
-            if not post and isinstance(ins, Const) and ins.value is None:
+            rule = rules.get(type(ins))
+            if rule is None:
+                raise TypeError(f"unknown instruction {ins!r}")
+            types[ins.dst] = rule(program, ins, use)
+            if not post and type(ins) is Const and ins.value is None:
                 nulls.add(ins.dst)
         term = blk.term
         if isinstance(term, Return):
@@ -476,8 +494,6 @@ def check_function(program: Program, fn: Function) -> None:
 
 def normalized_field_type(program: Program, f) -> IrType:
     """Post-grammar type of one normalized field scalar."""
-    from .targets import REF_NONE
-
     if f.embedded:
         layout = program.layouts[f.adt_ref]
         slot = layout.slots[f.scalar_index]
@@ -491,8 +507,6 @@ def normalized_field_type(program: Program, f) -> IrType:
     return TInt(f.width, f.signed)
 
 
-_PRE_ONLY = (GetContents, ReplaceNull)
-_POST_ONLY = (TupleMake, Project, BinOp, ShiftOp, SExt, Bitcast, IsNull)
 _INT_BACKED = (TInt, TIntRep)
 
 
@@ -529,99 +543,134 @@ def _known(program: Program, t: IrType) -> IrType:
     return t
 
 
-def _check_instr(program: Program, ins: Instr, use) -> IrType:
-    """Check one instruction, reading its operands through `use`, and
-    return the type of its result."""
+def _of_adt(t: IrType, key: str, what: str) -> None:
+    """Refuse an operand of type `t` unless it is a value of ADT `key`."""
+    if type(t) is not TAdt or t.key != key:
+        raise IrTypeError(f"{what} on a value of the wrong type")
+
+
+# One rule per instruction class and phase: it checks an instruction,
+# reading its operands through `use`, and returns the type of its result.
+
+
+def _const(program: Program, ins: Const, use) -> IrType:
+    if isinstance(_known(program, ins.type), TAdt):
+        if ins.value is not None:
+            raise IrTypeError("ADT constants can only be null")
+        if program.normalized and program.is_unboxed(ins.type.key):
+            raise IrTypeError("null constant of an unboxed ADT after normalization")
+    elif ins.value is None:
+        raise IrTypeError("null constant of a non-reference type")
+    return ins.type
+
+
+def _alloc(program: Program, ins: Alloc, use) -> IrType:
+    have = [use(a) for a in ins.args]
+    variant = _variant(program, ins.adt, ins.case)
+    if program.normalized:
+        if program.is_unboxed(ins.adt):
+            raise IrTypeError("normalized code cannot allocate an unboxed ADT")
+        want = [normalized_field_type(program, f) for f in variant.fields]
+    else:
+        want = [type_of_expr(t, program.adts) for _, t in variant.source_fields]
+    if have != want:
+        raise IrTypeError(f"alloc {ins.adt}#{ins.case}: argument types mismatch")
+    return TAdt(ins.adt)
+
+
+def _getfield(program: Program, ins: GetField, use) -> IrType:
     post = program.normalized
-    if post and isinstance(ins, _PRE_ONLY):
+    if post and program.is_unboxed(ins.adt):
+        raise IrTypeError(f"normalized GetField on unboxed ADT {ins.adt}")
+    f = _field(program, ins.adt, ins.case, ins.field, post)
+    _of_adt(use(ins.src), ins.adt, "field access")
+    return normalized_field_type(program, f) if post else type_of_expr(f[1], program.adts)
+
+
+def _contents(program: Program, ins: GetContents, use) -> IrType:
+    _variant(program, ins.adt, ins.case)
+    _of_adt(use(ins.src), ins.adt, "field access")
+    return program.contents_type(ins.adt, ins.case)
+
+
+def _gettag(program: Program, ins: GetTag, use) -> IrType:
+    if program.normalized and program.is_unboxed(ins.adt):
+        raise IrTypeError(f"normalized GetTag on unboxed ADT {ins.adt}")
+    _adt(program, ins.adt)
+    _of_adt(use(ins.src), ins.adt, "tag/replace-null")
+    return TAG_TYPE
+
+
+def _replacenull(program: Program, ins: ReplaceNull, use) -> IrType:
+    _adt(program, ins.adt)
+    _of_adt(use(ins.src, null_ok=True), ins.adt, "tag/replace-null")
+    return TAdt(ins.adt)
+
+
+def _eq(program: Program, ins: Eq, use) -> IrType:
+    _known(program, ins.type)
+    ta, tb = use(ins.a), use(ins.b)
+    if isinstance(ins.type, _INT_BACKED):
+        if not (isinstance(ta, _INT_BACKED) and isinstance(tb, _INT_BACKED)):
+            raise IrTypeError("eq on integer bits needs integer-backed operands")
+    elif ta != ins.type or tb != ins.type:
+        raise IrTypeError("eq operands must both have the annotated type")
+    if program.normalized and isinstance(ins.type, TAdt) and program.is_unboxed(ins.type.key):
+        raise IrTypeError("normalized eq on an unboxed ADT must be a call")
+    return BOOL
+
+
+def _call(program: Program, ins: Call, use) -> IrType:
+    have = [use(a) for a in ins.args]
+    callee = program.functions.get(ins.fn)
+    if callee is None:
+        raise IrTypeError(f"call to unknown function {ins.fn}")
+    if [t for _, t in callee.params] != have:
+        raise IrTypeError(f"call {ins.fn}: argument types mismatch")
+    return callee.ret
+
+
+def _project(program: Program, ins: Project, use) -> IrType:
+    src = use(ins.src)
+    if not isinstance(src, TTuple):
+        raise IrTypeError("project from a non-tuple")
+    if not 0 <= ins.index < len(src.elems):
+        raise IrTypeError(f"project of element {ins.index} from a {len(src.elems)}-tuple")
+    return src.elems[ins.index]
+
+
+def _binop(program: Program, ins: BinOp, use) -> IrType:
+    ta, tb = use(ins.a), use(ins.b)
+    if ta != tb and not (isinstance(ta, _INT_BACKED) and isinstance(tb, _INT_BACKED)):
+        raise IrTypeError("bitwise operands must be integer-backed")
+    return ta
+
+
+def _bitcast(program: Program, ins: Bitcast, use) -> IrType:
+    use(ins.src)
+    return _known(program, ins.type)
+
+
+def _isnull(program: Program, ins: IsNull, use) -> IrType:
+    use(ins.src)
+    return BOOL
+
+
+def _other_phase(program: Program, ins: Instr, use) -> IrType:
+    if program.normalized:
         raise IrTypeError(f"{type(ins).__name__} is not a normalized instruction")
-    if not post and isinstance(ins, _POST_ONLY):
-        raise IrTypeError(f"{type(ins).__name__} only exists after normalization")
-    if post and isinstance(ins, (GetField, GetTag)) and program.is_unboxed(ins.adt):
-        raise IrTypeError(f"normalized {type(ins).__name__} on unboxed ADT {ins.adt}")
-    if isinstance(ins, Const):
-        if isinstance(_known(program, ins.type), TAdt):
-            if ins.value is not None:
-                raise IrTypeError("ADT constants can only be null")
-            if post and program.is_unboxed(ins.type.key):
-                raise IrTypeError("null constant of an unboxed ADT after normalization")
-        elif ins.value is None:
-            raise IrTypeError("null constant of a non-reference type")
-        return ins.type
-    if isinstance(ins, Alloc):
-        have = [use(a) for a in ins.args]
-        variant = _variant(program, ins.adt, ins.case)
-        if post:
-            if program.is_unboxed(ins.adt):
-                raise IrTypeError("normalized code cannot allocate an unboxed ADT")
-            want = [normalized_field_type(program, f) for f in variant.fields]
-        else:
-            want = [type_of_expr(t, program.adts) for _, t in variant.source_fields]
-        if have != want:
-            raise IrTypeError(f"alloc {ins.adt}#{ins.case}: argument types mismatch")
-        return TAdt(ins.adt)
-    if isinstance(ins, GetField):
-        f = _field(program, ins.adt, ins.case, ins.field, post)
-        if use(ins.src) != TAdt(ins.adt):
-            raise IrTypeError("field access on a value of the wrong type")
-        return normalized_field_type(program, f) if post else type_of_expr(f[1], program.adts)
-    if isinstance(ins, GetContents):
-        _variant(program, ins.adt, ins.case)
-        if use(ins.src) != TAdt(ins.adt):
-            raise IrTypeError("field access on a value of the wrong type")
-        return program.contents_type(ins.adt, ins.case)
-    if isinstance(ins, GetTag):
-        _adt(program, ins.adt)
-        if use(ins.src) != TAdt(ins.adt):
-            raise IrTypeError("tag/replace-null on a value of the wrong type")
-        return TAG_TYPE
-    if isinstance(ins, ReplaceNull):
-        _adt(program, ins.adt)
-        if use(ins.src, null_ok=True) != TAdt(ins.adt):
-            raise IrTypeError("tag/replace-null on a value of the wrong type")
-        return TAdt(ins.adt)
-    if isinstance(ins, Eq):
-        _known(program, ins.type)
-        ta, tb = use(ins.a), use(ins.b)
-        if isinstance(ins.type, _INT_BACKED):
-            if not (isinstance(ta, _INT_BACKED) and isinstance(tb, _INT_BACKED)):
-                raise IrTypeError("eq on integer bits needs integer-backed operands")
-        elif ta != ins.type or tb != ins.type:
-            raise IrTypeError("eq operands must both have the annotated type")
-        if post and isinstance(ins.type, TAdt) and program.is_unboxed(ins.type.key):
-            raise IrTypeError("normalized eq on an unboxed ADT must be a call")
-        return BOOL
-    if isinstance(ins, Call):
-        have = [use(a) for a in ins.args]
-        callee = program.functions.get(ins.fn)
-        if callee is None:
-            raise IrTypeError(f"call to unknown function {ins.fn}")
-        if [t for _, t in callee.params] != have:
-            raise IrTypeError(f"call {ins.fn}: argument types mismatch")
-        return callee.ret
-    if isinstance(ins, TupleMake):
-        return TTuple(tuple(use(e) for e in ins.elems))
-    if isinstance(ins, Project):
-        src = use(ins.src)
-        if not isinstance(src, TTuple):
-            raise IrTypeError("project from a non-tuple")
-        if not 0 <= ins.index < len(src.elems):
-            raise IrTypeError(f"project of element {ins.index} from a {len(src.elems)}-tuple")
-        return src.elems[ins.index]
-    if isinstance(ins, BinOp):
-        ta, tb = use(ins.a), use(ins.b)
-        if ta != tb and not (isinstance(ta, _INT_BACKED) and isinstance(tb, _INT_BACKED)):
-            raise IrTypeError("bitwise operands must be integer-backed")
-        return ta
-    if isinstance(ins, (ShiftOp, SExt)):
-        return use(ins.src)
-    if isinstance(ins, Bitcast):
-        use(ins.src)
-        return _known(program, ins.type)
-    if isinstance(ins, IsNull):
-        use(ins.src)
-        return BOOL
-    raise TypeError(f"unknown instruction {ins!r}")
+    raise IrTypeError(f"{type(ins).__name__} only exists after normalization")
+
+
+_RULES = {Const: _const, Alloc: _alloc, GetField: _getfield, GetTag: _gettag, Eq: _eq, Call: _call}
+_PRE_ONLY = {GetContents: _contents, ReplaceNull: _replacenull}
+_POST_ONLY = {
+    TupleMake: lambda program, ins, use: TTuple(tuple(map(use, ins.elems))),
+    Project: _project, BinOp: _binop, Bitcast: _bitcast, IsNull: _isnull,
+    ShiftOp: lambda program, ins, use: use(ins.src), SExt: lambda program, ins, use: use(ins.src),
+}
+_PRE_RULES = {**_RULES, **_PRE_ONLY, **dict.fromkeys(_POST_ONLY, _other_phase)}
+_POST_RULES = {**_RULES, **_POST_ONLY, **dict.fromkeys(_PRE_ONLY, _other_phase)}
 
 
 def check_program(program: Program) -> None:

@@ -3,8 +3,9 @@
 Each one deliberately re-derives its answer by a different route than the
 library: flattening by textual inlining and a linear scan, distinguishability
 by brute-force enumeration of every free-bit assignment, the least tree
-depth by every split over every such assignment, and layout scoring by
-exhaustive enumeration over placement equivalence classes.
+depth by every split over every such assignment, layout scoring by
+exhaustive enumeration over placement equivalence classes, and dominators
+by a fixed point over a full set of dominators per block.
 """
 
 from __future__ import annotations
@@ -460,3 +461,34 @@ def oracle_per_variant_score(
         best = min([best] + keys if best else keys)
     assert best is not None
     return best
+
+
+# ---------------------------------------------------------------------------
+# Reference dominators: every reachable block starts with all blocks as its
+# dominators, and each pass intersects its predecessors' sets until nothing
+# changes.
+
+
+def reference_dominators(entry: str, succs: dict[str, list[str]]) -> dict[str, set[str]]:
+    """The dominators of each block that `entry` reaches over `succs`, keyed
+    in breadth-first order."""
+    reached = [entry]
+    for b in reached:
+        for s in succs[b]:
+            if s not in reached:
+                reached.append(s)
+    preds = {b: [p for p in reached if b in succs[p]] for b in reached}
+    dom = {b: set(reached) for b in reached}
+    dom[entry] = {entry}
+    changed = True
+    while changed:
+        changed = False
+        for b in reached[1:]:
+            new = set(reached)
+            for p in preds[b]:
+                new &= dom[p]
+            new |= {b}
+            if new != dom[b]:
+                dom[b] = new
+                changed = True
+    return dom

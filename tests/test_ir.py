@@ -1,5 +1,7 @@
+import math
 import random
 import re
+import time
 
 import pytest
 
@@ -33,6 +35,7 @@ from adtlayout.ir import (
     TTuple,
     TupleMake,
     check_program,
+    dominator_spans,
 )
 from adtlayout.pipeline import process_adts
 from adtlayout.solver import TreeTag
@@ -996,6 +999,113 @@ def test_jump_agrees_boxed_and_normalized(target):
     check_program(post)
     assert eval_program(program) == Outcome(None, 7)
     assert eval_program(post) == Outcome(None, 7)
+
+
+def chain_bundle(n: int) -> str:
+    """A bundle whose `main` is a chain of n blocks: each compares a
+    parameter with itself and branches to the next block on both arms."""
+    lines = ["target x64", "fn main(%x0: u8) -> u8 {"]
+    for i in range(n):
+        lines += [f"b{i}:", f"  %c{i} = eq<u8>(%x0, %x0)", f"  br %c{i}, b{i + 1}, b{i + 1}"]
+    return "\n".join(lines + [f"b{n}:", "  ret %x0", "}"])
+
+
+def _check_normalize_check(n: int) -> float:
+    """The least of three timings of checking the n-block chain, normalizing
+    it and checking the result."""
+    program, _ = progtext.parse_bundle(chain_bundle(n))
+    best = math.inf
+    for _ in range(3):
+        start = time.perf_counter()
+        check_program(program)
+        post = norm.normalize_program(program)
+        check_program(post)
+        best = min(best, time.perf_counter() - start)
+    assert eval_program(post, inputs=[5]) == eval_program(program, inputs=[5]) == Outcome(None, 5)
+    return best
+
+
+def test_chain_checks_and_normalizes_in_linear_time():
+    """Four times the blocks take about four times as long to check,
+    normalize and check again; a full dominator set per block and a block
+    order over lists took about twenty times as long. A ratio of two times
+    on one machine does not depend on that machine's speed."""
+    assert _check_normalize_check(4000) < 8 * _check_normalize_check(1000)
+
+
+DIAMOND = """target x64
+fn main(%c: bool) -> u8 {
+entry:
+  %x = const<u8> 1
+  br %c, left, right
+left:
+  jmp merge
+right:
+  jmp merge
+merge:
+  %m = eq<u8>(%x, %x)
+  br %m, loop, done
+loop:
+  %l = eq<u8>(%x, %x)
+  br %l, merge, done
+done:
+  ret %x
+}
+"""
+
+
+def test_diamond_with_a_back_edge_checks():
+    """`merge` has three predecessors, one of them over the back edge from
+    `loop`; the entry dominates every block, so its `%x` is read in both."""
+    program, _ = progtext.parse_bundle(DIAMOND)
+    check_program(program)
+    check_program(norm.normalize_program(program))
+
+
+@pytest.mark.parametrize("define, name", [
+    pytest.param("left:\n  %a = const<u8> 2\n", "a", id="defined-in-one-arm"),
+    pytest.param("left:\n", "l", id="defined-in-the-loop-body"),
+])
+def test_diamond_refuses_a_definition_that_does_not_dominate_the_merge(define, name):
+    text = DIAMOND.replace("left:\n", define).replace("%m = eq<u8>(%x", f"%m = eq<u8>(%{name}")
+    program, _ = progtext.parse_bundle(text)
+    with pytest.raises(IrTypeError, match=f"{name} used in merge without dominating definition"):
+        check_program(program)
+
+
+def _random_cfg(rng: random.Random) -> tuple[Function, dict[str, list[str]]]:
+    """A function of 1-12 empty blocks, each ending in a jmp, br, switch or
+    ret to random blocks (so back edges and self-loops occur), and each
+    block's successors in order."""
+    labels = [f"b{i}" for i in range(rng.randint(1, 12))]
+    fn = Function("main", (("c", BOOL), ("k", U32)), U32, "b0", {})
+    succs = {}
+    for label in labels:
+        to = [rng.choice(labels) for _ in range(3)]
+        kind = rng.randrange(4)
+        fn.blocks[label] = Block(label, [], [
+            Jump(to[0]), Branch("c", to[0], to[1]), Switch("k", ((0, to[0]), (1, to[1])), to[2]),
+            Return("k"),
+        ][kind])
+        succs[label] = to[:(1, 2, 3, 0)[kind]]
+    return fn, succs
+
+
+def test_dominance_agrees_with_the_set_fixed_point():
+    """On 3000 random CFGs the block order is breadth-first, and each
+    block's dominator-tree interval holds exactly the blocks it dominates."""
+    from oracles import reference_dominators
+
+    rng = random.Random(5)
+    for _ in range(3000):
+        fn, succs = _random_cfg(rng)
+        want = reference_dominators("b0", succs)
+        order = fn.block_order()
+        assert order == list(want)
+        spans = dominator_spans(fn, order)
+        for a, (first, end) in spans.items():
+            for b, (at, _) in spans.items():
+                assert (first <= at < end) == (a in want[b]), (succs, a, b)
 
 
 @pytest.mark.parametrize("ref", ["getfield<T#0.x>", "alloc<T#z>", "alloc<T#٣>"])
