@@ -194,7 +194,6 @@ class EquivResult:
 def run_equivalence(
     seed: int,
     count: int,
-    options: UnboxOptions = UnboxOptions(),
     mutate_normalized: Optional[Callable[[Program], None]] = None,
 ) -> EquivResult:
     """Generate `count` programs from the seed and compare boxed evaluation
@@ -205,7 +204,7 @@ def run_equivalence(
     ran = 0
     for i in range(count):
         target = targets[i % len(targets)]
-        program, decls = progen.generate_program(f"{seed}:{i}", target, options)
+        program, decls = progen.generate_program(f"{seed}:{i}", target)
         check_program(program)
         pre_out = interp.eval_program(program)
         post = norm.normalize_program(program)

@@ -20,7 +20,6 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional
 
-from . import codec
 from .distinguish import Leaf, Node
 from .ir import (
     BOOL,
@@ -378,13 +377,10 @@ class _FunctionNormalizer:
         layout = self.ctx.pre.layouts[key]
         mono = self.ctx.pre.adts[key]
         variant = mono.variants[case]
-        base = codec.encode_variant(
-            layout, case, {f.name: 0 for f in variant.fields}
-        )
         out: list[str] = []
         for s, slot in enumerate(layout.slots):
             t = TIntRep(slot.width, slot.kind.value)
-            acc = self.const(t, base[s])
+            acc = self.const(t, layout.patterns[case][s].ones)
             for k, f in enumerate(variant.fields):
                 pl = layout.placements[(case, f.name)]
                 if pl.slot != s:

@@ -214,20 +214,17 @@ def process_adts(
     # discover every reachable instantiation and its dependency edges
     insts: dict[str, tuple[str, tuple[TypeExpr, ...]]] = {}
     graph: dict[str, list[str]] = {}
-    order_seen: list[str] = []
     work: list[tuple[str, tuple[TypeExpr, ...], Chain]] = []
     parts_left = [_MAX_BUILT_PARTS]
     for r in requests:
         if r.name not in adt_decls:
             raise MonoError(f"unknown type {print_type(r)}")
         work.append((r.name, r.args, {}))
-    while work:
-        name, args, chain = work.pop(0)
+    for name, args, chain in work:  # breadth first: `work` grows as it is walked
         key = instantiation_key(name, args)
         if key in insts:
             continue
         insts[key] = (name, args)
-        order_seen.append(key)
         deps = _dependencies(adt_decls[name], args, chain, adt_decls, parts_left)
         graph[key] = [instantiation_key(n, a) for n, a, _ in deps]
         work.extend(deps)
@@ -246,9 +243,10 @@ def process_adts(
         packings=packings,
         recursive_keys=recursive_keys,
     )
+    position = {key: i for i, key in enumerate(insts)}  # discovery order
     # components arrive dependencies-first
     for comp in components:
-        for key in sorted(comp, key=order_seen.index):
+        for key in sorted(comp, key=position.__getitem__):
             name, args = insts[key]
             mono = monomorphize_adt(adt_decls[name], args, env)
             disposition = unboxing_eligibility(mono, options)
@@ -257,4 +255,4 @@ def process_adts(
                 layout = solve_layout(mono, target, budget=options.budget)
             env.resolved[key] = ResolvedAdt(mono, disposition, layout)
     # present results in request/discovery order
-    return ProgramLayouts(order_seen, env.resolved)
+    return ProgramLayouts(list(insts), env.resolved)

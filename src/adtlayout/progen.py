@@ -40,7 +40,7 @@ from .syntax import (
     TypeExpr,
     Variant,
 )
-from .targets import Target, UnboxOptions
+from .targets import Target
 
 MAX_INSTRS = 30
 _INT_WIDTHS = [1, 2, 5, 8, 16, 31, 32, 33, 48, 64]
@@ -291,13 +291,11 @@ class _Gen:
         return dst
 
 
-def generate_program(
-    seed: str, target: Target, options: UnboxOptions = UnboxOptions()
-) -> tuple[Program, list[AdtDecl]]:
+def generate_program(seed: str, target: Target) -> tuple[Program, list[AdtDecl]]:
     """Deterministically generate one program (declarations plus main)."""
     rng = random.Random(seed)
     decls = gen_decls(rng)
-    program = Program.of_layouts(process_adts(decls, target, options=options), target)
+    program = Program.of_layouts(process_adts(decls, target), target)
     gen = _Gen(rng, program)
     program.functions["main"] = gen.run()
     return program, decls

@@ -35,7 +35,7 @@ from .ir import (
 from .pipeline import process_adts
 from .solver import AnnotationInfeasible
 from .syntax import PackingSyntaxError, parse_program, print_program
-from .targets import BUILTIN_TARGETS, MonoError, Target, UnboxOptions
+from .targets import BUILTIN_TARGETS, MonoError, Target
 from .verify import VerifyError
 
 
@@ -340,9 +340,7 @@ def _parse_term(s: str):
     raise ProgTextError(f"bad terminator {s!r}")
 
 
-def parse_bundle(
-    text: str, options: UnboxOptions = UnboxOptions()
-) -> tuple[Program, list]:
+def parse_bundle(text: str) -> tuple[Program, list]:
     """Rebuild a program from bundle text: target line, type declarations,
     then functions. Layouts are re-derived, so a bundle is self-contained.
     Every other line reaches the declaration parser as an empty line, so
@@ -374,7 +372,7 @@ def parse_bundle(
         raise ProgTextError("bundle lacks a target line")
     try:
         decls = parse_program("\n".join(decl_lines))
-        program = Program.of_layouts(process_adts(decls, target, options=options), target)
+        program = Program.of_layouts(process_adts(decls, target), target)
     except (PackingSyntaxError, VerifyError, MonoError, AnnotationInfeasible) as e:
         raise ProgTextError(f"in the type declarations: {e}") from e
     for chunk in fn_chunks:

@@ -84,6 +84,7 @@ class Score:
 @dataclass(frozen=True)
 class SingleVariant:
     kind_name = "single-variant"
+    dedicated = False
 
 
 @dataclass(frozen=True)
@@ -104,6 +105,7 @@ class ExplicitTag:
 class TreeTag:
     tree: DecisionTree
     kind_name = "decision-tree"
+    dedicated = False
 
 
 TagScheme = Union[SingleVariant, ExplicitTag, TreeTag]
@@ -475,11 +477,6 @@ def _freeze_slots(state: _State) -> list[ScalarSlot]:
     return out
 
 
-def _dedicated(scheme: TagScheme) -> bool:
-    """True when the scheme keeps the tag in a scalar of its own."""
-    return isinstance(scheme, ExplicitTag) and scheme.dedicated
-
-
 def read_mask(bits: int, offset: int, width: int, plain_ref: bool = False) -> int:
     """The mask that reading `width` bits at `offset` needs, or 0, given the
     scalar's set bits (constant ones, field bits) in each case the read may
@@ -491,12 +488,24 @@ def read_mask(bits: int, offset: int, width: int, plain_ref: bool = False) -> in
     return field if bits >> (offset + width) else 0
 
 
-def tag_read_mask(patterns: list[list[BitPattern]], tag: ExplicitTag) -> int:
-    """`read_mask` of an explicit tag, which reads every case."""
+def read_cost(bits: int, offset: int, width: int) -> int:
+    """The access cost of reading `width` bits at `offset` of a scalar with
+    `bits` set: 2 for a shifted read, 1 for a read at offset 0 that
+    `read_mask` masks, 0 for a read that is the scalar itself."""
+    return 2 if offset else 1 if read_mask(bits, 0, width) else 0
+
+
+def _tag_bits(patterns: list[list[BitPattern]], tag: ExplicitTag) -> int:
+    """The set bits of an explicit tag's scalar in every case."""
     bits = 0
     for row in patterns:
         bits |= row[tag.slot].ones | row[tag.slot].field
-    return read_mask(bits, tag.offset, tag.width)
+    return bits
+
+
+def tag_read_mask(patterns: list[list[BitPattern]], tag: ExplicitTag) -> int:
+    """`read_mask` of an explicit tag, which reads every case."""
+    return read_mask(_tag_bits(patterns, tag), tag.offset, tag.width)
 
 
 def _access_cost(
@@ -504,32 +513,37 @@ def _access_cost(
     patterns: list[list[BitPattern]],
     scheme: TagScheme,
 ) -> int:
-    """Summed access cost: 2 for each field or tag at a shifted offset, 1 for
-    each at offset 0 that `read_mask` masks, and 2 per decision-tree level.
-    Free bits read as 0, so the patterns may be taken before or after their
-    free bits are fixed; an explicit tag's value bits count as set, so they
-    may also be taken before the tag is written."""
-    in_place = isinstance(scheme, ExplicitTag) and not scheme.dedicated
+    """Summed `read_cost` of every field and of an explicit tag, plus 2 per
+    decision-tree level. Free bits read as 0, so the patterns may be taken
+    before or after their free bits are fixed; an explicit tag's value bits
+    count as set, so they may also be taken before the tag is written, and a
+    dedicated tag's scalar, which holds nothing else, before it is added."""
+    tag = scheme if isinstance(scheme, ExplicitTag) else None
     access = 0
     for (v, _), pl in placements.items():
-        if pl.offset > 0:
-            access += 2
-        else:
-            p = patterns[v][pl.slot]
-            bits = p.ones | p.field
-            if in_place and pl.slot == scheme.slot:
-                bits |= v << scheme.offset
-            access += bool(read_mask(bits, 0, pl.width))
-    if isinstance(scheme, ExplicitTag):
-        access += 2 if scheme.offset else bool(in_place and tag_read_mask(patterns, scheme))
+        p = patterns[v][pl.slot]
+        bits = p.ones | p.field
+        if tag is not None and pl.slot == tag.slot:
+            bits |= v << tag.offset
+        access += read_cost(bits, pl.offset, pl.width)
+    if tag is not None:
+        bits = 0 if tag.dedicated else _tag_bits(patterns, tag)
+        access += read_cost(bits, tag.offset, tag.width)
     elif isinstance(scheme, TreeTag):
         access += 2 * tree_depth(scheme.tree)
     return access
 
 
-def score_layout(sol: LayoutSolution) -> Score:
-    access = _access_cost(sol.placements, sol.patterns, sol.tag_scheme)
-    return Score(len(sol.slots), access, int(_dedicated(sol.tag_scheme)))
+def score_layout(
+    n_scalars: int,
+    placements: dict[tuple[int, str], Placement],
+    patterns: list[list[BitPattern]],
+    scheme: TagScheme,
+) -> Score:
+    """The score of `placements` in `patterns` tagged by `scheme`, over
+    `n_scalars` scalars, a dedicated tag's own scalar included."""
+    access = _access_cost(placements, patterns, scheme)
+    return Score(n_scalars, access, int(scheme.dedicated))
 
 
 def _tag_in_place(rows: list[list[BitPattern]], s: int, offset: int, width: int):
@@ -539,54 +553,44 @@ def _tag_in_place(rows: list[list[BitPattern]], s: int, offset: int, width: int)
     return [row[:s] + [row[s].fix(mask, v << offset)] + row[s + 1 :] for v, row in enumerate(rows)]
 
 
-def _tag_appended(rows: list[list[BitPattern]], width: int):
-    """The rows with the variant index in a fresh `width`-bit scalar appended
-    to each."""
-    full = (1 << width) - 1
-    return [row + [BitPattern(width, full, v & full)] for v, row in enumerate(rows)]
-
-
-# a tagging completion: (score key, scheme, patterns), the patterns before
-# an explicit tag is written and with a tree's free bits resolved
-Candidate = tuple[tuple[int, int], TagScheme, list[list[BitPattern]]]
+# a tagging completion: (score, scheme, patterns), the patterns before an
+# explicit tag is written and with a tree's free bits resolved
+Candidate = tuple[Score, TagScheme, list[list[BitPattern]]]
 
 
 def _candidate(state: _State, rows: list[list[BitPattern]], scheme: TagScheme) -> Candidate:
-    """`state` completed by `scheme` over `rows`, keyed by its score."""
-    dedicated = _dedicated(scheme)
-    access = _access_cost(state.placements, rows, scheme)
-    return (len(state.slots) + dedicated, access + dedicated), scheme, rows
+    """`state` completed by `scheme` over `rows`, with its score."""
+    n_scalars = len(state.slots) + scheme.dedicated
+    return score_layout(n_scalars, state.placements, rows, scheme), scheme, rows
 
 
 def _solution(state: _State, cand: Candidate) -> LayoutSolution:
-    """The scored solution of `state` completed by `cand`, plus the tag
-    scalar when the tag is dedicated. Its free bits are made constant 0."""
-    _, scheme, patterns = cand
+    """The solution of `state` completed by `cand`, with its score, plus the
+    tag scalar when the tag is dedicated. Its free bits are made constant 0."""
+    score, scheme, patterns = cand
     slots = _freeze_slots(state)
-    if _dedicated(scheme):
+    if scheme.dedicated:
         kinds = state.target.kinds_for_int(scheme.width)
         slots.append(ScalarSlot(_pick_kind(kinds, False), kinds, scheme.width))
-        patterns = _tag_appended(patterns, scheme.width)
-    elif isinstance(scheme, ExplicitTag):
+        patterns = [row + [BitPattern(scheme.width)] for row in patterns]
+    if isinstance(scheme, ExplicitTag):
         patterns = _tag_in_place(patterns, scheme.slot, scheme.offset, scheme.width)
-    sol = LayoutSolution(
+    return LayoutSolution(
         adt=state.adt,
         target=state.target,
         slots=slots,
         placements=dict(state.placements),
         patterns=[[p.fix(p.free, 0) for p in row] for row in patterns],
         tag_scheme=scheme,
-        score=Score(0, 0, 0),
+        score=score,
     )
-    sol.score = score_layout(sol)
-    return sol
 
 
 def _candidates(
     state: _State, best_key=None, charge: Optional[Callable[[], bool]] = None
 ) -> list[Candidate]:
     """The tagging completions of a fully-assigned state, each with its
-    score key, ordered by preference: in-place explicit tag, decision tree,
+    score, ordered by preference: in-place explicit tag, decision tree,
     appended tag scalar. Candidates provably unable to beat `best_key` may
     be omitted. A tree's complete free-bit search is charged to `charge`
     (see `distinguish.derive_tree`); when the charge is refused the state
@@ -612,7 +616,7 @@ def _candidates(
     fields = _access_cost(state.placements, base, SingleVariant())  # before tagging
     tree_bound = (m, fields + 2 * tw)
     have = min(
-        [key for key, _, _ in results] + ([best_key] if best_key is not None else []),
+        [score.key() for score, _, _ in results] + ([best_key] if best_key is not None else []),
         default=None,
     )
     dominated = (n == 2 and results) or (have is not None and have <= tree_bound)
@@ -639,8 +643,9 @@ def _complete(
     built; the others are judged by key alone."""
     pick: Optional[Candidate] = None
     for cand in _candidates(state, best_key, charge):
-        if best_key is None or cand[0] < best_key:
-            best_key, pick = cand[0], cand
+        key = cand[0].key()
+        if best_key is None or key < best_key:
+            best_key, pick = key, cand
     return None if pick is None else _solution(state, pick)
 
 
@@ -876,15 +881,17 @@ class _Search:
             slot.add_consts(v, 0, 0, ((1 << self.tw) - 1) << (slot.width - self.tw))
 
     def cost(self, state: _State, v: int) -> int:
-        """`_access_cost` of `v`'s placements so far, `read_mask` inlined as this
-        runs per node; for v > 0 a field at offset 0 of the reserved scalar is below the tag."""
+        """`_access_cost` of `v`'s placements so far, with the tag value `v`
+        in the top bits of the reserved scalar."""
         total = 0
         for key in self.keys[v]:
             pl = state.placements.get(key)
             if pl is not None:
                 s = state.slots[pl.slot]
-                total += 2 if pl.offset else bool(
-                    v and pl.slot == self.reserve or (s.field[v] | s.ones[v]) >> pl.width)
+                bits = s.field[v] | s.ones[v]
+                if pl.slot == self.reserve:
+                    bits |= v << (s.width - self.tw)
+                total += read_cost(bits, pl.offset, pl.width)
         return total
 
     def bound(self, state: _State, v: int, i: int) -> Optional[int]:

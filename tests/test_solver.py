@@ -571,16 +571,18 @@ def test_search_stops_once_no_attempt_can_win(monkeypatch):
 
 
 def test_candidate_keys_equal_built_scores(monkeypatch):
-    """Each completion candidate's key, computed from its masks before the
-    tag is written, equals score_layout's key of the solution built from it."""
+    """Each completion candidate's score, computed from its masks before the
+    tag is written, equals score_layout's score of the solution built from
+    it, and is the score that solution keeps."""
     kinds = set()
     original = solver._complete
 
     def checking(state, best_key=None, charge=None):
         for cand in solver._candidates(state):
-            key, scheme, _ = cand
+            score, scheme, _ = cand
             sol = solver._solution(state, cand)
-            assert key == score_layout(sol).key() == sol.score.key(), (state.adt.name, scheme)
+            built = score_layout(len(sol.slots), sol.placements, sol.patterns, sol.tag_scheme)
+            assert score == built == sol.score, (state.adt.name, scheme)
             kinds.add(scheme.kind_name)
         return original(state, best_key, charge)
 
@@ -595,11 +597,34 @@ def test_candidate_keys_equal_built_scores(monkeypatch):
     assert kinds == {"single-variant", "bare-tag", "explicit-tag", "decision-tree"}
 
 
+def test_solution_computes_no_score(monkeypatch):
+    """A built layout keeps the score its candidate was chosen by, so
+    `_solution` reads no access cost."""
+    calls, built = [], []
+    access_cost, solution = solver._access_cost, solver._solution
+
+    def counting(*args):
+        calls.append(args)
+        return access_cost(*args)
+
+    def building(state, cand):
+        before = len(calls)
+        sol = solution(state, cand)
+        built.append(len(calls) - before)
+        return sol
+
+    monkeypatch.setattr(solver, "_access_cost", counting)
+    monkeypatch.setattr(solver, "_solution", building)
+    for target in (X64, JVM, X86_32):
+        process_adts(parse_program(CORPUS_SRC), target)
+    assert calls and built and not any(built)
+
+
 def test_search_cost_is_the_access_cost(monkeypatch):
-    """The cost an attempt returns, which `_Search.cost` sums with its own
-    inline copy of `read_mask`'s offset-0 test, is `_access_cost` of the
-    state's placements with the tag written where the attempt reserved it,
-    for every attempt that gives a state."""
+    """The cost an attempt returns, which `_Search.cost` sums by
+    `read_cost`, is `_access_cost` of the state's placements with the tag
+    written where the attempt reserved it, for every attempt that gives a
+    state."""
     checked = []
     attempt = solver._Search.attempt
 
