@@ -10,8 +10,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from . import interp, norm, progen, progtext
 from .ir import Program, check_program
@@ -181,8 +180,7 @@ def cmd_layout(
 # equivalence
 
 
-@dataclass
-class EquivResult:
+class EquivResult(NamedTuple):
     ran: int
     failures: list[str]  # reproducer bundles
 

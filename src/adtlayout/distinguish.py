@@ -16,7 +16,6 @@ Patterns print as strings, MSB first, over '0', '1', 'x' (field) and 'u'
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Union
 
 Patterns = list[list[str]]  # [variant][scalar] -> MSB-first pattern string
@@ -69,16 +68,14 @@ def print_pattern(p: BitPattern) -> str:
     return str(digits).zfill(p.width).translate(_DIGITS)
 
 
-@dataclass(frozen=True)
-class Leaf:
+class Leaf(NamedTuple):
     variant: int
 
     def to_json(self) -> dict:
         return {"variant": self.variant}
 
 
-@dataclass(frozen=True)
-class Node:
+class Node(NamedTuple):
     scalar: int
     bit: int  # position from the LSB
     zero: "DecisionTree"

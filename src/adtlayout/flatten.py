@@ -18,7 +18,7 @@ E016 duplicate field placement.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .distinguish import BitPattern, join_patterns, parse_pattern, print_pattern
 from .syntax import (
@@ -36,8 +36,7 @@ from .syntax import (
 MAX_SCALAR_BITS = 64
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(NamedTuple):
     code: str
     message: str
     pos: tuple[int, int] = (0, 0)
@@ -56,8 +55,7 @@ def _fail(code: str, message: str, pos: tuple[int, int]) -> "VerifyError":
     return VerifyError(Diagnostic(code, message, pos))
 
 
-@dataclass(frozen=True)
-class FlattenedPacking:
+class FlattenedPacking(NamedTuple):
     assignments: dict[str, int]  # field name -> offset of its LSB
     pattern: BitPattern
 
@@ -76,8 +74,7 @@ class FlattenedPacking:
         }
 
 
-@dataclass(frozen=True)
-class SolveRequest:
+class SolveRequest(NamedTuple):
     """Placement left to the solver: the listed items must all land in one
     scalar, positions free."""
 
@@ -98,6 +95,8 @@ class SolveRequest:
 AnnotationEntry = Union[FlattenedPacking, SolveRequest]
 
 
+# a dataclass: each context gets its own dicts (`default_factory`), which
+# the flattening of declarations fills
 @dataclass
 class SizeContext:
     """Field-name widths plus the packing declarations in scope, with the

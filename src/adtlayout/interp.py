@@ -16,7 +16,7 @@ that type, and observation walks the type over them in the same way."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dfield
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import codec
 from .ir import (
@@ -58,13 +58,13 @@ _MAX_STEPS = 200_000
 _MAX_CALL_DEPTH = 64
 
 
-@dataclass
-class Record:
+class Record(NamedTuple):
     adt: str
     case: int
     fields: list  # source values before normalization; scalars after
 
 
+# a dataclass: `alloc` advances `next_addr`
 @dataclass
 class Heap:
     cells: dict[int, Record] = dfield(default_factory=dict)
@@ -86,8 +86,7 @@ class TrapSignal(Exception):
         self.kind = kind
 
 
-@dataclass(frozen=True)
-class Outcome:
+class Outcome(NamedTuple):
     trap: Optional[str]
     value: object  # observable tree, None when trapped
 

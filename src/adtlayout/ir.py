@@ -18,7 +18,7 @@ both read it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dfield
-from typing import Callable, Iterator, Optional, Union
+from typing import Callable, Iterator, NamedTuple, Optional, Union
 
 from .solver import LayoutSolution
 from .syntax import (
@@ -36,29 +36,24 @@ from .targets import REF_NONE, MonoAdt, MonoVariant, Target
 # Types
 
 
-@dataclass(frozen=True)
-class TInt:
+class TInt(NamedTuple):
     width: int
     signed: bool = False
 
 
-@dataclass(frozen=True)
-class TFloat:
+class TFloat(NamedTuple):
     width: int
 
 
-@dataclass(frozen=True)
-class TTuple:
+class TTuple(NamedTuple):
     elems: tuple["IrType", ...]
 
 
-@dataclass(frozen=True)
-class TAdt:
+class TAdt(NamedTuple):
     key: str
 
 
-@dataclass(frozen=True)
-class TIntRep:
+class TIntRep(NamedTuple):
     """Packed bits backed by an integer of a known scalar kind; the kind
     tells later phases which values may carry references."""
 
@@ -107,6 +102,8 @@ def print_ir_type(t: IrType) -> str:
 # Instructions
 
 
+# Unlike the other value records, instructions stay frozen dataclasses:
+# perfbench's self-test rewrites a `Const` with `dataclasses.replace`.
 @dataclass(frozen=True)
 class Const:
     dst: str
@@ -236,38 +233,35 @@ Instr = Union[
 ]
 
 
-@dataclass(frozen=True)
-class Jump:
+class Jump(NamedTuple):
     label: str
 
 
-@dataclass(frozen=True)
-class Branch:
+class Branch(NamedTuple):
     cond: str
     then_label: str
     else_label: str
 
 
-@dataclass(frozen=True)
-class Switch:
+class Switch(NamedTuple):
     value: str
     cases: tuple[tuple[int, str], ...]
     default: str
 
 
-@dataclass(frozen=True)
-class Return:
+class Return(NamedTuple):
     value: str
 
 
-@dataclass(frozen=True)
-class Trap:
+class Trap(NamedTuple):
     kind: str  # null-access | bad-case | explicit
 
 
 Terminator = Union[Jump, Branch, Switch, Return, Trap]
 
 
+# Blocks, functions and programs stay dataclasses: their attributes are
+# set after construction.
 @dataclass
 class Block:
     label: str

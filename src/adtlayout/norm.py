@@ -17,8 +17,7 @@ generated equality take its fields as `Program.spread` walks them."""
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .distinguish import Leaf, Node
 from .ir import (
@@ -58,8 +57,7 @@ from .solver import ExplicitTag, SingleVariant, TreeTag, read_mask, tag_read_mas
 from .targets import REF_PLAIN
 
 
-@dataclass(frozen=True)
-class _NullMarker:
+class _NullMarker(NamedTuple):
     key: str
 
 

@@ -4,8 +4,7 @@ into the fields that mention them."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .flatten import SizeContext, VerifyError
 from .solver import LayoutSolution, solve_layout
@@ -35,8 +34,7 @@ _MAX_TYPE_GROWTH = 8
 _MAX_BUILT_PARTS = 1 << 16
 
 
-@dataclass
-class ProgramLayouts:
+class ProgramLayouts(NamedTuple):
     order: list[str]  # instantiation keys in processing order
     resolved: dict[str, ResolvedAdt]
 

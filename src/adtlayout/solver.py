@@ -19,8 +19,8 @@ constants but never field data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from functools import lru_cache
+from dataclasses import dataclass
+from functools import cache, lru_cache
 from itertools import product
 from typing import Callable, NamedTuple, Optional, Union
 
@@ -71,8 +71,7 @@ class AnnotationInfeasible(Exception):
 # Solution model
 
 
-@dataclass(frozen=True)
-class Score:
+class Score(NamedTuple):
     num_scalars: int
     access_cost: int
     explicit_tag_cost: int
@@ -81,14 +80,14 @@ class Score:
         return (self.num_scalars, self.access_cost + self.explicit_tag_cost)
 
 
-@dataclass(frozen=True)
-class SingleVariant:
+class SingleVariant(NamedTuple):
+    """No tag: one case. An empty tuple, so never tested for truth."""
+
     kind_name = "single-variant"
     dedicated = False
 
 
-@dataclass(frozen=True)
-class ExplicitTag:
+class ExplicitTag(NamedTuple):
     slot: int
     offset: int
     width: int
@@ -101,8 +100,7 @@ class ExplicitTag:
         return "bare-tag" if self.dedicated and self.slot == 0 else "explicit-tag"
 
 
-@dataclass(frozen=True)
-class TreeTag:
+class TreeTag(NamedTuple):
     tree: DecisionTree
     kind_name = "decision-tree"
     dedicated = False
@@ -111,8 +109,7 @@ class TreeTag:
 TagScheme = Union[SingleVariant, ExplicitTag, TreeTag]
 
 
-@dataclass(frozen=True)
-class ScalarSlot:
+class ScalarSlot(NamedTuple):
     kind: ScalarKind
     kinds: KindSet
     width: int
@@ -129,6 +126,7 @@ class Placement(NamedTuple):
     field: FieldSlot
 
 
+# a dataclass: the search sets `steps_used` and `finished` after construction
 @dataclass
 class LayoutSolution:
     adt: MonoAdt
@@ -607,19 +605,21 @@ def _candidates(
         if found is not None:
             results.append(_candidate(state, base, ExplicitTag(s, found, tw, dedicated=False)))
 
+    # the field cost before tagging, which the tree and appended-tag bounds
+    # read: taken once, and only when one of them is compared
+    untagged = cache(lambda: _access_cost(state.placements, base, SingleVariant()))
+
     # A classification tree costs at least 2 per level and needs ceil(log2 n)
     # levels. With two variants a tree is not tried once an in-place tag was
     # found, though it can be cheaper: a one-node tree may set its bit in
     # case 0 rather than above case 1's offset-0 field, saving one access
     # unit. The tag is kept so that case 0 has its tag bits 0, and an
     # all-zero value is case 0 (an option's nullary case).
-    fields = _access_cost(state.placements, base, SingleVariant())  # before tagging
-    tree_bound = (m, fields + 2 * tw)
     have = min(
         [score.key() for score, _, _ in results] + ([best_key] if best_key is not None else []),
         default=None,
     )
-    dominated = (n == 2 and results) or (have is not None and have <= tree_bound)
+    dominated = (n == 2 and results) or (have is not None and have <= (m, untagged() + 2 * tw))
     if not dominated:
         derived = distinguish.derive_tree(base, charge)
         if derived is not None:
@@ -628,8 +628,7 @@ def _candidates(
 
     # an appended tag costs an extra scalar, so any same-slot-count candidate
     # beats it; offer it only as the fallback
-    appended_bound = (m + 1, fields + 1)
-    if not results and (best_key is None or best_key > appended_bound):
+    if not results and (best_key is None or best_key > (m + 1, untagged() + 1)):
         scheme = ExplicitTag(m, 0, tw, True)
         results.append(_candidate(state, base, scheme))
     return results
@@ -724,7 +723,7 @@ def _apply_annotations(state: _State) -> list[tuple[int, int, _Unit]]:
 def trivial_layout(adt: MonoAdt, target: Target) -> LayoutSolution:
     """One scalar per field per variant plus a dedicated tag scalar (for
     more than one variant). A score baseline; ignores packings."""
-    bare = replace(adt, packing=None)
+    bare = adt._replace(packing=None)
     state = _State(bare, target)
     for i, variant in enumerate(bare.variants):
         for f in variant.fields:

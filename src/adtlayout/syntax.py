@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 # the deepest nesting of brackets in a type or packing expression
 MAX_NESTING = 64
@@ -33,6 +33,9 @@ class PackingSyntaxError(Exception):
 # Packing expressions
 
 
+# The syntax nodes with a `pos` (packing expressions and declarations, cases
+# and ADT declarations) stay frozen dataclasses, which leave `pos` out of
+# equality.
 @dataclass(frozen=True)
 class BitLayout:
     bits: tuple[str, ...]  # MSB first; each one of 0, 1, ?, or a letter
@@ -89,29 +92,24 @@ class PackingDecl:
 # Field types for the ADT subset
 
 
-@dataclass(frozen=True)
-class IntType:
+class IntType(NamedTuple):
     width: int
     signed: bool
 
 
-@dataclass(frozen=True)
-class BoolType:
-    pass
+class BoolType(NamedTuple):
+    """A record with no fields: an empty tuple, so never tested for truth."""
 
 
-@dataclass(frozen=True)
-class FloatType:
+class FloatType(NamedTuple):
     width: int  # 32 or 64
 
 
-@dataclass(frozen=True)
-class TupleType:
+class TupleType(NamedTuple):
     elems: tuple["TypeExpr", ...]
 
 
-@dataclass(frozen=True)
-class NamedType:
+class NamedType(NamedTuple):
     """A type parameter, a declared ADT instantiation, or an opaque reference type."""
 
     name: str

@@ -12,7 +12,7 @@ import enum
 import json
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .distinguish import BitPattern, parse_pattern
 from .flatten import AnnotationEntry, SizeContext, flatten_annotation
@@ -50,6 +50,8 @@ class ScalarKind(enum.Enum):
 KindSet = frozenset[ScalarKind]
 
 
+# Tagging schemes and targets stay frozen dataclasses: `__post_init__`
+# validates them.
 @dataclass(frozen=True)
 class RefTagging:
     """Low-bit discrimination between references and packed values in one
@@ -227,8 +229,7 @@ REF_PLAIN = "ref"  # a reference; may share its scalar only under tagging
 REF_TAGGED_WORD = "tagged_word"  # an embedded scalar that mixes refs and bits
 
 
-@dataclass(frozen=True)
-class FieldSlot:
+class FieldSlot(NamedTuple):
     """One normalized field: a value that fits in a single scalar."""
 
     name: str
@@ -242,8 +243,7 @@ class FieldSlot:
     scalar_index: int = 0  # position within an embedded unboxed group
 
 
-@dataclass(frozen=True)
-class MonoVariant:
+class MonoVariant(NamedTuple):
     name: str
     source_fields: tuple[tuple[str, TypeExpr], ...]
     fields: tuple[FieldSlot, ...]
@@ -255,8 +255,7 @@ class MonoVariant:
         raise KeyError(name)
 
 
-@dataclass(frozen=True)
-class MonoAdt:
+class MonoAdt(NamedTuple):
     name: str  # canonical instantiation key, e.g. Option<u32>
     variants: tuple[MonoVariant, ...]
     recursive: bool = False
@@ -269,12 +268,13 @@ class MonoAdt:
         return all(not v.fields for v in self.variants)
 
 
-@dataclass(frozen=True)
-class Disposition:
+class Disposition(NamedTuple):
     boxed: bool
     reason: str  # recursive | captured | annotation | all-nullary | auto | default
 
 
+# a dataclass: each environment gets its own dict and set (`default_factory`),
+# which processing fills
 @dataclass
 class AdtEnv:
     """Resolution context for monomorphization: declared ADTs plus the
@@ -287,8 +287,7 @@ class AdtEnv:
     recursive_keys: set[str] = field(default_factory=set)
 
 
-@dataclass
-class ResolvedAdt:
+class ResolvedAdt(NamedTuple):
     mono: MonoAdt
     disposition: Disposition
     layout: Optional[object] = None  # LayoutSolution once solved
@@ -402,8 +401,7 @@ def _flatten_adt_packing(decl: AdtDecl, variants: list[MonoVariant], env: AdtEnv
     return tuple(per_variant)
 
 
-@dataclass(frozen=True)
-class UnboxOptions:
+class UnboxOptions(NamedTuple):
     auto_unbox_limit: int = 2
     budget: int = 10_000
 

@@ -1,11 +1,13 @@
+import itertools
 import math
 import random
 import re
 import time
+import typing
 
 import pytest
 
-from adtlayout import codec, interp, norm, progen, progtext
+from adtlayout import codec, interp, ir, norm, progen, progtext
 from adtlayout.interp import Outcome, eval_program
 from adtlayout.ir import (
     BOOL,
@@ -862,6 +864,23 @@ entry:
 def test_checker_rejects_with_its_message(build, message):
     with pytest.raises(IrTypeError, match=re.escape(message)):
         check_program(build())
+
+
+def test_ir_types_of_different_classes_never_compare_equal():
+    """IR types are NamedTuples, which compare as tuples: two classes whose
+    fields took the same values would be equal and hash alike, and the
+    checker, which compares types with == and !=, could not tell them
+    apart. Every class is built from the same values, one per field type."""
+    classes = typing.get_args(ir.IrType)
+    for width, flag, text in [(1, False, "u1"), (8, True, "B64"), (64, False, "R64")]:
+        value = {int: width, bool: flag, str: text, tuple: (TInt(width, flag),)}
+        types = [
+            cls(*(value[getattr(h, "__origin__", h)] for h in typing.get_type_hints(cls).values()))
+            for cls in classes
+        ]
+        for a, b in itertools.combinations(types, 2):
+            assert a != b and not a == b, (a, b)
+        assert len(set(types)) == len(classes)
 
 
 @pytest.mark.parametrize("target", ["x64", "jvm", "x86-32"])

@@ -23,7 +23,7 @@ from adtlayout.targets import BUILTIN_TARGETS, JVM, X64, X86_32, UnboxOptions
 
 from corpus import CORPUS_SRC, solve_corpus_and_progen
 from oracles import oracle_best_score, oracle_per_variant_score
-from test_golden import CASES as GOLDEN_CASES, WIDE_W0_X86_32, WIDE_W1, WIDE_W1_X64
+from test_golden import CASES as GOLDEN_CASES, WIDE_W0_X86_32, WIDE_W1, WIDE_W1_X64, golden_path, layout_json
 
 
 def solve_source(src: str, target=X64, key=None, budget=10_000, requests=None):
@@ -618,6 +618,25 @@ def test_solution_computes_no_score(monkeypatch):
     for target in (X64, JVM, X86_32):
         process_adts(parse_program(CORPUS_SRC), target)
     assert calls and built and not any(built)
+
+
+def test_candidates_take_the_untagged_cost_only_for_a_bound(monkeypatch):
+    """`_candidates` takes the field cost before tagging only when the tree
+    or the appended-tag bound is compared. Over the corpus on x64, jvm and
+    x86-32 that leaves 78 `_access_cost` calls, where taking it for every
+    state of several cases made 123, and every report, steps included, is
+    its golden file."""
+    calls = []
+    access_cost = solver._access_cost
+
+    def counting(*args):
+        calls.append(args)
+        return access_cost(*args)
+
+    monkeypatch.setattr(solver, "_access_cost", counting)
+    for target in ("x64", "jvm", "x86-32"):
+        assert layout_json(CORPUS_SRC, target) == golden_path(f"corpus-{target}").read_text(encoding="utf-8")
+    assert len(calls) == 78
 
 
 def test_search_cost_is_the_access_cost(monkeypatch):
