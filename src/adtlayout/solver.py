@@ -20,7 +20,7 @@ constants but never field data.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, lru_cache
+from functools import lru_cache
 from itertools import product
 from typing import Callable, NamedTuple, Optional, Union
 
@@ -281,8 +281,8 @@ def _overlaps(mask: int, runs: tuple[tuple[int, int], ...]) -> int:
 # What one placement can change, as it was before: the slot, the variant,
 # the slot's kinds, the variant's masks (const, ones, wild, field), whether
 # the variant held a reference there and whether the slot was tagged; and
-# the placements it added.
-_Undo = tuple[_Slot, int, Optional[KindSet], tuple[int, ...], bool, bool, list[Placement]]
+# the keys of the placements it added.
+_Undo = tuple[_Slot, int, Optional[KindSet], tuple[int, ...], bool, bool, list[tuple[int, str]]]
 
 
 class _Unit(NamedTuple):
@@ -354,7 +354,7 @@ class _State:
             new_kinds = slot.kinds & unit.kinds
             if not new_kinds:
                 return None
-        added: list[Placement] = []
+        added: list[tuple[int, str]] = []
         masks = (slot.const[v], slot.ones[v], slot.wild[v], slot.field[v])
         undo = (slot, v, slot.kinds, masks, v in slot.ref_variants, slot.tagged, added)
         if unit.ref is not None:
@@ -376,10 +376,10 @@ class _State:
                 p = unit.pattern
                 slot.add_consts(v, p.const << offset, p.ones << offset, p.free << offset)
         for rel, f in unit.fields:
-            pl = Placement(slot.index, offset + rel, ref_width or f.width, f)
-            slot.field[v] |= ((1 << pl.width) - 1) << pl.offset
-            self.placements[(v, f.name)] = pl
-            added.append(pl)
+            at, width, key = offset + rel, ref_width or f.width, (v, f.name)
+            slot.field[v] |= ((1 << width) - 1) << at
+            self.placements[key] = Placement(slot.index, at, width, f)
+            added.append(key)
         slot.kinds = new_kinds
         return undo
 
@@ -420,8 +420,8 @@ class _State:
 
     def unplace(self, undo: _Undo) -> None:
         slot, v, kinds, masks, is_ref, tagged, added = undo
-        for pl in added:
-            del self.placements[(v, pl.field.name)]
+        for key in added:
+            del self.placements[key]
         slot.kinds = kinds
         slot.const[v], slot.ones[v], slot.wild[v], slot.field[v] = masks
         if not is_ref:
@@ -544,13 +544,6 @@ def score_layout(
     return Score(n_scalars, access, int(scheme.dedicated))
 
 
-def _tag_in_place(rows: list[list[BitPattern]], s: int, offset: int, width: int):
-    """The rows with the variant index written into `width` bits of scalar
-    `s` at `offset`."""
-    mask = ((1 << width) - 1) << offset
-    return [row[:s] + [row[s].fix(mask, v << offset)] + row[s + 1 :] for v, row in enumerate(rows)]
-
-
 # a tagging completion: (score, scheme, patterns), the patterns before an
 # explicit tag is written and with a tree's free bits resolved
 Candidate = tuple[Score, TagScheme, list[list[BitPattern]]]
@@ -564,21 +557,33 @@ def _candidate(state: _State, rows: list[list[BitPattern]], scheme: TagScheme) -
 
 def _solution(state: _State, cand: Candidate) -> LayoutSolution:
     """The solution of `state` completed by `cand`, with its score, plus the
-    tag scalar when the tag is dedicated. Its free bits are made constant 0."""
-    score, scheme, patterns = cand
+    tag scalar when the tag is dedicated. Its free bits are made constant 0
+    and the tag is written as each pattern is built."""
+    score, scheme, rows = cand
     slots = _freeze_slots(state)
+    tag_slot, tag_offset, tag_mask = -1, 0, 0
+    if isinstance(scheme, ExplicitTag):
+        tag_slot, tag_offset = scheme.slot, scheme.offset
+        tag_mask = ((1 << scheme.width) - 1) << tag_offset
     if scheme.dedicated:
         kinds = state.target.kinds_for_int(scheme.width)
         slots.append(ScalarSlot(_pick_kind(kinds, False), kinds, scheme.width))
-        patterns = [row + [BitPattern(scheme.width)] for row in patterns]
-    if isinstance(scheme, ExplicitTag):
-        patterns = _tag_in_place(patterns, scheme.slot, scheme.offset, scheme.width)
+    patterns = []
+    for v, row in enumerate(rows):
+        out = []
+        for s, (width, const, ones, field) in enumerate(row):
+            if s == tag_slot:  # the variant index written into the tag bits
+                const, ones = const | tag_mask, ones & ~tag_mask | v << tag_offset
+            out.append(BitPattern(width, const | ((1 << width) - 1) & ~field, ones, field))
+        if scheme.dedicated:
+            out.append(BitPattern(scheme.width, tag_mask, v))
+        patterns.append(out)
     return LayoutSolution(
         adt=state.adt,
         target=state.target,
         slots=slots,
         placements=dict(state.placements),
-        patterns=[[p.fix(p.free, 0) for p in row] for row in patterns],
+        patterns=patterns,
         tag_scheme=scheme,
         score=score,
     )
@@ -605,10 +610,6 @@ def _candidates(
         if found is not None:
             results.append(_candidate(state, base, ExplicitTag(s, found, tw, dedicated=False)))
 
-    # the field cost before tagging, which the tree and appended-tag bounds
-    # read: taken once, and only when one of them is compared
-    untagged = cache(lambda: _access_cost(state.placements, base, SingleVariant()))
-
     # A classification tree costs at least 2 per level and needs ceil(log2 n)
     # levels. With two variants a tree is not tried once an in-place tag was
     # found, though it can be cheaper: a one-node tree may set its bit in
@@ -619,7 +620,14 @@ def _candidates(
         [score.key() for score, _, _ in results] + ([best_key] if best_key is not None else []),
         default=None,
     )
-    dominated = (n == 2 and results) or (have is not None and have <= (m, untagged() + 2 * tw))
+    # the field cost before tagging, which the tree and appended-tag bounds
+    # read: taken only when one of them is compared, and then here, since
+    # the appended-tag bound is compared only when the tree bound was
+    untagged = None
+    dominated = n == 2 and results
+    if not dominated and have is not None:
+        untagged = _access_cost(state.placements, base, SingleVariant())
+        dominated = have <= (m, untagged + 2 * tw)
     if not dominated:
         derived = distinguish.derive_tree(base, charge)
         if derived is not None:
@@ -628,7 +636,7 @@ def _candidates(
 
     # an appended tag costs an extra scalar, so any same-slot-count candidate
     # beats it; offer it only as the fallback
-    if not results and (best_key is None or best_key > (m + 1, untagged() + 1)):
+    if not results and (best_key is None or best_key > (m + 1, untagged + 1)):
         scheme = ExplicitTag(m, 0, tw, True)
         results.append(_candidate(state, base, scheme))
     return results
@@ -778,38 +786,52 @@ class _Search:
         self.base = _State(adt, target)
         units = _apply_annotations(self.base)
         self.entries = len(self.base.slots)
-        placed = set(self.base.placements) | {(v, name) for v, _, u in units for name in u.names()}
+        placed = () if adt.packing is None else (
+            set(self.base.placements) | {(v, name) for v, _, u in units for name in u.names()})
         # the free references as (variant, unit); per variant: the keys of
         # its placements, its search items (unit, restricted scalar, whether
         # it is a free field equal to the one before, which then starts at
         # that one's scalar so that equal fields are tried in one order):
         # #solve units, then free fields, each in descending width; and the
         # free fields' widths, which end its items
-        self.keys, self.refs, self.items, self.free_widths = [], [], [], []
-        self.lows, self.highs = [0] * len(self.widths), [0] * len(self.widths)
+        keys, refs, items, free_widths = [], [], [], []
+        lows, highs = [0] * len(self.widths), [0] * len(self.widths)
         low_bits = target.ref_tagging.free_low_bits if target.ref_tagging else 0
+        class_of = target.class_of
         for i, variant in enumerate(adt.variants):
-            self.keys.append([(i, f.name) for f in variant.fields])
-            free = [_Unit.of(f) for f in variant.fields if (i, f.name) not in placed]
-            refs = [u for u in free if u.ref]
-            self.refs += [(i, u) for u in refs]
-            row = [(u, j) for v, j, u in units if v == i] + [(u, None) for u in free if not u.ref]
-            row.sort(key=lambda uj: (uj[1] is None, -uj[0].pattern.width))  # stable
-            self.items.append([
-                (u, j, j is None and j0 is None and (u.pattern, u.kinds) == (u0.pattern, u0.kinds))
-                for (u, j), (u0, j0) in zip(row, [(None, 0)] + row)])  # (u0, j0) is the one before
-            plain = [u for u, j in row if j is None]
-            self.free_widths.append([u.pattern.width for u in plain])
-            by_class: dict[int, list[int]] = {}
-            for u in plain + refs:
-                # a plain reference leaves the tagging's low bits to others
-                low = low_bits if u.ref and u.ref.ref_mode == REF_PLAIN else 0
-                by_class.setdefault(target.class_of[u.kinds], []).append(u.pattern.width - low)
+            row_keys, plain, by_class = [], [], {}
+            for f in variant.fields:
+                key = (i, f.name)
+                row_keys.append(key)
+                if key in placed:
+                    continue
+                width = f.width
+                if f.ref_mode == REF_NONE:
+                    plain.append(f)
+                else:
+                    refs.append((i, _Unit.of(f)))
+                    # a plain reference leaves the tagging's low bits to others
+                    width -= low_bits if f.ref_mode == REF_PLAIN else 0
+                by_class.setdefault(class_of[f.kinds], []).append(width)
+            row = sorted([(u, j, False) for v, j, u in units if v == i],
+                         key=lambda item: -item[0].pattern.width) if units else []  # stable
+            if len(plain) > 1:
+                plain.sort(key=lambda f: -f.width)
+            widths, before = [], None
+            for f in plain:
+                row.append((_Unit.of(f), None, before == (f.width, f.kinds)))
+                before = (f.width, f.kinds)
+                widths.append(f.width)
+            keys.append(row_keys)
+            items.append(row)
+            free_widths.append(widths)
             for c, ws in by_class.items():
-                self.lows[c] = max(self.lows[c], _bins_lower_bound(ws, self.widths[c]) - self.entries)
+                lows[c] = max(lows[c], _bins_lower_bound(ws, self.widths[c]) - self.entries)
                 # a reference needs a scalar whose bit 0 holds no field of
                 # another variant, so only one scalar per item surely suffices
-                self.highs[c] += len(ws)
+                highs[c] += len(ws)
+        self.keys, self.refs, self.items, self.free_widths = keys, refs, items, free_widths
+        self.lows, self.highs = lows, highs
 
     def run(self) -> LayoutSolution:
         best = self.search()

@@ -4,8 +4,9 @@ Each one deliberately re-derives its answer by a different route than the
 library: flattening by textual inlining and a linear scan, distinguishability
 by brute-force enumeration of every free-bit assignment, the least tree
 depth by every split over every such assignment, layout scoring by
-exhaustive enumeration over placement equivalence classes, and dominators
-by a fixed point over a full set of dominators per block.
+exhaustive enumeration over placement equivalence classes, dominators by a
+fixed point over a full set of dominators per block, and the solver's search
+tables by one comprehension per table.
 """
 
 from __future__ import annotations
@@ -492,3 +493,43 @@ def reference_dominators(entry: str, succs: dict[str, list[str]]) -> dict[str, s
                 dom[b] = new
                 changed = True
     return dom
+
+
+# ---------------------------------------------------------------------------
+# Reference search tables: the per-variant tables of `solver._Search`, built
+# by one comprehension each over the annotated base state, with the search
+# items sorted by a key and each compared with the one before it.
+
+
+def reference_search_tables(adt, target) -> tuple:
+    """(keys, refs, items, free_widths, lows, highs) as `solver._Search`
+    builds them for `adt` on `target`."""
+    from adtlayout.solver import REF_PLAIN, _apply_annotations, _bins_lower_bound, _State, _Unit
+
+    base = _State(adt, target)
+    units = _apply_annotations(base)
+    entries, widths = len(base.slots), target.class_widths
+    placed = set(base.placements) | {(v, name) for v, _, u in units for name in u.names()}
+    keys, all_refs, items, free_widths = [], [], [], []
+    lows, highs = [0] * len(widths), [0] * len(widths)
+    low_bits = target.ref_tagging.free_low_bits if target.ref_tagging else 0
+    for i, variant in enumerate(adt.variants):
+        keys.append([(i, f.name) for f in variant.fields])
+        free = [_Unit.of(f) for f in variant.fields if (i, f.name) not in placed]
+        refs = [u for u in free if u.ref]
+        all_refs += [(i, u) for u in refs]
+        row = [(u, j) for v, j, u in units if v == i] + [(u, None) for u in free if not u.ref]
+        row.sort(key=lambda uj: (uj[1] is None, -uj[0].pattern.width))
+        items.append([
+            (u, j, j is None and j0 is None and (u.pattern, u.kinds) == (u0.pattern, u0.kinds))
+            for (u, j), (u0, j0) in zip(row, [(None, 0)] + row)])
+        plain = [u for u, j in row if j is None]
+        free_widths.append([u.pattern.width for u in plain])
+        by_class: dict[int, list[int]] = {}
+        for u in plain + refs:
+            low = low_bits if u.ref and u.ref.ref_mode == REF_PLAIN else 0
+            by_class.setdefault(target.class_of[u.kinds], []).append(u.pattern.width - low)
+        for c, ws in by_class.items():
+            lows[c] = max(lows[c], _bins_lower_bound(ws, widths[c]) - entries)
+            highs[c] += len(ws)
+    return keys, all_refs, items, free_widths, lows, highs

@@ -21,9 +21,17 @@ from adtlayout.solver import (
 from adtlayout.syntax import parse_program, parse_type
 from adtlayout.targets import BUILTIN_TARGETS, JVM, X64, X86_32, UnboxOptions
 
-from corpus import CORPUS_SRC, solve_corpus_and_progen
-from oracles import oracle_best_score, oracle_per_variant_score
-from test_golden import CASES as GOLDEN_CASES, WIDE_W0_X86_32, WIDE_W1, WIDE_W1_X64, golden_path, layout_json
+from corpus import CORPUS_SIZE, CORPUS_SRC, solve_corpus_and_progen
+from oracles import oracle_best_score, oracle_per_variant_score, reference_search_tables
+from test_golden import (
+    CASES as GOLDEN_CASES,
+    WIDE_W0_X86_32,
+    WIDE_W1,
+    WIDE_W1_X64,
+    golden_path,
+    layout_json,
+    solve_sweep,
+)
 
 
 def solve_source(src: str, target=X64, key=None, budget=10_000, requests=None):
@@ -620,6 +628,60 @@ def test_solution_computes_no_score(monkeypatch):
     assert calls and built and not any(built)
 
 
+def test_solution_builds_each_pattern_once(monkeypatch):
+    """Over the corpus on x64, jvm and x86-32, `_solution` builds one
+    `BitPattern` per case and scalar, with its free bits made 0 and the tag
+    written in the same pass, and fixes none."""
+    built, fixed, counts = [], [], []
+    pattern, solution, fix = solver.BitPattern, solver._solution, solver.BitPattern.fix
+
+    def building(*args, **kwargs):
+        built.append(args)
+        return pattern(*args, **kwargs)
+
+    def fixing(self, mask, value):
+        fixed.append(mask)
+        return fix(self, mask, value)
+
+    def counting(state, cand):
+        n_built, n_fixed = len(built), len(fixed)
+        sol = solution(state, cand)
+        expected = len(sol.patterns) * len(sol.slots)
+        counts.append((len(built) - n_built, len(fixed) - n_fixed, expected))
+        return sol
+
+    monkeypatch.setattr(solver, "_solution", counting)
+    monkeypatch.setattr(solver, "BitPattern", building)
+    monkeypatch.setattr(pattern, "fix", fixing)
+    for target in (X64, JVM, X86_32):
+        process_adts(parse_program(CORPUS_SRC), target)
+    assert counts and all(n == expected and not f for n, f, expected in counts), counts
+
+
+def test_search_tables_equal_the_reference(monkeypatch):
+    """`_Search` builds its keys, references, items (equal-field flags
+    included), free widths and scalar-count bounds as the reference's one
+    comprehension per table does, over every golden report's input (the
+    corpus on x64, jvm and x86-32, and annotated inputs with #solve units
+    and references) and the solve-sweep inputs."""
+    seen = set()
+    init = solver._Search.__init__
+
+    def checking(self, adt, target, budget):
+        init(self, adt, target, budget)
+        tables = (self.keys, self.refs, self.items, self.free_widths, self.lows, self.highs)
+        assert tables == reference_search_tables(adt, target), (adt.name, target.name)
+        seen.add(adt.name)
+
+    monkeypatch.setattr(solver._Search, "__init__", checking)
+    for source, target in GOLDEN_CASES.values():
+        process_adts(parse_program(source), BUILTIN_TARGETS[target])
+    solve_sweep()
+    # C13 is boxed by default (four u64 fields), so it is never solved
+    assert {f"C{i:02}" for i in range(1, CORPUS_SIZE + 1)} - seen == {"C13"}
+    assert {"C19", "C20", "C21", "C22", "Lit", "Pr", "Mx"} <= seen
+
+
 def test_candidates_take_the_untagged_cost_only_for_a_bound(monkeypatch):
     """`_candidates` takes the field cost before tagging only when the tree
     or the appended-tag bound is compared. Over the corpus on x64, jvm and
@@ -639,6 +701,13 @@ def test_candidates_take_the_untagged_cost_only_for_a_bound(monkeypatch):
     assert len(calls) == 78
 
 
+def _tag_in_place(rows, s: int, offset: int, width: int):
+    """The rows with the variant index written into `width` bits of scalar
+    `s` at `offset`."""
+    mask = ((1 << width) - 1) << offset
+    return [row[:s] + [row[s].fix(mask, v << offset)] + row[s + 1 :] for v, row in enumerate(rows)]
+
+
 def test_search_cost_is_the_access_cost(monkeypatch):
     """The cost an attempt returns, which `_Search.cost` sums by
     `read_cost`, is `_access_cost` of the state's placements with the tag
@@ -653,7 +722,7 @@ def test_search_cost_is_the_access_cost(monkeypatch):
             rows = state.build_patterns()
             if reserve is not None and reserve < len(state.slots):
                 top = state.slots[reserve].width - self.tw
-                rows = solver._tag_in_place(rows, reserve, top, self.tw)
+                rows = _tag_in_place(rows, reserve, top, self.tw)
             expected = solver._access_cost(state.placements, rows, SingleVariant())
             assert cost == expected, (self.adt.name, self.target.name, quota, reserve)
             checked.append(reserve)
