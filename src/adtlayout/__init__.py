@@ -6,7 +6,6 @@ from .distinguish import (
     DecisionTree,
     Leaf,
     Node,
-    check_distinguishable,
     classify,
     derive_decision_tree,
 )

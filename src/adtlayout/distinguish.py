@@ -245,18 +245,12 @@ def _inseparable_pair(rows: list[BitPattern]) -> bool:
     return False
 
 
-def check_distinguishable(patterns: Patterns) -> bool:
-    """True iff the unassigned bits can be chosen so that every pair of
-    variants differs at a bit that is constant within each: iff
-    `derive_tree` finds a tree."""
-    return not patterns or derive_tree(_parse_rows(patterns)) is not None
-
-
 def derive_decision_tree(patterns: Patterns) -> Optional[tuple[DecisionTree, Patterns]]:
     """Choose values for unassigned bits and build a classifying tree.
 
     Returns (tree, patterns with the chosen bits made constant), or None
-    exactly when check_distinguishable is false. Field ('x') bits route to
+    exactly when no choice of the unassigned bits makes every pair of
+    variants differ at a bit that is constant within each. Field ('x') bits route to
     both branches and are never tested while present in the live set.
     """
     derived = derive_tree(_parse_rows(patterns))

@@ -7,11 +7,11 @@ and ('null',) for a null reference. Heap identity is never observable.
 
 Both phases share one value model: records live in a heap, a reference is
 the 8-aligned address `Heap.alloc` returns, and null is 0. Before
-normalization record fields hold source-shaped values; after, they hold
-the flattened scalars, which observation turns back into source-shaped
-observables by walking each source field's type with `Program.spread`. A
-normalized value of an IR type holds the values that `Program.expand` gives
-that type, and observation walks the type over them in the same way."""
+normalization record fields hold source-shaped values, observed at each
+source field's IR type; after, they hold the flattened scalars. A
+normalized value of an IR type, a record's source field among them, holds
+the values that `Program.expand` gives that type, and observation walks the
+type over them, turning them back into source-shaped observables."""
 
 from __future__ import annotations
 
@@ -50,7 +50,6 @@ from .ir import (
     TTuple,
     TupleMake,
 )
-from .syntax import FloatType, NamedType, TupleType, TypeExpr, print_type
 
 
 _ALIGN = 8
@@ -122,17 +121,6 @@ def _observe_scalar(value, t: IrType):
     raise TypeError(f"cannot observe at {t!r}")
 
 
-def _observe_source(program: Program, heap: Heap, value, t: TypeExpr):
-    """A record field's value at its source type: a tuple element by
-    element, a reference to an ADT's record or an opaque reference (always
-    null), or a scalar."""
-    if isinstance(t, TupleType):
-        return tuple(_observe_source(program, heap, v, e) for v, e in zip(value, t.elems))
-    if isinstance(t, NamedType):
-        return _observe_record(program, heap, value)
-    return ("f", value) if isinstance(t, FloatType) else value
-
-
 def _observe_normalized(program: Program, heap: Heap, values, t: IrType):
     """A normalized value of IR type `t`, taking from the iterator `values`
     the values that `Program.expand` gives `t`, in order."""
@@ -167,23 +155,17 @@ def _observe_record(program: Program, heap: Heap, addr: int):
         fields = _observe_fields(program, heap, variant, rec.fields)
     else:
         fields = tuple(
-            _observe_source(program, heap, v, ft)
-            for v, (_, ft) in zip(rec.fields, variant.source_fields)
+            observe(program, heap, v, t) for v, (_, t) in zip(rec.fields, variant.source_fields)
         )
     return ("adt", rec.adt, rec.case, fields)
 
 
 def _observe_fields(program: Program, heap: Heap, variant, flat: list) -> tuple:
     """The observables of a variant's source fields, from the values of its
-    normalized fields in order, walked as `Program.spread` spreads them."""
+    normalized fields in order: each source field takes the values that
+    `Program.expand` gives its type."""
     values = iter(flat)
-
-    def part(t, key, taken):
-        if key is not None and program.is_unboxed(key):
-            return observe_scalars(program, heap, key, taken)
-        return _observe_source(program, heap, taken[0], t)
-
-    return tuple(program.spread(t, values, part) for _, t in variant.source_fields)
+    return tuple(_observe_normalized(program, heap, values, t) for _, t in variant.source_fields)
 
 
 # ---------------------------------------------------------------------------
@@ -330,13 +312,11 @@ def default_value(program: Program, heap: Heap, key: str, depth: int = 0) -> int
     return heap.alloc(Record(key, 0, values))
 
 
-def _default_for_type(program: Program, heap: Heap, ftype, depth: int):
-    if isinstance(ftype, TupleType):
-        return tuple(_default_for_type(program, heap, e, depth) for e in ftype.elems)
-    if isinstance(ftype, NamedType):
-        key = print_type(ftype)
-        if key in program.adts:
-            return default_value(program, heap, key, depth)
+def _default_for_type(program: Program, heap: Heap, t: IrType, depth: int):
+    if isinstance(t, TTuple):
+        return tuple(_default_for_type(program, heap, e, depth) for e in t.elems)
+    if isinstance(t, TAdt) and t.key in program.adts:
+        return default_value(program, heap, t.key, depth)
     return 0  # zero, or null for an opaque reference
 
 

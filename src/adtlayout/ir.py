@@ -10,9 +10,12 @@ contents and replacenull and add tuple construction, projection, bitwise
 operations, bitcasts and null tests over the flattened representation;
 getfield and gettag read a boxed record in both phases, field k being a
 source field before normalization and a normalized field after.
-`Program.spread` is the one rule for how a source value spreads over
-normalized fields; normalization and the observation of normalized values
-both read it.
+Every type here is an IR type: monomorphization has lowered each source
+field's type once (`MonoVariant.source_fields`). `Program.spread` is the one
+rule for how a source value spreads over normalized fields, and
+`Program.expand` gives the types of those fields; they walk the same types.
+A value of an opaque reference type such as `string` has type `TAdt` with a
+key that names no ADT, and the checker refuses it as any unknown ADT.
 """
 
 from __future__ import annotations
@@ -21,67 +24,25 @@ from dataclasses import dataclass, field as dfield
 from typing import Callable, Iterator, NamedTuple, Optional, Union
 
 from .solver import LayoutSolution
-from .syntax import (
-    BoolType,
-    FloatType,
-    IntType,
-    NamedType,
-    TupleType,
-    TypeExpr,
-    print_type,
+
+# The IR's types are defined in `targets`, where monomorphization lowers each
+# source field's type to one; they are re-exported from here.
+from .targets import (
+    BOOL,
+    REF_NONE,
+    IrType,
+    MonoAdt,
+    MonoVariant,
+    TAdt,
+    Target,
+    TFloat,
+    TInt,
+    TIntRep,
+    TTuple,
 )
-from .targets import REF_NONE, MonoAdt, MonoVariant, Target
 
 # ---------------------------------------------------------------------------
 # Types
-
-
-class TInt(NamedTuple):
-    width: int
-    signed: bool = False
-
-
-class TFloat(NamedTuple):
-    width: int
-
-
-class TTuple(NamedTuple):
-    elems: tuple["IrType", ...]
-
-
-class TAdt(NamedTuple):
-    key: str
-
-
-class TIntRep(NamedTuple):
-    """Packed bits backed by an integer of a known scalar kind; the kind
-    tells later phases which values may carry references."""
-
-    width: int
-    kind: str
-
-
-IrType = Union[TInt, TFloat, TTuple, TAdt, TIntRep]
-
-BOOL = TInt(1, False)
-
-
-def type_of_expr(t: TypeExpr, adts: dict[str, MonoAdt]) -> IrType:
-    """IR type of a source-level field type."""
-    if isinstance(t, IntType):
-        return TInt(t.width, t.signed)
-    if isinstance(t, BoolType):
-        return BOOL
-    if isinstance(t, FloatType):
-        return TFloat(t.width)
-    if isinstance(t, TupleType):
-        return TTuple(tuple(type_of_expr(e, adts) for e in t.elems))
-    if isinstance(t, NamedType):
-        key = print_type(t)
-        if key in adts:
-            return TAdt(key)
-        raise TypeError(f"opaque reference type {key} has no IR value form")
-    raise TypeError(f"no IR type for {t!r}")
 
 
 def print_ir_type(t: IrType) -> str:
@@ -325,7 +286,7 @@ class Program:
         """True when ADT `key` is laid out in scalars rather than boxed."""
         return key in self.layouts
 
-    def spread(self, t: TypeExpr, items: Iterator, part: Callable):
+    def spread(self, t: IrType, items: Iterator, part: Callable) -> None:
         """The rule for how a source value of type `t` spreads over
         normalized fields. A tuple is its elements, in order; a declared
         unboxed ADT is its layout's scalars (none for a one-case nullary
@@ -333,16 +294,19 @@ class Program:
         or an opaque reference.
 
         Takes one item per field from `items` (the fields themselves, or
-        their values) and returns `part(t, key, taken)` for each part, nested
-        in tuples as `t` nests them; `key` is the ADT that the part names,
-        None for a scalar or an opaque reference."""
-        if isinstance(t, TupleType):
-            return tuple(self.spread(e, items, part) for e in t.elems)
-        key = print_type(t) if isinstance(t, NamedType) else None
+        their values) and calls `part(key, taken)` for each part in order;
+        `key` is the ADT that the part names, None for a scalar or an
+        opaque reference."""
+        if isinstance(t, TTuple):
+            for e in t.elems:
+                self.spread(e, items, part)
+            return
+        key = t.key if isinstance(t, TAdt) else None
         if key not in self.adts:
-            return part(t, None, [next(items)])
+            part(None, [next(items)])
+            return
         n = len(self.layouts[key].slots) if self.is_unboxed(key) else 1
-        return part(t, key, [next(items) for _ in range(n)])
+        part(key, [next(items) for _ in range(n)])
 
     def expand(self, t: IrType) -> list[IrType]:
         """The types of the normalized values that a value of IR type `t`
@@ -355,8 +319,7 @@ class Program:
         return [t]
 
     def contents_type(self, key: str, case: int) -> IrType:
-        fields = self.adts[key].variants[case].source_fields
-        types = tuple(type_of_expr(t, self.adts) for _, t in fields)
+        types = tuple(t for _, t in self.adts[key].variants[case].source_fields)
         if len(types) == 1:
             return types[0]
         return TTuple(types)
@@ -422,6 +385,7 @@ def check_function(program: Program, fn: Function) -> None:
     rules = _POST_RULES if post else _PRE_RULES
     if fn.entry not in fn.blocks:
         raise IrTypeError(f"{fn.name} has no entry block")
+    _known(program, fn.ret)
     for blk in fn.blocks.values():
         for s in _successors(blk.term):
             if s not in fn.blocks:
@@ -433,7 +397,7 @@ def check_function(program: Program, fn: Function) -> None:
     for name, t in fn.params:
         if name in types:
             raise IrTypeError(f"duplicate parameter {name}")
-        types[name] = t
+        types[name] = _known(program, t)
         def_span[name] = spans[fn.entry]
     for label in fn.blocks:
         if label not in spans:
@@ -566,7 +530,7 @@ def _alloc(program: Program, ins: Alloc, use) -> IrType:
             raise IrTypeError("normalized code cannot allocate an unboxed ADT")
         want = [normalized_field_type(program, f) for f in variant.fields]
     else:
-        want = [type_of_expr(t, program.adts) for _, t in variant.source_fields]
+        want = [_known(program, t) for _, t in variant.source_fields]
     if have != want:
         raise IrTypeError(f"alloc {ins.adt}#{ins.case}: argument types mismatch")
     return TAdt(ins.adt)
@@ -578,13 +542,13 @@ def _getfield(program: Program, ins: GetField, use) -> IrType:
         raise IrTypeError(f"normalized GetField on unboxed ADT {ins.adt}")
     f = _field(program, ins.adt, ins.case, ins.field, post)
     _of_adt(use(ins.src), ins.adt, "field access")
-    return normalized_field_type(program, f) if post else type_of_expr(f[1], program.adts)
+    return normalized_field_type(program, f) if post else _known(program, f[1])
 
 
 def _contents(program: Program, ins: GetContents, use) -> IrType:
     _variant(program, ins.adt, ins.case)
     _of_adt(use(ins.src), ins.adt, "field access")
-    return program.contents_type(ins.adt, ins.case)
+    return _known(program, program.contents_type(ins.adt, ins.case))
 
 
 def _gettag(program: Program, ins: GetTag, use) -> IrType:

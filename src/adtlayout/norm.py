@@ -357,7 +357,7 @@ class _FunctionNormalizer:
         ctx = self.ctx
         args: list[str] = []
 
-        def part(t, key, fields) -> None:
+        def part(key, fields) -> None:
             if key is None:
                 args.append(self.const(normalized_field_type(ctx.post, fields[0]), 0))
             else:
@@ -448,7 +448,7 @@ class _FunctionNormalizer:
             ks = iter(indices)
             for _, t in variant.source_fields[: ins.field + 1]:
                 indices = []
-                ctx.pre.spread(t, ks, lambda t, key, taken: indices.extend(taken))
+                ctx.pre.spread(t, ks, lambda key, taken: indices.extend(taken))
         if ctx.pre.is_unboxed(ins.adt):
             scalars = self.names_of(ins.src)
             tag = self.extract_tag(ins.adt, scalars)
@@ -537,7 +537,7 @@ def _build_equality(ctx: Normalizer, name: str, key: str) -> Function:
         w.start_block(f"case{i}")
         groups = itertools.count()
 
-        def compare(t, sub, fields) -> None:
+        def compare(sub, fields) -> None:
             # one test per part that has fields: an embedded unboxed value's
             # scalars compare through its own equality function
             if not fields:

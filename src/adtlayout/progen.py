@@ -28,7 +28,6 @@ from .ir import (
     TAdt,
     TFloat,
     TInt,
-    type_of_expr,
 )
 from .pipeline import process_adts
 from .syntax import (
@@ -226,7 +225,7 @@ class _Gen:
             dst = self.fresh()
             blk.instrs.append(GetField(dst, key, case, fidx, src))
             self.budget -= 1
-            self.add(pool, type_of_expr(variant.source_fields[fidx][1], self.program.adts), dst)
+            self.add(pool, variant.source_fields[fidx][1], dst)
 
     def add(self, pool: dict, t: IrType, name: str) -> None:
         pool.setdefault(t, []).append(name)
@@ -280,8 +279,7 @@ class _Gen:
         case = self.rng.randrange(len(mono.variants))
         variant = mono.variants[case]
         args = []
-        for _, ftype in variant.source_fields:
-            t = type_of_expr(ftype, self.program.adts)
+        for _, t in variant.source_fields:
             args.append(self.value_of(blk, pool, t, depth + 1))
         dst = self.fresh()
         blk.instrs.append(Alloc(dst, key, case, tuple(args)))

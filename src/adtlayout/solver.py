@@ -144,9 +144,6 @@ class LayoutSolution:
     def used_width(self, slot_index: int) -> int:
         return max([1] + [row[slot_index].nonzero.bit_length() for row in self.patterns])
 
-    def placement_of(self, variant: int, name: str) -> Placement:
-        return self.placements[(variant, name)]
-
     def to_json(self) -> dict:
         variants = []
         for i, v in enumerate(self.adt.variants):

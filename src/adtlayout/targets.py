@@ -1,9 +1,15 @@
-"""Compilation targets as scalar-kind tables, ADT monomorphization, and
-unboxing eligibility.
+"""Compilation targets as scalar-kind tables, ADT monomorphization, the
+IR's types, and unboxing eligibility.
 
 A scalar kind classifies the machine location a scalar may occupy. The
 target maps every concrete type to the non-empty set of kinds that can
 physically hold it; reference types map to reference-capable kinds only.
+
+Monomorphization lowers each source field's type once, to the IR type that
+the checker, the normalizer, the interpreter and the program generator
+read; no later phase sees the parser's type expressions. A named type that
+is not declared, such as `string`, is an opaque reference type: it lowers
+to a `TAdt` whose key names no ADT.
 """
 
 from __future__ import annotations
@@ -12,7 +18,7 @@ import enum
 import json
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import NamedTuple, Optional
+from typing import NamedTuple, Optional, Union
 
 from .distinguish import BitPattern, parse_pattern
 from .flatten import AnnotationEntry, SizeContext, flatten_annotation
@@ -207,6 +213,40 @@ def _low_bits(text: str, n: int) -> BitPattern:
     return parse_pattern(text[::-1])
 
 
+# ---------------------------------------------------------------------------
+# IR types
+
+
+class TInt(NamedTuple):
+    width: int
+    signed: bool = False
+
+
+class TFloat(NamedTuple):
+    width: int
+
+
+class TTuple(NamedTuple):
+    elems: tuple["IrType", ...]
+
+
+class TAdt(NamedTuple):
+    key: str
+
+
+class TIntRep(NamedTuple):
+    """Packed bits backed by an integer of a known scalar kind; the kind
+    tells later phases which values may carry references."""
+
+    width: int
+    kind: str
+
+
+IrType = Union[TInt, TFloat, TTuple, TAdt, TIntRep]
+
+BOOL = TInt(1, False)
+
+
 def get_scalar_kinds(t: TypeExpr, target: Target) -> KindSet:
     """The kinds of scalars that can physically store a value of the type."""
     if isinstance(t, IntType):
@@ -245,7 +285,7 @@ class FieldSlot(NamedTuple):
 
 class MonoVariant(NamedTuple):
     name: str
-    source_fields: tuple[tuple[str, TypeExpr], ...]
+    source_fields: tuple[tuple[str, IrType], ...]  # each source field's IR type
     fields: tuple[FieldSlot, ...]
 
     def field_named(self, name: str) -> FieldSlot:
@@ -314,9 +354,10 @@ class MonoError(Exception):
 def monomorphize_adt(
     decl: AdtDecl, type_args: tuple[TypeExpr, ...], env: AdtEnv
 ) -> MonoAdt:
-    """Substitute type arguments and normalize every field to scalars:
-    tuples flatten to one field per element, boxed ADT fields become
-    references, unboxed ADT fields expand to their layout's scalars."""
+    """Substitute type arguments, lower every field's type to its IR type,
+    and normalize every field to scalars: tuples flatten to one field per
+    element, boxed ADT fields become references, unboxed ADT fields expand
+    to their layout's scalars."""
     if len(type_args) != len(decl.type_params):
         raise MonoError(
             f"{decl.name} expects {len(decl.type_params)} type arguments, got {len(type_args)}"
@@ -325,49 +366,57 @@ def monomorphize_adt(
     key = instantiation_key(decl.name, type_args)
     variants = []
     for v in decl.variants:
-        source_fields = tuple((n, substitute(t, bindings)) for n, t in v.fields)
+        source_fields: list[tuple[str, IrType]] = []
         fields: list[FieldSlot] = []
-        for fname, ftype in source_fields:
-            fields.extend(_normalize_field(fname, ftype, env))
-        variants.append(MonoVariant(v.name, source_fields, tuple(fields)))
+        for fname, ftype in v.fields:
+            t = _normalize_field(fname, substitute(ftype, bindings), env, fields)
+            source_fields.append((fname, t))
+        variants.append(MonoVariant(v.name, tuple(source_fields), tuple(fields)))
     return MonoAdt(
         name=key,
         variants=tuple(variants),
         recursive=key in env.recursive_keys,
         captured=decl.captured,
         unboxed_annot=decl.unboxed,
-        packing=_flatten_adt_packing(decl, variants, env),
+        packing=_flatten_adt_packing(decl, bindings, variants, env),
     )
 
 
-def _normalize_field(name: str, t: TypeExpr, env: AdtEnv) -> list[FieldSlot]:
-    """The normalized fields of source field `name`, in the order that
-    `ir.Program.spread` walks a value of its type."""
+def _normalize_field(name: str, t: TypeExpr, env: AdtEnv, out: list[FieldSlot]) -> IrType:
+    """Append to `out` the normalized fields of source field `name`, in the
+    order that `ir.Program.spread` walks a value of its type, and return
+    that type lowered to its IR type."""
     if isinstance(t, TupleType):
-        out: list[FieldSlot] = []
-        for i, elem in enumerate(t.elems):
-            out.extend(_normalize_field(f"{name}.{i}", elem, env))
-        return out
+        return TTuple(tuple(
+            _normalize_field(f"{name}.{i}", elem, env, out) for i, elem in enumerate(t.elems)
+        ))
     kinds = get_scalar_kinds(t, env.target)
     if isinstance(t, NamedType):
-        ref_key = instantiation_key(t.name, t.args) if t.name in env.decls else None
+        key = print_type(t)
+        ref_key = key if t.name in env.decls else None
         info = env.resolved.get(ref_key)
         if info is not None and not info.disposition.boxed:
-            return _embed_unboxed(name, ref_key, info, env)
-        # a boxed (or in-flight recursive, hence boxed) instantiation, or an
-        # opaque reference type such as Array<byte> or string
-        return [FieldSlot(name, env.target.word_width, kinds, ref_mode=REF_PLAIN, adt_ref=ref_key)]
+            _embed_unboxed(name, ref_key, info, env, out)
+        else:
+            # a boxed (or in-flight recursive, hence boxed) instantiation, or an
+            # opaque reference type such as Array<byte> or string
+            out.append(FieldSlot(name, env.target.word_width, kinds,
+                                 ref_mode=REF_PLAIN, adt_ref=ref_key))
+        return TAdt(key)
     if isinstance(t, FloatType):
-        return [FieldSlot(name, t.width, kinds, is_float=True)]
+        out.append(FieldSlot(name, t.width, kinds, is_float=True))
+        return TFloat(t.width)
     if isinstance(t, BoolType):
-        return [FieldSlot(name, 1, kinds)]
-    return [FieldSlot(name, t.width, kinds, signed=t.signed)]
+        out.append(FieldSlot(name, 1, kinds))
+        return BOOL
+    out.append(FieldSlot(name, t.width, kinds, signed=t.signed))
+    return TInt(t.width, t.signed)
 
 
-def _embed_unboxed(name: str, ref_key: str, info: ResolvedAdt, env: AdtEnv) -> list[FieldSlot]:
+def _embed_unboxed(name: str, ref_key: str, info: ResolvedAdt, env: AdtEnv,
+                   out: list[FieldSlot]) -> None:
     layout = info.layout
     assert layout is not None, f"unboxed {ref_key} has no layout"
-    out: list[FieldSlot] = []
     for i, slot in enumerate(layout.slots):
         if slot.ref_bearing:
             # under tagged pointers the slot's own low bits discriminate
@@ -382,10 +431,10 @@ def _embed_unboxed(name: str, ref_key: str, info: ResolvedAdt, env: AdtEnv) -> l
             FieldSlot(f"{name}.{i}", width, slot.kinds, ref_mode=mode,
                       adt_ref=ref_key, embedded=True, scalar_index=i)
         )
-    return out
 
 
-def _flatten_adt_packing(decl: AdtDecl, variants: list[MonoVariant], env: AdtEnv):
+def _flatten_adt_packing(decl: AdtDecl, bindings: dict[str, TypeExpr],
+                         variants: list[MonoVariant], env: AdtEnv):
     if not decl.has_packing:
         return None
     per_variant: list[Optional[tuple[AnnotationEntry, ...]]] = []
@@ -395,7 +444,8 @@ def _flatten_adt_packing(decl: AdtDecl, variants: list[MonoVariant], env: AdtEnv
             per_variant.append(None)
             continue
         gamma = {f.name: f.width for f in variant.fields}
-        sources = {n: print_type(t) for n, t in variant.source_fields}
+        # the source types as written, so that diagnostics print `bool`, not u1
+        sources = {n: print_type(substitute(t, bindings)) for n, t in decl.variants[i].fields}
         ctx = env.packings.with_gamma(gamma, sources)
         per_variant.append(tuple(flatten_annotation(list(exprs), ctx)))
     return tuple(per_variant)

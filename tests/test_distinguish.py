@@ -12,7 +12,6 @@ from adtlayout.distinguish import (
     Leaf,
     Node,
     Patterns,
-    check_distinguishable,
     classify,
     derive_decision_tree,
     derive_tree,
@@ -27,20 +26,20 @@ from oracles import brute_force_distinguishable, enumerate_pattern_sets, oracle_
 
 
 def test_constant_bit_separates():
-    assert check_distinguishable([["0xxx"], ["1xxx"]]) is True
+    assert derive_decision_tree([["0xxx"], ["1xxx"]]) is not None
 
 
 def test_fully_assigned_is_indistinguishable():
-    assert check_distinguishable([["xxxx"], ["xxxx"]]) is False
+    assert derive_decision_tree([["xxxx"], ["xxxx"]]) is None
 
 
 def test_two_free_bits_encode_three_cases():
-    assert check_distinguishable([["??".replace("?", "u")], ["uu"], ["uu"]]) is True
+    assert derive_decision_tree([["??".replace("?", "u")], ["uu"], ["uu"]]) is not None
 
 
 def test_single_free_bit_cannot_encode_three():
     # u vs 0 vs 1 on one bit: the free bit cannot differ from both constants
-    assert check_distinguishable([["u"], ["0"], ["1"]]) is False
+    assert derive_decision_tree([["u"], ["0"], ["1"]]) is None
 
 
 def test_derive_simple_tree():
@@ -82,7 +81,7 @@ def test_field_bits_route_both_ways():
     # A = [x, 0], B = [0, u], C = [1, 1] (MSB first); splitting must cope
     # with A flowing into both branches of a test on its field bit
     patterns = [["x0"], ["0u"], ["11"]]
-    assert check_distinguishable(patterns) is True
+    assert derive_decision_tree(patterns) is not None
     got = derive_decision_tree(patterns)
     assert got is not None
     tree, resolved = got
@@ -113,13 +112,13 @@ def test_tag_width():
 
 
 def test_agreement_with_brute_force_enumeration():
-    """check_distinguishable and derive_decision_tree agree with an
+    """Whether derive_decision_tree finds a tree agrees with an
     independent brute-force enumeration over every small pattern set, and
     every derived tree classifies correctly under all field-bit values."""
     count = 0
     for patterns in enumerate_pattern_sets(max_total_bits=4):
         expected = brute_force_distinguishable(patterns)
-        assert check_distinguishable(patterns) == expected, patterns
+        assert (not patterns or derive_decision_tree(patterns) is not None) == expected, patterns
         derived = derive_decision_tree(patterns)
         assert (derived is not None) == expected, patterns
         if derived is not None:
@@ -226,7 +225,8 @@ def test_check_matches_brute_force_random(patterns):
     total_u = sum(p.count("u") for row in patterns for p in row)
     if total_u > 10:
         return  # keep the brute-force side tractable
-    assert check_distinguishable(patterns) == brute_force_distinguishable(patterns)
+    found = not patterns or derive_decision_tree(patterns) is not None
+    assert found == brute_force_distinguishable(patterns)
 
 
 @given(pattern_sets())

@@ -38,11 +38,12 @@ from adtlayout.ir import (
     TupleMake,
     check_program,
     dominator_spans,
+    normalized_field_type,
 )
 from adtlayout.pipeline import process_adts
 from adtlayout.solver import TreeTag
 from adtlayout.syntax import parse_program, parse_type
-from adtlayout.targets import BUILTIN_TARGETS, X64
+from adtlayout.targets import BUILTIN_TARGETS, REF_NONE, X64
 
 
 def make_program(src: str, target=X64, requests=None) -> Program:
@@ -197,19 +198,12 @@ def test_default_equals_first_variant_default_fields():
         instrs = [Const("n", TAdt(key), None), ReplaceNull("d", key, "n")]
         args = []
         heapless = True
-        for i, (fname, ftype) in enumerate(first.source_fields):
-            from adtlayout.ir import type_of_expr
-
-            try:
-                t = type_of_expr(ftype, program.adts)
-            except TypeError:
-                heapless = False
-                break
+        for i, (fname, t) in enumerate(first.source_fields):
             if isinstance(t, TInt):
                 instrs.append(Const(f"a{i}", t, 0))
             elif isinstance(t, TFloat):
                 instrs.append(Const(f"a{i}", t, 0))
-            elif isinstance(t, TAdt):
+            elif isinstance(t, TAdt) and t.key in program.adts:
                 instrs.append(Const(f"z{i}", TAdt(t.key), None))
                 instrs.append(ReplaceNull(f"a{i}", t.key, f"z{i}"))
             else:
@@ -507,7 +501,7 @@ def test_annotated_packing_through_normalization():
     )
     program = make_program(src)
     lay = program.layouts["Half"]
-    assert lay.placement_of(0, "sign").offset == 15
+    assert lay.placements[(0, "sign")].offset == 15
     fn = Function("main", (), TInt(10, False), "entry", {})
     fn.blocks["entry"] = Block(
         "entry",
@@ -921,27 +915,43 @@ entry:
 def test_spread_takes_every_normalized_field(target):
     """Walked with `Program.spread`, the source fields of every corpus and
     nested-bundle variant take exactly its normalized fields, and each part
-    of an unboxed ADT takes that ADT's embedded scalars in order."""
+    of an unboxed ADT takes that ADT's embedded scalars in order. A source
+    field's IR type expands to the types of the fields it takes, so lowering
+    and normalization follow one rule; only an opaque reference's field is
+    bits after normalization."""
     from corpus import CORPUS_SRC, NESTED_BUNDLE
 
     decls = NESTED_BUNDLE.split("fn ", 1)[0]
+    opaque = 0
     for src in (CORPUS_SRC, decls):
         program = make_program(src, BUILTIN_TARGETS[target])
+        field_taken: list = []
 
-        def part(t, key, taken):
+        def part(key, taken):
             if key is not None and program.is_unboxed(key):
                 assert [(f.adt_ref, f.scalar_index) for f in taken] == [
                     (key, i) for i in range(len(taken))
                 ]
             else:
                 assert len(taken) == 1 and not taken[0].embedded
+            field_taken.extend(taken)
 
         for mono in program.adts.values():
             for variant in mono.variants:
                 fields = iter(variant.fields)
                 for _, t in variant.source_fields:
+                    field_taken.clear()
                     program.spread(t, fields, part)
+                    want = program.expand(t)
+                    assert len(want) == len(field_taken), (mono.name, variant.name)
+                    for w, f in zip(want, field_taken):
+                        if f.ref_mode != REF_NONE and f.adt_ref is None:
+                            assert isinstance(w, TAdt) and w.key not in program.adts
+                            opaque += 1
+                        else:
+                            assert w == normalized_field_type(program, f), (mono.name, f)
                 assert next(fields, None) is None, (mono.name, variant.name)
+    assert opaque  # the corpus has `string` fields
 
 
 OPAQUE_FIELD = """
@@ -953,6 +963,43 @@ entry:
   ret %r
 }
 """
+
+
+@pytest.mark.parametrize("body", [
+    pytest.param("%x = const<u8> 1\n%a = alloc<T#0>(%x, %x)", id="alloc"),
+    pytest.param("%s = getfield<T#0.0>(%r)\n%x = getfield<T#0.1>(%r)", id="getfield"),
+    pytest.param("%c = contents<T#0>(%r)\n%x = getfield<T#0.1>(%r)", id="contents"),
+])
+def test_checker_refuses_a_value_of_an_opaque_type(body):
+    """A value of an opaque reference type has no IR value form: the checker
+    refuses one that an instruction would make as it refuses any unknown ADT."""
+    program, _ = progtext.parse_bundle(f"""target x64
+type T {{ case A(s: string, x: u8); case B; }}
+fn main() -> u8 {{
+entry:
+  %n = const<T> null
+  %r = replacenull<T>(%n)
+{body}
+  ret %x
+}}
+""")
+    with pytest.raises(IrTypeError, match="unknown ADT string"):
+        check_program(program)
+
+
+@pytest.mark.parametrize("signature", ["(%s: string) -> u8", "() -> string"])
+def test_checker_refuses_an_opaque_parameter_or_result(signature):
+    """Nor may a function take or return a value of an opaque type."""
+    program, _ = progtext.parse_bundle(f"""target x64
+type T {{ case A(s: string, x: u8); case B; }}
+fn main{signature} {{
+entry:
+  trap explicit
+}}
+""")
+    with pytest.raises(IrTypeError, match="unknown ADT string"):
+        check_program(program)
+
 
 # Holder takes two scalars, so the tuple's second element spreads over two
 # normalized values and the first over one

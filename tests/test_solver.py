@@ -51,7 +51,7 @@ def test_option_u32_single_scalar_with_tag_bit_32():
     )
     assert len(lay.slots) == 1
     assert lay.slots[0].kind == ScalarKind.B64
-    pl = lay.placement_of(1, "val")
+    pl = lay.placements[(1, "val")]
     assert (pl.slot, pl.offset, pl.width) == (0, 0, 32)
     scheme = lay.tag_scheme
     assert isinstance(scheme, ExplicitTag)
@@ -64,8 +64,8 @@ def test_int_float_union_one_scalar():
     lay = solve_source("type T #unboxed { case A(x: int); case B(y: float); }")
     assert len(lay.slots) == 1
     assert lay.slots[0].kind == ScalarKind.B64
-    assert lay.placement_of(0, "x").offset == 0
-    assert lay.placement_of(1, "y").offset == 0
+    assert lay.placements[(0, "x")].offset == 0
+    assert lay.placements[(1, "y")].offset == 0
     assert isinstance(lay.tag_scheme, ExplicitTag)
     assert not lay.tag_scheme.dedicated
 
@@ -122,7 +122,8 @@ def test_score_option_layout():
 
 def test_one_case_pinned_offsets():
     lay = solve_source("type P #unboxed { case C(a: u2, b: u2) #packing 0b_00aabb11; }")
-    got = {name: (lay.placement_of(0, name).slot, lay.placement_of(0, name).offset) for name in "ab"}
+    got = {name: (lay.placements[(0, name)].slot, lay.placements[(0, name)].offset)
+           for name in "ab"}
     assert got == {"a": (0, 4), "b": (0, 2)}
 
 
@@ -137,7 +138,8 @@ def test_one_case_solve_wider_than_any_scalar_is_infeasible():
 
 def test_one_case_first_fit_from_lsb():
     lay = solve_source("type S #unboxed { case C(x: u32, y: u32); }")
-    got = {name: (lay.placement_of(0, name).slot, lay.placement_of(0, name).offset) for name in "xy"}
+    got = {name: (lay.placements[(0, name)].slot, lay.placements[(0, name)].offset)
+           for name in "xy"}
     assert got == {"x": (0, 0), "y": (0, 32)}
 
 
@@ -148,15 +150,15 @@ def test_free_field_leaves_the_solve_scalar(budget):
     lay = solve_source(
         "type P #unboxed { case C(a: u60, x: u8, y: u16) #packing #solve(x, y); }", budget=budget
     )
-    assert [lay.placement_of(0, name).slot for name in "axy"] == [1, 0, 0]
+    assert [lay.placements[(0, name)].slot for name in "axy"] == [1, 0, 0]
 
 
 def test_packing_annotation_respected_verbatim():
     lay = solve_source(
         "type P { case C(a: u2, b: u2) #packing 0b_00aabb11; }"
     )
-    assert lay.placement_of(0, "a") .offset == 4
-    assert lay.placement_of(0, "b").offset == 2
+    assert lay.placements[(0, "a")].offset == 4
+    assert lay.placements[(0, "b")].offset == 2
     word = codec.encode_variant(lay, 0, {"a": 0b11, "b": 0b01})
     assert word[0] & 0xFF == 0b00110111
     # the written constants are fixed
@@ -167,7 +169,7 @@ def test_solve_request_places_fields_one_scalar():
     lay = solve_source(
         "type P { case C(x: u8, y: u8) #packing #solve(x, y); }"
     )
-    px, py = lay.placement_of(0, "x"), lay.placement_of(0, "y")
+    px, py = lay.placements[(0, "x")], lay.placements[(0, "y")]
     assert px.slot == py.slot == 0
     spans = sorted([(px.offset, px.width), (py.offset, py.width)])
     assert spans == [(0, 8), (8, 8)]
@@ -369,7 +371,7 @@ def test_x86_32_no_union_across_widths():
 
 def test_case_level_two_scalar_annotation():
     lay = solve_source("type P { case C(x: u8, y: u8) #packing(x, y); }")
-    px, py = lay.placement_of(0, "x"), lay.placement_of(0, "y")
+    px, py = lay.placements[(0, "x")], lay.placements[(0, "y")]
     assert px.slot == 0 and py.slot == 1
     assert px.offset == py.offset == 0
     assert len(lay.slots) == 2
@@ -381,11 +383,10 @@ def test_adt_level_annotation_one_expr_per_variant():
         "{ case A(a: u2, b: u2); case B(x: u8, y: u8); }"
     )
     # both variants share scalar 0, per entry order
-    assert lay.placement_of(0, "a") == lay.placements[(0, "a")]
-    assert lay.placement_of(0, "a").slot == 0
-    assert lay.placement_of(1, "x").slot == 0
-    assert lay.placement_of(0, "a").offset == 4
-    assert lay.placement_of(0, "b").offset == 2
+    assert lay.placements[(0, "a")].slot == 0
+    assert lay.placements[(1, "x")].slot == 0
+    assert lay.placements[(0, "a")].offset == 4
+    assert lay.placements[(0, "b")].offset == 2
     # A's written constants hold in the encoding
     word = codec.encode_variant(lay, 0, {"a": 3, "b": 0})[0]
     assert word & 0b11 == 0b11
@@ -397,7 +398,7 @@ def test_wild_bits_usable_for_tag_but_not_fields():
         "type W #unboxed { case A(a: u2) #packing 0b_??aa; case B(b: u4); }"
     )
     # b cannot sit inside A's wildcard bits, but the tag may
-    pb = lay.placement_of(1, "b")
+    pb = lay.placements[(1, "b")]
     assert pb.slot == 0
     from adtlayout.solver import ExplicitTag, TreeTag
 
@@ -463,7 +464,7 @@ def test_annotated_adt_solves_even_with_tiny_budget():
     out = process_adts(decls, X64, options=UnboxOptions(budget=10_000))
     mono = out.resolved["P"].mono
     lay = solve_layout(mono, X64, budget=1)
-    assert lay.placement_of(0, "a").offset == 4
+    assert lay.placements[(0, "a")].offset == 4
     assert codec.variant_of(lay, codec.encode_variant(lay, 0, {"a": 1, "b": 2})) == 0
 
 
