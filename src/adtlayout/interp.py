@@ -323,10 +323,22 @@ def _default_for_type(program: Program, heap: Heap, t: IrType, depth: int):
 def eval_program(program: Program, entry: str = "main", inputs: Optional[list] = None) -> Outcome:
     """Run a program; the observable output is the entry function's return
     value (structurally rendered) or the trap kind. `inputs` holds one value
-    per parameter of the entry function."""
+    per parameter of the entry function. A run starts with an empty heap,
+    so every reference to a record an input holds can only be null (0)."""
     inputs = inputs or []
-    count = len(program.functions[entry].params)
-    if len(inputs) != count:
-        plural = "" if count == 1 else "s"
-        raise IrTypeError(f"{entry} takes {count} argument{plural}, {len(inputs)} given")
+    params = program.functions[entry].params
+    if len(inputs) != len(params):
+        plural = "" if len(params) == 1 else "s"
+        raise IrTypeError(f"{entry} takes {len(params)} argument{plural}, {len(inputs)} given")
+    for (name, t), value in zip(params, inputs):
+        if _holds_record(value, t):
+            raise IrTypeError(
+                f"{entry} parameter %{name} can hold only null (0) references, {value!r} given")
     return _Machine(program).run(entry, inputs)
+
+
+def _holds_record(value, t: IrType) -> bool:
+    """True when `value`, of type `t`, is or holds a reference other than null."""
+    if isinstance(t, TTuple):
+        return any(_holds_record(v, e) for v, e in zip(value, t.elems))
+    return isinstance(t, TAdt) and value != 0

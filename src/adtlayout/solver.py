@@ -13,12 +13,18 @@ in turn (see `solve_layout`).
 Patterns are `distinguish.BitPattern` mask values, one per variant and
 scalar; a solution's patterns have every free bit made constant 0. During
 the search each slot keeps, per variant, masks of constant bits, of their
-one bits and of annotation wildcards: bits that may hold tag bits or chosen
-constants but never field data.
+one bits, of annotation wildcards (bits that may hold tag bits or chosen
+constants but never field data) and of field bits, and the width of the
+variant's field at offset 0; the state keeps, per variant, how many of its
+fields sit above offset 0. A placement's undo record restores all of them,
+so a search node reads a variant's access cost in one pass over the
+scalars: `read_cost` charges 2 for each shifted field and 1 for an
+offset-0 field with a bit set above it.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
@@ -196,6 +202,8 @@ class _Slot:
         self.ones = [0] * n_variants
         self.wild = [0] * n_variants
         self.field = [0] * n_variants
+        # per variant: the width of its field at offset 0, or 0 when none is
+        self.low = [0] * n_variants
         self.ref_variants: set[int] = set()
         self.tags = tags  # (reference, value) low-bit patterns, or None
         self.tagged = False
@@ -205,7 +213,7 @@ class _Slot:
         out = object.__new__(_Slot)
         out.__dict__ = {
             **self.__dict__, "const": self.const[:], "ones": self.ones[:], "wild": self.wild[:],
-            "field": self.field[:], "ref_variants": set(self.ref_variants),
+            "field": self.field[:], "low": self.low[:], "ref_variants": set(self.ref_variants),
         }
         return out
 
@@ -276,10 +284,19 @@ def _overlaps(mask: int, runs: tuple[tuple[int, int], ...]) -> int:
 
 
 # What one placement can change, as it was before: the slot, the variant,
-# the slot's kinds, the variant's masks (const, ones, wild, field), whether
-# the variant held a reference there and whether the slot was tagged; and
-# the keys of the placements it added.
-_Undo = tuple[_Slot, int, Optional[KindSet], tuple[int, ...], bool, bool, list[tuple[int, str]]]
+# the slot's kinds, the variant's masks (const, ones, wild, field) and
+# offset-0 width there, whether the variant held a reference there, whether
+# the slot was tagged and the variant's count of shifted fields; and the
+# keys of the placements it added.
+_Undo = tuple[
+    _Slot, int, Optional[KindSet], tuple[int, ...], bool, bool, int, list[tuple[int, str]]
+]
+
+
+@lru_cache(maxsize=None)  # one entry per field width
+def _field_shape(width: int) -> tuple[BitPattern, tuple[tuple[int, int], ...]]:
+    """The pattern and field runs of a plain field `width` bits wide."""
+    return BitPattern(width, 0, 0, (1 << width) - 1), ((0, width),)
 
 
 class _Unit(NamedTuple):
@@ -299,8 +316,9 @@ class _Unit(NamedTuple):
 
     @staticmethod
     def of(f: FieldSlot) -> _Unit:
-        ref, w = (None if f.ref_mode == REF_NONE else f), f.width
-        return _Unit(((0, f),), BitPattern(w, 0, 0, (1 << w) - 1), f.kinds, ref, ((0, w),), None)
+        ref = None if f.ref_mode == REF_NONE else f
+        pattern, runs = _field_shape(f.width)
+        return _Unit(((0, f),), pattern, f.kinds, ref, runs, None)
 
     @staticmethod
     def item(fields: tuple[tuple[int, FieldSlot], ...], p: BitPattern, kinds: KindSet) -> _Unit:
@@ -319,6 +337,7 @@ class _State:
         self.n = len(adt.variants)
         self.slots: list[_Slot] = []
         self.placements: dict[tuple[int, str], Placement] = {}
+        self.shifted = [0] * self.n  # per variant: its fields above offset 0
         tagging = target.ref_tagging
         self.tags = None if tagging is None else (tagging.ref_pattern, tagging.value_pattern)
 
@@ -327,7 +346,7 @@ class _State:
         out = object.__new__(_State)
         out.__dict__ = {
             **self.__dict__, "slots": list(map(_Slot.copy, self.slots)),
-            "placements": dict(self.placements),
+            "placements": dict(self.placements), "shifted": self.shifted[:],
         }
         return out
 
@@ -343,20 +362,19 @@ class _State:
         else at the lowest offset where it fits. A lone reference goes where
         the target's tagging puts references, whatever `offset` says. Returns
         how to undo it, or None when it does not fit."""
-        if slot.kinds is None:
+        new_kinds = slot.kinds
+        if new_kinds is None:
             new_kinds = unit.kinds
             if self.target.kind_width(new_kinds) != slot.width:
                 return None
-        else:
-            new_kinds = slot.kinds & unit.kinds
+        elif new_kinds is not unit.kinds:  # fields of one class share one kind set
+            new_kinds &= unit.kinds
             if not new_kinds:
                 return None
-        added: list[tuple[int, str]] = []
-        masks = (slot.const[v], slot.ones[v], slot.wild[v], slot.field[v])
-        undo = (slot, v, slot.kinds, masks, v in slot.ref_variants, slot.tagged, added)
-        if unit.ref is not None:
+        ref = unit.ref
+        if ref is not None:
             # the tagging fixes a reference's offset and width
-            placed = self._place_ref(slot, v, unit.ref)
+            placed = self._ref_fit(slot, v, ref)
             if placed is None:
                 return None
             offset, ref_width = placed
@@ -369,18 +387,34 @@ class _State:
             if not fits:
                 return None
             offset, ref_width = (fits & -fits).bit_length() - 1, None
-            if unit.other_runs is not None:
-                p = unit.pattern
-                slot.add_consts(v, p.const << offset, p.ones << offset, p.free << offset)
+        added: list[tuple[int, str]] = []
+        masks = (slot.const[v], slot.ones[v], slot.wild[v], slot.field[v], slot.low[v])
+        is_ref, shifted = v in slot.ref_variants, self.shifted[v]
+        undo = (slot, v, slot.kinds, masks, is_ref, slot.tagged, shifted, added)
+        if ref is not None:
+            slot.ref_variants.add(v)
+            if self.tags is not None:
+                slot.tagged = True
+                if ref.ref_mode == REF_PLAIN:
+                    slot.add_consts(v, self.tags[0].const, self.tags[0].ones)
+        elif unit.other_runs is not None:
+            p = unit.pattern
+            slot.add_consts(v, p.const << offset, p.ones << offset, p.free << offset)
         for rel, f in unit.fields:
             at, width, key = offset + rel, ref_width or f.width, (v, f.name)
             slot.field[v] |= ((1 << width) - 1) << at
+            if at:
+                self.shifted[v] += 1
+            else:
+                slot.low[v] = width
             self.placements[key] = Placement(slot.index, at, width, f)
             added.append(key)
         slot.kinds = new_kinds
         return undo
 
-    def _place_ref(self, slot: _Slot, v: int, f: FieldSlot) -> Optional[tuple[int, int]]:
+    def _ref_fit(self, slot: _Slot, v: int, f: FieldSlot) -> Optional[tuple[int, int]]:
+        """The (offset, width) at which reference `f` of variant `v` fits
+        `slot`, or None; `place` then marks it a reference there."""
         tagging = self.target.ref_tagging
         if v in slot.ref_variants or f.width != slot.width:
             return None
@@ -391,7 +425,6 @@ class _State:
                 m for w, m in enumerate(slot.field) if w not in slot.ref_variants
             ):
                 return None
-            slot.ref_variants.add(v)
             return (0, slot.width)
         ref, value = self.tags
         free = tagging.free_low_bits
@@ -409,21 +442,18 @@ class _State:
                 continue
             if slot.clashes(w, value.const, value.ones):
                 return None
-        slot.tagged = True
-        slot.ref_variants.add(v)
-        if f.ref_mode == REF_PLAIN:
-            slot.add_consts(v, ref.const, ref.ones)
         return (offset, width)
 
     def unplace(self, undo: _Undo) -> None:
-        slot, v, kinds, masks, is_ref, tagged, added = undo
+        slot, v, kinds, masks, is_ref, tagged, shifted, added = undo
         for key in added:
             del self.placements[key]
         slot.kinds = kinds
-        slot.const[v], slot.ones[v], slot.wild[v], slot.field[v] = masks
+        slot.const[v], slot.ones[v], slot.wild[v], slot.field[v], slot.low[v] = masks
         if not is_ref:
             slot.ref_variants.discard(v)
         slot.tagged = tagged
+        self.shifted[v] = shifted
 
     # -- pattern assembly --
 
@@ -785,22 +815,20 @@ class _Search:
         self.entries = len(self.base.slots)
         placed = () if adt.packing is None else (
             set(self.base.placements) | {(v, name) for v, _, u in units for name in u.names()})
-        # the free references as (variant, unit); per variant: the keys of
-        # its placements, its search items (unit, restricted scalar, whether
-        # it is a free field equal to the one before, which then starts at
-        # that one's scalar so that equal fields are tried in one order):
-        # #solve units, then free fields, each in descending width; and the
-        # free fields' widths, which end its items
-        keys, refs, items, free_widths = [], [], [], []
+        # the free references as (variant, unit); per variant: its search
+        # items (unit, restricted scalar, whether it is a free field equal to
+        # the one before, which then starts at that one's scalar so that
+        # equal fields are tried in one order): #solve units, then free
+        # fields, each in descending width; and the free fields' widths,
+        # which end its items
+        refs, items, free_widths = [], [], []
         lows, highs = [0] * len(self.widths), [0] * len(self.widths)
         low_bits = target.ref_tagging.free_low_bits if target.ref_tagging else 0
         class_of = target.class_of
         for i, variant in enumerate(adt.variants):
-            row_keys, plain, by_class = [], [], {}
+            plain, by_class = [], {}
             for f in variant.fields:
-                key = (i, f.name)
-                row_keys.append(key)
-                if key in placed:
+                if (i, f.name) in placed:
                     continue
                 width = f.width
                 if f.ref_mode == REF_NONE:
@@ -819,7 +847,6 @@ class _Search:
                 row.append((_Unit.of(f), None, before == (f.width, f.kinds)))
                 before = (f.width, f.kinds)
                 widths.append(f.width)
-            keys.append(row_keys)
             items.append(row)
             free_widths.append(widths)
             for c, ws in by_class.items():
@@ -827,7 +854,7 @@ class _Search:
                 # a reference needs a scalar whose bit 0 holds no field of
                 # another variant, so only one scalar per item surely suffices
                 highs[c] += len(ws)
-        self.keys, self.refs, self.items, self.free_widths = keys, refs, items, free_widths
+        self.refs, self.items, self.free_widths = refs, items, free_widths
         self.lows, self.highs = lows, highs
 
     def run(self) -> LayoutSolution:
@@ -881,6 +908,8 @@ class _Search:
         """Every variant's references placed first fit, then each variant
         packed: (state, summed cost), or (None, 0) when one does not fit."""
         self.quota, self.reserve, self.opened = quota, reserve, [0] * len(quota)
+        # the widths of the fresh scalars not yet opened, ascending
+        self.fresh = sorted(self.widths[c] for c, q in enumerate(quota) for _ in range(q))
         state = self.base.copy()
         if reserve is not None and reserve < len(state.slots):
             self.keep_tag_free(state.slots[reserve])
@@ -900,16 +929,17 @@ class _Search:
 
     def cost(self, state: _State, v: int) -> int:
         """`_access_cost` of `v`'s placements so far, with the tag value `v`
-        in the top bits of the reserved scalar."""
-        total = 0
-        for key in self.keys[v]:
-            pl = state.placements.get(key)
-            if pl is not None:
-                s = state.slots[pl.slot]
+        in the top bits of the reserved scalar, read from what the state
+        keeps: `read_cost` charges 2 per shifted field, and 1 for a field at
+        offset 0 when a bit above it is set."""
+        total = 2 * state.shifted[v]
+        for s in state.slots:
+            width = s.low[v]
+            if width:
                 bits = s.field[v] | s.ones[v]
-                if pl.slot == self.reserve:
+                if s.index == self.reserve:
                     bits |= v << (s.width - self.tw)
-                total += read_cost(bits, pl.offset, pl.width)
+                total += bits >> width != 0
         return total
 
     def bound(self, state: _State, v: int, i: int) -> Optional[int]:
@@ -925,17 +955,18 @@ class _Search:
             return self.cost(state, v)
         used, empty = 0, []
         for s in state.slots:
-            if not (s.ref_variants and state.tags is None):  # not a reference-only scalar
-                reserved = s.reserved(v)
-                room = s.width - reserved.bit_count()
-                if reserved & 1:
-                    used += room
-                else:
-                    empty.append(room)
-        fresh = [self.widths[c] for c, q in enumerate(self.quota) for _ in range(q - self.opened[c])]
+            if s.ref_variants and state.tags is None:
+                continue  # a reference-only scalar
+            reserved = s.reserved(v) if s.tagged else s.const[v] | s.wild[v] | s.field[v]
+            room = s.width - reserved.bit_count()
+            if reserved & 1:
+                used += room
+            else:
+                empty.append(room)
+        fresh = self.fresh
         if fresh and self.reserve is not None and self.reserve >= len(state.slots):
             # the reserved scalar is a fresh one: a state that never opens it is not kept
-            fresh[fresh.index(min(fresh))] -= self.tw
+            fresh = [fresh[0] - self.tw] + fresh[1:]
         empty = sorted(empty + fresh)
         lone = min(len(widths), len(empty))
         while sum(widths[lone:]) > used + sum(empty[lone:]):
@@ -963,15 +994,19 @@ class _Search:
                 self.failures.update(unit.names())
             return None if undo is None else (restriction, undo, None)
         blanks = set()  # (width, kinds) of the blank scalars met
+        plain = unit.ref is None
         for idx, s in enumerate(slots):
-            blank = idx >= self.entries and unit.ref is None and not s.ref_variants and not s.reserved(v)
-            if blank and (s.width, s.kinds) in blanks:
-                continue
-            if blank:
-                blanks.add((s.width, s.kinds))
-            undo = state.place(v, unit, s) if idx >= k else None
-            if undo is not None:
-                return idx, undo, None
+            # a scalar that holds no reference holds no tag bits either
+            if plain and idx >= self.entries and not s.ref_variants and not (
+                    s.const[v] | s.wild[v] | s.field[v]):
+                shape = (s.width, s.kinds)
+                if shape in blanks:
+                    continue
+                blanks.add(shape)
+            if idx >= k:
+                undo = state.place(v, unit, s)
+                if undo is not None:
+                    return idx, undo, None
         c = self.target.class_of[unit.kinds]
         if k > len(slots) or self.opened[c] >= self.quota[c] or blanks and any(
                 width == self.widths[c] and (kinds is None or kinds & unit.kinds)
@@ -985,6 +1020,7 @@ class _Search:
             slots.pop()
             return None
         self.opened[c] += 1
+        self.fresh.remove(slot.width)
         return slot.index, undo, c
 
     def pack(self, state: _State, v: int) -> Optional[int]:
@@ -1034,6 +1070,6 @@ class _Search:
         idx, undo, c = path.pop()
         state.unplace(undo)
         if c is not None:
-            state.slots.pop()
+            insort(self.fresh, state.slots.pop().width)
             self.opened[c] -= 1
         return idx

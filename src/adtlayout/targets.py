@@ -4,6 +4,8 @@ IR's types, and unboxing eligibility.
 A scalar kind classifies the machine location a scalar may occupy. The
 target maps every concrete type to the non-empty set of kinds that can
 physically hold it; reference types map to reference-capable kinds only.
+The kinds of one class share one width: 64 bits for `int64` and
+`float64`, the word width for `ref`.
 
 Monomorphization lowers each source field's type once, to the IR type that
 the checker, the normalizer, the interpreter and the program generator
@@ -110,6 +112,13 @@ class Target:
             raise ValueError(
                 f"target {self.name}: free_low_bits must be in 1..{self.word_width - 1}"
             )
+        # a 64-bit value needs a 64-bit scalar, and a reference a word
+        for cls, width in (("int64", 64), ("float64", 64), ("ref", self.word_width)):
+            have = next(iter(self.kind_table[cls])).width(self.word_width)
+            if have != width:
+                raise ValueError(
+                    f"target {self.name}: {cls} kinds are {have} bits wide, not {width}"
+                )
         classes: list[KindSet] = []
         for kinds in self.kind_table.values():
             joined = [c for c in classes if c & kinds]

@@ -502,19 +502,18 @@ def reference_dominators(entry: str, succs: dict[str, list[str]]) -> dict[str, s
 
 
 def reference_search_tables(adt, target) -> tuple:
-    """(keys, refs, items, free_widths, lows, highs) as `solver._Search`
-    builds them for `adt` on `target`."""
+    """(refs, items, free_widths, lows, highs) as `solver._Search` builds
+    them for `adt` on `target`."""
     from adtlayout.solver import REF_PLAIN, _apply_annotations, _bins_lower_bound, _State, _Unit
 
     base = _State(adt, target)
     units = _apply_annotations(base)
     entries, widths = len(base.slots), target.class_widths
     placed = set(base.placements) | {(v, name) for v, _, u in units for name in u.names()}
-    keys, all_refs, items, free_widths = [], [], [], []
+    all_refs, items, free_widths = [], [], []
     lows, highs = [0] * len(widths), [0] * len(widths)
     low_bits = target.ref_tagging.free_low_bits if target.ref_tagging else 0
     for i, variant in enumerate(adt.variants):
-        keys.append([(i, f.name) for f in variant.fields])
         free = [_Unit.of(f) for f in variant.fields if (i, f.name) not in placed]
         refs = [u for u in free if u.ref]
         all_refs += [(i, u) for u in refs]
@@ -532,4 +531,22 @@ def reference_search_tables(adt, target) -> tuple:
         for c, ws in by_class.items():
             lows[c] = max(lows[c], _bins_lower_bound(ws, widths[c]) - entries)
             highs[c] += len(ws)
-    return keys, all_refs, items, free_widths, lows, highs
+    return all_refs, items, free_widths, lows, highs
+
+
+def reference_case_cost(search, state, v: int) -> int:
+    """`solver._Search.cost` as a scan of every field of case `v`: the
+    `read_cost` of each one placed so far, with the tag value `v` in the
+    top bits of the search's reserved scalar."""
+    from adtlayout.solver import read_cost
+
+    total = 0
+    for f in state.adt.variants[v].fields:
+        pl = state.placements.get((v, f.name))
+        if pl is not None:
+            s = state.slots[pl.slot]
+            bits = s.field[v] | s.ones[v]
+            if pl.slot == search.reserve:
+                bits |= v << (s.width - search.tw)
+            total += read_cost(bits, pl.offset, pl.width)
+    return total

@@ -315,6 +315,38 @@ def test_malformed_target_file_is_usage_error(
     assert err.startswith("error: ") and message in err
 
 
+_NARROW_KINDS = {"int32": ["B32"], "int64": ["B32"], "float32": ["F32"], "float64": ["F64"],
+                 "ref": ["Ref"]}
+
+
+@pytest.mark.parametrize(
+    "kinds, source, message",
+    [
+        (_NARROW_KINDS, "type W #unboxed { case A(x: u64); case B; }",
+         "int64 kinds are 32 bits wide, not 64"),
+        ({**_NARROW_KINDS, "int64": ["B64"], "float64": ["F32"]},
+         "type W #unboxed { case A(x: f64); case B; }",
+         "float64 kinds are 32 bits wide, not 64"),
+        ({**_NARROW_KINDS, "int64": ["B64"], "ref": ["R32"]},
+         "type B { case A(x: u8); case C; } type U #unboxed { case A(b: B); case N; }",
+         "ref kinds are 32 bits wide, not 64"),
+    ],
+)
+def test_target_file_with_a_misfit_class_is_usage_error(
+    tmp_path, kinds, source, message, capsys
+):
+    """A 64-bit value class narrower than 64 bits, or a reference class
+    other than a word wide, is a malformed target file, not an input that
+    admits no layout."""
+    tfile = tmp_path / "narrow.json"
+    tfile.write_text(json.dumps({"name": "narrow", "word_width": 64, "kinds": kinds}))
+    p = tmp_path / "w.pk"
+    p.write_text(source)
+    assert main(["layout", str(p), "--target", str(tfile)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("flag, value", [("--budget", "-1"), ("--unbox-limit", "-4")])
 def test_layout_negative_numbers_rejected(small_file, flag, value, capsys):
     with pytest.raises(SystemExit) as exc:

@@ -911,6 +911,25 @@ entry:
     assert eval_program(program, inputs=[7]) == Outcome(None, 7)
 
 
+@pytest.mark.parametrize("param, bad, null", [
+    ("T", 8, 0),
+    ("(T, u8)", (8, 1), (0, 1)),
+])
+def test_eval_rejects_a_record_input_on_an_empty_heap(param, bad, null):
+    """A run starts with no record on its heap, so every reference an input
+    holds can only be null; any other is refused before the run."""
+    program = make_program("type T { case A(x: u8); case B; }")
+    program.functions["main"] = progtext.parse_function_text(f"""fn main(%t: {param}) -> {param} {{
+b0:
+  ret %t
+}}""")
+    check_program(program)
+    message = f"main parameter %t can hold only null (0) references, {bad!r} given"
+    with pytest.raises(IrTypeError, match=re.escape(message)):
+        eval_program(program, inputs=[bad])
+    assert eval_program(program, inputs=[null]).trap is None
+
+
 @pytest.mark.parametrize("target", ["x64", "jvm", "x86-32"])
 def test_spread_takes_every_normalized_field(target):
     """Walked with `Program.spread`, the source fields of every corpus and

@@ -22,7 +22,12 @@ from adtlayout.syntax import parse_program, parse_type
 from adtlayout.targets import BUILTIN_TARGETS, JVM, X64, X86_32, UnboxOptions
 
 from corpus import CORPUS_SIZE, CORPUS_SRC, solve_corpus_and_progen
-from oracles import oracle_best_score, oracle_per_variant_score, reference_search_tables
+from oracles import (
+    oracle_best_score,
+    oracle_per_variant_score,
+    reference_case_cost,
+    reference_search_tables,
+)
 from test_golden import (
     CASES as GOLDEN_CASES,
     WIDE_W0_X86_32,
@@ -660,7 +665,7 @@ def test_solution_builds_each_pattern_once(monkeypatch):
 
 
 def test_search_tables_equal_the_reference(monkeypatch):
-    """`_Search` builds its keys, references, items (equal-field flags
+    """`_Search` builds its references, items (equal-field flags
     included), free widths and scalar-count bounds as the reference's one
     comprehension per table does, over every golden report's input (the
     corpus on x64, jvm and x86-32, and annotated inputs with #solve units
@@ -670,7 +675,7 @@ def test_search_tables_equal_the_reference(monkeypatch):
 
     def checking(self, adt, target, budget):
         init(self, adt, target, budget)
-        tables = (self.keys, self.refs, self.items, self.free_widths, self.lows, self.highs)
+        tables = (self.refs, self.items, self.free_widths, self.lows, self.highs)
         assert tables == reference_search_tables(adt, target), (adt.name, target.name)
         seen.add(adt.name)
 
@@ -681,6 +686,36 @@ def test_search_tables_equal_the_reference(monkeypatch):
     # C13 is boxed by default (four u64 fields), so it is never solved
     assert {f"C{i:02}" for i in range(1, CORPUS_SIZE + 1)} - seen == {"C13"}
     assert {"C19", "C20", "C21", "C22", "Lit", "Pr", "Mx"} <= seen
+
+
+def test_kept_cost_equals_the_reference(monkeypatch):
+    """The cost a search state keeps per case (its shifted fields and each
+    scalar's offset-0 field) equals the per-field `read_cost` scan of
+    `reference_case_cost` at every `cost` and `bound` call. The inputs are
+    every golden report's input and the solve-sweep inputs, the first 4
+    `Random(816)` shapes among them, on x64, jvm and x86-32; the shapes run
+    to the step budget, so the search places and undoes fields many times."""
+    calls = {"cost": 0, "bound": 0}
+    cost, bound = solver._Search.cost, solver._Search.bound
+
+    def check(search, state, v, name):
+        assert cost(search, state, v) == reference_case_cost(search, state, v), (state.adt.name, v)
+        calls[name] += 1
+
+    def checking_cost(self, state, v):
+        check(self, state, v, "cost")
+        return cost(self, state, v)
+
+    def checking_bound(self, state, v, i):
+        check(self, state, v, "bound")
+        return bound(self, state, v, i)
+
+    monkeypatch.setattr(solver._Search, "cost", checking_cost)
+    monkeypatch.setattr(solver._Search, "bound", checking_bound)
+    for source, target in GOLDEN_CASES.values():
+        process_adts(parse_program(source), BUILTIN_TARGETS[target])
+    solve_sweep()
+    assert calls["bound"] > 50_000 and calls["cost"] > calls["bound"], calls
 
 
 def test_candidates_take_the_untagged_cost_only_for_a_bound(monkeypatch):
