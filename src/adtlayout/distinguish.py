@@ -270,9 +270,10 @@ def derive_tree(
     (`_build`). Where it finds no admissible split, the complete free-bit
     search runs, charging `charge` as `_resolve_free_bits` says, and the
     same pass builds the tree over its assignment; a refused charge gives
-    None as well."""
+    None as well. Rows of one scalar are their own joined patterns."""
     widths = [p.width for p in rows[0]]
-    joined = [join_patterns(row) for row in rows]
+    one = len(widths) == 1
+    joined = [row[0] for row in rows] if one else [join_patterns(row) for row in rows]
     if _inseparable_pair(joined):
         return None
     tree = _build(joined, widths)
@@ -281,7 +282,17 @@ def derive_tree(
             return None
         tree = _build(joined, widths)
         assert tree is not None, "no admissible split despite resolved free bits"
-    return tree, [_split(row, widths) for row in joined]
+    return tree, [[p] for p in joined] if one else [_split(row, widths) for row in joined]
+
+
+def _lowest(mask: int, k: int) -> int:
+    """The lowest `k` set bits of `mask` (all of them when it has fewer)."""
+    out = 0
+    for _ in range(k):
+        low = mask & -mask
+        out |= low
+        mask ^= low
+    return out
 
 
 def _build(rows: list[BitPattern], widths: list[int]) -> Optional[DecisionTree]:
@@ -299,7 +310,35 @@ def _build(rows: list[BitPattern], widths: list[int]) -> Optional[DecisionTree]:
     end up alone on its side, and takes a 1 at any cost if it must. A split
     is admissible when each side is smaller than the node; the chosen one
     has the smallest larger side, then the fewest members on both sides,
-    then the lowest position."""
+    then the lowest position.
+
+    A set of members is an int with bit m set for row m, so ascending bit
+    order is row order. Each tried position keeps three member sets, its
+    constant, constant-one and field rows, built on first use from the
+    marked rows (those holding a constant or field bit) and updated when a
+    node fixes the position; a route is then a few mask operations and
+    popcounts, and its `take` members routed to 1 are the lowest free
+    field-less members, then the free members holding fields that a 1 costs
+    nothing, in row order. Only the marked rows keep masks of their own as
+    they are fixed, and only they are walked for cuts and lone members. An
+    unmarked row gets a constant only at the position of a node it is live
+    in, and is live only below that node, where the position is tested: so
+    it cuts no column, it is lone only where one position is left, and its
+    fixed bits are written back from the position sets once a tree is
+    found.
+
+    A plain node, whose k members hold no field bit anywhere and no
+    constant at an untested position, is split in closed form, with no
+    columns or routes. Under the rule above its columns are whole scalars,
+    every member is free at each column's lowest position, and a 1 costs
+    a member without fields nothing. With two or more positions left no
+    member is lone, so every route sends the first ⌊k/2⌋ members to 1, a
+    larger side of ⌈k/2⌉ < k with none duplicated, and the lowest untested
+    position wins. With one position left every member is lone there: the
+    first member alone on the 0 side leaves k - 1 on the 1 side, alone on
+    the 1 side it leaves k - 1 on the 0 side, so only two members split,
+    the first taking 0. With more, or no position left, there is no tree.
+    Every node under a plain node is plain."""
     scalars = []  # (first position, mask) per scalar
     scalar_at: list[int] = []  # scalar index per position
     lo = 0
@@ -308,10 +347,29 @@ def _build(rows: list[BitPattern], widths: list[int]) -> Optional[DecisionTree]:
         scalar_at += [s] * w
         lo += w
     full = (1 << lo) - 1
-    # the rows as masks, fixed in place and written back once a tree is found
+    # the rows as masks, kept as fixed for marked rows, written back once a
+    # tree is found
     const = [p.const for p in rows]
     ones = [p.ones for p in rows]
     field = [p.field for p in rows]
+    marked_rows = [m for m, p in enumerate(rows) if p.const | p.field]
+    marked = sum(1 << m for m in marked_rows)
+    fields = sum(1 << m for m, p in enumerate(rows) if p.field)
+    at: dict[int, list[int]] = {}  # bit -> [constant, constant-one, field] members
+
+    def members_at(bit: int) -> list[int]:
+        sets = at.get(bit)
+        if sets is None:
+            c = o = f = 0
+            for m in marked_rows:
+                if const[m] & bit:
+                    c |= 1 << m
+                    if ones[m] & bit:
+                        o |= 1 << m
+                elif field[m] & bit:
+                    f |= 1 << m
+            sets = at[bit] = [c, o, f]
+        return sets
 
     def cheap_one(m: int, bit: int) -> bool:
         """Whether a 1 at `bit` leaves the access cost of member `m` unchanged:
@@ -321,57 +379,117 @@ def _build(rows: list[BitPattern], widths: list[int]) -> Optional[DecisionTree]:
         run = (here ^ (here + 1)).bit_length() - 1  # the offset-0 field run
         return not here & 1 or bool(((ones[m] | field[m]) & mask) >> lo >> run)
 
-    def route(members: list[int], bit: int, lone: list[int]) -> Optional[tuple]:
-        """(key, the free members routed to 1) of the best routing at
-        `bit`, or None when no routing there is admissible. `lone` lists
-        the members whose last usable position is `bit`."""
-        const_zeros = const_ones = dup = 0
-        free: list[int] = []
-        for m in members:
-            if const[m] & bit:
-                if ones[m] & bit:
-                    const_ones += 1
-                else:
-                    const_zeros += 1
-            elif field[m] & bit:
-                dup += 1
-            else:
-                free.append(m)
-        if lone:
-            # the first lone member alone on the zero side, or on the one side
-            m = lone[0]
-            options = [[f for f in free if f != m], [] if const[m] & bit else [m]]
-        else:
-            take = (const_zeros + len(free) - const_ones) // 2
-            cheap = [f for f in free if not field[f] or cheap_one(f, bit)] if take > 0 else []
-            cheap.sort(key=lambda f: field[f] != 0)  # stable
-            options = [cheap[:take]]
-        for to_one in options:
-            zero_n = const_zeros + dup + len(free) - len(to_one)
-            one_n = const_ones + dup + len(to_one)
+    def route(live: int, k: int, bit: int, lone: int) -> Optional[tuple]:
+        """(key, the free members routed to 1) of the best routing of the
+        `k` members `live` at `bit`, or None when no routing there is
+        admissible. `lone` holds the members whose last usable position is
+        `bit`."""
+        c, o, f = members_at(bit)
+        c, o, f = c & live, o & live, f & live
+        free = live & ~(c | f)
+        const_ones, dup, n_free = o.bit_count(), f.bit_count(), free.bit_count()
+        const_zeros = c.bit_count() - const_ones
+        if not lone:
+            take = (const_zeros + n_free - const_ones) // 2
+            to_one = 0
+            if take > 0:
+                # field-less members first, then those a 1 costs nothing
+                plain = free & ~fields
+                to_one = _lowest(plain, take)
+                short, held = take - plain.bit_count(), free & fields
+                while short > 0 and held:
+                    m = held & -held
+                    held ^= m
+                    if cheap_one(m.bit_length() - 1, bit):
+                        to_one |= m
+                        short -= 1
+            n_one = to_one.bit_count()
+            larger = max(const_zeros + dup + n_free - n_one, const_ones + dup + n_one)
+            return ((larger, dup, bit), to_one) if larger < k else None
+        # the first lone member alone on the zero side, or on the one side;
+        # every lone member must end up alone on its side
+        first = lone & -lone
+        for to_one in (free & ~first, 0 if c & first else first):
+            n_one = to_one.bit_count()
+            zero_n = const_zeros + dup + n_free - n_one
+            one_n = const_ones + dup + n_one
             larger = max(zero_n, one_n)
-            if larger < len(members) and all(
-                (one_n if ones[l] & bit or l in to_one else zero_n) == 1 for l in lone
-            ) and (not lone or all(f in lone or cheap_one(f, bit) for f in to_one)):
+            up = o | to_one
+            if larger >= k or (lone & up and one_n != 1) or (lone & ~up and zero_n != 1):
+                continue
+            held = to_one & fields & ~lone
+            while held:
+                m = held & -held
+                held ^= m
+                if not cheap_one(m.bit_length() - 1, bit):
+                    break
+            else:
                 return (larger, dup, bit), to_one
         return None
 
-    def node(members: list[int], used: int) -> Optional[DecisionTree]:
-        if len(members) == 1:
-            return Leaf(members[0])
+    def fix(live: int, bit: int, to_one: int) -> None:
+        """Make the free members of `live` constant at `bit`, 1 in `to_one`."""
+        sets = members_at(bit)
+        c, o, f = sets
+        free = live & ~(c | f)
+        sets[0], sets[1] = c | free, o | to_one
+        walk = free & marked
+        while walk:
+            low = walk & -walk
+            walk ^= low
+            m = low.bit_length() - 1
+            const[m] |= bit
+            if to_one & low:
+                ones[m] |= bit
+
+    def plain_tree(live: int, k: int, avail: int) -> Optional[DecisionTree]:
+        """The subtree over a plain node's `k` members `live`, with the
+        positions `avail` untested; every node under it is plain too."""
+        if k == 1:
+            return Leaf(live.bit_length() - 1)
+        half = k // 2
+        if avail & (avail - 1):
+            bit, to_one = avail & -avail, _lowest(live, half)
+        elif avail and k == 2:
+            bit, to_one = avail, live & (live - 1)
+        else:
+            return None
+        fix(live, bit, to_one)
+        avail ^= bit
+        zero = plain_tree(live ^ to_one, k - half, avail)
+        one = plain_tree(to_one, half, avail) if zero is not None else None
+        if one is None:
+            return None
+        s = scalar_at[bit.bit_length() - 1]
+        return Node(s, bit.bit_length() - 1 - scalars[s][0], zero, one)
+
+    def node(live: int, used: int) -> Optional[DecisionTree]:
+        """The subtree over the members `live`, with the positions `used`
+        tested."""
+        if not live & (live - 1):
+            return Leaf(live.bit_length() - 1)
+        k = live.bit_count()
         avail = full & ~used
-        # among the untested positions, each member's constants and fields,
-        # its ones and its fields cut the columns into its four kinds of
-        # position; a cut made twice changes nothing
+        # among the untested positions, each marked member's constants and
+        # fields, its ones and its fields cut the columns into its four
+        # kinds of position; a cut made twice changes nothing
         cuts = set()
-        lone: dict[int, list[int]] = {}
-        for m in members:
+        lone: dict[int, int] = {}
+        walk = live & marked
+        while walk:
+            low = walk & -walk
+            walk ^= low
+            m = low.bit_length() - 1
             fixed = (const[m] | field[m]) & avail
             if fixed:
                 cuts.update((fixed, ones[m] & avail, field[m] & avail))
             left = avail & ~field[m]
             if not left & (left - 1):
-                lone.setdefault(left, []).append(m)
+                lone[left] = lone.get(left, 0) | low
+        if not cuts and not live & fields:
+            return plain_tree(live, k, avail)
+        if not avail & (avail - 1):  # unmarked members are lone there too
+            lone[avail] = lone.get(avail, 0) | (live & ~marked)
         columns = [c for c in (mask & avail for _, mask in scalars) if c]
         for cut in cuts:
             if cut:
@@ -379,36 +497,31 @@ def _build(rows: list[BitPattern], widths: list[int]) -> Optional[DecisionTree]:
         best = None
         for col in columns:
             bit = col & -col
-            found = route(members, bit, lone.get(bit, []))
+            found = route(live, k, bit, lone.get(bit, 0))
             if found is not None and (best is None or found[0] < best[0]):
                 best = found
         if best is None:
             return None
         (_, _, bit), to_one = best
-        to_one = set(to_one)
-        zero_side, one_side = [], []
-        for m in members:
-            if field[m] & bit:
-                zero_side.append(m)
-                one_side.append(m)
-            elif ones[m] & bit:
-                one_side.append(m)
-            else:
-                const[m] |= bit
-                if m in to_one:
-                    ones[m] |= bit
-                    one_side.append(m)
-                else:
-                    zero_side.append(m)
-        zero = node(zero_side, used | bit)
-        one = node(one_side, used | bit) if zero is not None else None
+        _, o, f = members_at(bit)
+        up, both = o & live | to_one, f & live
+        fix(live, bit, to_one)
+        zero = node(live & ~up, used | bit)
+        one = node(up | both, used | bit) if zero is not None else None
         if one is None:
             return None
         s = scalar_at[bit.bit_length() - 1]
         return Node(s, bit.bit_length() - 1 - scalars[s][0], zero, one)
 
-    tree = node(list(range(len(rows))), 0)
+    tree = node((1 << len(rows)) - 1, 0)
     if tree is not None:
+        for bit, (c, o, _) in at.items():
+            for masks, members in ((const, c), (ones, o)):
+                members &= ~marked
+                while members:
+                    low = members & -members
+                    members ^= low
+                    masks[low.bit_length() - 1] |= bit
         rows[:] = [BitPattern(p.width, c, o, p.field) for p, c, o in zip(rows, const, ones)]
     return tree
 

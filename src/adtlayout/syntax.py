@@ -485,6 +485,9 @@ def parse_program(source: str) -> list[Decl]:
 
 
 def parse_packing_expr(source: str) -> PackingExpr:
+    """One packing expression, the whole of `source`. Nothing in the package
+    calls it; it is kept as exported API, for tests and callers that build
+    declarations by hand."""
     p = _Parser(source)
     e = p.packing_expr()
     if p.peek()[0] != "eof":

@@ -46,7 +46,10 @@ def check_expr(expr: PackingExpr, ctx: SizeContext, in_decl: Optional[str] = Non
 
 def check_packing_decl(decl: PackingDecl, delta: dict[str, PackingDecl]) -> list[Diagnostic]:
     """Well-formedness of one declaration against the declarations in
-    scope: an empty list when it verifies."""
+    scope: an empty list when it verifies. Nothing in the package calls it
+    (`check_program_decls` checks a program's declarations in one scope);
+    it is kept as exported API, for tests and callers that check one
+    declaration."""
     return _check_decl(decl, SizeContext(delta=delta))
 
 

@@ -5,8 +5,9 @@ library: flattening by textual inlining and a linear scan, distinguishability
 by brute-force enumeration of every free-bit assignment, the least tree
 depth by every split over every such assignment, layout scoring by
 exhaustive enumeration over placement equivalence classes, dominators by a
-fixed point over a full set of dominators per block, and the solver's search
-tables by one comprehension per table.
+fixed point over a full set of dominators per block, the solver's search
+tables by one comprehension per table, and the decision-tree pass by its
+first form, which walks every live case at every node.
 """
 
 from __future__ import annotations
@@ -14,8 +15,18 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from typing import Optional
+from typing import Callable, Optional
 
+from adtlayout.distinguish import (
+    BitPattern,
+    DecisionTree,
+    Leaf,
+    Node,
+    _inseparable_pair,
+    _resolve_free_bits,
+    _split,
+    join_patterns,
+)
 from adtlayout.syntax import (
     Apply,
     BitLayout,
@@ -310,6 +321,159 @@ def enumerate_pattern_sets(max_total_bits: int = 6):
                         pos += w
                     patterns.append(row)
                 yield patterns
+
+
+# ---------------------------------------------------------------------------
+# Reference decision-tree pass: the rule of `distinguish._build` over lists
+# of member indices, every node walking every live member
+
+
+def reference_derive_tree(
+    rows: list[list[BitPattern]], charge: Optional[Callable[[], bool]] = None
+) -> Optional[tuple[DecisionTree, list[list[BitPattern]]]]:
+    """`distinguish.derive_tree` with `reference_build` as its pass, every
+    row joined and split again whatever its scalar count."""
+    widths = [p.width for p in rows[0]]
+    joined = [join_patterns(row) for row in rows]
+    if _inseparable_pair(joined):
+        return None
+    tree = reference_build(joined, widths)
+    if tree is None:
+        if not _resolve_free_bits(joined, charge):
+            return None
+        tree = reference_build(joined, widths)
+        assert tree is not None, "no admissible split despite resolved free bits"
+    return tree, [_split(row, widths) for row in joined]
+
+
+def reference_build(rows: list[BitPattern], widths: list[int]) -> Optional[DecisionTree]:
+    """`distinguish._build` as first written, over lists of member indices
+    and per-row masks: a tree separating `rows` (joined patterns), built
+    top down, fixing in `rows` the free bits it routes; None, leaving
+    `rows` as they were, when some node has no admissible split.
+
+    At each node the untested positions fall into columns, positions of
+    one scalar that look the same in every live member, and only the
+    lowest position of each column is tried. A member goes where its
+    constant sends it, to both sides where it holds a field, and where it
+    is free, to whichever side balances the split; a 1 goes only to a
+    member that it costs nothing, and members holding fields take 0 first.
+    A member with no other untested position left where it can differ must
+    end up alone on its side, and takes a 1 at any cost if it must. A split
+    is admissible when each side is smaller than the node; the chosen one
+    has the smallest larger side, then the fewest members on both sides,
+    then the lowest position."""
+    scalars = []  # (first position, mask) per scalar
+    scalar_at: list[int] = []  # scalar index per position
+    lo = 0
+    for s, w in enumerate(widths):
+        scalars.append((lo, ((1 << w) - 1) << lo))
+        scalar_at += [s] * w
+        lo += w
+    full = (1 << lo) - 1
+    # the rows as masks, fixed in place and written back once a tree is found
+    const = [p.const for p in rows]
+    ones = [p.ones for p in rows]
+    field = [p.field for p in rows]
+
+    def cheap_one(m: int, bit: int) -> bool:
+        """Whether a 1 at `bit` leaves the access cost of member `m` unchanged:
+        its field at offset 0 of that scalar, if any, has set bits above it."""
+        lo, mask = scalars[scalar_at[bit.bit_length() - 1]]
+        here = (field[m] & mask) >> lo
+        run = (here ^ (here + 1)).bit_length() - 1  # the offset-0 field run
+        return not here & 1 or bool(((ones[m] | field[m]) & mask) >> lo >> run)
+
+    def route(members: list[int], bit: int, lone: list[int]) -> Optional[tuple]:
+        """(key, the free members routed to 1) of the best routing at
+        `bit`, or None when no routing there is admissible. `lone` lists
+        the members whose last usable position is `bit`."""
+        const_zeros = const_ones = dup = 0
+        free: list[int] = []
+        for m in members:
+            if const[m] & bit:
+                if ones[m] & bit:
+                    const_ones += 1
+                else:
+                    const_zeros += 1
+            elif field[m] & bit:
+                dup += 1
+            else:
+                free.append(m)
+        if lone:
+            # the first lone member alone on the zero side, or on the one side
+            m = lone[0]
+            options = [[f for f in free if f != m], [] if const[m] & bit else [m]]
+        else:
+            take = (const_zeros + len(free) - const_ones) // 2
+            cheap = [f for f in free if not field[f] or cheap_one(f, bit)] if take > 0 else []
+            cheap.sort(key=lambda f: field[f] != 0)  # stable
+            options = [cheap[:take]]
+        for to_one in options:
+            zero_n = const_zeros + dup + len(free) - len(to_one)
+            one_n = const_ones + dup + len(to_one)
+            larger = max(zero_n, one_n)
+            if larger < len(members) and all(
+                (one_n if ones[l] & bit or l in to_one else zero_n) == 1 for l in lone
+            ) and (not lone or all(f in lone or cheap_one(f, bit) for f in to_one)):
+                return (larger, dup, bit), to_one
+        return None
+
+    def node(members: list[int], used: int) -> Optional[DecisionTree]:
+        if len(members) == 1:
+            return Leaf(members[0])
+        avail = full & ~used
+        # among the untested positions, each member's constants and fields,
+        # its ones and its fields cut the columns into its four kinds of
+        # position; a cut made twice changes nothing
+        cuts = set()
+        lone: dict[int, list[int]] = {}
+        for m in members:
+            fixed = (const[m] | field[m]) & avail
+            if fixed:
+                cuts.update((fixed, ones[m] & avail, field[m] & avail))
+            left = avail & ~field[m]
+            if not left & (left - 1):
+                lone.setdefault(left, []).append(m)
+        columns = [c for c in (mask & avail for _, mask in scalars) if c]
+        for cut in cuts:
+            if cut:
+                columns = [c for col in columns for c in (col & cut, col & ~cut) if c]
+        best = None
+        for col in columns:
+            bit = col & -col
+            found = route(members, bit, lone.get(bit, []))
+            if found is not None and (best is None or found[0] < best[0]):
+                best = found
+        if best is None:
+            return None
+        (_, _, bit), to_one = best
+        to_one = set(to_one)
+        zero_side, one_side = [], []
+        for m in members:
+            if field[m] & bit:
+                zero_side.append(m)
+                one_side.append(m)
+            elif ones[m] & bit:
+                one_side.append(m)
+            else:
+                const[m] |= bit
+                if m in to_one:
+                    ones[m] |= bit
+                    one_side.append(m)
+                else:
+                    zero_side.append(m)
+        zero = node(zero_side, used | bit)
+        one = node(one_side, used | bit) if zero is not None else None
+        if one is None:
+            return None
+        s = scalar_at[bit.bit_length() - 1]
+        return Node(s, bit.bit_length() - 1 - scalars[s][0], zero, one)
+
+    tree = node(list(range(len(rows))), 0)
+    if tree is not None:
+        rows[:] = [BitPattern(p.width, c, o, p.field) for p, c, o in zip(rows, const, ones)]
+    return tree
 
 
 # ---------------------------------------------------------------------------
