@@ -108,13 +108,8 @@ def _layout_report(result: ProgramLayouts) -> dict:
     adts = []
     for key in result.order:
         r = result.resolved[key]
-        entry: dict = {"adt": key}
-        if r.disposition.boxed:
-            entry["boxed"] = True
-            entry["reason"] = r.disposition.reason
-        else:
-            entry["boxed"] = False
-            entry["reason"] = r.disposition.reason
+        entry: dict = {"adt": key, "boxed": r.disposition.boxed, "reason": r.disposition.reason}
+        if not r.disposition.boxed:
             entry.update(r.layout.to_json())
         adts.append(entry)
     return {"v": REPORT_VERSION, "adts": adts}

@@ -19,7 +19,9 @@ variant's field at offset 0; the state keeps, per variant, how many of its
 fields sit above offset 0. A placement's undo record restores all of them,
 so a search node reads a variant's access cost in one pass over the
 scalars: `read_cost` charges 2 for each shifted field and 1 for an
-offset-0 field with a bit set above it.
+offset-0 field with a bit set above it. The state also logs each placed
+unit, and undo pops its entry, so a completion builds the field
+placements from the log once (`_State.placements`).
 """
 
 from __future__ import annotations
@@ -185,14 +187,7 @@ class LayoutSolution:
 
 
 class _Slot:
-    def __init__(
-        self,
-        index: int,
-        width: int,
-        kinds: Optional[KindSet],
-        n_variants: int,
-        tags: Optional[tuple[BitPattern, BitPattern]],
-    ):
+    def __init__(self, index: int, width: int, kinds: Optional[KindSet], n_variants: int):
         self.index = index
         self.width = width
         self.kinds = kinds  # None until the first field constrains it
@@ -205,8 +200,7 @@ class _Slot:
         # per variant: the width of its field at offset 0, or 0 when none is
         self.low = [0] * n_variants
         self.ref_variants: set[int] = set()
-        self.tags = tags  # (reference, value) low-bit patterns, or None
-        self.tagged = False
+        self.tagged: Optional[tuple] = None  # (reference, value) low-bit patterns once tagged
 
     def copy(self) -> _Slot:
         """A copy that shares no mutable part with this slot."""
@@ -219,8 +213,8 @@ class _Slot:
 
     def reserved(self, v: int) -> int:
         out = self.const[v] | self.wild[v] | self.field[v]
-        if self.tagged:
-            ref, value = self.tags
+        if self.tagged is not None:
+            ref, value = self.tagged
             out |= (ref if v in self.ref_variants else value).const
         return out
 
@@ -285,12 +279,10 @@ def _overlaps(mask: int, runs: tuple[tuple[int, int], ...]) -> int:
 
 # What one placement can change, as it was before: the slot, the variant,
 # the slot's kinds, the variant's masks (const, ones, wild, field) and
-# offset-0 width there, whether the variant held a reference there, whether
-# the slot was tagged and the variant's count of shifted fields; and the
-# keys of the placements it added.
-_Undo = tuple[
-    _Slot, int, Optional[KindSet], tuple[int, ...], bool, bool, int, list[tuple[int, str]]
-]
+# offset-0 width there, whether the variant held a reference there, the
+# slot's tagging patterns and the variant's count of shifted fields. Undo
+# also pops the placement's log entry: undo is last in, first out.
+_Undo = tuple[_Slot, int, Optional[KindSet], tuple[int, ...], bool, Optional[tuple], int]
 
 
 @lru_cache(maxsize=None)  # one entry per field width
@@ -326,9 +318,6 @@ class _Unit(NamedTuple):
             p.const or p.free) else None
         return _Unit(fields, p, kinds, None, _runs(p.field), other)
 
-    def names(self) -> list[str]:
-        return [f.name for _, f in self.fields]
-
 
 class _State:
     def __init__(self, adt: MonoAdt, target: Target):
@@ -336,22 +325,30 @@ class _State:
         self.target = target
         self.n = len(adt.variants)
         self.slots: list[_Slot] = []
-        self.placements: dict[tuple[int, str], Placement] = {}
+        # per placed unit: (variant, unit, slot index, offset, reference width or None)
+        self.log: list[tuple[int, _Unit, int, int, Optional[int]]] = []
         self.shifted = [0] * self.n  # per variant: its fields above offset 0
         tagging = target.ref_tagging
         self.tags = None if tagging is None else (tagging.ref_pattern, tagging.value_pattern)
 
     def copy(self) -> _State:
-        """A copy whose slots and placements this state does not share."""
+        """A copy whose slots and log this state does not share."""
         out = object.__new__(_State)
         out.__dict__ = {
             **self.__dict__, "slots": list(map(_Slot.copy, self.slots)),
-            "placements": dict(self.placements), "shifted": self.shifted[:],
+            "log": self.log[:], "shifted": self.shifted[:],
         }
         return out
 
+    def placements(self) -> dict[tuple[int, str], Placement]:
+        """Each logged field's placement by (variant, name), in log order."""
+        return {
+            (v, f.name): Placement(s, offset + rel, ref_width or f.width, f)
+            for v, unit, s, offset, ref_width in self.log for rel, f in unit.fields
+        }
+
     def new_slot(self, width: int, kinds: Optional[KindSet]) -> _Slot:
-        s = _Slot(len(self.slots), width, kinds, self.n, self.tags)
+        s = _Slot(len(self.slots), width, kinds, self.n)
         self.slots.append(s)
         return s
 
@@ -387,28 +384,26 @@ class _State:
             if not fits:
                 return None
             offset, ref_width = (fits & -fits).bit_length() - 1, None
-        added: list[tuple[int, str]] = []
         masks = (slot.const[v], slot.ones[v], slot.wild[v], slot.field[v], slot.low[v])
         is_ref, shifted = v in slot.ref_variants, self.shifted[v]
-        undo = (slot, v, slot.kinds, masks, is_ref, slot.tagged, shifted, added)
+        undo = (slot, v, slot.kinds, masks, is_ref, slot.tagged, shifted)
         if ref is not None:
             slot.ref_variants.add(v)
             if self.tags is not None:
-                slot.tagged = True
+                slot.tagged = self.tags
                 if ref.ref_mode == REF_PLAIN:
                     slot.add_consts(v, self.tags[0].const, self.tags[0].ones)
         elif unit.other_runs is not None:
             p = unit.pattern
             slot.add_consts(v, p.const << offset, p.ones << offset, p.free << offset)
         for rel, f in unit.fields:
-            at, width, key = offset + rel, ref_width or f.width, (v, f.name)
+            at, width = offset + rel, ref_width or f.width
             slot.field[v] |= ((1 << width) - 1) << at
             if at:
                 self.shifted[v] += 1
             else:
                 slot.low[v] = width
-            self.placements[key] = Placement(slot.index, at, width, f)
-            added.append(key)
+        self.log.append((v, unit, slot.index, offset, ref_width))
         slot.kinds = new_kinds
         return undo
 
@@ -445,9 +440,8 @@ class _State:
         return (offset, width)
 
     def unplace(self, undo: _Undo) -> None:
-        slot, v, kinds, masks, is_ref, tagged, shifted, added = undo
-        for key in added:
-            del self.placements[key]
+        slot, v, kinds, masks, is_ref, tagged, shifted = undo
+        self.log.pop()
         slot.kinds = kinds
         slot.const[v], slot.ones[v], slot.wild[v], slot.field[v], slot.low[v] = masks
         if not is_ref:
@@ -471,8 +465,8 @@ class _State:
                         row.append(BitPattern(slot.width, const=full))
                     continue
                 p = BitPattern(slot.width, slot.const[v], slot.ones[v], slot.field[v])
-                if slot.tagged and v not in slot.ref_variants:
-                    value = self.tags[1]
+                if slot.tagged is not None and v not in slot.ref_variants:
+                    value = slot.tagged[1]
                     p = p.fix(value.const, value.ones)
                 row.append(p)
             out.append(row)
@@ -571,22 +565,24 @@ def score_layout(
     return Score(n_scalars, access, int(scheme.dedicated))
 
 
-# a tagging completion: (score, scheme, patterns), the patterns before an
-# explicit tag is written and with a tree's free bits resolved
-Candidate = tuple[Score, TagScheme, list[list[BitPattern]]]
+# a tagging completion: (score, scheme, patterns, placements), the patterns
+# before an explicit tag is written and with a tree's free bits resolved; the
+# candidates of one state share its placements
+Candidate = tuple[Score, TagScheme, list[list[BitPattern]], dict[tuple[int, str], Placement]]
 
 
-def _candidate(state: _State, rows: list[list[BitPattern]], scheme: TagScheme) -> Candidate:
-    """`state` completed by `scheme` over `rows`, with its score."""
+def _candidate(state: _State, placements: dict, rows: list, scheme: TagScheme) -> Candidate:
+    """`state`, placed as `placements`, completed by `scheme` over `rows`,
+    with its score."""
     n_scalars = len(state.slots) + scheme.dedicated
-    return score_layout(n_scalars, state.placements, rows, scheme), scheme, rows
+    return score_layout(n_scalars, placements, rows, scheme), scheme, rows, placements
 
 
 def _solution(state: _State, cand: Candidate) -> LayoutSolution:
     """The solution of `state` completed by `cand`, with its score, plus the
     tag scalar when the tag is dedicated. Its free bits are made constant 0
     and the tag is written as each pattern is built."""
-    score, scheme, rows = cand
+    score, scheme, rows, placements = cand
     slots = _freeze_slots(state)
     tag_slot, tag_offset, tag_mask = -1, 0, 0
     if isinstance(scheme, ExplicitTag):
@@ -609,7 +605,7 @@ def _solution(state: _State, cand: Candidate) -> LayoutSolution:
         adt=state.adt,
         target=state.target,
         slots=slots,
-        placements=dict(state.placements),
+        placements=placements,
         patterns=patterns,
         tag_scheme=scheme,
         score=score,
@@ -626,16 +622,16 @@ def _candidates(
     (see `distinguish.derive_tree`); when the charge is refused the state
     gets no tree."""
     n, m = state.n, len(state.slots)
-    base = state.build_patterns()
+    base, placements = state.build_patterns(), state.placements()
     if n == 1:
-        return [_candidate(state, base, SingleVariant())]
+        return [_candidate(state, placements, base, SingleVariant())]
     results: list[Candidate] = []
 
     tw = tag_width_for(n)
     for s in range(m):
         found = shared_free_run(base, s, tw)
         if found is not None:
-            results.append(_candidate(state, base, ExplicitTag(s, found, tw, dedicated=False)))
+            results.append(_candidate(state, placements, base, ExplicitTag(s, found, tw, False)))
 
     # A classification tree costs at least 2 per level and needs ceil(log2 n)
     # levels. With two variants a tree is not tried once an in-place tag was
@@ -644,7 +640,7 @@ def _candidates(
     # unit. The tag is kept so that case 0 has its tag bits 0, and an
     # all-zero value is case 0 (an option's nullary case).
     have = min(
-        [score.key() for score, _, _ in results] + ([best_key] if best_key is not None else []),
+        [cand[0].key() for cand in results] + ([best_key] if best_key is not None else []),
         default=None,
     )
     # the field cost before tagging, which the tree and appended-tag bounds
@@ -653,19 +649,18 @@ def _candidates(
     untagged = None
     dominated = n == 2 and results
     if not dominated and have is not None:
-        untagged = _access_cost(state.placements, base, SingleVariant())
+        untagged = _access_cost(placements, base, SingleVariant())
         dominated = have <= (m, untagged + 2 * tw)
     if not dominated:
         derived = distinguish.derive_tree(base, charge)
         if derived is not None:
             tree, resolved = derived
-            results.append(_candidate(state, resolved, TreeTag(tree)))
+            results.append(_candidate(state, placements, resolved, TreeTag(tree)))
 
     # an appended tag costs an extra scalar, so any same-slot-count candidate
     # beats it; offer it only as the fallback
     if not results and (best_key is None or best_key > (m + 1, untagged + 1)):
-        scheme = ExplicitTag(m, 0, tw, True)
-        results.append(_candidate(state, base, scheme))
+        results.append(_candidate(state, placements, base, ExplicitTag(m, 0, tw, True)))
     return results
 
 
@@ -767,7 +762,7 @@ def trivial_layout(adt: MonoAdt, target: Target) -> LayoutSolution:
             assert undo is not None, f"trivial placement failed for {f.name}"
     m = len(state.slots)
     scheme = SingleVariant() if state.n == 1 else ExplicitTag(m, 0, tag_width_for(state.n), True)
-    return _solution(state, _candidate(state, state.build_patterns(), scheme))
+    return _solution(state, _candidate(state, state.placements(), state.build_patterns(), scheme))
 
 
 def solve_layout(adt: MonoAdt, target: Target, budget: int = 10_000) -> LayoutSolution:
@@ -813,8 +808,8 @@ class _Search:
         self.base = _State(adt, target)
         units = _apply_annotations(self.base)
         self.entries = len(self.base.slots)
-        placed = () if adt.packing is None else (
-            set(self.base.placements) | {(v, name) for v, _, u in units for name in u.names()})
+        pinned = [(v, u) for v, u, *_ in self.base.log] + [(v, u) for v, _, u in units]
+        placed = () if adt.packing is None else {(v, f.name) for v, u in pinned for _, f in u.fields}
         # the free references as (variant, unit); per variant: its search
         # items (unit, restricted scalar, whether it is a free field equal to
         # the one before, which then starts at that one's scalar so that
@@ -991,7 +986,7 @@ class _Search:
         if restriction is not None:
             undo = state.place(v, unit, slots[restriction]) if k <= restriction else None
             if undo is None and k <= restriction:
-                self.failures.update(unit.names())
+                self.failures.update(f.name for _, f in unit.fields)
             return None if undo is None else (restriction, undo, None)
         blanks = set()  # (width, kinds) of the blank scalars met
         plain = unit.ref is None

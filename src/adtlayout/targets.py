@@ -98,7 +98,11 @@ class Target:
     class_of: dict[KindSet, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for cls in ("int32", "int64", "float32", "float64", "ref"):
+        known = ("int32", "int64", "float32", "float64", "ref")
+        unknown = sorted(set(self.kind_table).difference(known))
+        if unknown:
+            raise ValueError(f"target {self.name}: unknown kind class {unknown[0]}")
+        for cls in known:
             kinds = self.kind_table.get(cls)
             if not kinds:
                 raise ValueError(f"target {self.name}: empty kind set for {cls}")

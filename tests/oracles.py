@@ -673,7 +673,7 @@ def reference_search_tables(adt, target) -> tuple:
     base = _State(adt, target)
     units = _apply_annotations(base)
     entries, widths = len(base.slots), target.class_widths
-    placed = set(base.placements) | {(v, name) for v, _, u in units for name in u.names()}
+    placed = set(base.placements()) | {(v, f.name) for v, _, u in units for _, f in u.fields}
     all_refs, items, free_widths = [], [], []
     lows, highs = [0] * len(widths), [0] * len(widths)
     low_bits = target.ref_tagging.free_low_bits if target.ref_tagging else 0
@@ -704,9 +704,9 @@ def reference_case_cost(search, state, v: int) -> int:
     top bits of the search's reserved scalar."""
     from adtlayout.solver import read_cost
 
-    total = 0
+    total, placements = 0, state.placements()
     for f in state.adt.variants[v].fields:
-        pl = state.placements.get((v, f.name))
+        pl = placements.get((v, f.name))
         if pl is not None:
             s = state.slots[pl.slot]
             bits = s.field[v] | s.ones[v]

@@ -303,6 +303,11 @@ _W32_KINDS = {
         (json.dumps({"name": "rt", "word_width": 2, "kinds": _W32_KINDS, "ref_tagging": {
             "free_low_bits": 2, "ref_pattern": "0u", "value_pattern": "1u"}}),
          "free_low_bits must be in 1..1"),
+        # a class outside the five, empty or not, is refused by name
+        (json.dumps({"name": "w32", "word_width": 32, "kinds": {**_W32_KINDS, "extra": []}}),
+         "unknown kind class extra"),
+        (json.dumps({"name": "w32", "word_width": 32, "kinds": {**_W32_KINDS, "extra": ["F32"]}}),
+         "unknown kind class extra"),
     ],
 )
 def test_malformed_target_file_is_usage_error(

@@ -528,7 +528,7 @@ def _masks(state) -> list:
     return [
         (s.width, s.kinds, s.const, s.ones, s.wild, s.field, s.ref_variants, s.tagged)
         for s in state.slots
-    ] + [state.placements]
+    ] + [state.placements()]
 
 
 def test_attempts_copy_the_annotated_base_state(monkeypatch):
@@ -593,7 +593,7 @@ def test_candidate_keys_equal_built_scores(monkeypatch):
 
     def checking(state, best_key=None, charge=None):
         for cand in solver._candidates(state):
-            score, scheme, _ = cand
+            score, scheme = cand[:2]
             sol = solver._solution(state, cand)
             built = score_layout(len(sol.slots), sol.placements, sol.patterns, sol.tag_scheme)
             assert score == built == sol.score, (state.adt.name, scheme)
@@ -718,6 +718,69 @@ def test_kept_cost_equals_the_reference(monkeypatch):
     assert calls["bound"] > 50_000 and calls["cost"] > calls["bound"], calls
 
 
+def test_placement_log_agrees_with_the_masks(monkeypatch):
+    """At every `_candidates` call the state's log holds one entry per
+    (case, field), and per case and scalar the OR of its placements'
+    intervals is the scalar's field mask for that case. The inputs are the
+    corpus and the solve-sweep inputs, the first 4 `Random(816)` shapes
+    among them, on x64, jvm and x86-32; the shapes run to the step budget,
+    so the log is appended to and popped many times before each completion."""
+    checked = []
+    candidates = solver._candidates
+
+    def checking(state, *args):
+        logged = [(v, f.name) for v, unit, *_ in state.log for _, f in unit.fields]
+        every = [(v, f.name) for v, variant in enumerate(state.adt.variants) for f in variant.fields]
+        placements = state.placements()
+        assert len(logged) == len(set(logged)) and list(placements) == logged, state.adt.name
+        assert set(placements) == set(every), state.adt.name
+        masks = [[0] * len(state.slots) for _ in range(state.n)]
+        for (v, _), pl in placements.items():
+            masks[v][pl.slot] |= ((1 << pl.width) - 1) << pl.offset
+        assert masks == [[s.field[v] for s in state.slots] for v in range(state.n)], state.adt.name
+        checked.append(state.adt.name)
+        return candidates(state, *args)
+
+    monkeypatch.setattr(solver, "_candidates", checking)
+    for target in (X64, JVM, X86_32):
+        process_adts(parse_program(CORPUS_SRC), target)
+    solve_sweep()
+    assert len(checked) > 1000 and any(name == "M" for name in checked), len(checked)
+
+
+def test_placements_are_built_once_per_completion(monkeypatch):
+    """`place` builds no `Placement`. A solve builds one per field at each
+    `_candidates` call, and that one dict is every candidate's and the
+    solution's, over every golden report's input (the corpus on x64, jvm
+    and x86-32, and annotated inputs with #solve units and references)."""
+    built, fields, solutions = [], [], []
+    placement, candidates, solution = solver.Placement, solver._candidates, solver._solution
+
+    def building(*args):
+        built.append(args)
+        return placement(*args)
+
+    def completing(state, *args):
+        fields.append(sum(len(variant.fields) for variant in state.adt.variants))
+        cands = candidates(state, *args)
+        assert all(cand[3] is cands[0][3] for cand in cands), state.adt.name
+        return cands
+
+    def solving(state, cand):
+        sol = solution(state, cand)
+        assert sol.placements is cand[3], state.adt.name
+        solutions.append(state.adt.name)
+        return sol
+
+    monkeypatch.setattr(solver, "Placement", building)
+    monkeypatch.setattr(solver, "_candidates", completing)
+    monkeypatch.setattr(solver, "_solution", solving)
+    for source, target in GOLDEN_CASES.values():
+        process_adts(parse_program(source), BUILTIN_TARGETS[target])
+    assert solutions and len(fields) > len(solutions)
+    assert len(built) == sum(fields), (len(built), sum(fields))
+
+
 def test_candidates_take_the_untagged_cost_only_for_a_bound(monkeypatch):
     """`_candidates` takes the field cost before tagging only when the tree
     or the appended-tag bound is compared. Over the corpus on x64, jvm and
@@ -759,7 +822,7 @@ def test_search_cost_is_the_access_cost(monkeypatch):
             if reserve is not None and reserve < len(state.slots):
                 top = state.slots[reserve].width - self.tw
                 rows = _tag_in_place(rows, reserve, top, self.tw)
-            expected = solver._access_cost(state.placements, rows, SingleVariant())
+            expected = solver._access_cost(state.placements(), rows, SingleVariant())
             assert cost == expected, (self.adt.name, self.target.name, quota, reserve)
             checked.append(reserve)
         return state, cost
