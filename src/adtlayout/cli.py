@@ -22,6 +22,11 @@ from .verify import VerifyError, check_program_decls
 
 REPORT_VERSION = 1
 
+# the defaults of `layout` and `equiv`
+_LAYOUT_DEFAULTS = UnboxOptions()
+EQUIV_SEED = 42
+EQUIV_PROGRAMS = 500
+
 
 class UsageError(Exception):
     pass
@@ -150,8 +155,8 @@ def _format_text_report(report: dict) -> str:
 def cmd_layout(
     files: list[str],
     target: Optional[str] = None,
-    budget: int = 10_000,
-    unbox_limit: int = 2,
+    budget: int = _LAYOUT_DEFAULTS.budget,
+    unbox_limit: int = _LAYOUT_DEFAULTS.auto_unbox_limit,
     as_json: bool = False,
     instantiate: Optional[list[str]] = None,
     out=None,
@@ -191,8 +196,8 @@ def run_equivalence(
 ) -> EquivResult:
     """Generate `count` programs from the seed and compare boxed evaluation
     against normalized evaluation, traps included; stops at the first
-    disagreement."""
-    targets = [BUILTIN_TARGETS["x64"], BUILTIN_TARGETS["jvm"], BUILTIN_TARGETS["x86-32"]]
+    disagreement. Program i runs on the i-th built-in target, cyclically."""
+    targets = list(BUILTIN_TARGETS.values())
     failures: list[str] = []
     ran = 0
     for i in range(count):
@@ -219,8 +224,8 @@ def run_equivalence(
 
 def cmd_equiv(
     files: list[str],
-    seed: int = 42,
-    programs: int = 500,
+    seed: int = EQUIV_SEED,
+    programs: int = EQUIV_PROGRAMS,
     out=None,
     err=None,
 ) -> int:
@@ -269,16 +274,17 @@ def build_parser() -> argparse.ArgumentParser:
     l = sub.add_parser("layout", help="solve and report ADT layouts")
     l.add_argument("files", nargs="+")
     l.add_argument("--target")
-    l.add_argument("--budget", type=non_negative_int, default=10_000)
-    l.add_argument("--unbox-limit", type=non_negative_int, default=2)
+    l.add_argument("--budget", type=non_negative_int, default=_LAYOUT_DEFAULTS.budget)
+    l.add_argument("--unbox-limit", type=non_negative_int,
+                   default=_LAYOUT_DEFAULTS.auto_unbox_limit)
     l.add_argument("--json", action="store_true")
     l.add_argument("--instantiate", action="append", default=None,
                    metavar="Name<args>")
 
     e = sub.add_parser("equiv", help="boxed vs normalized equivalence oracle")
     e.add_argument("files", nargs="*")
-    e.add_argument("--seed", type=int, default=42)
-    e.add_argument("--programs", type=non_negative_int, default=500)
+    e.add_argument("--seed", type=int, default=EQUIV_SEED)
+    e.add_argument("--programs", type=non_negative_int, default=EQUIV_PROGRAMS)
     return p
 
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Union
 
-from .distinguish import BitPattern, join_patterns, parse_pattern, print_pattern
+from .distinguish import BitPattern, join_patterns, parse_pattern
 from .syntax import (
     Apply,
     BitLayout,
@@ -62,16 +62,6 @@ class FlattenedPacking(NamedTuple):
     @property
     def width(self) -> int:
         return self.pattern.width
-
-    def pattern_str(self) -> str:
-        return print_pattern(self.pattern)
-
-    def to_json(self) -> dict:
-        return {
-            "width": self.width,
-            "pattern": self.pattern_str(),
-            "fields": {k: self.assignments[k] for k in sorted(self.assignments)},
-        }
 
 
 class SolveRequest(NamedTuple):

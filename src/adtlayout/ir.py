@@ -11,9 +11,10 @@ operations, bitcasts and null tests over the flattened representation;
 getfield and gettag read a boxed record in both phases, field k being a
 source field before normalization and a normalized field after.
 Every type here is an IR type: monomorphization has lowered each source
-field's type once (`MonoVariant.source_fields`). `Program.spread` is the one
-rule for how a source value spreads over normalized fields, and
-`Program.expand` gives the types of those fields; they walk the same types.
+field's type once (`MonoVariant.source_fields`), and decided each normalized
+field's (`FieldSlot.type`). `Program.spread` is the one rule for how a
+source value spreads over normalized fields, and `Program.expand` gives the
+types of those fields; they walk the same types.
 A value of an opaque reference type such as `string` has type `TAdt` with a
 key that names no ADT, and the checker refuses it as any unknown ADT.
 """
@@ -29,7 +30,6 @@ from .solver import LayoutSolution
 # source field's type to one; they are re-exported from here.
 from .targets import (
     BOOL,
-    REF_NONE,
     IrType,
     MonoAdt,
     MonoVariant,
@@ -315,7 +315,7 @@ class Program:
         if isinstance(t, TTuple):
             return [leaf for e in t.elems for leaf in self.expand(e)]
         if isinstance(t, TAdt) and self.is_unboxed(t.key):
-            return [TIntRep(s.width, s.kind.value) for s in self.layouts[t.key].slots]
+            return [s.type for s in self.layouts[t.key].slots]
         return [t]
 
     def contents_type(self, key: str, case: int) -> IrType:
@@ -450,21 +450,6 @@ def check_function(program: Program, fn: Function) -> None:
                 raise IrTypeError("switch operand must be an integer")
 
 
-def normalized_field_type(program: Program, f) -> IrType:
-    """Post-grammar type of one normalized field scalar."""
-    if f.embedded:
-        layout = program.layouts[f.adt_ref]
-        slot = layout.slots[f.scalar_index]
-        return TIntRep(slot.width, slot.kind.value)
-    if f.ref_mode != REF_NONE:
-        if f.adt_ref is not None and f.adt_ref in program.adts:
-            return TAdt(f.adt_ref)
-        return TIntRep(f.width, sorted(k.value for k in f.kinds)[0])
-    if f.is_float:
-        return TFloat(f.width)
-    return TInt(f.width, f.signed)
-
-
 _INT_BACKED = (TInt, TIntRep)
 
 
@@ -528,7 +513,7 @@ def _alloc(program: Program, ins: Alloc, use) -> IrType:
     if program.normalized:
         if program.is_unboxed(ins.adt):
             raise IrTypeError("normalized code cannot allocate an unboxed ADT")
-        want = [normalized_field_type(program, f) for f in variant.fields]
+        want = [f.type for f in variant.fields]
     else:
         want = [_known(program, t) for _, t in variant.source_fields]
     if have != want:
@@ -542,7 +527,7 @@ def _getfield(program: Program, ins: GetField, use) -> IrType:
         raise IrTypeError(f"normalized GetField on unboxed ADT {ins.adt}")
     f = _field(program, ins.adt, ins.case, ins.field, post)
     _of_adt(use(ins.src), ins.adt, "field access")
-    return normalized_field_type(program, f) if post else _known(program, f[1])
+    return f.type if post else _known(program, f[1])
 
 
 def _contents(program: Program, ins: GetContents, use) -> IrType:

@@ -51,7 +51,6 @@ from .ir import (
     Trap,
     TTuple,
     TupleMake,
-    normalized_field_type,
 )
 from .solver import ExplicitTag, SingleVariant, TreeTag, read_mask, tag_read_mask
 from .targets import REF_PLAIN
@@ -111,9 +110,7 @@ class Normalizer:
         layout = self.pre.layouts[key]
         scheme = layout.tag_scheme
         assert isinstance(scheme, TreeTag)
-        params = tuple(
-            (f"s{i}", TIntRep(s.width, s.kind.value)) for i, s in enumerate(layout.slots)
-        )
+        params = tuple((f"s{i}", s.type) for i, s in enumerate(layout.slots))
         w = _FunctionNormalizer(self)
         fn = Function(name, params, TAG_TYPE, "entry", w.blocks)
         bit_type = TIntRep(1, "B64")
@@ -359,7 +356,7 @@ class _FunctionNormalizer:
 
         def part(key, fields) -> None:
             if key is None:
-                args.append(self.const(normalized_field_type(ctx.post, fields[0]), 0))
+                args.append(self.const(fields[0].type, 0))
             else:
                 args.extend(self.default_value_names(key))
 
@@ -377,7 +374,7 @@ class _FunctionNormalizer:
         variant = mono.variants[case]
         out: list[str] = []
         for s, slot in enumerate(layout.slots):
-            t = TIntRep(slot.width, slot.kind.value)
+            t = slot.type
             acc = self.const(t, layout.patterns[case][s].ones)
             for k, f in enumerate(variant.fields):
                 pl = layout.placements[(case, f.name)]
@@ -433,9 +430,8 @@ class _FunctionNormalizer:
         v = self.read_bits(scalars[pl.slot], 0 if plain else pl.offset, mask)
         if f.signed:
             v = self.emit_typed(SExt(self.fresh("x"), v, pl.width), self.types[v])
-        want = normalized_field_type(self.ctx.post, f)
-        if self.types[v] != want:
-            v = self.emit_typed(Bitcast(self.fresh("f"), v, want), want)
+        if self.types[v] != f.type:
+            v = self.emit_typed(Bitcast(self.fresh("f"), v, f.type), f.type)
         return v
 
     def _get(self, ins) -> None:
@@ -470,8 +466,7 @@ class _FunctionNormalizer:
                 cond = self.emit_typed(Eq(self.fresh("c"), TAG_TYPE, tag, want), BOOL)
                 self.split_for_check(cond, "bad-case")
             for k in indices:
-                f = variant.fields[k]
-                t = normalized_field_type(ctx.post, f)
+                t = variant.fields[k].type
                 names.append(
                     self.emit_typed(GetField(self.fresh("g"), ins.adt, ins.case, k, src), t)
                 )
@@ -511,7 +506,7 @@ def _build_equality(ctx: Normalizer, name: str, key: str) -> Function:
     params = []
     for side in ("a", "b"):
         for i, s in enumerate(layout.slots):
-            params.append((f"{side}{i}", TIntRep(s.width, s.kind.value)))
+            params.append((f"{side}{i}", s.type))
     w = _FunctionNormalizer(ctx)
     fn = Function(name, tuple(params), BOOL, "entry", w.blocks)
     a_scalars = [f"a{i}" for i in range(k)]
@@ -544,12 +539,11 @@ def _build_equality(ctx: Normalizer, name: str, key: str) -> Function:
                 return
             av = [w.decode_field(key, i, f, a_scalars) for f in fields]
             bv = [w.decode_field(key, i, f, b_scalars) for f in fields]
-            if fields[0].embedded:
+            if ctx.pre.is_unboxed(sub):
                 call = Call(w.fresh("eq"), ctx.equality_fn(sub), tuple(av + bv))
                 c = w.emit_typed(call, BOOL)
             else:
-                t = normalized_field_type(ctx.post, fields[0])
-                c = w.emit_typed(Eq(w.fresh("eq"), t, av[0], bv[0]), BOOL)
+                c = w.emit_typed(Eq(w.fresh("eq"), fields[0].type, av[0], bv[0]), BOOL)
             nxt = f"case{i}.g{next(groups)}"
             w.current.term = Branch(c, nxt, "no")
             w.start_block(nxt)

@@ -51,6 +51,8 @@ from .targets import (
     MonoAdt,
     ScalarKind,
     Target,
+    TIntRep,
+    UnboxOptions,
 )
 
 _KIND_PREFERENCE = [
@@ -122,6 +124,11 @@ class ScalarSlot(NamedTuple):
     kinds: KindSet
     width: int
     ref_bearing: bool = False
+
+    @property
+    def type(self) -> TIntRep:
+        """The IR type of the scalar's value after normalization."""
+        return TIntRep(self.width, self.kind.value)
 
     def to_json(self) -> dict:
         return {"kind": self.kind.value, "width": self.width, "ref": self.ref_bearing}
@@ -765,7 +772,7 @@ def trivial_layout(adt: MonoAdt, target: Target) -> LayoutSolution:
     return _solution(state, _candidate(state, state.placements(), state.build_patterns(), scheme))
 
 
-def solve_layout(adt: MonoAdt, target: Target, budget: int = 10_000) -> LayoutSolution:
+def solve_layout(adt: MonoAdt, target: Target, budget: int = UnboxOptions().budget) -> LayoutSolution:
     """Best-scoring layout found within the step budget.
 
     For each scalar count from a bin-packing lower bound up, each split of

@@ -98,6 +98,8 @@ class Target:
     class_of: dict[KindSet, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if self.word_width < 1:
+            raise ValueError(f"target {self.name}: word_width must be positive")
         known = ("int32", "int64", "float32", "float64", "ref")
         unknown = sorted(set(self.kind_table).difference(known))
         if unknown:
@@ -197,25 +199,48 @@ BUILTIN_TARGETS = {t.name: t for t in (X64, JVM, X86_32)}
 
 
 def load_target(source: dict | str) -> Target:
-    """Build a target from a JSON kind-table object (or a path to one)."""
+    """Build a target from a JSON kind-table object (or a path to one).
+
+    A missing key raises KeyError, and a value of the wrong JSON type, or
+    one the target refuses, ValueError."""
     if isinstance(source, str):
         with open(source, "r", encoding="utf-8") as f:
             source = json.load(f)
-    table = {
-        cls: frozenset(ScalarKind(k) for k in kinds)
-        for cls, kinds in source["kinds"].items()
-    }
+    if not isinstance(source, dict):
+        raise ValueError(f"a target is a JSON object, not {json.dumps(source)}")
+    kinds = _typed(source, "kinds", dict)
+    table = {}
+    for cls, names in kinds.items():
+        if not isinstance(names, list) or not all(isinstance(k, str) for k in names):
+            raise ValueError(f"kinds.{cls} must be a list of kind names, not {json.dumps(names)}")
+        table[cls] = frozenset(ScalarKind(k) for k in names)
     tagging = None
-    if source.get("ref_tagging"):
-        rt = source["ref_tagging"]
-        n = rt["free_low_bits"]
-        tagging = RefTagging(_low_bits(rt["ref_pattern"], n), _low_bits(rt["value_pattern"], n))
+    if source.get("ref_tagging") is not None:
+        rt = _typed(source, "ref_tagging", dict)
+        if rt:
+            n = _typed(rt, "free_low_bits", int, "ref_tagging.")
+            tagging = RefTagging(_low_bits(rt["ref_pattern"], n),
+                                 _low_bits(rt["value_pattern"], n))
     return Target(
-        name=source["name"],
-        word_width=source["word_width"],
+        name=_typed(source, "name", str),
+        word_width=_typed(source, "word_width", int),
         kind_table=table,
         ref_tagging=tagging,
     )
+
+
+_JSON_TYPE_NAMES = {dict: "an object", int: "an integer", str: "a string"}
+
+
+def _typed(obj: dict, key: str, want: type, prefix: str = ""):
+    """`obj[key]`, refused unless it has JSON type `want`; a bool is not an
+    integer."""
+    value = obj[key]
+    if not isinstance(value, want) or (want is int and isinstance(value, bool)):
+        raise ValueError(
+            f"{prefix}{key} must be {_JSON_TYPE_NAMES[want]}, not {json.dumps(value)}"
+        )
+    return value
 
 
 def _low_bits(text: str, n: int) -> BitPattern:
@@ -283,17 +308,15 @@ REF_TAGGED_WORD = "tagged_word"  # an embedded scalar that mixes refs and bits
 
 
 class FieldSlot(NamedTuple):
-    """One normalized field: a value that fits in a single scalar."""
+    """One normalized field: a value that fits in a single scalar, and its
+    IR type after normalization."""
 
     name: str
     width: int
     kinds: KindSet
+    type: IrType
     signed: bool = False
-    is_float: bool = False
     ref_mode: str = REF_NONE
-    adt_ref: Optional[str] = None  # instantiation key of a referenced ADT
-    embedded: bool = False  # one scalar of an embedded unboxed ADT
-    scalar_index: int = 0  # position within an embedded unboxed group
 
 
 class MonoVariant(NamedTuple):
@@ -406,24 +429,26 @@ def _normalize_field(name: str, t: TypeExpr, env: AdtEnv, out: list[FieldSlot]) 
     kinds = get_scalar_kinds(t, env.target)
     if isinstance(t, NamedType):
         key = print_type(t)
-        ref_key = key if t.name in env.decls else None
-        info = env.resolved.get(ref_key)
+        info = env.resolved.get(key) if t.name in env.decls else None
         if info is not None and not info.disposition.boxed:
-            _embed_unboxed(name, ref_key, info, env, out)
+            _embed_unboxed(name, key, info, env, out)
         else:
             # a boxed (or in-flight recursive, hence boxed) instantiation, or an
-            # opaque reference type such as Array<byte> or string
-            out.append(FieldSlot(name, env.target.word_width, kinds,
-                                 ref_mode=REF_PLAIN, adt_ref=ref_key))
+            # opaque reference type such as Array<byte> or string, which is
+            # bits after normalization
+            word = env.target.word_width
+            rep = TAdt(key) if t.name in env.decls else TIntRep(word, min(k.value for k in kinds))
+            out.append(FieldSlot(name, word, kinds, rep, ref_mode=REF_PLAIN))
         return TAdt(key)
     if isinstance(t, FloatType):
-        out.append(FieldSlot(name, t.width, kinds, is_float=True))
-        return TFloat(t.width)
-    if isinstance(t, BoolType):
-        out.append(FieldSlot(name, 1, kinds))
-        return BOOL
-    out.append(FieldSlot(name, t.width, kinds, signed=t.signed))
-    return TInt(t.width, t.signed)
+        lowered = TFloat(t.width)
+    elif isinstance(t, BoolType):
+        lowered = BOOL
+    else:
+        lowered = TInt(t.width, t.signed)
+    out.append(FieldSlot(name, lowered.width, kinds, lowered,
+                         signed=isinstance(lowered, TInt) and lowered.signed))
+    return lowered
 
 
 def _embed_unboxed(name: str, ref_key: str, info: ResolvedAdt, env: AdtEnv,
@@ -440,10 +465,7 @@ def _embed_unboxed(name: str, ref_key: str, info: ResolvedAdt, env: AdtEnv,
         else:
             mode = REF_NONE
             width = layout.used_width(i)
-        out.append(
-            FieldSlot(f"{name}.{i}", width, slot.kinds, ref_mode=mode,
-                      adt_ref=ref_key, embedded=True, scalar_index=i)
-        )
+        out.append(FieldSlot(f"{name}.{i}", width, slot.kinds, slot.type, ref_mode=mode))
 
 
 def _flatten_adt_packing(decl: AdtDecl, bindings: dict[str, TypeExpr],

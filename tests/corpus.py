@@ -10,7 +10,11 @@ import random
 from adtlayout.pipeline import ProgramLayouts, process_adts
 from adtlayout.progen import gen_decls
 from adtlayout.syntax import parse_program
-from adtlayout.targets import JVM, REF_PLAIN, X64, X86_32, Target
+from adtlayout.targets import BUILTIN_TARGETS, REF_PLAIN, Target
+
+# the built-in targets, in their fixed order (x64, jvm, x86-32), and their names
+TARGETS = tuple(BUILTIN_TARGETS.values())
+TARGET_NAMES = tuple(BUILTIN_TARGETS)
 
 CORPUS_SRC = """
 packing Float16(sign: 1, exp: 5, frac: 10): 16 = 0b_seeeeeff_ffffffff;
@@ -53,7 +57,7 @@ def solve_corpus_and_progen() -> list[ProgramLayouts]:
     """The corpus and `progen.gen_decls(random.Random(s))`, s in 0..299,
     each processed on x64, jvm and x86-32."""
     sources = [parse_program(CORPUS_SRC)] + [gen_decls(random.Random(s)) for s in range(300)]
-    return [process_adts(decls, target) for target in (X64, JVM, X86_32) for decls in sources]
+    return [process_adts(decls, target) for target in TARGETS for decls in sources]
 
 
 def random_field_values(layout, variant_index: int, rng: random.Random) -> dict[str, int]:

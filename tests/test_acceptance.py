@@ -11,7 +11,7 @@ import pytest
 
 from adtlayout import codec
 from adtlayout.cli import cmd_check, cmd_layout, run_equivalence
-from adtlayout.distinguish import classify, derive_decision_tree
+from adtlayout.distinguish import classify, derive_decision_tree, print_pattern
 from adtlayout.flatten import flatten_expr
 from adtlayout.pipeline import process_adts
 from adtlayout.solver import solve_layout, trivial_layout
@@ -57,7 +57,7 @@ def test_criterion_1_flattening_conformance():
             continue
         got = flatten_expr(expr, ctx)
         assign, pattern, width = reference_flatten(expr, ctx)
-        if (got.assignments, got.pattern_str(), got.width) != (assign, pattern, width):
+        if (got.assignments, print_pattern(got.pattern), got.width) != (assign, pattern, width):
             mismatches += 1
         checked += 1
     elapsed = time.monotonic() - start
@@ -71,7 +71,7 @@ def test_criterion_2_worked_flatten_example():
     ctx = SizeContext(gamma={"a": 2, "b": 2})
     got = flatten_expr(parse_packing_expr("0b_00aa_bb11"), ctx)
     assert got.assignments == {"a": 4, "b": 2}
-    assert got.pattern_str() == "00xxxx11"
+    assert print_pattern(got.pattern) == "00xxxx11"
     print("\ncriterion 2 PASS: 0b_00aa_bb11 -> ({a:4, b:2}, 00xxxx11)")
 
 

@@ -280,6 +280,8 @@ _W32_KINDS = {
     "float64": ["F64"],
     "ref": ["R32"],
 }
+_X64_KINDS = {cls: ["B64", "F64", "R64"] for cls in ("int32", "int64", "float32", "float64")}
+_X64_KINDS["ref"] = ["R64"]
 
 
 @pytest.mark.parametrize("command", ["check", "layout"])
@@ -308,6 +310,30 @@ _W32_KINDS = {
          "unknown kind class extra"),
         (json.dumps({"name": "w32", "word_width": 32, "kinds": {**_W32_KINDS, "extra": ["F32"]}}),
          "unknown kind class extra"),
+        # each value of the wrong JSON type is refused where the file is
+        # read, by its key; a bool is not an integer
+        ('[{"name": "w32"}]', 'a target is a JSON object, not [{"name": "w32"}]'),
+        (json.dumps({"name": 5, "word_width": 32, "kinds": _W32_KINDS}),
+         "name must be a string, not 5"),
+        (json.dumps({"name": "w64", "word_width": 64.0, "kinds": _X64_KINDS,
+                     "ref_tagging": {"free_low_bits": 2, "ref_pattern": "00",
+                                     "value_pattern": "1u"}}),
+         "word_width must be an integer, not 64.0"),
+        (json.dumps({"name": "w32", "word_width": "32", "kinds": _W32_KINDS}),
+         'word_width must be an integer, not "32"'),
+        (json.dumps({"name": "w32", "word_width": True, "kinds": _W32_KINDS}),
+         "word_width must be an integer, not true"),
+        (json.dumps({"name": "w0", "word_width": 0, "kinds": {**_W32_KINDS, "ref": ["Ref"]}}),
+         "target w0: word_width must be positive"),
+        (json.dumps({"name": "w32", "word_width": 32, "kinds": list(_W32_KINDS)}),
+         'kinds must be an object, not ["int32"'),
+        (json.dumps({"name": "w32", "word_width": 32, "kinds": {**_W32_KINDS, "int32": "B32"}}),
+         'kinds.int32 must be a list of kind names, not "B32"'),
+        (json.dumps({"name": "rt", "word_width": 32, "kinds": _W32_KINDS, "ref_tagging": "0u"}),
+         'ref_tagging must be an object, not "0u"'),
+        (json.dumps({"name": "rt", "word_width": 32, "kinds": _W32_KINDS, "ref_tagging": {
+            "free_low_bits": True, "ref_pattern": "0", "value_pattern": "1"}}),
+         "ref_tagging.free_low_bits must be an integer, not true"),
     ],
 )
 def test_malformed_target_file_is_usage_error(
@@ -317,7 +343,7 @@ def test_malformed_target_file_is_usage_error(
     tfile.write_text(text)
     assert main([command, small_file, "--target", str(tfile)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and message in err
+    assert err.startswith("error: ") and message in err and "Traceback" not in err
 
 
 _NARROW_KINDS = {"int32": ["B32"], "int64": ["B32"], "float32": ["F32"], "float64": ["F64"],

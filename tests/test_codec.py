@@ -8,7 +8,7 @@ from adtlayout.solver import ExplicitTag, read_mask, tag_read_mask
 from adtlayout.syntax import parse_program
 from adtlayout.targets import BUILTIN_TARGETS, REF_PLAIN, X64
 
-from corpus import build_corpus, random_field_values, solve_corpus_and_progen
+from corpus import TARGET_NAMES, build_corpus, random_field_values, solve_corpus_and_progen
 
 
 def test_float16_packed_encode():
@@ -60,7 +60,7 @@ def test_unaligned_reference_rejected():
         codec.encode_variant(lay, 1, {"r": 0x1001})
 
 
-@pytest.mark.parametrize("target_name", ["x64", "jvm", "x86-32"])
+@pytest.mark.parametrize("target_name", TARGET_NAMES)
 def test_roundtrip_corpus_quick(target_name):
     """decode(encode(v)) is the identity for every field of every variant;
     the full 10^4-vector sweep lives in the acceptance suite."""

@@ -15,7 +15,7 @@ import time
 from adtlayout import cli, progen, progtext
 from adtlayout.targets import BUILTIN_TARGETS
 
-from corpus import CORPUS_SRC, NESTED_BUNDLE
+from corpus import CORPUS_SRC, NESTED_BUNDLE, TARGET_NAMES
 
 # the stress workloads' shapes: many nullary cases beside a payload too wide
 # for an in-place tag, and cases of many mixed-width fields
@@ -95,7 +95,7 @@ def test_edited_sources_exit_0_or_1(tmp_path):
 def test_edited_bundles_parse_or_raise_progtext_error():
     rng = random.Random(1)
     bundles = [f"target x64\n{NESTED_BUNDLE}"]
-    for name in ("x64", "jvm", "x86-32"):
+    for name in TARGET_NAMES:
         program, decls = progen.generate_program(f"contract:{name}", BUILTIN_TARGETS[name])
         bundles.append(progtext.print_bundle(program, decls))
     outcomes = set()

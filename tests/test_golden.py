@@ -29,7 +29,7 @@ from adtlayout.progtext import parse_bundle
 from adtlayout.syntax import parse_program
 from adtlayout.targets import BUILTIN_TARGETS
 
-from corpus import CORPUS_SRC, NESTED_BUNDLE
+from corpus import CORPUS_SRC, NESTED_BUNDLE, TARGET_NAMES
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 
@@ -167,7 +167,7 @@ def solve_sweep() -> str:
                for i, src in enumerate(many_variant_shapes(816, 4))]
     lines = []
     for name, decls in inputs:
-        for target in ("x64", "jvm", "x86-32"):
+        for target in TARGET_NAMES:
             result = process_adts(decls, BUILTIN_TARGETS[target])
             report = _layout_report(result)
             for entry in report["adts"]:
@@ -196,7 +196,7 @@ CASES = {
 }
 
 # golden file stem -> target of the nested bundle's normalized code, STEM.txt
-NORMALIZED_CASES = {f"nested-norm-{t}": t for t in ("x64", "jvm", "x86-32")}
+NORMALIZED_CASES = {f"nested-norm-{t}": t for t in TARGET_NAMES}
 
 # one JSON report per line over random and many-variant inputs, STEM.json
 SWEEP = "solve-sweep"

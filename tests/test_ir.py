@@ -33,17 +33,19 @@ from adtlayout.ir import (
     TAdt,
     TFloat,
     TInt,
+    TIntRep,
     Trap,
     TTuple,
     TupleMake,
     check_program,
     dominator_spans,
-    normalized_field_type,
 )
 from adtlayout.pipeline import process_adts
 from adtlayout.solver import TreeTag
 from adtlayout.syntax import parse_program, parse_type
 from adtlayout.targets import BUILTIN_TARGETS, REF_NONE, X64
+
+from corpus import TARGET_NAMES, TARGETS
 
 
 def make_program(src: str, target=X64, requests=None) -> Program:
@@ -232,7 +234,7 @@ def test_generated_equality_laws():
     i = 0
     while pairs < 1000:
         i += 1
-        target = BUILTIN_TARGETS[["x64", "jvm", "x86-32"][i % 3]]
+        target = TARGETS[i % len(TARGETS)]
         program, _ = progen.generate_program(f"eqlaws:{i}", target)
         key = rng.choice(sorted(program.adts))
         # main returns (eq(a,a), eq(b,b), eq(a,b), eq(b,a)) over fresh pairs
@@ -274,7 +276,7 @@ def test_generated_equality_laws():
 
 def test_type_preservation_on_random_programs():
     for i in range(60):
-        target = BUILTIN_TARGETS[["x64", "jvm", "x86-32"][i % 3]]
+        target = TARGETS[i % len(TARGETS)]
         program, _ = progen.generate_program(f"types:{i}", target)
         check_program(program)
         post = norm.normalize_program(program)
@@ -283,7 +285,7 @@ def test_type_preservation_on_random_programs():
 
 def test_semantic_preservation_sample():
     for i in range(120):
-        target = BUILTIN_TARGETS[["x64", "jvm", "x86-32"][i % 3]]
+        target = TARGETS[i % len(TARGETS)]
         program, decls = progen.generate_program(f"sem:{i}", target)
         pre = eval_program(program)
         post = norm.normalize_program(program)
@@ -304,7 +306,7 @@ def test_progtext_roundtrip_over_generated_programs():
     and the reparsed program evaluates to the same outcome."""
     ops = set()
     for i in range(60):
-        for name in ("x64", "jvm", "x86-32"):
+        for name in TARGET_NAMES:
             program, decls = progen.generate_program(f"text:{i}", BUILTIN_TARGETS[name])
             text = progtext.print_bundle(program, decls)
             again, decls2 = progtext.parse_bundle(text)
@@ -456,7 +458,7 @@ def test_equivalence_corpus_includes_traps():
 
     counts = Counter()
     for i in range(60):
-        target = BUILTIN_TARGETS[["x64", "jvm", "x86-32"][i % 3]]
+        target = TARGETS[i % len(TARGETS)]
         program, _ = progen.generate_program(f"42:{i}", target)
         out = eval_program(program)
         counts[out.trap] += 1
@@ -626,7 +628,7 @@ def test_equivalence_over_annotated_adts():
     from adtlayout.syntax import parse_program
 
     for i in range(120):
-        target = BUILTIN_TARGETS[["x64", "jvm", "x86-32"][i % 3]]
+        target = TARGETS[i % len(TARGETS)]
         program = Program.of_layouts(process_adts(parse_program(src), target), target)
         gen = progen._Gen(_random.Random(f"annot:{i}"), program)
         program.functions["main"] = gen.run()
@@ -877,7 +879,7 @@ def test_ir_types_of_different_classes_never_compare_equal():
         assert len(set(types)) == len(classes)
 
 
-@pytest.mark.parametrize("target", ["x64", "jvm", "x86-32"])
+@pytest.mark.parametrize("target", TARGET_NAMES)
 def test_nested_fields_agree_boxed_and_normalized(target):
     """Tuple fields and ADTs embedded in unboxed and boxed ones, read whole
     (observation), by getfield, by eq and as replace-null defaults: every
@@ -930,7 +932,7 @@ b0:
     assert eval_program(program, inputs=[null]).trap is None
 
 
-@pytest.mark.parametrize("target", ["x64", "jvm", "x86-32"])
+@pytest.mark.parametrize("target", TARGET_NAMES)
 def test_spread_takes_every_normalized_field(target):
     """Walked with `Program.spread`, the source fields of every corpus and
     nested-bundle variant take exactly its normalized fields, and each part
@@ -948,11 +950,12 @@ def test_spread_takes_every_normalized_field(target):
 
         def part(key, taken):
             if key is not None and program.is_unboxed(key):
-                assert [(f.adt_ref, f.scalar_index) for f in taken] == [
-                    (key, i) for i in range(len(taken))
+                assert [f.type for f in taken] == [s.type for s in program.layouts[key].slots]
+                assert [f.name.rsplit(".", 1)[1] for f in taken] == [
+                    str(i) for i in range(len(taken))
                 ]
             else:
-                assert len(taken) == 1 and not taken[0].embedded
+                assert len(taken) == 1
             field_taken.extend(taken)
 
         for mono in program.adts.values():
@@ -964,11 +967,11 @@ def test_spread_takes_every_normalized_field(target):
                     want = program.expand(t)
                     assert len(want) == len(field_taken), (mono.name, variant.name)
                     for w, f in zip(want, field_taken):
-                        if f.ref_mode != REF_NONE and f.adt_ref is None:
-                            assert isinstance(w, TAdt) and w.key not in program.adts
+                        if isinstance(w, TAdt) and w.key not in program.adts:
+                            assert isinstance(f.type, TIntRep) and f.ref_mode != REF_NONE
                             opaque += 1
                         else:
-                            assert w == normalized_field_type(program, f), (mono.name, f)
+                            assert w == f.type, (mono.name, f)
                 assert next(fields, None) is None, (mono.name, variant.name)
     assert opaque  # the corpus has `string` fields
 
@@ -1041,7 +1044,7 @@ entry:
 """
 
 
-@pytest.mark.parametrize("target", ["x64", "jvm", "x86-32"])
+@pytest.mark.parametrize("target", TARGET_NAMES)
 @pytest.mark.parametrize("bundle, want", [
     pytest.param(OPAQUE_FIELD, ("adt", "T", 0, (("null",), 0)), id="opaque-field"),
     pytest.param(
@@ -1076,7 +1079,7 @@ b1:
 """
 
 
-@pytest.mark.parametrize("target", ["x64", "jvm", "x86-32"])
+@pytest.mark.parametrize("target", TARGET_NAMES)
 def test_jump_agrees_boxed_and_normalized(target):
     program, _ = progtext.parse_bundle(f"target {target}\n{JUMP_BUNDLE}")
     check_program(program)
@@ -1287,7 +1290,7 @@ b0:
 """
 
 
-@pytest.mark.parametrize("target", ["x64", "jvm", "x86-32"])
+@pytest.mark.parametrize("target", TARGET_NAMES)
 def test_multi_scalar_parameter_agrees_boxed_and_normalized(target):
     """A parameter of an unboxed type becomes one parameter per scalar, and
     the value passed through it is the one passed in."""

@@ -21,7 +21,7 @@ from adtlayout.solver import (
 from adtlayout.syntax import parse_program, parse_type
 from adtlayout.targets import BUILTIN_TARGETS, JVM, X64, X86_32, UnboxOptions
 
-from corpus import CORPUS_SIZE, CORPUS_SRC, solve_corpus_and_progen
+from corpus import CORPUS_SIZE, CORPUS_SRC, TARGET_NAMES, TARGETS, solve_corpus_and_progen
 from oracles import (
     oracle_best_score,
     oracle_per_variant_score,
@@ -547,7 +547,7 @@ def test_attempts_copy_the_annotated_base_state(monkeypatch):
         return state, cost
 
     monkeypatch.setattr(solver._Search, "attempt", spy)
-    for target in (X64, JVM, X86_32):
+    for target in TARGETS:
         layouts = process_adts(parse_program(source), target).layouts()
         for name in ("C19", "C20", "C21", "C22", "G"):
             adt = layouts[name].adt
@@ -601,11 +601,11 @@ def test_candidate_keys_equal_built_scores(monkeypatch):
         return original(state, best_key, charge)
 
     monkeypatch.setattr(solver, "_complete", checking)
-    for target in (X64, JVM, X86_32):
+    for target in TARGETS:
         process_adts(parse_program(CORPUS_SRC), target)
     for source, target in GOLDEN_CASES.values():
         process_adts(parse_program(source), BUILTIN_TARGETS[target])
-    targets = (X64, JVM, X86_32)
+    targets = TARGETS
     for i in range(100):
         process_adts(gen_decls(random.Random(f"keys:{i}")), targets[i % 3])
     assert kinds == {"single-variant", "bare-tag", "explicit-tag", "decision-tree"}
@@ -629,7 +629,7 @@ def test_solution_computes_no_score(monkeypatch):
 
     monkeypatch.setattr(solver, "_access_cost", counting)
     monkeypatch.setattr(solver, "_solution", building)
-    for target in (X64, JVM, X86_32):
+    for target in TARGETS:
         process_adts(parse_program(CORPUS_SRC), target)
     assert calls and built and not any(built)
 
@@ -659,7 +659,7 @@ def test_solution_builds_each_pattern_once(monkeypatch):
     monkeypatch.setattr(solver, "_solution", counting)
     monkeypatch.setattr(solver, "BitPattern", building)
     monkeypatch.setattr(pattern, "fix", fixing)
-    for target in (X64, JVM, X86_32):
+    for target in TARGETS:
         process_adts(parse_program(CORPUS_SRC), target)
     assert counts and all(n == expected and not f for n, f, expected in counts), counts
 
@@ -742,7 +742,7 @@ def test_placement_log_agrees_with_the_masks(monkeypatch):
         return candidates(state, *args)
 
     monkeypatch.setattr(solver, "_candidates", checking)
-    for target in (X64, JVM, X86_32):
+    for target in TARGETS:
         process_adts(parse_program(CORPUS_SRC), target)
     solve_sweep()
     assert len(checked) > 1000 and any(name == "M" for name in checked), len(checked)
@@ -795,7 +795,7 @@ def test_candidates_take_the_untagged_cost_only_for_a_bound(monkeypatch):
         return access_cost(*args)
 
     monkeypatch.setattr(solver, "_access_cost", counting)
-    for target in ("x64", "jvm", "x86-32"):
+    for target in TARGET_NAMES:
         assert layout_json(CORPUS_SRC, target) == golden_path(f"corpus-{target}").read_text(encoding="utf-8")
     assert len(calls) == 78
 

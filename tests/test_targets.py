@@ -17,6 +17,7 @@ from adtlayout.targets import (
     AdtEnv,
     RefTagging,
     ScalarKind,
+    TAdt,
     UnboxOptions,
     get_scalar_kinds,
     load_target,
@@ -200,7 +201,7 @@ def test_unboxed_field_embeds_inner_scalars():
     outer = out.resolved["Outer"].mono
     fields = outer.variants[0].fields
     assert [f.name for f in fields] == ["o.0", "extra"]
-    assert fields[0].embedded and fields[0].adt_ref == "Inner"
+    assert fields[0].type == out.resolved["Inner"].layout.slots[0].type
     # the embedded scalar only needs the inner layout's used bits
     assert fields[0].width == out.resolved["Inner"].layout.used_width(0)
 
@@ -213,7 +214,7 @@ def test_boxed_field_is_reference():
     out = process_adts(decls, X64)
     f = out.resolved["Holder"].mono.variants[0].fields[0]
     assert f.ref_mode == REF_PLAIN
-    assert f.adt_ref == "Big"
+    assert f.type == TAdt("Big")
     assert f.width == 64
 
 

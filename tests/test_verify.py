@@ -1,5 +1,6 @@
 import pytest
 
+from adtlayout.distinguish import print_pattern
 from adtlayout.flatten import resolve_layout_fields
 from adtlayout.syntax import parse_packing_expr, parse_program
 from adtlayout.verify import (
@@ -226,7 +227,7 @@ def test_verified_declarations_always_flatten():
                 rejected += 1
                 continue
             flat = flatten_expr(candidate, c)
-            assert (flat.assignments, flat.pattern_str(), width) == reference_flatten(candidate, c)
+            assert (flat.assignments, print_pattern(flat.pattern), width) == reference_flatten(candidate, c)
             accepted += 1
     assert accepted > 150 and rejected > 0
 
