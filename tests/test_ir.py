@@ -1256,6 +1256,70 @@ def test_malformed_lines_are_refused(body, match):
         progtext.parse_bundle(bundle)
 
 
+def _bundle(body: str, header: str = "fn main(%a: u8, %b: u8) -> u8 {",
+            target: str = "target x64\n") -> str:
+    return f"{target}type T {{ case A(x: u8); case B; }}\n{header}\n{body}\n}}\n"
+
+
+# one malformed bundle per message that program text can be refused with
+@pytest.mark.parametrize(
+    "bundle, message",
+    [
+        (_bundle("b0:\n  ret %a", header="fn main(%a: u8 -> u8 {"),
+         "bad function header: 'fn main(%a: u8 -> u8 {'"),
+        (_bundle("b0:\n  ret %a", header="fn main(%a u8) -> u8 {"),
+         "expected %name: type, found '%a u8'"),
+        (_bundle("  %x = const<u8> 1\nb0:\n  ret %x"),
+         "instruction outside a block: '%x = const<u8> 1'"),
+        (_bundle("  ret %a\nb0:\n  ret %a"), "instruction outside a block: 'ret %a'"),
+        (_bundle("b0:\n  %x const 1\n  ret %a"), "bad instruction '%x const 1'"),
+        (_bundle("b0:\n  %x = frob<u8> 1\n  ret %a"), "unknown op 'frob'"),
+        (_bundle("b0:\n  %r = alloc<T#0>(%a)\n  %v = getfield<T#0>(%r)\n  ret %v"),
+         "getfield needs Key#case.field in '%v = getfield<T#0>(%r)'"),
+        (_bundle("b0:\n  %v = eq<u8>(%a)\n  ret %a"),
+         "eq needs two operands in '%v = eq<u8>(%a)'"),
+        (_bundle("b0:\n  %v = call main\n  ret %a"), "bad call '%v = call main'"),
+        (_bundle("b0:\n  br %a, b1\nb1:\n  ret %a"), "bad branch 'br %a, b1'"),
+        (_bundle("b0:\n  switch %a, b1\nb1:\n  ret %a"), "bad switch 'switch %a, b1'"),
+        (_bundle("b0:\n  switch %a, [1 b1], b1\nb1:\n  ret %a"),
+         "bad switch case '1 b1' in 'switch %a, [1 b1], b1'"),
+        (_bundle("b0:\n  goto b1\nb1:\n  ret %a"), "bad terminator 'goto b1'"),
+        (_bundle("b0:\n  %x = const<u8 1\n  ret %a"), "unbalanced type brackets in '<u8 1'"),
+        (_bundle("b0:\n  %x = const<(u8, T<u8) 1\n  ret %a"),
+         "unbalanced type brackets in '<(u8, T<u8) 1'"),
+        (_bundle("b0:\n  %x = const u8 1\n  ret %a"), "expected <...> in 'u8 1'"),
+        (_bundle("b0:\n  %r = alloc<T>(%a)\n  ret %a"), "expected Key#case in 'T'"),
+        (_bundle("b0:\n  %r = alloc<T#z>(%a)\n  ret %a"),
+         "expected Key#case or Key#case.field in digits, found 'T#z'"),
+        (_bundle("b0:\n  %r = alloc<T#0>(%a)\n  %v = getfield<T#0.x>(%r)\n  ret %v"),
+         "expected Key#case or Key#case.field in digits, found 'T#0.x'"),
+        (_bundle("b0:\n  %v = gettag<T>%a\n  ret %a"), "expected (...), found '%a'"),
+        (_bundle("b0:\n  %x = const<u8> z\n  ret %x"),
+         "expected a number in ASCII digits, found 'z'"),
+        (_bundle("b0:\n  %x = const<u0> 0\n  ret %x"),
+         "expected a width of ASCII digits, 1..64 (32 or 64 for f), found 'u0'"),
+        (_bundle("b0:\n  ret a"), "expected %name, found 'a'"),
+        (_bundle("b0:\n  jmp b1 b2\nb1:\n  ret %a"), "expected a label, found 'b1 b2'"),
+        (_bundle("b0:\n  ret %a", target="target z80\n"), "unknown target 'z80'"),
+        (_bundle("b0:\n  ret %a", target=""), "bundle lacks a target line"),
+        ("target x64\ntype T { case A(x: u8) }\n",
+         "in the type declarations: E001 at 2:24: expected ';', found '}'"),
+    ],
+    ids=["header", "param-no-colon", "instr-outside-block", "term-outside-block",
+         "bad-instruction", "unknown-op", "getfield-no-field", "eq-one-operand", "bad-call",
+         "bad-branch", "bad-switch", "bad-switch-case", "bad-terminator",
+         "unbalanced-brackets", "unbalanced-nested-brackets", "no-brackets", "no-case",
+         "case-not-digits", "field-not-digits", "no-parens", "number", "width", "name",
+         "label", "unknown-target", "no-target", "declarations"],
+)
+def test_every_progtext_message(bundle, message):
+    """Each way program text can be malformed is refused with its own
+    message, word for word."""
+    with pytest.raises(progtext.ProgTextError) as refused:
+        progtext.parse_bundle(bundle)
+    assert str(refused.value) == message
+
+
 def test_declaration_errors_give_bundle_positions():
     """A diagnostic in the bundle's type declarations counts the target
     line, comments and blank lines before it."""
