@@ -195,100 +195,101 @@ class _Machine:
         if depth > _MAX_CALL_DEPTH:
             raise TrapSignal("call-depth")
         env: dict[str, object] = {name: v for (name, _), v in zip(fn.params, args)}
+        blocks = fn.blocks
         label = fn.entry
         while True:
-            blk = fn.blocks[label]
+            blk = blocks[label]
             for ins in blk.instrs:
                 self.steps += 1
                 if self.steps > _MAX_STEPS:
                     raise TrapSignal("fuel")
-                self.exec(ins, env, depth)
+                try:
+                    run = _EXEC[type(ins)]
+                except KeyError:
+                    raise AssertionError(f"unknown instruction {ins!r}") from None
+                run(self, ins, env, depth)
             term = blk.term
-            if isinstance(term, Jump):
-                label = term.label
-            elif isinstance(term, Branch):
+            kind = type(term)
+            if kind is Branch:
                 label = term.then_label if env[term.cond] else term.else_label
-            elif isinstance(term, Switch):
+            elif kind is Return:
+                return env[term.value]
+            elif kind is Jump:
+                label = term.label
+            elif kind is Switch:
                 v = env[term.value]
                 label = term.default
                 for k, lbl in term.cases:
                     if v == k:
                         label = lbl
                         break
-            elif isinstance(term, Return):
-                return env[term.value]
-            elif isinstance(term, Trap):
+            elif kind is Trap:
                 raise TrapSignal(term.kind)
             else:
                 raise AssertionError(f"bad terminator {term!r}")
 
-    # -- single instruction --
+    # -- one handler per instruction class, each setting the value of `ins.dst` --
 
-    def exec(self, ins, env: dict, depth: int) -> None:
-        program = self.program
-        if isinstance(ins, Const):
-            env[ins.dst] = 0 if ins.value is None else ins.value  # null is 0
-            return
-        if isinstance(ins, Alloc):
-            values = [env[a] for a in ins.args]
-            env[ins.dst] = self.heap.alloc(Record(ins.adt, ins.case, values))
-            return
-        if isinstance(ins, (GetField, GetContents)):
-            rec = self._deref_case(env[ins.src], ins.adt, ins.case)
-            if isinstance(ins, GetField):
-                env[ins.dst] = rec.fields[ins.field]
-            else:
-                vals = tuple(rec.fields)
-                env[ins.dst] = vals[0] if len(vals) == 1 else vals
-            return
-        if isinstance(ins, GetTag):
-            env[ins.dst] = self._deref(env[ins.src]).case
-            return
-        if isinstance(ins, ReplaceNull):
-            v = env[ins.src]
-            env[ins.dst] = default_value(program, self.heap, ins.adt, depth) if v == 0 else v
-            return
-        if isinstance(ins, Eq):
-            a = observe(program, self.heap, env[ins.a], ins.type)
-            b = observe(program, self.heap, env[ins.b], ins.type)
-            env[ins.dst] = 1 if a == b else 0
-            return
-        if isinstance(ins, Call):
-            callee = program.functions[ins.fn]
-            env[ins.dst] = self.call(callee, [env[a] for a in ins.args], depth + 1)
-            return
-        if isinstance(ins, TupleMake):
-            env[ins.dst] = tuple(env[e] for e in ins.elems)
-            return
-        if isinstance(ins, Project):
-            env[ins.dst] = env[ins.src][ins.index]
-            return
-        if isinstance(ins, BinOp):
-            a, b = env[ins.a], env[ins.b]
-            if ins.op == "and":
-                env[ins.dst] = a & b
-            elif ins.op == "or":
-                env[ins.dst] = a | b
-            else:
-                env[ins.dst] = a ^ b
-            return
-        if isinstance(ins, ShiftOp):
-            v = env[ins.src]
-            env[ins.dst] = (v << ins.amount) if ins.op == "shl" else (v >> ins.amount)
-            return
-        if isinstance(ins, SExt):
-            v = env[ins.src] & _mask(ins.from_width)
-            if v & (1 << (ins.from_width - 1)):
-                v -= 1 << ins.from_width
-            env[ins.dst] = v
-            return
-        if isinstance(ins, Bitcast):
-            env[ins.dst] = env[ins.src]
-            return
-        if isinstance(ins, IsNull):
-            env[ins.dst] = 1 if env[ins.src] == 0 else 0
-            return
-        raise AssertionError(f"unknown instruction {ins!r}")
+    def _const(self, ins: Const, env: dict, depth: int) -> None:
+        env[ins.dst] = 0 if ins.value is None else ins.value  # null is 0
+
+    def _alloc(self, ins: Alloc, env: dict, depth: int) -> None:
+        values = [env[a] for a in ins.args]
+        env[ins.dst] = self.heap.alloc(Record(ins.adt, ins.case, values))
+
+    def _getfield(self, ins: GetField, env: dict, depth: int) -> None:
+        env[ins.dst] = self._deref_case(env[ins.src], ins.adt, ins.case).fields[ins.field]
+
+    def _contents(self, ins: GetContents, env: dict, depth: int) -> None:
+        vals = tuple(self._deref_case(env[ins.src], ins.adt, ins.case).fields)
+        env[ins.dst] = vals[0] if len(vals) == 1 else vals
+
+    def _gettag(self, ins: GetTag, env: dict, depth: int) -> None:
+        env[ins.dst] = self._deref(env[ins.src]).case
+
+    def _replacenull(self, ins: ReplaceNull, env: dict, depth: int) -> None:
+        v = env[ins.src]
+        env[ins.dst] = default_value(self.program, self.heap, ins.adt, depth) if v == 0 else v
+
+    def _eq(self, ins: Eq, env: dict, depth: int) -> None:
+        a = observe(self.program, self.heap, env[ins.a], ins.type)
+        b = observe(self.program, self.heap, env[ins.b], ins.type)
+        env[ins.dst] = 1 if a == b else 0
+
+    def _call(self, ins: Call, env: dict, depth: int) -> None:
+        callee = self.program.functions[ins.fn]
+        env[ins.dst] = self.call(callee, [env[a] for a in ins.args], depth + 1)
+
+    def _tuplemake(self, ins: TupleMake, env: dict, depth: int) -> None:
+        env[ins.dst] = tuple(env[e] for e in ins.elems)
+
+    def _project(self, ins: Project, env: dict, depth: int) -> None:
+        env[ins.dst] = env[ins.src][ins.index]
+
+    def _binop(self, ins: BinOp, env: dict, depth: int) -> None:
+        a, b = env[ins.a], env[ins.b]
+        if ins.op == "and":
+            env[ins.dst] = a & b
+        elif ins.op == "or":
+            env[ins.dst] = a | b
+        else:
+            env[ins.dst] = a ^ b
+
+    def _shiftop(self, ins: ShiftOp, env: dict, depth: int) -> None:
+        v = env[ins.src]
+        env[ins.dst] = (v << ins.amount) if ins.op == "shl" else (v >> ins.amount)
+
+    def _sext(self, ins: SExt, env: dict, depth: int) -> None:
+        v = env[ins.src] & _mask(ins.from_width)
+        if v & (1 << (ins.from_width - 1)):
+            v -= 1 << ins.from_width
+        env[ins.dst] = v
+
+    def _bitcast(self, ins: Bitcast, env: dict, depth: int) -> None:
+        env[ins.dst] = env[ins.src]
+
+    def _isnull(self, ins: IsNull, env: dict, depth: int) -> None:
+        env[ins.dst] = 1 if env[ins.src] == 0 else 0
 
     def _deref(self, addr: int) -> Record:
         if addr == 0:
@@ -300,6 +301,16 @@ class _Machine:
         if rec.adt != adt or rec.case != case:
             raise TrapSignal("bad-case")
         return rec
+
+
+_EXEC = {
+    Const: _Machine._const, Alloc: _Machine._alloc, GetField: _Machine._getfield,
+    GetContents: _Machine._contents, GetTag: _Machine._gettag,
+    ReplaceNull: _Machine._replacenull, Eq: _Machine._eq, Call: _Machine._call,
+    TupleMake: _Machine._tuplemake, Project: _Machine._project, BinOp: _Machine._binop,
+    ShiftOp: _Machine._shiftop, SExt: _Machine._sext, Bitcast: _Machine._bitcast,
+    IsNull: _Machine._isnull,
+}
 
 
 def default_value(program: Program, heap: Heap, key: str, depth: int = 0) -> int:

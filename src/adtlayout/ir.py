@@ -241,16 +241,25 @@ class Function:
     # outputs stay comparable across the rewrite
     semantic_ret: Optional[IrType] = None
 
+    def successors(self) -> dict[str, list[str]]:
+        """Each block's successor labels, in the order its terminator names them."""
+        return {label: _successors(blk.term) for label, blk in self.blocks.items()}
+
     def block_order(self) -> list[str]:
         """The blocks reachable from the entry, in breadth-first order."""
-        order = [self.entry]
-        seen = {self.entry}
-        for label in order:
-            for s in _successors(self.blocks[label].term):
-                if s not in seen:
-                    seen.add(s)
-                    order.append(s)
-        return order
+        return _breadth_first(self.entry, self.successors())
+
+
+def _breadth_first(entry: str, succs: dict[str, list[str]]) -> list[str]:
+    """The labels reachable from `entry` over `succs`, in breadth-first order."""
+    order = [entry]
+    seen = {entry}
+    for label in order:
+        for s in succs[label]:
+            if s not in seen:
+                seen.add(s)
+                order.append(s)
+    return order
 
 
 def _successors(term: Optional[Terminator]) -> list[str]:
@@ -335,23 +344,31 @@ class IrTypeError(Exception):
     pass
 
 
-def dominator_spans(fn: Function, order: list[str]) -> dict[str, tuple[int, int]]:
+def dominator_spans(
+    order: list[str], succs: dict[str, list[str]]
+) -> dict[str, tuple[int, int]]:
     """Each block's interval [first, end) in a preorder of the dominator tree,
-    given `order = fn.block_order()`: block a dominates block b exactly when
-    a's interval holds b's first number. Breadth-first order puts a block's
-    dominators before it, so Cooper, Harvey and Kennedy's iteration ("A
-    Simple, Fast Dominance Algorithm", 2001) runs over block numbers, and a
-    block's immediate dominator has a smaller number than the block."""
+    given a function's `succs = fn.successors()` and `order = fn.block_order()`:
+    block a dominates block b exactly when a's interval holds b's first
+    number. Breadth-first order puts a block's dominators before it, so
+    Cooper, Harvey and Kennedy's iteration ("A Simple, Fast Dominance
+    Algorithm", 2001) runs over block numbers, and a block's immediate
+    dominator has a smaller number than the block."""
+    if len(order) == 1:
+        return {order[0]: (0, 1)}
     index = {b: i for i, b in enumerate(order)}
     preds: list[list[int]] = [[] for _ in order]
     for i, b in enumerate(order):
-        for s in _successors(fn.blocks[b].term):
+        for s in succs[b]:
             preds[index[s]].append(i)
+    # the first pass reaches every block, and a block with one predecessor
+    # keeps it as immediate dominator, so later passes visit only merges
     idom = [0] + [-1] * (len(order) - 1)  # -1: not reached by the iteration yet
-    changed = True
-    while changed:
+    merges = [b for b in range(1, len(order)) if len(preds[b]) > 1]
+    visit = range(1, len(order))
+    while visit:
         changed = False
-        for b in range(1, len(order)):
+        for b in visit:
             done = [p for p in preds[b] if idom[p] >= 0]  # b's BFS parent always is
             new = done[0]
             for p in done:
@@ -362,6 +379,7 @@ def dominator_spans(fn: Function, order: list[str]) -> dict[str, tuple[int, int]
                         new = idom[new]
             changed |= idom[b] != new
             idom[b] = new
+        visit = merges if changed else ()
     size = [1] * len(order)
     for b in range(len(order) - 1, 0, -1):
         size[idom[b]] += size[b]
@@ -386,30 +404,34 @@ def check_function(program: Program, fn: Function) -> None:
     if fn.entry not in fn.blocks:
         raise IrTypeError(f"{fn.name} has no entry block")
     _known(program, fn.ret)
-    for blk in fn.blocks.values():
-        for s in _successors(blk.term):
+    succs = fn.successors()
+    for labels in succs.values():
+        for s in labels:
             if s not in fn.blocks:
                 raise IrTypeError(f"jump to unknown block {s}")
-    order = fn.block_order()
-    spans = dominator_spans(fn, order)
+    order = _breadth_first(fn.entry, succs)
+    spans = dominator_spans(order, succs)
     types: dict[str, IrType] = {}
     def_span: dict[str, tuple[int, int]] = {}
+    blocks = fn.blocks
     for name, t in fn.params:
         if name in types:
             raise IrTypeError(f"duplicate parameter {name}")
         types[name] = _known(program, t)
         def_span[name] = spans[fn.entry]
-    for label in fn.blocks:
-        if label not in spans:
-            raise IrTypeError(f"block {label} is unreachable from the entry")
+    if len(spans) != len(blocks):
+        for label in blocks:
+            if label not in spans:
+                raise IrTypeError(f"block {label} is unreachable from the entry")
     for label in order:
-        blk = fn.blocks[label]
+        blk = blocks[label]
         if blk.term is None:
             raise IrTypeError(f"block {label} lacks a terminator")
+        span = spans[label]
         for ins in blk.instrs:
             if ins.dst in def_span:
                 raise IrTypeError(f"name {ins.dst} assigned twice")
-            def_span[ins.dst] = spans[label]
+            def_span[ins.dst] = span
     nulls: set[str] = set()  # null ADT constants, which only replace-null may read
 
     def use(name: str, null_ok: bool = False) -> IrType:
@@ -427,7 +449,7 @@ def check_function(program: Program, fn: Function) -> None:
 
     for label in order:
         here = spans[label][0]
-        blk = fn.blocks[label]
+        blk = blocks[label]
         for ins in blk.instrs:
             rule = rules.get(type(ins))
             if rule is None:
@@ -436,16 +458,17 @@ def check_function(program: Program, fn: Function) -> None:
             if not post and type(ins) is Const and ins.value is None:
                 nulls.add(ins.dst)
         term = blk.term
-        if isinstance(term, Return):
+        kind = type(term)
+        if kind is Return:
             have = use(term.value)
             if have != fn.ret:
                 raise IrTypeError(
                     f"{fn.name} returns {print_ir_type(have)}, expected {print_ir_type(fn.ret)}"
                 )
-        elif isinstance(term, Branch):
+        elif kind is Branch:
             if use(term.cond) != BOOL:
                 raise IrTypeError("branch condition must be u1")
-        elif isinstance(term, Switch):
+        elif kind is Switch:
             if not isinstance(use(term.value), TInt):
                 raise IrTypeError("switch operand must be an integer")
 

@@ -172,12 +172,8 @@ class _FunctionNormalizer:
         self.tmp += 1
         return f"_{hint}{self.tmp}"
 
-    def emit(self, ins) -> None:
-        assert self.current is not None
-        self.current.instrs.append(ins)
-
     def emit_typed(self, ins, t: IrType) -> str:
-        self.emit(ins)
+        self.current.instrs.append(ins)
         self.types[ins.dst] = t
         return ins.dst
 
@@ -226,8 +222,15 @@ class _FunctionNormalizer:
             blk = pre.blocks[label]
             self.start_block(label)
             for ins in blk.instrs:
-                self.instr(ins)
-            self.finish(blk.term, post_ret)
+                rewrite = _REWRITE.get(type(ins))
+                if rewrite is None:
+                    raise IrTypeError(
+                        f"instruction {type(ins).__name__} is not part of the source grammar"
+                    )
+                rewrite(self, ins)
+            term = blk.term
+            finish = _FINISH.get(type(term))
+            self.current.term = term if finish is None else finish(self, term, post_ret)
         out.blocks = self.blocks
         return out
 
@@ -242,95 +245,87 @@ class _FunctionNormalizer:
             raise IrTypeError("null constant used outside replace-null")
         return v
 
-    # -- terminators -----------------------------------------------------------
+    # -- terminators: the normalized form of each terminator that reads a value;
+    # a jump or trap is kept as it is --
 
-    def finish(self, term, post_ret: IrType) -> None:
-        assert self.current is not None
-        if isinstance(term, Return):
-            leaves = self.names_of(term.value)
-            if len(leaves) == 1:
-                self.current.term = Return(leaves[0])
-            else:
-                t = self.fresh("ret")
-                self.emit_typed(TupleMake(t, tuple(leaves)), post_ret)
-                self.current.term = Return(t)
-            return
-        if isinstance(term, Branch):
-            self.current.term = Branch(self.names_of(term.cond)[0], term.then_label, term.else_label)
-            return
-        if isinstance(term, Switch):
-            self.current.term = Switch(self.names_of(term.value)[0], term.cases, term.default)
-            return
-        self.current.term = term  # Jump or Trap
+    def _return(self, term: Return, post_ret: IrType) -> Return:
+        leaves = self.names_of(term.value)
+        if len(leaves) == 1:
+            return Return(leaves[0])
+        t = self.fresh("ret")
+        self.emit_typed(TupleMake(t, tuple(leaves)), post_ret)
+        return Return(t)
 
-    # -- instructions ------------------------------------------------------------
+    def _branch(self, term: Branch, post_ret: IrType) -> Branch:
+        return Branch(self.names_of(term.cond)[0], term.then_label, term.else_label)
 
-    def instr(self, ins) -> None:
-        ctx = self.ctx
-        if isinstance(ins, Const):
-            if isinstance(ins.type, TAdt) and ins.value is None:
-                if ctx.pre.is_unboxed(ins.type.key):
-                    self.env[ins.dst] = _NullMarker(ins.type.key)
-                    return
-                name = self.emit_typed(Const(ins.dst, ins.type, None), ins.type)
-                self.env[ins.dst] = [name]
+    def _switch(self, term: Switch, post_ret: IrType) -> Switch:
+        return Switch(self.names_of(term.value)[0], term.cases, term.default)
+
+    # -- instructions: one rewrite per source instruction class, binding the
+    # post names of `ins.dst` in `env` --
+
+    def _const(self, ins: Const) -> None:
+        if isinstance(ins.type, TAdt) and ins.value is None:
+            if self.ctx.pre.is_unboxed(ins.type.key):
+                self.env[ins.dst] = _NullMarker(ins.type.key)
                 return
-            self.env[ins.dst] = [self.emit_typed(ins, ins.type)]
+            name = self.emit_typed(Const(ins.dst, ins.type, None), ins.type)
+            self.env[ins.dst] = [name]
             return
-        if isinstance(ins, Alloc):
-            flat = [n for a in ins.args for n in self.names_of(a)]
-            if ctx.pre.is_unboxed(ins.adt):
-                self.env[ins.dst] = self._assemble(ins.adt, ins.case, flat)
+        self.env[ins.dst] = [self.emit_typed(ins, ins.type)]
+
+    def _alloc(self, ins: Alloc) -> None:
+        flat = [n for a in ins.args for n in self.names_of(a)]
+        if self.ctx.pre.is_unboxed(ins.adt):
+            self.env[ins.dst] = self._assemble(ins.adt, ins.case, flat)
+        else:
+            t = TAdt(ins.adt)
+            self.emit_typed(Alloc(ins.dst, ins.adt, ins.case, tuple(flat)), t)
+            self.env[ins.dst] = [ins.dst]
+
+    def _gettag(self, ins: GetTag) -> None:
+        if self.ctx.pre.is_unboxed(ins.adt):
+            scalars = self.names_of(ins.src)
+            tag = self.extract_tag(ins.adt, scalars)
+            self.env[ins.dst] = [tag]
+        else:
+            self.emit_typed(GetTag(ins.dst, ins.adt, self.names_of(ins.src)[0]), TAG_TYPE)
+            self.env[ins.dst] = [ins.dst]
+
+    def _replacenull(self, ins: ReplaceNull) -> None:
+        ctx = self.ctx
+        if ctx.pre.is_unboxed(ins.adt):
+            src = self.env[ins.src]
+            if isinstance(src, _NullMarker):
+                self.env[ins.dst] = self.default_value_names(ins.adt)
             else:
-                t = TAdt(ins.adt)
-                self.emit_typed(Alloc(ins.dst, ins.adt, ins.case, tuple(flat)), t)
-                self.env[ins.dst] = [ins.dst]
-            return
-        if isinstance(ins, (GetField, GetContents)):
-            self._get(ins)
-            return
-        if isinstance(ins, GetTag):
-            if ctx.pre.is_unboxed(ins.adt):
-                scalars = self.names_of(ins.src)
-                tag = self.extract_tag(ins.adt, scalars)
-                self.env[ins.dst] = [tag]
-            else:
-                self.emit_typed(GetTag(ins.dst, ins.adt, self.names_of(ins.src)[0]), TAG_TYPE)
-                self.env[ins.dst] = [ins.dst]
-            return
-        if isinstance(ins, ReplaceNull):
-            if ctx.pre.is_unboxed(ins.adt):
-                src = self.env[ins.src]
-                if isinstance(src, _NullMarker):
-                    self.env[ins.dst] = self.default_value_names(ins.adt)
-                else:
-                    self.env[ins.dst] = list(src)
-            else:
-                helper = ctx.or_default_fn(ins.adt)
-                src = self.names_of(ins.src)[0]
-                self.emit_typed(Call(ins.dst, helper, (src,)), TAdt(ins.adt))
-                self.env[ins.dst] = [ins.dst]
-            return
-        if isinstance(ins, Eq):
-            result = self._equality(ins.type, self.names_of(ins.a), self.names_of(ins.b))
-            self.env[ins.dst] = [result]
-            return
-        if isinstance(ins, Call):
-            callee_pre = self.ctx.pre.functions[ins.fn]
-            flat = [n for a in ins.args for n in self.names_of(a)]
-            ret_leaves = ctx.pre.expand(callee_pre.ret)
-            if len(ret_leaves) == 1:
-                self.emit_typed(Call(ins.dst, ins.fn, tuple(flat)), ret_leaves[0])
-                self.env[ins.dst] = [ins.dst]
-            else:
-                t = TTuple(tuple(ret_leaves))
-                packed = self.emit_typed(Call(self.fresh("call"), ins.fn, tuple(flat)), t)
-                names = []
-                for i, lt in enumerate(ret_leaves):
-                    names.append(self.emit_typed(Project(self.fresh("p"), packed, i), lt))
-                self.env[ins.dst] = names
-            return
-        raise IrTypeError(f"instruction {type(ins).__name__} is not part of the source grammar")
+                self.env[ins.dst] = list(src)
+        else:
+            helper = ctx.or_default_fn(ins.adt)
+            src = self.names_of(ins.src)[0]
+            self.emit_typed(Call(ins.dst, helper, (src,)), TAdt(ins.adt))
+            self.env[ins.dst] = [ins.dst]
+
+    def _eq(self, ins: Eq) -> None:
+        result = self._equality(ins.type, self.names_of(ins.a), self.names_of(ins.b))
+        self.env[ins.dst] = [result]
+
+    def _call(self, ins: Call) -> None:
+        ctx = self.ctx
+        callee_pre = ctx.pre.functions[ins.fn]
+        flat = [n for a in ins.args for n in self.names_of(a)]
+        ret_leaves = ctx.pre.expand(callee_pre.ret)
+        if len(ret_leaves) == 1:
+            self.emit_typed(Call(ins.dst, ins.fn, tuple(flat)), ret_leaves[0])
+            self.env[ins.dst] = [ins.dst]
+        else:
+            t = TTuple(tuple(ret_leaves))
+            packed = self.emit_typed(Call(self.fresh("call"), ins.fn, tuple(flat)), t)
+            names = []
+            for i, lt in enumerate(ret_leaves):
+                names.append(self.emit_typed(Project(self.fresh("p"), packed, i), lt))
+            self.env[ins.dst] = names
 
     # -- defaults ------------------------------------------------------------
 
@@ -434,17 +429,25 @@ class _FunctionNormalizer:
             v = self.emit_typed(Bitcast(self.fresh("f"), v, f.type), f.type)
         return v
 
-    def _get(self, ins) -> None:
-        ctx = self.ctx
-        variant = ctx.pre.adts[ins.adt].variants[ins.case]
+    def _getfield(self, ins: GetField) -> None:
+        variant = self.ctx.pre.adts[ins.adt].variants[ins.case]
+        # the fields that the walk of source field `ins.field` takes, after
+        # the walks of the source fields before it
         indices = range(len(variant.fields))
-        if isinstance(ins, GetField):
-            # the fields that the walk of source field `ins.field` takes,
-            # after the walks of the source fields before it
-            ks = iter(indices)
-            for _, t in variant.source_fields[: ins.field + 1]:
-                indices = []
-                ctx.pre.spread(t, ks, lambda key, taken: indices.extend(taken))
+        ks = iter(indices)
+        for _, t in variant.source_fields[: ins.field + 1]:
+            indices = []
+            self.ctx.pre.spread(t, ks, lambda key, taken: indices.extend(taken))
+        self._read(ins, variant, indices)
+
+    def _contents(self, ins: GetContents) -> None:
+        variant = self.ctx.pre.adts[ins.adt].variants[ins.case]
+        self._read(ins, variant, range(len(variant.fields)))
+
+    def _read(self, ins, variant, indices) -> None:
+        """Bind `ins.dst` to the normalized fields `indices` of case
+        `ins.case` of the value `ins.src`, after checking its case."""
+        ctx = self.ctx
         if ctx.pre.is_unboxed(ins.adt):
             scalars = self.names_of(ins.src)
             tag = self.extract_tag(ins.adt, scalars)
@@ -493,6 +496,18 @@ class _FunctionNormalizer:
                 acc = self.emit_typed(BinOp(self.fresh("a"), "and", acc, p), BOOL)
             return acc
         return self.emit_typed(Eq(self.fresh("eq"), t, a[0], b[0]), BOOL)
+
+
+_REWRITE = {
+    Const: _FunctionNormalizer._const, Alloc: _FunctionNormalizer._alloc,
+    GetField: _FunctionNormalizer._getfield, GetContents: _FunctionNormalizer._contents,
+    GetTag: _FunctionNormalizer._gettag, ReplaceNull: _FunctionNormalizer._replacenull,
+    Eq: _FunctionNormalizer._eq, Call: _FunctionNormalizer._call,
+}
+_FINISH = {
+    Return: _FunctionNormalizer._return, Branch: _FunctionNormalizer._branch,
+    Switch: _FunctionNormalizer._switch,
+}
 
 
 # ---------------------------------------------------------------------------

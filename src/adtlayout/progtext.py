@@ -6,6 +6,7 @@ program; the equivalence driver prints failing programs in this form."""
 from __future__ import annotations
 
 import re
+from functools import lru_cache
 from typing import Optional
 
 from .ir import (
@@ -135,18 +136,20 @@ def _inside(text: str) -> str:
 
 
 def _take_brackets(text: str) -> tuple[str, str]:
-    """Split 'xxx<...>rest' at the matching close bracket."""
+    """Split 'xxx<...>rest' at the matching close bracket: the first `>`
+    with as many `<` before it as `>` up to it."""
     if not text.startswith("<"):
         raise ProgTextError(f"expected <...> in {text!r}")
-    depth = 0
-    for i, ch in enumerate(text):
-        if ch == "<":
-            depth += 1
-        elif ch == ">":
-            depth -= 1
-            if depth == 0:
-                return text[1:i], text[i + 1 :]
-    raise ProgTextError(f"unbalanced type brackets in {text!r}")
+    opens = closes = start = 0
+    while True:
+        close = text.find(">", start)
+        if close < 0:
+            raise ProgTextError(f"unbalanced type brackets in {text!r}")
+        opens += text.count("<", start, close)
+        closes += 1
+        if opens == closes:
+            return text[1:close], text[close + 1 :]
+        start = close + 1
 
 
 def _split_top(text: str) -> list[str]:
@@ -170,6 +173,7 @@ def _split_top(text: str) -> list[str]:
 _SCALAR_TYPE = re.compile(r"([uif])(\d+)")
 
 
+@lru_cache(maxsize=1024)  # one entry per distinct type text
 def _parse_ir_type(text: str) -> IrType:
     text = text.strip()
     if text.startswith("("):
@@ -227,10 +231,18 @@ def _label(tok: str) -> str:
     return tok
 
 
+_HEADER_RE = re.compile(rf"fn\s+({_NAME})\((.*)\)\s*->\s*(.+)\s*\{{$")
+
+
 def parse_function_text(text: str) -> Function:
-    lines = [ln.rstrip() for ln in text.strip().splitlines()]
+    return _parse_function([ln.strip() for ln in text.strip().splitlines()])
+
+
+def _parse_function(lines: list[str]) -> Function:
+    """A function from its stripped lines: the header, then labels,
+    instructions and terminators up to the closing brace."""
     header = lines[0]
-    m = re.match(rf"fn\s+({_NAME})\((.*)\)\s*->\s*(.+)\s*\{{$", header)
+    m = _HEADER_RE.match(header)
     if not m:
         raise ProgTextError(f"bad function header: {header!r}")
     name, params_text, ret_text = m.group(1), m.group(2), m.group(3)
@@ -243,72 +255,100 @@ def parse_function_text(text: str) -> Function:
             params.append((_strip_pct(pname), _parse_ir_type(ptype)))
     fn = Function(name, tuple(params), _parse_ir_type(ret_text), "", {})
     current: Optional[Block] = None
-    for ln in lines[1:]:
-        s = ln.strip()
-        if not s or s.startswith("#"):
+    for s in lines[1:]:
+        if not s or s[0] == "#":
             continue
         if s == "}":
             break
-        if s.endswith(":") and not s.startswith("%"):
+        if s[-1] == ":" and s[0] != "%":
             label = _label(s[:-1])
             current = Block(label)
             fn.blocks[label] = current
             if not fn.entry:
                 fn.entry = label
-            continue
-        if current is None:
+        elif current is None:
             raise ProgTextError(f"instruction outside a block: {s!r}")
-        if s.startswith("%"):
+        elif s[0] == "%":
             current.instrs.append(_parse_instr(s))
         else:
             current.term = _parse_term(s)
     return fn
 
 
+# One parser per op word: each takes the instruction's destination, the
+# text after the op word and the whole line, for messages.
+
+
+def _const(dst: str, rest: str, s: str) -> Const:
+    tt, tail = _take_brackets(rest)
+    v = tail.strip()
+    return Const(dst, _parse_ir_type(tt), None if v == "null" else _number(v))
+
+
+def _alloc(dst: str, rest: str, s: str) -> Alloc:
+    tt, tail = _take_brackets(rest)
+    key, case, _ = _parse_case_ref(tt)
+    return Alloc(dst, key, case, tuple(_strip_pct(a) for a in _split_args(_inside(tail))))
+
+
+def _getfield(dst: str, rest: str, s: str) -> GetField:
+    tt, tail = _take_brackets(rest)
+    key, case, fidx = _parse_case_ref(tt)
+    if fidx is None:
+        raise ProgTextError(f"getfield needs Key#case.field in {s!r}")
+    return GetField(dst, key, case, fidx, _strip_pct(_inside(tail)))
+
+
+def _contents(dst: str, rest: str, s: str) -> GetContents:
+    tt, tail = _take_brackets(rest)
+    key, case, _ = _parse_case_ref(tt)
+    return GetContents(dst, key, case, _strip_pct(_inside(tail)))
+
+
+def _gettag(dst: str, rest: str, s: str) -> GetTag:
+    tt, tail = _take_brackets(rest)
+    return GetTag(dst, tt, _strip_pct(_inside(tail)))
+
+
+def _replacenull(dst: str, rest: str, s: str) -> ReplaceNull:
+    tt, tail = _take_brackets(rest)
+    return ReplaceNull(dst, tt, _strip_pct(_inside(tail)))
+
+
+def _eq(dst: str, rest: str, s: str) -> Eq:
+    tt, tail = _take_brackets(rest)
+    operands = _split_args(_inside(tail))
+    if len(operands) != 2:
+        raise ProgTextError(f"eq needs two operands in {s!r}")
+    a, b = operands
+    return Eq(dst, _parse_ir_type(tt), _strip_pct(a), _strip_pct(b))
+
+
+_CALL_RE = re.compile(rf"({_NAME})\((.*)\)$")
+
+
+def _call(dst: str, rest: str, s: str) -> Call:
+    m = _CALL_RE.match(rest)
+    if not m:
+        raise ProgTextError(f"bad call {s!r}")
+    return Call(dst, m.group(1), tuple(_strip_pct(a) for a in _split_args(m.group(2))))
+
+
+_OPS = {
+    "const": _const, "alloc": _alloc, "getfield": _getfield, "contents": _contents,
+    "gettag": _gettag, "replacenull": _replacenull, "eq": _eq, "call": _call,
+}
+
+
 def _parse_instr(s: str):
     m = _INSTR_RE.match(s)
     if not m:
         raise ProgTextError(f"bad instruction {s!r}")
-    dst, op, rest = m.group(1), m.group(2), m.group(3).strip()
-    if op == "const":
-        tt, tail = _take_brackets(rest)
-        v = tail.strip()
-        return Const(dst, _parse_ir_type(tt), None if v == "null" else _number(v))
-    if op == "alloc":
-        tt, tail = _take_brackets(rest)
-        key, case, _ = _parse_case_ref(tt)
-        args = tuple(_strip_pct(a) for a in _split_args(_inside(tail)))
-        return Alloc(dst, key, case, args)
-    if op == "getfield":
-        tt, tail = _take_brackets(rest)
-        key, case, fidx = _parse_case_ref(tt)
-        if fidx is None:
-            raise ProgTextError(f"getfield needs Key#case.field in {s!r}")
-        return GetField(dst, key, case, fidx, _strip_pct(_inside(tail)))
-    if op == "contents":
-        tt, tail = _take_brackets(rest)
-        key, case, _ = _parse_case_ref(tt)
-        return GetContents(dst, key, case, _strip_pct(_inside(tail)))
-    if op == "gettag":
-        tt, tail = _take_brackets(rest)
-        return GetTag(dst, tt, _strip_pct(_inside(tail)))
-    if op == "replacenull":
-        tt, tail = _take_brackets(rest)
-        return ReplaceNull(dst, tt, _strip_pct(_inside(tail)))
-    if op == "eq":
-        tt, tail = _take_brackets(rest)
-        operands = _split_args(_inside(tail))
-        if len(operands) != 2:
-            raise ProgTextError(f"eq needs two operands in {s!r}")
-        a, b = operands
-        return Eq(dst, _parse_ir_type(tt), _strip_pct(a), _strip_pct(b))
-    if op == "call":
-        m2 = re.match(rf"({_NAME})\((.*)\)$", rest)
-        if not m2:
-            raise ProgTextError(f"bad call {s!r}")
-        args = tuple(_strip_pct(a) for a in _split_args(m2.group(2)))
-        return Call(dst, m2.group(1), args)
-    raise ProgTextError(f"unknown op {op!r}")
+    dst, op, rest = m.groups()
+    parse = _OPS.get(op)
+    if parse is None:
+        raise ProgTextError(f"unknown op {op!r}")
+    return parse(dst, rest.strip(), s)
 
 
 def _parse_term(s: str):
@@ -354,7 +394,7 @@ def parse_bundle(text: str) -> tuple[Program, list]:
         s = ln.strip()
         decl = ""  # the line as the declaration parser sees it
         if current_fn is not None:
-            current_fn.append(ln)
+            current_fn.append(s)
             if s == "}":
                 fn_chunks.append(current_fn)
                 current_fn = None
@@ -364,7 +404,7 @@ def parse_bundle(text: str) -> tuple[Program, list]:
                 raise ProgTextError(f"unknown target {name!r}")
             target = BUILTIN_TARGETS[name]
         elif s.startswith("fn "):
-            current_fn = [ln]
+            current_fn = [s]
         elif not s.startswith("#"):
             decl = ln
         decl_lines.append(decl)
@@ -376,6 +416,6 @@ def parse_bundle(text: str) -> tuple[Program, list]:
     except (PackingSyntaxError, VerifyError, MonoError, AnnotationInfeasible) as e:
         raise ProgTextError(f"in the type declarations: {e}") from e
     for chunk in fn_chunks:
-        fn = parse_function_text("\n".join(chunk))
+        fn = _parse_function(chunk)
         program.functions[fn.name] = fn
     return program, decls

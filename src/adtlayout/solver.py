@@ -913,8 +913,9 @@ class _Search:
         # the widths of the fresh scalars not yet opened, ascending
         self.fresh = sorted(self.widths[c] for c, q in enumerate(quota) for _ in range(q))
         state = self.base.copy()
-        if reserve is not None and reserve < len(state.slots):
-            self.keep_tag_free(state.slots[reserve])
+        if reserve is not None and reserve < len(state.slots) and not self.keep_tag_free(
+                state.slots[reserve]):
+            return None, 0
         if self.refs and not all(self.fit(state, v, u, None, 0) for v, u in self.refs):
             return None, 0
         total = 0
@@ -925,9 +926,15 @@ class _Search:
             total += cost
         return state, total
 
-    def keep_tag_free(self, slot: _Slot) -> None:
+    def keep_tag_free(self, slot: _Slot) -> bool:
+        """Keep the top tag bits of the reserved scalar free in every
+        variant; False, and nothing kept, when the scalar is narrower than
+        the tag (a reference scalar of a narrow word)."""
+        if slot.width < self.tw:
+            return False
         for v in range(self.n):
             slot.add_consts(v, 0, 0, ((1 << self.tw) - 1) << (slot.width - self.tw))
+        return True
 
     def cost(self, state: _State, v: int) -> int:
         """`_access_cost` of `v`'s placements so far, with the tag value `v`
@@ -1015,9 +1022,9 @@ class _Search:
                 for width, kinds in blanks):
             return None
         slot = state.new_slot(self.widths[c], None)
-        if slot.index == self.reserve:
-            self.keep_tag_free(slot)
-        undo = state.place(v, unit, slot)
+        undo = None
+        if slot.index != self.reserve or self.keep_tag_free(slot):
+            undo = state.place(v, unit, slot)
         if undo is None:
             slots.pop()
             return None

@@ -213,7 +213,7 @@ def load_target(source: dict | str) -> Target:
     for cls, names in kinds.items():
         if not isinstance(names, list) or not all(isinstance(k, str) for k in names):
             raise ValueError(f"kinds.{cls} must be a list of kind names, not {json.dumps(names)}")
-        table[cls] = frozenset(ScalarKind(k) for k in names)
+        table[cls] = frozenset(_kind(cls, k) for k in names)
     tagging = None
     if source.get("ref_tagging") is not None:
         rt = _typed(source, "ref_tagging", dict)
@@ -227,6 +227,15 @@ def load_target(source: dict | str) -> Target:
         kind_table=table,
         ref_tagging=tagging,
     )
+
+
+def _kind(cls: str, name: str) -> ScalarKind:
+    """The kind that `name` names in kind class `cls` of a target file; an
+    unknown name is refused with its class."""
+    try:
+        return ScalarKind(name)
+    except ValueError:
+        raise ValueError(f"kinds.{cls}: {name!r} is not a kind") from None
 
 
 _JSON_TYPE_NAMES = {dict: "an object", int: "an integer", str: "a string"}

@@ -329,6 +329,9 @@ _X64_KINDS["ref"] = ["R64"]
          'kinds must be an object, not ["int32"'),
         (json.dumps({"name": "w32", "word_width": 32, "kinds": {**_W32_KINDS, "int32": "B32"}}),
          'kinds.int32 must be a list of kind names, not "B32"'),
+        # a kind name is refused with the class it sits in
+        (json.dumps({"name": "w32", "word_width": 32, "kinds": {**_W32_KINDS, "int32": ["Q64"]}}),
+         "kinds.int32: 'Q64' is not a kind"),
         (json.dumps({"name": "rt", "word_width": 32, "kinds": _W32_KINDS, "ref_tagging": "0u"}),
          'ref_tagging must be an object, not "0u"'),
         (json.dumps({"name": "rt", "word_width": 32, "kinds": _W32_KINDS, "ref_tagging": {
@@ -376,6 +379,26 @@ def test_target_file_with_a_misfit_class_is_usage_error(
     assert main(["layout", str(p), "--target", str(tfile)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "width, cases",
+    [(1, "case N; case M(y: u8);"), (2, "case N; case M(y: u8); case P; case Q;")],
+    ids=["word-1-three-cases", "word-2-five-cases"],
+)
+def test_tag_wider_than_a_reference_scalar_is_kept_out_of_it(tmp_path, width, cases, capsys):
+    """A reference scalar one word wide cannot keep a tag wider than the
+    word free: that reservation is skipped, and the tag goes to another
+    scalar, where it once ended in a negative shift."""
+    tfile = tmp_path / "narrow.json"
+    tfile.write_text(json.dumps({"name": f"w{width}", "word_width": width,
+                                 "kinds": {**_NARROW_KINDS, "int64": ["B64"]}}))
+    p = tmp_path / "u.pk"
+    p.write_text(f"type B {{ case A(x: u8); case C; }} type U #unboxed {{ case A(b: B); {cases} }}")
+    assert main(["layout", str(p), "--target", str(tfile)]) == 0
+    out, err = capsys.readouterr()
+    assert f"scalars: [s0:Ref:{width}:ref, s1:B32:32]" in out
+    assert "tag: explicit-tag s1@" in out and err == ""
 
 
 @pytest.mark.parametrize("flag, value", [("--budget", "-1"), ("--unbox-limit", "-4")])

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import random
@@ -1185,7 +1186,7 @@ def test_dominance_agrees_with_the_set_fixed_point():
         want = reference_dominators("b0", succs)
         order = fn.block_order()
         assert order == list(want)
-        spans = dominator_spans(fn, order)
+        spans = dominator_spans(order, fn.successors())
         for a, (first, end) in spans.items():
             for b, (at, _) in spans.items():
                 assert (first <= at < end) == (a in want[b]), (succs, a, b)
@@ -1254,6 +1255,38 @@ def test_malformed_lines_are_refused(body, match):
     )
     with pytest.raises(progtext.ProgTextError, match=match):
         progtext.parse_bundle(bundle)
+
+
+# an example value per annotation of an instruction field, to build one
+# instruction of each class
+_EXAMPLE_FIELDS = {
+    "str": "x", "int": 1, "Optional[int]": 5, "IrType": TInt(8, False),
+    "tuple[str, ...]": ("a", "b"),
+}
+
+
+def test_every_layer_handles_every_instruction_class():
+    """Each instruction class that `ir` defines has a rule in both of the
+    checker's tables and a handler in the interpreter's; each class of the
+    source grammar also has a rewrite in the normalizer's table and is
+    printed and read back by `progtext`. A class added to only some layers
+    fails here, not at run time."""
+    classes = {
+        c for c in vars(ir).values()
+        if isinstance(c, type) and dataclasses.is_dataclass(c)
+        and "dst" in {f.name for f in dataclasses.fields(c)}
+    }
+    assert classes == set(typing.get_args(ir.Instr))
+    source = set()
+    for cls in classes:
+        assert cls in ir._PRE_RULES and cls in ir._POST_RULES, cls
+        assert cls in interp._EXEC, cls
+        if ir._PRE_RULES[cls] is not ir._other_phase:
+            source.add(cls)
+    assert source == set(norm._REWRITE)
+    for cls in source:
+        ins = cls(*(_EXAMPLE_FIELDS[f.type] for f in dataclasses.fields(cls)))
+        assert progtext._parse_instr(progtext.print_instr(ins)) == ins
 
 
 def _bundle(body: str, header: str = "fn main(%a: u8, %b: u8) -> u8 {",
