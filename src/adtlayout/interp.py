@@ -337,6 +337,8 @@ def eval_program(program: Program, entry: str = "main", inputs: Optional[list] =
     per parameter of the entry function. A run starts with an empty heap,
     so every reference to a record an input holds can only be null (0)."""
     inputs = inputs or []
+    if entry not in program.functions:
+        raise IrTypeError(f"the program has no entry function {entry}")
     params = program.functions[entry].params
     if len(inputs) != len(params):
         plural = "" if len(params) == 1 else "s"

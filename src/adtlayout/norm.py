@@ -12,7 +12,21 @@ one lies outside it. `solver.read_mask` decides. Field reads follow the
 `bad-case` check, and equality switches on the tag, so the scalars then hold
 that case's encoding. Where a source field spreads over several normalized
 fields (a tuple, an embedded unboxed ADT), field reads, default values and
-generated equality take its fields as `Program.spread` walks them."""
+generated equality take its fields as `Program.spread` walks them.
+
+Constants fold as they are emitted, with no pass of their own. The
+normalizer knows which post names hold a known constant: a source `Const`,
+one it made, or a result it folded. Assembly ORs each known field, masked
+and shifted, into its scalar's constant word, so a case built from
+constants is one `Const` per scalar. A shift, mask or sign extension of a
+known word, and a `Bitcast` of a known value to an integer type, fold into
+a `Const`. A case read whose tag is known to be that case drops its
+`bad-case` check: the check could only pass, and its field reads then fold
+too. A tag known to differ keeps the check, which traps. Each (type, value)
+constant is made once per block, or once per function when the entry block
+(or a block that continues it) asks for it, since those dominate every
+block; and only once something reads it, so a constant that only folds
+into others is never made."""
 
 from __future__ import annotations
 
@@ -38,6 +52,7 @@ from .ir import (
     IrType,
     IrTypeError,
     IsNull,
+    Jump,
     Program,
     Project,
     ReplaceNull,
@@ -46,6 +61,7 @@ from .ir import (
     ShiftOp,
     Switch,
     TAdt,
+    Terminator,
     TInt,
     TIntRep,
     Trap,
@@ -116,9 +132,9 @@ class Normalizer:
         bit_type = TIntRep(1, "B64")
 
         def emit_node(node, label: str) -> None:
-            blk = w.start_block(label)
+            w.start_block(label)
             if isinstance(node, Leaf):
-                blk.term = Return(w.const(TAG_TYPE, node.variant))
+                w.end(Return(w.const(TAG_TYPE, node.variant)))
                 return
             assert isinstance(node, Node)
             src, src_type = params[node.scalar]
@@ -128,7 +144,7 @@ class Normalizer:
             bit = w.emit_typed(BinOp(w.fresh("b"), "and", src, one), bit_type)
             cmp = w.emit_typed(Eq(w.fresh("c"), bit_type, bit, one), BOOL)
             lz, lo = f"{label}z", f"{label}o"
-            blk.term = Branch(cmp, lo, lz)
+            w.end(Branch(cmp, lo, lz))
             emit_node(node.zero, lz)
             emit_node(node.one, lo)
 
@@ -139,21 +155,23 @@ class Normalizer:
         w = _FunctionNormalizer(self)
         fn = Function(name, (("x", TAdt(key)),), TAdt(key), "entry", w.blocks)
         w.types["x"] = TAdt(key)
-        entry = w.start_block("entry")
-        w.emit_typed(IsNull(w.fresh("n"), "x"), BOOL)
-        cond = entry.instrs[-1].dst
-        entry.term = Branch(cond, "build", "keep")
+        w.start_block("entry")
+        cond = w.emit_typed(IsNull(w.fresh("n"), "x"), BOOL)
+        w.end(Branch(cond, "build", "keep"))
         fn.blocks["keep"] = Block("keep", [], Return("x"))
         w.start_block("build")
         variant = self.pre.adts[key].variants[0]
         args = w.default_flat_args(variant)
         rec = w.emit_typed(Alloc(w.fresh("r"), key, 0, tuple(args)), TAdt(key))
-        w.current.term = Return(rec)
+        w.end(Return(rec))
         return fn
 
 
 # ---------------------------------------------------------------------------
 # Per-function rewriting
+
+
+_INT_BACKED = (TInt, TIntRep)
 
 
 class _FunctionNormalizer:
@@ -164,27 +182,69 @@ class _FunctionNormalizer:
         self.ctx = ctx
         self.env: dict[str, list[str] | _NullMarker] = {}
         self.types: dict[str, IrType] = {}  # post types of post names
+        self.known: dict[str, int] = {}  # post names that hold a known constant (null is 0)
+        # (type, value) -> the name of that constant, asked for in the entry's
+        # blocks or in the current block
+        self.consts: dict[tuple[IrType, Optional[int]], str] = {}
+        self.local: dict[tuple[IrType, Optional[int]], str] = {}
+        # constants that nothing reads yet: the block each will go to, its type and value
+        self.pending: dict[str, tuple[Block, IrType, Optional[int]]] = {}
         self.tmp = 0
         self.blocks: dict[str, Block] = {}
         self.current: Optional[Block] = None
+        self.in_entry = False  # emitting into the entry block or a block that continues it
 
     def fresh(self, hint: str = "t") -> str:
         self.tmp += 1
         return f"_{hint}{self.tmp}"
 
     def emit_typed(self, ins, t: IrType) -> str:
+        pending = self.pending
+        if pending:
+            read = _OPERANDS.get(type(ins))
+            for name in read(ins) if read else (ins.src,):
+                if name in pending:
+                    self.place(name)
         self.current.instrs.append(ins)
         self.types[ins.dst] = t
         return ins.dst
 
-    def const(self, t: IrType, value) -> str:
-        return self.emit_typed(Const(self.fresh("k"), t, value), t)
+    def const(self, t: IrType, value: Optional[int]) -> str:
+        """The name of constant `value` of type `t`, asked for once per block,
+        and once per function in the entry block and the blocks that continue
+        it, which dominate every other block. It goes to the end of the block
+        it was asked for in when something first reads it, so a constant
+        that only folds into others is never made."""
+        key = (t, value)
+        name = self.consts.get(key) or self.local.get(key)
+        if name is None:
+            name = self.fresh("k")
+            self.pending[name] = (self.current, t, value)
+            self.types[name] = t
+            self.known[name] = 0 if value is None else value
+            (self.consts if self.in_entry else self.local)[key] = name
+        return name
 
-    def start_block(self, label: str) -> Block:
-        blk = Block(label)
-        self.blocks[label] = blk
-        self.current = blk
-        return blk
+    def place(self, name: str) -> None:
+        """Make pending constant `name`, at the end of the block it was asked
+        for in, since the next instruction or terminator reads it."""
+        block, t, value = self.pending.pop(name)
+        block.instrs.append(Const(name, t, value))
+
+    def end(self, term: Terminator) -> None:
+        """End the current block with `term`."""
+        # a return, branch or switch reads one value, its first field
+        if type(term) is not Jump and type(term) is not Trap and term[0] in self.pending:
+            self.place(term[0])
+        self.current.term = term
+
+    def start_block(self, label: str, follows: bool = False) -> None:
+        """Start emitting into a new block; `follows` when its only
+        predecessor is the current block."""
+        if not follows:
+            self.in_entry = self.current is None
+            self.local = {}
+        self.current = self.blocks[label] = Block(label)
 
     def split_for_check(self, cond: str, trap_kind: str) -> None:
         """End the current block with: if cond continue else trap."""
@@ -192,9 +252,9 @@ class _FunctionNormalizer:
         cont = f"{self.current.label}.c{self.tmp}"
         trap = f"{self.current.label}.x{self.tmp}"
         self.tmp += 1
-        self.current.term = Branch(cond, cont, trap)
+        self.end(Branch(cond, cont, trap))
         self.blocks[trap] = Block(trap, [], Trap(trap_kind))
-        self.start_block(cont)
+        self.start_block(cont, follows=True)
 
     # -- top level -----------------------------------------------------------
 
@@ -230,7 +290,7 @@ class _FunctionNormalizer:
                 rewrite(self, ins)
             term = blk.term
             finish = _FINISH.get(type(term))
-            self.current.term = term if finish is None else finish(self, term, post_ret)
+            self.end(term if finish is None else finish(self, term, post_ret))
         out.blocks = self.blocks
         return out
 
@@ -266,14 +326,11 @@ class _FunctionNormalizer:
     # post names of `ins.dst` in `env` --
 
     def _const(self, ins: Const) -> None:
-        if isinstance(ins.type, TAdt) and ins.value is None:
-            if self.ctx.pre.is_unboxed(ins.type.key):
-                self.env[ins.dst] = _NullMarker(ins.type.key)
-                return
-            name = self.emit_typed(Const(ins.dst, ins.type, None), ins.type)
-            self.env[ins.dst] = [name]
-            return
-        self.env[ins.dst] = [self.emit_typed(ins, ins.type)]
+        t = ins.type
+        if isinstance(t, TAdt) and ins.value is None and self.ctx.pre.is_unboxed(t.key):
+            self.env[ins.dst] = _NullMarker(t.key)
+        else:
+            self.env[ins.dst] = [self.const(t, ins.value)]
 
     def _alloc(self, ins: Alloc) -> None:
         flat = [n for a in ins.args for n in self.names_of(a)]
@@ -363,44 +420,80 @@ class _FunctionNormalizer:
     # -- packing helpers ---------------------------------------------------------
 
     def _assemble(self, key: str, case: int, flat_args: list[str]) -> list[str]:
-        """Bit-assembly of the scalars of one unboxed variant value."""
+        """Bit-assembly of the scalars of one unboxed variant value. A field
+        whose value is known goes, masked and shifted, into its scalar's
+        constant word; the others are ORed into it at run time."""
         layout = self.ctx.pre.layouts[key]
         mono = self.ctx.pre.adts[key]
         variant = mono.variants[case]
         out: list[str] = []
         for s, slot in enumerate(layout.slots):
             t = slot.type
-            acc = self.const(t, layout.patterns[case][s].ones)
+            word = layout.patterns[case][s].ones
+            parts: list[str] = []  # the fields ORed in at run time
             for k, f in enumerate(variant.fields):
                 pl = layout.placements[(case, f.name)]
                 if pl.slot != s:
                     continue
-                bits = self._as_bits(flat_args[k], f)
-                if f.signed:
-                    m = self.const(t, (1 << pl.width) - 1)
-                    bits = self.emit_typed(BinOp(self.fresh("m"), "and", bits, m), t)
-                if pl.offset > 0 and f.ref_mode != REF_PLAIN:
-                    bits = self.emit_typed(
-                        ShiftOp(self.fresh("s"), "shl", bits, pl.offset), t
-                    )
+                mask = (1 << pl.width) - 1 if f.signed else 0
+                shift = 0 if f.ref_mode == REF_PLAIN else pl.offset
+                bits = flat_args[k]
+                value = self.known.get(bits)
+                if value is not None:
+                    word |= (value & mask if mask else value) << shift
+                    continue
+                if not isinstance(self.types[bits], _INT_BACKED):
+                    bits = self.bitcast(bits, t)
+                if mask:
+                    bits = self.emit_typed(BinOp(self.fresh("m"), "and", self.const(t, mask), bits), t)
+                if shift:
+                    bits = self.emit_typed(ShiftOp(self.fresh("s"), "shl", bits, shift), self.types[bits])
+                parts.append(bits)
+            if word or not parts:
+                acc = self.const(t, word)
+            else:
+                # no constant bits: the chain starts from a part, one of type
+                # `t` where there is one, since an `or` has its first operand's type
+                acc = next((p for p in parts if self.types[p] == t), parts[0])
+                parts.remove(acc)
+                acc = self.bitcast(acc, t)
+            for bits in parts:
                 acc = self.emit_typed(BinOp(self.fresh("w"), "or", acc, bits), t)
             out.append(acc)
         return out
 
-    def _as_bits(self, name: str, f) -> str:
-        have = self.types[name]
-        if isinstance(have, (TInt, TIntRep)):
+    def bitcast(self, name: str, t: IrType) -> str:
+        """`name` as a value of type `t`; a known constant folds into one of
+        an integer type."""
+        if self.types[name] == t:
             return name
-        return self.emit_typed(Bitcast(self.fresh("b"), name, TInt(f.width, False)), TInt(f.width, False))
+        value = self.known.get(name)
+        if value is not None and isinstance(t, _INT_BACKED):
+            return self.const(t, value)
+        return self.emit_typed(Bitcast(self.fresh("b"), name, t), t)
 
-    def read_bits(self, v: str, shift: int, mask: int) -> str:
-        """`v` shifted right by `shift`, then ANDed with `mask`; each only if nonzero."""
+    def read_bits(self, v: str, shift: int, mask: int, sext: int = 0,
+                  t: Optional[IrType] = None) -> str:
+        """`v` shifted right by `shift`, ANDed with `mask`, then sign-extended
+        from its low `sext` bits; each only if nonzero. A known `v` folds
+        into a constant of type `t` (by default `v`'s)."""
+        value = self.known.get(v)
+        if value is not None:
+            value >>= shift
+            if mask:
+                value &= mask
+            if sext:
+                value &= (1 << sext) - 1
+                if value >> (sext - 1):
+                    value -= 1 << sext
+            return self.const(t or self.types[v], value)
         t = self.types[v]
         if shift:
             v = self.emit_typed(ShiftOp(self.fresh("s"), "shr", v, shift), t)
         if mask:
-            m = self.const(t, mask)
-            v = self.emit_typed(BinOp(self.fresh("m"), "and", v, m), t)
+            v = self.emit_typed(BinOp(self.fresh("m"), "and", v, self.const(t, mask)), t)
+        if sext:
+            v = self.emit_typed(SExt(self.fresh("x"), v, sext), t)
         return v
 
     def extract_tag(self, key: str, scalars: list[str]) -> str:
@@ -409,25 +502,25 @@ class _FunctionNormalizer:
         if isinstance(scheme, SingleVariant):
             return self.const(TAG_TYPE, 0)
         if isinstance(scheme, ExplicitTag):
-            v = self.read_bits(scalars[scheme.slot], scheme.offset, tag_read_mask(layout.patterns, scheme))
-            return self.emit_typed(Bitcast(self.fresh("tag"), v, TAG_TYPE), TAG_TYPE)
+            mask = tag_read_mask(layout.patterns, scheme)
+            v = self.read_bits(scalars[scheme.slot], scheme.offset, mask, t=TAG_TYPE)
+            return self.bitcast(v, TAG_TYPE)
         assert isinstance(scheme, TreeTag)
         fname = self.ctx.classify_fn(key)
         return self.emit_typed(Call(self.fresh("tag"), fname, tuple(scalars)), TAG_TYPE)
 
     def decode_field(self, key: str, case: int, f, scalars: list[str]) -> str:
-        """Bit extraction of one normalized field from the scalar words."""
+        """Bit extraction of one normalized field from the scalar words; from
+        a known word, a constant."""
         layout = self.ctx.pre.layouts[key]
         pl = layout.placements[(case, f.name)]
         p = layout.patterns[case][pl.slot]
         plain = f.ref_mode == REF_PLAIN
         mask = read_mask(p.ones | p.field, pl.offset, pl.width, plain)
-        v = self.read_bits(scalars[pl.slot], 0 if plain else pl.offset, mask)
-        if f.signed:
-            v = self.emit_typed(SExt(self.fresh("x"), v, pl.width), self.types[v])
-        if self.types[v] != f.type:
-            v = self.emit_typed(Bitcast(self.fresh("f"), v, f.type), f.type)
-        return v
+        t = f.type if isinstance(f.type, _INT_BACKED) else None
+        v = self.read_bits(scalars[pl.slot], 0 if plain else pl.offset, mask,
+                           pl.width if f.signed else 0, t)
+        return self.bitcast(v, f.type)
 
     def _getfield(self, ins: GetField) -> None:
         variant = self.ctx.pre.adts[ins.adt].variants[ins.case]
@@ -451,9 +544,12 @@ class _FunctionNormalizer:
         if ctx.pre.is_unboxed(ins.adt):
             scalars = self.names_of(ins.src)
             tag = self.extract_tag(ins.adt, scalars)
-            want = self.const(TAG_TYPE, ins.case)
-            cond = self.emit_typed(Eq(self.fresh("c"), TAG_TYPE, tag, want), BOOL)
-            self.split_for_check(cond, "bad-case")
+            # a tag known to be the case read needs no check; one known to
+            # differ keeps it, and traps
+            if self.known.get(tag) != ins.case:
+                want = self.const(TAG_TYPE, ins.case)
+                cond = self.emit_typed(Eq(self.fresh("c"), TAG_TYPE, tag, want), BOOL)
+                self.split_for_check(cond, "bad-case")
             names = [
                 self.decode_field(ins.adt, ins.case, variant.fields[k], scalars)
                 for k in indices
@@ -498,6 +594,13 @@ class _FunctionNormalizer:
         return self.emit_typed(Eq(self.fresh("eq"), t, a[0], b[0]), BOOL)
 
 
+# the names each instruction class that the normalizer emits reads, where
+# they are not just `src`
+_OPERANDS = {
+    Alloc: lambda ins: ins.args, Call: lambda ins: ins.args, TupleMake: lambda ins: ins.elems,
+    BinOp: lambda ins: (ins.a, ins.b), Eq: lambda ins: (ins.a, ins.b),
+}
+
 _REWRITE = {
     Const: _FunctionNormalizer._const, Alloc: _FunctionNormalizer._alloc,
     GetField: _FunctionNormalizer._getfield, GetContents: _FunctionNormalizer._contents,
@@ -533,16 +636,13 @@ def _build_equality(ctx: Normalizer, name: str, key: str) -> Function:
     ta = w.extract_tag(key, a_scalars)
     tb = w.extract_tag(key, b_scalars)
     c = w.emit_typed(Eq(w.fresh("c"), TAG_TYPE, ta, tb), BOOL)
-    w.current.term = Branch(c, "cases", "no")
-    no = Block("no")
-    fn.blocks["no"] = no
-    w.current = no
-    cf = w.const(BOOL, 0)
-    no.term = Return(cf)
+    w.end(Branch(c, "cases", "no"))
+    w.start_block("no")
+    w.end(Return(w.const(BOOL, 0)))
 
-    cases_blk = w.start_block("cases")
+    w.start_block("cases")
     cases = tuple((i, f"case{i}") for i in range(len(mono.variants)))
-    cases_blk.term = Switch(ta, cases, "no")
+    w.end(Switch(ta, cases, "no"))
     for i, variant in enumerate(mono.variants):
         w.start_block(f"case{i}")
         groups = itertools.count()
@@ -560,14 +660,13 @@ def _build_equality(ctx: Normalizer, name: str, key: str) -> Function:
             else:
                 c = w.emit_typed(Eq(w.fresh("eq"), fields[0].type, av[0], bv[0]), BOOL)
             nxt = f"case{i}.g{next(groups)}"
-            w.current.term = Branch(c, nxt, "no")
+            w.end(Branch(c, nxt, "no"))
             w.start_block(nxt)
 
         fields = iter(variant.fields)
         for _, t in variant.source_fields:
             ctx.pre.spread(t, fields, compare)
-        ct = w.const(BOOL, 1)
-        w.current.term = Return(ct)
+        w.end(Return(w.const(BOOL, 1)))
     return fn
 
 

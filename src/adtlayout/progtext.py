@@ -270,9 +270,17 @@ def _parse_function(lines: list[str]) -> Function:
             raise ProgTextError(f"instruction outside a block: {s!r}")
         elif s[0] == "%":
             current.instrs.append(_parse_instr(s))
+        elif s.startswith("fn "):
+            raise _unclosed(name)  # the next function starts inside this one
         else:
             current.term = _parse_term(s)
     return fn
+
+
+def _unclosed(name: str) -> ProgTextError:
+    """The refusal of function `name`, which the bundle ends, or starts
+    another function, before its closing brace."""
+    return ProgTextError(f"function {name} lacks its closing '}}'")
 
 
 # One parser per op word: each takes the instruction's destination, the
@@ -408,6 +416,8 @@ def parse_bundle(text: str) -> tuple[Program, list]:
         elif not s.startswith("#"):
             decl = ln
         decl_lines.append(decl)
+    if current_fn is not None:
+        raise _unclosed(_parse_function(current_fn).name)
     if target is None:
         raise ProgTextError("bundle lacks a target line")
     try:

@@ -1,10 +1,13 @@
 import json
 import math
+import pathlib
+import random
 import re
 import time
 
 import pytest
 
+from adtlayout import codec
 from adtlayout.pipeline import process_adts
 from adtlayout.syntax import parse_program, parse_type
 from adtlayout.distinguish import BitPattern
@@ -327,6 +330,37 @@ def test_recursion_check_order_independent():
     for decls in (a, b):
         out = process_adts(decls, X64)
         assert out.resolved["L"].disposition.reason == "recursive"
+
+
+EXAMPLES = pathlib.Path(__file__).resolve().parent.parent / "examples"
+
+
+@pytest.mark.parametrize("name, like", [("wasm32", X86_32), ("wasm-gc", JVM)])
+def test_wasm_targets_lay_out_the_corpus(name, like):
+    """Wasm needs no solver code of its own. With references as i32
+    addresses into linear memory its kind table is x86-32's; with Wasm GC
+    references it is jvm's, with a 32-bit word. Each target file lays out
+    the whole corpus, and each layout round-trips through the codec."""
+    from corpus import CORPUS_SIZE, build_corpus, random_field_values
+
+    target = load_target(str(EXAMPLES / f"{name}.json"))
+    assert (target.name, target.word_width) == (name, 32)
+    assert target.kind_table == like.kind_table and target.ref_tagging is None
+    out = build_corpus(target)
+    assert len(out.order) == CORPUS_SIZE
+    rng = random.Random(name)
+    for key, lay in out.layouts().items():
+        assert all(s.width == 32 for s in lay.slots if s.ref_bearing), key
+        for vi, variant in enumerate(lay.adt.variants):
+            values = random_field_values(lay, vi, rng)
+            scalars = codec.encode_variant(lay, vi, values)
+            assert codec.variant_of(lay, scalars) == vi
+            for f in variant.fields:
+                assert codec.decode_field(lay, vi, f.name, scalars) == values[f.name]
+    if like is X86_32:
+        same = build_corpus(X86_32).layouts()
+        assert {k: lay.to_json() for k, lay in out.layouts().items()} == {
+            k: lay.to_json() for k, lay in same.items()}
 
 
 def type_chain(n: int) -> str:
