@@ -5,14 +5,15 @@ solver.
 Multi-scalar values flow as separate names; only returns pack them into a
 tuple, unpacked again at call sites. Allocation of an unboxed case becomes
 bitwise assembly of its scalar words; equality on unboxed values becomes a
-call to a generated per-ADT equality function. A field or tag read is
-shifted down and masked only where a set bit of the case read (for a tag,
-of any case) lies above it; a plain reference is masked in place only where
-one lies outside it. `solver.read_mask` decides. Field reads follow the
-`bad-case` check, and equality switches on the tag, so the scalars then hold
-that case's encoding. Where a source field spreads over several normalized
-fields (a tuple, an embedded unboxed ADT), field reads, default values and
-generated equality take its fields as `Program.spread` walks them.
+call to a generated per-ADT equality function. Each field and explicit tag
+is read, and each field written, op by op as the read plan its layout keeps
+says (`solver.read_plan`, `tag_plan`), which masks only where the case read
+(for a tag, any case) sets a bit the read must drop. Field reads follow the
+`bad-case` check, and equality switches on the tag, so the scalars then
+hold that case's encoding. Where a source field spreads over several
+normalized fields (a tuple, an embedded unboxed ADT), field reads, default
+values and generated equality take its fields as `Program.spread` walks
+them.
 
 Constants fold as they are emitted, with no pass of their own. The
 normalizer knows which post names hold a known constant: a source `Const`,
@@ -68,8 +69,7 @@ from .ir import (
     TTuple,
     TupleMake,
 )
-from .solver import ExplicitTag, SingleVariant, TreeTag, read_mask, tag_read_mask
-from .targets import REF_PLAIN
+from .solver import ExplicitTag, ReadPlan, SingleVariant, TreeTag
 
 
 class _NullMarker(NamedTuple):
@@ -269,10 +269,7 @@ class _FunctionNormalizer:
                 params.append((n, lt))
                 self.types[n] = lt
         ret_leaves = ctx.pre.expand(pre.ret)
-        if len(ret_leaves) == 1:
-            post_ret = ret_leaves[0]
-        else:
-            post_ret = TTuple(tuple(ret_leaves))
+        post_ret = ret_leaves[0] if len(ret_leaves) == 1 else TTuple(tuple(ret_leaves))
         out = Function(
             pre.name, tuple(params), post_ret, pre.entry, {},
             semantic_ret=pre.semantic_ret or pre.ret,
@@ -343,9 +340,7 @@ class _FunctionNormalizer:
 
     def _gettag(self, ins: GetTag) -> None:
         if self.ctx.pre.is_unboxed(ins.adt):
-            scalars = self.names_of(ins.src)
-            tag = self.extract_tag(ins.adt, scalars)
-            self.env[ins.dst] = [tag]
+            self.env[ins.dst] = [self.extract_tag(ins.adt, self.names_of(ins.src))]
         else:
             self.emit_typed(GetTag(ins.dst, ins.adt, self.names_of(ins.src)[0]), TAG_TYPE)
             self.env[ins.dst] = [ins.dst]
@@ -379,10 +374,10 @@ class _FunctionNormalizer:
         else:
             t = TTuple(tuple(ret_leaves))
             packed = self.emit_typed(Call(self.fresh("call"), ins.fn, tuple(flat)), t)
-            names = []
-            for i, lt in enumerate(ret_leaves):
-                names.append(self.emit_typed(Project(self.fresh("p"), packed, i), lt))
-            self.env[ins.dst] = names
+            self.env[ins.dst] = [
+                self.emit_typed(Project(self.fresh("p"), packed, i), lt)
+                for i, lt in enumerate(ret_leaves)
+            ]
 
     # -- defaults ------------------------------------------------------------
 
@@ -396,9 +391,7 @@ class _FunctionNormalizer:
             helper = ctx.or_default_fn(key)
             name = self.emit_typed(Call(self.fresh("d"), helper, (null,)), TAdt(key))
             return [name]
-        variant = ctx.pre.adts[key].variants[0]
-        args = self.default_flat_args(variant)
-        return self._assemble(key, 0, args)
+        return self._assemble(key, 0, self.default_flat_args(ctx.pre.adts[key].variants[0]))
 
     def default_flat_args(self, variant) -> list[str]:
         """Default value for every normalized field of a variant, in order:
@@ -420,34 +413,33 @@ class _FunctionNormalizer:
     # -- packing helpers ---------------------------------------------------------
 
     def _assemble(self, key: str, case: int, flat_args: list[str]) -> list[str]:
-        """Bit-assembly of the scalars of one unboxed variant value. A field
-        whose value is known goes, masked and shifted, into its scalar's
-        constant word; the others are ORed into it at run time."""
+        """Bit-assembly of the scalars of one unboxed variant value, each
+        field written as the inverse of its read plan. A field whose value
+        is known goes into its scalar's constant word; the others are ORed
+        into it at run time."""
         layout = self.ctx.pre.layouts[key]
-        mono = self.ctx.pre.adts[key]
-        variant = mono.variants[case]
+        fields = self.ctx.pre.adts[key].variants[case].fields
+        plans = [layout.plans[(case, f.name)] for f in fields]
         out: list[str] = []
         for s, slot in enumerate(layout.slots):
             t = slot.type
             word = layout.patterns[case][s].ones
             parts: list[str] = []  # the fields ORed in at run time
-            for k, f in enumerate(variant.fields):
-                pl = layout.placements[(case, f.name)]
-                if pl.slot != s:
+            for plan, bits in zip(plans, flat_args):
+                if plan.slot != s:
                     continue
-                mask = (1 << pl.width) - 1 if f.signed else 0
-                shift = 0 if f.ref_mode == REF_PLAIN else pl.offset
-                bits = flat_args[k]
                 value = self.known.get(bits)
                 if value is not None:
-                    word |= (value & mask if mask else value) << shift
+                    word |= plan.write(value)
                     continue
                 if not isinstance(self.types[bits], _INT_BACKED):
                     bits = self.bitcast(bits, t)
-                if mask:
-                    bits = self.emit_typed(BinOp(self.fresh("m"), "and", self.const(t, mask), bits), t)
-                if shift:
-                    bits = self.emit_typed(ShiftOp(self.fresh("s"), "shl", bits, shift), self.types[bits])
+                if plan.sext:
+                    mask = self.const(t, (1 << plan.sext) - 1)
+                    bits = self.emit_typed(BinOp(self.fresh("m"), "and", mask, bits), t)
+                if plan.shift:
+                    shl = ShiftOp(self.fresh("s"), "shl", bits, plan.shift)
+                    bits = self.emit_typed(shl, self.types[bits])
                 parts.append(bits)
             if word or not parts:
                 acc = self.const(t, word)
@@ -472,28 +464,19 @@ class _FunctionNormalizer:
             return self.const(t, value)
         return self.emit_typed(Bitcast(self.fresh("b"), name, t), t)
 
-    def read_bits(self, v: str, shift: int, mask: int, sext: int = 0,
-                  t: Optional[IrType] = None) -> str:
-        """`v` shifted right by `shift`, ANDed with `mask`, then sign-extended
-        from its low `sext` bits; each only if nonzero. A known `v` folds
-        into a constant of type `t` (by default `v`'s)."""
+    def read_bits(self, v: str, plan: ReadPlan, t: Optional[IrType] = None) -> str:
+        """`v` read by `plan`, op by op; a known `v` folds into a constant of
+        type `t` (by default `v`'s)."""
         value = self.known.get(v)
         if value is not None:
-            value >>= shift
-            if mask:
-                value &= mask
-            if sext:
-                value &= (1 << sext) - 1
-                if value >> (sext - 1):
-                    value -= 1 << sext
-            return self.const(t or self.types[v], value)
+            return self.const(t or self.types[v], plan.read(value))
         t = self.types[v]
-        if shift:
-            v = self.emit_typed(ShiftOp(self.fresh("s"), "shr", v, shift), t)
-        if mask:
-            v = self.emit_typed(BinOp(self.fresh("m"), "and", v, self.const(t, mask)), t)
-        if sext:
-            v = self.emit_typed(SExt(self.fresh("x"), v, sext), t)
+        if plan.shift:
+            v = self.emit_typed(ShiftOp(self.fresh("s"), "shr", v, plan.shift), t)
+        if plan.mask:
+            v = self.emit_typed(BinOp(self.fresh("m"), "and", v, self.const(t, plan.mask)), t)
+        if plan.sext:
+            v = self.emit_typed(SExt(self.fresh("x"), v, plan.sext), t)
         return v
 
     def extract_tag(self, key: str, scalars: list[str]) -> str:
@@ -502,9 +485,8 @@ class _FunctionNormalizer:
         if isinstance(scheme, SingleVariant):
             return self.const(TAG_TYPE, 0)
         if isinstance(scheme, ExplicitTag):
-            mask = tag_read_mask(layout.patterns, scheme)
-            v = self.read_bits(scalars[scheme.slot], scheme.offset, mask, t=TAG_TYPE)
-            return self.bitcast(v, TAG_TYPE)
+            tag = self.read_bits(scalars[scheme.slot], layout.tag_plan, TAG_TYPE)
+            return self.bitcast(tag, TAG_TYPE)
         assert isinstance(scheme, TreeTag)
         fname = self.ctx.classify_fn(key)
         return self.emit_typed(Call(self.fresh("tag"), fname, tuple(scalars)), TAG_TYPE)
@@ -512,15 +494,9 @@ class _FunctionNormalizer:
     def decode_field(self, key: str, case: int, f, scalars: list[str]) -> str:
         """Bit extraction of one normalized field from the scalar words; from
         a known word, a constant."""
-        layout = self.ctx.pre.layouts[key]
-        pl = layout.placements[(case, f.name)]
-        p = layout.patterns[case][pl.slot]
-        plain = f.ref_mode == REF_PLAIN
-        mask = read_mask(p.ones | p.field, pl.offset, pl.width, plain)
+        plan = self.ctx.pre.layouts[key].plans[(case, f.name)]
         t = f.type if isinstance(f.type, _INT_BACKED) else None
-        v = self.read_bits(scalars[pl.slot], 0 if plain else pl.offset, mask,
-                           pl.width if f.signed else 0, t)
-        return self.bitcast(v, f.type)
+        return self.bitcast(self.read_bits(scalars[plan.slot], plan, t), f.type)
 
     def _getfield(self, ins: GetField) -> None:
         variant = self.ctx.pre.adts[ins.adt].variants[ins.case]
@@ -556,7 +532,6 @@ class _FunctionNormalizer:
             ]
         else:
             src = self.names_of(ins.src)[0]
-            names = []
             if not indices:
                 # the selected contents need no scalars (e.g. a unit-like
                 # embedded ADT), but the null and case checks must survive
@@ -564,11 +539,11 @@ class _FunctionNormalizer:
                 want = self.const(TAG_TYPE, ins.case)
                 cond = self.emit_typed(Eq(self.fresh("c"), TAG_TYPE, tag, want), BOOL)
                 self.split_for_check(cond, "bad-case")
-            for k in indices:
-                t = variant.fields[k].type
-                names.append(
-                    self.emit_typed(GetField(self.fresh("g"), ins.adt, ins.case, k, src), t)
-                )
+            names = [
+                self.emit_typed(GetField(self.fresh("g"), ins.adt, ins.case, k, src),
+                                variant.fields[k].type)
+                for k in indices
+            ]
         self.env[ins.dst] = names
 
     # -- equality ------------------------------------------------------------------
@@ -577,12 +552,9 @@ class _FunctionNormalizer:
         ctx = self.ctx
         if isinstance(t, TAdt) and ctx.pre.is_unboxed(t.key):
             fname = ctx.equality_fn(t.key)
-            return self.emit_typed(
-                Call(self.fresh("eq"), fname, tuple(a + b)), BOOL
-            )
+            return self.emit_typed(Call(self.fresh("eq"), fname, tuple(a + b)), BOOL)
         if isinstance(t, TTuple):
-            parts = []
-            pos = 0
+            parts, pos = [], 0
             for e in t.elems:
                 n = len(ctx.pre.expand(e))
                 parts.append(self._equality(e, a[pos : pos + n], b[pos : pos + n]))

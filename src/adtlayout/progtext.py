@@ -260,6 +260,8 @@ def _parse_function(lines: list[str]) -> Function:
             continue
         if s == "}":
             break
+        if s.startswith("fn "):
+            raise _unclosed(name)  # the next function starts inside this one
         if s[-1] == ":" and s[0] != "%":
             label = _label(s[:-1])
             current = Block(label)
@@ -270,8 +272,6 @@ def _parse_function(lines: list[str]) -> Function:
             raise ProgTextError(f"instruction outside a block: {s!r}")
         elif s[0] == "%":
             current.instrs.append(_parse_instr(s))
-        elif s.startswith("fn "):
-            raise _unclosed(name)  # the next function starts inside this one
         else:
             current.term = _parse_term(s)
     return fn

@@ -18,8 +18,8 @@ constants but never field data) and of field bits, and the width of the
 variant's field at offset 0; the state keeps, per variant, how many of its
 fields sit above offset 0. A placement's undo record restores all of them,
 so a search node reads a variant's access cost in one pass over the
-scalars: `read_cost` charges 2 for each shifted field and 1 for an
-offset-0 field with a bit set above it. The state also logs each placed
+scalars: `read_charge` charges a field's `read_plan` 2 above offset 0 and
+1 at offset 0 when a bit above it is set. The state also logs each placed
 unit, and undo pops its entry, so a completion builds the field
 placements from the log once (`_State.placements`).
 """
@@ -151,6 +151,9 @@ class LayoutSolution:
     patterns: list[list[BitPattern]]  # [variant][slot]
     tag_scheme: TagScheme
     score: Score
+    # each field's read plan, keyed like `placements`, and an explicit tag's
+    plans: dict[tuple[int, str], ReadPlan]
+    tag_plan: Optional[ReadPlan]
     steps_used: int = 0
     # False when the step budget cut a search short, so a better layout
     # may exist; True when every search ran out of nodes or met its bound
@@ -503,35 +506,61 @@ def _freeze_slots(state: _State) -> list[ScalarSlot]:
     return out
 
 
-def read_mask(bits: int, offset: int, width: int, plain_ref: bool = False) -> int:
-    """The mask that reading `width` bits at `offset` needs, or 0, given the
-    scalar's set bits (constant ones, field bits) in each case the read may
-    see: a field, shifted down, needs one when a bit above it is set, and a
-    plain reference, read in place, when one outside it is (alike at offset 0)."""
+class ReadPlan(NamedTuple):
+    """A read of scalar `slot`: shift right by `shift`, AND with `mask`, then
+    sign-extend the low `sext` bits, each step only when nonzero. A write is
+    its inverse: the low `sext` bits (all when 0), shifted left by `shift`.
+    `read_plan` and `tag_plan` make every plan that the score, the codec and
+    the normalizer apply."""
+
+    slot: int
+    shift: int
+    mask: int
+    sext: int
+
+    def read(self, word: int) -> int:
+        value = word >> self.shift
+        if self.mask:
+            value &= self.mask
+        if self.sext:
+            value &= (1 << self.sext) - 1
+            if value >> (self.sext - 1):
+                value -= 1 << self.sext
+        return value
+
+    def write(self, value: int) -> int:
+        if self.sext:
+            value &= (1 << self.sext) - 1
+        return value << self.shift
+
+
+def read_plan(pl: Placement, bits: int) -> ReadPlan:
+    """The read plan of placement `pl` in a case whose scalar has `bits` set
+    (constant ones, field bits). A field is shifted down, masked when a bit
+    above it is set, and sign-extended when signed; a plain reference is
+    read in place, masked when a bit outside it is set (alike at offset 0)."""
+    slot, offset, width, f = pl
     field = (1 << width) - 1
-    if plain_ref:
-        return field << offset if bits & ~(field << offset) else 0
-    return field if bits >> (offset + width) else 0
+    if f.ref_mode == REF_PLAIN:
+        field <<= offset
+        return ReadPlan(slot, 0, field if bits & ~field else 0, 0)
+    mask = field if bits >> (offset + width) else 0
+    return ReadPlan(slot, offset, mask, width if f.signed else 0)
 
 
-def read_cost(bits: int, offset: int, width: int) -> int:
-    """The access cost of reading `width` bits at `offset` of a scalar with
-    `bits` set: 2 for a shifted read, 1 for a read at offset 0 that
-    `read_mask` masks, 0 for a read that is the scalar itself."""
-    return 2 if offset else 1 if read_mask(bits, 0, width) else 0
+def tag_plan(patterns: list[list[BitPattern]], tag: ExplicitTag) -> ReadPlan:
+    """The read plan of an explicit tag, which reads every case: masked when
+    some case sets a bit above it. A dedicated tag's scalar holds nothing
+    else, so `patterns` may lack it."""
+    cells = () if tag.dedicated else [row[tag.slot] for row in patterns]
+    above = any((p.ones | p.field) >> (tag.offset + tag.width) for p in cells)
+    return ReadPlan(tag.slot, tag.offset, (1 << tag.width) - 1 if above else 0, 0)
 
 
-def _tag_bits(patterns: list[list[BitPattern]], tag: ExplicitTag) -> int:
-    """The set bits of an explicit tag's scalar in every case."""
-    bits = 0
-    for row in patterns:
-        bits |= row[tag.slot].ones | row[tag.slot].field
-    return bits
-
-
-def tag_read_mask(patterns: list[list[BitPattern]], tag: ExplicitTag) -> int:
-    """`read_mask` of an explicit tag, which reads every case."""
-    return read_mask(_tag_bits(patterns, tag), tag.offset, tag.width)
+def read_charge(offset: int, plan: ReadPlan) -> int:
+    """A read's access cost: 2 at an `offset` above 0 (a plain reference,
+    read in place, too), 1 at offset 0 when `plan` masks, else 0."""
+    return 2 if offset else 1 if plan.mask else 0
 
 
 def _access_cost(
@@ -539,7 +568,7 @@ def _access_cost(
     patterns: list[list[BitPattern]],
     scheme: TagScheme,
 ) -> int:
-    """Summed `read_cost` of every field and of an explicit tag, plus 2 per
+    """Summed `read_charge` of every field and of an explicit tag, plus 2 per
     decision-tree level. Free bits read as 0, so the patterns may be taken
     before or after their free bits are fixed; an explicit tag's value bits
     count as set, so they may also be taken before the tag is written, and a
@@ -551,10 +580,9 @@ def _access_cost(
         bits = p.ones | p.field
         if tag is not None and pl.slot == tag.slot:
             bits |= v << tag.offset
-        access += read_cost(bits, pl.offset, pl.width)
+        access += read_charge(pl.offset, read_plan(pl, bits))
     if tag is not None:
-        bits = 0 if tag.dedicated else _tag_bits(patterns, tag)
-        access += read_cost(bits, tag.offset, tag.width)
+        access += read_charge(tag.offset, tag_plan(patterns, tag))
     elif isinstance(scheme, TreeTag):
         access += 2 * tree_depth(scheme.tree)
     return access
@@ -586,9 +614,9 @@ def _candidate(state: _State, placements: dict, rows: list, scheme: TagScheme) -
 
 
 def _solution(state: _State, cand: Candidate) -> LayoutSolution:
-    """The solution of `state` completed by `cand`, with its score, plus the
-    tag scalar when the tag is dedicated. Its free bits are made constant 0
-    and the tag is written as each pattern is built."""
+    """The solution of `state` completed by `cand`, with its score and read
+    plans, plus the tag scalar when the tag is dedicated. Its free bits are
+    made constant 0 and the tag is written as each pattern is built."""
     score, scheme, rows, placements = cand
     slots = _freeze_slots(state)
     tag_slot, tag_offset, tag_mask = -1, 0, 0
@@ -608,6 +636,10 @@ def _solution(state: _State, cand: Candidate) -> LayoutSolution:
         if scheme.dedicated:
             out.append(BitPattern(scheme.width, tag_mask, v))
         patterns.append(out)
+    plans = {}
+    for key, pl in placements.items():
+        p = patterns[key[0]][pl.slot]
+        plans[key] = read_plan(pl, p.ones | p.field)
     return LayoutSolution(
         adt=state.adt,
         target=state.target,
@@ -616,6 +648,8 @@ def _solution(state: _State, cand: Candidate) -> LayoutSolution:
         patterns=patterns,
         tag_scheme=scheme,
         score=score,
+        plans=plans,
+        tag_plan=tag_plan(patterns, scheme) if isinstance(scheme, ExplicitTag) else None,
     )
 
 
@@ -939,8 +973,8 @@ class _Search:
     def cost(self, state: _State, v: int) -> int:
         """`_access_cost` of `v`'s placements so far, with the tag value `v`
         in the top bits of the reserved scalar, read from what the state
-        keeps: `read_cost` charges 2 per shifted field, and 1 for a field at
-        offset 0 when a bit above it is set."""
+        keeps: `read_charge` charges 2 per field above offset 0, and 1 for a
+        field at offset 0 when a bit above it is set."""
         total = 2 * state.shifted[v]
         for s in state.slots:
             width = s.low[v]

@@ -53,11 +53,11 @@ def build_corpus(target: Target) -> ProgramLayouts:
     return process_adts(parse_program(CORPUS_SRC), target)
 
 
-def solve_corpus_and_progen() -> list[ProgramLayouts]:
+def solve_corpus_and_progen(targets: tuple[Target, ...] = TARGETS) -> list[ProgramLayouts]:
     """The corpus and `progen.gen_decls(random.Random(s))`, s in 0..299,
-    each processed on x64, jvm and x86-32."""
+    each processed on each of `targets` (by default x64, jvm and x86-32)."""
     sources = [parse_program(CORPUS_SRC)] + [gen_decls(random.Random(s)) for s in range(300)]
-    return [process_adts(decls, target) for target in TARGETS for decls in sources]
+    return [process_adts(decls, target) for target in targets for decls in sources]
 
 
 def random_field_values(layout, variant_index: int, rng: random.Random) -> dict[str, int]:

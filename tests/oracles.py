@@ -6,8 +6,9 @@ by brute-force enumeration of every free-bit assignment, the least tree
 depth by every split over every such assignment, layout scoring by
 exhaustive enumeration over placement equivalence classes, dominators by a
 fixed point over a full set of dominators per block, the solver's search
-tables by one comprehension per table, and the decision-tree pass by its
-first form, which walks every live case at every node.
+tables by one comprehension per table, the decision-tree pass by its
+first form, which walks every live case at every node, and the codec by
+shifting and masking every read, whatever its read plan leaves out.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from adtlayout.syntax import (
     PackingDecl,
     PackingExpr,
 )
+from adtlayout.targets import REF_PLAIN
 from adtlayout.verify import SizeContext
 
 # ---------------------------------------------------------------------------
@@ -668,7 +670,7 @@ def reference_dominators(entry: str, succs: dict[str, list[str]]) -> dict[str, s
 def reference_search_tables(adt, target) -> tuple:
     """(refs, items, free_widths, lows, highs) as `solver._Search` builds
     them for `adt` on `target`."""
-    from adtlayout.solver import REF_PLAIN, _apply_annotations, _bins_lower_bound, _State, _Unit
+    from adtlayout.solver import _apply_annotations, _bins_lower_bound, _State, _Unit
 
     base = _State(adt, target)
     units = _apply_annotations(base)
@@ -700,9 +702,9 @@ def reference_search_tables(adt, target) -> tuple:
 
 def reference_case_cost(search, state, v: int) -> int:
     """`solver._Search.cost` as a scan of every field of case `v`: the
-    `read_cost` of each one placed so far, with the tag value `v` in the
-    top bits of the search's reserved scalar."""
-    from adtlayout.solver import read_cost
+    `read_charge` of the `read_plan` of each one placed so far, with the tag
+    value `v` in the top bits of the search's reserved scalar."""
+    from adtlayout.solver import read_charge, read_plan
 
     total, placements = 0, state.placements()
     for f in state.adt.variants[v].fields:
@@ -712,5 +714,42 @@ def reference_case_cost(search, state, v: int) -> int:
             bits = s.field[v] | s.ones[v]
             if pl.slot == search.reserve:
                 bits |= v << (s.width - search.tw)
-            total += read_cost(bits, pl.offset, pl.width)
+            total += read_charge(pl.offset, read_plan(pl, bits))
     return total
+
+
+# The codec as it was before read plans: every read shifts and masks to the
+# field's width, whatever the case's other bits are, so it checks each plan's
+# choice to leave a shift, a mask or a sign extension out.
+
+
+def reference_encode(layout, case: int, values: dict[str, int]) -> list[int]:
+    """The scalar words of case `case` with field `values`, from its
+    pattern's constant ones and its placements alone: each field masked to
+    its width and shifted to its offset, a plain reference (an address
+    aligned to its offset) stored as it is."""
+    words = [p.ones for p in layout.patterns[case]]
+    for f in layout.adt.variants[case].fields:
+        slot, offset, width, _ = layout.placements[(case, f.name)]
+        bits = values[f.name] >> offset if f.ref_mode == REF_PLAIN else values[f.name]
+        words[slot] |= (bits & ((1 << width) - 1)) << offset
+    return words
+
+
+def reference_decode(layout, case: int, name: str, words: list[int]) -> int:
+    """Field `name` of case `case` from its placement alone: shifted down,
+    masked to its width, sign-extended when signed, and a plain reference's
+    offset restored."""
+    slot, offset, width, f = layout.placements[(case, name)]
+    raw = (words[slot] >> offset) & ((1 << width) - 1)
+    if f.ref_mode == REF_PLAIN:
+        return raw << offset
+    if f.signed and raw >> (width - 1):
+        raw -= 1 << width
+    return raw
+
+
+def reference_tag(layout, words: list[int]) -> int:
+    """An explicit tag, shifted down and masked to its width."""
+    tag = layout.tag_scheme
+    return (words[tag.slot] >> tag.offset) & ((1 << tag.width) - 1)

@@ -1,14 +1,18 @@
+import pathlib
 import random
 
 import pytest
 
 from adtlayout import codec
 from adtlayout.pipeline import process_adts
-from adtlayout.solver import ExplicitTag, read_mask, tag_read_mask
+from adtlayout.solver import ExplicitTag
 from adtlayout.syntax import parse_program
-from adtlayout.targets import BUILTIN_TARGETS, REF_PLAIN, X64
+from adtlayout.targets import BUILTIN_TARGETS, X64, load_target
 
-from corpus import TARGET_NAMES, build_corpus, random_field_values, solve_corpus_and_progen
+from corpus import TARGET_NAMES, TARGETS, build_corpus, random_field_values, solve_corpus_and_progen
+from oracles import reference_decode, reference_encode, reference_tag
+
+EXAMPLES = pathlib.Path(__file__).resolve().parent.parent / "examples"
 
 
 def test_float16_packed_encode():
@@ -98,38 +102,30 @@ def test_classify_matches_tag_extraction_when_explicit():
             assert raw == vi == codec.variant_of(lay, scalars)
 
 
-def test_reads_by_read_mask_agree_with_the_codec():
-    """A field read as `read_mask` has it (a plain reference masked in place,
-    any other field shifted down, masked only when its case sets a bit above
-    it, then sign-extended when signed) gives `codec.decode_field`, and an
-    explicit tag read alike gives `codec.variant_of`, on random encodings of
-    every case of the corpus and the progen declarations on three targets."""
-    rng = random.Random("read-mask")
+def test_the_codec_agrees_with_the_reference_codec():
+    """The codec, which writes and reads each field and explicit tag by its
+    read plan, agrees with `oracles.reference_encode`/`reference_decode`/
+    `reference_tag`, which shift and mask every read, on random encodings of
+    every case of the corpus and the progen declarations on the three
+    built-in targets and the two Wasm targets; some plans mask and some do
+    not."""
+    wasm = tuple(load_target(str(EXAMPLES / f"{name}.json")) for name in ("wasm32", "wasm-gc"))
+    rng = random.Random("read-plan")
     masked = unmasked = 0
-    for out in solve_corpus_and_progen():
-        for key in out.order:
-            lay = out.resolved[key].layout
-            if lay is None:
-                continue
-            scheme = lay.tag_scheme
+    for out in solve_corpus_and_progen(TARGETS + wasm):
+        for key, lay in out.layouts().items():
             for v, variant in enumerate(lay.adt.variants):
                 for _ in range(3):
-                    scalars = codec.encode_variant(lay, v, random_field_values(lay, v, rng))
-                    if isinstance(scheme, ExplicitTag):
-                        tag = scalars[scheme.slot] >> scheme.offset
-                        mask = tag_read_mask(lay.patterns, scheme)
-                        assert (tag & mask if mask else tag) == codec.variant_of(lay, scalars) == v
+                    values = random_field_values(lay, v, rng)
+                    scalars = codec.encode_variant(lay, v, values)
+                    assert scalars == reference_encode(lay, v, values), (key, v, values)
+                    assert codec.variant_of(lay, scalars) == v
+                    if isinstance(lay.tag_scheme, ExplicitTag):
+                        assert reference_tag(lay, scalars) == v
                     for f in variant.fields:
-                        pl = lay.placements[(v, f.name)]
-                        p = lay.patterns[v][pl.slot]
-                        plain = f.ref_mode == REF_PLAIN
-                        mask = read_mask(p.ones | p.field, pl.offset, pl.width, plain)
-                        got = scalars[pl.slot] >> (0 if plain else pl.offset)
-                        if mask:
-                            got &= mask
-                        if f.signed and got & (1 << (pl.width - 1)):
-                            got -= 1 << pl.width
-                        assert got == codec.decode_field(lay, v, f.name, scalars), (key, v, f.name)
+                        got = codec.decode_field(lay, v, f.name, scalars)
+                        assert got == reference_decode(lay, v, f.name, scalars) == values[f.name]
+                        mask = lay.plans[(v, f.name)].mask
                         masked += bool(mask)
                         unmasked += not mask
     assert masked and unmasked

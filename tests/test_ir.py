@@ -30,6 +30,8 @@ from adtlayout.ir import (
     Project,
     ReplaceNull,
     Return,
+    SExt,
+    ShiftOp,
     Switch,
     TAdt,
     TFloat,
@@ -42,7 +44,7 @@ from adtlayout.ir import (
     dominator_spans,
 )
 from adtlayout.pipeline import process_adts
-from adtlayout.solver import TreeTag
+from adtlayout.solver import ExplicitTag, TreeTag
 from adtlayout.syntax import parse_program, parse_type
 from adtlayout.targets import BUILTIN_TARGETS, REF_NONE, X64
 
@@ -107,6 +109,62 @@ entry:
     for case, fields in [(0, {}), (1, {"r": 8})]:
         words = codec.encode_variant(layout, case, fields)
         assert eval_program(post, inputs=words) == Outcome(None, case)
+
+
+def _plan_ops(plan) -> list[tuple]:
+    """The ops a read plan asks for, in order: its nonzero steps."""
+    steps = [("shr", plan.shift), ("and", plan.mask), ("sext", plan.sext)]
+    return [step for step in steps if step[1]]
+
+
+def _emitted_read_ops(fn: Function) -> list[tuple]:
+    """Each right shift, `and` and sign extension that `fn` runs, in order,
+    with its shift count, mask or width."""
+    consts = {i.dst: i.value for b in fn.blocks.values() for i in b.instrs if isinstance(i, Const)}
+    ops = []
+    for label in fn.block_order():
+        for i in fn.blocks[label].instrs:
+            if isinstance(i, ShiftOp):
+                ops.append((i.op, i.amount))
+            elif isinstance(i, BinOp) and i.op == "and":
+                ops.append(("and", consts[i.b]))
+            elif isinstance(i, SExt):
+                ops.append(("sext", i.from_width))
+    return ops
+
+
+@pytest.mark.parametrize("target", TARGET_NAMES)
+def test_emitted_reads_are_their_read_plans(target):
+    """On a parameter, so that nothing folds, a normalized `getfield` of each
+    field of each case of each corpus layout shifts, masks and sign-extends
+    exactly as the tag's plan and then each normalized field's plan say, op
+    by op; a `gettag` of each explicit-tag layout as the tag's plan says."""
+    from corpus import CORPUS_SRC
+
+    program = make_program(CORPUS_SRC, BUILTIN_TARGETS[target])
+    checked = 0
+    for key, layout in program.layouts.items():
+        scheme = layout.tag_scheme
+        tag = _plan_ops(layout.tag_plan) if isinstance(scheme, ExplicitTag) else []
+        reads = [("u32", f"gettag<{key}>", tag)] if isinstance(scheme, ExplicitTag) else []
+        for j, variant in enumerate(program.adts[key].variants):
+            fields = iter(variant.fields)
+            for k, (_, t) in enumerate(variant.source_fields):
+                taken = []
+                program.spread(t, fields, lambda _, part: taken.extend(part))
+                if isinstance(t, TAdt) and t.key not in program.adts:
+                    continue  # an opaque reference, whose every value the checker refuses
+                ops = [op for f in taken for op in _plan_ops(layout.plans[(j, f.name)])]
+                reads.append((ir.print_ir_type(t), f"getfield<{key}#{j}.{k}>", tag + ops))
+        for ret, op, want in reads:
+            program.functions["main"] = progtext.parse_function_text(
+                f"fn main(%v: {key}) -> {ret} {{\nb0:\n  %r = {op}(%v)\n  ret %r\n}}")
+            check_program(program)
+            post = norm.normalize_program(program)
+            check_program(post)
+            assert _emitted_read_ops(post.functions["main"]) == want, (key, op)
+            checked += 1
+    assert checked > 30
 
 
 # `P` has two scalars on every target; `wrong` reads case B of an A value
@@ -1502,6 +1560,8 @@ def _bundle(body: str, header: str = "fn main(%a: u8, %b: u8) -> u8 {",
          "function main lacks its closing '}'"),
         ("target x64\nfn f(%a: u8) -> u8 {\nb0:\n  ret %a\nfn main(%a: u8) -> u8 {\nb0:\n  ret %a\n}\n",
          "function f lacks its closing '}'"),
+        ("target x64\nfn f(%a: u8) -> u8 {\nfn main(%a: u8) -> u8 {\nb0:\n  ret %a\n}\n",
+         "function f lacks its closing '}'"),
     ],
     ids=["header", "param-no-colon", "instr-outside-block", "term-outside-block",
          "bad-instruction", "unknown-op", "getfield-no-field", "eq-one-operand", "bad-call",
@@ -1509,7 +1569,7 @@ def _bundle(body: str, header: str = "fn main(%a: u8, %b: u8) -> u8 {",
          "unbalanced-brackets", "unbalanced-nested-brackets", "no-brackets", "no-case",
          "case-not-digits", "field-not-digits", "no-parens", "number", "width", "name",
          "label", "unknown-target", "no-target", "declarations", "unterminated-function",
-         "unterminated-before-next"],
+         "unterminated-before-next", "empty-before-next"],
 )
 def test_every_progtext_message(bundle, message):
     """Each way program text can be malformed is refused with its own
