@@ -27,7 +27,7 @@ too. A tag known to differ keeps the check, which traps. Each (type, value)
 constant is made once per block, or once per function when the entry block
 (or a block that continues it) asks for it, since those dominate every
 block; and only once something reads it, so a constant that only folds
-into others is never made."""
+into others is never made. An `eq` of the same names is the constant 1."""
 
 from __future__ import annotations
 
@@ -360,8 +360,9 @@ class _FunctionNormalizer:
             self.env[ins.dst] = [ins.dst]
 
     def _eq(self, ins: Eq) -> None:
-        result = self._equality(ins.type, self.names_of(ins.a), self.names_of(ins.b))
-        self.env[ins.dst] = [result]
+        # the same names hold the same values, whose observations `Eq` compares
+        a, b = self.names_of(ins.a), self.names_of(ins.b)
+        self.env[ins.dst] = [self.const(BOOL, 1) if a == b else self._equality(ins.type, a, b)]
 
     def _call(self, ins: Call) -> None:
         ctx = self.ctx

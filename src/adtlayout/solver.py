@@ -18,10 +18,11 @@ constants but never field data) and of field bits, and the width of the
 variant's field at offset 0; the state keeps, per variant, how many of its
 fields sit above offset 0. A placement's undo record restores all of them,
 so a search node reads a variant's access cost in one pass over the
-scalars: `read_charge` charges a field's `read_plan` 2 above offset 0 and
-1 at offset 0 when a bit above it is set. The state also logs each placed
-unit, and undo pops its entry, so a completion builds the field
-placements from the log once (`_State.placements`).
+scalars: a read costs 2 above offset 0, and 1 at offset 0 when a bit above
+it is set. The state also logs each placed unit, and undo pops its entry,
+so a completion builds the field placements from the log once
+(`_State.placements`). Scoring builds no read plan, and the search keeps
+the best state and completion by key, so one layout is built per solve.
 """
 
 from __future__ import annotations
@@ -510,8 +511,8 @@ class ReadPlan(NamedTuple):
     """A read of scalar `slot`: shift right by `shift`, AND with `mask`, then
     sign-extend the low `sext` bits, each step only when nonzero. A write is
     its inverse: the low `sext` bits (all when 0), shifted left by `shift`.
-    `read_plan` and `tag_plan` make every plan that the score, the codec and
-    the normalizer apply."""
+    `read_plan` and `tag_plan` make every plan that the codec and the
+    normalizer apply, and the score charges reads by their mask rule."""
 
     slot: int
     shift: int
@@ -534,33 +535,37 @@ class ReadPlan(NamedTuple):
         return value << self.shift
 
 
+def _masked(bits: int, top: int) -> bool:
+    """The mask rule of every read plan and charge: a read of the bits below
+    `top`, shifted down, masks when `bits` sets a bit at or above `top`."""
+    return bits >> top != 0
+
+
 def read_plan(pl: Placement, bits: int) -> ReadPlan:
     """The read plan of placement `pl` in a case whose scalar has `bits` set
     (constant ones, field bits). A field is shifted down, masked when a bit
     above it is set, and sign-extended when signed; a plain reference is
-    read in place, masked when a bit outside it is set (alike at offset 0)."""
+    read in place, masked when a bit above or below it is set."""
     slot, offset, width, f = pl
-    field = (1 << width) - 1
+    field, masked = (1 << width) - 1, _masked(bits, offset + width)
     if f.ref_mode == REF_PLAIN:
-        field <<= offset
-        return ReadPlan(slot, 0, field if bits & ~field else 0, 0)
-    mask = field if bits >> (offset + width) else 0
-    return ReadPlan(slot, offset, mask, width if f.signed else 0)
+        masked = masked or bits & ((1 << offset) - 1) != 0
+        return ReadPlan(slot, 0, field << offset if masked else 0, 0)
+    return ReadPlan(slot, offset, field if masked else 0, width if f.signed else 0)
+
+
+def _tag_masked(patterns: list[list[BitPattern]], tag: ExplicitTag) -> bool:
+    """Whether a read of an explicit tag, which reads every case, masks: some
+    case sets a bit above it. A dedicated tag's scalar holds nothing else, so
+    `patterns` may lack it."""
+    s, top = tag.slot, tag.offset + tag.width
+    return not tag.dedicated and any(_masked(row[s].ones | row[s].field, top) for row in patterns)
 
 
 def tag_plan(patterns: list[list[BitPattern]], tag: ExplicitTag) -> ReadPlan:
-    """The read plan of an explicit tag, which reads every case: masked when
-    some case sets a bit above it. A dedicated tag's scalar holds nothing
-    else, so `patterns` may lack it."""
-    cells = () if tag.dedicated else [row[tag.slot] for row in patterns]
-    above = any((p.ones | p.field) >> (tag.offset + tag.width) for p in cells)
-    return ReadPlan(tag.slot, tag.offset, (1 << tag.width) - 1 if above else 0, 0)
-
-
-def read_charge(offset: int, plan: ReadPlan) -> int:
-    """A read's access cost: 2 at an `offset` above 0 (a plain reference,
-    read in place, too), 1 at offset 0 when `plan` masks, else 0."""
-    return 2 if offset else 1 if plan.mask else 0
+    """The read plan of an explicit tag: shifted down, masked as `_tag_masked` says."""
+    masked = _tag_masked(patterns, tag)
+    return ReadPlan(tag.slot, tag.offset, (1 << tag.width) - 1 if masked else 0, 0)
 
 
 def _access_cost(
@@ -568,21 +573,26 @@ def _access_cost(
     patterns: list[list[BitPattern]],
     scheme: TagScheme,
 ) -> int:
-    """Summed `read_charge` of every field and of an explicit tag, plus 2 per
-    decision-tree level. Free bits read as 0, so the patterns may be taken
-    before or after their free bits are fixed; an explicit tag's value bits
-    count as set, so they may also be taken before the tag is written, and a
-    dedicated tag's scalar, which holds nothing else, before it is added."""
+    """The cost of every field read and an explicit tag's, plus 2 per tree
+    level, with no read plan built: 2 above offset 0 (a plain reference too),
+    1 at offset 0 when its plan would mask (`_masked`), else 0. Free bits read
+    as 0, so the patterns may be taken before or after their free bits are
+    fixed; an explicit tag's value bits count as set, so they may also be
+    taken before the tag is written, and a dedicated tag's scalar, which
+    holds nothing else, before it is added."""
     tag = scheme if isinstance(scheme, ExplicitTag) else None
     access = 0
     for (v, _), pl in placements.items():
+        if pl.offset:
+            access += 2
+            continue
         p = patterns[v][pl.slot]
         bits = p.ones | p.field
         if tag is not None and pl.slot == tag.slot:
             bits |= v << tag.offset
-        access += read_charge(pl.offset, read_plan(pl, bits))
+        access += _masked(bits, pl.width)
     if tag is not None:
-        access += read_charge(tag.offset, tag_plan(patterns, tag))
+        access += 2 if tag.offset else _tag_masked(patterns, tag)
     elif isinstance(scheme, TreeTag):
         access += 2 * tree_depth(scheme.tree)
     return access
@@ -707,16 +717,15 @@ def _candidates(
 
 def _complete(
     state: _State, best_key=None, charge: Optional[Callable[[], bool]] = None
-) -> Optional[LayoutSolution]:
-    """The solution for the first candidate with the smallest key, or None
-    when no candidate's key is below `best_key`. Only that candidate is
-    built; the others are judged by key alone."""
+) -> Optional[Candidate]:
+    """The first candidate with the smallest key, or None when no
+    candidate's key is below `best_key`."""
     pick: Optional[Candidate] = None
     for cand in _candidates(state, best_key, charge):
         key = cand[0].key()
         if best_key is None or key < best_key:
             best_key, pick = key, cand
-    return None if pick is None else _solution(state, pick)
+    return pick
 
 
 # ---------------------------------------------------------------------------
@@ -898,12 +907,14 @@ class _Search:
         if best is None:
             cut = "" if self.finished else "the step budget ran out first"
             raise AnnotationInfeasible(self.adt.name, list(self.failures), cut)
-        best.steps_used, best.finished = self.steps, self.finished
-        return best
+        sol = _solution(*best)
+        sol.steps_used, sol.finished = self.steps, self.finished
+        return sol
 
-    def search(self) -> Optional[LayoutSolution]:
-        """The best layout of the attempts, or None when none fits."""
-        best: Optional[LayoutSolution] = None
+    def search(self) -> Optional[tuple[_State, Candidate]]:
+        """The state and completion of the best layout of the attempts, or
+        None when none fits. Each attempt copies `base`, so no kept state changes."""
+        best: Optional[tuple[_State, Candidate]] = None
         key = None  # best's score key
         # a tag's least cost: in an unannotated ADT some variant holds a field
         # or a reference tag at bit 0 of every scalar, so a tag is shifted
@@ -927,8 +938,9 @@ class _Search:
                     # a state with fewer scalars was tried at its own count
                     if state is not None and len(state.slots) == m and (
                             key is None or (m, cost + tag_cost) < key):
-                        best = _complete(state, key, self.charge) or best
-                        key = best.score.key() if best is not None else None
+                        cand = _complete(state, key, self.charge)
+                        if cand is not None:
+                            best, key = (state, cand), cand[0].key()
         return best
 
     def charge(self) -> bool:
@@ -973,8 +985,8 @@ class _Search:
     def cost(self, state: _State, v: int) -> int:
         """`_access_cost` of `v`'s placements so far, with the tag value `v`
         in the top bits of the reserved scalar, read from what the state
-        keeps: `read_charge` charges 2 per field above offset 0, and 1 for a
-        field at offset 0 when a bit above it is set."""
+        keeps: 2 per field above offset 0, and 1 for a field at offset 0
+        when a bit above it is set."""
         total = 2 * state.shifted[v]
         for s in state.slots:
             width = s.low[v]

@@ -7,8 +7,9 @@ depth by every split over every such assignment, layout scoring by
 exhaustive enumeration over placement equivalence classes, dominators by a
 fixed point over a full set of dominators per block, the solver's search
 tables by one comprehension per table, the decision-tree pass by its
-first form, which walks every live case at every node, and the codec by
-shifting and masking every read, whatever its read plan leaves out.
+first form, which walks every live case at every node, the codec by
+shifting and masking every read, whatever its read plan leaves out, and
+the score by charging each read over the read plan it builds.
 """
 
 from __future__ import annotations
@@ -700,11 +701,18 @@ def reference_search_tables(adt, target) -> tuple:
     return all_refs, items, free_widths, lows, highs
 
 
+def read_charge(offset: int, plan) -> int:
+    """A read's access cost over its read plan: 2 at an `offset` above 0 (a
+    plain reference, read in place, too), 1 at offset 0 when `plan` masks,
+    else 0."""
+    return 2 if offset else 1 if plan.mask else 0
+
+
 def reference_case_cost(search, state, v: int) -> int:
     """`solver._Search.cost` as a scan of every field of case `v`: the
     `read_charge` of the `read_plan` of each one placed so far, with the tag
     value `v` in the top bits of the search's reserved scalar."""
-    from adtlayout.solver import read_charge, read_plan
+    from adtlayout.solver import read_plan
 
     total, placements = 0, state.placements()
     for f in state.adt.variants[v].fields:
@@ -715,6 +723,29 @@ def reference_case_cost(search, state, v: int) -> int:
             if pl.slot == search.reserve:
                 bits |= v << (s.width - search.tw)
             total += read_charge(pl.offset, read_plan(pl, bits))
+    return total
+
+
+def reference_access_cost(placements, patterns, scheme) -> int:
+    """`solver._access_cost` by its plan-building form: the `read_charge` of
+    the `read_plan` of every field, with an explicit tag's value bits set in
+    its scalar, plus the charge of the tag's `tag_plan`, or 2 per level of
+    a decision tree."""
+    from adtlayout.distinguish import tree_depth
+    from adtlayout.solver import ExplicitTag, TreeTag, read_plan, tag_plan
+
+    tag = scheme if isinstance(scheme, ExplicitTag) else None
+    total = 0
+    for (v, _), pl in placements.items():
+        p = patterns[v][pl.slot]
+        bits = p.ones | p.field
+        if tag is not None and pl.slot == tag.slot:
+            bits |= v << tag.offset
+        total += read_charge(pl.offset, read_plan(pl, bits))
+    if tag is not None:
+        total += read_charge(tag.offset, tag_plan(patterns, tag))
+    elif isinstance(scheme, TreeTag):
+        total += 2 * tree_depth(scheme.tree)
     return total
 
 

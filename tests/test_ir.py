@@ -237,6 +237,44 @@ def test_known_mismatched_case_still_traps(target):
     assert eval_program(program, "wrong") == eval_program(post, "wrong") == Outcome("bad-case", None)
 
 
+# per type: the parameters and the instructions that make `%v` from `%a`
+# and `%w` from `%b`
+EQ_OPERANDS = {
+    "U": ("%a: u8, %b: u8", "%v = alloc<U#0>(%a)\n  %w = alloc<U#0>(%b)"),
+    "R": ("%a: u8, %b: u8", "%v = alloc<R#0>(%a)\n  %w = alloc<R#0>(%b)"),
+    "(u8, u8)": ("%a: u8, %b: u8", "%s = alloc<S#0>(%a, %b)\n  %t = alloc<S#0>(%b, %a)\n"
+                 "  %v = contents<S#0>(%s)\n  %w = contents<S#0>(%t)"),
+    "f64": ("%v: f64, %w: f64", ""),
+}
+
+
+@pytest.mark.parametrize("target", TARGET_NAMES)
+@pytest.mark.parametrize("t", list(EQ_OPERANDS))
+def test_eq_of_one_name_folds(target, t):
+    """`eq` of a name with itself is the constant 1, with no `Eq`, call or
+    `eq$K` helper, for an unboxed ADT, a boxed ADT, a tuple and an `f64`;
+    `eq` of two different names still compares. Both agree with boxed code
+    on equal and on different inputs."""
+    params, body = EQ_OPERANDS[t]
+    for other, compares in (("v", False), ("w", True)):
+        program, _ = progtext.parse_bundle(
+            f"target {target}\ntype U #unboxed {{ case A(x: u8); case B; }}\n"
+            f"type R {{ case C(y: u8); }}\ntype S #unboxed {{ case E(a: u8, b: u8); }}\n"
+            f"fn main({params}) -> u1 {{\nb0:\n  {body}\n  %r = eq<{t}>(%v, %{other})\n"
+            f"  ret %r\n}}\n")
+        check_program(program)
+        post = norm.normalize_program(program)
+        check_program(post)
+        ops = [type(i) for fn in post.functions.values() for b in fn.blocks.values() for i in b.instrs]
+        assert (Eq in ops or Call in ops) == compares, (other, ops)
+        if not compares:
+            assert list(post.functions) == ["main"]
+        for inputs in ([3, 3], [3, 4]):
+            want = int(other == "v" or inputs[0] == inputs[1])
+            assert eval_program(program, "main", inputs) == eval_program(post, "main", inputs) \
+                == Outcome(None, want), inputs
+
+
 def _extreme_or_random(t, rng: random.Random) -> int:
     """A value of scalar IR type `t`: its least, its greatest or a random one."""
     if isinstance(t, TFloat):

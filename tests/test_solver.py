@@ -25,6 +25,7 @@ from corpus import CORPUS_SIZE, CORPUS_SRC, TARGET_NAMES, TARGETS, solve_corpus_
 from oracles import (
     oracle_best_score,
     oracle_per_variant_score,
+    reference_access_cost,
     reference_case_cost,
     reference_search_tables,
 )
@@ -690,11 +691,12 @@ def test_search_tables_equal_the_reference(monkeypatch):
 
 def test_kept_cost_equals_the_reference(monkeypatch):
     """The cost a search state keeps per case (its shifted fields and each
-    scalar's offset-0 field) equals the per-field `read_cost` scan of
-    `reference_case_cost` at every `cost` and `bound` call. The inputs are
-    every golden report's input and the solve-sweep inputs, the first 4
-    `Random(816)` shapes among them, on x64, jvm and x86-32; the shapes run
-    to the step budget, so the search places and undoes fields many times."""
+    scalar's offset-0 field) equals the per-field scan of `read_charge`
+    over each `read_plan` in `reference_case_cost` at every `cost` and
+    `bound` call. The inputs are every golden report's input and the
+    solve-sweep inputs, the first 4 `Random(816)` shapes among them, on x64,
+    jvm and x86-32; the shapes run to the step budget, so the search places
+    and undoes fields many times."""
     calls = {"cost": 0, "bound": 0}
     cost, bound = solver._Search.cost, solver._Search.bound
 
@@ -781,6 +783,74 @@ def test_placements_are_built_once_per_completion(monkeypatch):
     assert len(built) == sum(fields), (len(built), sum(fields))
 
 
+def test_one_layout_and_its_plans_are_built_per_solve(monkeypatch):
+    """Each solve builds one layout, for its final best, and the only read
+    plans it builds are the ones that layout keeps: one per field, plus one
+    for an explicit tag, so scoring builds none. The inputs are every golden
+    report's input and the solve-sweep inputs on x64, jvm and x86-32."""
+    plans, solutions, kinds = [], [], set()
+    plan, solution, run = solver.ReadPlan, solver._solution, solver._Search.run
+
+    def building(*args):
+        plans.append(plan(*args))
+        return plans[-1]
+
+    def counting(state, cand):
+        solutions.append(state.adt.name)
+        return solution(state, cand)
+
+    def solving(self):
+        n_plans, n_solutions = len(plans), len(solutions)
+        sol = run(self)
+        assert solutions[n_solutions:] == [self.adt.name], solutions[n_solutions:]
+        kept = list(sol.plans.values()) + ([] if sol.tag_plan is None else [sol.tag_plan])
+        assert len(sol.plans) == sum(len(variant.fields) for variant in self.adt.variants)
+        assert sorted(map(id, plans[n_plans:])) == sorted(map(id, kept)), self.adt.name
+        kinds.add(sol.tag_scheme.kind_name)
+        return sol
+
+    monkeypatch.setattr(solver, "ReadPlan", building)
+    monkeypatch.setattr(solver, "_solution", counting)
+    monkeypatch.setattr(solver._Search, "run", solving)
+    for source, target in GOLDEN_CASES.values():
+        process_adts(parse_program(source), BUILTIN_TARGETS[target])
+    solve_sweep()
+    assert kinds == {"single-variant", "bare-tag", "explicit-tag", "decision-tree"}, kinds
+
+
+def test_access_cost_is_the_plan_building_reference(monkeypatch):
+    """For every candidate that `_candidates` returns, `_access_cost`, which
+    builds no read plan, and the score the candidate keeps equal
+    `reference_access_cost`, which charges each read over the plan it
+    builds. The inputs are every golden report's input and the solve-sweep
+    inputs on x64, jvm and x86-32, and on those targets a type whose
+    packings leave its in-place tag at bit 0, below every field."""
+    kinds = set()
+    candidates = solver._candidates
+
+    def checking(state, *args):
+        cands = candidates(state, *args)
+        for score, scheme, rows, placements in cands:
+            expected = reference_access_cost(placements, rows, scheme)
+            assert solver._access_cost(placements, rows, scheme) == expected, state.adt.name
+            assert score.access_cost == expected, state.adt.name
+            kinds.add(scheme.kind_name)
+            if isinstance(scheme, ExplicitTag) and not (scheme.offset or scheme.dedicated):
+                kinds.add("explicit-tag at bit 0")
+        return cands
+
+    monkeypatch.setattr(solver, "_candidates", checking)
+    for source, target in GOLDEN_CASES.values():
+        process_adts(parse_program(source), BUILTIN_TARGETS[target])
+    solve_sweep()
+    low = parse_program("type Low #unboxed { case A(x: u4) #packing 0b_xxxx_??; "
+                        "case B(y: u4) #packing 0b_yyyy_??; case C(z: u4) #packing 0b_zzzz_??; }")
+    for target in TARGETS:
+        process_adts(low, target)
+    assert kinds == {"single-variant", "bare-tag", "explicit-tag", "explicit-tag at bit 0",
+                     "decision-tree"}, kinds
+
+
 def test_candidates_take_the_untagged_cost_only_for_a_bound(monkeypatch):
     """`_candidates` takes the field cost before tagging only when the tree
     or the appended-tag bound is compared. Over the corpus on x64, jvm and
@@ -808,10 +878,10 @@ def _tag_in_place(rows, s: int, offset: int, width: int):
 
 
 def test_search_cost_is_the_access_cost(monkeypatch):
-    """The cost an attempt returns, which `_Search.cost` sums by
-    `read_cost`, is `_access_cost` of the state's placements with the tag
-    written where the attempt reserved it, for every attempt that gives a
-    state."""
+    """The cost an attempt returns, which `_Search.cost` sums by the rule
+    of `read_charge` over each `read_plan`, is `_access_cost` of the
+    state's placements with the tag written where the attempt reserved it,
+    for every attempt that gives a state."""
     checked = []
     attempt = solver._Search.attempt
 
