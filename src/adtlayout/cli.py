@@ -10,15 +10,16 @@ import argparse
 import json
 import os
 import sys
-from typing import Callable, NamedTuple, Optional
+from typing import TYPE_CHECKING, Callable, NamedTuple, Optional
 
-from . import interp, norm, progen, progtext
-from .ir import Program, check_program
 from .pipeline import ProgramLayouts, process_adts
 from .solver import AnnotationInfeasible
 from .syntax import AdtDecl, PackingSyntaxError, parse_program, parse_type
 from .targets import BUILTIN_TARGETS, MonoError, Target, UnboxOptions, load_target
 from .verify import VerifyError, check_program_decls
+
+if TYPE_CHECKING:
+    from .ir import Program
 
 REPORT_VERSION = 1
 
@@ -197,6 +198,10 @@ def run_equivalence(
     """Generate `count` programs from the seed and compare boxed evaluation
     against normalized evaluation, traps included; stops at the first
     disagreement. Program i runs on the i-th built-in target, cyclically."""
+    # imported here, so that `layout` and `check` never load these modules
+    from . import interp, norm, progen, progtext
+    from .ir import check_program
+
     targets = list(BUILTIN_TARGETS.values())
     failures: list[str] = []
     ran = 0

@@ -17,7 +17,6 @@ E016 duplicate field placement.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Union
 
 from .distinguish import BitPattern, join_patterns, parse_pattern
@@ -85,9 +84,6 @@ class SolveRequest(NamedTuple):
 AnnotationEntry = Union[FlattenedPacking, SolveRequest]
 
 
-# a dataclass: each context gets its own dicts (`default_factory`), which
-# the flattening of declarations fills
-@dataclass
 class SizeContext:
     """Field-name widths plus the packing declarations in scope, with the
     flattened body of each declaration applied so far. A body depends only
@@ -96,12 +92,19 @@ class SizeContext:
     printed type: bit letters resolve against these names, and a source
     field that `gamma` lacks spreads over several scalars, which no packing
     can name. For a declaration's body it is empty, and letters resolve
-    against `gamma`."""
+    against `gamma`. Each context gets its own dicts unless given them: the
+    flattening of declarations fills them."""
 
-    gamma: dict[str, int] = field(default_factory=dict)
-    delta: dict[str, PackingDecl] = field(default_factory=dict)
-    bodies: dict[str, FlattenedPacking] = field(default_factory=dict)
-    sources: dict[str, str] = field(default_factory=dict)
+    __slots__ = ("gamma", "delta", "bodies", "sources")
+
+    def __init__(self, gamma: Optional[dict[str, int]] = None,
+                 delta: Optional[dict[str, PackingDecl]] = None,
+                 bodies: Optional[dict[str, FlattenedPacking]] = None,
+                 sources: Optional[dict[str, str]] = None):
+        self.gamma = {} if gamma is None else gamma
+        self.delta = {} if delta is None else delta
+        self.bodies = {} if bodies is None else bodies
+        self.sources = {} if sources is None else sources
 
     def with_gamma(
         self, gamma: dict[str, int], sources: Optional[dict[str, str]] = None

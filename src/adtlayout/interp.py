@@ -15,7 +15,6 @@ type over them, turning them back into source-shaped observables."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dfield
 from typing import NamedTuple, Optional
 
 from . import codec
@@ -63,11 +62,14 @@ class Record(NamedTuple):
     fields: list  # source values before normalization; scalars after
 
 
-# a dataclass: `alloc` advances `next_addr`
-@dataclass
 class Heap:
-    cells: dict[int, Record] = dfield(default_factory=dict)
-    next_addr: int = _ALIGN
+    """Records by address; `alloc` advances `next_addr`."""
+
+    __slots__ = ("cells", "next_addr")
+
+    def __init__(self):
+        self.cells: dict[int, Record] = {}
+        self.next_addr = _ALIGN
 
     def alloc(self, rec: Record) -> int:
         addr = self.next_addr

@@ -21,9 +21,10 @@ key that names no ADT, and the checker refuses it as any unknown ADT.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dfield
+from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple, Optional, Union
 
+from .records import Record
 from .solver import LayoutSolution
 
 # The IR's types are defined in `targets`, where monomorphization lowers each
@@ -63,8 +64,8 @@ def print_ir_type(t: IrType) -> str:
 # Instructions
 
 
-# Unlike the other value records, instructions stay frozen dataclasses:
-# perfbench's self-test rewrites a `Const` with `dataclasses.replace`.
+# Instructions are slotted records, except `Const`, which stays a frozen
+# dataclass: perfbench's self-test rewrites one with `dataclasses.replace`.
 @dataclass(frozen=True)
 class Const:
     dst: str
@@ -72,107 +73,121 @@ class Const:
     value: Optional[int]  # None encodes a null reference
 
 
-@dataclass(frozen=True)
-class Alloc:
-    dst: str
-    adt: str
-    case: int
-    args: tuple[str, ...]
+class Alloc(Record):
+    __slots__ = ("dst", "adt", "case", "args")
+    def __init__(self, dst: str, adt: str, case: int, args: tuple[str, ...]):
+        self.dst = dst
+        self.adt = adt
+        self.case = case
+        self.args = args
 
 
-@dataclass(frozen=True)
-class GetField:
-    dst: str
-    adt: str
-    case: int
-    field: int  # source field index; normalized field index after normalization
-    src: str
+class GetField(Record):
+    __slots__ = ("dst", "adt", "case", "field", "src")
+    def __init__(self, dst: str, adt: str, case: int, field: int, src: str):
+        self.dst = dst
+        self.adt = adt
+        self.case = case
+        self.field = field  # source field index; normalized field index after normalization
+        self.src = src
 
 
-@dataclass(frozen=True)
-class GetContents:
-    dst: str
-    adt: str
-    case: int
-    src: str
+class GetContents(Record):
+    __slots__ = ("dst", "adt", "case", "src")
+    def __init__(self, dst: str, adt: str, case: int, src: str):
+        self.dst = dst
+        self.adt = adt
+        self.case = case
+        self.src = src
 
 
-@dataclass(frozen=True)
-class GetTag:
-    dst: str
-    adt: str
-    src: str
+class GetTag(Record):
+    __slots__ = ("dst", "adt", "src")
+    def __init__(self, dst: str, adt: str, src: str):
+        self.dst = dst
+        self.adt = adt
+        self.src = src
 
 
-@dataclass(frozen=True)
-class ReplaceNull:
-    dst: str
-    adt: str
-    src: str
+class ReplaceNull(Record):
+    __slots__ = ("dst", "adt", "src")
+    def __init__(self, dst: str, adt: str, src: str):
+        self.dst = dst
+        self.adt = adt
+        self.src = src
 
 
-@dataclass(frozen=True)
-class Eq:
-    dst: str
-    type: IrType
-    a: str
-    b: str
+class Eq(Record):
+    __slots__ = ("dst", "type", "a", "b")
+    def __init__(self, dst: str, type: IrType, a: str, b: str):
+        self.dst = dst
+        self.type = type
+        self.a = a
+        self.b = b
 
 
-@dataclass(frozen=True)
-class Call:
-    dst: str
-    fn: str
-    args: tuple[str, ...]
+class Call(Record):
+    __slots__ = ("dst", "fn", "args")
+    def __init__(self, dst: str, fn: str, args: tuple[str, ...]):
+        self.dst = dst
+        self.fn = fn
+        self.args = args
 
 
-@dataclass(frozen=True)
-class TupleMake:
-    dst: str
-    elems: tuple[str, ...]
+class TupleMake(Record):
+    __slots__ = ("dst", "elems")
+    def __init__(self, dst: str, elems: tuple[str, ...]):
+        self.dst = dst
+        self.elems = elems
 
 
-@dataclass(frozen=True)
-class Project:
-    dst: str
-    src: str
-    index: int
+class Project(Record):
+    __slots__ = ("dst", "src", "index")
+    def __init__(self, dst: str, src: str, index: int):
+        self.dst = dst
+        self.src = src
+        self.index = index
 
 
-@dataclass(frozen=True)
-class BinOp:
-    dst: str
-    op: str  # and | or | xor
-    a: str
-    b: str
+class BinOp(Record):
+    __slots__ = ("dst", "op", "a", "b")
+    def __init__(self, dst: str, op: str, a: str, b: str):
+        self.dst = dst
+        self.op = op  # and | or | xor
+        self.a = a
+        self.b = b
 
 
-@dataclass(frozen=True)
-class ShiftOp:
-    dst: str
-    op: str  # shl | shr
-    src: str
-    amount: int
+class ShiftOp(Record):
+    __slots__ = ("dst", "op", "src", "amount")
+    def __init__(self, dst: str, op: str, src: str, amount: int):
+        self.dst = dst
+        self.op = op  # shl | shr
+        self.src = src
+        self.amount = amount
 
 
-@dataclass(frozen=True)
-class SExt:
-    dst: str
-    src: str
-    from_width: int
+class SExt(Record):
+    __slots__ = ("dst", "src", "from_width")
+    def __init__(self, dst: str, src: str, from_width: int):
+        self.dst = dst
+        self.src = src
+        self.from_width = from_width
 
 
-@dataclass(frozen=True)
-class Bitcast:
-    dst: str
-    src: str
-    type: IrType
+class Bitcast(Record):
+    __slots__ = ("dst", "src", "type")
+    def __init__(self, dst: str, src: str, type: IrType):
+        self.dst = dst
+        self.src = src
+        self.type = type
 
 
-@dataclass(frozen=True)
-class IsNull:
-    dst: str
-    src: str
+class IsNull(Record):
+    __slots__ = ("dst", "src")
+    def __init__(self, dst: str, src: str):
+        self.dst = dst
+        self.src = src
 
 
 Instr = Union[
@@ -221,25 +236,32 @@ class Trap(NamedTuple):
 Terminator = Union[Jump, Branch, Switch, Return, Trap]
 
 
-# Blocks, functions and programs stay dataclasses: their attributes are
-# set after construction.
-@dataclass
-class Block:
-    label: str
-    instrs: list[Instr] = dfield(default_factory=list)
-    term: Optional[Terminator] = None
+# Blocks and functions are mutable, so unhashable: the generator, the parser
+# and the normalizer fill their lists and dicts and set `term` after construction.
+class Block(Record):
+    __slots__ = ("label", "instrs", "term")
+    __hash__ = None
+    def __init__(self, label: str, instrs: Optional[list[Instr]] = None,
+                 term: Optional[Terminator] = None):
+        self.label = label
+        self.instrs = [] if instrs is None else instrs
+        self.term = term
 
 
-@dataclass
-class Function:
-    name: str
-    params: tuple[tuple[str, IrType], ...]
-    ret: IrType
-    entry: str
-    blocks: dict[str, Block] = dfield(default_factory=dict)
-    # the source-level return type, kept through normalization so observable
-    # outputs stay comparable across the rewrite
-    semantic_ret: Optional[IrType] = None
+class Function(Record):
+    __slots__ = ("name", "params", "ret", "entry", "blocks", "semantic_ret")
+    __hash__ = None
+    def __init__(self, name: str, params: tuple[tuple[str, IrType], ...], ret: IrType,
+                 entry: str, blocks: Optional[dict[str, Block]] = None,
+                 semantic_ret: Optional[IrType] = None):
+        self.name = name
+        self.params = params
+        self.ret = ret
+        self.entry = entry
+        self.blocks = {} if blocks is None else blocks
+        # the source-level return type, kept through normalization so
+        # observable outputs stay comparable across the rewrite
+        self.semantic_ret = semantic_ret
 
     def successors(self) -> dict[str, list[str]]:
         """Each block's successor labels, in the order its terminator names them."""
@@ -272,13 +294,15 @@ def _successors(term: Optional[Terminator]) -> list[str]:
     return []
 
 
-@dataclass
 class Program:
-    adts: dict[str, MonoAdt]
-    layouts: dict[str, LayoutSolution]  # exactly the unboxed ADTs
-    functions: dict[str, Function]
-    target: Target
-    normalized: bool = False
+    __slots__ = ("adts", "layouts", "functions", "target", "normalized")
+    def __init__(self, adts: dict[str, MonoAdt], layouts: dict[str, LayoutSolution],
+                 functions: dict[str, Function], target: Target, normalized: bool = False):
+        self.adts = adts
+        self.layouts = layouts  # exactly the unboxed ADTs
+        self.functions = functions
+        self.target = target
+        self.normalized = normalized
 
     @classmethod
     def of_layouts(cls, layouts, target: Target) -> "Program":

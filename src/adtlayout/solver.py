@@ -28,7 +28,6 @@ the best state and completion by key, so one layout is built per solve.
 from __future__ import annotations
 
 from bisect import insort
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 from typing import Callable, NamedTuple, Optional, Union
@@ -142,23 +141,31 @@ class Placement(NamedTuple):
     field: FieldSlot
 
 
-# a dataclass: the search sets `steps_used` and `finished` after construction
-@dataclass
 class LayoutSolution:
-    adt: MonoAdt
-    target: Target
-    slots: list[ScalarSlot]
-    placements: dict[tuple[int, str], Placement]  # (variant, field name)
-    patterns: list[list[BitPattern]]  # [variant][slot]
-    tag_scheme: TagScheme
-    score: Score
-    # each field's read plan, keyed like `placements`, and an explicit tag's
-    plans: dict[tuple[int, str], ReadPlan]
-    tag_plan: Optional[ReadPlan]
-    steps_used: int = 0
-    # False when the step budget cut a search short, so a better layout
-    # may exist; True when every search ran out of nodes or met its bound
-    finished: bool = True
+    """A laid-out ADT; the search sets `steps_used` and `finished` later."""
+
+    __slots__ = ("adt", "target", "slots", "placements", "patterns", "tag_scheme", "score",
+                 "plans", "tag_plan", "steps_used", "finished")
+
+    def __init__(self, adt: MonoAdt, target: Target, slots: list[ScalarSlot],
+                 placements: dict[tuple[int, str], Placement],
+                 patterns: list[list[BitPattern]], tag_scheme: TagScheme, score: Score,
+                 plans: dict[tuple[int, str], ReadPlan], tag_plan: Optional[ReadPlan],
+                 steps_used: int = 0, finished: bool = True):
+        self.adt = adt
+        self.target = target
+        self.slots = slots
+        self.placements = placements  # (variant, field name)
+        self.patterns = patterns  # [variant][slot]
+        self.tag_scheme = tag_scheme
+        self.score = score
+        # each field's read plan, keyed like `placements`, and an explicit tag's
+        self.plans = plans
+        self.tag_plan = tag_plan
+        self.steps_used = steps_used
+        # False when the step budget cut a search short, so a better layout
+        # may exist; True when every search ran out of nodes or met its bound
+        self.finished = finished
 
     def used_width(self, slot_index: int) -> int:
         return max([1] + [row[slot_index].nonzero.bit_length() for row in self.patterns])

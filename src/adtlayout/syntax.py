@@ -7,8 +7,9 @@ Bit literals are written most-significant bit first, e.g. ``0b_seeeeeff_ffffffff
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Union
+
+from .records import Record
 
 # the deepest nesting of brackets in a type or packing expression
 MAX_NESTING = 64
@@ -34,58 +35,65 @@ class PackingSyntaxError(Exception):
 
 
 # The syntax nodes with a `pos` (packing expressions and declarations, cases
-# and ADT declarations) stay frozen dataclasses, which leave `pos` out of
-# equality.
-@dataclass(frozen=True)
-class BitLayout:
-    bits: tuple[str, ...]  # MSB first; each one of 0, 1, ?, or a letter
-    pos: tuple[int, int] = field(default=(0, 0), compare=False)
+# and ADT declarations) are records, which leave `pos` out of equality.
+class BitLayout(Record):
+    __slots__ = ("bits", "pos")
+    def __init__(self, bits: tuple[str, ...], pos: tuple[int, int] = (0, 0)):
+        self.bits = bits  # MSB first; each one of 0, 1, ?, or a letter
+        self.pos = pos
 
     @property
     def width(self) -> int:
         return len(self.bits)
 
 
-@dataclass(frozen=True)
-class FieldRef:
-    name: str
-    pos: tuple[int, int] = field(default=(0, 0), compare=False)
+class FieldRef(Record):
+    __slots__ = ("name", "pos")
+    def __init__(self, name: str, pos: tuple[int, int] = (0, 0)):
+        self.name = name
+        self.pos = pos
 
 
-@dataclass(frozen=True)
-class Apply:
-    name: str
-    args: tuple["PackingExpr", ...]
-    pos: tuple[int, int] = field(default=(0, 0), compare=False)
+class Apply(Record):
+    __slots__ = ("name", "args", "pos")
+    def __init__(self, name: str, args: tuple[PackingExpr, ...], pos: tuple[int, int] = (0, 0)):
+        self.name = name
+        self.args = args
+        self.pos = pos
 
 
-@dataclass(frozen=True)
-class Concat:
-    parts: tuple["PackingExpr", ...]
-    pos: tuple[int, int] = field(default=(0, 0), compare=False)
+class Concat(Record):
+    __slots__ = ("parts", "pos")
+    def __init__(self, parts: tuple[PackingExpr, ...], pos: tuple[int, int] = (0, 0)):
+        self.parts = parts
+        self.pos = pos
 
 
-@dataclass(frozen=True)
-class Solve:
-    parts: tuple["PackingExpr", ...]
-    pos: tuple[int, int] = field(default=(0, 0), compare=False)
+class Solve(Record):
+    __slots__ = ("parts", "pos")
+    def __init__(self, parts: tuple[PackingExpr, ...], pos: tuple[int, int] = (0, 0)):
+        self.parts = parts
+        self.pos = pos
 
 
-@dataclass(frozen=True)
-class Empty:
-    pos: tuple[int, int] = field(default=(0, 0), compare=False)
+class Empty(Record):
+    __slots__ = ("pos",)
+    def __init__(self, pos: tuple[int, int] = (0, 0)):
+        self.pos = pos
 
 
 PackingExpr = Union[BitLayout, FieldRef, Apply, Concat, Solve, Empty]
 
 
-@dataclass(frozen=True)
-class PackingDecl:
-    name: str
-    params: tuple[tuple[str, int], ...]  # (name, width in bits)
-    width: int  # declared width
-    body: PackingExpr
-    pos: tuple[int, int] = field(default=(0, 0), compare=False)
+class PackingDecl(Record):
+    __slots__ = ("name", "params", "width", "body", "pos")
+    def __init__(self, name: str, params: tuple[tuple[str, int], ...], width: int,
+                 body: PackingExpr, pos: tuple[int, int] = (0, 0)):
+        self.name = name
+        self.params = params  # (name, width in bits)
+        self.width = width  # declared width
+        self.body = body
+        self.pos = pos
 
 
 # ---------------------------------------------------------------------------
@@ -119,24 +127,29 @@ class NamedType(NamedTuple):
 TypeExpr = Union[IntType, BoolType, FloatType, TupleType, NamedType]
 
 
-@dataclass(frozen=True)
-class Variant:
-    name: str
-    fields: tuple[tuple[str, TypeExpr], ...]
-    packing: Optional[tuple[PackingExpr, ...]] = None  # one entry per scalar
-    pos: tuple[int, int] = field(default=(0, 0), compare=False)
+class Variant(Record):
+    __slots__ = ("name", "fields", "packing", "pos")
+    def __init__(self, name: str, fields: tuple[tuple[str, TypeExpr], ...],
+                 packing: Optional[tuple[PackingExpr, ...]] = None, pos: tuple[int, int] = (0, 0)):
+        self.name = name
+        self.fields = fields
+        self.packing = packing  # one entry per scalar
+        self.pos = pos
 
 
-@dataclass(frozen=True)
-class AdtDecl:
-    name: str
-    type_params: tuple[str, ...]
-    variants: tuple[Variant, ...]
-    unboxed: bool = False
-    captured: bool = False
-    # ADT-level packing: exactly one expression per variant, in declaration order.
-    packing: Optional[tuple[PackingExpr, ...]] = None
-    pos: tuple[int, int] = field(default=(0, 0), compare=False)
+class AdtDecl(Record):
+    __slots__ = ("name", "type_params", "variants", "unboxed", "captured", "packing", "pos")
+    def __init__(self, name: str, type_params: tuple[str, ...], variants: tuple[Variant, ...],
+                 unboxed: bool = False, captured: bool = False,
+                 packing: Optional[tuple[PackingExpr, ...]] = None, pos: tuple[int, int] = (0, 0)):
+        self.name = name
+        self.type_params = type_params
+        self.variants = variants
+        self.unboxed = unboxed
+        self.captured = captured
+        # ADT-level packing: exactly one expression per variant, in declaration order.
+        self.packing = packing
+        self.pos = pos
 
     def packing_for_variant(self, index: int) -> Optional[tuple[PackingExpr, ...]]:
         """The per-scalar packing expression list for one variant, from either

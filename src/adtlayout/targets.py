@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import enum
 import json
-from dataclasses import dataclass, field
 from itertools import combinations
 from typing import NamedTuple, Optional, Union
 
@@ -58,19 +57,16 @@ class ScalarKind(enum.Enum):
 KindSet = frozenset[ScalarKind]
 
 
-# Tagging schemes and targets stay frozen dataclasses: `__post_init__`
-# validates them.
-@dataclass(frozen=True)
 class RefTagging:
     """Low-bit discrimination between references and packed values in one
     reference-capable scalar. The two patterns cover the free low bits; their
     free bits are usable for packed data."""
 
-    ref_pattern: BitPattern
-    value_pattern: BitPattern
+    __slots__ = ("ref_pattern", "value_pattern")
 
-    def __post_init__(self):
-        ref, value = self.ref_pattern, self.value_pattern
+    def __init__(self, ref_pattern: BitPattern, value_pattern: BitPattern):
+        self.ref_pattern = ref = ref_pattern
+        self.value_pattern = value = value_pattern
         if ref.width != value.width:
             raise ValueError("ref_tagging patterns differ in width")
         # the two patterns must disagree at some constant bit, otherwise the
@@ -83,21 +79,15 @@ class RefTagging:
         return self.ref_pattern.width
 
 
-@dataclass(frozen=True)
 class Target:
-    name: str
-    word_width: int
-    kind_table: dict[str, KindSet]  # classes: int32 int64 float32 float64 ref
-    ref_tagging: Optional[RefTagging] = None
-    # Derived from the table: the widths of its kind classes, which are its
-    # kind sets merged where they share a kind (units of two classes never
-    # share a scalar, and the scalars of one class have one width); and for
-    # every kind set a scalar can have, that is every non-empty subset of a
-    # class, its class index.
-    class_widths: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    class_of: dict[KindSet, int] = field(init=False, repr=False, compare=False)
+    __slots__ = ("name", "word_width", "kind_table", "ref_tagging", "class_widths", "class_of")
 
-    def __post_init__(self):
+    def __init__(self, name: str, word_width: int, kind_table: dict[str, KindSet],
+                 ref_tagging: Optional[RefTagging] = None):
+        self.name = name
+        self.word_width = word_width
+        self.kind_table = kind_table  # classes: int32 int64 float32 float64 ref
+        self.ref_tagging = ref_tagging
         if self.word_width < 1:
             raise ValueError(f"target {self.name}: word_width must be positive")
         known = ("int32", "int64", "float32", "float64", "ref")
@@ -125,15 +115,19 @@ class Target:
                 raise ValueError(
                     f"target {self.name}: {cls} kinds are {have} bits wide, not {width}"
                 )
+        # Derived from the table: the widths of its kind classes, which are its
+        # kind sets merged where they share a kind (units of two classes never
+        # share a scalar, and the scalars of one class have one width); and for
+        # every kind set a scalar can have, that is every non-empty subset of a
+        # class, its class index.
         classes: list[KindSet] = []
         for kinds in self.kind_table.values():
             joined = [c for c in classes if c & kinds]
             classes = [c for c in classes if not c & kinds] + [kinds.union(*joined)]
-        object.__setattr__(self, "class_widths",
-                           tuple(next(iter(c)).width(self.word_width) for c in classes))
-        object.__setattr__(self, "class_of", {
+        self.class_widths = tuple(next(iter(c)).width(self.word_width) for c in classes)
+        self.class_of = {
             frozenset(ks): i for i, c in enumerate(classes)
-            for r in range(1, len(c) + 1) for ks in combinations(c, r)})
+            for r in range(1, len(c) + 1) for ks in combinations(c, r)}
 
     def kinds_for_int(self, width: int) -> KindSet:
         return self.kind_table["int32" if width <= 32 else "int64"]
@@ -358,18 +352,21 @@ class Disposition(NamedTuple):
     reason: str  # recursive | captured | annotation | all-nullary | auto | default
 
 
-# a dataclass: each environment gets its own dict and set (`default_factory`),
-# which processing fills
-@dataclass
 class AdtEnv:
     """Resolution context for monomorphization: declared ADTs plus the
-    instantiations processed so far, each with its disposition and layout."""
+    instantiations processed so far, each with its disposition and layout.
+    Each environment gets its own context, dict and set, which processing fills."""
 
-    decls: dict[str, AdtDecl]
-    target: Target
-    packings: SizeContext = field(default_factory=SizeContext)  # verified declarations
-    resolved: dict[str, "ResolvedAdt"] = field(default_factory=dict)
-    recursive_keys: set[str] = field(default_factory=set)
+    __slots__ = ("decls", "target", "packings", "resolved", "recursive_keys")
+
+    def __init__(self, decls: dict[str, AdtDecl], target: Target,
+                 packings: Optional[SizeContext] = None,
+                 recursive_keys: Optional[set[str]] = None):
+        self.decls = decls
+        self.target = target
+        self.packings = SizeContext() if packings is None else packings  # verified declarations
+        self.resolved: dict[str, ResolvedAdt] = {}
+        self.recursive_keys = set() if recursive_keys is None else recursive_keys
 
 
 class ResolvedAdt(NamedTuple):

@@ -1,8 +1,12 @@
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import adtlayout
 from adtlayout.cli import cmd_check, cmd_equiv, cmd_layout, main, run_equivalence
 from adtlayout.ir import Const
 
@@ -604,3 +608,15 @@ def test_long_linear_chain_lays_out(tmp_path, command, capsys):
     if command == "layout":
         (entry,) = json.loads(out)["adts"]
         assert entry["adt"] == "T" and not entry["boxed"]
+
+
+def test_importing_the_cli_loads_no_equiv_module():
+    """Only `equiv` runs the IR modules, so `layout` and `check` neither
+    compile nor define them: a fresh interpreter that imports the CLI has
+    none of them loaded."""
+    code = ("import sys, adtlayout.cli; print(sorted(set(sys.modules) & {"
+            "'adtlayout.ir', 'adtlayout.interp', 'adtlayout.norm', 'adtlayout.progen', 'adtlayout.progtext'}))")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(adtlayout.__file__)))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=60, check=True)
+    assert done.stdout == "[]\n"
