@@ -6,12 +6,16 @@ floats, tuples for tuples, ('adt', key, case, fields...) for ADT values
 and ('null',) for a null reference. Heap identity is never observable.
 
 Both phases share one value model: records live in a heap, a reference is
-the 8-aligned address `Heap.alloc` returns, and null is 0. Before
+the address `Heap.alloc` returns, aligned to `max(8, 2**free_low_bits)` of
+the target's tagging so that its tag bits are clear, and null is 0. Before
 normalization record fields hold source-shaped values, observed at each
 source field's IR type; after, they hold the flattened scalars. A
 normalized value of an IR type, a record's source field among them, holds
 the values that `Program.expand` gives that type, and observation walks the
-type over them, turning them back into source-shaped observables."""
+type over them, turning them back into source-shaped observables.
+
+Fuel bounds every run: entering a block costs a step, and so does each
+instruction in it, so every loop ends, in a `fuel` trap."""
 
 from __future__ import annotations
 
@@ -63,17 +67,18 @@ class Record(NamedTuple):
 
 
 class Heap:
-    """Records by address; `alloc` advances `next_addr`."""
+    """Records by address, each `align` bytes past the last; `alloc`
+    advances `next_addr`."""
 
-    __slots__ = ("cells", "next_addr")
+    __slots__ = ("cells", "next_addr", "align")
 
-    def __init__(self):
+    def __init__(self, align: int = _ALIGN):
         self.cells: dict[int, Record] = {}
-        self.next_addr = _ALIGN
+        self.next_addr = self.align = align
 
     def alloc(self, rec: Record) -> int:
         addr = self.next_addr
-        self.next_addr += _ALIGN
+        self.next_addr += self.align
         self.cells[addr] = rec
         return addr
 
@@ -181,7 +186,9 @@ def _mask(width: int) -> int:
 class _Machine:
     def __init__(self, program: Program):
         self.program = program
-        self.heap = Heap()
+        # a reference's low bits must be free for the target's tagging
+        tagging = program.target.ref_tagging
+        self.heap = Heap(max(_ALIGN, 1 << tagging.free_low_bits) if tagging else _ALIGN)
         self.steps = 0
 
     def run(self, entry: str, inputs: list) -> Outcome:
@@ -201,10 +208,12 @@ class _Machine:
         label = fn.entry
         while True:
             blk = blocks[label]
+            # entering a block costs a step, and a step per instruction in it,
+            # so that a loop with no instructions runs out of fuel too
+            self.steps += 1 + len(blk.instrs)
+            if self.steps > _MAX_STEPS:
+                raise TrapSignal("fuel")
             for ins in blk.instrs:
-                self.steps += 1
-                if self.steps > _MAX_STEPS:
-                    raise TrapSignal("fuel")
                 try:
                     run = _EXEC[type(ins)]
                 except KeyError:

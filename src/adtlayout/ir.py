@@ -11,10 +11,11 @@ operations, bitcasts and null tests over the flattened representation;
 getfield and gettag read a boxed record in both phases, field k being a
 source field before normalization and a normalized field after.
 Every type here is an IR type: monomorphization has lowered each source
-field's type once (`MonoVariant.source_fields`), and decided each normalized
-field's (`FieldSlot.type`). `Program.spread` is the one rule for how a
-source value spreads over normalized fields, and `Program.expand` gives the
-types of those fields; they walk the same types.
+field's type once (`MonoVariant.source_fields`), decided each normalized
+field's (`FieldSlot.type`), and recorded which normalized fields each source
+field takes (`MonoVariant.parts`). `Program.expand` is the type-level rule:
+the types of the normalized values that a value of an IR type becomes, which
+parameters, returns, calls and observation follow.
 A value of an opaque reference type such as `string` has type `TAdt` with a
 key that names no ADT, and the checker refuses it as any unknown ADT.
 """
@@ -22,7 +23,7 @@ key that names no ADT, and the checker refuses it as any unknown ADT.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, NamedTuple, Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .records import Record
 from .solver import LayoutSolution
@@ -318,28 +319,6 @@ class Program:
     def is_unboxed(self, key: str) -> bool:
         """True when ADT `key` is laid out in scalars rather than boxed."""
         return key in self.layouts
-
-    def spread(self, t: IrType, items: Iterator, part: Callable) -> None:
-        """The rule for how a source value of type `t` spreads over
-        normalized fields. A tuple is its elements, in order; a declared
-        unboxed ADT is its layout's scalars (none for a one-case nullary
-        type); anything else is one field: a scalar, a boxed ADT reference
-        or an opaque reference.
-
-        Takes one item per field from `items` (the fields themselves, or
-        their values) and calls `part(key, taken)` for each part in order;
-        `key` is the ADT that the part names, None for a scalar or an
-        opaque reference."""
-        if isinstance(t, TTuple):
-            for e in t.elems:
-                self.spread(e, items, part)
-            return
-        key = t.key if isinstance(t, TAdt) else None
-        if key not in self.adts:
-            part(None, [next(items)])
-            return
-        n = len(self.layouts[key].slots) if self.is_unboxed(key) else 1
-        part(key, [next(items) for _ in range(n)])
 
     def expand(self, t: IrType) -> list[IrType]:
         """The types of the normalized values that a value of IR type `t`

@@ -12,8 +12,8 @@ says (`solver.read_plan`, `tag_plan`), which masks only where the case read
 `bad-case` check, and equality switches on the tag, so the scalars then
 hold that case's encoding. Where a source field spreads over several
 normalized fields (a tuple, an embedded unboxed ADT), field reads, default
-values and generated equality take its fields as `Program.spread` walks
-them.
+values and generated equality take them from the parts that
+monomorphization recorded (`MonoVariant.parts`).
 
 Constants fold as they are emitted, with no pass of their own. The
 normalizer knows which post names hold a known constant: a source `Const`,
@@ -31,7 +31,6 @@ into others is never made. An `eq` of the same names is the constant 1."""
 
 from __future__ import annotations
 
-import itertools
 from typing import NamedTuple, Optional
 
 from .distinguish import Leaf, Node
@@ -397,18 +396,13 @@ class _FunctionNormalizer:
     def default_flat_args(self, variant) -> list[str]:
         """Default value for every normalized field of a variant, in order:
         the defaults of the ADTs its parts name, and zeros."""
-        ctx = self.ctx
         args: list[str] = []
-
-        def part(key, fields) -> None:
-            if key is None:
-                args.append(self.const(fields[0].type, 0))
-            else:
-                args.extend(self.default_value_names(key))
-
-        fields = iter(variant.fields)
-        for _, t in variant.source_fields:
-            ctx.pre.spread(t, fields, part)
+        for parts in variant.parts:
+            for key, first, _ in parts:
+                if key is None:
+                    args.append(self.const(variant.fields[first].type, 0))
+                else:
+                    args.extend(self.default_value_names(key))
         return args
 
     # -- packing helpers ---------------------------------------------------------
@@ -501,14 +495,8 @@ class _FunctionNormalizer:
 
     def _getfield(self, ins: GetField) -> None:
         variant = self.ctx.pre.adts[ins.adt].variants[ins.case]
-        # the fields that the walk of source field `ins.field` takes, after
-        # the walks of the source fields before it
-        indices = range(len(variant.fields))
-        ks = iter(indices)
-        for _, t in variant.source_fields[: ins.field + 1]:
-            indices = []
-            self.ctx.pre.spread(t, ks, lambda key, taken: indices.extend(taken))
-        self._read(ins, variant, indices)
+        parts = variant.parts[ins.field]  # a source field's parts are adjacent
+        self._read(ins, variant, range(parts[0][1], parts[-1][2]))
 
     def _contents(self, ins: GetContents) -> None:
         variant = self.ctx.pre.adts[ins.adt].variants[ins.case]
@@ -618,13 +606,11 @@ def _build_equality(ctx: Normalizer, name: str, key: str) -> Function:
     w.end(Switch(ta, cases, "no"))
     for i, variant in enumerate(mono.variants):
         w.start_block(f"case{i}")
-        groups = itertools.count()
-
-        def compare(sub, fields) -> None:
-            # one test per part that has fields: an embedded unboxed value's
-            # scalars compare through its own equality function
-            if not fields:
-                return
+        # one test per part that has fields: an embedded unboxed value's
+        # scalars compare through its own equality function
+        parts = [p for field_parts in variant.parts for p in field_parts if p[1] < p[2]]
+        for g, (sub, first, end) in enumerate(parts):
+            fields = variant.fields[first:end]
             av = [w.decode_field(key, i, f, a_scalars) for f in fields]
             bv = [w.decode_field(key, i, f, b_scalars) for f in fields]
             if ctx.pre.is_unboxed(sub):
@@ -632,13 +618,9 @@ def _build_equality(ctx: Normalizer, name: str, key: str) -> Function:
                 c = w.emit_typed(call, BOOL)
             else:
                 c = w.emit_typed(Eq(w.fresh("eq"), fields[0].type, av[0], bv[0]), BOOL)
-            nxt = f"case{i}.g{next(groups)}"
+            nxt = f"case{i}.g{g}"
             w.end(Branch(c, nxt, "no"))
             w.start_block(nxt)
-
-        fields = iter(variant.fields)
-        for _, t in variant.source_fields:
-            ctx.pre.spread(t, fields, compare)
         w.end(Return(w.const(BOOL, 1)))
     return fn
 

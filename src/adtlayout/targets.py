@@ -9,9 +9,11 @@ The kinds of one class share one width: 64 bits for `int64` and
 
 Monomorphization lowers each source field's type once, to the IR type that
 the checker, the normalizer, the interpreter and the program generator
-read; no later phase sees the parser's type expressions. A named type that
-is not declared, such as `string`, is an opaque reference type: it lowers
-to a `TAdt` whose key names no ADT.
+read; no later phase sees the parser's type expressions. As it appends a
+source field's normalized fields it records their parts
+(`MonoVariant.parts`), which the normalizer reads; no later phase works
+them out again. A named type that is not declared, such as `string`, is an
+opaque reference type: it lowers to a `TAdt` whose key names no ADT.
 """
 
 from __future__ import annotations
@@ -326,6 +328,9 @@ class MonoVariant(NamedTuple):
     name: str
     source_fields: tuple[tuple[str, IrType], ...]  # each source field's IR type
     fields: tuple[FieldSlot, ...]
+    # each source field's parts, in order, as (the ADT that the part names,
+    # None for a scalar or an opaque reference; its first field; its end)
+    parts: tuple[tuple[tuple[Optional[str], int, int], ...], ...]
 
     def field_named(self, name: str) -> FieldSlot:
         for f in self.fields:
@@ -410,10 +415,13 @@ def monomorphize_adt(
     for v in decl.variants:
         source_fields: list[tuple[str, IrType]] = []
         fields: list[FieldSlot] = []
+        parts: list[tuple] = []
         for fname, ftype in v.fields:
-            t = _normalize_field(fname, substitute(ftype, bindings), env, fields)
+            field_parts: list[tuple[Optional[str], int, int]] = []
+            t = _normalize_field(fname, substitute(ftype, bindings), env, fields, field_parts)
             source_fields.append((fname, t))
-        variants.append(MonoVariant(v.name, tuple(source_fields), tuple(fields)))
+            parts.append(tuple(field_parts))
+        variants.append(MonoVariant(v.name, tuple(source_fields), tuple(fields), tuple(parts)))
     return MonoAdt(
         name=key,
         variants=tuple(variants),
@@ -424,18 +432,23 @@ def monomorphize_adt(
     )
 
 
-def _normalize_field(name: str, t: TypeExpr, env: AdtEnv, out: list[FieldSlot]) -> IrType:
-    """Append to `out` the normalized fields of source field `name`, in the
-    order that `ir.Program.spread` walks a value of its type, and return
-    that type lowered to its IR type."""
+def _normalize_field(name: str, t: TypeExpr, env: AdtEnv, out: list[FieldSlot],
+                     parts: list[tuple[Optional[str], int, int]]) -> IrType:
+    """Append to `out` the normalized fields of source field `name`, and to
+    `parts` its parts: a tuple is its elements' parts in order, a declared
+    unboxed ADT is its layout's scalars (none for a one-case nullary type),
+    and anything else is one field. Return the type lowered to its IR type."""
     if isinstance(t, TupleType):
         return TTuple(tuple(
-            _normalize_field(f"{name}.{i}", elem, env, out) for i, elem in enumerate(t.elems)
+            _normalize_field(f"{name}.{i}", elem, env, out, parts)
+            for i, elem in enumerate(t.elems)
         ))
     kinds = get_scalar_kinds(t, env.target)
+    start = len(out)
     if isinstance(t, NamedType):
         key = print_type(t)
-        info = env.resolved.get(key) if t.name in env.decls else None
+        adt = key if t.name in env.decls else None
+        info = env.resolved.get(key) if adt else None
         if info is not None and not info.disposition.boxed:
             _embed_unboxed(name, key, info, env, out)
         else:
@@ -443,8 +456,9 @@ def _normalize_field(name: str, t: TypeExpr, env: AdtEnv, out: list[FieldSlot]) 
             # opaque reference type such as Array<byte> or string, which is
             # bits after normalization
             word = env.target.word_width
-            rep = TAdt(key) if t.name in env.decls else TIntRep(word, min(k.value for k in kinds))
+            rep = TAdt(key) if adt else TIntRep(word, min(k.value for k in kinds))
             out.append(FieldSlot(name, word, kinds, rep, ref_mode=REF_PLAIN))
+        parts.append((adt, start, len(out)))
         return TAdt(key)
     if isinstance(t, FloatType):
         lowered = TFloat(t.width)
@@ -454,6 +468,7 @@ def _normalize_field(name: str, t: TypeExpr, env: AdtEnv, out: list[FieldSlot]) 
         lowered = TInt(t.width, t.signed)
     out.append(FieldSlot(name, lowered.width, kinds, lowered,
                          signed=isinstance(lowered, TInt) and lowered.signed))
+    parts.append((None, start, start + 1))
     return lowered
 
 

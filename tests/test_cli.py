@@ -309,6 +309,14 @@ _X64_KINDS["ref"] = ["R64"]
         (json.dumps({"name": "rt", "word_width": 2, "kinds": _W32_KINDS, "ref_tagging": {
             "free_low_bits": 2, "ref_pattern": "0u", "value_pattern": "1u"}}),
          "free_low_bits must be in 1..1"),
+        # each class needs kinds of one width, and `ref` reference kinds
+        (json.dumps({"name": "w32", "word_width": 32, "kinds": {**_W32_KINDS, "int32": []}}),
+         "target w32: empty kind set for int32"),
+        (json.dumps({"name": "w32", "word_width": 32,
+                     "kinds": {**_W32_KINDS, "int32": ["B32", "B64"]}}),
+         "target w32: mixed-width kind set for int32"),
+        (json.dumps({"name": "w32", "word_width": 32, "kinds": {**_W32_KINDS, "ref": ["B32"]}}),
+         "target w32: non-reference kind in ref set"),
         # a class outside the five, empty or not, is refused by name
         (json.dumps({"name": "w32", "word_width": 32, "kinds": {**_W32_KINDS, "extra": []}}),
          "unknown kind class extra"),

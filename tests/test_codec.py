@@ -1,5 +1,6 @@
 import pathlib
 import random
+import re
 
 import pytest
 
@@ -62,6 +63,30 @@ def test_unaligned_reference_rejected():
     lay = out.resolved["C14"].layout
     with pytest.raises(codec.EncodeError):
         codec.encode_variant(lay, 1, {"r": 0x1001})
+
+
+# on x64, `e.0` is E's one word, which mixes a reference with packed bits,
+# and `r` a plain reference above the tagging's 2 low bits
+RANGES_SRC = (
+    "type R { case A(a: u64, b: u64, c: u64); }"
+    "type E #unboxed { case P(r: R); case Q(x: u8); }"
+    "type T #unboxed { case C(e: E, s: i8, u: u8, r: R); }"
+)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("r", 1 << 64, "reference r out of range"),
+    ("e.0", 1 << 64, "packed word e.0 out of range"),
+    ("s", 128, "s=128 out of range for i8"),
+    ("s", -129, "s=-129 out of range for i8"),
+    ("u", 256, "u=256 out of range for 8 bits"),
+])
+def test_out_of_range_field_is_refused_by_kind(field, value, message):
+    lay = process_adts(parse_program(RANGES_SRC), X64).resolved["T"].layout
+    values = {f.name: 0 for f in lay.adt.variants[0].fields}
+    codec.encode_variant(lay, 0, values)
+    with pytest.raises(codec.EncodeError, match=f"^{re.escape(message)}$"):
+        codec.encode_variant(lay, 0, {**values, field: value})
 
 
 @pytest.mark.parametrize("target_name", TARGET_NAMES)

@@ -3,6 +3,7 @@ import itertools
 import math
 import random
 import re
+import signal
 import time
 import typing
 
@@ -46,7 +47,7 @@ from adtlayout.ir import (
 from adtlayout.pipeline import process_adts
 from adtlayout.solver import ExplicitTag, TreeTag
 from adtlayout.syntax import parse_program, parse_type
-from adtlayout.targets import BUILTIN_TARGETS, REF_NONE, X64
+from adtlayout.targets import BUILTIN_TARGETS, REF_NONE, X64, load_target
 
 from corpus import TARGET_NAMES, TARGETS
 
@@ -148,10 +149,9 @@ def test_emitted_reads_are_their_read_plans(target):
         tag = _plan_ops(layout.tag_plan) if isinstance(scheme, ExplicitTag) else []
         reads = [("u32", f"gettag<{key}>", tag)] if isinstance(scheme, ExplicitTag) else []
         for j, variant in enumerate(program.adts[key].variants):
-            fields = iter(variant.fields)
             for k, (_, t) in enumerate(variant.source_fields):
-                taken = []
-                program.spread(t, fields, lambda _, part: taken.extend(part))
+                parts = variant.parts[k]
+                taken = variant.fields[parts[0][1] : parts[-1][2]]
                 if isinstance(t, TAdt) and t.key not in program.adts:
                     continue  # an opaque reference, whose every value the checker refuses
                 ops = [op for f in taken for op in _plan_ops(layout.plans[(j, f.name)])]
@@ -1058,6 +1058,11 @@ entry:
   %x = contents<Option#-1>(%o)
   ret %x
 }"""), "Option has no case #-1"),
+    ("const-null-non-reference", lambda: _pre("""fn main() -> u8 {
+entry:
+  %n = const<u8> null
+  ret %n
+}"""), "null constant of a non-reference type"),
     ("gettag-unknown-adt", lambda: _pre("""fn main(%o: Option) -> u32 {
 entry:
   %t = gettag<Nope>(%o)
@@ -1191,37 +1196,39 @@ b0:
 
 
 @pytest.mark.parametrize("target", TARGET_NAMES)
-def test_spread_takes_every_normalized_field(target):
-    """Walked with `Program.spread`, the source fields of every corpus and
-    nested-bundle variant take exactly its normalized fields, and each part
-    of an unboxed ADT takes that ADT's embedded scalars in order. A source
-    field's IR type expands to the types of the fields it takes, so lowering
-    and normalization follow one rule; only an opaque reference's field is
-    bits after normalization."""
+def test_parts_take_every_normalized_field(target):
+    """The parts that monomorphization records for the source fields of
+    every corpus and nested-bundle variant tile its normalized fields in
+    order, and each part of an unboxed ADT takes that ADT's embedded scalars
+    in order. A source field's IR type expands to the types of the fields it
+    takes, so lowering and normalization follow one rule; only an opaque
+    reference's field is bits after normalization."""
     from corpus import CORPUS_SRC, NESTED_BUNDLE
 
     decls = NESTED_BUNDLE.split("fn ", 1)[0]
     opaque = 0
     for src in (CORPUS_SRC, decls):
         program = make_program(src, BUILTIN_TARGETS[target])
-        field_taken: list = []
-
-        def part(key, taken):
-            if key is not None and program.is_unboxed(key):
-                assert [f.type for f in taken] == [s.type for s in program.layouts[key].slots]
-                assert [f.name.rsplit(".", 1)[1] for f in taken] == [
-                    str(i) for i in range(len(taken))
-                ]
-            else:
-                assert len(taken) == 1
-            field_taken.extend(taken)
-
         for mono in program.adts.values():
             for variant in mono.variants:
-                fields = iter(variant.fields)
-                for _, t in variant.source_fields:
-                    field_taken.clear()
-                    program.spread(t, fields, part)
+                assert len(variant.parts) == len(variant.source_fields)
+                end = 0
+                for (_, t), parts in zip(variant.source_fields, variant.parts):
+                    field_taken = []
+                    for key, first, last in parts:
+                        assert first == end <= last, (mono.name, variant.name)
+                        end = last
+                        taken = variant.fields[first:last]
+                        if key is not None and program.is_unboxed(key):
+                            assert [f.type for f in taken] == [
+                                s.type for s in program.layouts[key].slots
+                            ]
+                            assert [f.name.rsplit(".", 1)[1] for f in taken] == [
+                                str(i) for i in range(len(taken))
+                            ]
+                        else:
+                            assert len(taken) == 1
+                        field_taken.extend(taken)
                     want = program.expand(t)
                     assert len(want) == len(field_taken), (mono.name, variant.name)
                     for w, f in zip(want, field_taken):
@@ -1230,8 +1237,77 @@ def test_spread_takes_every_normalized_field(target):
                             opaque += 1
                         else:
                             assert w == f.type, (mono.name, f)
-                assert next(fields, None) is None, (mono.name, variant.name)
+                assert end == len(variant.fields), (mono.name, variant.name)
     assert opaque  # the corpus has `string` fields
+
+
+@pytest.mark.parametrize("value_pattern", ["0001", "1000"])
+def test_references_are_aligned_to_the_targets_tagging(value_pattern):
+    """A plain reference sits at bit `free_low_bits` of its scalar, so a
+    target whose tagging frees 4 low bits needs 16-aligned addresses: an
+    8-aligned one sets bit 3, which value pattern 0001 (LSB first) tests."""
+    target = load_target({
+        "name": "t16", "word_width": 64,
+        "kinds": {**{c: ["B64", "F64", "R64"] for c in ("int32", "int64", "float32", "float64")},
+                  "ref": ["R64"]},
+        "ref_tagging": {"free_low_bits": 4, "ref_pattern": "0000", "value_pattern": value_pattern},
+    })
+    program = make_program(
+        "type B { case A(x: u8); case C; } type U #unboxed { case P(b: B); case Q(y: u8); }",
+        target)
+    program.functions["main"] = progtext.parse_function_text("""fn main() -> U {
+entry:
+  %x = const<u8> 7
+  %b = alloc<B#0>(%x)
+  %u = alloc<U#0>(%b)
+  ret %u
+}""")
+    check_program(program)
+    want = Outcome(None, ("adt", "U", 0, (("adt", "B", 0, (7,)),)))
+    assert eval_program(program) == eval_program(norm.normalize_program(program)) == want
+
+
+@pytest.mark.parametrize("body", ["", "  %x = const<u8> 1\n"], ids=["empty", "one-const"])
+def test_every_loop_runs_out_of_fuel(body):
+    """Entering a block costs fuel, so a loop ends in a `fuel` trap even when
+    it runs no instruction. An alarm fails the test if the loop never ends."""
+    program = _pre(f"fn main() -> u8 {{\nb0:\n{body}  jmp b0\n}}")
+    check_program(program)
+
+    def never_ends(signum, frame):
+        raise TimeoutError("the loop ran for 5 s")
+
+    old = signal.signal(signal.SIGALRM, never_ends)
+    signal.alarm(5)
+    try:
+        assert eval_program(program) == Outcome("fuel", None)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+
+
+def _boxed_pre(text: str) -> Program:
+    """A source-level program over a boxed ADT `Box`, with `text` as main."""
+    program = make_program("type Box { case B(a: u64, b: u64, c: u64); }")
+    program.functions["main"] = progtext.parse_function_text(text)
+    return program
+
+
+@pytest.mark.parametrize("build, inputs, kind", [
+    pytest.param(lambda: _pre("fn main() -> u8 {\nentry:\n  %r = call main()\n  ret %r\n}"),
+                 [], "call-depth", id="self-call"),
+    pytest.param(lambda: _boxed_pre("fn main(%b: Box) -> u64 {\nentry:\n"
+                                    "  %x = getfield<Box#0.0>(%b)\n  ret %x\n}"),
+                 [0], "null-access", id="null-input"),
+])
+def test_traps_agree_boxed_and_normalized(build, inputs, kind):
+    """A call chain past the depth limit, and a read of a null boxed input,
+    trap the same way in both phases."""
+    program = build()
+    check_program(program)
+    post = norm.normalize_program(program)
+    assert eval_program(program, inputs=inputs) == Outcome(kind, None)
+    assert eval_program(post, inputs=inputs) == Outcome(kind, None)
 
 
 OPAQUE_FIELD = """

@@ -187,6 +187,15 @@ def test_solve_refuses_a_reference_field():
         process_adts(decls, X64)
 
 
+def test_solve_refuses_an_item_with_no_common_kind():
+    """One bit literal names a u4 and a u40: on the jvm the first needs a
+    B32 and the second a B64, so no scalar can hold the item."""
+    src = "type P #unboxed { case C(a: u4, b: u40) #packing #solve(0b_" + "b" * 40 + "aaaa); }"
+    with pytest.raises(AnnotationInfeasible, match="no common scalar kind") as e:
+        process_adts(parse_program(src), JVM)
+    assert e.value.fields == ["a", "b"]
+
+
 def test_annotation_infeasible_kind_conflict():
     # two fields forced into one scalar with no common kind on the jvm
     src = "type P #unboxed { case C(x: u8, y: f32) #packing #solve(x, y); }"

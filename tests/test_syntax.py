@@ -12,6 +12,7 @@ from adtlayout.syntax import (
     Empty,
     MAX_NESTING,
     FieldRef,
+    IntType,
     NamedType,
     PackingDecl,
     PackingSyntaxError,
@@ -225,6 +226,21 @@ def test_digits_are_ascii_only():
     # an Arabic-Indic 3 makes no integer width
     assert parse_type("u\u0663") == NamedType("u\u0663")
     assert parse_program("type T { case A(x: i\u0663); }")[0].variants[0].fields[0][1] == NamedType("i\u0663")
+
+
+def test_an_integer_width_with_leading_zeros_reads_as_its_value():
+    assert parse_type("u008") == IntType(8, False)
+    assert parse_type("i064") == IntType(64, True)
+
+
+@pytest.mark.parametrize("parse, text, col, message", [
+    (parse_type, "u8 x", 4, "trailing input after type"),
+    (parse_packing_expr, "x y", 3, "trailing input after packing expression"),
+])
+def test_trailing_input_is_e001(parse, text, col, message):
+    with pytest.raises(PackingSyntaxError) as exc:
+        parse(text)
+    assert (exc.value.code, exc.value.message, exc.value.col) == ("E001", message, col)
 
 
 # Pinned tokens: what `_lex` returns for edge inputs, compared with
